@@ -1,6 +1,7 @@
 """HOT rules: the hot-path performance lint.
 
-``BENCH_runtime.json`` says the serial bottleneck is the per-event
+The benchmark's per-layer table (``bench/``: ``netsim.sim.run.self_s``,
+``dnswire.*.self_s``) says the serial bottleneck is the per-event
 engine and per-hop wire encode/decode (ROADMAP item 2).  The expensive
 idioms are mechanical — re-encoding a message that never changes inside
 a retry loop, allocating a closure per scheduled event, scanning a list

@@ -12,8 +12,8 @@ Subcommands:
 * ``check`` — the determinism & architecture static-analysis gate
   (:mod:`repro.check`); exits nonzero on new findings.
 * ``profile <artifact>`` — run one artifact under the latency-budget
-  profiler (:mod:`repro.profile`): per-deployment budget report,
-  collapsed-stack flamegraph input, and ``BENCH_profile.json``.
+  profiler (:mod:`repro.profile`): per-deployment budget report and
+  collapsed-stack flamegraph input.
 * ``slo <rules.slo> --input <artifact.json>`` — evaluate declarative
   latency SLOs over budget/metrics artifacts; exits nonzero on breach.
 * ``tail <artifact.json>`` — print the tail-latency exemplars a
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser(
         "profile",
         help="profile a paper artifact: latency budget, flamegraph "
-             "stacks, wall-clock bench (BENCH_profile.json)")
+             "stacks, hottest functions")
     prof.add_argument("artifact", choices=tuple(registry.names()))
     registry.add_cli_arguments(prof)
     add_profile_arguments(prof)

@@ -15,8 +15,7 @@ questions the raw spans cannot:
 * **Is it good enough?** — :mod:`repro.profile.slo` evaluates
   declarative SLO rules (``mec-ldns-mec-cdns p99 resolve_ms < 20``)
   over budget/metrics artifacts, and :mod:`repro.profile.harness`
-  (``repro profile``) measures the simulator's own wall-clock speed,
-  seeding the ``BENCH_profile.json`` trajectory.
+  (``repro profile``) produces those artifacts from one profiled run.
 
 See ``docs/OBSERVABILITY.md`` ("From spans to answers") for the tour.
 """

@@ -1,26 +1,16 @@
-"""``repro profile`` — wall-clock harness around registered experiments.
+"""``repro profile`` — one profiled run of a registered experiment.
 
-Everything else in this package analyzes *simulated* time; this module
-is the repo's one sanctioned wall-clock reader (each
-``time.perf_counter`` call carries an inline ``repro: allow[DET001]``
-marker — the determinism linter keeps every other module honest).  The
-ROADMAP's north star is "as fast as the hardware allows", and you
-cannot keep that promise without measuring it.
-
-``run_profile(name)`` executes one registered experiment **twice**:
-
-* a *timed* pass — ambient telemetry installed (so every lookup emits
-  the spans the budget/critical-path analyzers need) and the
-  :func:`repro.netsim.observe_simulators` hook collecting event-loop
-  counters, but **no** interpreter profiler.  ``wall_s`` and
-  ``events_per_s`` come from this pass: timing under ``cProfile``
-  measures the profiler's per-call overhead, not the code (an earlier
-  revision did exactly that, and the bench number tracked call *count*
-  instead of runtime);
-* a *profiled* pass — :class:`~repro.runtime.TrialExecutor` per-trial
-  ``cProfile`` capture (merged in spec order — see
-  :mod:`repro.runtime.capture`), feeding only the ``top_functions``
-  table and the returned ``profile_stats``.
+``run_profile(name)`` executes the experiment **once**, serially, under
+three observers that read without perturbing: the harness's own
+telemetry session (every lookup emits the spans the budget and
+critical-path analyzers need), the
+:func:`repro.netsim.observe_simulators` hook (event-loop counters), and
+:class:`~repro.runtime.TrialExecutor` per-trial ``cProfile`` capture
+(merged in spec order — see :mod:`repro.runtime.capture`), which feeds
+the hottest-functions table.  Everything reported is either simulated
+time or a deterministic count; how fast the simulator itself runs is
+``bench/``'s question (``queries_per_s``, ``netsim.events_per_s``),
+measured with no profiler attached.
 
 Trials run serially (``jobs=1``): the counters and the profiler live
 in this process, and a profile sharded over workers would measure the
@@ -29,16 +19,13 @@ trial results and telemetry are byte-identical with it on or off,
 which the test suite asserts via ``result_digest``.
 
 Artifacts: ``<name>-budget.json`` (the ``repro-budget-v1`` document
-``repro slo`` consumes), ``<name>-profile.folded`` (collapsed stacks
-for a flamegraph), and ``BENCH_profile.json`` (the perf-trajectory
-sample ``scripts/bench_compare.py`` gates on).
+``repro slo`` consumes) and ``<name>-profile.folded`` (collapsed stacks
+for a flamegraph).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro import telemetry as _telemetry
@@ -49,9 +36,6 @@ from repro.profile.profiler import (ProfileEntry, collapsed_stacks,
                                     simulated_profile)
 from repro.runtime import ExperimentRun, ProfileStats, TrialExecutor
 
-#: Schema tag for ``BENCH_profile.json``.
-BENCH_FORMAT = "repro-bench-profile-v1"
-
 
 class ProfileRunResult(NamedTuple):
     """Everything one harness invocation produced."""
@@ -59,17 +43,19 @@ class ProfileRunResult(NamedTuple):
     run: ExperimentRun
     report: BudgetReport
     entries: List[ProfileEntry]
-    bench: Dict[str, Any]
+    simulators: int
+    events: int
+    max_heap_depth: int
+    top_functions: List[Dict[str, Any]]
     budget_path: str
     folded_path: str
-    bench_path: str
 
 
 def _top_functions(stats: Optional[ProfileStats],
                    top: int) -> List[Dict[str, Any]]:
     """The ``top`` hottest rows of the merged cProfile table, by cumtime.
 
-    File paths are reduced to basenames so the document compares across
+    File paths are reduced to basenames so the table compares across
     machines; ties break on the rendered name for a total order.
     """
     if not stats:
@@ -91,99 +77,55 @@ def _top_functions(stats: Optional[ProfileStats],
 def run_profile(name: str,
                 overrides: Optional[Dict[str, object]] = None,
                 out_dir: str = ".",
-                bench_path: Optional[str] = None,
                 top: int = 15) -> ProfileRunResult:
     """Profile one registered experiment end to end and write artifacts."""
     from repro.experiments.registry import builtin_registry
     experiment = builtin_registry().get(name)
 
-    # Profiled pass first: same experiment under per-trial cProfile,
-    # feeding only the top_functions table.  Running it before the timed
-    # pass also serves as the warm-up — imports, zone construction, and
-    # allocator caches are paid here, not inside the measurement.  Its
-    # telemetry facade is discarded.
-    previous = _telemetry.get_default()
-    profiled_session = _telemetry.Telemetry()
-    _telemetry.set_default(profiled_session)
-    try:
-        profiled = TrialExecutor(jobs=1, profile=True).run(
-            experiment, overrides)
-    finally:
-        _telemetry.set_default(previous)
-
-    # Timed pass: telemetry and event counters on, interpreter profiler
-    # off — wall_s must measure the code, not cProfile's per-call hook.
     simulators: List[Simulator] = []
+    previous = _telemetry.get_default()
     session = _telemetry.Telemetry()
     _telemetry.set_default(session)
     observe_simulators(simulators.append)
-    started = time.perf_counter()  # repro: allow[DET001]
     try:
-        run = TrialExecutor(jobs=1).run(experiment, overrides)
+        run = TrialExecutor(jobs=1, profile=True).run(experiment, overrides)
     finally:
-        wall_s = time.perf_counter() - started  # repro: allow[DET001]
         observe_simulators(None)
         _telemetry.set_default(previous)
-    run = run._replace(profile_stats=profiled.profile_stats)
 
     spans = session.tracer.finished
     report = budget_report(spans)
-    entries = simulated_profile(spans)
-    events = sum(sim.events_processed for sim in simulators)
-    heap_depth = max((sim.max_queue_depth for sim in simulators), default=0)
-    bench: Dict[str, Any] = {
-        "format": BENCH_FORMAT,
-        "experiment": name,
-        "ok": run.ok,
-        "wall_s": round(wall_s, 4),
-        "cpu_count": os.cpu_count(),
-        "simulators": len(simulators),
-        "events": events,
-        "events_per_s": round(events / wall_s, 1) if wall_s > 0 else 0.0,
-        "max_heap_depth": heap_depth,
-        "spans": len(spans),
-        "traces": len(session.tracer.trace_ids()),
-        "top_functions": _top_functions(run.profile_stats, top),
-    }
-
     os.makedirs(out_dir, exist_ok=True)
     budget_path = os.path.join(out_dir, f"{name}-budget.json")
     folded_path = os.path.join(out_dir, f"{name}-profile.folded")
-    resolved_bench = (bench_path if bench_path is not None
-                      else os.path.join(out_dir, "BENCH_profile.json"))
     report.write(budget_path)
     with open(folded_path, "w", encoding="utf-8") as handle:
         handle.write(render_collapsed(collapsed_stacks(spans)))
-    with open(resolved_bench, "w", encoding="utf-8") as handle:
-        json.dump(bench, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return ProfileRunResult(run=run, report=report, entries=entries,
-                            bench=bench, budget_path=budget_path,
-                            folded_path=folded_path,
-                            bench_path=resolved_bench)
+    return ProfileRunResult(
+        run=run, report=report, entries=simulated_profile(spans),
+        simulators=len(simulators),
+        events=sum(sim.events_processed for sim in simulators),
+        max_heap_depth=max((sim.max_queue_depth for sim in simulators),
+                           default=0),
+        top_functions=_top_functions(run.profile_stats, top),
+        budget_path=budget_path, folded_path=folded_path)
 
 
 def render_summary(result: ProfileRunResult, top: int = 15) -> str:
-    """Human-readable harness output: budget, sim profile, wall clock."""
-    bench = result.bench
+    """Human-readable harness output: budget, sim profile, counters."""
     lines = ["== latency budget (simulated ms) ==",
              result.report.render(), "",
              "== simulated-time profile ==",
-             render_profile(result.entries, limit=top)]
-    lines.extend([
-        "",
-        "== wall clock ==",
-        f"wall {bench['wall_s']:.3f} s on {bench['cpu_count']} cpu(s); "
-        f"{bench['simulators']} simulators, {bench['events']} events "
-        f"({bench['events_per_s']:.0f}/s), heap depth {bench['max_heap_depth']}",
-        f"artifacts: {result.budget_path}, {result.folded_path}, "
-        f"{result.bench_path}",
-    ])
-    top_rows = bench.get("top_functions", [])
-    if top_rows:
+             render_profile(result.entries, limit=top),
+             "",
+             "== simulator counters ==",
+             f"{result.simulators} simulators, {result.events} events, "
+             f"heap depth {result.max_heap_depth}",
+             f"artifacts: {result.budget_path}, {result.folded_path}"]
+    if result.top_functions:
         lines.append("hottest functions (merged per-trial cProfile, "
                      "by cumulative time):")
-        for row in top_rows:
+        for row in result.top_functions:
             lines.append(f"  {row['cumtime_s']:9.4f} s  "
                          f"{row['calls']:9d} calls  {row['function']}")
     return "\n".join(lines)

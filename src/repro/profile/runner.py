@@ -21,9 +21,6 @@ def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", metavar="DIR", default=".",
                         help="directory for <name>-budget.json and "
                              "<name>-profile.folded (default: .)")
-    parser.add_argument("--bench-out", metavar="PATH", default=None,
-                        help="where to write BENCH_profile.json "
-                             "(default: <out-dir>/BENCH_profile.json)")
     parser.add_argument("--top", type=int, default=15,
                         help="rows to show in the profile tables "
                              "(default: 15)")
@@ -37,9 +34,7 @@ def run_profile_cli(args: argparse.Namespace) -> int:
     overrides = {param.name: getattr(args, param.name)
                  for param in experiment.params if param.cli}
     result = harness.run_profile(args.artifact, overrides,
-                                 out_dir=args.out_dir,
-                                 bench_path=args.bench_out,
-                                 top=args.top)
+                                 out_dir=args.out_dir, top=args.top)
     if result.run.failures:
         print(f"error: {len(result.run.failures)} of "
               f"{len(result.run.outcomes)} trials failed:", file=sys.stderr)

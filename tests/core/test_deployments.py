@@ -83,6 +83,22 @@ class TestFigure5Shape:
         assert nr_wireless < lte_wireless / 3
         assert nr < lte
 
+    def test_5g_grows_the_boost_over_far_resolvers(self):
+        # §4: "Future 5G deployments will drastically reduce this time,
+        # resulting in even greater end-to-end boost for MEC-CDN" — the
+        # far resolvers barely improve, the MEC bar nearly halves.
+        def boost(**kwargs):
+            mec, _ = mean_latency("mec-ldns-mec-cdns", seed=42, count=20,
+                                  **kwargs)
+            far, _ = mean_latency("cloudflare-dns", seed=42, count=20,
+                                  **kwargs)
+            return far / mec, mec
+
+        boost_lte, _ = boost()
+        boost_5g, mec_5g = boost(profile=TESTBED_5G)
+        assert mec_5g < 10
+        assert boost_5g > boost_lte * 1.5
+
 
 class TestMeasurementHarness:
     def test_warmup_excluded(self):

@@ -5,7 +5,7 @@ import ipaddress
 from hypothesis import given, settings, strategies as st
 
 from repro.cdn import CacheServer, ContentCatalog
-from repro.cdn.router import _HashRing
+from repro.cdn.allocation import HashRing
 from repro.mobile.nat import NatMiddlebox
 from repro.netsim import Network, RandomStreams, Simulator
 from repro.netsim.packet import Datagram, Endpoint
@@ -25,7 +25,7 @@ def build_caches(count):
 class TestHashRing:
     def test_balance_over_many_keys(self):
         caches = build_caches(8)
-        ring = _HashRing(caches)
+        ring = HashRing(caches)
         counts = {cache.name: 0 for cache in caches}
         for index in range(4000):
             pick = ring.pick(f"object-{index}", lambda c: True)
@@ -37,7 +37,7 @@ class TestHashRing:
 
     def test_minimal_disruption_on_cache_loss(self):
         caches = build_caches(8)
-        ring = _HashRing(caches)
+        ring = HashRing(caches)
         keys = [f"object-{index}" for index in range(1500)]
         before = {key: ring.pick(key, lambda c: True) for key in keys}
         victim = caches[3]
@@ -52,13 +52,13 @@ class TestHashRing:
     @settings(max_examples=50, deadline=None)
     def test_pick_is_deterministic(self, key):
         caches = build_caches(4)
-        ring = _HashRing(caches)
+        ring = HashRing(caches)
         first = ring.pick(key, lambda c: True)
         assert all(ring.pick(key, lambda c: True) is first
                    for _ in range(3))
 
     def test_empty_ring_returns_none(self):
-        ring = _HashRing([])
+        ring = HashRing([])
         assert ring.pick("anything", lambda c: True) is None
 
 
