@@ -126,6 +126,18 @@ class LatencyHistogram:
         """Upper edge of bin ``index`` in ms."""
         return LOW_MS * 10.0 ** ((index + 1) / BINS_PER_DECADE)
 
+    @classmethod
+    def bin_bounds(cls, value_ms: float) -> Tuple[float, float]:
+        """``(lower, upper)`` edges of the bin covering ``value_ms``.
+
+        A reported quantile is its covering bin's midpoint clamped to
+        the exact extremes, so it never leaves that bin: feeding it
+        back here recovers everything the histogram actually knows
+        about where the true quantile lies.
+        """
+        index = cls._bin_index(value_ms)
+        return cls._bin_upper_edge(index - 1), cls._bin_upper_edge(index)
+
     # -- reading -------------------------------------------------------------
 
     @property

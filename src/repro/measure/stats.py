@@ -12,25 +12,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Sequence
 
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolation percentile (pct in [0, 100])."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentile {pct} out of [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100) * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    weight = rank - low
-    # This form never leaves [ordered[low], ordered[high]] under floating
-    # point, unlike a*(1-w) + b*w.
-    return ordered[low] + (ordered[high] - ordered[low]) * weight
+from repro.telemetry.metrics import percentile
 
 
 def trimmed(values: Sequence[float], low_pct: float = 8.0,

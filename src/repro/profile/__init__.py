@@ -21,7 +21,7 @@ See ``docs/OBSERVABILITY.md`` ("From spans to answers") for the tour.
 """
 
 from repro.profile.budget import (BudgetReport, BudgetRow, StageBudget,
-                                  budget_report, percentile)
+                                  budget_report)
 from repro.profile.criticalpath import (STAGE_BACKHAUL, STAGE_CDNS,
                                         STAGE_CLIENT, STAGE_LDNS_CACHE,
                                         STAGE_OTHER, STAGE_RADIO, STAGES,
@@ -64,7 +64,6 @@ __all__ = [
     "collapsed_stacks",
     "evaluate_slo",
     "parse_slo_text",
-    "percentile",
     "render_collapsed",
     "render_path",
     "render_profile",

@@ -17,33 +17,11 @@ the simulation.
 from __future__ import annotations
 
 import json
-import math
-from typing import Any, Dict, Iterable, List, NamedTuple, Sequence
+from typing import Any, Dict, Iterable, List, NamedTuple
 
 from repro.profile.criticalpath import STAGES, analyze_trace
 from repro.telemetry import Span
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolation percentile (pct in [0, 100]).
-
-    Mirrors ``repro.measure.stats.percentile`` exactly; a local copy
-    keeps this package importable without the measure layer.
-    """
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentile {pct} out of [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100) * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    weight = rank - low
-    return ordered[low] + (ordered[high] - ordered[low]) * weight
+from repro.telemetry.metrics import percentile
 
 
 class StageBudget(NamedTuple):

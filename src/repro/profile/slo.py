@@ -30,7 +30,9 @@ telemetry artifact):
     name.  Missing-data semantics are strict *per window*: any window
     inside the covered range with zero samples FAILS the rule —
     "nothing measured for a second" is an outage signal, not a free
-    pass.  (``min`` is not available: windows carry histograms.)
+    pass.  (``min`` is not available: windows carry histograms, and
+    quantiles interpolate across the occupied buckets the document
+    lists.)
 
 ``<scope> burnrate <bad>/<total> <fires|quiet> budget=F factor=X fast=N slow=M [clear=K]``
     Multi-window, multi-burn-rate alerting (the SRE workbook shape)
@@ -64,7 +66,7 @@ import json
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
                     Optional, Tuple, Union)
 
-from repro.profile.budget import percentile
+from repro.telemetry.metrics import BucketCell, percentile
 
 #: Metric names answerable from the telemetry-artifact histograms.
 _HISTOGRAM_METRICS = {"resolve_ms": "repro_lookup_latency_ms"}
@@ -427,40 +429,21 @@ def _histogram_estimate(rule: SloRule,
                 count = sample.get("count", 0)
                 if not count:
                     continue
-                buckets = [(float("inf") if bucket["le"] == "+Inf"
-                            else float(bucket["le"]), int(bucket["count"]))
-                           for bucket in sample.get("buckets", [])]
-                return _histogram_agg(rule.agg, count,
-                                      float(sample.get("sum", 0.0)), buckets)
+                buckets = sample.get("buckets", [])
+                return _estimate(BucketCell.from_running(
+                    tuple(float(bucket["le"]) for bucket in buckets),
+                    [int(bucket["count"]) for bucket in buckets],
+                    count, float(sample.get("sum", 0.0))), rule.agg)
     return None
 
 
-def _histogram_agg(agg: str, count: int, total: float,
-                   buckets: List[Tuple[float, int]]) -> Optional[float]:
+def _estimate(cell: BucketCell, agg: str) -> Optional[float]:
+    """The rule's aggregate as far as a bucketed cell can answer it."""
     if agg == "mean":
-        return total / count
-    if agg in ("min",):
+        return cell.total / cell.count
+    if agg == "min":
         return None  # a histogram cannot bound the minimum
-    if agg == "max":
-        quantile = 100.0
-    else:
-        quantile = float(agg[1:])
-    target = (quantile / 100.0) * count
-    lower = 0.0
-    cumulative_prev = 0
-    for bound, cumulative in buckets:
-        if cumulative >= target:
-            if bound == float("inf"):
-                return lower  # unbounded tail: best available estimate
-            in_bucket = cumulative - cumulative_prev
-            if in_bucket <= 0:
-                return bound
-            fraction = (target - cumulative_prev) / in_bucket
-            return lower + (bound - lower) * fraction
-        cumulative_prev = cumulative
-        if bound != float("inf"):
-            lower = bound
-    return lower
+    return cell.quantile(100.0 if agg == "max" else float(agg[1:]))
 
 
 def _timeseries_docs(documents: List[Dict[str, Any]]
@@ -483,14 +466,13 @@ def _scope_matches(scope: str, labels: Dict[str, Any]) -> bool:
 
 
 def _merged_series(documents: List[Dict[str, Any]], name: str,
-                   kind: str, scope: str) -> Dict[int, List[Any]]:
+                   kind: str, scope: str) -> Dict[int, Any]:
     """Window-wise merge of every matching series across documents.
 
-    Counter windows merge to ``[value]``; latency windows merge to
-    ``[count, sum, {bound: count}]`` (bucket counts are per-bucket, as
-    the artifact stores them).
+    Counter windows merge to a float, latency windows to a
+    :class:`~repro.telemetry.metrics.BucketCell`.
     """
-    merged: Dict[int, List[Any]] = {}
+    merged: Dict[int, Any] = {}
     for document in _timeseries_docs(documents):
         for series in document.get("series", []):
             if series.get("name") != name or series.get("kind") != kind:
@@ -500,27 +482,18 @@ def _merged_series(documents: List[Dict[str, Any]], name: str,
             for window in series.get("windows", []):
                 index = int(window["index"])
                 if kind == "counter":
-                    cell = merged.setdefault(index, [0.0])
-                    cell[0] += float(window.get("value", 0.0))
-                else:
-                    cell = merged.setdefault(index, [0, 0.0, {}])
-                    cell[0] += int(window.get("count", 0))
-                    cell[1] += float(window.get("sum", 0.0))
-                    for bound, count in window.get("buckets", []):
-                        numeric = (float("inf") if bound == "+Inf"
-                                   else float(bound))
-                        cell[2][numeric] = (cell[2].get(numeric, 0)
-                                            + int(count))
+                    merged[index] = (merged.get(index, 0.0)
+                                     + float(window.get("value", 0.0)))
+                    continue
+                cell = merged.get(index)
+                if cell is None:
+                    cell = merged[index] = BucketCell()
+                cell.merge(BucketCell.from_sparse(
+                    ((float(bound), int(count))
+                     for bound, count in window.get("buckets", [])),
+                    int(window.get("count", 0)),
+                    float(window.get("sum", 0.0))))
     return merged
-
-
-def _cumulative(buckets: Dict[float, int]) -> List[Tuple[float, int]]:
-    out: List[Tuple[float, int]] = []
-    running = 0
-    for bound in sorted(buckets):
-        running += buckets[bound]
-        out.append((bound, running))
-    return out
 
 
 def _check_window_rule(rule: WindowRule,
@@ -540,13 +513,20 @@ def _check_window_rule(rule: WindowRule,
     failures: List[str] = []
     for index in range(first, last + 1):
         cell = merged.get(index)
-        if cell is None or not cell[0]:
+        if cell is None or not cell.count:
             # Strict per-window missing-data semantics: a covered-range
             # window with zero samples is an outage, not a free pass.
             failures.append(f"window {index} has no samples")
             continue
-        value = _histogram_agg(rule.agg, cell[0], cell[1],
-                               _cumulative(cell[2]))
+        # The time-series document lists only occupied buckets, and
+        # window rules interpolate across what is listed: an empty
+        # bucket widens its upper neighbour instead of bounding it.
+        held = [at for at, in_bucket in enumerate(cell.counts) if in_bucket]
+        reached = cell.cumulative()
+        listed = BucketCell.from_running(
+            tuple(cell.bounds[at] for at in held),
+            [reached[at] for at in held], cell.count, cell.total)
+        value = _estimate(listed, rule.agg)
         if value is None:  # pragma: no cover - min rejected at parse
             failures.append(f"window {index}: unanswerable aggregate")
             continue
@@ -568,7 +548,7 @@ def _check_window_rule(rule: WindowRule,
 
 
 def _resolve_counter(token: str, documents: List[Dict[str, Any]],
-                     scope: str) -> Tuple[str, Dict[int, List[Any]]]:
+                     scope: str) -> Tuple[str, Dict[int, float]]:
     """Resolve a burn-rate counter name and merge its windows.
 
     Bare names try the control-plane family first, then the workload
@@ -596,8 +576,8 @@ def _check_burnrate_rule(rule: BurnRateRule,
         first, last = min(first, min(bad_wins)), max(last, max(bad_wins))
 
     def trailing(window: int, span: int,
-                 cells: Dict[int, List[Any]]) -> float:
-        return sum(cells[index][0]
+                 cells: Dict[int, float]) -> float:
+        return sum(cells[index]
                    for index in range(window - span + 1, window + 1)
                    if index in cells)
 

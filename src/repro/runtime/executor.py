@@ -288,23 +288,15 @@ atexit.register(shutdown_worker_pool)
 class TrialExecutor:
     """Runs trial plans serially or across a process pool."""
 
-    def __init__(self, jobs: int = 1, profile: bool = False,
-                 chunk_size: Optional[int] = None) -> None:
+    def __init__(self, jobs: int = 1, profile: bool = False) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.jobs = jobs
         #: When true, each trial runs under its own ``cProfile.Profile``
         #: and the merged table lands on ``ExperimentRun.profile_stats``.
         #: The profiler observes the interpreter, not the simulation, so
         #: results and telemetry are identical either way.
         self.profile = profile
-        #: Specs per pickle round-trip for the pool backend; ``None``
-        #: picks :meth:`default_chunk_size`.  Chunking changes how work
-        #: is batched across processes, never what any trial computes or
-        #: the order results merge in.
-        self.chunk_size = chunk_size
 
     def run(self, experiment: Experiment,
             overrides: Optional[Mapping[str, object]] = None,
@@ -362,8 +354,9 @@ class TrialExecutor:
                   capture: Optional[TelemetryConfig],
                   ) -> Tuple[List[_TrialDone], ExecutorStats]:
         workers = min(self.jobs, len(specs))
-        chunk_size = self.chunk_size or self.default_chunk_size(
-            len(specs), workers)
+        # Chunking changes how work is batched across processes, never
+        # what any trial computes or the order results merge in.
+        chunk_size = self.default_chunk_size(len(specs), workers)
         chunks = [_ChunkTask(experiment, tuple(specs[at:at + chunk_size]),
                              capture, self.profile)
                   for at in range(0, len(specs), chunk_size)]

@@ -9,11 +9,20 @@ metric cannot perturb the simulation.
 Label values are stringified and samples are keyed by the sorted
 ``(key, value)`` tuple, so ``inc(host="a", link="b")`` and
 ``inc(link="b", host="a")`` hit the same sample.
+
+This stdlib-only leaf also owns the two ways the repo turns latencies
+into percentiles: :func:`percentile` over exact samples, and
+:class:`BucketCell`, the fixed-bucket aggregate behind histogram
+samples, time-series windows, the exporters and the SLO readers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -118,13 +127,126 @@ class Gauge:
         return f"Gauge({self.name}, {len(self._samples)} series)"
 
 
-class _HistogramSample:
-    __slots__ = ("bucket_counts", "total", "count")
+def percentile(values: Sequence[float], pct: float) -> float:
+    """Linear-interpolation percentile of exact samples (pct in [0, 100])."""
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    if not 0 <= pct <= 100:
+        raise ValueError(f"percentile {pct} out of [0, 100]")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (pct / 100) * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    weight = rank - low
+    # This form never leaves [ordered[low], ordered[high]] under floating
+    # point, unlike a*(1-w) + b*w.
+    return ordered[low] + (ordered[high] - ordered[low]) * weight
 
-    def __init__(self, n_buckets: int) -> None:
-        self.bucket_counts = [0] * n_buckets
-        self.total = 0.0
-        self.count = 0
+
+class BucketCell:
+    """One fixed-bucket latency aggregate: count, sum, per-bucket counts.
+
+    The single owner of the layout every windowed series, histogram
+    sample, exporter and SLO reader shares.  Bucket ``i`` counts values
+    in ``(bounds[i-1], bounds[i]]`` (Prometheus ``le`` semantics);
+    ``bounds`` must be sorted and end in ``+Inf``.  Cells are slotted
+    and pickle as-is, so they cross the executor's process boundary
+    inside telemetry snapshots.
+    """
+
+    __slots__ = ("bounds", "count", "total", "counts")
+
+    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS,
+                 count: int = 0, total: float = 0.0) -> None:
+        self.bounds = bounds
+        self.count = count
+        self.total = total
+        self.counts = [0] * len(bounds)
+
+    @classmethod
+    def from_values(cls, values: Sequence[float]) -> "BucketCell":
+        """The default-layout cell ``observe`` would build, in bulk.
+
+        The sum is taken in arrival order; bucket counts come from
+        ``bisect_right`` cuts of a sorted copy — one bisect per bound
+        instead of one per value, which is what lets a hot loop get
+        away with plain appends and bucket once at flush time.
+        """
+        ordered = sorted(values)
+        return cls.from_running(
+            DEFAULT_BUCKETS,
+            [bisect_right(ordered, bound) for bound in DEFAULT_BUCKETS],
+            len(values), sum(values))
+
+    @classmethod
+    def from_running(cls, bounds: Sequence[float], running: Sequence[int],
+                     count: int, total: float) -> "BucketCell":
+        """Rebuild a cell from :meth:`cumulative`'s running counts, the
+        form the ``le`` buckets of an exported histogram carry."""
+        cell = cls(bounds, count, total)
+        cell.counts = [reached - below for below, reached
+                       in zip([0, *running], running)]
+        return cell
+
+    @classmethod
+    def from_sparse(cls, buckets: Iterable[Tuple[float, int]],
+                    count: int, total: float) -> "BucketCell":
+        """Rebuild a default-layout cell from ``(le, in_bucket)`` pairs
+        that list only the occupied buckets (the time-series form)."""
+        cell = cls(DEFAULT_BUCKETS, count, total)
+        for bound, in_bucket in buckets:
+            cell.counts[bisect_left(cell.bounds, bound)] += in_bucket
+        return cell
+
+    def observe(self, value: float) -> int:
+        """Record one value; returns the index of the bucket it hit."""
+        index = bisect_left(self.bounds, value)
+        self.counts[index] += 1
+        self.count += 1
+        self.total += value
+        return index
+
+    def merge(self, other: "BucketCell") -> None:
+        """Add ``other`` bucket-wise (same layout)."""
+        if other.bounds != self.bounds:
+            raise ValueError(
+                f"bucket mismatch: {self.bounds} vs {other.bounds}")
+        self.count += other.count
+        self.total += other.total
+        for index, in_bucket in enumerate(other.counts):
+            self.counts[index] += in_bucket
+
+    def cumulative(self) -> List[int]:
+        """Running bucket counts; the last entry covers every value."""
+        return list(accumulate(self.counts))
+
+    def quantile(self, pct: float) -> float:
+        """Estimate the ``pct``-th percentile (pct in [0, 100]).
+
+        Prometheus-style: find the bucket the rank falls in and
+        interpolate linearly between its lower and upper bound.  A
+        rank inside the ``+Inf`` bucket returns the last finite bound,
+        the best estimate an unbounded tail allows.
+        """
+        target = (pct / 100.0) * self.count
+        lower = 0.0
+        below = 0
+        for bound, reached in zip(self.bounds, self.cumulative()):
+            if reached >= target:
+                if bound == math.inf:
+                    return lower
+                if reached == below:
+                    return bound
+                fraction = (target - below) / (reached - below)
+                return lower + (bound - lower) * fraction
+            below = reached
+            if bound != math.inf:
+                lower = bound
+        return lower
 
 
 class Histogram:
@@ -145,7 +267,7 @@ class Histogram:
         self.name = name
         self.help = help
         self.buckets: Tuple[float, ...] = tuple(bounds)
-        self._samples: Dict[LabelKey, _HistogramSample] = {}
+        self._samples: Dict[LabelKey, BucketCell] = {}
         #: Last exemplar per (label set, bucket index) — OpenMetrics
         #: semantics: a bucket carries at most one, newest wins.
         self._exemplars: Dict[LabelKey, Dict[int, ExemplarValue]] = {}
@@ -162,16 +284,11 @@ class Histogram:
         key = _label_key(labels)
         sample = self._samples.get(key)
         if sample is None:
-            sample = self._samples[key] = _HistogramSample(len(self.buckets))
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                sample.bucket_counts[index] += 1
-                if exemplar is not None:
-                    self._exemplars.setdefault(key, {})[index] = (
-                        _label_key(dict(exemplar)), value)
-                break
-        sample.total += value
-        sample.count += 1
+            sample = self._samples[key] = BucketCell(self.buckets)
+        index = sample.observe(value)
+        if exemplar is not None:
+            self._exemplars.setdefault(key, {})[index] = (
+                _label_key(dict(exemplar)), value)
 
     def exemplars(self, **labels: object) -> Dict[int, ExemplarValue]:
         """Bucket-index -> exemplar for one label combination."""
@@ -192,14 +309,9 @@ class Histogram:
         sample = self._samples.get(_label_key(labels))
         if sample is None:
             return [(bound, 0) for bound in self.buckets]
-        running = 0
-        out: List[Tuple[float, int]] = []
-        for bound, in_bucket in zip(self.buckets, sample.bucket_counts):
-            running += in_bucket
-            out.append((bound, running))
-        return out
+        return list(zip(self.buckets, sample.cumulative()))
 
-    def samples(self) -> Iterator[Tuple[LabelKey, _HistogramSample]]:
+    def samples(self) -> Iterator[Tuple[LabelKey, BucketCell]]:
         """``(label_key, sample)`` pairs in stable sorted order."""
         yield from sorted(self._samples.items(), key=lambda item: item[0])
 
@@ -213,12 +325,8 @@ class Histogram:
                                   key=lambda item: item[0]):
             mine = self._samples.get(key)
             if mine is None:
-                mine = self._samples[key] = _HistogramSample(
-                    len(self.buckets))
-            for index, count in enumerate(theirs.bucket_counts):
-                mine.bucket_counts[index] += count
-            mine.total += theirs.total
-            mine.count += theirs.count
+                mine = self._samples[key] = BucketCell(self.buckets)
+            mine.merge(theirs)
         # Incoming exemplars win: snapshots merge in spec order, so
         # "newest" is the later trial — same outcome on every backend.
         for key, per_bucket in sorted(other._exemplars.items()):

@@ -6,10 +6,11 @@ wide, indexed ``int(t_ms // window_ms)``), so a series is a sparse map
 from window index to a small aggregate cell:
 
 * **counter** series — one float per window (events in that window);
-* **latency** series — count, sum, and fixed-bucket counts per window
-  (the bucket layout is :data:`~repro.telemetry.metrics.DEFAULT_BUCKETS`),
-  enough to estimate any per-window quantile and to count threshold
-  exceedances for burn-rate rules without retaining samples.
+* **latency** series — one :class:`~repro.telemetry.metrics.BucketCell`
+  per window (count, sum, and counts over
+  :data:`~repro.telemetry.metrics.DEFAULT_BUCKETS`), enough to estimate
+  any per-window quantile and to count threshold exceedances for
+  burn-rate rules without retaining samples.
 
 Control-plane moments (zone updates, fault injections, handovers) are
 **annotations** on the same timeline: ``(t_ms, name, detail, scope)``
@@ -28,18 +29,12 @@ randomness; callers pass simulated timestamps in.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.telemetry.metrics import DEFAULT_BUCKETS, LabelKey, _label_key
-
-#: A latency window cell: ``[count, sum, bucket_counts]``.
-LatencyCell = List[Any]
+from repro.telemetry.metrics import BucketCell, LabelKey, _label_key
 
 #: One annotation: ``(t_ms, name, detail, scope)``.
 Annotation = Tuple[float, str, str, str]
-
-_N_BUCKETS = len(DEFAULT_BUCKETS)
 
 
 class TimeSeries:
@@ -56,7 +51,7 @@ class TimeSeries:
         self.max_windows = max_windows
         self.max_annotations = max_annotations
         self._counters: Dict[str, Dict[LabelKey, Dict[int, float]]] = {}
-        self._latencies: Dict[str, Dict[LabelKey, Dict[int, LatencyCell]]] = {}
+        self._latencies: Dict[str, Dict[LabelKey, Dict[int, BucketCell]]] = {}
         self._annotations: List[Annotation] = []
 
     # -- recording ----------------------------------------------------------
@@ -72,8 +67,7 @@ class TimeSeries:
             _label_key(labels), {})
         index = int(t_ms // self.window_ms)
         series[index] = series.get(index, 0.0) + amount
-        if len(series) > self.max_windows:
-            self._prune_counter(series)
+        self._prune(series)
 
     def observe(self, name: str, t_ms: float, value: float,
                 **labels: object) -> None:
@@ -83,12 +77,9 @@ class TimeSeries:
         index = int(t_ms // self.window_ms)
         cell = series.get(index)
         if cell is None:
-            cell = series[index] = [0, 0.0, [0] * _N_BUCKETS]
-        cell[0] += 1
-        cell[1] += value
-        cell[2][bisect_left(DEFAULT_BUCKETS, value)] += 1
-        if len(series) > self.max_windows:
-            self._prune_latency(series)
+            cell = series[index] = BucketCell()
+        cell.observe(value)
+        self._prune(series)
 
     def annotate(self, t_ms: float, name: str, detail: str = "",
                  scope: str = "") -> None:
@@ -100,36 +91,17 @@ class TimeSeries:
     def bulk_count(self, name: str, labels: Dict[str, object],
                    cells: Dict[int, float]) -> None:
         """Fold pre-aggregated counter windows in (window index -> value)."""
-        series = self._counters.setdefault(name, {}).setdefault(
-            _label_key(labels), {})
-        for index, value in cells.items():
-            series[index] = series.get(index, 0.0) + value
-        if len(series) > self.max_windows:
-            self._prune_counter(series)
+        self._add_counters(name, _label_key(labels), cells)
 
     def bulk_observe(self, name: str, labels: Dict[str, object],
-                     cells: Dict[int, LatencyCell]) -> None:
-        """Fold pre-aggregated latency windows in.
+                     cells: Dict[int, BucketCell]) -> None:
+        """Fold pre-aggregated latency windows in (window index -> cell).
 
-        Each incoming cell is ``[count, sum, bucket_counts]`` with the
-        module's bucket layout — exactly what the population engine
-        accumulates inline, so a district flushes its whole run in one
-        call instead of paying a method dispatch per query.
+        The population engine builds one cell per window at the end of
+        a district, so the whole run flushes in one call instead of
+        paying a method dispatch per query.
         """
-        series = self._latencies.setdefault(name, {}).setdefault(
-            _label_key(labels), {})
-        for index, theirs in cells.items():
-            cell = series.get(index)
-            if cell is None:
-                series[index] = [theirs[0], theirs[1], list(theirs[2])]
-                continue
-            cell[0] += theirs[0]
-            cell[1] += theirs[1]
-            mine = cell[2]
-            for at, count in enumerate(theirs[2]):
-                mine[at] += count
-        if len(series) > self.max_windows:
-            self._prune_latency(series)
+        self._add_cells(name, _label_key(labels), cells)
 
     # -- merging ------------------------------------------------------------
 
@@ -140,29 +112,10 @@ class TimeSeries:
                 f"window mismatch: {self.window_ms} vs {other.window_ms}")
         for name in sorted(other._counters):
             for key in sorted(other._counters[name]):
-                series = self._counters.setdefault(name, {}).setdefault(
-                    key, {})
-                for index, value in other._counters[name][key].items():
-                    series[index] = series.get(index, 0.0) + value
-                if len(series) > self.max_windows:
-                    self._prune_counter(series)
+                self._add_counters(name, key, other._counters[name][key])
         for name in sorted(other._latencies):
             for key in sorted(other._latencies[name]):
-                series = self._latencies.setdefault(name, {}).setdefault(
-                    key, {})
-                for index, theirs in other._latencies[name][key].items():
-                    cell = series.get(index)
-                    if cell is None:
-                        series[index] = [theirs[0], theirs[1],
-                                         list(theirs[2])]
-                        continue
-                    cell[0] += theirs[0]
-                    cell[1] += theirs[1]
-                    mine = cell[2]
-                    for at, count in enumerate(theirs[2]):
-                        mine[at] += count
-                if len(series) > self.max_windows:
-                    self._prune_latency(series)
+                self._add_cells(name, key, other._latencies[name][key])
         self._annotations.extend(other._annotations)
         self._cap_annotations()
 
@@ -173,15 +126,6 @@ class TimeSeries:
         """``(labels, windows)`` per label set, in stable sorted order."""
         by_label = self._counters.get(name, {})
         return [(key, dict(by_label[key])) for key in sorted(by_label)]
-
-    def latency_series(self, name: str) -> List[Tuple[LabelKey,
-                                                      Dict[int,
-                                                           LatencyCell]]]:
-        """``(labels, windows)`` per label set, in stable sorted order."""
-        by_label = self._latencies.get(name, {})
-        return [(key, {index: [cell[0], cell[1], list(cell[2])]
-                       for index, cell in by_label[key].items()})
-                for key in sorted(by_label)]
 
     def annotations(self) -> List[Annotation]:
         """Every annotation, sorted by (time, scope, name, detail)."""
@@ -213,13 +157,13 @@ class TimeSeries:
                     "windows": [{
                         "index": index,
                         "start_ms": index * self.window_ms,
-                        "count": windows[index][0],
-                        "sum": windows[index][1],
+                        "count": windows[index].count,
+                        "sum": windows[index].total,
                         "buckets": [
                             [("+Inf" if bound == float("inf") else bound),
                              count]
-                            for bound, count in zip(DEFAULT_BUCKETS,
-                                                    windows[index][2])
+                            for bound, count in zip(windows[index].bounds,
+                                                    windows[index].counts)
                             if count],
                     } for index in sorted(windows)]})
         return {"format": "repro-timeseries-v1",
@@ -232,13 +176,28 @@ class TimeSeries:
 
     # -- internals ----------------------------------------------------------
 
-    def _prune_counter(self, series: Dict[int, float]) -> None:
-        for index in sorted(series)[:len(series) - self.max_windows]:
-            del series[index]
+    def _add_counters(self, name: str, key: LabelKey,
+                      cells: Dict[int, float]) -> None:
+        series = self._counters.setdefault(name, {}).setdefault(key, {})
+        for index, value in cells.items():
+            series[index] = series.get(index, 0.0) + value
+        self._prune(series)
 
-    def _prune_latency(self, series: Dict[int, LatencyCell]) -> None:
-        for index in sorted(series)[:len(series) - self.max_windows]:
-            del series[index]
+    def _add_cells(self, name: str, key: LabelKey,
+                   cells: Dict[int, BucketCell]) -> None:
+        series = self._latencies.setdefault(name, {}).setdefault(key, {})
+        for index, theirs in cells.items():
+            cell = series.get(index)
+            if cell is None:
+                cell = series[index] = BucketCell()
+            cell.merge(theirs)
+        self._prune(series)
+
+    def _prune(self, series: Dict[int, Any]) -> None:
+        """Drop the oldest windows past ``max_windows``."""
+        if len(series) > self.max_windows:
+            for index in sorted(series)[:len(series) - self.max_windows]:
+                del series[index]
 
     def _cap_annotations(self) -> None:
         self._annotations.sort()

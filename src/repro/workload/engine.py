@@ -43,7 +43,6 @@ sessions.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro import telemetry as _telemetry
@@ -51,7 +50,8 @@ from repro.cdn.allocation import ConsistentAllocator, HashRing
 from repro.cdn.content import ZipfRankStream
 from repro.measure.histogram import LatencyHistogram
 from repro.runtime.spec import derive_seed
-from repro.telemetry import DEFAULT_BUCKETS, Exemplar, Span
+from repro.telemetry import Exemplar, Span
+from repro.telemetry.metrics import BucketCell
 from repro.telemetry.sampling import hash_unit, hash_unit_u64
 from repro.workload.arrivals import DiurnalProfile, NhppArrivals
 from repro.workload.caches import RankLru
@@ -451,35 +451,6 @@ def _noop_append(_value: float) -> None:  # pragma: no cover - placeholder
     cache; never called (the first query always misses the cache)."""
 
 
-def _bucket_windows(vals_by_window: Dict[int, List[float]],
-                    ) -> Dict[int, List[Any]]:
-    """Turn raw per-window value lists into ``[count, sum, buckets]``.
-
-    The sum is taken in chronological (arrival) order *before* sorting,
-    matching what incremental accumulation would have produced; bucket
-    counts then come from ``bisect_right`` cuts of the sorted array —
-    one bisect per bound per window instead of one per value, which is
-    what lets the hot loop get away with plain appends.
-    """
-    buckets = DEFAULT_BUCKETS
-    cells: Dict[int, List[Any]] = {}
-    for window, vals in vals_by_window.items():
-        total = sum(vals)
-        vals.sort()
-        n = len(vals)
-        counts = [0] * len(buckets)
-        prev = 0
-        for at, bound in enumerate(buckets):
-            if prev >= n:
-                break
-            cut = bisect_right(vals, bound)
-            if cut != prev:
-                counts[at] = cut - prev
-                prev = cut
-        cells[window] = [n, total, counts]
-    return cells
-
-
 def _site_major(wins: Dict[int, List[int]]) -> List[Dict[int, int]]:
     """Pivot window-major count rows into per-site window dicts."""
     sites = len(next(iter(wins.values()))) if wins else 0
@@ -506,12 +477,13 @@ def _flush_observability(tel: Any, deployment: str,
     """
     label = {"deployment": deployment}
     timeseries = tel.timeseries
-    if dns_vals:
-        timeseries.bulk_observe("repro_workload_dns_ms", label,
-                                _bucket_windows(dns_vals))
-    if total_vals:
-        timeseries.bulk_observe("repro_workload_total_ms", label,
-                                _bucket_windows(total_vals))
+    for name, vals_by_window in (("repro_workload_dns_ms", dns_vals),
+                                 ("repro_workload_total_ms", total_vals)):
+        if vals_by_window:
+            timeseries.bulk_observe(
+                name, label,
+                {window: BucketCell.from_values(vals)
+                 for window, vals in vals_by_window.items()})
     for name, wins in (("repro_workload_queries", query_wins),
                        ("repro_workload_mislocalized", misloc_wins)):
         for site_index, windows in enumerate(_site_major(wins)):

@@ -106,3 +106,19 @@ class TestShapeClaims:
             catalog=small_result.catalog)
         assert any("localization" in violation
                    for violation in check_shape(broken))
+
+    @pytest.mark.parametrize("seed", [5, 10, 12])
+    def test_p50_in_the_bin_straddling_20ms_is_not_a_violation(self, seed):
+        # The bench grid at scale 0.1: the LAN C-DNS p50 lands in the
+        # 19.6-21.1 ms bin at these seeds, whose midpoint prints 20.3.
+        result = run(target_queries=20_000, deployment="all",
+                     allocation="client-bounded", seed=seed)
+        assert result.row("mec-ldns-lan-cdns").dns.p50 > 20.0
+        assert check_shape(result) == []
+
+    def test_p50_bin_wholly_above_20ms_is_flagged(self, small_result):
+        row = small_result.row("mec-ldns-mec-cdns")
+        row = row._replace(dns=row.dns._replace(p50=21.9))
+        broken = small_result._replace(rows=[row])
+        assert any("misses the 20ms envelope" in violation
+                   for violation in check_shape(broken))

@@ -34,6 +34,54 @@ HISTOGRAM_DOC = {
 }
 
 
+def _latency_series(deployment, count, total, buckets):
+    return {"name": "repro_workload_total_ms", "kind": "latency",
+            "labels": {"deployment": deployment},
+            "windows": [{"index": 0, "start_ms": 0.0, "count": count,
+                         "sum": total, "buckets": buckets}]}
+
+
+#: One window per scope: an empty bucket between occupied ones, a lone
+#: bucket, a ``+Inf`` tail; ``*`` pools all three.
+ESTIMATE_TIMESERIES_DOC = {
+    "format": "repro-timeseries-v1", "window_ms": 1000.0,
+    "annotations": [],
+    "series": [
+        _latency_series("gap", 539, 9800.0,
+                        [[20.0, 399], [50.0, 137], [100.0, 3]]),
+        _latency_series("lone", 12, 1500.0, [[200.0, 12]]),
+        _latency_series("tail", 40, 9000.0,
+                        [[100.0, 10], [500.0, 26], ["+Inf", 4]]),
+    ],
+}
+
+ESTIMATE_TELEMETRY_DOC = {
+    "format": "repro-telemetry-v1",
+    "metrics": [
+        {"name": "repro_lookup_latency_ms", "kind": "histogram",
+         "samples": [{"labels": {}, "count": 576, "sum": 41000.0,
+                      "buckets": [{"le": 10.0, "count": 0},
+                                  {"le": 20.0, "count": 170},
+                                  {"le": 50.0, "count": 192},
+                                  {"le": 100.0, "count": 316},
+                                  {"le": 200.0, "count": 570},
+                                  {"le": "+Inf", "count": 576}]}]},
+    ],
+}
+
+#: ``(p50, p90, p99, max)`` as ``repro slo`` printed them before the
+#: bucket arithmetic moved into ``repro.telemetry.metrics``.
+PINNED_ESTIMATES = {
+    "gap window total_ms": (13.508771929824562, 38.854014598540154,
+                            49.47664233576643, 100.0),
+    "lone window total_ms": (100.0, 180.0, 197.99999999999997, 200.0),
+    "tail window total_ms": (253.84615384615387, 500.0, 500.0, 500.0),
+    "* window total_ms": (14.81203007518797, 49.10218978102189,
+                          477.96153846153885, 500.0),
+    "* resolve_ms": (88.70967741935485, 179.68503937007875, 200.0, 200.0),
+}
+
+
 class TestParse:
     def test_rules_comments_and_blanks(self):
         rules = parse_slo_text(
@@ -166,6 +214,22 @@ class TestCli:
         breach = self.write(tmp_path, "breach.slo", "a p99 resolve_ms < 20\n")
         assert main(["slo", breach, "--input", budget]) == 1
         assert "BREACH" in capsys.readouterr().out
+
+    def test_bucket_estimates_are_pinned(self, tmp_path, capsys):
+        from repro.cli import main
+        series = self.write(tmp_path, "ts.json", ESTIMATE_TIMESERIES_DOC)
+        artifact = self.write(tmp_path, "tel.json", ESTIMATE_TELEMETRY_DOC)
+        lines, expected = [], []
+        for target, values in PINNED_ESTIMATES.items():
+            *scope, metric = target.split()
+            for agg, value in zip(("p50", "p90", "p99", "max"), values):
+                lines.append(f"{' '.join(scope)} {agg} {metric} < 100000")
+                expected.append(value)
+        rules = self.write(tmp_path, "rules.slo", "\n".join(lines) + "\n")
+        assert main(["slo", rules, "--input", series, "--input", artifact,
+                     "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [check["value"] for check in checks] == expected
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         from repro.profile.runner import main

@@ -6,6 +6,7 @@ import pytest
 
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
+    BucketCell,
     Counter,
     Gauge,
     Histogram,
@@ -107,6 +108,47 @@ class TestHistogram:
         assert hist.count(site="edge") == 1
         assert hist.count(site="cloud") == 1
         assert hist.count() == 0  # the unlabelled series is untouched
+
+
+class TestBucketCell:
+    @pytest.mark.parametrize("value, bucket", [
+        (10.0, 10.0),                          # equal to a bound
+        (math.nextafter(10.0, 0.0), 10.0),     # just below it
+        (math.nextafter(10.0, 20.0), 20.0),    # just above it
+        (5000.5, math.inf),                    # past the last finite bound
+    ])
+    def test_every_route_lands_the_same_buckets(self, value, bucket):
+        values = [0.3, value, 3.0, 250.0, value]
+        observed = BucketCell()
+        for each in values:
+            observed.observe(each)
+        built = BucketCell.from_values(values)
+        halves = BucketCell.from_values(values[:2])
+        halves.merge(BucketCell.from_values(values[2:]))
+        hist = Histogram("h", "help")
+        for each in values:
+            hist.observe(each)
+        assert observed.counts == built.counts == halves.counts
+        assert observed.counts[DEFAULT_BUCKETS.index(bucket)] == 2
+        for cell in (observed, built, halves):
+            assert cell.cumulative()[-1] == cell.count == len(values)
+        assert hist.cumulative_buckets() == list(
+            zip(DEFAULT_BUCKETS, observed.cumulative()))
+
+    def test_merge_rejects_another_layout(self):
+        with pytest.raises(ValueError):
+            BucketCell().merge(BucketCell((1.0, math.inf)))
+
+    def test_exported_forms_round_trip(self):
+        cell = BucketCell.from_values([3.0, 12.0, 12.5, 9000.0])
+        listed = [(bound, held)
+                  for bound, held in zip(cell.bounds, cell.counts) if held]
+        sparse = BucketCell.from_sparse(listed, cell.count, cell.total)
+        full = BucketCell.from_running(
+            cell.bounds, cell.cumulative(), cell.count, cell.total)
+        for rebuilt in (sparse, full):
+            assert rebuilt.counts == cell.counts
+            assert rebuilt.quantile(50.0) == cell.quantile(50.0) == 15.0
 
 
 class TestMetricsRegistry:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry.metrics import DEFAULT_BUCKETS
+from repro.telemetry.metrics import BucketCell
 from repro.telemetry.timeseries import TimeSeries
 
 
@@ -35,11 +35,10 @@ class TestRecording:
         series = TimeSeries(window_ms=100.0)
         series.observe("lat", 50.0, 3.0)
         series.observe("lat", 60.0, 7.0)
-        ((_, windows),) = series.latency_series("lat")
-        count, total, buckets = windows[0]
-        assert count == 2
-        assert total == 10.0
-        assert sum(buckets) == 2
+        (window,) = series.to_dict()["series"][0]["windows"]
+        assert window["count"] == 2
+        assert window["sum"] == 10.0
+        assert window["buckets"] == [[5.0, 1], [10.0, 1]]
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -66,13 +65,8 @@ class TestBulkIngestion:
         values = [2.0, 9.0, 45.0]
         for value in values:
             loop.observe("lat", 50.0, value, site="s")
-        cell = [0, 0.0, [0] * len(DEFAULT_BUCKETS)]
-        from bisect import bisect_left
-        for value in values:
-            cell[0] += 1
-            cell[1] += value
-            cell[2][bisect_left(DEFAULT_BUCKETS, value)] += 1
-        bulk.bulk_observe("lat", {"site": "s"}, {0: cell})
+        bulk.bulk_observe("lat", {"site": "s"},
+                          {0: BucketCell.from_values(values)})
         assert loop.to_dict() == bulk.to_dict()
 
 
