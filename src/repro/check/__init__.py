@@ -3,7 +3,7 @@
 The simulator's headline guarantee — byte-identical deterministic replay,
 with telemetry on or off — is enforced at runtime by digest assertions,
 but those only fire long after a hazard is merged.  This package checks
-the invariants *statically*, at review time, with three analyzers:
+the invariants *statically*, at review time, with four analyzers:
 
 * :mod:`repro.check.determinism` — an AST linter that forbids wall-clock
   and entropy sources, module-level ``random`` draws, unseeded or hidden
@@ -14,21 +14,25 @@ the invariants *statically*, at review time, with three analyzers:
   stdlib-only, ``netsim`` never imports the protocol layers, and
   ``telemetry`` stays a leaf that observes without being imported *by*
   nothing / importing the scheduler (``ARCH`` rules);
-* :mod:`repro.check.conformance` — static validation of DNS artifacts:
-  zone files and embedded master-file text parse, TTLs are in range,
-  names obey RFC 1035 syntax, CNAMEs do not coexist with other data, and
-  every record survives a compressed wire round-trip (``ZONE`` rules).
+* :mod:`repro.check.races` — a call-graph pass rooted at the executor's
+  worker entry points: writes to module/class state and process-
+  dependent values in worker-reachable code (``RACE`` rules);
+* :mod:`repro.check.hotpath` — closures allocated per scheduled event
+  in the hot modules (``HOT002``).
+
+A pass, or a rule that needs its own machinery, stays only while it has
+a finding on the real tree that was fixed or justified in place;
+``docs/DETERMINISM.md`` records the evidence.
 
 Run it as ``repro check`` (a subcommand of :mod:`repro.cli`) or as
 ``python -m repro.check``; see :mod:`repro.check.runner` for the entry
 point and ``docs/DETERMINISM.md`` for the rule catalogue.
 
-The package deliberately imports nothing heavier than
-:mod:`repro.dnswire`, so the CI job can run it without the simulator's
-third-party dependencies.
+The package imports nothing first-party outside itself, so the CI job
+can run it without the simulator or its third-party dependencies.
 """
 
-from repro.check.findings import Baseline, Finding
+from repro.check.findings import Finding
 from repro.check.runner import Report, run_check
 
-__all__ = ["Baseline", "Finding", "Report", "run_check"]
+__all__ = ["Finding", "Report", "run_check"]

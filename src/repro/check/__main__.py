@@ -1,7 +1,7 @@
 """``python -m repro.check`` — the static-analysis gate, standalone.
 
-Needs nothing beyond the stdlib and :mod:`repro.dnswire`, so CI can run
-it without installing the simulator's dependencies.
+Needs nothing beyond the stdlib, so CI can run it without installing
+the simulator's dependencies.
 """
 
 from repro.check.runner import main

@@ -1,8 +1,7 @@
 """Whole-program indexing and call-graph construction.
 
-The line-local DET/ARCH/ZONE rules never needed to know who calls whom;
-the inter-procedural passes (:mod:`repro.check.dataflow`,
-:mod:`repro.check.races`, :mod:`repro.check.hotpath`) do.  This module
+The line-local DET/ARCH rules never needed to know who calls whom; the
+inter-procedural RACE pass (:mod:`repro.check.races`) does.  This module
 builds, from a parsed :class:`~repro.check.sources.SourceTree`:
 
 * a :class:`ProgramIndex` — every module-level function and class method
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.check.sources import SourceModule, SourceTree
 
@@ -44,8 +43,8 @@ _IGNORED_METHOD_NAMES = frozenset({
 class ImportResolver:
     """Resolves expressions to dotted import paths, best effort.
 
-    Shared by every inter-procedural pass; mirrors the determinism
-    linter's resolver but also exposes the raw alias map.
+    Mirrors the determinism linter's resolver but also exposes the raw
+    alias map.
     """
 
     def __init__(self, tree: ast.Module) -> None:
@@ -232,33 +231,6 @@ class CallGraph:
         """Like :meth:`reachable`, resolved to infos in a stable order."""
         names = self.reachable(root_patterns)
         return [self.index.functions[name] for name in sorted(names)]
-
-
-def stored_names(body: Iterable[ast.stmt]) -> Set[str]:
-    """Every bare name stored anywhere under ``body`` statements.
-
-    Used for loop-invariance: a value is invariant across iterations
-    when none of the names it reads are (re)bound in the loop body.
-    """
-    names: Set[str] = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(
-                    node.ctx, (ast.Store, ast.Del)):
-                names.add(node.id)
-            elif isinstance(node, ast.NamedExpr) and isinstance(
-                    node.target, ast.Name):
-                names.add(node.target.id)
-    return names
-
-
-def read_names(node: ast.AST) -> Set[str]:
-    """Every bare name loaded under expression ``node``."""
-    names: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
-    return names
 
 
 def module_level_bindings(module: SourceModule) -> Set[str]:

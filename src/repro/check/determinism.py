@@ -22,7 +22,7 @@ DET006    iteration order of a ``set``/``frozenset`` escaping into
 ========  ==============================================================
 
 A violation is suppressed inline with ``# repro: allow[DETnnn]`` on the
-flagged line, or grandfathered via the baseline file.
+flagged line.
 """
 
 from __future__ import annotations

@@ -1,54 +1,35 @@
-"""Structured findings and the baseline/suppression mechanism.
+"""Structured findings.
 
-A :class:`Finding` is one rule violation at one location.  Its
-*fingerprint* deliberately omits the line number so a baseline entry
-survives unrelated edits to the same file; two violations of the same
-rule with the same message in one file share a fingerprint, which is the
-usual grandfathering granularity.
-
-A :class:`Baseline` is a JSON file of fingerprints.  ``repro check
---baseline FILE`` subtracts it from the report (old debt stays visible
-as a count, never as a failure); ``--write-baseline FILE`` records the
-current findings so only *new* violations fail from then on.
+A :class:`Finding` is one rule violation at one location.  The only way
+to silence one is an inline ``# repro: allow[RULE]`` comment at that
+location (see :mod:`repro.check.sources`), so every exception sits next
+to the code it excuses, with its justification.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
-
-BASELINE_VERSION = 1
+from typing import Any, Dict, Tuple
 
 
 class Finding:
     """One rule violation: where, which rule, and what is wrong."""
 
-    __slots__ = ("rule", "path", "line", "col", "message")
+    __slots__ = ("rule", "path", "line", "message")
 
-    def __init__(self, rule: str, path: str, line: int, message: str,
-                 col: int = 1) -> None:
+    def __init__(self, rule: str, path: str, line: int, message: str) -> None:
         self.rule = rule
         self.path = path.replace("\\", "/")
         self.line = line
-        #: 1-based column (SARIF region); purely presentational — it
-        #: never enters the fingerprint, so a formatter shifting code
-        #: sideways cannot churn baselines.
-        self.col = col
         self.message = message
 
-    @property
-    def fingerprint(self) -> str:
-        """Line- and column-independent identity used by baselines."""
-        return f"{self.rule}:{self.path}:{self.message}"
-
-    def sort_key(self) -> Tuple[str, int, int, str, str]:
-        """Stable ordering: by path, then line/col, then rule."""
-        return (self.path, self.line, self.col, self.rule, self.message)
+    def sort_key(self) -> Tuple[str, int, str, str]:
+        """Stable ordering: by path, then line, then rule."""
+        return (self.path, self.line, self.rule, self.message)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (the CI report entry)."""
         return {"rule": self.rule, "path": self.path,
-                "line": self.line, "col": self.col, "message": self.message}
+                "line": self.line, "message": self.message}
 
     def render(self) -> str:
         """One-line ``path:line: RULE message`` form."""
@@ -65,54 +46,3 @@ class Finding:
 
     def __repr__(self) -> str:
         return f"Finding({self.render()!r})"
-
-
-class Baseline:
-    """A set of grandfathered finding fingerprints."""
-
-    def __init__(self, fingerprints: Iterable[str] = ()) -> None:
-        self.fingerprints = set(fingerprints)
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        """Read a baseline JSON file written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict) or "suppressions" not in data:
-            raise ValueError(f"{path} is not a repro-check baseline")
-        entries = data["suppressions"]
-        if not all(isinstance(entry, str) for entry in entries):
-            raise ValueError(f"{path} holds non-string suppressions")
-        return cls(entries)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        """A baseline grandfathering exactly ``findings``."""
-        return cls(finding.fingerprint for finding in findings)
-
-    def save(self, path: str) -> None:
-        """Write the baseline as sorted, versioned JSON."""
-        payload = {"version": BASELINE_VERSION,
-                   "suppressions": sorted(self.fingerprints)}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def split(self, findings: Sequence[Finding]) \
-            -> Tuple[List[Finding], List[Finding]]:
-        """Partition ``findings`` into (new, baselined)."""
-        new: List[Finding] = []
-        old: List[Finding] = []
-        for finding in findings:
-            (old if finding.fingerprint in self.fingerprints else new).append(
-                finding)
-        return new, old
-
-    def __len__(self) -> int:
-        return len(self.fingerprints)
-
-    def __contains__(self, finding: Finding) -> bool:
-        return finding.fingerprint in self.fingerprints
-
-    def __repr__(self) -> str:
-        return f"Baseline({len(self.fingerprints)} suppressions)"

@@ -13,15 +13,10 @@ reachable function:
 RACE001   write to module-level or class-level state from worker-
           reachable code (``global`` store, mutation of a module-scope
           binding, ``Class.attr =``)
-RACE002   mutable default argument on a worker-reachable function —
-          one shared object serves every trial in a process
 RACE003   process-dependent value in worker-reachable code: ``id()``
           (address-space dependent), ``hash()`` of a non-int
           (``PYTHONHASHSEED`` differs under spawn), or iterating a
           set-typed local (hash order feeding merged results)
-RACE004   lambda / nested function handed to a pickling boundary
-          (``TrialSpec``, pool ``.map``/``.submit``) — closures do not
-          pickle, so the sharded backend diverges or dies
 ========  ==============================================================
 
 The call graph deliberately over-approximates (unknown ``obj.method()``
@@ -43,10 +38,8 @@ ANALYZER_NAME = "races"
 
 RULES: Dict[str, str] = {
     "RACE001": "worker-reachable write to module/class-level state",
-    "RACE002": "mutable default argument on a worker-reachable function",
     "RACE003": "process-dependent value (id/hash/set order) in "
                "worker-reachable code",
-    "RACE004": "unpicklable closure handed to a process boundary",
 }
 
 #: Call-graph roots: what a worker process actually executes.
@@ -62,23 +55,6 @@ _MUTATORS = frozenset({
     "append", "add", "update", "extend", "insert", "remove", "pop",
     "clear", "setdefault", "popitem", "discard", "sort", "reverse",
 })
-
-#: Pickling boundaries: callables whose function-valued arguments must
-#: resolve by qualified name in the worker.
-_BOUNDARY_NAMES = frozenset({"TrialSpec", "_TrialTask"})
-_BOUNDARY_METHODS = frozenset({
-    "map", "imap", "imap_unordered", "starmap", "apply_async", "submit",
-})
-
-
-def _mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in {"list", "dict", "set", "bytearray",
-                                 "defaultdict", "deque", "Counter",
-                                 "OrderedDict"})
 
 
 def _local_set_names(node: FunctionNode) -> Set[str]:
@@ -131,8 +107,7 @@ class _FunctionRace:
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         finding = self.tree.finding(
-            self.info.module, rule, getattr(node, "lineno", 1), message,
-            col=getattr(node, "col_offset", 0) + 1)
+            self.info.module, rule, getattr(node, "lineno", 1), message)
         if finding is not None:
             self.findings.append(finding)
 
@@ -148,27 +123,9 @@ class _FunctionRace:
                   | declared_global | self.module_classes)
         set_names = _local_set_names(node)
 
-        self._check_defaults(node, where)
         for sub in ast.walk(node):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and sub is not node:
-                self._check_defaults(sub, where)
             self._check_stores(sub, declared_global, shared, where)
             self._check_process_dependence(sub, set_names, where)
-            self._check_boundary(sub, node, where)
-
-    # -- RACE002 ------------------------------------------------------------
-
-    def _check_defaults(self, node: FunctionNode, where: str) -> None:
-        defaults = list(node.args.defaults) + [
-            default for default in node.args.kw_defaults
-            if default is not None]
-        for default in defaults:
-            if _mutable_default(default):
-                self._emit("RACE002", default,
-                           f"mutable default argument on {node.name}() "
-                           f"({where}); the object is shared by every "
-                           f"trial in a process — default to None")
 
     # -- RACE001 ------------------------------------------------------------
 
@@ -238,35 +195,6 @@ class _FunctionRace:
                        f"iteration over set-typed '{iter_expr.id}' in "
                        f"{where} visits hash order; results merged from "
                        f"it are order-dependent — iterate sorted(...)")
-
-    # -- RACE004 ------------------------------------------------------------
-
-    def _check_boundary(self, sub: ast.AST, func: FunctionNode,
-                        where: str) -> None:
-        if not isinstance(sub, ast.Call):
-            return
-        callee: Optional[str] = None
-        if isinstance(sub.func, ast.Name) \
-                and sub.func.id in _BOUNDARY_NAMES:
-            callee = sub.func.id
-        elif isinstance(sub.func, ast.Attribute) \
-                and sub.func.attr in _BOUNDARY_METHODS:
-            callee = sub.func.attr
-        if callee is None:
-            return
-        nested = {child.name for child in ast.walk(func)
-                  if isinstance(child, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))
-                  and child is not func}
-        for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
-            if isinstance(arg, ast.Lambda) or (
-                    isinstance(arg, ast.Name) and arg.id in nested):
-                label = ("a lambda" if isinstance(arg, ast.Lambda)
-                         else f"nested function '{arg.id}'")  # type: ignore[union-attr]
-                self._emit("RACE004", sub,
-                           f"{label} passed to {callee}(...) in {where}; "
-                           f"closures do not pickle across the process "
-                           f"boundary — use a module-level function")
 
 
 def analyze(tree: SourceTree,

@@ -1,9 +1,9 @@
 """``repro check`` — run the analyzers, report, gate.
 
-Orchestrates the three analyzers over a source tree, applies the
-baseline, and renders the report as human text or machine JSON (the CI
-artifact).  Exit status: 0 when no new findings, 1 when there are, 2 on
-usage errors — so the command doubles as a merge gate.
+Orchestrates the four analyzers over a source tree and renders the
+report as human text or machine JSON (the CI artifact).  Exit status: 0
+when there are no findings, 1 when there are, 2 on usage errors — so the
+command doubles as a merge gate.
 """
 
 from __future__ import annotations
@@ -13,23 +13,15 @@ import json
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.check import (conformance, dataflow, determinism, hotpath,
-                         layering, races)
-from repro.check.findings import Baseline, Finding
+from repro.check import determinism, hotpath, layering, races
+from repro.check.findings import Finding
 from repro.check.sources import SourceTree, load_tree
 
 REPORT_VERSION = 1
 
-#: SARIF schema targeted by ``--format sarif`` / ``--sarif-out``.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                 "master/Schemata/sarif-schema-2.1.0.json")
-
 ANALYZERS: Dict[str, Callable[[SourceTree], List[Finding]]] = {
     determinism.ANALYZER_NAME: determinism.analyze,
     layering.ANALYZER_NAME: layering.analyze,
-    conformance.ANALYZER_NAME: conformance.analyze,
-    dataflow.ANALYZER_NAME: dataflow.analyze,
     races.ANALYZER_NAME: races.analyze,
     hotpath.ANALYZER_NAME: hotpath.analyze,
 }
@@ -38,8 +30,6 @@ ANALYZERS: Dict[str, Callable[[SourceTree], List[Finding]]] = {
 ANALYZER_RULES: Dict[str, List[str]] = {
     determinism.ANALYZER_NAME: sorted(determinism.RULES),
     layering.ANALYZER_NAME: sorted(layering.RULES),
-    conformance.ANALYZER_NAME: sorted(conformance.RULES),
-    dataflow.ANALYZER_NAME: sorted(dataflow.RULES),
     races.ANALYZER_NAME: sorted(races.RULES),
     hotpath.ANALYZER_NAME: sorted(hotpath.RULES),
 }
@@ -47,8 +37,7 @@ ANALYZER_RULES: Dict[str, List[str]] = {
 #: rule id -> one-line description, across all analyzers.
 ALL_RULES: Dict[str, str] = {
     "GEN001": "file does not parse",
-    **determinism.RULES, **layering.RULES, **conformance.RULES,
-    **dataflow.RULES, **races.RULES, **hotpath.RULES,
+    **determinism.RULES, **layering.RULES, **races.RULES, **hotpath.RULES,
 }
 
 DEFAULT_PATHS = ("src/repro",)
@@ -57,12 +46,10 @@ DEFAULT_PATHS = ("src/repro",)
 class Report:
     """The outcome of one ``repro check`` run."""
 
-    def __init__(self, findings: List[Finding], baselined: List[Finding],
-                 analyzers: List[str], scanned: int) -> None:
-        #: New findings (after baseline subtraction), sorted by location.
+    def __init__(self, findings: List[Finding], analyzers: List[str],
+                 scanned: int) -> None:
+        #: Unsuppressed findings, sorted by location.
         self.findings = sorted(findings, key=Finding.sort_key)
-        #: Findings grandfathered by the baseline file.
-        self.baselined = sorted(baselined, key=Finding.sort_key)
         self.analyzers = analyzers
         self.scanned = scanned
 
@@ -85,45 +72,12 @@ class Report:
             "analyzers": self.analyzers,
             "files_scanned": self.scanned,
             "summary": self.counts_by_rule(),
-            "baselined": len(self.baselined),
             "findings": [finding.to_dict() for finding in self.findings],
         }
 
     def render_json(self) -> str:
         """The report as pretty-printed JSON."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_sarif(self) -> str:
-        """The report as a SARIF 2.1.0 log (CI annotation attachment).
-
-        ``partialFingerprints`` carries the baseline fingerprint, which
-        is line- and column-insensitive, so SARIF consumers dedupe
-        findings across formatting-only diffs exactly like baselines do.
-        """
-        present = sorted({finding.rule for finding in self.findings})
-        driver = {
-            "name": "repro-check",
-            "informationUri": "docs/DETERMINISM.md",
-            "rules": [{"id": rule,
-                       "shortDescription": {"text": ALL_RULES.get(rule, rule)}}
-                      for rule in present],
-        }
-        results = [{
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [{"physicalLocation": {
-                "artifactLocation": {"uri": finding.path},
-                "region": {"startLine": finding.line,
-                           "startColumn": finding.col}}}],
-            "partialFingerprints": {"reproCheck/v1": finding.fingerprint},
-        } for finding in self.findings]
-        doc = {
-            "$schema": _SARIF_SCHEMA,
-            "version": SARIF_VERSION,
-            "runs": [{"tool": {"driver": driver}, "results": results}],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def render_text(self) -> str:
         """The report as human-readable lines plus a verdict line."""
@@ -136,36 +90,26 @@ class Report:
                         f"{'s' if len(self.findings) != 1 else ''}"
                         f" ({summary})")
         lines.append(f"repro check: {verdict}; {self.scanned} files via "
-                     f"{'/'.join(self.analyzers)}"
-                     + (f"; {len(self.baselined)} baselined"
-                        if self.baselined else ""))
+                     f"{'/'.join(self.analyzers)}")
         return "\n".join(lines) + "\n"
 
 
 def run_check(paths: Sequence[str] = DEFAULT_PATHS,
-              analyzers: Optional[Sequence[str]] = None,
-              baseline: Optional[Baseline] = None,
               only: Optional[Sequence[str]] = None,
               include_suppressed: bool = False) -> Report:
-    """Run ``analyzers`` (default: all) over ``paths`` and apply ``baseline``.
+    """Run the analyzers over ``paths``.
 
-    ``only`` restricts the report to the given rule ids and — unless
-    ``analyzers`` is also given — runs just the analyzers owning them.
-    ``include_suppressed`` ignores inline ``# repro: allow[...]``
-    comments (inventory runs, e.g. ``HOT_INVENTORY.json``).
+    ``only`` restricts the report to the given rule ids and runs just
+    the analyzers owning them.  ``include_suppressed`` ignores inline
+    ``# repro: allow[...]`` comments (inventory runs).
     """
+    names = list(ANALYZERS)
     if only:
         unknown_rules = [rule for rule in only if rule not in ALL_RULES]
         if unknown_rules:
             raise ValueError(
                 f"unknown rule(s): {', '.join(unknown_rules)} "
                 f"(see --list-rules)")
-    names = list(analyzers) if analyzers else list(ANALYZERS)
-    unknown = [name for name in names if name not in ANALYZERS]
-    if unknown:
-        raise ValueError(f"unknown analyzer(s): {', '.join(unknown)} "
-                         f"(have: {', '.join(ANALYZERS)})")
-    if only and not analyzers:
         wanted = set(only)
         names = [name for name in names
                  if wanted.intersection(ANALYZER_RULES[name])]
@@ -177,11 +121,7 @@ def run_check(paths: Sequence[str] = DEFAULT_PATHS,
     if only:
         findings = [finding for finding in findings
                     if finding.rule in set(only)]
-    baselined: List[Finding] = []
-    if baseline is not None:
-        findings, baselined = baseline.split(findings)
-    return Report(findings, baselined, names,
-                  len(tree) + len(tree.zone_files))
+    return Report(findings, names, len(tree))
 
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
@@ -189,31 +129,19 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to analyse "
                              "(default: src/repro)")
-    parser.add_argument("--analyzer", action="append",
-                        choices=sorted(ANALYZERS), dest="analyzers",
-                        help="run only this analyzer (repeatable; "
-                             "default: all)")
     parser.add_argument("--only", action="append", metavar="RULE[,RULE...]",
                         help="report only these rule ids (repeatable, "
                              "comma-separated); analyzers not owning any "
                              "selected rule are skipped")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text",
                         help="stdout format (default: text)")
     parser.add_argument("--out", metavar="PATH",
                         help="also write the JSON report to PATH "
                              "(the CI artifact)")
-    parser.add_argument("--sarif-out", metavar="PATH",
-                        help="also write a SARIF 2.1.0 log to PATH "
-                             "(CI diff annotations)")
     parser.add_argument("--include-suppressed", action="store_true",
                         help="ignore inline '# repro: allow[...]' "
                              "comments (inventory runs)")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="suppress findings recorded in this baseline")
-    parser.add_argument("--write-baseline", metavar="PATH",
-                        help="record current findings as the new baseline "
-                             "and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
 
@@ -224,44 +152,24 @@ def run_cli(args: argparse.Namespace) -> int:
         for rule, description in sorted(ALL_RULES.items()):
             print(f"{rule}  {description}")
         return 0
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
     only: List[str] = []
     for chunk in args.only or []:
         only.extend(rule.strip() for rule in chunk.split(",")
                     if rule.strip())
     try:
-        report = run_check(args.paths, analyzers=args.analyzers,
-                           baseline=baseline, only=only or None,
+        report = run_check(args.paths, only=only or None,
                            include_suppressed=args.include_suppressed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        Baseline.from_findings(report.findings
-                               + report.baselined).save(args.write_baseline)
-        print(f"wrote baseline with "
-              f"{len(report.findings) + len(report.baselined)} suppressions "
-              f"to {args.write_baseline}")
-        return 0
-    renderers = {"json": report.render_json, "sarif": report.render_sarif,
-                 "text": report.render_text}
-    sys.stdout.write(renderers[args.format]())
-    for path, renderer in ((args.out, report.render_json),
-                           (args.sarif_out, report.render_sarif)):
-        if not path:
-            continue
+    sys.stdout.write(report.render_json() if args.format == "json"
+                     else report.render_text())
+    if args.out:
         try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(renderer())
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(report.render_json())
         except OSError as exc:
-            print(f"error: cannot write report to {path}: {exc}",
+            print(f"error: cannot write report to {args.out}: {exc}",
                   file=sys.stderr)
             return 2
     return 0 if report.ok else 1

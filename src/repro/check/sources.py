@@ -1,11 +1,10 @@
 """Source-tree loading shared by all analyzers.
 
-Walks the target paths once, parses every Python file into a
+Walks the target paths once and parses every Python file into a
 :class:`SourceModule` (path, dotted module name, AST, source lines, and
-inline ``# repro: allow[RULE]`` suppressions), and collects ``*.zone``
-files for the conformance pass.  Analyzers operate on the resulting
-:class:`SourceTree` so a ``repro check`` run parses each file exactly
-once.
+inline ``# repro: allow[RULE]`` suppressions).  Analyzers operate on the
+resulting :class:`SourceTree` so a ``repro check`` run parses each file
+exactly once.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.check.findings import Finding
 
@@ -33,7 +32,7 @@ class SourceModule:
                  tree: ast.Module) -> None:
         self.path = path
         #: Path relative to the invocation root, POSIX-style (stable in
-        #: findings and baselines across machines).
+        #: findings across machines).
         self.rel = rel.replace(os.sep, "/")
         #: Dotted module name, e.g. ``repro.cdn.geo`` (best effort).
         self.module = module
@@ -60,12 +59,10 @@ class SourceModule:
 
 
 class SourceTree:
-    """Every Python module and zone file under the target paths."""
+    """Every Python module under the target paths."""
 
     def __init__(self) -> None:
         self.modules: List[SourceModule] = []
-        #: ``(abs path, rel path)`` of each ``*.zone`` data file found.
-        self.zone_files: List[Tuple[str, str]] = []
         #: Files that failed to parse (reported once, as GEN001).
         self.errors: List[Finding] = []
         #: When true, inline ``# repro: allow[...]`` comments are ignored
@@ -73,11 +70,11 @@ class SourceTree:
         self.include_suppressed = False
 
     def finding(self, module: SourceModule, rule: str, line: int,
-                message: str, col: int = 1) -> Optional[Finding]:
+                message: str) -> Optional[Finding]:
         """A :class:`Finding` unless inline-suppressed at its location."""
         if not self.include_suppressed and module.is_suppressed(line, rule):
             return None
-        return Finding(rule, module.rel, line, message, col=col)
+        return Finding(rule, module.rel, line, message)
 
     def __iter__(self) -> Iterator[SourceModule]:
         return iter(self.modules)
@@ -109,12 +106,12 @@ def _iter_files(root: str) -> Iterator[str]:
                              if name != "__pycache__"
                              and not name.startswith("."))
         for filename in sorted(filenames):
-            if filename.endswith((".py", ".zone")):
+            if filename.endswith(".py"):
                 yield os.path.join(dirpath, filename)
 
 
 def load_tree(paths: List[str], relative_to: Optional[str] = None) -> SourceTree:
-    """Parse every ``*.py``/``*.zone`` file under ``paths`` once.
+    """Parse every ``*.py`` file under ``paths`` once.
 
     ``relative_to`` (default: the current directory) anchors the
     relative paths used in findings.
@@ -132,9 +129,6 @@ def load_tree(paths: List[str], relative_to: Optional[str] = None) -> SourceTree
             rel = os.path.relpath(path, base)
             if rel.startswith(".."):
                 rel = path  # outside the root: keep it absolute but stable
-            if path.endswith(".zone"):
-                tree.zone_files.append((path, rel.replace(os.sep, "/")))
-                continue
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
             try:

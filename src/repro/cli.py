@@ -10,7 +10,7 @@ Subcommands:
   deployment and print each result plus the summary.
 * ``deployments`` — list the six evaluated DNS deployments.
 * ``check`` — the determinism & architecture static-analysis gate
-  (:mod:`repro.check`); exits nonzero on new findings.
+  (:mod:`repro.check`); exits nonzero on findings.
 * ``profile <artifact>`` — run one artifact under the latency-budget
   profiler (:mod:`repro.profile`): per-deployment budget report and
   collapsed-stack flamegraph input.

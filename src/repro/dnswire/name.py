@@ -5,6 +5,15 @@ the empty root label; the module-level constant :data:`ROOT` is the root
 name itself.  Comparisons, hashing, and subdomain checks are
 case-insensitive, as required by RFC 4343, while the original spelling is
 preserved for display.
+
+A label is 1–63 arbitrary octets — the wire reader accepts whatever a
+peer sends — so presentation format follows RFC 1035 §5.1: octets
+``0x21``–``0x7e`` render as themselves, except that a ``.`` or ``\\``
+*inside* a label renders as ``\\.`` / ``\\\\``; every other octet
+(space and controls included) renders as a three-digit decimal escape
+``\\DDD``.  Parsing accepts those escapes, plus ``\\X`` for any non-digit
+``X``, so ``Name(name.to_text()) == name`` for every name.  Text that
+is not ASCII is rejected; IDNA is out of scope.
 """
 
 from __future__ import annotations
@@ -15,6 +24,18 @@ from repro.errors import NameError_
 
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
+
+#: Octets that stand for themselves in presentation format.  ``.`` is
+#: in the set as the label *separator*; :meth:`Name.to_text` counts the
+#: separators to learn whether a label holds one of its own.
+_PLAIN_OCTETS = bytes(octet for octet in range(0x21, 0x7F) if octet != 0x5C)
+
+#: octet -> its presentation form inside a label.
+_ESCAPED = tuple(
+    "\\" + chr(octet) if octet in b".\\"
+    else chr(octet) if octet in _PLAIN_OCTETS
+    else f"\\{octet:03d}"
+    for octet in range(256))
 
 
 def _validate_label(label: bytes) -> None:
@@ -80,11 +101,16 @@ class Name:
         """Render in absolute presentation format (trailing dot)."""
         text = self._text
         if text is None:
-            if not self._labels:
+            labels = self._labels
+            raw = b".".join(labels)
+            if not labels:
                 text = "."
+            elif (raw.translate(None, _PLAIN_OCTETS)
+                    or raw.count(b".") != len(labels) - 1):
+                text = ".".join("".join(_ESCAPED[octet] for octet in label)
+                                for label in labels) + "."
             else:
-                text = ".".join(
-                    label.decode("ascii") for label in self._labels) + "."
+                text = raw.decode("ascii") + "."
             self._text = text
         return text
 
@@ -165,14 +191,44 @@ def _text_to_labels(text: str) -> Tuple[bytes, ...]:
     stripped = text.strip()
     if stripped in ("", "."):
         return ()
-    if stripped.endswith("."):
-        stripped = stripped[:-1]
+    try:
+        raw = stripped.encode("ascii")
+    except UnicodeEncodeError:
+        raise NameError_(f"non-ASCII label in {text!r}") from None
+    if b"\\" in raw:
+        return _unescape_labels(raw, text)
+    if raw.endswith(b"."):
+        raw = raw[:-1]
+    return tuple(raw.split(b"."))
+
+
+def _unescape_labels(raw: bytes, text: str) -> Tuple[bytes, ...]:
+    """Split ``raw`` on its unescaped dots, decoding ``\\DDD`` and ``\\X``."""
     labels = []
-    for part in stripped.split("."):
-        try:
-            labels.append(part.encode("ascii"))
-        except UnicodeEncodeError:
-            raise NameError_(f"non-ASCII label in {text!r}") from None
+    label = bytearray()
+    at, end = 0, len(raw)
+    while at < end:
+        octet = raw[at]
+        if octet == 0x2E:  # an unescaped "." ends the label
+            labels.append(bytes(label))
+            label.clear()
+            at += 1
+        elif octet != 0x5C:
+            label.append(octet)
+            at += 1
+        else:
+            escaped = raw[at + 1:at + 4]
+            if (len(escaped) == 3 and escaped.isdigit()
+                    and int(escaped) <= 0xFF):
+                label.append(int(escaped))
+                at += 4
+            elif escaped and not escaped[:1].isdigit():
+                label.append(escaped[0])
+                at += 2
+            else:
+                raise NameError_(f"bad escape in {text!r}")
+    if label:  # relative spelling: no trailing root dot
+        labels.append(bytes(label))
     return tuple(labels)
 
 

@@ -383,7 +383,7 @@ def zone_to_master_text(zone: Zone) -> str:
         if name == zone.origin:
             return "@"
         labels = name.relativize(zone.origin)
-        return ".".join(label.decode("ascii") for label in labels)
+        return Name.from_labels(labels).to_text()[:-1]
 
     def render(record: ResourceRecord) -> str:
         return (f"{owner_text(record.name)} {record.ttl} "

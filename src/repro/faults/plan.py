@@ -182,8 +182,7 @@ class FaultInjector:
             raise SimulationError("fault plan already installed")
         self.installed = True
         for event in self.plan.events:
-            self.network.sim.call_at(
-                event.at_ms, lambda ev=event: self._fire(ev))
+            self.network.sim.call_at(event.at_ms, self._fire, event)
         return self
 
     def loss_model(self, fault_id: int) -> Optional[GilbertElliott]:

@@ -27,7 +27,7 @@ On top sit two conveniences the protocol code leans on heavily:
   resolves the process's own future.  Process state is reified into a
   slotted :class:`_Process` object — one allocation per spawn — instead
   of the old nested-closure trampoline that allocated a fresh callback
-  per yield (the deferred ``HOT_INVENTORY`` entry).
+  per yield.
 """
 
 from __future__ import annotations

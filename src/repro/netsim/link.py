@@ -62,7 +62,6 @@ class Link:
             self.packets_dropped += 1
             return None
         if self.loss_model is not None:
-            # repro: allow[RNG004] loss and latency draw from the caller's per-traversal stream by contract
             if self.loss_model.lost(rng):
                 self.packets_dropped += 1
                 return None

@@ -70,12 +70,10 @@ class DeploymentModel(NamedTuple):
         :meth:`dns_ms`, so which form a caller uses cannot change any
         downstream sample.
         """
-        # repro: allow[RNG004] both legs draw from the per-UE stream in fixed order (WORKLOAD.md idiom)
         return (self.wireless.sample(rng), self.resolver.sample(rng))
 
     def dns_ms(self, rng: random.Random) -> float:
         """One lookup's latency (wireless + resolver legs)."""
-        # repro: allow[RNG004] same fixed-order draws as dns_legs (WORKLOAD.md idiom)
         return self.wireless.sample(rng) + self.resolver.sample(rng)
 
 

@@ -75,7 +75,6 @@ class MobilityModel:
         handover_at = -1
         if (requests > 1 and self.handover_probability > 0
                 and rng.random() < self.handover_probability):
-            # repro: allow[RNG004] placement draws from the per-UE stream in fixed order (WORKLOAD.md idiom)
             handover_site = self._other_site(rng, site)
             handover_at = 1 + rng.randrange(requests - 1)
         return SessionPlacement(site=site, handover_site=handover_site,

@@ -18,93 +18,6 @@ def lint(code, tmp_path, hot_prefixes=HOT):
     return sorted(finding.rule for finding in findings)
 
 
-class TestHot001LoopInvariantWire:
-    def test_invariant_to_wire_flagged(self, tmp_path):
-        assert lint(
-            """\
-            def send(msg, sock, targets):
-                for target in targets:
-                    sock.send(msg.to_wire(), target)
-            """, tmp_path) == ["HOT001"]
-
-    def test_invariant_make_query_flagged(self, tmp_path):
-        assert lint(
-            """\
-            from repro.dnswire.message import make_query
-
-            def probe(name, attempts):
-                for _ in range(attempts):
-                    query = make_query(name, 1)
-            """, tmp_path) == ["HOT001"]
-
-    def test_fires_outside_hot_modules_too(self, tmp_path):
-        # HOT001 is not gated on the hot-module list.
-        assert lint(
-            """\
-            def send(msg, sock, targets):
-                for target in targets:
-                    sock.send(msg.to_wire(), target)
-            """, tmp_path,
-            hot_prefixes=hotpath.DEFAULT_HOT_PREFIXES) == ["HOT001"]
-
-    def test_loop_variant_receiver_clean(self, tmp_path):
-        assert lint(
-            """\
-            def send(messages, sock):
-                for msg in messages:
-                    sock.send(msg.to_wire())
-            """, tmp_path) == []
-
-    def test_wire_cursor_is_not_invariant(self, tmp_path):
-        # ``reader`` advances in place on every decode even though the
-        # name is never rebound.
-        assert lint(
-            """\
-            def parse(reader, count):
-                out = []
-                for _ in range(count):
-                    out.append(Question.from_wire(reader))
-                return out
-            """, tmp_path) == []
-
-    def test_invariant_cached_wire_clean(self, tmp_path):
-        # cached_wire memoizes on message content: a loop-invariant
-        # call is a dict hit, which is the fix HOT001 suggests.
-        assert lint(
-            """\
-            from repro.dnswire.message import cached_wire
-
-            def send(msg, sock, targets):
-                for target in targets:
-                    sock.send(cached_wire(msg), target)
-            """, tmp_path) == []
-
-    def test_to_wire_message_suggests_cached_wire(self, tmp_path):
-        path = tmp_path / "snippet.py"
-        path.write_text(textwrap.dedent(
-            """\
-            def send(msg, sock, targets):
-                for target in targets:
-                    sock.send(msg.to_wire(), target)
-            """))
-        findings = hotpath.analyze(load_tree([str(path)]),
-                                   hot_prefixes=HOT)
-        assert len(findings) == 1
-        assert "cached_wire" in findings[0].message
-
-    def test_foreign_make_query_clean(self, tmp_path):
-        # A make_query that does not resolve into repro.dnswire is not
-        # wire-layer work.
-        assert lint(
-            """\
-            from othersim.api import make_query
-
-            def probe(name, attempts):
-                for _ in range(attempts):
-                    query = make_query(name, 1)
-            """, tmp_path) == []
-
-
 class TestHot002SchedulingAllocation:
     def test_lambda_to_scheduler_flagged(self, tmp_path):
         assert lint(
@@ -153,71 +66,12 @@ class TestHot002SchedulingAllocation:
             hot_prefixes=hotpath.DEFAULT_HOT_PREFIXES) == []
 
 
-class TestHot003ListScans:
-    def test_membership_against_module_list_flagged(self, tmp_path):
-        assert lint(
-            """\
-            KNOWN = []
-
-            def dispatch(events):
-                for event in events:
-                    if event in KNOWN:
-                        continue
-            """, tmp_path) == ["HOT003"]
-
-    def test_index_on_local_list_flagged(self, tmp_path):
-        assert lint(
-            """\
-            def dispatch(events):
-                order = list(events)
-                for event in events:
-                    position = order.index(event)
-            """, tmp_path) == ["HOT003"]
-
-    def test_set_membership_clean(self, tmp_path):
-        assert lint(
-            """\
-            KNOWN = set()
-
-            def dispatch(events):
-                for event in events:
-                    if event in KNOWN:
-                        continue
-            """, tmp_path) == []
-
-    def test_cold_module_clean(self, tmp_path):
-        assert lint(
-            """\
-            KNOWN = []
-
-            def dispatch(events):
-                for event in events:
-                    if event in KNOWN:
-                        continue
-            """, tmp_path,
-            hot_prefixes=hotpath.DEFAULT_HOT_PREFIXES) == []
-
-
-class TestInnerLoopAttribution:
-    def test_inner_loop_invariance_is_local(self, tmp_path):
-        # ``msg`` varies in the outer loop but is invariant for the
-        # inner one: the finding belongs to the inner loop.
-        assert lint(
-            """\
-            def send(messages, sock, targets):
-                for msg in messages:
-                    for target in targets:
-                        sock.send(msg.to_wire(), target)
-            """, tmp_path) == ["HOT001"]
-
-
 class TestSuppression:
     def test_inline_allow_suppresses(self, tmp_path):
         assert lint(
             """\
-            def send(msg, sock, targets):
-                for target in targets:
-                    sock.send(msg.to_wire(), target)  # repro: allow[HOT001] deferred to item 2
+            def arm(sim, fut, value):
+                sim.call_after(5.0, lambda: fut.resolve(value))  # repro: allow[HOT002] one-shot setup
             """, tmp_path) == []
 
     def test_include_suppressed_reinstates(self, tmp_path):
@@ -225,11 +79,10 @@ class TestSuppression:
         path = tmp_path / "snippet.py"
         path.write_text(textwrap.dedent(
             """\
-            def send(msg, sock, targets):
-                for target in targets:
-                    sock.send(msg.to_wire(), target)  # repro: allow[HOT001] deferred to item 2
+            def arm(sim, fut, value):
+                sim.call_after(5.0, lambda: fut.resolve(value))  # repro: allow[HOT002] one-shot setup
             """))
         tree = load_tree([str(path)])
         tree.include_suppressed = True
         findings = hotpath.analyze(tree, hot_prefixes=HOT)
-        assert [finding.rule for finding in findings] == ["HOT001"]
+        assert [finding.rule for finding in findings] == ["HOT002"]

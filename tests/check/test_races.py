@@ -96,32 +96,6 @@ class TestRace001SharedState:
             """, tmp_path) == []
 
 
-class TestRace002MutableDefault:
-    def test_mutable_default_flagged(self, tmp_path):
-        assert lint(
-            """\
-            def run_trial(spec, acc=[]):
-                acc.append(spec)
-                return acc
-            """, tmp_path) == ["RACE002"]
-
-    def test_dict_call_default_flagged(self, tmp_path):
-        assert lint(
-            """\
-            def run_trial(spec, acc=dict()):
-                return acc
-            """, tmp_path) == ["RACE002"]
-
-    def test_none_default_clean(self, tmp_path):
-        assert lint(
-            """\
-            def run_trial(spec, acc=None):
-                acc = acc if acc is not None else []
-                acc.append(spec)
-                return acc
-            """, tmp_path) == []
-
-
 class TestRace003ProcessDependence:
     def test_id_flagged(self, tmp_path):
         assert lint(
@@ -164,34 +138,6 @@ class TestRace003ProcessDependence:
                 for name in sorted(names):
                     out.append(name)
                 return out
-            """, tmp_path) == []
-
-
-class TestRace004PicklingBoundary:
-    def test_lambda_to_pool_map_flagged(self, tmp_path):
-        assert lint(
-            """\
-            def run_trial(pool, items):
-                return pool.map(lambda item: item + 1, items)
-            """, tmp_path) == ["RACE004"]
-
-    def test_nested_function_to_trialspec_flagged(self, tmp_path):
-        assert lint(
-            """\
-            def run_trial(spec):
-                def local_build(seed):
-                    return seed
-                return TrialSpec(build=local_build)
-            """, tmp_path) == ["RACE004"]
-
-    def test_module_level_function_clean(self, tmp_path):
-        assert lint(
-            """\
-            def build(seed):
-                return seed
-
-            def run_trial(pool, items):
-                return pool.map(build, items)
             """, tmp_path) == []
 
 

@@ -1,4 +1,4 @@
-"""End-to-end tests for the ``repro check`` runner and baseline flow."""
+"""End-to-end tests for the ``repro check`` runner."""
 
 import json
 import pathlib
@@ -6,11 +6,18 @@ import pathlib
 import pytest
 
 from repro.check import runner
-from repro.check.findings import Baseline, Finding
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 VIOLATION = "import time\nnow = time.time()\n"
+
+#: Every rule id ``--list-rules`` prints: the ones with evidence behind
+#: them (docs/DETERMINISM.md, "What earns a rule its place").
+SURVIVING_RULES = [
+    "ARCH001", "ARCH002", "ARCH003", "ARCH004", "ARCH005",
+    "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
+    "GEN001", "HOT002", "RACE001", "RACE003",
+]
 
 
 def write_violation(tmp_path):
@@ -33,15 +40,6 @@ class TestRunCheck:
         assert not report.ok
         assert report.counts_by_rule() == {"DET001": 1}
 
-    def test_analyzer_selection(self, tmp_path):
-        write_violation(tmp_path)
-        report = runner.run_check([str(tmp_path)], analyzers=["layering"])
-        assert report.ok  # determinism analyzer not selected
-
-    def test_unknown_analyzer_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            runner.run_check([str(tmp_path)], analyzers=["spellcheck"])
-
     def test_syntax_error_is_gen001(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
         report = runner.run_check([str(tmp_path)])
@@ -60,11 +58,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "DET001" in out
 
-    def test_exit_two_on_bad_baseline(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        assert runner.main([str(tmp_path), "--baseline", str(bad)]) == 2
-
     def test_json_format_and_out_artifact(self, tmp_path, capsys):
         write_violation(tmp_path)
         out_path = tmp_path / "report.json"
@@ -78,66 +71,13 @@ class TestCli:
         assert file_doc["summary"] == {"DET001": 1}
         assert file_doc["findings"][0]["rule"] == "DET001"
         assert set(file_doc) == {"version", "analyzers", "files_scanned",
-                                 "summary", "baselined", "findings"}
+                                 "summary", "findings"}
 
     def test_list_rules(self, capsys):
         assert runner.main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ("DET001", "ARCH001", "ZONE001", "GEN001"):
-            assert rule in out
-
-
-class TestBaselineRoundTrip:
-    def test_write_then_suppress_then_regress(self, tmp_path, capsys):
-        write_violation(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-
-        # 1. Record the current findings as the baseline: exits 0.
-        assert runner.main([str(tmp_path), "--write-baseline",
-                            str(baseline_path)]) == 0
-        capsys.readouterr()
-
-        # 2. Re-running against the baseline is clean (finding grandfathered).
-        assert runner.main([str(tmp_path), "--baseline",
-                            str(baseline_path), "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["baselined"] == 1
-        assert doc["findings"] == []
-
-        # 3. A NEW violation still fails the gate.
-        (tmp_path / "worse.py").write_text(
-            "import os\nnoise = os.urandom(4)\n")
-        assert runner.main([str(tmp_path), "--baseline",
-                            str(baseline_path)]) == 1
-        assert "DET002" in capsys.readouterr().out
-
-    def test_baseline_is_line_insensitive(self, tmp_path):
-        path = write_violation(tmp_path)
-        report = runner.run_check([str(tmp_path)])
-        baseline = Baseline.from_findings(report.findings)
-        # The same violation on a different line is still grandfathered.
-        path.write_text("import time\n\n\nnow = time.time()\n")
-        shifted = runner.run_check([str(tmp_path)], baseline=baseline)
-        assert shifted.ok
-        assert len(shifted.baselined) == 1
-
-    def test_baseline_is_column_insensitive(self, tmp_path):
-        path = write_violation(tmp_path)
-        report = runner.run_check([str(tmp_path)])
-        baseline = Baseline.from_findings(report.findings)
-        # The same violation shifted sideways (a formatter's doing) is
-        # still grandfathered: the fingerprint carries no column.
-        path.write_text("import time\nnow      =      time.time()\n")
-        shifted = runner.run_check([str(tmp_path)], baseline=baseline)
-        assert shifted.ok
-        assert len(shifted.baselined) == 1
-
-    def test_fingerprint_ignores_column(self):
-        left = Finding("DET001", "a.py", 3, "wall clock", col=5)
-        right = Finding("DET001", "a.py", 3, "wall clock", col=40)
-        assert left.fingerprint == right.fingerprint
-        assert left == right
-        assert hash(left) == hash(right)
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == SURVIVING_RULES
 
 
 class TestOnlySelection:
@@ -150,7 +90,7 @@ class TestOnlySelection:
 
     def test_only_narrows_analyzers(self, tmp_path):
         write_violation(tmp_path)
-        report = runner.run_check([str(tmp_path)], only=["HOT001"])
+        report = runner.run_check([str(tmp_path)], only=["HOT002"])
         assert report.analyzers == ["hotpath"]
 
     def test_only_unknown_rule_raises(self, tmp_path):
@@ -169,65 +109,21 @@ class TestOnlySelection:
         assert "unknown rule" in capsys.readouterr().err
 
 
-class TestSarif:
-    def test_sarif_stdout(self, tmp_path, capsys):
-        write_violation(tmp_path)
-        assert runner.main([str(tmp_path), "--format", "sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == runner.SARIF_VERSION
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-check"
-        assert [rule["id"] for rule in run["tool"]["driver"]["rules"]] \
-            == ["DET001"]
-        result = run["results"][0]
-        assert result["ruleId"] == "DET001"
-        assert result["level"] == "error"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 2
-        assert region["startColumn"] >= 1
-        assert "reproCheck/v1" in result["partialFingerprints"]
-
-    def test_sarif_out_artifact(self, tmp_path, capsys):
-        write_violation(tmp_path)
-        sarif_path = tmp_path / "check.sarif"
-        assert runner.main([str(tmp_path), "--sarif-out",
-                            str(sarif_path)]) == 1
-        capsys.readouterr()
-        doc = json.loads(sarif_path.read_text())
-        assert doc["version"] == runner.SARIF_VERSION
-        assert doc["runs"][0]["results"][0]["ruleId"] == "DET001"
-
-    def test_sarif_clean_tree_has_no_results(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("VALUE = 1\n")
-        assert runner.main([str(tmp_path), "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["runs"][0]["results"] == []
-
-
 class TestWholeProgramPasses:
-    def test_new_analyzers_registered(self):
-        assert {"rng", "races", "hotpath"} <= set(runner.ANALYZERS)
-        for rule in ("RNG001", "RNG005", "RACE001", "RACE004",
-                     "HOT001", "HOT003"):
-            assert rule in runner.ALL_RULES
+    WHOLE_PROGRAM = ["RACE001", "RACE003", "HOT002"]
 
     def test_clean_tree_under_new_passes(self):
         # The merge gate: the whole-program passes report nothing
         # unsuppressed on src/repro itself.
         report = runner.run_check(
-            [str(ROOT / "src" / "repro")],
-            analyzers=["rng", "races", "hotpath"])
+            [str(ROOT / "src" / "repro")], only=self.WHOLE_PROGRAM)
+        assert report.analyzers == ["races", "hotpath"]
         assert report.ok, report.render_text()
 
     def test_include_suppressed_sees_inventory(self):
-        # The HOT/RNG/RACE allows in-tree become visible to inventory
-        # runs; the suppressed findings exist and are rule-tagged.
-        report = runner.run_check(
-            [str(ROOT / "src" / "repro")],
-            analyzers=["rng", "races", "hotpath"],
-            include_suppressed=True)
-        assert not report.ok
-        assert set(report.counts_by_rule()) <= {
-            "RNG001", "RNG002", "RNG003", "RNG004", "RNG005",
-            "RACE001", "RACE002", "RACE003", "RACE004",
-            "HOT001", "HOT002", "HOT003"}
+        # Every inline allow in the tree, by rule.  A rule absent here
+        # has no justified exception left; one that gains an entry did
+        # so in a reviewed diff.
+        report = runner.run_check([str(ROOT / "src" / "repro")],
+                                  include_suppressed=True)
+        assert report.counts_by_rule() == {"DET001": 4, "RACE001": 7}

@@ -10,6 +10,7 @@ from repro.dnswire import (
     Edns,
     Flags,
     Message,
+    NS,
     Name,
     Question,
     Rcode,
@@ -189,3 +190,77 @@ def test_message_roundtrip_property(msg_id, qname, answers, rcode):
     assert parsed.rcode == rcode
     assert parsed.question.name == qname
     assert parsed.answers == response.answers
+
+
+# -- arbitrary wire input ----------------------------------------------------
+#
+# Queries reach L-DNS/C-DNS from UEs and from other operators' resolvers,
+# so the parser's contract is stated over *any* bytes: decoding (from_wire
+# plus the sections the lazy view defers) raises nothing but
+# WireFormatError, and whatever it accepts can be re-encoded and printed.
+
+def _seed_wires():
+    qname = Name("video.demo1.mycdn.ciab.test")
+    edge = Name("edge.mycdn.ciab.test")
+    query = make_query(qname, msg_id=0x1234,
+                       edns=Edns(options=[ClientSubnet("10.45.0.0", 24)]))
+    response = make_response(
+        query,
+        answers=[ResourceRecord(qname, RecordType.CNAME, 30, CNAME(edge)),
+                 ResourceRecord(edge, RecordType.A, 30, A("10.233.64.2"))],
+        authorities=[ResourceRecord(Name("mycdn.ciab.test"), RecordType.NS,
+                                    300, NS(Name("ns1.mycdn.ciab.test")))])
+    return [query.to_wire(), response.to_wire()]
+
+
+_SEED_WIRES = _seed_wires()
+
+_edit = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 4095), st.integers(0, 7)),
+    st.tuples(st.just("set"), st.integers(0, 4095), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 4095), st.just(0)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=8),
+              st.just(0)),
+)
+
+
+def _apply_edits(wire, edits):
+    data = bytearray(wire)
+    for kind, where, value in edits:
+        if kind == "append":
+            data += where
+        elif not data:
+            continue
+        elif kind == "flip":
+            data[where % len(data)] ^= 1 << value
+        elif kind == "set":
+            data[where % len(data)] = value
+        else:
+            del data[where % len(data):]
+    return bytes(data)
+
+
+def _decode_or_reject(wire):
+    try:
+        message = Message.from_wire(wire)
+        message.answers, message.authorities, message.additionals
+    except WireFormatError:
+        return None
+    return message
+
+
+def _assert_survives(wire):
+    message = _decode_or_reject(wire)
+    if message is not None:
+        assert _decode_or_reject(message.to_wire()) is not None
+        assert isinstance(message.to_text(), str)
+
+
+@given(st.binary(max_size=96))
+def test_random_bytes_decode_or_raise_wire_format_error(wire):
+    _assert_survives(wire)
+
+
+@given(st.sampled_from(_SEED_WIRES), st.lists(_edit, min_size=1, max_size=4))
+def test_mutated_messages_decode_or_raise_wire_format_error(wire, edits):
+    _assert_survives(_apply_edits(wire, edits))

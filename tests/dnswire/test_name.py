@@ -47,6 +47,35 @@ class TestConstruction:
             Name("wüw.example.com")
 
 
+class TestEscapes:
+    """RFC 1035 §5.1 presentation escapes: a wire label is any 1–63
+    octets, so ``to_text`` must be total and ``Name(text)`` its inverse."""
+
+    def test_octets_outside_printable_ascii_render_as_decimal(self):
+        name = Name.from_labels([b"vid\xa7eo", b"a b", b"\x00", b"test"])
+        assert name.to_text() == r"vid\167eo.a\032b.\000.test."
+
+    def test_dot_and_backslash_inside_a_label_are_quoted(self):
+        name = Name.from_labels([b"a.b", b"c\\d", b"test"])
+        assert name.to_text() == r"a\.b.c\\d.test."
+        assert Name(name.to_text()).labels == name.labels
+
+    def test_escapes_parse_back_to_octets(self):
+        assert Name(r"vid\167eo.test.").labels == (b"vid\xa7eo", b"test")
+        assert Name(r"a\.b.test").labels == (b"a.b", b"test")
+        assert Name(r"\a\065.test").labels == (b"aA", b"test")
+
+    def test_escaped_trailing_dot_is_not_the_root(self):
+        assert Name("a\\.").labels == (b"a.",)
+        assert Name("a\\..").labels == (b"a.",)
+
+    @pytest.mark.parametrize("text", [
+        "a\\", "a\\1", "a\\12", "a\\256.test", "a\\1x2.test", "a\\.\\"])
+    def test_malformed_escape_rejected(self, text):
+        with pytest.raises(NameError_):
+            Name(text)
+
+
 class TestComparison:
     def test_case_insensitive_equality(self):
         assert Name("WWW.Example.COM") == Name("www.example.com")
@@ -143,6 +172,26 @@ def test_text_roundtrip_property(labels):
     name = Name(text)
     assert Name(name.to_text()) == name
     assert len(name) == len(labels)
+
+
+#: Labels of arbitrary octets, weighted toward the ones presentation
+#: format treats specially (separator, escape, space, controls, high bit).
+_octet = st.sampled_from(list(b".\\ \t\x00\x7f\xa7\xff09aZ-_")) \
+    | st.integers(0, 255)
+_wire_label = st.lists(_octet, min_size=1, max_size=MAX_LABEL_LENGTH).map(bytes)
+_wire_labels = st.lists(_wire_label, max_size=8).filter(
+    lambda labels: sum(len(label) + 1 for label in labels) + 1 <= 255)
+
+
+@given(_wire_labels)
+def test_any_wire_name_has_a_text_form_that_parses_back(labels):
+    name = Name.from_labels(labels)
+    text = name.to_text()
+    assert text.isascii() and text.isprintable() and " " not in text
+    parsed = Name(text)
+    assert parsed == name
+    assert parsed.labels == name.labels  # == alone is case-insensitive
+    assert parsed.to_text() == text
 
 
 @given(st.lists(_label, min_size=1, max_size=4), st.lists(_label, min_size=0, max_size=3))

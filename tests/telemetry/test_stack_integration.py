@@ -15,6 +15,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.deployments import build_testbed
+from repro.dnswire.name import Name
 from repro.measure.runner import measure_deployment_queries
 from repro.telemetry.analysis import wireless_resolver_split
 
@@ -115,3 +116,40 @@ class TestZeroPerturbation:
             assert after.wireless_ms == before.wireless_ms
             assert after.addresses == before.addresses
             assert after.started_at == before.started_at
+
+    @pytest.mark.parametrize("deployment", ["mec-ldns-mec-cdns", "lan-ldns"])
+    def test_non_ascii_qname_served_alike_with_telemetry_on(self, deployment):
+        # A wire label may hold any octet.  Rendering one for the serve
+        # span's qname attribute used to raise inside DnsServer._serve,
+        # so the reply existed only while nobody was watching.
+        qname = Name.from_labels(
+            [b"vid\xa7eo", b"demo1", b"mycdn", b"ciab", b"test"])
+
+        def lookup():
+            testbed = build_testbed(deployment, seed=3)
+            first_hop = testbed.network.host_for_ip(
+                testbed.ue.dns.ip).socket_on_port(testbed.ue.dns.port)
+            server = first_hop.on_datagram.__self__
+            results = []
+
+            def driver():
+                results.append((yield from testbed.ue.stub().query(qname)))
+
+            testbed.sim.spawn(driver())
+            testbed.sim.run()
+            return results[0], server
+
+        plain, plain_server = lookup()
+        tel = telemetry.Telemetry()
+        telemetry.set_default(tel)
+        try:
+            traced, traced_server = lookup()
+        finally:
+            telemetry.clear_default()
+        assert traced.status == plain.status
+        assert traced.query_time_ms == plain.query_time_ms
+        assert plain_server.responses_sent > 0
+        assert traced_server.responses_sent == plain_server.responses_sent
+        assert any(span.attrs.get("qname") == qname.to_text()
+                   for span in tel.tracer.finished
+                   if span.name == "dns.serve")

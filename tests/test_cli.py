@@ -208,10 +208,10 @@ class TestTailCommand:
 class TestCheckCommand:
     def test_parser_accepts_check_flags(self):
         args = build_parser().parse_args(
-            ["check", "src/repro", "--analyzer", "determinism",
+            ["check", "src/repro", "--only", "DET001,DET005",
              "--format", "json"])
         assert args.paths == ["src/repro"]
-        assert args.analyzers == ["determinism"]
+        assert args.only == ["DET001,DET005"]
         assert args.format == "json"
 
     def test_check_clean_on_own_source(self, capsys):
