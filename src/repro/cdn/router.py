@@ -17,6 +17,7 @@ for the requesting client:
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -56,6 +57,19 @@ def is_referral(response) -> bool:
                for record in response.additionals)
 
 
+@functools.lru_cache(maxsize=1024)
+def _parsed_network(cidr: str) -> Tuple[int, int, int]:
+    """``(network, netmask, prefixlen)`` of a CIDR string, as integers.
+
+    Coverage networks are constants of a deployment while
+    :meth:`CoverageZone.covers` runs once per zone per routed query, so
+    each string is parsed once and matched by mask-and-compare after.
+    """
+    network = ipaddress.IPv4Network(cidr)
+    return (int(network.network_address), int(network.netmask),
+            network.prefixlen)
+
+
 class CoverageZone(NamedTuple):
     """Client networks mapped to the caches that should serve them."""
 
@@ -65,12 +79,12 @@ class CoverageZone(NamedTuple):
 
     def covers(self, ip: str) -> Tuple[bool, int]:
         """(matched, matched-prefix-length) for ``ip``."""
-        address = ipaddress.IPv4Address(ip)
+        address = int(ipaddress.IPv4Address(ip))
         best = -1
         for cidr in self.networks:
-            network = ipaddress.IPv4Network(cidr)
-            if address in network:
-                best = max(best, network.prefixlen)
+            network, netmask, prefixlen = _parsed_network(cidr)
+            if address & netmask == network:
+                best = max(best, prefixlen)
         return best >= 0, max(best, 0)
 
 

@@ -13,9 +13,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dnswire.edns import Edns, ExtendedDnsError
 from repro.dnswire.name import Name
-from repro.dnswire.rdata import Rdata, parse_rdata
+from repro.dnswire.rdata import GenericRdata, Rdata, parse_rdata
 from repro.dnswire.types import Opcode, Rcode, RecordClass, RecordType
-from repro.dnswire.wire import WireReader, WireWriter
+from repro.dnswire.wire import (_NAME_MEMO, HEADER, QUESTION_FIXED, RR_FIXED,
+                                WireReader, WireWriter)
 from repro.errors import WireFormatError
 
 #: Value→member maps for the registries decoded on every message parse.
@@ -26,6 +27,7 @@ _RECORD_TYPES: Dict[int, RecordType] = {int(m): m for m in RecordType}
 _RECORD_CLASSES: Dict[int, RecordClass] = {int(m): m for m in RecordClass}
 _OPCODES: Dict[int, Opcode] = {int(m): m for m in Opcode}
 _RCODES: Dict[int, Rcode] = {int(m): m for m in Rcode}
+_ANY = RecordType.ANY
 
 
 class Flags:
@@ -65,15 +67,15 @@ class Flags:
 
     @classmethod
     def from_bits(cls, bits: int) -> "Flags":
-        return cls(
-            qr=bool(bits & 0x8000),
-            aa=bool(bits & 0x0400),
-            tc=bool(bits & 0x0200),
-            rd=bool(bits & 0x0100),
-            ra=bool(bits & 0x0080),
-            ad=bool(bits & 0x0020),
-            cd=bool(bits & 0x0010),
-        )
+        flags = cls.__new__(cls)
+        flags.qr = bits & 0x8000 != 0
+        flags.aa = bits & 0x0400 != 0
+        flags.tc = bits & 0x0200 != 0
+        flags.rd = bits & 0x0100 != 0
+        flags.ra = bits & 0x0080 != 0
+        flags.ad = bits & 0x0020 != 0
+        flags.cd = bits & 0x0010 != 0
+        return flags
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Flags):
@@ -107,8 +109,7 @@ class Question:
     @classmethod
     def from_wire(cls, reader: WireReader) -> "Question":
         name = reader.read_name()
-        rtype = reader.read_u16()
-        rclass = reader.read_u16()
+        rtype, rclass = reader.read_struct(QUESTION_FIXED)
         rtype_enum = _RECORD_TYPES.get(rtype)
         if rtype_enum is None:
             rtype_enum = RecordType(rtype)
@@ -152,10 +153,26 @@ class ResourceRecord:
         """A copy with a different TTL (used when serving from cache)."""
         return ResourceRecord(self.name, self.rtype, ttl, self.rdata, self.rclass)
 
+    @property
+    def wire_type(self) -> int:
+        """The TYPE number this record carries on the wire.
+
+        A type outside :class:`RecordType` decodes to ``RecordType.ANY``
+        with its real number kept on the :class:`GenericRdata`; that
+        number, not 255, is what gets written and printed back
+        (RFC 3597 transparency).
+        """
+        if self.rtype is _ANY and isinstance(self.rdata, GenericRdata):
+            return self.rdata.generic_rtype or int(_ANY)
+        return int(self.rtype)
+
     def to_wire(self, writer: WireWriter) -> None:
         """Serialise to wire format."""
         writer.write_name(self.name)
-        writer.write_u16(int(self.rtype))
+        rtype = self.rtype
+        # Only an ANY record can carry a foreign type; every other
+        # record skips the property call (this runs per encoded record).
+        writer.write_u16(self.wire_type if rtype is _ANY else int(rtype))
         writer.write_u16(int(self.rclass))
         writer.write_u32(self.ttl)
         length_at = writer.reserve_u16()
@@ -166,10 +183,7 @@ class ResourceRecord:
     @classmethod
     def from_wire(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
-        rtype = reader.read_u16()
-        rclass = reader.read_u16()
-        ttl = reader.read_u32()
-        rdlength = reader.read_u16()
+        rtype, rclass, ttl, rdlength = reader.read_struct(RR_FIXED)
         rdata = parse_rdata(rtype, reader, rdlength)
         rtype_enum = _RECORD_TYPES.get(rtype)
         if rtype_enum is None:
@@ -187,8 +201,11 @@ class ResourceRecord:
 
     def to_text(self) -> str:
         """Render in presentation (zone-file) format."""
+        wire_type = self.wire_type
+        mnemonic = (self.rtype.name if wire_type == self.rtype
+                    else f"TYPE{wire_type}")
         return (f"{self.name.to_text()} {self.ttl} {self.rclass.name} "
-                f"{self.rtype.name} {self.rdata.to_text()}")
+                f"{mnemonic} {self.rdata.to_text()}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceRecord):
@@ -394,6 +411,8 @@ def _scan_rr_sections(reader: WireReader, ancount: int, nscount: int,
     rdlength bounds, the root-owner rule for OPT — and fully decodes any
     OPT pseudo-record (EDNS state is header-adjacent: the extended rcode
     lives in its TTL field, so a lazy view still needs it eagerly).
+    Each record costs one name skip, one ``RR_FIXED`` unpack and a cursor
+    advance past its rdata; nothing is sliced out to be thrown away.
     Returns ``(edns, rcode_high)``; later OPTs win, like the eager loop.
 
     Deliberately deferred to first section access: compression-pointer
@@ -407,26 +426,28 @@ def _scan_rr_sections(reader: WireReader, ancount: int, nscount: int,
     for count, in_additional in ((ancount, False), (nscount, False),
                                  (arcount, True)):
         for _ in range(count):
+            owner_at = reader.offset
             owner_is_root = reader.skip_name()
-            rtype = reader.read_u16()
+            rtype, rclass, ttl, rdlength = reader.read_struct(RR_FIXED)
             if in_additional and rtype == opt_type:
                 if not owner_is_root:
-                    raise WireFormatError("OPT owner name must be root")
-                payload = reader.read_u16()
-                ttl = reader.read_u32()
-                rdlength = reader.read_u16()
+                    # Not the one-octet spelling; a compressed root is
+                    # still the root, so decode before refusing.
+                    rdata_at = reader.offset
+                    reader.seek(owner_at)
+                    if not reader.read_name().is_root:
+                        raise WireFormatError("OPT owner name must be root")
+                    reader.seek(rdata_at)
                 options = Edns.options_from_wire(reader.read_bytes(rdlength))
                 edns = Edns(
-                    udp_payload=payload,
+                    udp_payload=rclass,  # CLASS carries payload size
                     version=(ttl >> 16) & 0xFF,
                     dnssec_ok=bool(ttl & 0x8000),
                     options=options,
                 )
                 rcode_high = (ttl >> 24) & 0xFF
             else:
-                reader.read_bytes(6)  # class + ttl
-                rdlength = reader.read_u16()
-                reader.read_bytes(rdlength)
+                reader.skip(rdlength)
     return edns, rcode_high
 
 
@@ -454,16 +475,12 @@ class LazyMessage(Message):
         reader = WireReader(data)
         self._wire = data
         self._pristine = True
-        self._msg_id = reader.read_u16()
-        bits = reader.read_u16()
+        (self._msg_id, bits, qdcount, self._ancount, self._nscount,
+         self._arcount) = reader.read_struct(HEADER)
         self._flags = Flags.from_bits(bits)
         opcode = _OPCODES.get((bits >> 11) & 0xF)
         self._opcode = (opcode if opcode is not None
                         else Opcode((bits >> 11) & 0xF))
-        qdcount = reader.read_u16()
-        self._ancount = reader.read_u16()
-        self._nscount = reader.read_u16()
-        self._arcount = reader.read_u16()
         self._questions = [Question.from_wire(reader)
                            for _ in range(qdcount)]
         self._sections_at = reader.offset
@@ -492,10 +509,10 @@ class LazyMessage(Message):
             for _ in range(self._arcount):
                 mark = reader.offset
                 reader.skip_name()
-                if reader.read_u16() == opt_type:
+                rtype, _, _, rdlength = reader.read_struct(RR_FIXED)
+                if rtype == opt_type:
                     # Already decoded into self._edns by the eager scan.
-                    reader.read_bytes(6)
-                    reader.read_bytes(reader.read_u16())
+                    reader.skip(rdlength)
                 else:
                     reader.seek(mark)
                     additionals.append(ResourceRecord.from_wire(reader))
@@ -620,8 +637,9 @@ _WIRE_MEMO_MAX = 4096
 
 
 def clear_wire_memo() -> None:
-    """Drop every memoised encode (for tests and benchmarks)."""
+    """Drop every memoised encode and decoded name (for tests and benchmarks)."""
     _WIRE_MEMO.clear()
+    _NAME_MEMO.clear()
 
 
 def cached_wire(msg: Message) -> bytes:

@@ -52,7 +52,7 @@ class Name:
     format with :meth:`from_text` (also available as ``Name("example.com.")``).
     """
 
-    __slots__ = ("_labels", "_folded", "_text")
+    __slots__ = ("_labels", "_folded", "_hash", "_text")
 
     def __init__(self, text: str = "") -> None:
         labels = _text_to_labels(text)
@@ -66,13 +66,35 @@ class Name:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
         for label in labels:
             _validate_label(label)
+        self._install(labels, tuple([label.lower() for label in labels]))
+
+    def _install(self, labels: Tuple[bytes, ...],
+                 folded: Tuple[bytes, ...]) -> None:
         self._labels = labels
-        self._folded = tuple(label.lower() for label in labels)
-        #: Presentation form, rendered lazily on first :meth:`to_text`
-        #: — names are immutable, and the hot paths (span attributes,
-        #: allocation hashing, zone lookups) stringify the same name
-        #: object repeatedly.
+        self._folded = folded
+        #: ``hash(folded)`` and the presentation form, both filled in on
+        #: first use — names are immutable, and the hot paths (memo keys,
+        #: zone dict probes, span attributes, allocation hashing) hash
+        #: and stringify the same name object repeatedly.
+        self._hash: Optional[int] = None
         self._text: Optional[str] = None
+
+    @classmethod
+    def _from_valid(cls, labels: Tuple[bytes, ...],
+                    folded: Optional[Tuple[bytes, ...]] = None) -> "Name":
+        """Install labels already known to meet the RFC 1035 limits.
+
+        Only for the two callers that have just established them: the
+        wire reader, whose loop admits 1–63 octet labels and counts the
+        255-octet total, and the slicing methods below, whose labels
+        (and ``folded`` forms) come out of a name that passed
+        :meth:`_init_from`.  Everything else goes through the validating
+        constructors.
+        """
+        name = cls.__new__(cls)
+        name._install(labels, folded if folded is not None
+                      else tuple([label.lower() for label in labels]))
+        return name
 
     @classmethod
     def from_labels(cls, labels: Iterable[bytes]) -> "Name":
@@ -131,7 +153,15 @@ class Name:
         return self._folded == other._folded
 
     def __hash__(self) -> int:
-        return hash(self._folded)
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._folded)
+        return value
+
+    def __reduce__(self) -> Tuple[object, ...]:
+        # The stored hash is seeded per process (PYTHONHASHSEED), so a
+        # pickle carries the labels alone and the receiver rebuilds.
+        return Name.from_labels, (self._labels,)
 
     def __lt__(self, other: "Name") -> bool:
         # Canonical DNS ordering compares label sequences from the root down.
@@ -146,7 +176,7 @@ class Name:
         """
         if self.is_root:
             raise NameError_("the root name has no parent")
-        return Name.from_labels(self._labels[1:])
+        return Name._from_valid(self._labels[1:], self._folded[1:])
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if ``self`` equals ``other`` or sits below it."""
@@ -180,7 +210,8 @@ class Name:
         """Split into (leftmost ``depth`` labels, remaining name)."""
         if depth > len(self._labels):
             raise NameError_(f"cannot split {depth} labels off {self}")
-        return self._labels[:depth], Name.from_labels(self._labels[depth:])
+        return self._labels[:depth], Name._from_valid(self._labels[depth:],
+                                                      self._folded[depth:])
 
     def wire_length(self) -> int:
         """Octets needed to encode this name without compression."""

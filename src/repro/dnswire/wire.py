@@ -3,7 +3,8 @@
 :class:`WireWriter` appends big-endian integers, raw bytes, and domain
 names, compressing repeated name suffixes with 2-octet pointers.
 :class:`WireReader` is the mirror image, following compression pointers with
-loop protection.
+loop protection; it reads the buffer in place and interns the uncompressed
+names it decodes (see :data:`_NAME_MEMO`).
 """
 
 from __future__ import annotations
@@ -11,12 +12,29 @@ from __future__ import annotations
 import struct
 from typing import Dict, Tuple
 
-from repro.dnswire.name import MAX_NAME_LENGTH, Name
+from repro.dnswire.name import MAX_LABEL_LENGTH, MAX_NAME_LENGTH, Name
 from repro.errors import CompressionLoopError, TruncatedMessageError, WireFormatError
 
 #: A compression pointer is two octets with the top two bits set, leaving 14
 #: bits of offset, so only offsets below this bound are compressible.
 _MAX_POINTER_TARGET = 0x3FFF
+
+#: Fixed layouts the message codec takes in one :meth:`WireReader.read_struct`.
+HEADER = struct.Struct("!HHHHHH")  # id, flag bits, qd/an/ns/ar counts
+QUESTION_FIXED = struct.Struct("!HH")  # type, class
+RR_FIXED = struct.Struct("!HHIH")  # type, class, ttl, rdlength
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+
+#: Content-keyed memo behind :meth:`WireReader.read_name`: the raw octets
+#: of an uncompressed name -> the :class:`Name` they decode to.  The key
+#: preserves case, so two spellings of one name stay two objects, each
+#: printing as it was sent.  Bounded and cleared wholesale when full,
+#: like the encode memo in :mod:`repro.dnswire.message`, whose
+#: ``clear_wire_memo`` empties both.  Sharing is safe because ``Name`` is
+#: immutable; only a successful decode is ever inserted.
+_NAME_MEMO: Dict[bytes, Name] = {}
+_NAME_MEMO_MAX = 4096
 
 
 class WireWriter:
@@ -91,7 +109,14 @@ class WireWriter:
 
 
 class WireReader:
-    """Deserialises DNS data, following compression pointers."""
+    """Deserialises DNS data in place, following compression pointers.
+
+    Every primitive checks its bounds and then reads ``data`` at the
+    cursor — ``unpack_from`` for integers, indexing for octets — so the
+    only ``bytes`` a parse allocates are the ones it hands back (labels,
+    rdata, option payloads).  Skipping advances the cursor and reads
+    nothing.
+    """
 
     def __init__(self, data: bytes, offset: int = 0) -> None:
         self._data = data
@@ -111,33 +136,46 @@ class WireReader:
             raise WireFormatError(f"seek out of range: {offset}")
         self._offset = offset
 
-    def _take(self, count: int) -> bytes:
-        if self._offset + count > len(self._data):
-            raise TruncatedMessageError(
-                f"need {count} octets at offset {self._offset}, "
-                f"have {len(self._data) - self._offset}"
-            )
-        chunk = self._data[self._offset:self._offset + count]
-        self._offset += count
-        return chunk
+    def _truncated(self, count: int, at: int) -> TruncatedMessageError:
+        return TruncatedMessageError(
+            f"need {count} octets at offset {at}, "
+            f"have {len(self._data) - at}")
+
+    def _advance(self, count: int) -> int:
+        """Step the cursor past ``count`` octets; return where they start."""
+        at = self._offset
+        end = at + count
+        if end > len(self._data):
+            raise self._truncated(count, at)
+        self._offset = end
+        return at
 
     # -- primitive readers -------------------------------------------------------
 
     def read_u8(self) -> int:
         """Read one unsigned octet."""
-        return self._take(1)[0]
+        return self._data[self._advance(1)]
 
     def read_u16(self) -> int:
         """Read a big-endian 16-bit integer."""
-        return struct.unpack("!H", self._take(2))[0]
+        return _U16.unpack_from(self._data, self._advance(2))[0]
 
     def read_u32(self) -> int:
         """Read a big-endian 32-bit integer."""
-        return struct.unpack("!I", self._take(4))[0]
+        return _U32.unpack_from(self._data, self._advance(4))[0]
+
+    def read_struct(self, layout: struct.Struct) -> Tuple[int, ...]:
+        """Read one fixed layout (:data:`HEADER`, :data:`RR_FIXED`, ...) whole."""
+        return layout.unpack_from(self._data, self._advance(layout.size))
 
     def read_bytes(self, count: int) -> bytes:
         """Read ``count`` raw octets."""
-        return self._take(count)
+        at = self._advance(count)
+        return self._data[at:at + count]
+
+    def skip(self, count: int) -> None:
+        """Advance past ``count`` octets without reading them."""
+        self._advance(count)
 
     # -- names ---------------------------------------------------------------------
 
@@ -149,25 +187,65 @@ class WireReader:
         needs exactly that bit to validate OPT owners.  A compression
         pointer terminates the walk without being followed; its target is
         validated when the name is actually decoded with
-        :meth:`read_name`.  (Our writer never compresses the root name,
-        so "starts with a pointer" can never mean "is root" for wire this
-        library produced.)
+        :meth:`read_name`.
         """
-        at_start = True
+        data = self._data
+        size = len(data)
+        start = at = self._offset
         while True:
-            octet = self.read_u8()
+            if at >= size:
+                raise self._truncated(1, at)
+            octet = data[at]
+            at += 1
             if octet & 0xC0 == 0xC0:
-                self.read_u8()  # low pointer octet
+                if at >= size:  # low pointer octet
+                    raise self._truncated(1, at)
+                self._offset = at + 1
                 return False
             if octet & 0xC0:
                 raise WireFormatError(f"unsupported label type 0x{octet:02x}")
             if octet == 0:
-                return at_start
-            self.read_bytes(octet)
-            at_start = False
+                self._offset = at
+                return at == start + 1
+            if at + octet > size:
+                raise self._truncated(octet, at)
+            at += octet
 
     def read_name(self) -> Name:
-        """Read a possibly-compressed name starting at the current offset."""
+        """Read a possibly-compressed name starting at the current offset.
+
+        An *uncompressed* spelling — length octets of 1–63 closed by the
+        root label, 255 octets at most — is looked up whole in
+        :data:`_NAME_MEMO` first; a hit hands back the shared immutable
+        :class:`Name`.  Everything else (a pointer, another label type,
+        a truncation, an over-long name) is decoded, or rejected, by
+        :meth:`_decode_name` alone, and is never memoised.
+        """
+        data = self._data
+        start = at = self._offset
+        try:
+            length = data[at]
+            while 0 < length <= MAX_LABEL_LENGTH:
+                at += length + 1
+                length = data[at]
+        except IndexError:
+            length = -1  # cut short; the loop says where
+        if length or at - start >= MAX_NAME_LENGTH:
+            return self._decode_name()
+        spelling = data[start:at + 1]
+        name = _NAME_MEMO.get(spelling)
+        if name is None:
+            name = self._decode_name()
+            if len(_NAME_MEMO) >= _NAME_MEMO_MAX:
+                # repro: allow[RACE001] pure content-keyed memo like _WIRE_MEMO: a spelling fully determines its Name, so hit/miss/eviction never changes any output
+                _NAME_MEMO.clear()
+            # repro: allow[RACE001] same memo — insertion is value-deterministic and per-process (workers fork with their own copy)
+            _NAME_MEMO[spelling] = name
+        else:
+            self._offset = at + 1
+        return name
+
+    def _decode_name(self) -> Name:
         labels = []
         total_length = 1
         return_to = None
@@ -199,4 +277,6 @@ class WireReader:
                 labels.append(label)
         if return_to is not None:
             self.seek(return_to)
-        return Name.from_labels(labels)
+        # Non-empty, at most 63 octets (the label-type check) and 255 in
+        # total (counted above): nothing is left for Name to re-validate.
+        return Name._from_valid(tuple(labels))

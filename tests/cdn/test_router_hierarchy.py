@@ -171,6 +171,43 @@ class TestTrafficRouter:
         matched, _ = zone.covers("192.0.2.1")
         assert not matched
 
+    def test_coverage_matches_ipaddress_for_every_input(self):
+        # covers() parses each CIDR once and matches by mask-and-compare;
+        # the answer must be what per-call ipaddress parsing gave.
+        import ipaddress
+        cidrs = ["0.0.0.0/0", "10.0.0.0/8", "10.45.0.0/16", "10.45.0.128/25",
+                 "172.16.0.0/12", "192.0.2.7/32", "255.255.255.255/32"]
+        probes = ["0.0.0.0", "9.255.255.255", "10.0.0.0", "10.45.0.127",
+                  "10.45.0.128", "10.45.255.255", "10.46.0.0", "172.15.255.255",
+                  "172.16.0.1", "172.31.255.255", "172.32.0.0", "192.0.2.6",
+                  "192.0.2.7", "192.0.2.8", "255.255.255.255"]
+        for skip in range(len(cidrs)):
+            networks = cidrs[skip:]
+            zone = CoverageZone("z", networks, [])
+            for ip in probes:
+                lengths = [ipaddress.IPv4Network(cidr).prefixlen
+                           for cidr in networks
+                           if ipaddress.IPv4Address(ip)
+                           in ipaddress.IPv4Network(cidr)]
+                expected = (bool(lengths), max(lengths, default=0))
+                assert zone.covers(ip) == expected, (networks, ip)
+        assert CoverageZone("empty", [], []).covers("10.0.0.1") == (False, 0)
+
+    def test_coverage_zone_still_rejects_bad_input_every_time(self):
+        zone = CoverageZone("z", ["10.45.0.1/16"], [])  # host bits set
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                zone.covers("10.45.0.1")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                CoverageZone("z", ["10.0.0.0/8"], []).covers("10.0.0.256")
+
+    def test_coverage_zone_sees_networks_added_later(self):
+        zone = CoverageZone("z", ["10.0.0.0/8"], [])
+        assert zone.covers("192.0.2.1") == (False, 0)
+        zone.networks.append("192.0.2.0/24")
+        assert zone.covers("192.0.2.1") == (True, 24)
+
 
 class TestTieredCdn:
     def build_tiers(self, scenario):

@@ -126,4 +126,4 @@ class TestWholeProgramPasses:
         # so in a reviewed diff.
         report = runner.run_check([str(ROOT / "src" / "repro")],
                                   include_suppressed=True)
-        assert report.counts_by_rule() == {"DET001": 4, "RACE001": 7}
+        assert report.counts_by_rule() == {"DET001": 4, "RACE001": 9}

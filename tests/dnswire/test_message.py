@@ -9,6 +9,7 @@ from repro.dnswire import (
     ClientSubnet,
     Edns,
     Flags,
+    GenericRdata,
     Message,
     NS,
     Name,
@@ -144,6 +145,64 @@ class TestEdnsInMessages:
         data[opt_type_at - 1:opt_type_at + 1] = b"\xc0\x0c\x00"
         with pytest.raises(WireFormatError):
             Message.from_wire(bytes(data))
+
+
+    def test_compressed_root_opt_owner_accepted_like_the_eager_parser(self):
+        # A pointer to a zero octet (offset 4: the high half of QDCOUNT)
+        # spells the root in two octets.  The eager parser decodes the
+        # owner and accepts; the lazy scan has to agree.
+        wire = (bytes.fromhex("beef 0100 0001 0000 0000 0001")
+                + b"\x03abc\x00\x00\x01\x00\x01"
+                + b"\xc0\x04" + bytes.fromhex("0029 04d0 00000000 0000"))
+
+        class Eager(Message):
+            pass
+
+        for decode in (Eager.from_wire, Message.from_wire):
+            message = decode(wire)
+            assert message.edns is not None
+            assert message.edns.udp_payload == 1232
+            assert message.additionals == []
+
+
+class TestUnknownTypePassthrough:
+    """RFC 3597: a record of a type this library does not know keeps it."""
+
+    #: abc. A? answered with one TYPE99 record, owner compressed.
+    WIRE = (bytes.fromhex("beef 8180 0001 0001 0000 0000")
+            + b"\x03abc\x00\x00\x01\x00\x01"
+            + bytes.fromhex("c00c 0063 0001 00000005 0003 616263"))
+
+    def test_touched_message_re_encodes_the_real_type(self):
+        message = Message.from_wire(self.WIRE)
+        (record,) = message.answers  # a touch: to_wire re-encodes
+        assert message.to_wire() == self.WIRE
+        assert record.rtype is RecordType.ANY  # no enum member for 99
+        assert record.rdata.generic_rtype == 99
+        assert record.wire_type == 99
+
+    def test_presentation_form_names_the_real_type(self):
+        message = Message.from_wire(self.WIRE)
+        assert message.answers[0].to_text() == "abc. 5 IN TYPE99 \\# 3 616263"
+        assert "TYPE99" in message.to_text()
+        assert " ANY " not in message.to_text()
+
+    def test_forwarded_copy_keeps_the_type(self):
+        received = Message.from_wire(self.WIRE)
+        relayed = make_response(make_query(Name("abc"), msg_id=0xBEEF),
+                                recursion_available=True,
+                                answers=[record.with_ttl(4)
+                                         for record in received.answers])
+        (record,) = Message.from_wire(relayed.to_wire()).answers
+        assert record.wire_type == 99 and record.ttl == 4
+
+    def test_known_and_hand_built_types_are_untouched(self):
+        known = rr("abc", RecordType.A, A("192.0.2.1"))
+        assert known.wire_type == 1 and " A " in known.to_text()
+        true_any = rr("abc", RecordType.ANY, GenericRdata(b"x"))
+        assert true_any.wire_type == 255 and " ANY " in true_any.to_text()
+        opt_in_answers = rr("abc", RecordType.OPT, GenericRdata(b"", 41))
+        assert opt_in_answers.wire_type == 41
 
 
 class TestCompressionInMessages:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dnswire.name import Name
-from repro.dnswire.wire import WireReader, WireWriter
+from repro.dnswire.wire import (HEADER, QUESTION_FIXED, RR_FIXED, WireReader,
+                                WireWriter)
 from repro.errors import (
     CompressionLoopError,
     TruncatedMessageError,
@@ -33,6 +34,42 @@ class TestPrimitives:
         reader = WireReader(b"\x01")
         with pytest.raises(TruncatedMessageError):
             reader.read_u16()
+
+    def test_truncation_message_names_need_offset_and_have(self):
+        reader = WireReader(b"\x00\x01\x02")
+        reader.read_u8()
+        for read, count in ((reader.read_u32, 4),
+                            (lambda: reader.read_bytes(3), 3),
+                            (lambda: reader.skip(3), 3),
+                            (lambda: reader.read_struct(RR_FIXED), 10)):
+            with pytest.raises(TruncatedMessageError) as caught:
+                read()
+            assert str(caught.value) == \
+                f"need {count} octets at offset 1, have 2"
+            assert reader.offset == 1  # a refused read consumes nothing
+        assert reader.read_u16() == 0x0102
+        with pytest.raises(TruncatedMessageError, match="need 1 octets at "
+                                                        "offset 3, have 0"):
+            reader.read_u8()
+
+    def test_read_struct_takes_a_fixed_layout_whole(self):
+        wire = bytes.fromhex("beef 8180 0001 0002 0003 0004"
+                             "0001 0001 0000003c 0004")
+        reader = WireReader(wire)
+        assert reader.read_struct(HEADER) == (0xBEEF, 0x8180, 1, 2, 3, 4)
+        assert reader.offset == 12
+        assert reader.read_struct(RR_FIXED) == (1, 1, 60, 4)
+        assert reader.remaining == 0
+        reader.seek(12)
+        assert reader.read_struct(QUESTION_FIXED) == (1, 1)
+
+    def test_skip_advances_without_reading(self):
+        reader = WireReader(b"abcdef")
+        reader.skip(4)
+        assert reader.offset == 4 and reader.read_bytes(2) == b"ef"
+        reader.skip(0)
+        with pytest.raises(TruncatedMessageError):
+            reader.skip(1)
 
     def test_patch_u16(self):
         writer = WireWriter()
@@ -96,6 +133,34 @@ class TestNames:
         first_len = len(writer)
         writer.write_name(Name("example.com"))
         assert len(writer.getvalue()) == 2 * first_len
+
+    @pytest.mark.parametrize("octets, is_root, end", [
+        (b"\x00rest", True, 1),
+        (b"\x02ab\x01c\x00rest", False, 6),
+        (b"\xc0\x0crest", False, 2),           # pointer: not followed
+        (b"\x02ab\xc0\x00rest", False, 5),
+    ])
+    def test_skip_name_steps_over_one_name(self, octets, is_root, end):
+        reader = WireReader(octets)
+        assert reader.skip_name() is is_root
+        assert reader.offset == end
+
+    @pytest.mark.parametrize("octets, error, message", [
+        (b"", TruncatedMessageError, "need 1 octets at offset 0, have 0"),
+        (b"\x02ab", TruncatedMessageError,
+         "need 1 octets at offset 3, have 0"),
+        (b"\x05ab", TruncatedMessageError,
+         "need 5 octets at offset 1, have 2"),
+        (b"\xc0", TruncatedMessageError, "need 1 octets at offset 1, have 0"),
+        (b"\x02ab\x40\x00", WireFormatError, "unsupported label type 0x40"),
+        (b"\x80\x00", WireFormatError, "unsupported label type 0x80"),
+    ])
+    def test_skip_and_read_name_refuse_alike(self, octets, error, message):
+        for walk in (WireReader.skip_name, WireReader.read_name):
+            with pytest.raises(error) as caught:
+                walk(WireReader(octets))
+            assert type(caught.value) is error
+            assert str(caught.value) == message
 
     def test_reader_position_after_pointer(self):
         writer = WireWriter()
