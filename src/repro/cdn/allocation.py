@@ -25,7 +25,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 #: Virtual nodes per member; matches the traffic router's historical
 #: ring so extracted and in-router selections stay identical.
@@ -44,7 +45,9 @@ class HashRing:
     Members are arbitrary objects named by ``name_of`` (default: their
     ``name`` attribute); the ring hashes ``"{name}#{vnode}"`` exactly
     as the traffic router always has, so a ring built over the same
-    members picks the same targets.
+    members picks the same targets.  A ring is immutable once built —
+    a membership change builds a new ring — which is what lets callers
+    remember a ``pick`` for as long as they hold the ring.
     """
 
     def __init__(self, members: Sequence[object],
@@ -52,21 +55,25 @@ class HashRing:
                  name_of: Optional[Callable[[object], str]] = None) -> None:
         if name_of is None:
             name_of = _default_name
-        self._entries: List[Tuple[int, int, object]] = []
+        entries: List[Tuple[int, int, object]] = []
         for seq, member in enumerate(members):
             name = name_of(member)
             for vnode in range(vnodes):
-                self._entries.append(
-                    (hash_point(f"{name}#{vnode}"), seq, member))
-        self._entries.sort(key=lambda entry: entry[0])
+                entries.append((hash_point(f"{name}#{vnode}"), seq, member))
+        entries.sort(key=lambda entry: entry[0])
+        # Three parallel lists in ring order: bisecting plain ints is
+        # what a pick pays for, not building and comparing tuples.
+        self._points: List[int] = [point for point, _, _ in entries]
+        self._seqs: List[int] = [seq for _, seq, _ in entries]
+        self._members: List[object] = [member for _, _, member in entries]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._points)
 
     def members(self) -> List[object]:
         """The distinct members on the ring, in insertion order."""
         ordered: Dict[int, object] = {}
-        for _, seq, member in self._entries:
+        for seq, member in zip(self._seqs, self._members):
             if seq not in ordered:
                 ordered[seq] = member
         return [ordered[seq] for seq in sorted(ordered)]
@@ -74,50 +81,30 @@ class HashRing:
     def pick(self, key: str,
              predicate: Optional[Callable[[object], bool]] = None) -> Optional[object]:
         """The first eligible member clockwise of ``key``'s hash point."""
-        if not self._entries:
+        members = self._members
+        count = len(members)
+        if not count:
             return None
-        index = bisect.bisect_left(self._entries, (hash_point(key), -1))
-        for step in range(len(self._entries)):
-            _, _, member = self._entries[(index + step) % len(self._entries)]
-            if predicate is None or predicate(member):
+        index = bisect.bisect_left(self._points, hash_point(key))
+        if predicate is None:
+            return members[index] if index < count else members[0]
+        for step in range(count):
+            member = members[(index + step) % count]
+            if predicate(member):
                 return member
         return None
 
-    def walk(self, key: str) -> "_RingWalk":
-        """An iterator over members clockwise of ``key`` (dedup'd)."""
-        return _RingWalk(self._entries, key)
-
-
-class _RingWalk:
-    """Clockwise member iteration with duplicate-vnode suppression."""
-
-    def __init__(self, entries: List[Tuple[int, int, object]],
-                 key: str) -> None:
-        self._entries = entries
-        self._start = (bisect.bisect_left(entries, (hash_point(key), -1))
-                       if entries else 0)
-
-    def __iter__(self) -> "_RingWalkIter":
-        return _RingWalkIter(self._entries, self._start)
-
-
-class _RingWalkIter:
-    def __init__(self, entries: List[Tuple[int, int, object]],
-                 start: int) -> None:
-        self._entries = entries
-        self._start = start
-        self._step = 0
-        self._seen: set = set()
-
-    def __next__(self) -> object:
-        while self._step < len(self._entries):
-            _, seq, member = self._entries[
-                (self._start + self._step) % len(self._entries)]
-            self._step += 1
-            if seq not in self._seen:
-                self._seen.add(seq)
-                return member
-        raise StopIteration
+    def walk(self, key: str) -> Iterator[object]:
+        """Members clockwise of ``key``, each once (at its first vnode)."""
+        count = len(self._points)
+        start = bisect.bisect_left(self._points, hash_point(key))
+        seen: Set[int] = set()
+        for step in range(count):
+            index = (start + step) % count
+            seq = self._seqs[index]
+            if seq not in seen:
+                seen.add(seq)
+                yield self._members[index]
 
 
 def _default_name(member: object) -> str:

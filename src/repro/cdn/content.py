@@ -101,7 +101,6 @@ class ContentCatalog:
                            min_bytes: int = 2_000,
                            max_bytes: int = 2_000_000) -> List[ContentItem]:
         """Add ``count`` synthetic objects with log-uniform sizes."""
-        import math
         items = []
         for index in range(count):
             log_size = rng.uniform(math.log(min_bytes), math.log(max_bytes))
@@ -124,8 +123,8 @@ class ZipfRankStream:
     integral are handled, including ``s = 1``).
     """
 
-    __slots__ = ("n", "exponent", "_rng", "_one_minus_s", "_total",
-                 "_cell_one")
+    __slots__ = ("n", "exponent", "_rng", "_one_minus_s", "_logarithmic",
+                 "_total", "_cell_one")
 
     def __init__(self, n: int, rng: random.Random,
                  exponent: float = 0.9) -> None:
@@ -137,6 +136,9 @@ class ZipfRankStream:
         self.exponent = exponent
         self._rng = rng
         self._one_minus_s = 1.0 - exponent
+        #: Whether the envelope integral takes its s = 1 branch; decided
+        #: here so the draw loops below never test for it.
+        self._logarithmic = abs(self._one_minus_s) < 1e-12
         #: Envelope mass over [1, n+1): integral of x^(-s).
         self._total = self._integral(float(n + 1))
         #: Envelope mass over the first unit cell [1, 2) — the rejection
@@ -145,31 +147,58 @@ class ZipfRankStream:
 
     def _integral(self, x: float) -> float:
         """∫_1^x t^(-s) dt, with the s = 1 logarithmic branch."""
-        if abs(self._one_minus_s) < 1e-12:
+        if self._logarithmic:
             return math.log(x)
         return (x ** self._one_minus_s - 1.0) / self._one_minus_s
 
-    def _inverse(self, area: float) -> float:
-        """The x with ∫_1^x t^(-s) dt = ``area`` (envelope CDF inverse)."""
-        if abs(self._one_minus_s) < 1e-12:
-            return math.exp(area)
-        return (1.0 + area * self._one_minus_s) ** (1.0 / self._one_minus_s)
-
     def next_rank(self) -> int:
-        """Draw one rank in ``1..n`` (1 = most popular)."""
-        if self.n == 1:
+        """Draw one rank in ``1..n`` (1 = most popular).
+
+        Each candidate inverts the envelope CDF at a uniform draw
+        (``x`` with ∫_1^x t^(-s) dt = u · total), floors it to a rank
+        ``k``, and accepts with the discrete-to-envelope mass ratio over
+        ``[k, k+1)``.  The integral and its inverse are written out in
+        the loop: this runs once per simulated query.
+        """
+        n = self.n
+        if n == 1:
             return 1
+        if self._logarithmic:
+            return self._next_rank_logarithmic()
+        rand = self._rng.random
+        one_minus_s = self._one_minus_s
+        inverse_power = 1.0 / one_minus_s
+        minus_s = -self.exponent
+        total = self._total
+        cell_one = self._cell_one
         while True:
-            x = self._inverse(self._rng.random() * self._total)
+            x = (1.0 + rand() * total * one_minus_s) ** inverse_power
             k = int(x)
             if k < 1:
                 k = 1
-            elif k > self.n:
-                k = self.n
-            cell = self._integral(float(k + 1)) - self._integral(float(k))
+            elif k > n:
+                k = n
+            cell = ((float(k + 1) ** one_minus_s - 1.0) / one_minus_s
+                    - (float(k) ** one_minus_s - 1.0) / one_minus_s)
             # target/envelope ratio, normalized by its maximum (rank 1).
-            accept = (k ** -self.exponent) * self._cell_one / cell
-            if self._rng.random() <= accept:
+            if rand() <= (k ** minus_s) * cell_one / cell:
+                return k
+
+    def _next_rank_logarithmic(self) -> int:
+        """:meth:`next_rank` for s = 1, where ∫ t^(-1) dt = log."""
+        n = self.n
+        rand = self._rng.random
+        minus_s = -self.exponent
+        total = self._total
+        cell_one = self._cell_one
+        while True:
+            k = int(math.exp(rand() * total))
+            if k < 1:
+                k = 1
+            elif k > n:
+                k = n
+            cell = math.log(float(k + 1)) - math.log(float(k))
+            if rand() <= (k ** minus_s) * cell_one / cell:
                 return k
 
     def ranks(self, count: int) -> Iterator[int]:

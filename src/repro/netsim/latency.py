@@ -132,7 +132,6 @@ def lognormal_from_median_p95(median: float, p95: float,
     """Fit a LogNormal whose median and 95th percentile match the inputs."""
     if not 0 < median < p95:
         raise ValueError(f"need 0 < median < p95, got {median}, {p95}")
-    mu = math.log(median - shift if median > shift else median)
     adjusted_median = median - shift
     adjusted_p95 = p95 - shift
     if adjusted_median <= 0 or adjusted_p95 <= adjusted_median:

@@ -36,7 +36,9 @@ CALIBRATION_QUERIES = 48
 
 #: One-way delay for an intra-site fetch leg (P-GW to a MEC node plus
 #: the cluster fabric, per the testbed's mec-lan/mec-fabric links).
-INTRA_SITE_LEG: LatencyModel = Constant(0.75)
+#: Declared as the Constant it is: the engine reads ``.value`` instead
+#: of calling ``sample`` once per locally served request.
+INTRA_SITE_LEG: Constant = Constant(0.75)
 
 #: One-way delay to a cache at a *different* MEC site (metro backhaul,
 #: WAN-distance like the testbed's WAN C-DNS placement).
@@ -65,10 +67,13 @@ class DeploymentModel(NamedTuple):
     def dns_legs(self, rng: random.Random) -> Tuple[float, float]:
         """One lookup's ``(wireless, resolver)`` legs, separately.
 
-        The engine uses the split form so tail exemplars can attribute
-        a slow lookup to the right leg; the draw order is identical to
-        :meth:`dns_ms`, so which form a caller uses cannot change any
-        downstream sample.
+        The split form lets tail exemplars attribute a slow lookup to
+        the right leg; the draw order is identical to :meth:`dns_ms`,
+        so which form a caller uses cannot change any downstream
+        sample.  The engine's loop makes these same two draws from
+        ``wireless.samples`` / ``resolver.samples`` directly, and
+        tests/workload/test_kernel_equivalence.py holds it to this
+        method.
         """
         return (self.wireless.sample(rng), self.resolver.sample(rng))
 

@@ -43,7 +43,8 @@ sessions.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, NamedTuple, Optional
+from array import array
+from typing import Any, Dict, List, MutableSequence, NamedTuple, Optional
 
 from repro import telemetry as _telemetry
 from repro.cdn.allocation import ConsistentAllocator, HashRing
@@ -64,6 +65,11 @@ from repro.workload.sessions import SessionModel
 
 #: Recognized traffic-allocation policies (mirrors the router's).
 ALLOCATION_POLICIES = ("content", "client", "client-bounded")
+
+#: Content ranks whose cache selection a district remembers per site.
+#: Zipf traffic asks for the head over and over; the tail goes to the
+#: ring every time, so memory does not grow with the catalog.
+HEAD = 8192
 
 
 class DistrictConfig(NamedTuple):
@@ -155,14 +161,24 @@ def merge_stats(parts: List[DistrictStats]) -> DistrictStats:
 
 class _Router:
     """The district's cache-selection logic, shared-geometry with the
-    production router."""
+    production router.
+
+    **Invariant:** ring and allocator membership never changes inside a
+    district, and nothing passes an eligibility predicate, so a
+    selection is a pure function of (site, content key) under
+    ``content`` and sticky per (site, client key) under ``client`` /
+    ``client-bounded``.  That is what lets a selection be remembered:
+    :meth:`select` consults the ring once per (site, head rank) and
+    keeps the answer in :attr:`head_tables`; the engine keeps the
+    client policies' answer once per (UE, site).
+    """
 
     def __init__(self, config: DistrictConfig) -> None:
         if config.allocation not in ALLOCATION_POLICIES:
             raise ValueError(
                 f"allocation must be one of {ALLOCATION_POLICIES}, "
                 f"got {config.allocation!r}")
-        self.config = config
+        self._allocation = config.allocation
         names = [[f"site{site}-cache{cache}"
                   for cache in range(config.caches_per_site)]
                  for site in range(config.sites)]
@@ -176,21 +192,39 @@ class _Router:
         self._allocators: Optional[List[ConsistentAllocator]] = None
         if config.allocation == "client-bounded":
             self._allocators = [ConsistentAllocator(row) for row in names]
+        #: Ranks ``1..head`` have a slot in every site's table.
+        self.head = min(config.catalog_size, HEAD)
+        # The narrowest unsigned cell that holds every flat index + 1.
+        caches = len(self._index)
+        cell = "B" if caches < 255 else "H" if caches < 65535 else "L"
+        #: Per site, ``table[rank]`` is the flat cache index + 1 that
+        #: serves ``rank`` from that site, or 0 until first asked.
+        #: O(sites × HEAD) whatever the catalog size.
+        self.head_tables: List[MutableSequence[int]] = [
+            array(cell, [0]) * (self.head + 1)
+            for _ in range(config.sites)]
 
-    def select(self, site: int, content_key: str,
-               client_key: str) -> int:
-        """The flat cache index serving this request from ``site``."""
+    def select(self, site: int, rank: int, client_key: str) -> int:
+        """The flat cache index serving this request from ``site``.
+
+        Always asks the ring (or the allocator); under ``content`` it
+        also records a head rank's answer in :attr:`head_tables`, which
+        the engine reads before calling here.
+        """
+        chosen: Optional[object]
         if self._allocators is not None:
             chosen = self._allocators[site].assign(client_key)
-        elif self.config.allocation == "client":
-            picked = self._rings[site].pick(client_key)
-            chosen = str(picked) if picked is not None else None
+        elif self._allocation == "client":
+            chosen = self._rings[site].pick(client_key)
         else:
-            picked = self._rings[site].pick(content_key)
-            chosen = str(picked) if picked is not None else None
+            chosen = self._rings[site].pick(
+                f"obj{rank:07d}.pop.mycdn.ciab.test")
         if chosen is None:  # pragma: no cover - rings are never empty
             raise RuntimeError("empty cache ring")
-        return self._index[chosen]
+        cache_index = self._index[str(chosen)]
+        if self._allocation == "content" and rank <= self.head:
+            self.head_tables[site][rank] = cache_index + 1
+        return cache_index
 
 
 def run_district(config: DistrictConfig, model: DeploymentModel,
@@ -223,6 +257,32 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
 
     anchor_cache = 0  # client-blind resolvers answer site 0, cache 0
     per_site = config.caches_per_site
+
+    # -- kernel bindings: everything a query touches, looked up once.
+    lookups = [cache.lookup for cache in caches]
+    dns_add = dns_hist.add
+    total_add = total_hist.add
+    think_time = session_model.think_time
+    resolves_locally = model.localized
+    by_content = config.allocation == "content"
+    select = router.select
+    head = router.head
+    head_tables = router.head_tables
+    # A DNS leg is ``rng.choice(samples)``; the loop below draws the
+    # index the way ``Random.choice`` does (``getrandbits(k)`` until it
+    # is below ``n``) without the two frames.  tests/workload/
+    # test_kernel_equivalence.py pins the two stream-identical.
+    wireless_samples = model.wireless.samples
+    wireless_n = len(wireless_samples)
+    wireless_bits = wireless_n.bit_length()
+    resolver_samples = model.resolver.samples
+    resolver_n = len(resolver_samples)
+    resolver_bits = resolver_n.bit_length()
+    # Round trips to the cache and the origin: request + response legs.
+    # The intra-site leg is a Constant, so it draws nothing.
+    intra_fetch_ms = 2.0 * INTRA_SITE_LEG.value
+    inter_sample = INTER_SITE_LEG.sample
+    origin_sample = ORIGIN_LEG.sample
 
     # -- observability bindings (all hoisted out of the hot loop).  The
     # aggregates live in plain local dicts keyed by (site, window) and
@@ -262,9 +322,11 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
         misloc_wins: Dict[int, List[int]] = {}
         cur_q: List[int] = []
         cur_m: List[int] = []
-        # Degenerate bounds force a rebind on the first query.
+        # Degenerate bounds force a rebind on the first query, so the
+        # list the append cursors start on never receives a value.
         win_lo = win_hi = 0.0
-        cur_dns_append = cur_total_append = _noop_append
+        unused: List[float] = []
+        cur_dns_append = cur_total_append = unused.append
         threshold: Optional[float] = None
         session_ordinal = 0
         sampled_queries = 0
@@ -281,9 +343,13 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
     for index in range(config.ues):
         ue: UserProfile = population.user(index)
         rng: random.Random = population.user_rng(ue)
-        zipf = ZipfRankStream(config.catalog_size, rng,
-                              exponent=config.zipf_exponent)
+        getrandbits = rng.getrandbits
+        next_rank = ZipfRankStream(config.catalog_size, rng,
+                                   exponent=config.zipf_exponent).next_rank
         client_key = ue.client_ip()
+        #: ``client`` / ``client-bounded``: this UE's cache per site,
+        #: asked for on first touch (see the _Router invariant).
+        ue_caches = [-1] * config.sites
         ue_sessions = 0
         for start in arrivals.times(rng, config.duration_s,
                                     start_s=config.start_s):
@@ -325,36 +391,48 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                     site = placement.handover_site
                     handovers += 1
                     interruption = HANDOVER_INTERRUPTION_MS
-                rank = zipf.next_rank()
-                content_key = f"obj{rank:07d}.pop.mycdn.ciab.test"
-                if model.localized:
-                    cache_index = router.select(site, content_key,
-                                                client_key)
-                else:
+                rank = next_rank()
+                if not resolves_locally:
                     cache_index = anchor_cache
+                elif by_content:
+                    cache_index = (head_tables[site][rank] - 1
+                                   if rank <= head else -1)
+                    if cache_index < 0:
+                        cache_index = select(site, rank, client_key)
+                else:
+                    cache_index = ue_caches[site]
+                    if cache_index < 0:
+                        cache_index = ue_caches[site] = select(
+                            site, rank, client_key)
                 served_site = cache_index // per_site
-                hit = caches[cache_index].lookup(rank)
+                hit = lookups[cache_index](rank)
                 cache_load[cache_index] += 1
 
-                wireless_ms, resolver_ms = model.dns_legs(rng)
+                draw = getrandbits(wireless_bits)
+                while draw >= wireless_n:
+                    draw = getrandbits(wireless_bits)
+                wireless_ms = wireless_samples[draw]
+                draw = getrandbits(resolver_bits)
+                while draw >= resolver_n:
+                    draw = getrandbits(resolver_bits)
+                resolver_ms = resolver_samples[draw]
                 dns_ms = wireless_ms + resolver_ms + interruption
-                fetch_leg = (INTRA_SITE_LEG if served_site == site
-                             else INTER_SITE_LEG)
-                # Round trip to the cache: request + response legs.
-                fetch_ms = 2.0 * fetch_leg.sample(rng)
+                if served_site == site:
+                    localized += 1
+                    fetch_ms = intra_fetch_ms
+                else:
+                    fetch_ms = 2.0 * inter_sample(rng)
                 latency = dns_ms + fetch_ms
                 if hit:
                     hits += 1
                     origin_ms = 0.0
                 else:
-                    origin_ms = (2.0 * ORIGIN_LEG.sample(rng)
+                    origin_ms = (2.0 * origin_sample(rng)
                                  + ORIGIN_SERVICE_MS)
                     latency += origin_ms
-                if served_site == site:
-                    localized += 1
                 queries += 1
-                dns_hist.add(dns_ms)
-                total_hist.add(latency)
+                dns_add(dns_ms)
+                total_add(latency)
 
                 if observing:
                     if start >= win_hi or start < win_lo:
@@ -416,7 +494,7 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                 # Think time advances the session clock; the diurnal
                 # multiplier is per-session (sessions are minutes long,
                 # buckets are hours), so the clock only gates overflow.
-                start += session_model.think_time(rng)
+                start += think_time(rng)
             if observing and session_spans is not None:
                 # One ingest per sampled session: ids were built against
                 # the tracer's high-water mark at session start, so the
@@ -444,11 +522,6 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
         queries=queries, sessions=sessions, active_ues=active, hits=hits,
         localized=localized, handovers=handovers, cache_load=cache_load,
         dns=dns_hist, total=total_hist)
-
-
-def _noop_append(_value: float) -> None:  # pragma: no cover - placeholder
-    """Placeholder bound before the first query initialises the window
-    cache; never called (the first query always misses the cache)."""
 
 
 def _site_major(wins: Dict[int, List[int]]) -> List[Dict[int, int]]:

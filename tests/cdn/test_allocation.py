@@ -70,6 +70,86 @@ class TestHashRing:
         assert hash_point("cache-0#0") != hash_point("cache-0#1")
 
 
+#: Every vnode of a MEMBERS ring as ``(point, seq)``, in ring order.
+RING_ENTRIES = sorted((hash_point(f"{name}#{vnode}"), seq)
+                      for seq, name in enumerate(MEMBERS)
+                      for vnode in range(64))
+
+
+def scan_pick(key, predicate=None):
+    """``HashRing(MEMBERS).pick`` by brute force: every vnode, starting
+    at the first point at or past the key's and wrapping."""
+    at = hash_point(key)
+    clockwise = ([entry for entry in RING_ENTRIES if entry[0] >= at]
+                 + [entry for entry in RING_ENTRIES if entry[0] < at])
+    for _, seq in clockwise:
+        if predicate is None or predicate(MEMBERS[seq]):
+            return MEMBERS[seq]
+    return None
+
+
+class TestPickAgainstALinearScan:
+    SCAN_KEYS = [f"obj{index:07d}.pop.mycdn.ciab.test"
+                 for index in range(2_000)]
+
+    def test_without_a_predicate(self):
+        ring = HashRing(MEMBERS, name_of=str)
+        for key in self.SCAN_KEYS:
+            assert ring.pick(key) == scan_pick(key)
+
+    def test_with_a_predicate(self):
+        ring = HashRing(MEMBERS, name_of=str)
+        healthy = {MEMBERS[1], MEMBERS[4]}
+        for key in self.SCAN_KEYS:
+            picked = ring.pick(key, lambda member: member in healthy)
+            assert picked in healthy
+            assert picked == scan_pick(
+                key, lambda member: member in healthy)
+
+    def test_keys_past_the_last_point_wrap_to_the_first(self):
+        ring = HashRing(MEMBERS, name_of=str)
+        last_point = RING_ENTRIES[-1][0]
+        wrapping = [key for key in self.SCAN_KEYS
+                    if hash_point(key) > last_point]
+        assert wrapping  # ~1 key in 320 lands past the last vnode
+        first = scan_pick(wrapping[0])
+        for key in wrapping:
+            assert ring.pick(key) == first
+            assert ring.pick(key, lambda member: True) == first
+            assert next(iter(ring.walk(key))) == first
+
+    def test_an_all_rejecting_predicate_picks_nothing(self):
+        ring = HashRing(MEMBERS, name_of=str)
+        for key in self.SCAN_KEYS[:50]:
+            assert ring.pick(key, lambda member: False) is None
+
+
+class TestWalk:
+    def test_walk_is_an_iterator(self):
+        # The hand-written walk iterator had no __iter__, so iter() of
+        # it raised TypeError.
+        ring = HashRing(MEMBERS, name_of=str)
+        walk = ring.walk(KEYS[0])
+        assert iter(iter(walk)) is walk
+        assert sorted(walk) == sorted(MEMBERS)
+
+    def test_walk_orders_members_by_their_first_vnode(self):
+        ring = HashRing(MEMBERS, name_of=str)
+        for key in KEYS[:50]:
+            rejected = []
+            expected = []
+            while len(expected) < len(MEMBERS):
+                expected.append(scan_pick(
+                    key, lambda member: member not in rejected))
+                rejected.append(expected[-1])
+            assert list(ring.walk(key)) == expected
+
+    def test_a_member_listed_twice_is_walked_twice(self):
+        # Dedup is by position in the member list, not by value.
+        ring = HashRing(["a", "b", "a"], name_of=str)
+        assert sorted(ring.walk("key")) == ["a", "a", "b"]
+
+
 def max_load(allocator):
     return max(allocator.load(member) for member in allocator.members)
 

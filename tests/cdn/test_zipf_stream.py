@@ -87,6 +87,58 @@ class TestDistribution:
             ZipfRankStream(0, random.Random(0))
 
 
+class MethodCallRankStream:
+    """``next_rank`` the way it was first written: the envelope integral
+    and its inverse as methods, the s = 1 branch tested on every call.
+    The reference the in-lined sampler must reproduce draw for draw."""
+
+    def __init__(self, n, rng, exponent):
+        self.n = n
+        self.exponent = exponent
+        self._rng = rng
+        self._one_minus_s = 1.0 - exponent
+        self._total = self._integral(float(n + 1))
+        self._cell_one = self._integral(2.0)
+
+    def _integral(self, x):
+        if abs(self._one_minus_s) < 1e-12:
+            return math.log(x)
+        return (x ** self._one_minus_s - 1.0) / self._one_minus_s
+
+    def _inverse(self, area):
+        if abs(self._one_minus_s) < 1e-12:
+            return math.exp(area)
+        return (1.0 + area * self._one_minus_s) ** (1.0 / self._one_minus_s)
+
+    def next_rank(self):
+        if self.n == 1:
+            return 1
+        while True:
+            x = self._inverse(self._rng.random() * self._total)
+            k = int(x)
+            if k < 1:
+                k = 1
+            elif k > self.n:
+                k = self.n
+            cell = self._integral(float(k + 1)) - self._integral(float(k))
+            accept = (k ** -self.exponent) * self._cell_one / cell
+            if self._rng.random() <= accept:
+                return k
+
+
+class TestInlinedSamplerMatchesTheMethodCallForm:
+    @pytest.mark.parametrize("exponent", [0.5, 0.9, 1.0, 1.2])
+    @pytest.mark.parametrize("n", [1, 2, 10, 10 ** 5, 10 ** 7])
+    def test_same_ranks_and_same_rng_state(self, exponent, n):
+        fast_rng, slow_rng = random.Random(2024), random.Random(2024)
+        fast = ZipfRankStream(n, fast_rng, exponent=exponent)
+        slow = MethodCallRankStream(n, slow_rng, exponent)
+        assert list(fast.ranks(10_000)) == \
+            [slow.next_rank() for _ in range(10_000)]
+        # Same rejections too, not just the same accepted ranks.
+        assert fast_rng.getstate() == slow_rng.getstate()
+
+
 class TestWorkloadFacade:
     @staticmethod
     def _catalog_items(count):

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.measure.histogram import (BINS_PER_DECADE, HistogramSummary,
-                                     LatencyHistogram)
+from repro.measure.histogram import (BINS_PER_DECADE, LOW_MS,
+                                     HistogramSummary, LatencyHistogram)
 
 #: Half-bin relative quantile error bound: one bin spans a factor of
 #: 10^(1/32) ~ 7.5%, and quantile() answers the geometric midpoint.
@@ -50,6 +50,37 @@ class TestExactFields:
         # The exact extremes survive regardless of bin clamping.
         assert hist.minimum == 1e-9
         assert hist.maximum == 1e12
+
+
+class TestAddBinsLikeBinIndex:
+    """``add`` computes its bin in-line; ``_bin_index`` is the readable
+    form ``bin_bounds`` uses.  They must never disagree."""
+
+    @staticmethod
+    def bin_added_to(value):
+        hist = LatencyHistogram()
+        hist.add(value)
+        assert sum(hist.counts) == 1
+        return hist.counts.index(1)
+
+    def test_every_bin_edge_and_its_neighbours(self):
+        for edge_index in range(LatencyHistogram.size + 1):
+            edge = LOW_MS * 10.0 ** (edge_index / BINS_PER_DECADE)
+            for value in (math.nextafter(edge, 0.0), edge,
+                          math.nextafter(edge, math.inf)):
+                assert self.bin_added_to(value) == \
+                    LatencyHistogram._bin_index(value), (edge_index, value)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -1.0, LOW_MS, math.nextafter(LOW_MS, 1.0),
+        LOW_MS * 10.0 ** 8, 1e9, 1e300])
+    def test_floor_and_ceiling(self, value):
+        assert self.bin_added_to(value) == LatencyHistogram._bin_index(value)
+
+    def test_extremes_land_in_the_edge_bins(self):
+        assert self.bin_added_to(0.0) == 0
+        assert self.bin_added_to(LOW_MS) == 0
+        assert self.bin_added_to(1e9) == LatencyHistogram.size - 1
 
 
 class TestQuantiles:
