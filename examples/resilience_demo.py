@@ -19,7 +19,7 @@ from repro.cdn import CacheServer, ContentCatalog, CoverageZone, HealthMonitor, 
 from repro.dnswire import Name
 from repro.mec import Orchestrator, ReplicaController
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import StubResolver
+from repro.resolver import RetryPolicy, StubResolver
 
 DOMAIN = Name("mycdn.ciab.test")
 CONTENT = Name("video.demo1.mycdn.ciab.test")
@@ -75,7 +75,8 @@ def main() -> None:
 
     def resolve():
         stub = StubResolver(net, net.host("ue"), cdns_service.endpoint,
-                            timeout=400, retries=3)
+                            policy=RetryPolicy(retries=3, timeout_ms=400,
+                                               backoff=1.0))
         return sim.run_until_resolved(sim.spawn(stub.query(CONTENT)))
 
     baseline = resolve()

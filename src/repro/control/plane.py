@@ -32,6 +32,7 @@ from repro.core.meccdn import MecCdnSite
 from repro.netsim.latency import Constant
 from repro.netsim.packet import Endpoint
 from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.retry import RetryPolicy
 from repro.resolver.xfr import DEFAULT_JOURNAL_DEPTH, SecondaryZone
 
 from repro.control.churn import ChurnDriver, ChurnEvent
@@ -104,7 +105,8 @@ class ControlPlane:
         self.secondary = SecondaryZone(
             network, self.secondary_server, self.registry.origin,
             Endpoint(PRIMARY_IP, 53), refresh_ms=refresh_ms)
-        self.secondary._stub.timeout = sync_timeout_ms
+        self.secondary._stub.policy = RetryPolicy(
+            retries=1, timeout_ms=sync_timeout_ms, backoff=1.0)
         self.secondary.start()
 
         # -- propagation + monitoring ---------------------------------------

@@ -39,7 +39,6 @@ from repro.netsim.packet import Endpoint
 from repro.netsim.rand import RandomStreams
 from repro.resolver.cache import DnsCache
 from repro.resolver.forwarder import ForwardingResolver
-from repro.resolver.retry import RetryPolicy
 
 #: The six Figure 5 bars, in paper order.
 DEPLOYMENT_KEYS = (
@@ -121,15 +120,12 @@ class ResilienceConfig(NamedTuple):
       briefly, giving serve-stale something to serve;
     * ``serve_stale`` turns on RFC 8767 at the resolver caches;
     * ``coredns_upstream_timeout`` shortens the L-DNS's upstream wait so
-      a dead C-DNS is detected inside the client's patience, not after;
-    * ``upstream_retry_policy`` optionally adds backoff retries at the
-      forwarding hops.
+      a dead C-DNS is detected inside the client's patience, not after.
     """
 
     serve_stale: bool = True
     answer_ttl: int = 2
     coredns_upstream_timeout: Optional[float] = 300.0
-    upstream_retry_policy: Optional[RetryPolicy] = None
 
 
 class Testbed(NamedTuple):
@@ -220,7 +216,6 @@ def _build_mec_site(network, nodes, catalog, ecs, processing,
         answer_ttl = resilience.answer_ttl
         kwargs = dict(
             serve_stale=resilience.serve_stale,
-            upstream_retry_policy=resilience.upstream_retry_policy,
             coredns_upstream_timeout=resilience.coredns_upstream_timeout)
     return MecCdnSite(
         network, "edge1", nodes, catalog,
@@ -290,19 +285,14 @@ def _warmed_resolver(network, host_name, ip, link_to, latency, processing,
     """
     host = network.add_host(host_name, ip)
     network.add_link(host_name, link_to, latency, name=f"link-{host_name}")
-    kwargs = {}
-    if resilience is not None:
-        cache = DnsCache(serve_stale=resilience.serve_stale)
-        kwargs["retry_policy"] = resilience.upstream_retry_policy
-    else:
-        cache = DnsCache()
+    cache = DnsCache(serve_stale=resilience is not None
+                     and resilience.serve_stale)
     cache.put_records(
         [ResourceRecord(QUERY_NAME, RecordType.A, 86400, A(cache_answer_ip))],
         now=0.0)
     return ForwardingResolver(network, host,
                               upstreams=[Endpoint("203.0.113.53", 53)],
-                              cache=cache, processing_delay=processing,
-                              **kwargs)
+                              cache=cache, processing_delay=processing)
 
 
 def _deploy_lan_ldns(network, epc, nodes, catalog, ecs, processing,

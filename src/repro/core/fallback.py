@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from typing import Generator, List, NamedTuple, Optional
 
-from repro.dnswire.message import Message, cached_wire, make_query
+from repro.dnswire.message import Message, make_query
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode, RecordType
 from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
-from repro.netsim.socket import UdpSocket
+from repro.resolver.exchange import exchange
 
 
 class FallbackResult(NamedTuple):
@@ -101,19 +101,12 @@ class FallbackClient:
     def _one_query(self, name: Name, rtype: RecordType, server: Endpoint,
                    timeout: Optional[float] = None) -> Generator:
         """Process returning (server, response); fails on useless answers."""
-        sock = UdpSocket(self.host)
         query = make_query(name, rtype,
                            msg_id=self._rng.randrange(1, 0xFFFF))
         try:
-            reply = yield sock.request(
-                cached_wire(query), server,
+            response = yield from exchange(
+                self.host, query, server,
                 timeout if timeout is not None else self.total_timeout)
-        finally:
-            sock.close()
-        try:
-            view = reply.claim_view()
-            response = view if isinstance(view, Message) \
-                else Message.from_wire(reply.payload)
         except WireFormatError as error:
             raise _NotUseful(str(error)) from error
         if response.rcode in (Rcode.REFUSED, Rcode.SERVFAIL):

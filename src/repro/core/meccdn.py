@@ -33,7 +33,6 @@ from repro.netsim.latency import LatencyModel
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
-from repro.resolver.retry import RetryPolicy
 
 #: Cluster-internal CIDRs that count as the vRAN's private namespace.
 DEFAULT_INTERNAL_NETWORKS = ["10.40.0.0/16", "10.233.64.0/18", "10.96.0.0/16"]
@@ -61,7 +60,6 @@ class MecCdnSite:
                  service_cidr: str = "10.96.0.0/16",
                  pod_cidr: str = "10.233.64.0/18",
                  serve_stale: bool = False,
-                 upstream_retry_policy: Optional["RetryPolicy"] = None,
                  coredns_upstream_timeout: Optional[float] = None) -> None:
         if not nodes:
             raise ValueError("a MEC site needs at least one node")
@@ -122,7 +120,6 @@ class MecCdnSite:
             "processing_delay": ldns_processing_delay,
             "ecs_inject": ecs_enabled,
             "serve_stale": serve_stale,
-            "upstream_retry_policy": upstream_retry_policy,
             "upstream_timeout": coredns_upstream_timeout,
         }
         self.ldns_pod: Pod = self.orchestrator.deploy_pod(
@@ -162,7 +159,6 @@ class MecCdnSite:
             forward_ecs=True,
             ecs_inject=config["ecs_inject"],
             serve_stale=config["serve_stale"],
-            upstream_retry_policy=config["upstream_retry_policy"],
             **kwargs)
         if config["upstream_timeout"] is not None:
             server.stub.timeout = config["upstream_timeout"]

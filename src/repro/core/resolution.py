@@ -51,13 +51,12 @@ class EdgeAwareClient:
     """Resolves CDN names across tiers, starting from the MEC L-DNS."""
 
     def __init__(self, network: Network, host: Host, ldns: Endpoint,
-                 max_referrals: int = DEFAULT_MAX_REFERRALS,
-                 timeout: float = 3000.0) -> None:
+                 max_referrals: int = DEFAULT_MAX_REFERRALS) -> None:
         self.network = network
         self.host = host
         self.ldns = ldns
         self.max_referrals = max_referrals
-        self.stub = StubResolver(network, host, ldns, timeout=timeout)
+        self.stub = StubResolver(network, host, ldns)
         self.resolutions = 0
         self.referrals_followed = 0
 

@@ -47,20 +47,18 @@ from repro.control import ControlPlane, default_schedule
 from repro.control.plane import PRIMARY_HOST
 from repro.core.deployments import (DEPLOYMENT_KEYS, ResilienceConfig,
                                     Testbed, build_testbed)
+from repro.errors import QueryTimeout, WireFormatError
 from repro.experiments.report import format_table
+from repro.experiments.resilience import (DEADLINE_MS, MODES, SPACING_MS,
+                                          WARMUP_QUERIES, client_stub,
+                                          cluster_host_names)
 from repro.faults import FaultPlan, inject
 from repro.measure.stats import percentile
 from repro.mobile.handoff import HandoffController
-from repro.resolver.retry import RetryPolicy
 from repro.runtime import Experiment, Param
 
 #: Measured lookups per cell (after warmup).
 DEFAULT_QUERIES = 40
-WARMUP_QUERIES = 2
-SPACING_MS = 200.0
-
-#: Deadline-based availability, as in the resilience experiment.
-DEADLINE_MS = 800.0
 
 #: Journal depth for the churn control plane: deliberately 1, so any
 #: fault window spanning two updates forces the AXFR fallback path.
@@ -77,11 +75,6 @@ BROWNOUT_AT_MS = 1000.0
 BROWNOUT_SLOW_MS = 1500.0
 BROWNOUT_DURATION_MS = 6000.0
 
-#: Baseline client, as in the resilience experiment.
-BASELINE_TIMEOUT_MS = 1000.0
-BASELINE_RETRIES = 1
-
-MODES = ("baseline", "resilient")
 FAULT_SCENARIOS = ("cdns-crash", "mec-partition", "origin-brownout")
 FAULT_DEPLOYMENT = "mec-ldns-mec-cdns"
 WARMED_DEPLOYMENTS = ("lan-ldns", "google-dns", "cloudflare-dns")
@@ -158,32 +151,6 @@ class ChurnResult(NamedTuple):
         return "\n".join(lines)
 
 
-def _resilient_policy() -> RetryPolicy:
-    """The hardened client, as in the resilience experiment."""
-    return RetryPolicy(retries=3, timeout_ms=250.0, backoff=2.0,
-                       max_timeout_ms=1000.0, jitter_frac=0.1,
-                       hedge_after_ms=120.0)
-
-
-def _client_stub(testbed: Testbed, mode: str):
-    if mode == "resilient":
-        return testbed.ue.stub(policy=_resilient_policy())
-    return testbed.ue.stub(timeout=BASELINE_TIMEOUT_MS,
-                           retries=BASELINE_RETRIES)
-
-
-def _cluster_host_names(testbed: Testbed,
-                        plane: ControlPlane) -> List[str]:
-    """MEC cluster hosts plus the zone secondary (the partition group)."""
-    names = []
-    assert testbed.mec_site is not None
-    for node in testbed.mec_site.orchestrator.nodes:
-        names.append(node.host.name)
-        names.extend(pod.host.name for pod in node.pods)
-    names.append(plane.secondary_host_name)
-    return sorted(names)
-
-
 def _fault_plan(scenario: str, testbed: Testbed,
                 plane: ControlPlane) -> FaultPlan:
     plan = FaultPlan()
@@ -196,7 +163,9 @@ def _fault_plan(scenario: str, testbed: Testbed,
         plan.crash_host(PRIMARY_HOST, FAULT_AT_MS, CRASH_DURATION_MS)
         return plan
     if scenario == "mec-partition":
-        plan.partition(_cluster_host_names(testbed, plane),
+        # The MEC cluster plus the zone secondary: the partition group.
+        plan.partition(sorted(cluster_host_names(testbed)
+                              + [plane.secondary_host_name]),
                        FAULT_AT_MS, PARTITION_DURATION_MS)
         return plan
     if scenario == "origin-brownout":
@@ -221,7 +190,7 @@ def _churn_cell(scenario: str, deployment: str, mode: str, queries: int,
     sim.call_at(HANDOFF_AT_MS,
                 lambda: controller.handoff(testbed.ue, target_enb))
 
-    stub = _client_stub(testbed, mode)
+    stub = client_stub(testbed, mode)
     lookups: List[Tuple[float, float, str, Tuple[str, ...], bool, bool]] \
         = []
 
@@ -230,7 +199,7 @@ def _churn_cell(scenario: str, deployment: str, mode: str, queries: int,
             started = sim.now
             try:
                 result = yield from stub.query(testbed.query_name)
-            except Exception:  # noqa: BLE001 - failures are data here
+            except (QueryTimeout, WireFormatError):
                 latency, status = sim.now - started, "TIMEOUT"
                 addresses: Tuple[str, ...] = ()
                 stale = False

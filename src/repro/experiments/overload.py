@@ -34,6 +34,7 @@ from repro.netsim.packet import Endpoint
 from repro.netsim.rand import RandomStreams
 from repro.netsim.socket import UdpSocket
 from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.retry import RetryPolicy
 from repro.runtime import Experiment, Param
 
 CDN_DOMAIN = "mycdn.ciab.test"
@@ -157,7 +158,8 @@ def _run_policy(policy: str, attack_qps: float, seed: int) -> OverloadRow:
         end = BASELINE_MS + ATTACK_MS + COOLDOWN_MS
         while sim.now < end:
             in_attack = BASELINE_MS <= sim.now < BASELINE_MS + ATTACK_MS
-            stub = ue.stub(timeout=LEGIT_TIMEOUT_MS, retries=0)
+            stub = ue.stub(policy=RetryPolicy(retries=0,
+                                              timeout_ms=LEGIT_TIMEOUT_MS))
             if in_attack:
                 attack_attempts += 1
             try:

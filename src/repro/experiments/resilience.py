@@ -34,11 +34,13 @@ from typing import Dict, Generator, List, NamedTuple, Tuple
 from repro.core.deployments import (DEPLOYMENT_KEYS, ResilienceConfig,
                                     Testbed, add_provider_ldns, build_testbed)
 from repro.core.fallback import FallbackClient
+from repro.errors import QueryTimeout
 from repro.experiments.report import format_table
 from repro.faults import FaultPlan, inject
 from repro.measure.runner import MeasurementRun, measure_deployment_run
 from repro.measure.stats import percentile
 from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 from repro.runtime import Experiment, Param
 
 #: Measured lookups per cell (after warmup).
@@ -55,11 +57,6 @@ FAULT_DURATION_MS = 20000.0
 #: Inter-query spacing for the sequential measurement driver.
 SPACING_MS = 200.0
 WARMUP_QUERIES = 2
-
-#: The baseline client: the Figure 5 stub with an impatient but plain
-#: timeout/retry pair, no backoff, no hedging, no stale tolerance.
-BASELINE_TIMEOUT_MS = 1000.0
-BASELINE_RETRIES = 1
 
 #: Gilbert–Elliott radio parameters for ``lte-burst-loss`` (~19% packet
 #: loss in bursts averaging four back-to-back traversals).
@@ -138,19 +135,21 @@ class ResilienceResult(NamedTuple):
         return "\n".join(lines)
 
 
-def _resilient_policy() -> RetryPolicy:
-    """The hardened client: short timeouts, backoff, jitter, hedging."""
-    return RetryPolicy(retries=3, timeout_ms=250.0, backoff=2.0,
-                       max_timeout_ms=1000.0, jitter_frac=0.1,
-                       hedge_after_ms=120.0)
+def client_stub(testbed: Testbed, mode: str) -> StubResolver:
+    """The per-mode client against ``testbed``'s configured resolver.
 
-
-def _client_stub(testbed: Testbed, mode: str):
-    """The per-mode client against ``testbed``'s configured resolver."""
+    ``baseline`` is the Figure 5 stub made impatient but kept plain: a
+    fixed 1 s timeout and one retry, no backoff, no hedging.
+    ``resilient`` is the hardened client: short timeouts, backoff,
+    jitter, hedging.  The churn experiment measures the same two.
+    """
     if mode == "resilient":
-        return testbed.ue.stub(policy=_resilient_policy())
-    return testbed.ue.stub(timeout=BASELINE_TIMEOUT_MS,
-                           retries=BASELINE_RETRIES)
+        policy = RetryPolicy(retries=3, timeout_ms=250.0, backoff=2.0,
+                             max_timeout_ms=1000.0, jitter_frac=0.1,
+                             hedge_after_ms=120.0)
+    else:
+        policy = RetryPolicy(retries=1, timeout_ms=1000.0, backoff=1.0)
+    return testbed.ue.stub(policy=policy)
 
 
 def _row_from_run(scenario: str, deployment: str, mode: str,
@@ -199,7 +198,7 @@ def _crash_cell(deployment: str, mode: str, queries: int,
     injector = inject(testbed.network, plan)
     run = measure_deployment_run(testbed, queries, spacing_ms=SPACING_MS,
                                  warmup=WARMUP_QUERIES,
-                                 stub=_client_stub(testbed, mode))
+                                 stub=client_stub(testbed, mode))
     row = _row_from_run("cdns-crash", deployment, mode, run)
     return row, injector.timeline, _digest(injector.timeline, run)
 
@@ -211,7 +210,7 @@ def _crash_target(testbed: Testbed) -> str:
     return _CRASH_HOSTS.get(testbed.key)
 
 
-def _cluster_host_names(testbed: Testbed) -> List[str]:
+def cluster_host_names(testbed: Testbed) -> List[str]:
     """Every host inside the MEC cluster: k8s nodes plus their pods."""
     names = []
     for node in testbed.mec_site.orchestrator.nodes:
@@ -224,13 +223,13 @@ def _partition_cell(mode: str, queries: int,
                     seed: int) -> Tuple[ScenarioRow, List[str]]:
     """MEC cluster partition against the all-MEC deployment."""
     testbed = build_testbed("mec-ldns-mec-cdns", seed=seed)
-    plan = FaultPlan().partition(_cluster_host_names(testbed),
+    plan = FaultPlan().partition(cluster_host_names(testbed),
                                  FAULT_AT_MS, FAULT_DURATION_MS)
     injector = inject(testbed.network, plan)
     if mode == "baseline":
         run = measure_deployment_run(testbed, queries, spacing_ms=SPACING_MS,
                                      warmup=WARMUP_QUERIES,
-                                     stub=_client_stub(testbed, mode))
+                                     stub=client_stub(testbed, mode))
         return (_row_from_run("mec-partition", "mec-ldns-mec-cdns",
                               mode, run),
                 injector.timeline)
@@ -255,7 +254,7 @@ def _measure_with_fallback(testbed: Testbed, queries: int) -> ScenarioRow:
             try:
                 result = yield from client.timeout_fallback(
                     testbed.query_name)
-            except Exception:  # noqa: BLE001 - failures are data here
+            except QueryTimeout:  # both resolvers silent or useless
                 if index >= WARMUP_QUERIES:
                     records.append((sim.now - started, "TIMEOUT", [], False))
             else:
@@ -294,7 +293,7 @@ def _burst_cell(mode: str, queries: int,
     injector = inject(testbed.network, plan)
     run = measure_deployment_run(testbed, queries, spacing_ms=SPACING_MS,
                                  warmup=WARMUP_QUERIES,
-                                 stub=_client_stub(testbed, mode))
+                                 stub=client_stub(testbed, mode))
     return (_row_from_run("lte-burst-loss", "mec-ldns-mec-cdns", mode, run),
             injector.timeline)
 

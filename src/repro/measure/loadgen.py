@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Generator, List, NamedTuple
 
-from repro.dnswire.message import Message, cached_wire, make_query
+from repro.dnswire.message import make_query
 from repro.dnswire.name import Name
-from repro.errors import WireFormatError
+from repro.errors import QueryTimeout, WireFormatError
 from repro.measure.stats import percentile
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
-from repro.netsim.socket import UdpSocket
+from repro.resolver.exchange import exchange
 
 
 class LoadResult(NamedTuple):
@@ -74,31 +74,20 @@ class LoadGenerator:
         pending = {"sent": 0}
 
         def one_query(msg_id: int) -> Generator:
-            sock = UdpSocket(self.host)
             query = make_query(self.qname, msg_id=msg_id)
             started = sim.now
             try:
-                reply = yield sock.request(cached_wire(query),
-                                           self.server,
-                                           self.reply_timeout_ms)
-            except Exception:  # timeout or drop: counted as loss
-                return
-            finally:
-                sock.close()
-            try:
-                view = reply.claim_view()
-                response = view if isinstance(view, Message) \
-                    else Message.from_wire(reply.payload)
-            except WireFormatError:
-                return
-            if response.msg_id == msg_id:
-                latencies.append(sim.now - started)
-                tel = self.network.telemetry
-                if tel is not None:
-                    tel.metrics.histogram(
-                        "repro_loadgen_latency_ms",
-                        "answered load-generator query latency").observe(
-                            sim.now - started)
+                yield from exchange(self.host, query, self.server,
+                                    self.reply_timeout_ms)
+            except (QueryTimeout, WireFormatError):
+                return  # lost, late or garbled: counted as loss
+            latency = sim.now - started
+            latencies.append(latency)
+            tel = self.network.telemetry
+            if tel is not None:
+                tel.metrics.histogram(
+                    "repro_loadgen_latency_ms",
+                    "answered load-generator query latency").observe(latency)
 
         elapsed = 0.0
         msg_id = 0

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Generator, List, NamedTuple, Optional
 
 from repro.core.deployments import Testbed
+from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.trace import PacketTrace
-from repro.resolver.retry import RetryPolicy
 from repro.resolver.stub import StubResolver
 
 
@@ -77,21 +77,21 @@ def measure_deployment_queries(testbed: Testbed, count: int,
 def measure_deployment_run(testbed: Testbed, count: int,
                            spacing_ms: float = 500.0,
                            warmup: int = 1,
-                           policy: Optional[RetryPolicy] = None,
                            stub: Optional[StubResolver] = None) -> MeasurementRun:
     """Like :func:`measure_deployment_queries`, with retry accounting.
 
-    ``policy`` (or a fully custom ``stub``) configures the client's
-    retry behaviour.  A lookup whose every attempt fails is recorded as
-    a ``TIMEOUT`` measurement with empty addresses rather than aborting
-    the run — under fault injection, failures are data.
+    ``stub`` is the client (default: the UE's plain stub); its
+    :class:`~repro.resolver.retry.RetryPolicy` is the retry behaviour.
+    A lookup whose every attempt fails — what ``stub.query`` is
+    documented to raise, nothing broader — is recorded as a ``TIMEOUT``
+    measurement with empty addresses rather than aborting the run:
+    under fault injection, failures are data.
     """
     if count <= 0:
         raise ValueError("need a positive query count")
     trace = PacketTrace(testbed.network, host_filter=testbed.gateway_host)
     if stub is None:
         stub = testbed.ue.stub()
-        stub.policy = policy
     sim = testbed.sim
     measurements: List[QueryMeasurement] = []
     failed = {"queries": 0}
@@ -113,7 +113,7 @@ def measure_deployment_run(testbed: Testbed, count: int,
                 result = yield from stub.query(
                     testbed.query_name,
                     ctx=span.context if span is not None else None)
-            except Exception:  # noqa: BLE001 - timeouts are data here
+            except (QueryTimeout, WireFormatError):
                 failed["queries"] += 1
                 if tel is not None:
                     tel.tracer.end(span, status="TIMEOUT")

@@ -17,20 +17,18 @@ front of the chain to implement the public/internal split.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, Generator, List, Optional
 
-from repro.dnswire.message import (Message, ResourceRecord, make_query,
-                                   make_response, mark_stale)
+from repro.dnswire.message import (Message, ResourceRecord, make_response,
+                                   mark_stale)
 from repro.dnswire.name import Name
 from repro.dnswire.rdata import A
 from repro.dnswire.types import Rcode, RecordType
-from repro.errors import QueryTimeout, WireFormatError
 from repro.mec.cluster import Orchestrator
 from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache
 from repro.resolver.chain import Plugin, PluginChain, QueryContext
-from repro.resolver.retry import RetryPolicy
+from repro.resolver.forwarder import stub_domain_upstream
 from repro.resolver.server import DnsServer
 
 #: TTL for service-discovery answers (kubernetes plugin default is 5s).
@@ -151,65 +149,36 @@ class KubernetesPlugin(Plugin):
 
 
 class _ForwardingPluginBase(Plugin):
-    """Shared upstream-forwarding machinery.
-
-    ``retry_policy`` turns the single upstream exchange into a retry
-    loop with backed-off per-attempt timeouts.
-    """
+    """Shared upstream-forwarding machinery: one shot of ``timeout`` ms."""
 
     def __init__(self, timeout: float = 2000.0,
-                 forward_ecs: bool = True,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 forward_ecs: bool = True) -> None:
         self.timeout = timeout
         self.forward_ecs = forward_ecs
-        self.retry_policy = retry_policy
         self._owner: Optional[DnsServer] = None
-        self._retry_rng: Optional[random.Random] = None
         self.forwarded = 0
-        self.upstream_retries = 0
 
     def bind(self, owner: DnsServer) -> None:
         self._owner = owner
-        # Backoff jitter draws from a named stream, like every other
-        # stochastic element; without this the jitter was silently
-        # skipped (timeout_for ignored jitter_frac when rng is None).
-        self._retry_rng = owner.network.streams.stream(
-            f"coredns-retry:{owner.name}:{self.name}")
 
     def _forward(self, ctx: QueryContext, upstream: Endpoint) -> Generator:
         assert self._owner is not None, "plugin not bound to a server"
-        policy = self.retry_policy
-        attempts = 1 + (policy.retries if policy is not None else 0)
-        for attempt in range(1, attempts + 1):
-            per_try_timeout = (policy.timeout_for(attempt, self._retry_rng)
-                               if policy is not None else self.timeout)
-            query = make_query(ctx.qname, ctx.rtype,
-                               msg_id=self._owner.allocate_query_id(),
-                               recursion_desired=True)
-            if self.forward_ecs and ctx.query.edns is not None:
-                query.edns = ctx.query.edns
-            try:
-                self.forwarded += 1
-                if attempt > 1:
-                    self.upstream_retries += 1
-                    if ctx.telemetry is not None:
-                        ctx.telemetry.metrics.counter(
-                            "repro_coredns_upstream_retries_total",
-                            "plugin re-attempts against an upstream").inc(
-                                server=self._owner.name)
-                response = yield from self._owner.query_upstream(
-                    query, upstream, per_try_timeout, ctx=ctx.trace)
-            except (QueryTimeout, WireFormatError):
-                continue
-            reply = make_response(ctx.query, rcode=response.rcode,
-                                  recursion_available=True,
-                                  answers=response.answers,
-                                  authorities=response.authorities,
-                                  additionals=response.additionals)
-            if response.edns is not None and reply.edns is not None:
-                reply.edns.options = list(response.edns.options)
-            return reply
-        return make_response(ctx.query, rcode=Rcode.SERVFAIL)
+        self.forwarded += 1
+        response = yield from self._owner.forward(
+            ctx.query, upstream, self.timeout, self.forward_ecs, ctx.trace)
+        # Unlike ForwardingResolver, this SERVFAIL omits RA and the relay
+        # below copies the upstream's EDNS options: both differences are
+        # in the golden digests (docs/PROTOCOLS.md, "Sloppy peers").
+        if response is None:
+            return make_response(ctx.query, rcode=Rcode.SERVFAIL)
+        reply = make_response(ctx.query, rcode=response.rcode,
+                              recursion_available=True,
+                              answers=response.answers,
+                              authorities=response.authorities,
+                              additionals=response.additionals)
+        if response.edns is not None and reply.edns is not None:
+            reply.edns.options = list(response.edns.options)
+        return reply
 
 
 class StubDomainPlugin(_ForwardingPluginBase):
@@ -226,18 +195,9 @@ class StubDomainPlugin(_ForwardingPluginBase):
         """Route queries under ``domain`` to a dedicated upstream."""
         self.domains[domain] = upstream
 
-    def upstream_for(self, qname: Name) -> Optional[Endpoint]:
-        """The configured upstream for ``qname`` (longest match), or None."""
-        best: Optional[Name] = None
-        for domain in self.domains:
-            if qname.is_subdomain_of(domain):
-                if best is None or len(domain) > len(best):
-                    best = domain
-        return self.domains[best] if best is not None else None
-
     def handle(self, ctx: QueryContext, next_plugin) -> Generator:
         """Chain hook: answer, annotate, or delegate to ``next_plugin``."""
-        upstream = self.upstream_for(ctx.qname)
+        upstream = stub_domain_upstream(self.domains, ctx.qname)
         if upstream is None:
             response = yield from next_plugin(ctx)
             return response
@@ -278,7 +238,6 @@ class CoreDnsServer(DnsServer):
                  ecs_inject: bool = False,
                  ecs_prefix: int = 24,
                  serve_stale: bool = False,
-                 upstream_retry_policy: Optional[RetryPolicy] = None,
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         #: When set, synthesize an ECS option carrying the client's subnet
@@ -287,8 +246,7 @@ class CoreDnsServer(DnsServer):
         self.ecs_inject = ecs_inject
         self.ecs_prefix = ecs_prefix
         self.kubernetes = KubernetesPlugin(orchestrator, cluster_domain)
-        self.stub = StubDomainPlugin(stub_domains, forward_ecs=forward_ecs,
-                                     retry_policy=upstream_retry_policy)
+        self.stub = StubDomainPlugin(stub_domains, forward_ecs=forward_ecs)
         plugins: List[Plugin] = list(front_plugins or [])
         self.cache_plugin: Optional[CachePlugin] = None
         if enable_cache:
@@ -297,9 +255,8 @@ class CoreDnsServer(DnsServer):
         plugins.extend([self.kubernetes, self.stub])
         self.forward_plugin: Optional[ForwardPlugin] = None
         if upstream is not None:
-            self.forward_plugin = ForwardPlugin(
-                upstream, forward_ecs=forward_ecs,
-                retry_policy=upstream_retry_policy)
+            self.forward_plugin = ForwardPlugin(upstream,
+                                                forward_ecs=forward_ecs)
             plugins.append(self.forward_plugin)
         self.chain = PluginChain(plugins)
         for plugin in plugins:

@@ -52,15 +52,14 @@ class UserEquipment:
             raise ValueError(f"UE {self.name} has no default DNS to restore")
         self.switch_dns(self._default_dns)
 
-    def stub(self, timeout: float = 3000.0, retries: int = 2,
-             policy: Optional["RetryPolicy"] = None) -> StubResolver:
+    def stub(self, policy: Optional[RetryPolicy] = None) -> StubResolver:
         """A stub resolver bound to the UE's current DNS target.
 
-        ``policy`` installs a :class:`~repro.resolver.retry.RetryPolicy`
-        (backoff, budget, hedging) for fault-injection runs.
+        ``policy`` replaces the stub's default
+        :class:`~repro.resolver.retry.RetryPolicy` (timeouts, backoff,
+        budget, hedging) for fault-injection runs.
         """
-        return StubResolver(self.network, self.host, self.dns,
-                            timeout=timeout, retries=retries, policy=policy)
+        return StubResolver(self.network, self.host, self.dns, policy=policy)
 
     def __repr__(self) -> str:
         attached = self.base_station.name if self.base_station else "detached"

@@ -115,6 +115,9 @@ class UdpSocket:
         """Release the underlying socket resources."""
         if not self.closed:
             self.closed = True
+            # A timed-out request's future holds its error, whose traceback
+            # holds this socket: let go, so the group dies by refcount.
+            self._pending_request = None
             self.host.unregister_socket(self)
 
     def __repr__(self) -> str:

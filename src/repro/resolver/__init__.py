@@ -1,8 +1,10 @@
 """DNS server and client implementations on top of the simulator.
 
+* :mod:`repro.resolver.exchange` — ask one server one question: the one
+  send–await–decode–check-the-id path every client shares.
 * :mod:`repro.resolver.cache` — TTL-aware positive/negative cache.
 * :mod:`repro.resolver.server` — base class: socket handling, wire codec,
-  processing delay, upstream query helper.
+  processing delay, one-shot upstream query and forward helpers.
 * :mod:`repro.resolver.authoritative` — authoritative server over zones
   (CNAME chasing, wildcards, referrals, ECS hook).
 * :mod:`repro.resolver.recursive` — iterative resolver with root hints,
@@ -12,8 +14,8 @@
 * :mod:`repro.resolver.stub` — the client side; its :class:`DigResult`
   mirrors the fields the paper reads off ``dig``.
 * :mod:`repro.resolver.chain` — CoreDNS-style plugin chain.
-* :mod:`repro.resolver.retry` — retry policies: backoff + jitter,
-  retry budgets, hedged queries (for fault-injection runs).
+* :mod:`repro.resolver.retry` — the stub's retry policy: timeouts,
+  backoff + jitter, retry budgets, hedged queries.
 """
 
 from repro.resolver.cache import DnsCache, CacheOutcome

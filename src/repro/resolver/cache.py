@@ -16,8 +16,9 @@ import enum
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.dnswire.message import ResourceRecord
+from repro.dnswire.message import Message, ResourceRecord
 from repro.dnswire.name import Name
+from repro.dnswire.rdata import SOA
 from repro.dnswire.types import RecordType
 
 #: Cap on stored TTLs; long TTLs are clamped as real resolvers do.
@@ -29,6 +30,16 @@ STALE_ANSWER_TTL = 30
 #: How long past expiry an entry stays usable for serve-stale (RFC 8767
 #: suggests one to three days; a conservative hour is the default here).
 DEFAULT_MAX_STALE_TTL = 3600
+#: Negative TTL for a response that carries no SOA.
+DEFAULT_NEGATIVE_TTL = 60
+
+
+def negative_ttl(response: Message) -> int:
+    """RFC 2308 §5: the lesser of the authority SOA's TTL and minimum."""
+    for record in response.authorities:
+        if record.rtype == RecordType.SOA and isinstance(record.rdata, SOA):
+            return min(record.rdata.minimum, record.ttl)
+    return DEFAULT_NEGATIVE_TTL
 
 
 class CacheOutcome(enum.Enum):

@@ -15,25 +15,31 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.dnswire.message import Message, make_query, make_response, mark_stale
+from repro.dnswire.message import Message, make_response, mark_stale
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode
-from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.packet import Endpoint
-from repro.resolver.cache import CacheOutcome, DnsCache
-from repro.resolver.retry import RetryPolicy
+from repro.resolver.cache import CacheOutcome, DnsCache, negative_ttl
 from repro.resolver.server import DnsServer
+
+
+def stub_domain_upstream(domains: Dict[Name, Endpoint],
+                         qname: Name) -> Optional[Endpoint]:
+    """The upstream of the longest configured domain ``qname`` is under."""
+    matches = [domain for domain in domains if qname.is_subdomain_of(domain)]
+    return domains[max(matches, key=len)] if matches else None
 
 
 class ForwardingResolver(DnsServer):
     """Caches locally; otherwise forwards to the matching upstream.
 
-    A ``retry_policy`` makes each upstream worth several attempts with
-    backed-off timeouts instead of one shot.  When every upstream fails
-    and the cache was built with ``serve_stale``, an expired entry is
-    served (marked with the RFC 8914 stale-answer option) before
-    admitting SERVFAIL — RFC 8767's "stale bread is better than no
-    bread" trade, which §3 of the paper needs for MEC DNS outages.
+    Each upstream gets one shot of ``upstream_timeout`` ms; retrying is
+    the client's business (its :class:`~repro.resolver.retry.RetryPolicy`).
+    When every upstream fails and the cache was built with
+    ``serve_stale``, an expired entry is served (marked with the RFC
+    8914 stale-answer option) before admitting SERVFAIL — RFC 8767's
+    "stale bread is better than no bread" trade, which §3 of the paper
+    needs for MEC DNS outages.
     """
 
     def __init__(self, network, host, upstreams: List[Endpoint],
@@ -41,7 +47,6 @@ class ForwardingResolver(DnsServer):
                  cache: Optional[DnsCache] = None,
                  upstream_timeout: float = 2000.0,
                  forward_ecs: bool = True,
-                 retry_policy: Optional[RetryPolicy] = None,
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         if not upstreams:
@@ -51,12 +56,8 @@ class ForwardingResolver(DnsServer):
         self.cache = cache if cache is not None else DnsCache()
         self.upstream_timeout = upstream_timeout
         self.forward_ecs = forward_ecs
-        self.retry_policy = retry_policy
-        self._retry_rng = (network.streams.stream(f"forwarder:{host.name}")
-                          if retry_policy is not None else None)
         self.forwarded = 0
         self.served_from_cache = 0
-        self.upstream_retries = 0
         self.stale_served = 0
 
     def add_stub_domain(self, domain: Name, upstream: Endpoint) -> None:
@@ -65,14 +66,8 @@ class ForwardingResolver(DnsServer):
 
     def upstreams_for(self, qname: Name) -> List[Endpoint]:
         """The upstream list for ``qname``: longest stub-domain match wins."""
-        best: Optional[Name] = None
-        for domain in self.stub_domains:
-            if qname.is_subdomain_of(domain):
-                if best is None or len(domain) > len(best):
-                    best = domain
-        if best is not None:
-            return [self.stub_domains[best]]
-        return self.upstreams
+        dedicated = stub_domain_upstream(self.stub_domains, qname)
+        return [dedicated] if dedicated is not None else self.upstreams
 
     def handle_query(self, query: Message, client: Endpoint) -> Generator:
         question = query.question
@@ -100,38 +95,18 @@ class ForwardingResolver(DnsServer):
             self.served_from_cache += 1
             return make_response(query, recursion_available=True)
 
-        policy = self.retry_policy
-        attempts_per_upstream = 1 + (policy.retries if policy else 0)
         for upstream in self.upstreams_for(question.name):
-            for attempt in range(1, attempts_per_upstream + 1):
-                per_try_timeout = (
-                    policy.timeout_for(attempt, self._retry_rng)
-                    if policy is not None else self.upstream_timeout)
-                forwarded = make_query(question.name, question.rtype,
-                                       msg_id=self.allocate_query_id(),
-                                       recursion_desired=True)
-                if self.forward_ecs and query.edns is not None:
-                    forwarded.edns = query.edns
-                try:
-                    self.forwarded += 1
-                    if attempt > 1:
-                        self.upstream_retries += 1
-                        if tel is not None:
-                            tel.metrics.counter(
-                                "repro_ldns_upstream_retries_total",
-                                "forwarder re-attempts against an "
-                                "upstream").inc(server=self.name)
-                    response = yield from self.query_upstream(
-                        forwarded, upstream, per_try_timeout, ctx=ctx)
-                except (QueryTimeout, WireFormatError):
-                    continue
-                self._cache_response(question, response)
-                reply = make_response(query, rcode=response.rcode,
-                                      recursion_available=True,
-                                      answers=response.answers,
-                                      authorities=response.authorities,
-                                      additionals=response.additionals)
-                return reply
+            self.forwarded += 1
+            response = yield from self.forward(
+                query, upstream, self.upstream_timeout, self.forward_ecs, ctx)
+            if response is None:
+                continue
+            self._cache_response(question, response)
+            return make_response(query, rcode=response.rcode,
+                                 recursion_available=True,
+                                 answers=response.answers,
+                                 authorities=response.authorities,
+                                 additionals=response.additionals)
         if self.cache.serve_stale:
             stale = self.cache.get_stale(question.name, question.rtype,
                                          self.network.sim.now)
@@ -160,17 +135,8 @@ class ForwardingResolver(DnsServer):
         elif response.rcode == Rcode.NXDOMAIN:
             self.cache.put_negative(question.name, question.rtype,
                                     CacheOutcome.NEGATIVE_NXDOMAIN,
-                                    _soa_ttl(response), now)
+                                    negative_ttl(response), now)
         elif response.rcode == Rcode.NOERROR:
             self.cache.put_negative(question.name, question.rtype,
                                     CacheOutcome.NEGATIVE_NODATA,
-                                    _soa_ttl(response), now)
-
-
-def _soa_ttl(response: Message) -> int:
-    from repro.dnswire.rdata import SOA
-    from repro.dnswire.types import RecordType
-    for record in response.authorities:
-        if record.rtype == RecordType.SOA and isinstance(record.rdata, SOA):
-            return min(record.rdata.minimum, record.ttl)
-    return 60
+                                    negative_ttl(response), now)

@@ -19,18 +19,15 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.dnswire.edns import ClientSubnet, Edns
 from repro.dnswire.message import Message, ResourceRecord, make_query, make_response
 from repro.dnswire.name import Name, ROOT
-from repro.dnswire.rdata import SOA
 from repro.dnswire.types import Rcode, RecordType
 from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.packet import Endpoint
-from repro.resolver.cache import CacheOutcome, DnsCache
+from repro.resolver.cache import CacheOutcome, DnsCache, negative_ttl
 from repro.resolver.server import DnsServer
 
 MAX_CNAME_CHAIN = 8
 MAX_REFERRALS = 16
 MAX_NS_RESOLUTION_DEPTH = 4
-#: Fallback negative TTL when a response carries no SOA.
-DEFAULT_NEGATIVE_TTL = 60
 #: ECS prefixes a resolver advertises for its clients (RFC 7871 defaults).
 ECS_V4_PREFIX = 24
 ECS_V6_PREFIX = 56
@@ -143,7 +140,7 @@ class RecursiveResolver(DnsServer):
             self._cache_response(response, zone_cut, ecs, now)
 
             if response.rcode == Rcode.NXDOMAIN:
-                ttl = _negative_ttl(response)
+                ttl = negative_ttl(response)
                 self.cache.put_negative(name, rtype,
                                         CacheOutcome.NEGATIVE_NXDOMAIN, ttl, now)
                 return "nxdomain", []
@@ -170,7 +167,7 @@ class RecursiveResolver(DnsServer):
                 server_addresses = _glue_addresses(response, server_names)
                 continue
 
-            ttl = _negative_ttl(response)
+            ttl = negative_ttl(response)
             self.cache.put_negative(name, rtype,
                                     CacheOutcome.NEGATIVE_NODATA, ttl, now)
             return "nodata", []
@@ -235,8 +232,6 @@ class RecursiveResolver(DnsServer):
                     query, Endpoint(address, 53), self.upstream_timeout)
             except (QueryTimeout, WireFormatError):
                 continue
-            if response.msg_id != query.msg_id:
-                continue  # mismatched transaction; treat as garbage
             return response
         return None
 
@@ -289,13 +284,6 @@ class RecursiveResolver(DnsServer):
             return None
         remaining = int((expires_at - now) / 1000.0)
         return [record.with_ttl(remaining) for record in records]
-
-
-def _negative_ttl(response: Message) -> int:
-    for record in response.authorities:
-        if record.rtype == RecordType.SOA and isinstance(record.rdata, SOA):
-            return min(record.rdata.minimum, record.ttl)
-    return DEFAULT_NEGATIVE_TTL
 
 
 def _glue_addresses(response: Message, server_names: List[Name]) -> List[str]:

@@ -16,8 +16,11 @@ mechanisms as one pluggable :class:`RetryPolicy`:
   first wins.  Hedging converts one-off packet loss from a full timeout
   into roughly one extra RTT.
 
-A :class:`~repro.resolver.stub.StubResolver` built without a policy
-behaves exactly as before — the policy path is strictly additive.
+Every :class:`~repro.resolver.stub.StubResolver` holds exactly one
+policy, and only stubs do: forwarding hops give each upstream one shot.
+A plain "``t`` ms, ``r`` retries" client is
+``RetryPolicy(retries=r, timeout_ms=t, backoff=1.0)``; with no jitter it
+draws nothing from the caller's stream.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ from __future__ import annotations
 import inspect
 from typing import Generator, Optional
 
-from repro.dnswire.message import Message, cached_wire, make_response
+from repro.dnswire.message import (Message, cached_wire, make_query,
+                                   make_response)
 from repro.dnswire.types import Opcode, Rcode
 from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.latency import Constant, LatencyModel
@@ -23,6 +24,7 @@ from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
 from repro.netsim.socket import UdpSocket
+from repro.resolver.exchange import exchange
 
 #: Default per-query processing time: sub-millisecond, as for a warm
 #: in-memory resolver.
@@ -219,16 +221,15 @@ class DnsServer:
         response.flags.qr = True
         self._send(response, client)
 
-    # -- upstream helper ----------------------------------------------------------
+    # -- upstream helpers ---------------------------------------------------------
 
     def query_upstream(self, query: Message, server: Endpoint,
                        timeout: float, ctx=None) -> Generator:
-        """Process: send ``query`` to ``server``; return the parsed response.
+        """Process: :func:`exchange` ``query`` with ``server``, traced.
 
-        Opens a fresh ephemeral socket per attempt (matching stub resolver
-        practice and keeping concurrent upstream queries independent).
         Raises :class:`~repro.errors.QueryTimeout` on timeout and
-        :class:`~repro.errors.WireFormatError` on an undecodable reply.
+        :class:`~repro.errors.WireFormatError` on a reply that does not
+        decode or carries the wrong transaction id.
         """
         tel = self.network.telemetry
         span = None
@@ -236,23 +237,39 @@ class DnsServer:
             span = tel.tracer.begin("upstream.exchange", "resolver",
                                     self.host.name, parent=ctx,
                                     server=self.name, upstream=str(server))
-        sock = UdpSocket(self.host, ip=self.sock.ip)
         try:
-            reply = yield sock.request(
-                cached_wire(query), server, timeout,
+            response = yield from exchange(
+                self.host, query, server, timeout, ip=self.sock.ip,
                 ctx=span.context if span is not None else ctx)
         except Exception as error:
             if tel is not None:
                 tel.tracer.end(span, outcome=type(error).__name__)
             raise
-        finally:
-            sock.close()
-        view = reply.claim_view()
-        response = view if isinstance(view, Message) \
-            else Message.from_wire(reply.payload)
         if tel is not None:
             tel.tracer.end(span, outcome=response.rcode.name)
         return response
+
+    def forward(self, query: Message, upstream: Endpoint, timeout: float,
+                forward_ecs: bool, ctx=None) -> Generator:
+        """Process: relay ``query``'s question to ``upstream``, one shot.
+
+        The forwarded query asks for recursion under a fresh id and, with
+        ``forward_ecs``, carries the client's EDNS (its ECS option) on.
+        Returns the upstream's response, or ``None`` when it stayed
+        silent or answered garbage — the caller tries its next upstream
+        or admits SERVFAIL, and builds its own reply either way.
+        """
+        question = query.question
+        forwarded = make_query(question.name, question.rtype,
+                               msg_id=self.allocate_query_id(),
+                               recursion_desired=True)
+        if forward_ecs and query.edns is not None:
+            forwarded.edns = query.edns
+        try:
+            return (yield from self.query_upstream(forwarded, upstream,
+                                                   timeout, ctx=ctx))
+        except (QueryTimeout, WireFormatError):
+            return None
 
     def allocate_query_id(self) -> int:
         """A fresh message id for an upstream query."""

@@ -4,13 +4,13 @@
 status, the answer section, and the query time in milliseconds.  The
 experiments (Figures 2 and 5) are built from sequences of these results.
 
-Resilience (see :mod:`repro.resolver.retry`): a stub built with a
-:class:`~repro.resolver.retry.RetryPolicy` retries with exponential
-backoff and jitter, respects a shared retry budget, and can hedge the
-first attempt with a second racing query.  SERVFAIL responses are
+Every stub holds one :class:`~repro.resolver.retry.RetryPolicy` — the
+only way to say how long it waits and how often it retries.  The default
+is three 3-second attempts with no backoff and no jitter; a richer
+policy adds exponential backoff and jitter, a shared retry budget, and a
+hedged second query racing the first attempt.  SERVFAIL responses are
 retried like transport failures — a resolver that answered "I am
-broken" is no more settled than one that said nothing.  Without a
-policy the stub behaves exactly as it always has.
+broken" is no more settled than one that said nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.netsim.engine import ProcessFailed, SimFuture
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
-from repro.netsim.socket import UdpSocket
+from repro.resolver.exchange import exchange
 from repro.resolver.retry import RetryPolicy
 
 
@@ -80,16 +80,14 @@ class StubResolver:
     """Issues queries from a client host to a configured resolver."""
 
     def __init__(self, network: Network, host: Host, server: Endpoint,
-                 timeout: float = 3000.0, retries: int = 2,
                  source_ip: Optional[str] = None,
                  policy: Optional[RetryPolicy] = None) -> None:
         self.network = network
         self.host = host
         self.server = server
-        self.timeout = timeout
-        self.retries = retries
         self.source_ip = source_ip
-        self.policy = policy
+        self.policy = policy or RetryPolicy(retries=2, timeout_ms=3000.0,
+                                            backoff=1.0)
         self._rng = network.streams.stream(f"stub:{host.name}")
         self.queries_issued = 0
         self.timeouts_seen = 0
@@ -105,21 +103,19 @@ class StubResolver:
     def query(self, name: Name, rtype: RecordType = RecordType.A,
               server: Optional[Endpoint] = None,
               edns: Optional[Edns] = None,
-              timeout: Optional[float] = None,
               authorities: Optional[List["ResourceRecord"]] = None,
               ctx=None) -> Generator:
         """Process returning a :class:`DigResult` (raises QueryTimeout).
 
         ``authorities`` lets callers put records in the request's
         authority section — IXFR carries the client's current SOA there.
-        ``ctx`` optionally joins an existing telemetry trace; with no
-        telemetry attached the lookup runs exactly as it always has.
+        ``ctx`` optionally joins an existing telemetry trace.
         """
         target = server or self.server
         tel = self.network.telemetry
         if tel is None:
             result = yield from self._query_impl(name, rtype, target, edns,
-                                                 timeout, authorities, None)
+                                                 authorities, None)
             return result
         span = tel.tracer.begin("stub.query", "resolver", self.host.name,
                                 parent=ctx, qname=str(name),
@@ -129,7 +125,7 @@ class StubResolver:
                                 client=self.host.name)
         try:
             result = yield from self._query_impl(
-                name, rtype, target, edns, timeout, authorities,
+                name, rtype, target, edns, authorities,
                 span.context if span is not None else ctx)
         except Exception as error:
             tel.metrics.counter("repro_stub_failures_total",
@@ -143,30 +139,22 @@ class StubResolver:
         return result
 
     def _query_impl(self, name: Name, rtype: RecordType, target: Endpoint,
-                    edns: Optional[Edns], timeout: Optional[float],
+                    edns: Optional[Edns],
                     authorities: Optional[List["ResourceRecord"]],
                     ctx) -> Generator:
         policy = self.policy
         started_at = self.network.sim.now
-        max_attempts = (policy.retries if policy is not None
-                        else self.retries) + 1
-        if policy is not None and policy.budget is not None:
+        if policy.budget is not None:
             policy.budget.record_request()
         last_error: Optional[Exception] = None
         last_servfail: Optional[DigResult] = None
         attempt = 0
-        while attempt < max_attempts:
+        while True:
             attempt += 1
-            if timeout is not None:
-                per_try_timeout = timeout
-            elif policy is not None:
-                per_try_timeout = policy.timeout_for(attempt, self._rng)
-            else:
-                per_try_timeout = self.timeout
+            per_try_timeout = policy.timeout_for(attempt, self._rng)
             msg_id = self._rng.randrange(1, 0xFFFF)
             try:
-                if (policy is not None and policy.hedge_after_ms is not None
-                        and attempt == 1):
+                if policy.hedge_after_ms is not None and attempt == 1:
                     response = yield from self._hedged_probe(
                         name, rtype, edns, authorities, target,
                         per_try_timeout, msg_id, ctx=ctx)
@@ -196,9 +184,7 @@ class StubResolver:
                             "SERVFAIL responses absorbed by retries")
                 last_servfail = result
                 last_error = None
-            if attempt >= max_attempts:
-                break
-            if policy is not None and not policy.may_retry(attempt):
+            if not policy.may_retry(attempt):
                 break
         if last_servfail is not None:
             return last_servfail
@@ -215,7 +201,6 @@ class StubResolver:
         query = make_query(name, rtype, msg_id=msg_id, edns=edns)
         if authorities:
             query.authorities = list(authorities)
-        sock = UdpSocket(self.host, ip=self.source_ip)
         self.queries_issued += 1
         tel = self.network.telemetry
         span = None
@@ -229,20 +214,9 @@ class StubResolver:
                                     server=target.ip)
         probe_ctx = span.context if span is not None else ctx
         try:
-            reply = yield sock.request(cached_wire(query), target,
-                                       per_try_timeout, ctx=probe_ctx)
-        except Exception as error:
-            if tel is not None:
-                tel.tracer.end(span, outcome=type(error).__name__)
-            raise
-        finally:
-            sock.close()
-        try:
-            view = reply.claim_view()
-            response = view if isinstance(view, Message) \
-                else Message.from_wire(reply.payload)
-            if response.msg_id != msg_id:
-                raise WireFormatError("transaction id mismatch")
+            response = yield from exchange(
+                self.host, query, target, per_try_timeout,
+                ip=self.source_ip, ctx=probe_ctx)
             if response.flags.tc:
                 # Truncated: retry the same query over the stream
                 # transport (RFC 7766), like dig's automatic +tcp retry.
@@ -284,7 +258,6 @@ class StubResolver:
                      authorities: Optional[List[ResourceRecord]],
                      target: Endpoint, per_try_timeout: float,
                      msg_id: int, ctx=None) -> Generator:
-        assert self.policy is not None
         yield self.policy.hedge_after_ms
         if primary.done and primary.error is None:
             raise QueryTimeout("hedge not needed; primary already answered")

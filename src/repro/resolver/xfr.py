@@ -27,6 +27,7 @@ from repro.errors import QueryTimeout, ZoneError
 from repro.netsim.network import Network
 from repro.netsim.packet import Endpoint
 from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.retry import RetryPolicy
 from repro.resolver.stub import StubResolver
 
 DEFAULT_REFRESH_MS = 60_000.0
@@ -233,8 +234,9 @@ class SecondaryZone:
         self.origin = origin
         self.primary = primary
         self._refresh_override = refresh_ms
-        self._stub = StubResolver(network, server.host, primary,
-                                  timeout=5000, retries=1)
+        self._stub = StubResolver(
+            network, server.host, primary,
+            policy=RetryPolicy(retries=1, timeout_ms=5000, backoff=1.0))
         self.transfers = 0
         self.axfr_transfers = 0
         self.ixfr_transfers = 0

@@ -11,7 +11,7 @@ from repro.faults import FaultInjector, FaultPlan, GilbertElliott, inject
 from repro.faults.plan import FaultEvent
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import AuthoritativeServer, StubResolver
+from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
 
 
 def build_zone():
@@ -38,7 +38,8 @@ class World:
         server = AuthoritativeServer(self.net, self.net.host("server"),
                                      [build_zone()])
         self.stub = StubResolver(self.net, self.net.host("client"),
-                                 server.endpoint, timeout=100, retries=0)
+                                 server.endpoint,
+                                 policy=RetryPolicy(retries=0, timeout_ms=100))
         self.injector = inject(self.net, plan) if plan is not None else None
 
     def ask(self):

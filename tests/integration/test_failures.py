@@ -10,7 +10,7 @@ from repro.cdn import ContentCatalog, HttpClient
 from repro.core import FallbackClient, MecCdnSite
 from repro.dnswire import Name
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import StubResolver
+from repro.resolver import RetryPolicy, StubResolver
 
 
 class SiteUnderTest:
@@ -32,9 +32,10 @@ class SiteUnderTest:
                                upstream_ldns=Endpoint("203.0.113.10", 53))
 
     def query(self, timeout=3000, retries=2):
-        stub = StubResolver(self.net, self.net.host("ue"),
-                            self.site.ldns_endpoint, timeout=timeout,
-                            retries=retries)
+        stub = StubResolver(
+            self.net, self.net.host("ue"), self.site.ldns_endpoint,
+            policy=RetryPolicy(retries=retries, timeout_ms=timeout,
+                               backoff=1.0))
         future = self.sim.spawn(
             stub.query(Name("video.demo1.mycdn.ciab.test")))
         return self.sim.run_until_resolved(future)

@@ -13,7 +13,7 @@ from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.mec import CoreDnsServer, Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, StubResolver
+from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
 
 CDN_DOMAIN = "mycdn.ciab.test"
 QNAME = f"video.{CDN_DOMAIN}"
@@ -56,7 +56,8 @@ class ChurnWindowScenario:
 
     def query(self):
         stub = StubResolver(self.net, self.net.host("client"),
-                            self.coredns.endpoint, timeout=8000, retries=0)
+                            self.coredns.endpoint,
+                            policy=RetryPolicy(retries=0, timeout_ms=8000))
         return self.sim.run_until_resolved(
             self.sim.spawn(stub.query(Name(QNAME))))
 

@@ -17,7 +17,7 @@ from repro.mec.namespaces import NamespacePolicy
 from repro.mobile import UserEquipment
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import AuthoritativeServer, StubResolver
+from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
 
 
 def build_zone(domain, address):
@@ -69,9 +69,10 @@ class MecDnsScenario:
             front_plugins=[split] if split else None)
 
     def query_from(self, host_name, qname, timeout=3000, retries=0):
-        stub = StubResolver(self.net, self.net.host(host_name),
-                            self.coredns.endpoint, timeout=timeout,
-                            retries=retries)
+        stub = StubResolver(
+            self.net, self.net.host(host_name), self.coredns.endpoint,
+            policy=RetryPolicy(retries=retries, timeout_ms=timeout,
+                               backoff=1.0))
         future = self.sim.spawn(stub.query(Name(qname)))
         return self.sim.run_until_resolved(future)
 

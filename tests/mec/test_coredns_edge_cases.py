@@ -78,8 +78,8 @@ class TestCoreDnsEdgeCases:
         assert result.status == "SERVFAIL"
         # The client retries SERVFAIL like a transport failure, so the
         # stub-domain plugin forwards once per client attempt.
-        assert result.attempts == stub.retries + 1
-        assert coredns.stub.forwarded == stub.retries + 1
+        assert result.attempts == stub.policy.retries + 1
+        assert coredns.stub.forwarded == stub.policy.retries + 1
 
     def test_stub_domain_beats_default_forward(self, world):
         sim, net, coredns, stub = world

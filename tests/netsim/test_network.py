@@ -1,5 +1,8 @@
 """Tests for topology, forwarding, middleboxes, sockets, and traces."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import AddressError, QueryTimeout, RoutingError, SocketError
@@ -116,6 +119,34 @@ class TestDelivery:
         with pytest.raises(QueryTimeout):
             net.sim.run_until_resolved(future)
         assert net.sim.now == 30.0
+
+    def test_timed_out_request_is_freed_without_the_cycle_collector(self, net):
+        # The failed future holds the QueryTimeout, whose traceback holds
+        # the awaiting frame and so the socket: unless close() lets go of
+        # the future, every timeout leaves a cycle for the collector.
+        build_line(net, ("client", "10.0.0.1", 5), ("server", "10.0.0.2", 0))
+        sock = UdpSocket(net.host("client"))
+        freed = weakref.ref(sock)
+
+        def ask(sock):
+            try:
+                yield sock.request(b"ping", Endpoint("10.0.0.2", 53),
+                                   timeout=30)
+            except QueryTimeout:
+                return "lost"
+            finally:
+                sock.close()
+
+        gc.collect()
+        gc.disable()
+        try:
+            done = net.sim.spawn(ask(sock))
+            del sock
+            net.sim.run()
+            assert done.result() == "lost"
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_unroutable_destination_is_dropped(self, net):
         net.add_host("client", "10.0.0.1")

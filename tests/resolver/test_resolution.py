@@ -7,7 +7,7 @@ from repro.errors import QueryTimeout
 from repro.netsim.engine import ProcessFailed
 from repro.netsim import Constant
 from repro.netsim.packet import Endpoint
-from repro.resolver import ForwardingResolver, StubResolver
+from repro.resolver import ForwardingResolver, RetryPolicy, StubResolver
 
 from tests.resolver.conftest import MiniInternet
 
@@ -201,7 +201,8 @@ class TestStubBehaviour:
     def test_retries_then_raises(self, internet):
         stub = StubResolver(internet.net, internet.net.host("client"),
                             Endpoint("10.99.0.1", 53),  # unroutable
-                            timeout=20, retries=2)
+                            policy=RetryPolicy(retries=2, timeout_ms=20,
+                                               backoff=1.0))
         future = internet.sim.spawn(stub.query(Name("x.example.com")))
         with pytest.raises(ProcessFailed) as excinfo:
             internet.sim.run_until_resolved(future)

@@ -41,6 +41,24 @@ class TestRetryPolicy:
         assert all(80 <= draw <= 120 for draw in draws)
         assert len(set(draws)) > 1
 
+    def test_fixed_timeout_policy_is_exact_and_draws_nothing(self):
+        # How a plain "T ms, R retries" client is spelled.  It must not
+        # touch the stub's stream, or every msg_id after it would move.
+        import random
+        policy = RetryPolicy(retries=7, timeout_ms=3000.0, backoff=1.0,
+                             jitter_frac=0)
+        rng = random.Random(5)
+        before = rng.getstate()
+        assert [policy.timeout_for(n, rng) for n in range(1, 9)] == \
+            [3000.0] * 8
+        assert rng.getstate() == before
+
+    def test_default_stub_policy_is_three_fixed_3s_attempts(self):
+        world = ResolverWorld(serve_stale=False)
+        policy = world.stub(None).policy
+        assert (policy.retries, policy.timeout_ms, policy.backoff,
+                policy.jitter_frac) == (2, 3000.0, 1.0, 0.0)
+
     def test_attempt_count_gate(self):
         policy = RetryPolicy(retries=2, timeout_ms=10)
         assert policy.may_retry(1) and policy.may_retry(2)
@@ -101,9 +119,9 @@ class ResolverWorld:
             cache=DnsCache(serve_stale=serve_stale),
             upstream_timeout=50)
 
-    def stub(self, **kwargs):
+    def stub(self, policy):
         return StubResolver(self.net, self.net.host("client"),
-                            self.resolver.endpoint, **kwargs)
+                            self.resolver.endpoint, policy=policy)
 
     def ask(self, stub):
         return self.sim.run_until_resolved(self.sim.spawn(stub.query(QNAME)))
@@ -111,7 +129,7 @@ class ResolverWorld:
 
 class TestServeStale:
     def warm_then_kill_upstream(self, world):
-        stub = world.stub(timeout=500, retries=0)
+        stub = world.stub(RetryPolicy(retries=0, timeout_ms=500))
         fresh = world.ask(stub)
         assert fresh.addresses == ["198.18.0.9"] and not fresh.stale
         # Let the 300 s TTL lapse, then take the upstream away entirely.
@@ -147,16 +165,17 @@ class TestServeStale:
 class TestStubRetries:
     def test_servfail_retried_like_timeout(self):
         world = ResolverWorld(serve_stale=False)
-        stub = self.dead_upstream_stub(world, retries=2)
+        stub = self.dead_upstream_stub(world, RetryPolicy(
+            retries=2, timeout_ms=500, backoff=1.0))
         result = world.ask(stub)
         assert result.status == "SERVFAIL"
         assert result.attempts == 3
         assert stub.servfails_seen == 3
 
     @staticmethod
-    def dead_upstream_stub(world, **kwargs):
+    def dead_upstream_stub(world, policy):
         world.net.host("upstream").down = True
-        return world.stub(timeout=500, **kwargs)
+        return world.stub(policy)
 
     def test_backoff_timeouts_shape_total_latency(self):
         world = ResolverWorld()

@@ -6,7 +6,8 @@ from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
+from repro.resolver import (AuthoritativeServer, RetryPolicy, SecondaryZone,
+                            StubResolver)
 from repro.resolver.xfr import axfr_response_records, zone_from_axfr
 
 ORIGIN = Name("mycdn.ciab.test")
@@ -163,8 +164,7 @@ class TestSecondaryZone:
         from repro.netsim.packet import Endpoint
         secondary = SecondaryZone(net, server, ORIGIN,
                                   Endpoint("10.99.9.9", 53))
-        secondary._stub.timeout = 50
-        secondary._stub.retries = 0
+        secondary._stub.policy = RetryPolicy(retries=0, timeout_ms=50)
         transferred = sim.run_until_resolved(
             sim.spawn(secondary.refresh_once()))
         assert not transferred

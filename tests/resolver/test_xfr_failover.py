@@ -6,7 +6,8 @@ from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.faults import FaultPlan, inject
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
+from repro.resolver import (AuthoritativeServer, RetryPolicy, SecondaryZone,
+                            StubResolver)
 
 ORIGIN = Name("mycdn.ciab.test")
 
@@ -45,8 +46,7 @@ def world():
     secondary_server = AuthoritativeServer(net, net.host("secondary"), [])
     secondary = SecondaryZone(net, secondary_server, ORIGIN,
                               primary.endpoint)
-    secondary._stub.timeout = 200
-    secondary._stub.retries = 0
+    secondary._stub.policy = RetryPolicy(retries=0, timeout_ms=200)
     return sim, net, primary, secondary_server, secondary
 
 

@@ -36,6 +36,9 @@ OVERRIDES = {
                    "cache_capacity": 50},
 }
 
+#: Experiments that never build a network, so have nothing to observe.
+NO_NETWORK = {"table1", "table2", "disaggregation"}
+
 REGISTRY = builtin_registry()
 
 
@@ -56,6 +59,24 @@ def test_sharded_run_matches_serial(name):
     assert result_digest(sharded.result) == result_digest(serial.result)
     assert [o.spec for o in sharded.outcomes] == \
         [o.spec for o in serial.outcomes]
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_result_digest_identical_with_telemetry_on(name):
+    """Zero perturbation: observing a run must not change its result."""
+    experiment = REGISTRY.get(name)
+    plain = TrialExecutor(jobs=1).run(experiment, OVERRIDES[name])
+    session = telemetry.Telemetry()
+    telemetry.set_default(session)
+    try:
+        observed = TrialExecutor(jobs=1).run(experiment, OVERRIDES[name])
+    finally:
+        telemetry.clear_default()
+    assert plain.ok, [f.describe() for f in plain.failures]
+    assert observed.ok, [f.describe() for f in observed.failures]
+    assert result_digest(observed.result) == result_digest(plain.result)
+    # Not vacuous: the session really watched the second run.
+    assert (len(session.metrics) > 0) == (name not in NO_NETWORK)
 
 
 def _telemetry_artifact(tmp_path, jobs):
