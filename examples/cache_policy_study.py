@@ -18,7 +18,7 @@ from repro.cdn import (
     HttpClient,
     LfuPolicy,
     LruPolicy,
-    ZipfWorkload,
+    ZipfRankStream,
 )
 from repro.dnswire import Name
 from repro.experiments.report import format_table
@@ -53,11 +53,12 @@ def run_one(policy_name, fraction, seed=71):
                        policy=POLICIES[policy_name](),
                        parent=origin.endpoint)
 
-    workload = ZipfWorkload(items, net.streams.stream("workload"),
-                            exponent=ZIPF_EXPONENT)
+    workload = ZipfRankStream(len(items), net.streams.stream("workload"),
+                              exponent=ZIPF_EXPONENT)
     client = HttpClient(net, net.host("client"))
     latencies = []
-    for item in workload.requests(REQUESTS):
+    for rank in workload.ranks(REQUESTS):
+        item = items[rank - 1]
         fetch = sim.run_until_resolved(
             sim.spawn(client.fetch(item.url, "10.233.1.10")))
         latencies.append(fetch.latency_ms)

@@ -26,8 +26,7 @@ measures:
 """
 
 from repro.cdn.allocation import ConsistentAllocator, HashRing
-from repro.cdn.content import (ContentCatalog, ContentItem, ZipfRankStream,
-                               ZipfWorkload)
+from repro.cdn.content import ContentCatalog, ContentItem, ZipfRankStream
 from repro.cdn.policy import EvictionPolicy, LruPolicy, LfuPolicy, FifoPolicy
 from repro.cdn.cache_server import CacheServer, CacheStats
 from repro.cdn.geo import GeoPoint, GeoIpDatabase, haversine_km
@@ -50,7 +49,6 @@ __all__ = [
     "ContentCatalog",
     "ContentItem",
     "ZipfRankStream",
-    "ZipfWorkload",
     "EvictionPolicy",
     "LruPolicy",
     "LfuPolicy",

@@ -33,6 +33,19 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
 DEFAULT_VNODES = 64
 
 
+#: Recognized traffic-allocation policies: hash the content name, hash
+#: the client address, or Huang et al.'s bounded-load client allocation.
+ALLOCATION_POLICIES = ("content", "client", "client-bounded")
+
+
+def check_allocation(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a recognized policy."""
+    if name not in ALLOCATION_POLICIES:
+        raise ValueError(
+            f"allocation must be one of {ALLOCATION_POLICIES}, "
+            f"got {name!r}")
+
+
 def hash_point(material: str) -> int:
     """The ring coordinate of ``material`` (sha256, first 8 bytes)."""
     digest = hashlib.sha256(material.encode()).digest()

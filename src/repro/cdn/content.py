@@ -2,19 +2,18 @@
 
 Content items are the static objects (``.img``, ``.js``, ``.css``, video
 segments) the paper's Table 1 sites serve through CDN domains.  The
-catalog indexes them by URL; :class:`ZipfWorkload` generates the
-popularity-skewed request streams CDN evaluations conventionally use,
-and :class:`ZipfRankStream` is its O(1)-memory core: an exact Zipf(s)
-rank sampler that never materializes per-item weight tables, so the
-population workload engine can draw from 10^7-object synthetic catalogs
-without building 10^7-entry lists.
+catalog indexes them by URL; :class:`ZipfRankStream` generates the
+popularity-skewed request streams CDN evaluations conventionally use:
+an exact Zipf(s) rank sampler that never materializes per-item weight
+tables, so the population workload engine can draw from 10^7-object
+synthetic catalogs without building 10^7-entry lists.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List
 
 from repro.dnswire.name import Name
 from repro.errors import ContentNotFound
@@ -205,31 +204,3 @@ class ZipfRankStream:
         """Yield ``count`` successive ranks."""
         for _ in range(count):
             yield self.next_rank()
-
-
-class ZipfWorkload:
-    """A Zipf(s)-distributed request stream over a fixed item list.
-
-    Popularity rank follows item order (``items[0]`` is the most
-    popular).  Sampling delegates to :class:`ZipfRankStream`, so the
-    per-item weight and cumulative tables the original implementation
-    built are gone; only the caller's item list itself is retained.
-    """
-
-    def __init__(self, items: Sequence[ContentItem], rng: random.Random,
-                 exponent: float = 0.9) -> None:
-        if not items:
-            raise ValueError("workload needs at least one item")
-        self.items = list(items)
-        self.exponent = exponent
-        self._rng = rng
-        self._ranks = ZipfRankStream(len(self.items), rng, exponent=exponent)
-
-    def next_item(self) -> ContentItem:
-        """Draw the next requested item from the Zipf distribution."""
-        return self.items[self._ranks.next_rank() - 1]
-
-    def requests(self, count: int) -> Iterator[ContentItem]:
-        """Yield ``count`` successive requests."""
-        for _ in range(count):
-            yield self.next_item()

@@ -21,7 +21,8 @@ import functools
 import ipaddress
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.cdn.allocation import ConsistentAllocator, HashRing
+from repro.cdn.allocation import (ConsistentAllocator, HashRing,
+                                  check_allocation)
 from repro.cdn.cache_server import CacheServer
 from repro.dnswire.edns import ClientSubnet
 from repro.dnswire.message import Message, ResourceRecord, make_response
@@ -88,10 +89,6 @@ class CoverageZone(NamedTuple):
         return best >= 0, max(best, 0)
 
 
-#: Recognized traffic-allocation policies (see :class:`TrafficRouter`).
-ALLOCATION_POLICIES = ("content", "client", "client-bounded")
-
-
 class TrafficRouter(DnsServer):
     """Authoritative C-DNS for ``cdn_domain``."""
 
@@ -107,10 +104,7 @@ class TrafficRouter(DnsServer):
                  allocation_epsilon: float = 0.25,
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
-        if allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"allocation must be one of {ALLOCATION_POLICIES}, "
-                f"got {allocation!r}")
+        check_allocation(allocation)
         #: Traffic-allocation policy.  ``"content"`` (the default, and
         #: the historical behavior) hashes the query name so content
         #: concentrates on few caches.  ``"client"`` hashes the client

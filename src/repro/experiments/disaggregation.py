@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, NamedTuple
 
 from repro.cdn.cache_server import CacheServer
-from repro.cdn.content import ContentCatalog, ZipfWorkload
+from repro.cdn.content import ContentCatalog, ZipfRankStream
 from repro.cdn.httpsim import HttpClient
 from repro.dnswire.name import Name
 from repro.experiments.report import format_table
@@ -99,10 +99,11 @@ class _Scenario:
         self.client = HttpClient(self.net, self.net.host("client"))
 
     def replay(self, requests: int, scatter_rng) -> DisaggregationRow:
-        workload = ZipfWorkload(self.items,
-                                self.net.streams.stream("workload"))
+        workload = ZipfRankStream(len(self.items),
+                                  self.net.streams.stream("workload"))
         latencies = []
-        for item in workload.requests(requests):
+        for rank in workload.ranks(requests):
+            item = self.items[rank - 1]
             if len(self.caches) == 1:
                 target = self.caches[0]
             else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
+from repro.cdn.allocation import check_allocation
 from repro.core.deployments import DEPLOYMENT_KEYS, DEPLOYMENT_LABELS
 from repro.experiments.report import format_table
 from repro.measure.histogram import HistogramSummary, LatencyHistogram
@@ -27,9 +28,8 @@ from repro.runtime import Experiment, Param
 from repro.runtime.spec import TrialSpec
 from repro.workload.arrivals import SECONDS_PER_HOUR, DiurnalProfile
 from repro.workload.deployment import calibrate, is_localized
-from repro.workload.engine import (ALLOCATION_POLICIES, DistrictConfig,
-                                   DistrictStats, district_seed, merge_stats,
-                                   run_district)
+from repro.workload.engine import (DistrictConfig, DistrictStats,
+                                   district_seed, merge_stats, run_district)
 
 #: Default total queries targeted per deployment (all districts).
 DEFAULT_TARGET_QUERIES = 20_000
@@ -168,10 +168,7 @@ class PopulationExperiment(Experiment):
         if districts < 1:
             raise ValueError(f"need >= 1 district, got {districts}")
         allocation = str(params["allocation"])
-        if allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"allocation must be one of {ALLOCATION_POLICIES}, "
-                f"got {allocation!r}")
+        check_allocation(allocation)
         target = int(params["target_queries"])
         # The window sits on the evening ramp, so each UE contributes
         # more sessions than the day-average rate suggests; fold the

@@ -30,9 +30,7 @@ telemetry artifact):
     name.  Missing-data semantics are strict *per window*: any window
     inside the covered range with zero samples FAILS the rule —
     "nothing measured for a second" is an outage signal, not a free
-    pass.  (``min`` is not available: windows carry histograms, and
-    quantiles interpolate across the occupied buckets the document
-    lists.)
+    pass.  (``min`` is not available: windows carry histograms.)
 
 ``<scope> burnrate <bad>/<total> <fires|quiet> budget=F factor=X fast=N slow=M [clear=K]``
     Multi-window, multi-burn-rate alerting (the SRE workbook shape)
@@ -518,15 +516,7 @@ def _check_window_rule(rule: WindowRule,
             # window with zero samples is an outage, not a free pass.
             failures.append(f"window {index} has no samples")
             continue
-        # The time-series document lists only occupied buckets, and
-        # window rules interpolate across what is listed: an empty
-        # bucket widens its upper neighbour instead of bounding it.
-        held = [at for at, in_bucket in enumerate(cell.counts) if in_bucket]
-        reached = cell.cumulative()
-        listed = BucketCell.from_running(
-            tuple(cell.bounds[at] for at in held),
-            [reached[at] for at in held], cell.count, cell.total)
-        value = _estimate(listed, rule.agg)
+        value = _estimate(cell, rule.agg)
         if value is None:  # pragma: no cover - min rejected at parse
             failures.append(f"window {index}: unanswerable aggregate")
             continue

@@ -20,16 +20,19 @@ per-query record lists or per-item weight tables:
 * :mod:`repro.workload.engine` — districts (the sharding unit), the
   shared-geometry consistent-hash router, and streaming aggregation
   into mergeable histograms and exact counters.
+* :mod:`repro.workload.observer` — what a district reports beside its
+  result when telemetry is on: windows, sampled session trees and tail
+  exemplars, from the kernel's per-query records.
 """
 
+from repro.cdn.allocation import ALLOCATION_POLICIES
 from repro.workload.arrivals import (DEFAULT_DIURNAL, DiurnalProfile,
                                      NhppArrivals)
 from repro.workload.caches import RankLru
 from repro.workload.deployment import (CALIBRATION_QUERIES, DeploymentModel,
                                        calibrate, is_localized)
-from repro.workload.engine import (ALLOCATION_POLICIES, DistrictConfig,
-                                   DistrictStats, district_seed, merge_stats,
-                                   run_district)
+from repro.workload.engine import (DistrictConfig, DistrictStats,
+                                   district_seed, merge_stats, run_district)
 from repro.workload.mobility import (HANDOVER_INTERRUPTION_MS, MobilityModel,
                                      SessionPlacement)
 from repro.workload.population import Population, UserProfile

@@ -24,47 +24,39 @@ stack makes, without the packets:
   (:mod:`repro.workload.mobility`).
 
 Aggregation is streaming only: two :class:`LatencyHistogram` instances
-and exact counters.  Nothing in this module retains per-query records.
+and exact counters.  No query's record outlives its session.
 
 When ambient telemetry is installed (:func:`repro.telemetry.get_default`)
-the engine additionally streams **observability aggregates** — windowed
-time-series cells, tail exemplars of the slowest queries, and one span
-tree per head-sampled session (a session root with one query span per
-request; per-stage breakdown rides on the exemplars) — without
-touching the simulation: no
-extra RNG draw, no clock read, and the district's :class:`DistrictStats`
-(hence every digest) is byte-identical with telemetry on or off.  The
-hot loop aggregates into plain local dicts and flushes once per
-district; the keep/drop decision for span trees is a splitmix64 hash of
-the session ordinal, so serial and sharded runs sample the exact same
-sessions.
+the kernel also states each query as one plain tuple
+(:data:`repro.workload.observer.QueryRecord`) and hands a session's
+tuples to the district's observer when the session ends; windows,
+sampled session trees and tail exemplars are that module's business.
+Forming the tuple draws nothing and reads no clock, and nothing comes
+back from the observer, so the district's :class:`DistrictStats` (hence
+every digest) is byte-identical with telemetry on or off.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Any, Dict, List, MutableSequence, NamedTuple, Optional
+from typing import Dict, List, MutableSequence, NamedTuple, Optional
 
 from repro import telemetry as _telemetry
-from repro.cdn.allocation import ConsistentAllocator, HashRing
+from repro.cdn.allocation import (ConsistentAllocator, HashRing,
+                                  check_allocation)
 from repro.cdn.content import ZipfRankStream
 from repro.measure.histogram import LatencyHistogram
 from repro.runtime.spec import derive_seed
-from repro.telemetry import Exemplar, Span
-from repro.telemetry.metrics import BucketCell
-from repro.telemetry.sampling import hash_unit, hash_unit_u64
 from repro.workload.arrivals import DiurnalProfile, NhppArrivals
 from repro.workload.caches import RankLru
 from repro.workload.deployment import (INTER_SITE_LEG, INTRA_SITE_LEG,
                                        ORIGIN_LEG, ORIGIN_SERVICE_MS,
                                        DeploymentModel)
 from repro.workload.mobility import HANDOVER_INTERRUPTION_MS, MobilityModel
+from repro.workload.observer import QueryRecord, _DistrictObserver
 from repro.workload.population import Population, UserProfile
 from repro.workload.sessions import SessionModel
-
-#: Recognized traffic-allocation policies (mirrors the router's).
-ALLOCATION_POLICIES = ("content", "client", "client-bounded")
 
 #: Content ranks whose cache selection a district remembers per site.
 #: Zipf traffic asks for the head over and over; the tail goes to the
@@ -174,10 +166,7 @@ class _Router:
     """
 
     def __init__(self, config: DistrictConfig) -> None:
-        if config.allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"allocation must be one of {ALLOCATION_POLICIES}, "
-                f"got {config.allocation!r}")
+        check_allocation(config.allocation)
         self._allocation = config.allocation
         names = [[f"site{site}-cache{cache}"
                   for cache in range(config.caches_per_site)]
@@ -284,61 +273,16 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
     inter_sample = INTER_SITE_LEG.sample
     origin_sample = ORIGIN_LEG.sample
 
-    # -- observability bindings (all hoisted out of the hot loop).  The
-    # aggregates live in plain local dicts keyed by (site, window) and
-    # flush once at district end; nothing below draws randomness or
-    # reads a clock, so DistrictStats is identical with telemetry on/off.
+    # The observer only ever receives: nothing below reads it back, so
+    # DistrictStats is identical with telemetry on or off.
     tel = _telemetry.get_default()
     observing = tel is not None
     if observing:
-        scope_key = scope or model.key
-        #: Windows per simulated second — one multiply per rebind
-        #: instead of a divide.
-        win_scale = 1000.0 / tel.timeseries.window_ms
-        #: Window width in simulated seconds; the hot loop compares the
-        #: query clock against [win_lo, win_hi) and only recomputes the
-        #: window index on a crossing.
-        window_s = tel.timeseries.window_ms / 1000.0
-        tail = tel.tail
-        tail_enabled = tail.capacity > 0
-        tracer = tel.tracer
-        tracing = tracer.enabled and tracer.sample_rate > 0.0
-        sample_rate = tracer.sample_rate
-        sample_all = sample_rate >= 1.0
-        #: Per-district salt so session ordinals hash independently
-        #: across districts (decision correlation, nothing else).
-        scope_salt = int(hash_unit(scope_key) * 9007199254740992.0)
-        deployment_key = model.key
-        # Raw per-window value lists; bucketed once per district in
-        # _flush_observability (sorted-array bucketing), which keeps the
-        # per-query cost to two list appends.
-        dns_vals: Dict[int, List[float]] = {}
-        total_vals: Dict[int, List[float]] = {}
-        # Per-window site counters as flat int lists (index = site):
-        # ``cur_q[site] += 1`` is the cheapest increment CPython offers,
-        # and the window-change branch below re-points the four cursors
-        # at most once per session batch.
-        query_wins: Dict[int, List[int]] = {}
-        misloc_wins: Dict[int, List[int]] = {}
-        cur_q: List[int] = []
-        cur_m: List[int] = []
-        # Degenerate bounds force a rebind on the first query, so the
-        # list the append cursors start on never receives a value.
-        win_lo = win_hi = 0.0
-        unused: List[float] = []
-        cur_dns_append = cur_total_append = unused.append
-        threshold: Optional[float] = None
-        session_ordinal = 0
-        sampled_queries = 0
-        trace_id = root_sid = span_base = span_n = 0
-        session_spans: Optional[List[Span]] = None
-        session_root: Optional[Span] = None
-        session_end = 0.0
-        stages: List[Any] = []
-        # Small-int site labels are reused constantly; interning them
-        # once keeps str() out of the sampled-query path.
-        site_strs = [str(at) for at in range(config.sites)]
-        t_ms = 0.0
+        observer = _DistrictObserver(tel, config.sites, model.key,
+                                     scope or model.key)
+        #: The current session's query records; emptied at each hand-off.
+        records: List[QueryRecord] = []
+        record = records.append
 
     for index in range(config.ues):
         ue: UserProfile = population.user(index)
@@ -357,34 +301,6 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
             placement = mobility.place_session(rng, ue.home_site, requests)
             site = placement.site
             ue_sessions += 1
-            if observing:
-                session_ordinal += 1
-                # The rejection threshold only ever rises, so a
-                # session-stale read can over-offer (offer() rechecks)
-                # but never miss a genuine tail candidate.
-                threshold = tail.threshold_ms
-                if tracing and (sample_all or hash_unit_u64(
-                        scope_salt + session_ordinal) < sample_rate):
-                    # One trace per sampled *session*: a root session
-                    # span plus one query span per request.  Stage-level
-                    # breakdown lives in the tail exemplars (which
-                    # exemplar_spans re-expands into full trees); the
-                    # sampled stream stays cheap enough to leave on at
-                    # population scale.
-                    trace_base, span_base = tracer.id_offsets()
-                    trace_id = trace_base + 1
-                    root_sid = span_base + 1
-                    t_ms = start * 1000.0
-                    session_root = Span(
-                        trace_id, root_sid, None, "session", "workload",
-                        deployment_key, t_ms, t_ms,
-                        {"deployment": deployment_key, "ue": str(index),
-                         "home_site": site_strs[ue.home_site]})
-                    session_spans = [session_root]
-                    span_n = 1
-                    session_end = t_ms
-                else:
-                    session_spans = None
             for ordinal in range(requests):
                 interruption = 0.0
                 if ordinal == placement.handover_at:
@@ -435,153 +351,28 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                 total_add(latency)
 
                 if observing:
-                    if start >= win_hi or start < win_lo:
-                        window = int(start * win_scale)
-                        win_lo = window * window_s
-                        win_hi = win_lo + window_s
-                        vals = dns_vals.get(window)
-                        if vals is None:
-                            vals = dns_vals[window] = []
-                            total_vals[window] = []
-                            query_wins[window] = [0] * config.sites
-                            misloc_wins[window] = [0] * config.sites
-                        cur_dns_append = vals.append
-                        cur_total_append = total_vals[window].append
-                        cur_q = query_wins[window]
-                        cur_m = misloc_wins[window]
-                    cur_dns_append(dns_ms)
-                    cur_total_append(latency)
-                    cur_q[site] += 1
-                    if served_site != site:
-                        cur_m[site] += 1
-                    wants_tail = tail_enabled and (threshold is None
-                                                   or latency >= threshold)
-                    if wants_tail or session_spans is not None:
-                        t_ms = start * 1000.0
-                        if session_spans is not None:
-                            span_n += 1
-                            span_end = t_ms + latency
-                            # Queries can overlap (think time restarts
-                            # at issue, not completion), so the session
-                            # end is the max end, not the last.
-                            if span_end > session_end:
-                                session_end = span_end
-                            session_spans.append(Span(
-                                trace_id, span_base + span_n, root_sid,
-                                "query", "workload", deployment_key,
-                                t_ms, span_end,
-                                {"hit": "1" if hit else "0",
-                                 "served_site": site_strs[served_site],
-                                 "site": site_strs[site]}))
-                        if wants_tail:
-                            stages = [("dns.wireless", wireless_ms),
-                                      ("dns.resolver", resolver_ms)]
-                            if interruption:
-                                stages.append(("handover", interruption))
-                            stages.append(("fetch", fetch_ms))
-                            if origin_ms:
-                                stages.append(("origin", origin_ms))
-                            tail.offer(Exemplar(
-                                key=(f"{scope_key}/u{index}"
-                                     f"/s{ue_sessions}/q{ordinal}"),
-                                total_ms=latency, t_ms=t_ms,
-                                stages=tuple(stages),
-                                attrs=(("deployment", deployment_key),
-                                       ("hit", "1" if hit else "0"),
-                                       ("served_site",
-                                        site_strs[served_site]),
-                                       ("site", site_strs[site]))))
+                    record((start, site, served_site, hit, dns_ms, latency,
+                            wireless_ms, resolver_ms, interruption,
+                            fetch_ms, origin_ms))
                 # Think time advances the session clock; the diurnal
                 # multiplier is per-session (sessions are minutes long,
                 # buckets are hours), so the clock only gates overflow.
                 start += think_time(rng)
-            if observing and session_spans is not None:
-                # One ingest per sampled session: ids were built against
-                # the tracer's high-water mark at session start, so the
-                # batch lands copy-free and interleaves identically on
-                # every backend.
-                assert session_root is not None
-                session_root.end_ms = session_end
-                tracer.ingest(session_spans, 1, span_n)
-                sampled_queries += span_n - 1
-                session_spans = None
+            if observing:
+                observer.session(index, ue_sessions, ue.home_site, records)
+                records.clear()
         if ue_sessions:
             active += 1
             sessions += ue_sessions
 
     if observing:
-        _flush_observability(tel, model.key, dns_vals, total_vals,
-                             query_wins, misloc_wins,
-                             queries=queries, hits=hits,
-                             localized=localized, sessions=sessions,
-                             handovers=handovers,
-                             unsampled_queries=(queries - sampled_queries
-                                                if tracing else 0))
+        observer.close(queries=queries, hits=hits, localized=localized,
+                       sessions=sessions, handovers=handovers)
 
     return DistrictStats(
         queries=queries, sessions=sessions, active_ues=active, hits=hits,
         localized=localized, handovers=handovers, cache_load=cache_load,
         dns=dns_hist, total=total_hist)
-
-
-def _site_major(wins: Dict[int, List[int]]) -> List[Dict[int, int]]:
-    """Pivot window-major count rows into per-site window dicts."""
-    sites = len(next(iter(wins.values()))) if wins else 0
-    per_site: List[Dict[int, int]] = [{} for _ in range(sites)]
-    for window, counts in wins.items():
-        for site_index, count in enumerate(counts):
-            if count:
-                per_site[site_index][window] = count
-    return per_site
-
-
-def _flush_observability(tel: Any, deployment: str,
-                         dns_vals: Dict[int, List[float]],
-                         total_vals: Dict[int, List[float]],
-                         query_wins: Dict[int, List[int]],
-                         misloc_wins: Dict[int, List[int]],
-                         queries: int, hits: int, localized: int,
-                         sessions: int, handovers: int,
-                         unsampled_queries: int) -> None:
-    """Fold one district's locally-aggregated windows into the facade.
-
-    Runs once per district (cold path); the counter rows are
-    window-major int lists indexed by site.
-    """
-    label = {"deployment": deployment}
-    timeseries = tel.timeseries
-    for name, vals_by_window in (("repro_workload_dns_ms", dns_vals),
-                                 ("repro_workload_total_ms", total_vals)):
-        if vals_by_window:
-            timeseries.bulk_observe(
-                name, label,
-                {window: BucketCell.from_values(vals)
-                 for window, vals in vals_by_window.items()})
-    for name, wins in (("repro_workload_queries", query_wins),
-                       ("repro_workload_mislocalized", misloc_wins)):
-        for site_index, windows in enumerate(_site_major(wins)):
-            if windows:
-                timeseries.bulk_count(name,
-                                      {"deployment": deployment,
-                                       "site": str(site_index)},
-                                      windows)
-    tel.tracer.sampled_out += unsampled_queries
-    metrics = tel.metrics
-    metrics.counter("repro_workload_queries_total",
-                    "Queries driven by the population engine").inc(
-                        queries, deployment=deployment)
-    metrics.counter("repro_workload_hits_total",
-                    "Cache hits at the selected cache").inc(
-                        hits, deployment=deployment)
-    metrics.counter("repro_workload_mislocalized_total",
-                    "Queries served from a cache off the UE's site").inc(
-                        queries - localized, deployment=deployment)
-    metrics.counter("repro_workload_sessions_total",
-                    "Sessions the arrival process produced").inc(
-                        sessions, deployment=deployment)
-    metrics.counter("repro_workload_handovers_total",
-                    "Mid-session inter-site handovers").inc(
-                        handovers, deployment=deployment)
 
 
 def district_seed(base: int, deployment: str, shard: int) -> int:

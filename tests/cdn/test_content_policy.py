@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cdn.content import ContentCatalog, ContentItem, ZipfWorkload
+from repro.cdn.content import ContentCatalog, ContentItem, ZipfRankStream
 from repro.cdn.policy import FifoPolicy, LfuPolicy, LruPolicy
 from repro.dnswire import Name
 from repro.errors import ContentNotFound
@@ -53,9 +53,9 @@ class TestZipf:
         catalog = ContentCatalog()
         items = catalog.populate_synthetic(Name("cdn.test"), 100,
                                            random.Random(2))
-        workload = ZipfWorkload(items, random.Random(3), exponent=1.0)
-        counts = Counter(item.content_id
-                         for item in workload.requests(5000))
+        stream = ZipfRankStream(len(items), random.Random(3), exponent=1.0)
+        counts = Counter(items[rank - 1].content_id
+                         for rank in stream.ranks(5000))
         top = counts[items[0].content_id]
         mid = counts.get(items[50].content_id, 0)
         assert top > 10 * max(mid, 1) / 2  # rank 1 dominates rank 51
@@ -63,21 +63,15 @@ class TestZipf:
 
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError):
-            ZipfWorkload([], random.Random(0))
+            ZipfRankStream(0, random.Random(0))
 
     def test_bad_exponent_rejected(self):
-        catalog = ContentCatalog()
-        items = catalog.populate_synthetic(Name("x.test"), 3, random.Random(0))
         with pytest.raises(ValueError):
-            ZipfWorkload(items, random.Random(0), exponent=0)
+            ZipfRankStream(3, random.Random(0), exponent=0)
 
     def test_deterministic_given_seed(self):
-        catalog = ContentCatalog()
-        items = catalog.populate_synthetic(Name("x.test"), 10, random.Random(0))
-        first = [item.url for item in
-                 ZipfWorkload(items, random.Random(7)).requests(20)]
-        second = [item.url for item in
-                  ZipfWorkload(items, random.Random(7)).requests(20)]
+        first = list(ZipfRankStream(10, random.Random(7)).ranks(20))
+        second = list(ZipfRankStream(10, random.Random(7)).ranks(20))
         assert first == second
 
 

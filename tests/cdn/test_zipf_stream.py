@@ -1,8 +1,8 @@
 """Tests for streaming Zipf sampling (repro.cdn.content.ZipfRankStream).
 
-The rejection sampler replaced the per-item weight and cumulative
-tables, so ``ZipfWorkload`` now runs in O(1) memory over catalogs that
-are never materialized.  These tests pin what must not change: the
+The rejection sampler keeps no per-item weight or cumulative table, so
+it runs in O(1) memory over catalogs that are never materialized.
+These tests pin what must not change: the
 sampled *distribution* (regression against the exact Zipf pmf), the
 rank-frequency slope, and determinism of the stream for a fixed seed.
 """
@@ -13,8 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cdn.content import ContentCatalog, ZipfRankStream, ZipfWorkload
-from repro.dnswire import Name
+from repro.cdn.content import ZipfRankStream
 
 
 def zipf_pmf(n, s):
@@ -137,28 +136,3 @@ class TestInlinedSamplerMatchesTheMethodCallForm:
             [slow.next_rank() for _ in range(10_000)]
         # Same rejections too, not just the same accepted ranks.
         assert fast_rng.getstate() == slow_rng.getstate()
-
-
-class TestWorkloadFacade:
-    @staticmethod
-    def _catalog_items(count):
-        catalog = ContentCatalog()
-        return [catalog.add_object(Name("cdn.test"), f"/obj{index}", 1000)
-                for index in range(count)]
-
-    def test_most_popular_item_is_first(self):
-        items = self._catalog_items(20)
-        workload = ZipfWorkload(items, random.Random(5), exponent=1.0)
-        counts = Counter(item.url for item in workload.requests(8_000))
-        assert counts.most_common(1)[0][0] == items[0].url
-
-    def test_workload_delegates_to_the_stream(self):
-        items = self._catalog_items(30)
-        workload = ZipfWorkload(items, random.Random(99), exponent=0.9)
-        direct = ZipfRankStream(30, random.Random(99), exponent=0.9)
-        expected = [items[rank - 1] for rank in direct.ranks(500)]
-        assert list(workload.requests(500)) == expected
-
-    def test_empty_item_list_rejected(self):
-        with pytest.raises(ValueError):
-            ZipfWorkload([], random.Random(0))

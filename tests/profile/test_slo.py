@@ -69,15 +69,18 @@ ESTIMATE_TELEMETRY_DOC = {
     ],
 }
 
-#: ``(p50, p90, p99, max)`` as ``repro slo`` printed them before the
-#: bucket arithmetic moved into ``repro.telemetry.metrics``.
+#: ``(p50, p90, p99, max)`` as ``repro slo`` prints them.  Window rules
+#: and the histogram fallback read the same full ``DEFAULT_BUCKETS``
+#: layout: the "gap" p50 interpolates inside ``(10, 20]``, not across
+#: the empty buckets below it, and a rank in ``+Inf`` reads the last
+#: finite bound of the layout (5000), not of the occupied buckets.
 PINNED_ESTIMATES = {
-    "gap window total_ms": (13.508771929824562, 38.854014598540154,
+    "gap window total_ms": (16.75438596491228, 38.854014598540154,
                             49.47664233576643, 100.0),
-    "lone window total_ms": (100.0, 180.0, 197.99999999999997, 200.0),
-    "tail window total_ms": (253.84615384615387, 500.0, 500.0, 500.0),
-    "* window total_ms": (14.81203007518797, 49.10218978102189,
-                          477.96153846153885, 500.0),
+    "lone window total_ms": (150.0, 190.0, 199.0, 200.0),
+    "tail window total_ms": (315.38461538461536, 500.0, 5000.0, 5000.0),
+    "* window total_ms": (17.406015037593985, 49.10218978102189,
+                          477.96153846153885, 5000.0),
     "* resolve_ms": (88.70967741935485, 179.68503937007875, 200.0, 200.0),
 }
 

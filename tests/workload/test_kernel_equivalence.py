@@ -6,16 +6,19 @@ touches outside the loop.  None of that may change a single draw: the
 reference below is the loop written the obvious way — one ring pick, one
 ``dns_legs`` call, one ``leg.sample`` and two ``hist.add`` per query,
 nothing remembered — and the production engine must agree with it field
-for field.
+for field.  The reference also states every query as the record tuple
+the kernel hands its observer, so the two are compared query for query
+as well as in aggregate.
 """
 
 import random
 import tracemalloc
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
 from repro import telemetry as telemetry_mod
+from repro.workload import engine
 from repro.cdn.allocation import ConsistentAllocator, HashRing
 from repro.cdn.content import ZipfRankStream
 from repro.measure.histogram import LatencyHistogram
@@ -28,6 +31,7 @@ from repro.workload.deployment import (INTER_SITE_LEG, INTRA_SITE_LEG,
 from repro.workload.engine import (HEAD, DistrictConfig, DistrictStats,
                                    _Router, run_district)
 from repro.workload.mobility import HANDOVER_INTERRUPTION_MS, MobilityModel
+from repro.workload.observer import QueryRecord
 from repro.workload.population import Population
 from repro.workload.sessions import SessionModel
 
@@ -40,6 +44,10 @@ BASE = DistrictConfig(
 
 SAMPLED = TelemetryConfig(trace_sample=0.05, window_ms=60000.0,
                           tail_capacity=16)
+
+#: One session as the kernel hands it over:
+#: ``(ue, session ordinal, home site, records)``.
+Session = Tuple[int, int, int, List[QueryRecord]]
 
 
 class ReferenceRouter:
@@ -72,8 +80,9 @@ class ReferenceRouter:
 
 
 def reference_run_district(config: DistrictConfig, model: DeploymentModel,
-                           seed: int) -> DistrictStats:
-    """``run_district`` without a memo, a bound name or an in-lined draw."""
+                           seed: int) -> Tuple[DistrictStats, List[Session]]:
+    """``run_district`` without a memo, a bound name or an in-lined draw,
+    and every session's query records beside the aggregates."""
     population = Population(config.ues, config.sites, seed)
     arrivals = NhppArrivals(config.sessions_per_ue_hour / 3600.0,
                             DiurnalProfile())
@@ -89,6 +98,7 @@ def reference_run_district(config: DistrictConfig, model: DeploymentModel,
     dns_hist = LatencyHistogram()
     total_hist = LatencyHistogram()
     queries = sessions = active = hits = localized = handovers = 0
+    handed_over: List[Session] = []
     for index in range(config.ues):
         ue = population.user(index)
         rng = population.user_rng(ue)
@@ -102,6 +112,7 @@ def reference_run_district(config: DistrictConfig, model: DeploymentModel,
             placement = mobility.place_session(rng, ue.home_site, requests)
             site = placement.site
             ue_sessions += 1
+            records: List[QueryRecord] = []
             for ordinal in range(requests):
                 interruption = 0.0
                 if ordinal == placement.handover_at:
@@ -121,24 +132,93 @@ def reference_run_district(config: DistrictConfig, model: DeploymentModel,
                 dns_ms = wireless_ms + resolver_ms + interruption
                 fetch_leg = (INTRA_SITE_LEG if served_site == site
                              else INTER_SITE_LEG)
-                latency = dns_ms + 2.0 * fetch_leg.sample(rng)
+                fetch_ms = 2.0 * fetch_leg.sample(rng)
+                latency = dns_ms + fetch_ms
+                origin_ms = 0.0
                 if hit:
                     hits += 1
                 else:
-                    latency += 2.0 * ORIGIN_LEG.sample(rng) + ORIGIN_SERVICE_MS
+                    origin_ms = 2.0 * ORIGIN_LEG.sample(rng) + ORIGIN_SERVICE_MS
+                    latency += origin_ms
                 if served_site == site:
                     localized += 1
                 queries += 1
                 dns_hist.add(dns_ms)
                 total_hist.add(latency)
+                records.append((start, site, served_site, hit, dns_ms,
+                                latency, wireless_ms, resolver_ms,
+                                interruption, fetch_ms, origin_ms))
                 start += session_model.think_time(rng)
+            handed_over.append((index, ue_sessions, ue.home_site, records))
         if ue_sessions:
             active += 1
             sessions += ue_sessions
     return DistrictStats(
         queries=queries, sessions=sessions, active_ues=active, hits=hits,
         localized=localized, handovers=handovers, cache_load=cache_load,
-        dns=dns_hist, total=total_hist)
+        dns=dns_hist, total=total_hist), handed_over
+
+
+class RecordingObserver:
+    """Stands in for the district observer: keeps what the kernel hands
+    over and does nothing with it."""
+
+    def __init__(self, tel: Telemetry, sites: int, deployment: str,
+                 scope: str) -> None:
+        self.sessions: List[Session] = []
+        self.closed: Dict[str, int] = {}
+
+    def session(self, ue: int, ordinal: int, home_site: int,
+                records: List[QueryRecord]) -> None:
+        # The list is the kernel's and is reused for the next session.
+        self.sessions.append((ue, ordinal, home_site, list(records)))
+
+    def close(self, **counters: int) -> None:
+        assert not self.closed, "close() is once per district"
+        self.closed = counters
+
+
+def first_divergence(got: List[Session],
+                     expected: List[Session]) -> Optional[str]:
+    """Name the first session or query the kernel and the reference
+    state differently, or ``None`` when they agree throughout."""
+    for ours, theirs in zip(got, expected):
+        if ours[:3] != theirs[:3]:
+            return f"session {ours[:3]} where the reference has {theirs[:3]}"
+        for query, (mine, reference) in enumerate(zip(ours[3], theirs[3])):
+            if mine != reference:
+                return (f"ue {ours[0]} session {ours[1]} query {query}: "
+                        f"{mine} != {reference}")
+        if len(ours[3]) != len(theirs[3]):
+            return (f"ue {ours[0]} session {ours[1]}: {len(ours[3])} "
+                    f"records, the reference has {len(theirs[3])}")
+    if len(got) != len(expected):
+        return f"{len(got)} sessions, the reference has {len(expected)}"
+    return None
+
+
+def assert_records_rederive(stats: DistrictStats, observer: RecordingObserver,
+                            caches_per_site: int) -> None:
+    """The record stream carries the district's exact counters."""
+    records = [record for session in observer.sessions
+               for record in session[3]]
+    assert len(records) == stats.queries
+    assert sum(record[3] for record in records) == stats.hits
+    assert sum(record[1] == record[2] for record in records) == stats.localized
+    assert sum(record[8] > 0.0 for record in records) == stats.handovers
+    served = [0] * (len(stats.cache_load) // caches_per_site)
+    for record in records:
+        served[record[2]] += 1
+    assert served == [sum(stats.cache_load[at:at + caches_per_site])
+                      for at in range(0, len(stats.cache_load),
+                                      caches_per_site)]
+    assert len(observer.sessions) == stats.sessions
+    assert len({session[0] for session in observer.sessions}) == \
+        stats.active_ues
+    assert observer.closed == {
+        "queries": stats.queries, "hits": stats.hits,
+        "localized": stats.localized, "sessions": stats.sessions,
+        "handovers": stats.handovers}
 
 
 def histogram_fields(hist: LatencyHistogram) -> Tuple[object, ...]:
@@ -187,15 +267,25 @@ class TestRunDistrictMatchesTheReference:
         assert self.CATALOGS[0] < HEAD < self.CATALOGS[-1]
         assert HEAD in self.CATALOGS
 
-    def assert_matches(self, models: Dict[str, DeploymentModel]) -> None:
+    def assert_matches(
+            self, models: Dict[str, DeploymentModel],
+            observers: Optional[List[RecordingObserver]] = None) -> None:
         for config, which, seed in self.grid():
-            expected = reference_run_district(config, models[which], seed)
+            where = (config.allocation, which, config.sites,
+                     config.catalog_size, seed)
+            expected, sessions = reference_run_district(
+                config, models[which], seed)
             assert expected.queries > 100
             got = run_district(config, models[which], seed,
                                scope=f"{which}/{seed}")
-            assert every_field(got) == every_field(expected), \
-                (config.allocation, which, config.sites,
-                 config.catalog_size, seed)
+            assert every_field(got) == every_field(expected), where
+            if observers is not None:
+                observer = observers.pop()
+                assert not observers, "one observer per district"
+                assert first_divergence(observer.sessions,
+                                        sessions) is None, where
+                assert_records_rederive(got, observer,
+                                        config.caches_per_site)
 
     def test_telemetry_off(self, models: Dict[str, DeploymentModel]) -> None:
         self.assert_matches(models)
@@ -206,6 +296,22 @@ class TestRunDistrictMatchesTheReference:
         # The observability block really ran beside the kernel.
         assert len(sampled_telemetry.tail) == SAMPLED.tail_capacity
         assert sampled_telemetry.tracer.finished
+
+    def test_records_match_the_reference(
+            self, models: Dict[str, DeploymentModel],
+            sampled_telemetry: Telemetry,
+            monkeypatch: pytest.MonkeyPatch) -> None:
+        # The kernel builds its observer from the ambient facade; stand
+        # a recorder in for it and compare query for query.
+        observers: List[RecordingObserver] = []
+
+        def recorder(*args: Any) -> RecordingObserver:
+            observers.append(RecordingObserver(*args))
+            return observers[-1]
+
+        monkeypatch.setattr(engine, "_DistrictObserver", recorder)
+        self.assert_matches(models, observers)
+        assert not sampled_telemetry.tracer.finished
 
     def test_tail_ranks_are_exercised(self) -> None:
         # The above-HEAD catalog must actually draw ranks past the memo,

@@ -7,6 +7,7 @@ and the churn run's mislocalization burn-rate alert must fire during
 the propagation gap and clear afterwards.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,29 @@ class TestShardedByteIdentity:
         assert span_tuples(sharded_tel) == span_tuples(serial_tel)
         assert artifact_bytes(sharded_run, sharded_tel) == \
             artifact_bytes(serial_run, serial_tel)
+
+
+class TestTelemetryGolden:
+    """Every telemetry byte of the population fixture, pinned.
+
+    Recorded at the commit before the kernel/observer split
+    (f477b8b).  Covers the engine's windows, sampled session trees and
+    tail exemplars as well as the packet-level spans calibration emits;
+    re-record only for a change that means to move them.
+    """
+
+    ARTIFACT_SHA256 = (
+        "3978a416075eba3015b00017591e6859ec484bbf3b21d796d1b4dc699207131d")
+    SPANS_SHA256 = (
+        "82f4e241f6c03b9b19c7f921ec3a27ed39d76289d0f32ab20fdba166c7cde1b9")
+
+    @pytest.mark.parametrize("which", ["serial", "sharded"])
+    def test_population_telemetry_bytes(self, population_runs, which):
+        run, tel = population_runs[1 if which == "serial" else 2]
+        assert hashlib.sha256(artifact_bytes(run, tel).encode()) \
+            .hexdigest() == self.ARTIFACT_SHA256
+        assert hashlib.sha256(repr(span_tuples(tel)).encode()) \
+            .hexdigest() == self.SPANS_SHA256
 
 
 class TestCapturedShape:
