@@ -16,7 +16,6 @@ from typing import Generator, Optional, Set
 from repro.cdn.content import ContentCatalog, ContentItem
 from repro.cdn.policy import EvictionPolicy, LruPolicy
 from repro.errors import ContentNotFound, QueryTimeout
-from repro.netsim.latency import Constant, LatencyModel
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
@@ -25,6 +24,8 @@ from repro.netsim.socket import UdpSocket
 HTTP_PORT = 80
 #: Upstream fill timeout.
 FILL_TIMEOUT_MS = 10_000.0
+#: Index lookup before a request is served, hit or miss.
+LOOKUP_DELAY_MS = 0.1
 
 
 class CacheStats:
@@ -70,7 +71,6 @@ class CacheServer:
                  policy: Optional[EvictionPolicy] = None,
                  parent: Optional[Endpoint] = None,
                  port: int = HTTP_PORT,
-                 lookup_delay: Optional[LatencyModel] = None,
                  bandwidth_mbps: float = 1000.0,
                  is_origin: bool = False) -> None:
         if capacity_bytes <= 0:
@@ -81,14 +81,12 @@ class CacheServer:
         self.capacity_bytes = capacity_bytes
         self.policy = policy if policy is not None else LruPolicy()
         self.parent = parent
-        self.lookup_delay = lookup_delay or Constant(0.1)
         self.bytes_per_ms = bandwidth_mbps * 125.0  # 1 Mbps = 125 B/ms
         self.is_origin = is_origin
         self.online = True
         self.stats = CacheStats()
         self._stored: Set[str] = set()
         self._used_bytes = 0
-        self._rng = network.streams.stream(f"cache:{host.name}")
         self.sock = UdpSocket(host, port=port)
         self.sock.on_datagram = self._on_request
 
@@ -160,7 +158,7 @@ class CacheServer:
                                     parent=ctx, cache=self.name)
             if span is not None:
                 ctx = span.context
-        yield self.lookup_delay.sample(self._rng)
+        yield LOOKUP_DELAY_MS
         try:
             url = _parse_get(payload)
             item = self.catalog.by_url(url)

@@ -101,7 +101,6 @@ class TrafficRouter(DnsServer):
                  ecs_enabled: bool = False,
                  health_check: Optional[Callable[[CacheServer], bool]] = None,
                  allocation: str = "content",
-                 allocation_epsilon: float = 0.25,
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         check_allocation(allocation)
@@ -114,7 +113,6 @@ class TrafficRouter(DnsServer):
         #: bounded loads, so no cache holds more than
         #: ``ceil((1+eps) * clients / caches)`` users.
         self.allocation = allocation
-        self.allocation_epsilon = allocation_epsilon
         #: Predicate deciding whether a cache is eligible; defaults to the
         #: ground-truth online flag, or wire in a
         #: :class:`repro.cdn.health.HealthMonitor`'s belief instead.
@@ -151,8 +149,7 @@ class TrafficRouter(DnsServer):
         names = [cache.name for cache in zone.caches]
         existing = self._allocators.get(zone.name)
         if existing is None:
-            self._allocators[zone.name] = ConsistentAllocator(
-                names, epsilon=self.allocation_epsilon)
+            self._allocators[zone.name] = ConsistentAllocator(names)
         else:
             existing.set_members(names)
         self._caches_by_name[zone.name] = {

@@ -47,7 +47,7 @@ from repro.control.registry import ZoneRegistry
 #: Where the primary lives and how far away it is (one-way ms, WAN).
 PRIMARY_IP = "203.0.113.80"
 PRIMARY_HOST = "cdn-origin"
-DEFAULT_WAN_ONE_WAY_MS = 23.0
+PRIMARY_WAN_ONE_WAY_MS = 23.0
 
 #: The MEC-local secondary host (cluster LAN, next to the k8s nodes).
 SECONDARY_IP = "10.40.2.40"
@@ -57,7 +57,7 @@ SECONDARY_LAN_ONE_WAY_MS = 0.25
 #: per-query patience.  Short enough that a run-length fault window is
 #: survivable inside one experiment cell.
 DEFAULT_REFRESH_MS = 5000.0
-DEFAULT_SYNC_TIMEOUT_MS = 600.0
+SYNC_TIMEOUT_MS = 600.0
 
 
 class ControlPlane:
@@ -68,9 +68,7 @@ class ControlPlane:
                  notify_delay_ms: float = DEFAULT_NOTIFY_DELAY_MS,
                  retry_delay_ms: float = DEFAULT_RETRY_DELAY_MS,
                  max_retries: int = DEFAULT_MAX_RETRIES,
-                 refresh_ms: float = DEFAULT_REFRESH_MS,
-                 sync_timeout_ms: float = DEFAULT_SYNC_TIMEOUT_MS,
-                 wan_one_way_ms: float = DEFAULT_WAN_ONE_WAY_MS) -> None:
+                 refresh_ms: float = DEFAULT_REFRESH_MS) -> None:
         site = testbed.mec_site
         if site is None:
             raise ValueError(
@@ -85,20 +83,16 @@ class ControlPlane:
                                      journal_depth=journal_depth)
 
         # -- primary at WAN distance ----------------------------------------
-        primary_host = network.add_host(PRIMARY_HOST, PRIMARY_IP)
-        network.add_link(PRIMARY_HOST, testbed.epc.pgw.name,
-                         Constant(wan_one_way_ms),
-                         name=f"link-{PRIMARY_HOST}")
+        primary_host = testbed.epc.add_sgi_host(
+            PRIMARY_HOST, PRIMARY_IP, Constant(PRIMARY_WAN_ONE_WAY_MS))
         self.primary = AuthoritativeServer(
             network, primary_host, [self.registry.zone],
             journal_depth=journal_depth)
 
         # -- MEC-local secondary, pre-seeded with version 1 -----------------
         secondary_name = f"{site.name}-zonesync"
-        secondary_host = network.add_host(secondary_name, SECONDARY_IP)
-        network.add_link(secondary_name, testbed.epc.pgw.name,
-                         Constant(SECONDARY_LAN_ONE_WAY_MS),
-                         name=f"link-{secondary_name}")
+        secondary_host = testbed.epc.add_sgi_host(
+            secondary_name, SECONDARY_IP, Constant(SECONDARY_LAN_ONE_WAY_MS))
         self.secondary_server = AuthoritativeServer(
             network, secondary_host, [self.registry.zone],
             journal_depth=journal_depth)
@@ -106,7 +100,7 @@ class ControlPlane:
             network, self.secondary_server, self.registry.origin,
             Endpoint(PRIMARY_IP, 53), refresh_ms=refresh_ms)
         self.secondary._stub.policy = RetryPolicy(
-            retries=1, timeout_ms=sync_timeout_ms, backoff=1.0)
+            retries=1, timeout_ms=SYNC_TIMEOUT_MS, backoff=1.0)
         self.secondary.start()
 
         # -- propagation + monitoring ---------------------------------------

@@ -20,7 +20,7 @@ third bars.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cdn.content import ContentCatalog
 from repro.cdn.router import CoverageZone, TrafficRouter
@@ -32,7 +32,8 @@ from repro.dnswire.types import RecordType
 from repro.mobile.core import EvolvedPacketCore
 from repro.mobile.profiles import AccessProfile
 from repro.mobile.ue import UserEquipment
-from repro.netsim.latency import Constant, lognormal_from_median_p95
+from repro.netsim.latency import (Constant, LatencyModel,
+                                  lognormal_from_median_p95)
 from repro.netsim.network import Network
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Endpoint
@@ -40,42 +41,9 @@ from repro.netsim.rand import RandomStreams
 from repro.resolver.cache import DnsCache
 from repro.resolver.forwarder import ForwardingResolver
 
-#: The six Figure 5 bars, in paper order.
-DEPLOYMENT_KEYS = (
-    "mec-ldns-mec-cdns",
-    "mec-ldns-lan-cdns",
-    "mec-ldns-wan-cdns",
-    "lan-ldns",
-    "google-dns",
-    "cloudflare-dns",
-)
-
-DEPLOYMENT_LABELS: Dict[str, str] = {
-    "mec-ldns-mec-cdns": "MEC L-DNS w/ MEC C-DNS",
-    "mec-ldns-lan-cdns": "MEC L-DNS w/ LAN C-DNS",
-    "mec-ldns-wan-cdns": "MEC L-DNS w/ WAN C-DNS",
-    "lan-ldns": "LAN L-DNS",
-    "google-dns": "Google DNS",
-    "cloudflare-dns": "Cloudflare DNS",
-}
-
 #: The delivery domain and content name from the paper's prototype (§4).
 CDN_DOMAIN = Name("mycdn.ciab.test")
 QUERY_NAME = Name("video.demo1.mycdn.ciab.test")
-
-
-def _attach_ambient_telemetry(network: Network) -> None:
-    """Wire the ambient telemetry (if any) into a freshly built network.
-
-    ``repro.cli --trace-out/--metrics-out`` installs a default facade;
-    experiments build testbeds through here, so the whole stack reports
-    without every builder growing a telemetry parameter.  A no-op when
-    no default is installed.
-    """
-    from repro import telemetry
-    tel = telemetry.get_default()
-    if tel is not None:
-        tel.attach(network)
 
 #: srsLTE testbed radio profile: ~5 ms one-way UE->eNB with a moderate
 #: tail, so the full UE<->P-GW wireless round trip is ~10 ms, matching
@@ -106,6 +74,52 @@ CLOUDFLARE_DNS_LATENCY = lognormal_from_median_p95(57.0, 86.0, shift=33.0)
 #: Extra per-query processing cost when ECS is enabled (option parsing,
 #: scope computation) at each DNS hop.
 ECS_PROCESSING_OVERHEAD_MS = 0.15
+
+#: The WAN C-DNS address; warmed resolvers name it as their upstream.
+WAN_CDNS_IP = "203.0.113.53"
+
+
+class Placement(NamedTuple):
+    """One deployment: where the C-DNS sits and which resolver the UE asks.
+
+    A host off the P-GW is ``(host name, ip, one-way latency)``.
+    """
+
+    label: str
+    #: The C-DNS outside the k8s cluster (LAN or WAN, as ETSI/3GPP
+    #: propose); ``None`` keeps it in the cluster beside the L-DNS.
+    cdns: Optional[Tuple[str, str, LatencyModel]] = None
+    #: A warmed resolver the UE asks; ``None`` is the MEC L-DNS.
+    resolver: Optional[Tuple[str, str, LatencyModel]] = None
+
+
+#: The six Figure 5 bars, in paper order.
+DEPLOYMENTS: Dict[str, Placement] = {
+    "mec-ldns-mec-cdns": Placement("MEC L-DNS w/ MEC C-DNS"),
+    # The best case of the ETSI/3GPP-style split the paper compares against.
+    "mec-ldns-lan-cdns": Placement("MEC L-DNS w/ LAN C-DNS", cdns=(
+        "lan-cdns", "10.41.0.53", LAN_CDNS_LATENCY)),
+    "mec-ldns-wan-cdns": Placement("MEC L-DNS w/ WAN C-DNS", cdns=(
+        "wan-cdns", WAN_CDNS_IP, WAN_CDNS_LATENCY)),
+    # The operator's L-DNS "connected via LAN behind the core network".
+    "lan-ldns": Placement("LAN L-DNS", resolver=(
+        "carrier-ldns", "172.20.0.53", CARRIER_LDNS_LATENCY)),
+    "google-dns": Placement("Google DNS", resolver=(
+        "google-dns", "8.8.8.8", GOOGLE_DNS_LATENCY)),
+    "cloudflare-dns": Placement("Cloudflare DNS", resolver=(
+        "cloudflare-dns", "1.1.1.1", CLOUDFLARE_DNS_LATENCY)),
+}
+
+DEPLOYMENT_KEYS = tuple(DEPLOYMENTS)
+DEPLOYMENT_LABELS: Dict[str, str] = {
+    key: placement.label for key, placement in DEPLOYMENTS.items()}
+#: The bars resolved through the MEC L-DNS, which asks the C-DNS every
+#: time (client-location-aware), and those a warmed resolver answers
+#: with the one address it has cached (client-blind).
+MEC_DEPLOYMENTS = tuple(key for key, placement in DEPLOYMENTS.items()
+                        if placement.resolver is None)
+WARMED_DEPLOYMENTS = tuple(key for key in DEPLOYMENTS
+                           if key not in MEC_DEPLOYMENTS)
 
 
 class ResilienceConfig(NamedTuple):
@@ -140,11 +154,29 @@ class Testbed(NamedTuple):
     query_name: Name
     #: Host name where the tcpdump-analog trace should attach (the P-GW).
     gateway_host: str
-    #: The MEC site, present for the three MEC L-DNS deployments.
+    #: The MEC site; every Figure 5 deployment builds one.
     mec_site: Optional[MecCdnSite]
+    #: Host name of the C-DNS the MEC L-DNS forwards to.
+    cdns_host: str
+    #: Whether resolution reaches the C-DNS, so is client-location-aware.
+    localized: bool
     #: The address the query must resolve to (the MEC edge cache), used
     #: by the ECS experiment's correctness check where applicable.
     expected_cache_ips: List[str]
+
+
+def _attach_ambient_telemetry(network: Network) -> None:
+    """Wire the ambient telemetry (if any) into a freshly built network.
+
+    ``repro.cli --trace-out/--metrics-out`` installs a default facade;
+    experiments build testbeds through here, so the whole stack reports
+    without every builder growing a telemetry parameter.  A no-op when
+    no default is installed.
+    """
+    from repro import telemetry
+    tel = telemetry.get_default()
+    if tel is not None:
+        tel.attach(network)
 
 
 def build_testbed(deployment: str, seed: int = 0, ecs: bool = False,
@@ -155,9 +187,34 @@ def build_testbed(deployment: str, seed: int = 0, ecs: bool = False,
     ``resilience`` hardens the deployment for fault-injection runs; the
     default ``None`` reproduces the Figure 5 configuration exactly.
     """
-    if deployment not in DEPLOYMENT_KEYS:
+    if deployment not in DEPLOYMENTS:
         raise ValueError(f"unknown deployment {deployment!r}; "
                          f"expected one of {DEPLOYMENT_KEYS}")
+    return _assemble(deployment, DEPLOYMENTS[deployment], seed, ecs, profile,
+                     resilience)
+
+
+def build_custom_cdns_testbed(cdns_one_way_ms: float,
+                              seed: int = 0) -> Testbed:
+    """The MEC-L-DNS testbed with the C-DNS at an arbitrary distance.
+
+    Interpolates between the Figure 5 deployments: ``cdns_one_way_ms`` is
+    the one-way latency from the P-GW to the C-DNS host.  Used by the
+    envelope-sweep experiment to locate where resolution crosses the
+    paper's 20 ms envelope.
+    """
+    if cdns_one_way_ms < 0:
+        raise ValueError("C-DNS distance cannot be negative")
+    placement = Placement(
+        f"MEC L-DNS w/ C-DNS at {cdns_one_way_ms:.1f}ms",
+        cdns=("custom-cdns", WAN_CDNS_IP, Constant(cdns_one_way_ms)))
+    return _assemble(f"custom-cdns-{cdns_one_way_ms}ms", placement, seed)
+
+
+def _assemble(key: str, placement: Placement, seed: int, ecs: bool = False,
+              profile: AccessProfile = TESTBED_LTE,
+              resilience: Optional[ResilienceConfig] = None) -> Testbed:
+    """The LTE testbed with C-DNS and resolver where ``placement`` says."""
     sim = Simulator()
     network = Network(sim, RandomStreams(seed))
     _attach_ambient_telemetry(network)
@@ -189,148 +246,67 @@ def build_testbed(deployment: str, seed: int = 0, ecs: bool = False,
     processing = (Constant(0.4 + ECS_PROCESSING_OVERHEAD_MS) if ecs
                   else Constant(0.4))
 
-    builder = _BUILDERS[deployment]
-    mec_site, dns_target, expected_ips = builder(
-        network, epc, nodes, catalog, ecs, processing, resilience)
-    ue.switch_dns(dns_target)
-    return Testbed(
-        key=deployment,
-        label=DEPLOYMENT_LABELS[deployment],
-        sim=sim, network=network, ue=ue, epc=epc,
-        query_name=QUERY_NAME,
-        gateway_host=epc.gateway_name,
-        mec_site=mec_site,
-        expected_cache_ips=expected_ips)
-
-
-# ---------------------------------------------------------------------------
-# Per-deployment builders
-# ---------------------------------------------------------------------------
-
-def _build_mec_site(network, nodes, catalog, ecs, processing,
-                    resilience=None,
-                    cdns_endpoint_override=None) -> MecCdnSite:
-    kwargs = {}
-    answer_ttl = 0  # ATC-style: route every query, never pin a cache
-    if resilience is not None:
-        answer_ttl = resilience.answer_ttl
-        kwargs = dict(
-            serve_stale=resilience.serve_stale,
-            coredns_upstream_timeout=resilience.coredns_upstream_timeout)
-    return MecCdnSite(
+    # Unhardened is Figure 5 as published: no serve-stale, ATC-style TTL 0
+    # (route every query, never pin a cache), the default upstream wait.
+    hardening = resilience or ResilienceConfig(False, 0, None)
+    external = placement.cdns
+    site = MecCdnSite(
         network, "edge1", nodes, catalog,
         cdn_domain=CDN_DOMAIN,
         client_networks=["10.45.0.0/16", "10.40.0.0/16", "10.233.64.0/18"],
         cache_count=2,
         warm_caches=True,
         ecs_enabled=ecs,
-        answer_ttl=answer_ttl,
+        answer_ttl=hardening.answer_ttl,
         ldns_processing_delay=processing,
         cdns_processing_delay=processing,
-        cdns_endpoint_override=cdns_endpoint_override,
-        **kwargs)
+        cdns_endpoint_override=Endpoint(external[1], 53) if external else None,
+        serve_stale=hardening.serve_stale,
+        coredns_upstream_timeout=hardening.coredns_upstream_timeout)
+    cdns_host = external[0] if external else site.cdns_pod.host.name
+    if external:
+        zone = CoverageZone("all", ["0.0.0.0/0"], site.caches)
+        TrafficRouter(network, epc.add_sgi_host(*external), CDN_DOMAIN,
+                      zones=[zone], answer_ttl=hardening.answer_ttl,
+                      ecs_enabled=ecs, processing_delay=processing)
+
+    dns_target = site.ldns_endpoint
+    expected_ips = [cache.endpoint.ip for cache in site.caches]
+    if placement.resolver is not None:
+        expected_ips = expected_ips[:1]  # the one address it has cached
+        dns_target = _warmed_resolver(
+            epc, placement.resolver, processing, expected_ips[0],
+            hardening.serve_stale).endpoint
+    ue.switch_dns(dns_target)
+    return Testbed(
+        key=key, label=placement.label,
+        sim=sim, network=network, ue=ue, epc=epc,
+        query_name=QUERY_NAME, gateway_host=epc.gateway_name,
+        mec_site=site, cdns_host=cdns_host,
+        localized=placement.resolver is None,
+        expected_cache_ips=expected_ips)
 
 
-def _external_cdns(network, host_name, ip, link_to, latency, caches, ecs,
-                   processing, answer_ttl=0) -> TrafficRouter:
-    """A C-DNS outside the cluster (LAN or WAN), as ETSI/3GPP propose."""
-    host = network.add_host(host_name, ip)
-    network.add_link(host_name, link_to, latency, name=f"link-{host_name}")
-    zone = CoverageZone("all", ["0.0.0.0/0"], caches)
-    return TrafficRouter(network, host, CDN_DOMAIN, zones=[zone],
-                         answer_ttl=answer_ttl, ecs_enabled=ecs,
-                         processing_delay=processing)
-
-
-def _deploy_mec_mec(network, epc, nodes, catalog, ecs, processing,
-                    resilience=None):
-    site = _build_mec_site(network, nodes, catalog, ecs, processing,
-                           resilience)
-    return site, site.ldns_endpoint, [c.endpoint.ip for c in site.caches]
-
-
-def _deploy_mec_lan(network, epc, nodes, catalog, ecs, processing,
-                    resilience=None):
-    # L-DNS at MEC, C-DNS outside the k8s cluster on the same LAN: the
-    # best case of the ETSI/3GPP-style split the paper compares against.
-    site = _build_mec_site(network, nodes, catalog, ecs, processing,
-                           resilience,
-                           cdns_endpoint_override=Endpoint("10.41.0.53", 53))
-    _external_cdns(network, "lan-cdns", "10.41.0.53", epc.pgw.name,
-                   LAN_CDNS_LATENCY, site.caches, ecs, processing,
-                   answer_ttl=0 if resilience is None
-                   else resilience.answer_ttl)
-    return site, site.ldns_endpoint, [c.endpoint.ip for c in site.caches]
-
-
-def _deploy_mec_wan(network, epc, nodes, catalog, ecs, processing,
-                    resilience=None):
-    site = _build_mec_site(network, nodes, catalog, ecs, processing,
-                           resilience,
-                           cdns_endpoint_override=Endpoint("203.0.113.53", 53))
-    _external_cdns(network, "wan-cdns", "203.0.113.53", epc.pgw.name,
-                   WAN_CDNS_LATENCY, site.caches, ecs, processing,
-                   answer_ttl=0 if resilience is None
-                   else resilience.answer_ttl)
-    return site, site.ldns_endpoint, [c.endpoint.ip for c in site.caches]
-
-
-def _warmed_resolver(network, host_name, ip, link_to, latency, processing,
-                     cache_answer_ip, resilience=None) -> ForwardingResolver:
+def _warmed_resolver(epc: EvolvedPacketCore,
+                     at: Tuple[str, str, LatencyModel],
+                     processing: LatencyModel, cache_answer_ip: str,
+                     serve_stale: bool) -> ForwardingResolver:
     """A resolver with the CDN A record already cached.
 
     Models the paper's observation that for established CDN domains "the
     A records TTL never expires at L-DNS": the measured latency is the
     path to the resolver plus its lookup, with no upstream traversal.
     """
-    host = network.add_host(host_name, ip)
-    network.add_link(host_name, link_to, latency, name=f"link-{host_name}")
-    cache = DnsCache(serve_stale=resilience is not None
-                     and resilience.serve_stale)
+    cache = DnsCache(serve_stale=serve_stale)
     cache.put_records(
         [ResourceRecord(QUERY_NAME, RecordType.A, 86400, A(cache_answer_ip))],
         now=0.0)
-    return ForwardingResolver(network, host,
-                              upstreams=[Endpoint("203.0.113.53", 53)],
+    return ForwardingResolver(epc.network, epc.add_sgi_host(*at),
+                              upstreams=[Endpoint(WAN_CDNS_IP, 53)],
                               cache=cache, processing_delay=processing)
 
 
-def _deploy_lan_ldns(network, epc, nodes, catalog, ecs, processing,
-                     resilience=None):
-    # The operator's L-DNS "connected via LAN behind the core network".
-    site = _build_mec_site(network, nodes, catalog, ecs, processing,
-                           resilience)
-    cache_ip = site.caches[0].endpoint.ip
-    resolver = _warmed_resolver(network, "carrier-ldns", "172.20.0.53",
-                                epc.pgw.name, CARRIER_LDNS_LATENCY,
-                                processing, cache_ip, resilience)
-    return site, resolver.endpoint, [cache_ip]
-
-
-def _deploy_google(network, epc, nodes, catalog, ecs, processing,
-                   resilience=None):
-    site = _build_mec_site(network, nodes, catalog, ecs, processing,
-                           resilience)
-    cache_ip = site.caches[0].endpoint.ip
-    resolver = _warmed_resolver(network, "google-dns", "8.8.8.8",
-                                epc.pgw.name, GOOGLE_DNS_LATENCY,
-                                processing, cache_ip, resilience)
-    return site, resolver.endpoint, [cache_ip]
-
-
-def _deploy_cloudflare(network, epc, nodes, catalog, ecs, processing,
-                       resilience=None):
-    site = _build_mec_site(network, nodes, catalog, ecs, processing,
-                           resilience)
-    cache_ip = site.caches[0].endpoint.ip
-    resolver = _warmed_resolver(network, "cloudflare-dns", "1.1.1.1",
-                                epc.pgw.name, CLOUDFLARE_DNS_LATENCY,
-                                processing, cache_ip, resilience)
-    return site, resolver.endpoint, [cache_ip]
-
-
-def add_provider_ldns(testbed: Testbed, ip: str = "172.21.0.53",
-                      serve_stale: bool = False) -> ForwardingResolver:
+def add_provider_ldns(testbed: Testbed) -> ForwardingResolver:
     """Attach the carrier's L-DNS behind the core as a fallback target.
 
     §3's mitigation — "have DNS requests ... be forwarded to L-DNS on
@@ -339,69 +315,6 @@ def add_provider_ldns(testbed: Testbed, ip: str = "172.21.0.53",
     a warmed resolver (the paper's never-expiring CDN A record) hanging
     off the P-GW at carrier-L-DNS distance.
     """
-    resolver = _warmed_resolver(
-        testbed.network, "provider-ldns", ip, testbed.epc.pgw.name,
-        CARRIER_LDNS_LATENCY, Constant(0.4),
-        testbed.expected_cache_ips[0],
-        ResilienceConfig(serve_stale=serve_stale) if serve_stale else None)
-    return resolver
-
-
-def build_custom_cdns_testbed(cdns_one_way_ms: float, seed: int = 0,
-                              ecs: bool = False,
-                              profile: AccessProfile = TESTBED_LTE) -> Testbed:
-    """The MEC-L-DNS testbed with the C-DNS at an arbitrary distance.
-
-    Interpolates between the Figure 5 deployments: ``cdns_one_way_ms`` is
-    the one-way latency from the P-GW to the C-DNS host.  Used by the
-    envelope-sweep experiment to locate where resolution crosses the
-    paper's 20 ms envelope.
-    """
-    if cdns_one_way_ms < 0:
-        raise ValueError("C-DNS distance cannot be negative")
-    sim = Simulator()
-    network = Network(sim, RandomStreams(seed))
-    _attach_ambient_telemetry(network)
-    epc = EvolvedPacketCore(
-        network, "lte", profile,
-        sgw_ip="10.40.0.2", pgw_ip="10.40.0.1",
-        public_ips=["198.51.100.1"])
-    enb = epc.add_base_station("enb-1", "10.40.1.1")
-    ue = UserEquipment(network, "ue-1", "10.45.0.2")
-    enb.attach(ue)
-    nodes = []
-    for index in range(3):
-        node = network.add_host(f"mec-node-{index}", f"10.40.2.{10 + index}")
-        network.add_link(node.name, epc.pgw.name, Constant(0.25),
-                         name=f"mec-lan-{index}")
-        nodes.append(node)
-    for a, b in ((0, 1), (1, 2)):
-        network.add_link(nodes[a].name, nodes[b].name, Constant(0.2),
-                         name=f"mec-fabric-{a}{b}")
-    catalog = ContentCatalog()
-    catalog.add_object(QUERY_NAME, "/seg1.ts", 500_000)
-    processing = (Constant(0.4 + ECS_PROCESSING_OVERHEAD_MS) if ecs
-                  else Constant(0.4))
-    site = _build_mec_site(network, nodes, catalog, ecs, processing,
-                           cdns_endpoint_override=Endpoint("203.0.113.53", 53))
-    _external_cdns(network, "custom-cdns", "203.0.113.53", epc.pgw.name,
-                   Constant(cdns_one_way_ms), site.caches, ecs, processing)
-    ue.switch_dns(site.ldns_endpoint)
-    return Testbed(
-        key=f"custom-cdns-{cdns_one_way_ms}ms",
-        label=f"MEC L-DNS w/ C-DNS at {cdns_one_way_ms:.1f}ms",
-        sim=sim, network=network, ue=ue, epc=epc,
-        query_name=QUERY_NAME,
-        gateway_host=epc.gateway_name,
-        mec_site=site,
-        expected_cache_ips=[cache.endpoint.ip for cache in site.caches])
-
-
-_BUILDERS = {
-    "mec-ldns-mec-cdns": _deploy_mec_mec,
-    "mec-ldns-lan-cdns": _deploy_mec_lan,
-    "mec-ldns-wan-cdns": _deploy_mec_wan,
-    "lan-ldns": _deploy_lan_ldns,
-    "google-dns": _deploy_google,
-    "cloudflare-dns": _deploy_cloudflare,
-}
+    return _warmed_resolver(
+        testbed.epc, ("provider-ldns", "172.21.0.53", CARRIER_LDNS_LATENCY),
+        Constant(0.4), testbed.expected_cache_ips[0], serve_stale=False)

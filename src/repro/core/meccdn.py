@@ -51,7 +51,6 @@ class MecCdnSite:
                  warm_caches: bool = True,
                  ecs_enabled: bool = False,
                  answer_ttl: int = 0,
-                 enable_coredns_cache: bool = True,
                  namespace_policy: NamespacePolicy = NamespacePolicy.REFUSE,
                  next_tier_cdns: Optional[str] = None,
                  cdns_endpoint_override: Optional[Endpoint] = None,
@@ -116,7 +115,6 @@ class MecCdnSite:
         self._coredns_config = {
             "stub_domains": {cdn_domain: cdns_target},
             "upstream": upstream_ldns,
-            "enable_cache": enable_coredns_cache,
             "processing_delay": ldns_processing_delay,
             "ecs_inject": ecs_enabled,
             "serve_stale": serve_stale,
@@ -154,7 +152,6 @@ class MecCdnSite:
             self.network, pod.host, self.orchestrator,
             stub_domains=config["stub_domains"],
             upstream=config["upstream"],
-            enable_cache=config["enable_cache"],
             front_plugins=[self.split_namespace],
             forward_ecs=True,
             ecs_inject=config["ecs_inject"],

@@ -50,12 +50,10 @@ class TieredResolution(NamedTuple):
 class EdgeAwareClient:
     """Resolves CDN names across tiers, starting from the MEC L-DNS."""
 
-    def __init__(self, network: Network, host: Host, ldns: Endpoint,
-                 max_referrals: int = DEFAULT_MAX_REFERRALS) -> None:
+    def __init__(self, network: Network, host: Host, ldns: Endpoint) -> None:
         self.network = network
         self.host = host
         self.ldns = ldns
-        self.max_referrals = max_referrals
         self.stub = StubResolver(network, host, ldns)
         self.resolutions = 0
         self.referrals_followed = 0
@@ -65,7 +63,7 @@ class EdgeAwareClient:
         """Process returning a :class:`TieredResolution`.
 
         Raises :class:`~repro.errors.ResolutionError` if the referral
-        chain exceeds ``max_referrals`` (a routing loop or a
+        chain exceeds ``DEFAULT_MAX_REFERRALS`` (a routing loop or a
         mis-configured tier stack).
         """
         started = self.network.sim.now
@@ -108,11 +106,11 @@ class EdgeAwareClient:
                     latency_ms=self.network.sim.now - started)
             referrals += 1
             self.referrals_followed += 1
-            if referrals > self.max_referrals:
+            if referrals > DEFAULT_MAX_REFERRALS:
                 if tel is not None:
                     tel.tracer.end(span, status="REFERRAL-LOOP",
                                    referrals=referrals)
                 raise ResolutionError(
                     f"C-DNS referral chain for {name} exceeded "
-                    f"{self.max_referrals} hops: {servers}")
+                    f"{DEFAULT_MAX_REFERRALS} hops: {servers}")
             target = Endpoint(result.addresses[0], 53)

@@ -120,11 +120,6 @@ class AccessLatencyExperiment(Experiment):
 EXPERIMENT = AccessLatencyExperiment()
 
 
-def run(rounds: int = DEFAULT_ROUNDS, seed: int = 42) -> AccessLatencyResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(rounds=rounds, seed=seed)
-
-
 def check_shape(result: AccessLatencyResult) -> List[str]:
     """Violated claims (empty = all hold)."""
     violations: List[str] = []

@@ -11,7 +11,7 @@ loss beyond it.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 from repro.dnswire.message import ResourceRecord
 from repro.dnswire.name import Name
@@ -128,14 +128,6 @@ class CapacityExperiment(Experiment):
 
 
 EXPERIMENT = CapacityExperiment()
-
-
-def run(rates: Sequence[float] = DEFAULT_RATES,
-        duration_ms: float = DEFAULT_DURATION_MS,
-        seed: int = 0) -> CapacityResult:
-    """Run the load sweep; each rate gets a fresh server (no carryover)."""
-    return EXPERIMENT.run_serial(rates=tuple(rates),
-                                 duration_ms=duration_ms, seed=seed)
 
 
 def check_shape(result: CapacityResult) -> List[str]:

@@ -45,8 +45,8 @@ from typing import Dict, Generator, List, NamedTuple, Tuple
 
 from repro.control import ControlPlane, default_schedule
 from repro.control.plane import PRIMARY_HOST
-from repro.core.deployments import (DEPLOYMENT_KEYS, ResilienceConfig,
-                                    Testbed, build_testbed)
+from repro.core.deployments import (DEPLOYMENT_KEYS, WARMED_DEPLOYMENTS,
+                                    ResilienceConfig, Testbed, build_testbed)
 from repro.errors import QueryTimeout, WireFormatError
 from repro.experiments.report import format_table
 from repro.experiments.resilience import (DEADLINE_MS, MODES, SPACING_MS,
@@ -77,7 +77,6 @@ BROWNOUT_DURATION_MS = 6000.0
 
 FAULT_SCENARIOS = ("cdns-crash", "mec-partition", "origin-brownout")
 FAULT_DEPLOYMENT = "mec-ldns-mec-cdns"
-WARMED_DEPLOYMENTS = ("lan-ldns", "google-dns", "cloudflare-dns")
 
 
 class ChurnRow(NamedTuple):
@@ -157,9 +156,7 @@ def _fault_plan(scenario: str, testbed: Testbed,
     if scenario == "churn-only":
         return plan
     if scenario == "cdns-crash":
-        assert testbed.mec_site is not None
-        plan.crash_host(testbed.mec_site.cdns_pod.host.name,
-                        FAULT_AT_MS, CRASH_DURATION_MS)
+        plan.crash_host(testbed.cdns_host, FAULT_AT_MS, CRASH_DURATION_MS)
         plan.crash_host(PRIMARY_HOST, FAULT_AT_MS, CRASH_DURATION_MS)
         return plan
     if scenario == "mec-partition":
@@ -344,11 +341,6 @@ class ChurnExperiment(Experiment):
 
 
 EXPERIMENT = ChurnExperiment()
-
-
-def run(queries: int = DEFAULT_QUERIES, seed: int = 42) -> ChurnResult:
-    """Run the full churn grid serially."""
-    return EXPERIMENT.run_serial(queries=queries, seed=seed)
 
 
 def check_shape(result: ChurnResult) -> List[str]:

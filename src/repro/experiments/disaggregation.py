@@ -166,11 +166,6 @@ class DisaggregationExperiment(Experiment):
 EXPERIMENT = DisaggregationExperiment()
 
 
-def run(requests: int = DEFAULT_REQUESTS, seed: int = 0) -> DisaggregationResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(requests=requests, seed=seed)
-
-
 def check_shape(result: DisaggregationResult) -> List[str]:
     """Violated claims (empty = all hold)."""
     violations: List[str] = []

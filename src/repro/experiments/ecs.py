@@ -7,7 +7,7 @@ first three deployment scenarios above.  ECS changed the measurements by
 query was always correctly resolved to the appropriate CDN cache server
 at the MEC."
 
-``run`` measures each deployment with and without ECS (same seed and
+Each trial measures one deployment with and without ECS (same seed and
 query count) and reports the ratio plus the correctness check.
 """
 
@@ -15,18 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple
 
-from repro.core.deployments import DEPLOYMENT_LABELS, build_testbed
+from repro.core.deployments import (DEPLOYMENT_LABELS, MEC_DEPLOYMENTS,
+                                    build_testbed)
 from repro.experiments.report import format_table
 from repro.measure.runner import measure_deployment_queries
 from repro.measure.stats import summarize
 from repro.runtime import Experiment, Param
-
-#: The three deployments the paper evaluates ECS on.
-ECS_DEPLOYMENTS = (
-    "mec-ldns-mec-cdns",
-    "mec-ldns-lan-cdns",
-    "mec-ldns-wan-cdns",
-)
 
 #: The published ratios, same order.
 PAPER_RATIOS: Dict[str, float] = {
@@ -71,7 +65,9 @@ class EcsResult(NamedTuple):
 
 
 class EcsExperiment(Experiment):
-    """One trial per deployment; each measures with and without ECS.
+    """One trial per MEC L-DNS deployment (the paper's "first three",
+    where L-DNS and C-DNS are ours to enable ECS on); each measures with
+    and without ECS.
 
     The pair shares one cell (same seed, same query count) because the
     ratio is only meaningful between testbeds built identically — the
@@ -86,7 +82,7 @@ class EcsExperiment(Experiment):
     def trials(self, params):
         return [self.spec(index, seed=int(params["seed"]), key=key,
                           queries=int(params["queries"]))
-                for index, key in enumerate(ECS_DEPLOYMENTS)]
+                for index, key in enumerate(MEC_DEPLOYMENTS)]
 
     def run_trial(self, spec):
         key = str(spec.value("key"))
@@ -119,11 +115,6 @@ class EcsExperiment(Experiment):
 
 
 EXPERIMENT = EcsExperiment()
-
-
-def run(queries: int = 40, seed: int = 42) -> EcsResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(queries=queries, seed=seed)
 
 
 def check_shape(result: EcsResult) -> List[str]:

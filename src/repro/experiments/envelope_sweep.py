@@ -15,7 +15,7 @@ region is only a few milliseconds wide.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 from repro.core.deployments import build_custom_cdns_testbed
 from repro.experiments.report import format_table
@@ -25,7 +25,6 @@ from repro.runtime import Experiment, Param
 
 ENVELOPE_MS = 20.0
 DEFAULT_DISTANCES = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 30.0)
-DEFAULT_QUERIES = 15
 
 
 class SweepPoint(NamedTuple):
@@ -93,14 +92,6 @@ class EnvelopeSweepExperiment(Experiment):
 
 
 EXPERIMENT = EnvelopeSweepExperiment()
-
-
-def run(distances: Sequence[float] = DEFAULT_DISTANCES,
-        queries: int = DEFAULT_QUERIES,
-        seed: int = 42) -> EnvelopeSweepResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(distances=tuple(distances),
-                                 queries=queries, seed=seed)
 
 
 def _crossover(points: List[SweepPoint]) -> Optional[float]:

@@ -22,9 +22,6 @@ from repro.experiments.report import format_table
 from repro.measure.stats import SummaryStats, summarize
 from repro.runtime import Experiment, Param, derive_seed
 
-#: Matches the paper's "at least 12 tests" with margin.
-DEFAULT_TRIALS = 25
-
 
 class Figure2Row(NamedTuple):
     site: str
@@ -88,6 +85,7 @@ class Figure2Experiment(Experiment):
 
     name = "figure2"
     title = "Figure 2: DNS lookup latency per CDN domain and access network"
+    # 25 matches the paper's "at least 12 tests" with margin.
     params = (Param("trials", int, 25, "tests per bar"),
               Param("seed", int, 42, "base RNG seed"))
 
@@ -123,11 +121,6 @@ class Figure2Experiment(Experiment):
 
 
 EXPERIMENT = Figure2Experiment()
-
-
-def run(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Figure2Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(trials=trials, seed=seed)
 
 
 def check_shape(result: Figure2Result) -> List[str]:

@@ -21,8 +21,6 @@ from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_bar, format_table
 from repro.runtime import Experiment, Param, derive_seed
 
-DEFAULT_TRIALS = 40
-
 
 class Figure3Row(NamedTuple):
     site: str
@@ -124,11 +122,6 @@ class Figure3Experiment(Experiment):
 
 
 EXPERIMENT = Figure3Experiment()
-
-
-def run(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Figure3Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(trials=trials, seed=seed)
 
 
 def check_shape(result: Figure3Result) -> List[str]:

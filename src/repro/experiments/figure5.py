@@ -15,14 +15,14 @@ from typing import Dict, List, NamedTuple
 from repro.core.deployments import (
     DEPLOYMENT_KEYS,
     DEPLOYMENT_LABELS,
+    MEC_DEPLOYMENTS,
+    WARMED_DEPLOYMENTS,
     build_testbed,
 )
 from repro.experiments.report import format_table
 from repro.measure.runner import measure_deployment_queries
 from repro.measure.stats import SummaryStats, summarize
 from repro.runtime import Experiment, Param
-
-DEFAULT_QUERIES = 40
 
 #: Mean lookup latency per bar as published (ms).
 PAPER_MEANS: Dict[str, float] = {
@@ -153,18 +153,11 @@ class Figure5Experiment(Experiment):
 EXPERIMENT = Figure5Experiment()
 
 
-def run(queries: int = DEFAULT_QUERIES, seed: int = 42,
-        ecs: bool = False) -> Figure5Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(queries=queries, seed=seed, ecs=ecs)
-
-
 def check_shape(result: Figure5Result) -> List[str]:
     """Violated Figure 5 claims (empty = all hold)."""
     violations: List[str] = []
     means = result.means()
-    order = ["mec-ldns-mec-cdns", "mec-ldns-lan-cdns", "mec-ldns-wan-cdns"]
-    for earlier, later in zip(order, order[1:]):
+    for earlier, later in zip(MEC_DEPLOYMENTS, MEC_DEPLOYMENTS[1:]):
         if not means[earlier] < means[later]:
             violations.append(f"{earlier} not faster than {later}")
     for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
@@ -178,9 +171,8 @@ def check_shape(result: Figure5Result) -> List[str]:
     gap = means["mec-ldns-lan-cdns"] - means["mec-ldns-mec-cdns"]
     if not 3 <= gap <= 8:
         violations.append(f"MEC vs LAN C-DNS gap {gap:.1f}ms not ~5ms")
-    speedup = max(means[k] for k in ("lan-ldns", "google-dns",
-                                     "cloudflare-dns")) / \
-        means["mec-ldns-mec-cdns"]
+    speedup = (max(means[key] for key in WARMED_DEPLOYMENTS)
+               / means["mec-ldns-mec-cdns"])
     if speedup < 7.5:
         violations.append(f"best-case speedup {speedup:.1f}x below ~9x")
     mec_row = result.row("mec-ldns-mec-cdns")

@@ -50,7 +50,6 @@ VISIBLE_ADDRESS = {
     "cellular-mobile": "198.51.100.9",
 }
 
-DEFAULT_TRIALS = 30
 #: GeoIP samples per connectivity for the localization-error estimate.
 GEOIP_SAMPLES = 200
 
@@ -200,11 +199,6 @@ class MislocalizationExperiment(Experiment):
 
 
 EXPERIMENT = MislocalizationExperiment()
-
-
-def run(trials: int = DEFAULT_TRIALS, seed: int = 0) -> MislocalizationResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(trials=trials, seed=seed)
 
 
 def check_shape(result: MislocalizationResult) -> List[str]:

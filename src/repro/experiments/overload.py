@@ -215,11 +215,6 @@ class OverloadExperiment(Experiment):
 EXPERIMENT = OverloadExperiment()
 
 
-def run(attack_qps: float = 1500.0, seed: int = 0) -> OverloadResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(attack_qps=attack_qps, seed=seed)
-
-
 def check_shape(result: OverloadResult) -> List[str]:
     """Violated claims (empty = all hold)."""
     violations: List[str] = []

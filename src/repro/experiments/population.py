@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.cdn.allocation import check_allocation
-from repro.core.deployments import DEPLOYMENT_KEYS, DEPLOYMENT_LABELS
+from repro.core.deployments import (DEPLOYMENT_KEYS, DEPLOYMENT_LABELS,
+                                    MEC_DEPLOYMENTS)
 from repro.experiments.report import format_table
 from repro.measure.histogram import HistogramSummary, LatencyHistogram
 from repro.runtime import Experiment, Param
@@ -271,13 +272,6 @@ class PopulationExperiment(Experiment):
 EXPERIMENT = PopulationExperiment()
 
 
-def run(**overrides: object) -> PopulationResult:
-    """Run the experiment and return its structured result."""
-    result = EXPERIMENT.run_serial(**overrides)
-    assert isinstance(result, PopulationResult)
-    return result
-
-
 #: Minimum merged queries per row before the statistical claims below
 #: are asserted; tiny smoke runs still check the structural ones.
 SHAPE_MIN_QUERIES = 2_000
@@ -312,8 +306,7 @@ def check_shape(result: PopulationResult) -> List[str]:
         row = by_key.get(key)
         return row.dns.p50 if row is not None and row.queries else None
 
-    order = ["mec-ldns-mec-cdns", "mec-ldns-lan-cdns", "mec-ldns-wan-cdns"]
-    present = [key for key in order if dns_p50(key) is not None]
+    present = [key for key in MEC_DEPLOYMENTS if dns_p50(key) is not None]
     for earlier, later in zip(present, present[1:]):
         early_p50, late_p50 = dns_p50(earlier), dns_p50(later)
         assert early_p50 is not None and late_p50 is not None

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, NamedTuple, Tuple
 
-from repro.core.deployments import (DEPLOYMENT_KEYS, ResilienceConfig,
+from repro.core.deployments import (DEPLOYMENT_KEYS, MEC_DEPLOYMENTS,
+                                    WARMED_DEPLOYMENTS, ResilienceConfig,
                                     Testbed, add_provider_ldns, build_testbed)
 from repro.core.fallback import FallbackClient
 from repro.errors import QueryTimeout
@@ -42,9 +43,6 @@ from repro.measure.stats import percentile
 from repro.resolver.retry import RetryPolicy
 from repro.resolver.stub import StubResolver
 from repro.runtime import Experiment, Param
-
-#: Measured lookups per cell (after warmup).
-DEFAULT_QUERIES = 40
 
 #: A lookup is "available" only if it returned addresses within this
 #: deadline: past it, a streaming client has already rebuffered.
@@ -64,15 +62,6 @@ BURST_P_ENTER = 0.06
 BURST_P_EXIT = 0.25
 BURST_BAD_LOSS = 0.95
 BURST_GOOD_LOSS = 0.02
-
-#: Which host dies in the ``cdns-crash`` scenario.  The warmed-resolver
-#: deployments have no C-DNS in the measured path (the A record "never
-#: expires at L-DNS"), so there is nothing to crash: their immunity is
-#: the experiment's control group, not an omission.
-_CRASH_HOSTS = {
-    "mec-ldns-lan-cdns": "lan-cdns",
-    "mec-ldns-wan-cdns": "wan-cdns",
-}
 
 MODES = ("baseline", "resilient")
 SCENARIOS = ("cdns-crash", "mec-partition", "lte-burst-loss")
@@ -192,22 +181,18 @@ def _crash_cell(deployment: str, mode: str, queries: int,
     resilience = ResilienceConfig() if mode == "resilient" else None
     testbed = build_testbed(deployment, seed=seed, resilience=resilience)
     plan = FaultPlan()
-    target = _crash_target(testbed)
-    if target is not None:
-        plan.crash_host(target, FAULT_AT_MS, FAULT_DURATION_MS)
+    # The warmed-resolver deployments have no C-DNS in the measured path
+    # (the A record "never expires at L-DNS"), so there is nothing to
+    # crash: their immunity is the experiment's control group, not an
+    # omission.
+    if testbed.localized:
+        plan.crash_host(testbed.cdns_host, FAULT_AT_MS, FAULT_DURATION_MS)
     injector = inject(testbed.network, plan)
     run = measure_deployment_run(testbed, queries, spacing_ms=SPACING_MS,
                                  warmup=WARMUP_QUERIES,
                                  stub=client_stub(testbed, mode))
     row = _row_from_run("cdns-crash", deployment, mode, run)
     return row, injector.timeline, _digest(injector.timeline, run)
-
-
-def _crash_target(testbed: Testbed) -> str:
-    """The C-DNS host in this deployment's resolution path, if any."""
-    if testbed.key == "mec-ldns-mec-cdns":
-        return testbed.mec_site.cdns_pod.host.name
-    return _CRASH_HOSTS.get(testbed.key)
 
 
 def cluster_host_names(testbed: Testbed) -> List[str]:
@@ -314,7 +299,8 @@ class ResilienceExperiment(Experiment):
 
     name = "resilience"
     title = "§3 chaos grid: the deployments under injected faults"
-    params = (Param("queries", int, 40, "measured lookups per cell"),
+    params = (Param("queries", int, 40,
+                    "measured lookups per cell (after warmup)"),
               Param("seed", int, 42, "base RNG seed"))
 
     def trials(self, params):
@@ -394,11 +380,6 @@ class ResilienceExperiment(Experiment):
 EXPERIMENT = ResilienceExperiment()
 
 
-def run(queries: int = DEFAULT_QUERIES, seed: int = 42) -> ResilienceResult:
-    """Replay the three fault scenarios over baseline/resilient cells."""
-    return EXPERIMENT.run_serial(queries=queries, seed=seed)
-
-
 def check_shape(result: ResilienceResult) -> List[str]:
     """Shape claims the chaos grid must satisfy; violations returned."""
     claims: List[str] = []
@@ -407,8 +388,7 @@ def check_shape(result: ResilienceResult) -> List[str]:
         claims.append(text)
 
     # -- cdns-crash ---------------------------------------------------------
-    mec_keys = ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns", "mec-ldns-wan-cdns")
-    for key in mec_keys:
+    for key in MEC_DEPLOYMENTS:
         base = result.row("cdns-crash", key, "baseline")
         hard = result.row("cdns-crash", key, "resilient")
         if base.availability >= 0.85:
@@ -422,7 +402,7 @@ def check_shape(result: ResilienceResult) -> List[str]:
         if hard.p95_ms > DEADLINE_MS:
             fail(f"resilient {key} p95 {hard.p95_ms:.1f} ms should stay "
                  f"inside the {DEADLINE_MS:.0f} ms deadline")
-    for key in ("lan-ldns", "google-dns", "cloudflare-dns"):
+    for key in WARMED_DEPLOYMENTS:
         base = result.row("cdns-crash", key, "baseline")
         if base.availability < 0.99:
             fail(f"warmed-resolver {key} should be immune to a C-DNS "

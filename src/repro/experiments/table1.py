@@ -1,6 +1,6 @@
 """Table 1: the five travel sites and the CDN domain tested for each.
 
-The table itself is data (it names the measurement targets); ``run``
+The table itself is data (it names the measurement targets); the trial
 re-derives it from the provider models and verifies the domains are the
 ones used by the Figure 2/3 experiments.
 """
@@ -57,8 +57,3 @@ class Table1Experiment(Experiment):
 
 
 EXPERIMENT = Table1Experiment()
-
-
-def run() -> Table1Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial()

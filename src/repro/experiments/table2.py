@@ -1,6 +1,6 @@
 """Table 2: entities and roles in the MEC-CDN ecosystem.
 
-Beyond reprinting the table, ``run`` exercises the paper's Q3 point that
+Beyond reprinting the table, the trial exercises the paper's Q3 point that
 one entity can hold several roles (e.g. Verizon as cellular + DNS + CDN
 provider via Edgecast/Verizon Media), by checking the role registry
 against the provider models used elsewhere in the reproduction.
@@ -103,8 +103,3 @@ class Table2Experiment(Experiment):
 
 
 EXPERIMENT = Table2Experiment()
-
-
-def run() -> Table2Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial()

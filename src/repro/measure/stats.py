@@ -15,13 +15,17 @@ from typing import List, NamedTuple, Sequence
 from repro.telemetry.metrics import percentile
 
 
-def trimmed(values: Sequence[float], low_pct: float = 8.0,
-            high_pct: float = 92.0) -> List[float]:
-    """Values within the [low_pct, high_pct] percentile window."""
+#: The paper's trimming window, in percentiles.
+TRIM_LOW_PCT = 8.0
+TRIM_HIGH_PCT = 92.0
+
+
+def trimmed(values: Sequence[float]) -> List[float]:
+    """Values within the 8th-92nd percentile window."""
     if not values:
         return []
-    low_cut = percentile(values, low_pct)
-    high_cut = percentile(values, high_pct)
+    low_cut = percentile(values, TRIM_LOW_PCT)
+    high_cut = percentile(values, TRIM_HIGH_PCT)
     return [value for value in values if low_cut <= value <= high_cut]
 
 
@@ -44,12 +48,11 @@ class SummaryStats(NamedTuple):
                 f"p99={self.p99:.1f}")
 
 
-def summarize(values: Sequence[float], trim: bool = True,
-              low_pct: float = 8.0, high_pct: float = 92.0) -> SummaryStats:
+def summarize(values: Sequence[float], trim: bool = True) -> SummaryStats:
     """Paper-style summary: trimmed central stats, untrimmed extremes."""
     if not values:
         raise ValueError("cannot summarize an empty sample")
-    central = trimmed(values, low_pct, high_pct) if trim else list(values)
+    central = trimmed(values) if trim else list(values)
     if not central:
         central = list(values)
     mean = sum(central) / len(central)

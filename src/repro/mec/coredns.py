@@ -29,6 +29,7 @@ from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache
 from repro.resolver.chain import Plugin, PluginChain, QueryContext
 from repro.resolver.forwarder import stub_domain_upstream
+from repro.resolver.recursive import ECS_V4_PREFIX
 from repro.resolver.server import DnsServer
 
 #: TTL for service-discovery answers (kubernetes plugin default is 5s).
@@ -236,7 +237,6 @@ class CoreDnsServer(DnsServer):
                  front_plugins: Optional[List[Plugin]] = None,
                  forward_ecs: bool = True,
                  ecs_inject: bool = False,
-                 ecs_prefix: int = 24,
                  serve_stale: bool = False,
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
@@ -244,7 +244,6 @@ class CoreDnsServer(DnsServer):
         #: on queries that arrive without one (the §4 ECS experiment
         #: "enables ECS support at L-DNS").
         self.ecs_inject = ecs_inject
-        self.ecs_prefix = ecs_prefix
         self.kubernetes = KubernetesPlugin(orchestrator, cluster_domain)
         self.stub = StubDomainPlugin(stub_domains, forward_ecs=forward_ecs)
         plugins: List[Plugin] = list(front_plugins or [])
@@ -272,7 +271,7 @@ class CoreDnsServer(DnsServer):
         if self.ecs_inject and (query.edns is None
                                 or query.edns.client_subnet is None):
             from repro.dnswire.edns import ClientSubnet, Edns
-            ecs = ClientSubnet(client.ip, self.ecs_prefix)
+            ecs = ClientSubnet(client.ip, ECS_V4_PREFIX)
             if query.edns is None:
                 query.edns = Edns(options=[ecs])
             else:

@@ -8,7 +8,7 @@ addresses are replaced by the public gateway pool.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.mobile.nat import NatMiddlebox
 from repro.mobile.profiles import AccessProfile
@@ -24,8 +24,7 @@ class EvolvedPacketCore:
     def __init__(self, network: Network, name_prefix: str,
                  profile: AccessProfile,
                  sgw_ip: str, pgw_ip: str,
-                 public_ips: Sequence[str],
-                 core_internal_latency: Optional[LatencyModel] = None) -> None:
+                 public_ips: Sequence[str]) -> None:
         self.network = network
         self.profile = profile
         self.name_prefix = name_prefix
@@ -35,8 +34,7 @@ class EvolvedPacketCore:
             network.assign_address(self.pgw, public_ip)
         self.nat = NatMiddlebox(public_ips)
         self.pgw.install_middlebox(self.nat)
-        network.add_link(self.sgw.name, self.pgw.name,
-                         core_internal_latency or Constant(0.3),
+        network.add_link(self.sgw.name, self.pgw.name, Constant(0.3),
                          name=f"{name_prefix}-s5")
         self.base_stations: List[BaseStation] = []
 
@@ -50,6 +48,14 @@ class EvolvedPacketCore:
                               name=f"{self.name_prefix}-s1:{name}")
         self.base_stations.append(station)
         return station
+
+    def add_sgi_host(self, name: str, ip: str,
+                     latency: LatencyModel) -> Host:
+        """A host beyond the P-GW, LAN or WAN side, ``latency`` one-way."""
+        host = self.network.add_host(name, ip)
+        self.network.add_link(name, self.pgw.name, latency,
+                              name=f"link-{name}")
+        return host
 
     @property
     def gateway_name(self) -> str:

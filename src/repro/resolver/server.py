@@ -54,7 +54,6 @@ class DnsServer:
                  ip: Optional[str] = None, port: int = DNS_PORT,
                  processing_delay: Optional[LatencyModel] = None,
                  name: Optional[str] = None,
-                 enable_tcp: bool = True,
                  workers: Optional[int] = None,
                  max_queue: int = 256) -> None:
         self.network = network
@@ -78,7 +77,7 @@ class DnsServer:
         self.queries_dropped = 0
         self.peak_backlog = 0
         self._tcp_server = None
-        if enable_tcp and port == DNS_PORT:
+        if port == DNS_PORT:
             from repro.netsim.stream import StreamServer
             self._tcp_server = StreamServer(
                 network, host, DNS_TCP_PORT, self._handle_stream_query,

@@ -80,12 +80,10 @@ class StubResolver:
     """Issues queries from a client host to a configured resolver."""
 
     def __init__(self, network: Network, host: Host, server: Endpoint,
-                 source_ip: Optional[str] = None,
                  policy: Optional[RetryPolicy] = None) -> None:
         self.network = network
         self.host = host
         self.server = server
-        self.source_ip = source_ip
         self.policy = policy or RetryPolicy(retries=2, timeout_ms=3000.0,
                                             backoff=1.0)
         self._rng = network.streams.stream(f"stub:{host.name}")
@@ -215,8 +213,7 @@ class StubResolver:
         probe_ctx = span.context if span is not None else ctx
         try:
             response = yield from exchange(
-                self.host, query, target, per_try_timeout,
-                ip=self.source_ip, ctx=probe_ctx)
+                self.host, query, target, per_try_timeout, ctx=probe_ctx)
             if response.flags.tc:
                 # Truncated: retry the same query over the stream
                 # transport (RFC 7766), like dig's automatic +tcp retry.

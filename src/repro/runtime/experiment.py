@@ -114,9 +114,10 @@ class Experiment(abc.ABC):
     def run_serial(self, **overrides: object) -> object:
         """Expand, run every trial in-process, merge.
 
-        The plain programmatic entry point behind each experiment
-        module's historical ``run(...)`` function; the sharded path
-        lives in :class:`repro.runtime.executor.TrialExecutor`.
+        The plain programmatic entry point: ``overrides`` replace
+        declared :class:`Param` defaults, a failing trial raises.  The
+        sharded path lives in
+        :class:`repro.runtime.executor.TrialExecutor`.
         """
         params = self.resolve_params(overrides)
         specs = self.trials(params)

@@ -24,8 +24,7 @@ from __future__ import annotations
 import random
 from typing import List, NamedTuple, Tuple
 
-from repro.core.deployments import (DEPLOYMENT_KEYS, DEPLOYMENT_LABELS,
-                                    build_testbed)
+from repro.core.deployments import MEC_DEPLOYMENTS, build_testbed
 from repro.measure.runner import measure_deployment_queries
 from repro.netsim.latency import (Constant, Empirical, LatencyModel,
                                   lognormal_from_median_p95)
@@ -84,7 +83,7 @@ class DeploymentModel(NamedTuple):
 
 def is_localized(key: str) -> bool:
     """Whether ``key`` resolves at the client's MEC site."""
-    return key.startswith("mec-ldns-")
+    return key in MEC_DEPLOYMENTS
 
 
 def calibrate(key: str, seed: int,
@@ -95,16 +94,13 @@ def calibrate(key: str, seed: int,
     by every shard (and the serial path) of the same run, distinct
     across base seeds and deployments.
     """
-    if key not in DEPLOYMENT_KEYS:
-        raise ValueError(f"unknown deployment {key!r}; "
-                         f"expected one of {DEPLOYMENT_KEYS}")
     testbed = build_testbed(key, seed=derive_seed(seed, "calibrate", key))
     measurements = measure_deployment_queries(testbed, queries)
     wireless: List[float] = [m.wireless_ms for m in measurements]
     resolver: List[float] = [m.resolver_ms for m in measurements]
     return DeploymentModel(
         key=key,
-        label=DEPLOYMENT_LABELS[key],
+        label=testbed.label,
         wireless=Empirical(wireless),
         resolver=Empirical(resolver),
-        localized=is_localized(key))
+        localized=testbed.localized)

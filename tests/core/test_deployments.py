@@ -5,7 +5,9 @@ import pytest
 from repro.core.deployments import (
     DEPLOYMENT_KEYS,
     DEPLOYMENT_LABELS,
+    MEC_DEPLOYMENTS,
     TESTBED_5G,
+    WARMED_DEPLOYMENTS,
     build_testbed,
 )
 from repro.measure import measure_deployment_queries, summarize
@@ -31,6 +33,20 @@ class TestBuilders:
 
     def test_labels_cover_all_keys(self):
         assert set(DEPLOYMENT_LABELS) == set(DEPLOYMENT_KEYS)
+
+    def test_testbed_carries_its_placement(self):
+        assert MEC_DEPLOYMENTS + WARMED_DEPLOYMENTS == DEPLOYMENT_KEYS
+        cdns_hosts = {}
+        for key in DEPLOYMENT_KEYS:
+            testbed = build_testbed(key, seed=1)
+            assert testbed.localized == (key in MEC_DEPLOYMENTS)
+            assert testbed.network.host(testbed.cdns_host) is not None
+            cdns_hosts[key] = testbed.cdns_host
+        assert cdns_hosts["mec-ldns-lan-cdns"] == "lan-cdns"
+        assert cdns_hosts["mec-ldns-wan-cdns"] == "wan-cdns"
+        in_cluster = build_testbed("mec-ldns-mec-cdns", seed=1)
+        assert in_cluster.cdns_host == \
+            in_cluster.mec_site.cdns_pod.host.name == cdns_hosts["lan-ldns"]
 
     def test_answers_point_at_mec_caches(self):
         testbed = build_testbed("mec-ldns-mec-cdns", seed=2)

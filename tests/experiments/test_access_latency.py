@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments.access_latency import check_shape, run
+from repro.experiments.access_latency import EXPERIMENT, check_shape
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(rounds=6, seed=42)
+    return EXPERIMENT.run_serial(rounds=6, seed=42)
 
 
 class TestAccessLatency:

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.experiments import run_figure2, run_figure5
+from repro.experiments import figure2 as f2_mod
+from repro.experiments import figure5 as f5_mod
 
 
 @pytest.fixture(scope="module")
 def figure5():
-    return run_figure5(queries=8, seed=42)
+    return f5_mod.EXPERIMENT.run_serial(queries=8, seed=42)
 
 
 @pytest.fixture(scope="module")
 def figure2():
-    return run_figure2(trials=12, seed=5)
+    return f2_mod.EXPERIMENT.run_serial(trials=12, seed=5)
 
 
 class TestFigure5Chart:

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.core.deployments import DEPLOYMENT_KEYS
-from repro.experiments.churn import (DEADLINE_MS, FAULT_DEPLOYMENT,
-                                     FAULT_SCENARIOS, MODES,
-                                     WARMED_DEPLOYMENTS, check_shape, run)
+from repro.experiments.churn import (DEADLINE_MS, EXPERIMENT,
+                                     FAULT_DEPLOYMENT, FAULT_SCENARIOS, MODES,
+                                     WARMED_DEPLOYMENTS, check_shape)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(queries=40, seed=42)
+    return EXPERIMENT.run_serial(queries=40, seed=42)
 
 
 class TestChurnGrid:
@@ -81,12 +81,12 @@ class TestDeterminism:
             assert first == second
 
     def test_identical_seeds_reproduce_the_whole_grid(self):
-        first = run(queries=4, seed=9)
-        second = run(queries=4, seed=9)
+        first = EXPERIMENT.run_serial(queries=4, seed=9)
+        second = EXPERIMENT.run_serial(queries=4, seed=9)
         assert first.timelines == second.timelines
         assert first.rows == second.rows
 
     def test_different_seeds_change_measurements(self):
-        first = run(queries=4, seed=9)
-        second = run(queries=4, seed=10)
+        first = EXPERIMENT.run_serial(queries=4, seed=9)
+        second = EXPERIMENT.run_serial(queries=4, seed=10)
         assert first.rows != second.rows

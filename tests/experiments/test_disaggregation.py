@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments.disaggregation import check_shape, run
+from repro.experiments.disaggregation import EXPERIMENT, check_shape
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(requests=800, seed=0)
+    return EXPERIMENT.run_serial(requests=800, seed=0)
 
 
 class TestDisaggregation:

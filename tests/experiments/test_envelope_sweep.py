@@ -5,15 +5,16 @@ import pytest
 from repro.core.deployments import build_custom_cdns_testbed
 from repro.experiments.envelope_sweep import (
     ENVELOPE_MS,
+    EXPERIMENT,
     check_shape,
-    run,
 )
 from repro.measure import measure_deployment_queries
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(distances=(0.5, 2.0, 4.0, 8.0, 25.0), queries=8, seed=42)
+    return EXPERIMENT.run_serial(distances=(0.5, 2.0, 4.0, 8.0, 25.0),
+                                 queries=8, seed=42)
 
 
 class TestEnvelopeSweep:
@@ -39,7 +40,8 @@ class TestEnvelopeSweep:
         assert "C-DNS one-way ms" in text
 
     def test_no_crossover_when_all_within(self):
-        narrow = run(distances=(0.5, 1.0), queries=6, seed=42)
+        narrow = EXPERIMENT.run_serial(distances=(0.5, 1.0), queries=6,
+                                       seed=42)
         assert narrow.crossover_one_way_ms is None
 
 

@@ -7,18 +7,11 @@ and the rendered output.
 
 import pytest
 
-from repro.experiments import (
-    run_ecs,
-    run_figure2,
-    run_figure3,
-    run_figure5,
-    run_table1,
-    run_table2,
-)
 from repro.experiments import ecs as ecs_mod
 from repro.experiments import figure2 as f2_mod
 from repro.experiments import figure3 as f3_mod
 from repro.experiments import figure5 as f5_mod
+from repro.experiments import table1, table2
 from repro.experiments.report import format_bar, format_table
 
 
@@ -45,7 +38,7 @@ class TestReport:
 
 class TestTable1:
     def test_five_rows_with_paper_domains(self):
-        result = run_table1()
+        result = table1.EXPERIMENT.run_serial()
         assert len(result.rows) == 5
         assert {row.site: row.domain for row in result.rows} == {
             "Airbnb": "a0.muscache.com",
@@ -56,14 +49,14 @@ class TestTable1:
         }
 
     def test_render(self):
-        text = run_table1().render()
+        text = table1.EXPERIMENT.run_serial().render()
         assert "Airbnb" in text
         assert "cdn0.agoda.net" in text
 
 
 class TestTable2:
     def test_seven_roles(self):
-        result = run_table2()
+        result = table2.EXPERIMENT.run_serial()
         assert len(result.rows) == 7
         assert {row.entity for row in result.rows} == {
             "Cellular Providers", "CDN Providers", "DNS Provider",
@@ -71,19 +64,19 @@ class TestTable2:
         }
 
     def test_multi_role_entities_consistent(self):
-        result = run_table2()
+        result = table2.EXPERIMENT.run_serial()
         assert "Verizon" in result.multi_role
         assert "Cellular Providers" in result.multi_role["Verizon"]
 
     def test_render_includes_module_mapping(self):
-        text = run_table2().render()
+        text = table2.EXPERIMENT.run_serial().render()
         assert "repro.cdn.broker" in text
         assert "Verizon" in text
 
 
 @pytest.fixture(scope="module")
 def figure2_result():
-    return run_figure2(trials=14, seed=5)
+    return f2_mod.EXPERIMENT.run_serial(trials=14, seed=5)
 
 
 class TestFigure2:
@@ -108,7 +101,7 @@ class TestFigure2:
 
 @pytest.fixture(scope="module")
 def figure3_result():
-    return run_figure3(trials=30, seed=5)
+    return f3_mod.EXPERIMENT.run_serial(trials=30, seed=5)
 
 
 class TestFigure3:
@@ -132,7 +125,7 @@ class TestFigure3:
 
 @pytest.fixture(scope="module")
 def figure5_result():
-    return run_figure5(queries=20, seed=42)
+    return f5_mod.EXPERIMENT.run_serial(queries=20, seed=42)
 
 
 class TestFigure5:
@@ -147,7 +140,7 @@ class TestFigure5:
         # Calibration must not hold only at the seed EXPERIMENTS.md used.
         mec_means = []
         for seed in (1, 7, 42, 1234, 98765):
-            result = run_figure5(queries=15, seed=seed)
+            result = f5_mod.EXPERIMENT.run_serial(queries=15, seed=seed)
             assert f5_mod.check_shape(result) == [], f"seed {seed}"
             mec_means.append(result.means()["mec-ldns-mec-cdns"])
         # The headline bar moves by well under 15% across seeds.
@@ -172,14 +165,14 @@ class TestFigure5:
 
 class TestEcs:
     def test_ratios_and_correctness(self):
-        result = run_ecs(queries=15, seed=42)
+        result = ecs_mod.EXPERIMENT.run_serial(queries=15, seed=42)
         assert ecs_mod.check_shape(result) == []
         assert len(result.rows) == 3
         for row in result.rows:
             assert row.always_correct_cache
 
     def test_render(self):
-        result = run_ecs(queries=10, seed=1)
+        result = ecs_mod.EXPERIMENT.run_serial(queries=10, seed=1)
         text = result.render()
         assert "ratio" in text
         assert "correct cache" in text

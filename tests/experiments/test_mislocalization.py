@@ -5,15 +5,15 @@ import pytest
 from repro.cdn.providers import CONNECTIVITIES
 from repro.experiments.mislocalization import (
     CLIENT_LOCATION,
+    EXPERIMENT,
     GEOIP_ENTRIES,
     check_shape,
-    run,
 )
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(trials=15, seed=4)
+    return EXPERIMENT.run_serial(trials=15, seed=4)
 
 
 class TestMislocalization:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone, make_query
 from repro.dnswire.rdata import A, NS, SOA
-from repro.experiments.overload import check_shape, run
+from repro.experiments.overload import EXPERIMENT, check_shape
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator, UdpSocket
 from repro.resolver import AuthoritativeServer, StubResolver
 
@@ -89,7 +89,7 @@ class TestWorkerModel:
 
 @pytest.fixture(scope="module")
 def overload_result():
-    return run(attack_qps=1500, seed=0)
+    return EXPERIMENT.run_serial(attack_qps=1500, seed=0)
 
 
 class TestOverloadExperiment:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.population import (EXPERIMENT, PopulationExperiment,
-                                          PopulationResult, check_shape, run)
+                                          PopulationResult, check_shape)
 from repro.runtime import result_digest
 from repro.workload.arrivals import DiurnalProfile
 
@@ -14,7 +14,7 @@ SMALL = dict(target_queries=400, districts=1, catalog=2_000,
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run(**SMALL)
+    return EXPERIMENT.run_serial(**SMALL)
 
 
 class TestPlanning:
@@ -77,7 +77,7 @@ class TestResult:
         assert "allocation=content" in text
 
     def test_serial_reruns_are_digest_identical(self, small_result):
-        again = run(**SMALL)
+        again = EXPERIMENT.run_serial(**SMALL)
         assert result_digest(again) == result_digest(small_result)
         assert again.render() == small_result.render()
 
@@ -111,8 +111,9 @@ class TestShapeClaims:
     def test_p50_in_the_bin_straddling_20ms_is_not_a_violation(self, seed):
         # The bench grid at scale 0.1: the LAN C-DNS p50 lands in the
         # 19.6-21.1 ms bin at these seeds, whose midpoint prints 20.3.
-        result = run(target_queries=20_000, deployment="all",
-                     allocation="client-bounded", seed=seed)
+        result = EXPERIMENT.run_serial(
+            target_queries=20_000, deployment="all",
+            allocation="client-bounded", seed=seed)
         assert result.row("mec-ldns-lan-cdns").dns.p50 > 20.0
         assert check_shape(result) == []
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments.resilience import (DEADLINE_MS, MODES, SCENARIOS,
-                                          check_shape, run)
+from repro.experiments.resilience import (DEADLINE_MS, EXPERIMENT, MODES,
+                                          SCENARIOS, check_shape)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(queries=40, seed=42)
+    return EXPERIMENT.run_serial(queries=40, seed=42)
 
 
 class TestResilienceGrid:
@@ -62,12 +62,12 @@ class TestDeterminism:
             assert first == second
 
     def test_identical_seeds_reproduce_the_whole_grid(self):
-        first = run(queries=5, seed=7)
-        second = run(queries=5, seed=7)
+        first = EXPERIMENT.run_serial(queries=5, seed=7)
+        second = EXPERIMENT.run_serial(queries=5, seed=7)
         assert first.timelines == second.timelines
         assert first.rows == second.rows
 
     def test_different_seeds_change_measurements(self):
-        first = run(queries=5, seed=7)
-        second = run(queries=5, seed=8)
+        first = EXPERIMENT.run_serial(queries=5, seed=7)
+        second = EXPERIMENT.run_serial(queries=5, seed=8)
         assert first.rows != second.rows

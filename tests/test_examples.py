@@ -23,17 +23,6 @@ def test_examples_directory_has_all_scripts():
 
 @pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs(script, capsys, monkeypatch):
-    # Slim the heavyweight measurement example so the smoke test stays fast.
-    if script == "public_cdn_measurement.py":
-        import repro.experiments.figure2 as figure2
-        import repro.experiments.figure3 as figure3
-        real_run2, real_run3 = figure2.run, figure3.run
-        monkeypatch.setattr(
-            figure2, "run",
-            lambda trials=25, seed=1: real_run2(trials=12, seed=seed))
-        monkeypatch.setattr(
-            figure3, "run",
-            lambda trials=40, seed=1: real_run3(trials=20, seed=seed))
     monkeypatch.setattr(sys, "argv", [script])
     runpy.run_path(str(EXAMPLES_DIR / script), run_name="__main__")
     out = capsys.readouterr().out

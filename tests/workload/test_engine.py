@@ -43,6 +43,10 @@ class TestCalibration:
         assert not is_localized("google-dns")
         assert not is_localized("lan-ldns")
 
+    def test_unknown_deployment_rejected(self):
+        with pytest.raises(ValueError, match="unknown deployment"):
+            calibrate("carrier-pigeon", seed=42)
+
     def test_calibration_is_seed_deterministic(self, localized_model):
         again = calibrate("mec-ldns-mec-cdns", seed=42)
         assert again.key == localized_model.key
