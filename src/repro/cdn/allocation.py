@@ -23,6 +23,7 @@ scale without paying for packet events.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import math
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
@@ -52,6 +53,16 @@ def hash_point(material: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@functools.lru_cache(maxsize=1024)
+def _vnode_points(name: str, vnodes: int) -> Tuple[int, ...]:
+    """The ring coordinates of member ``name``'s virtual nodes.
+
+    A pure function of its key, remembered because a membership change
+    builds a whole new ring over mostly the same few names.
+    """
+    return tuple(hash_point(f"{name}#{vnode}") for vnode in range(vnodes))
+
+
 class HashRing:
     """Consistent hashing of string keys onto named members.
 
@@ -70,9 +81,8 @@ class HashRing:
             name_of = _default_name
         entries: List[Tuple[int, int, object]] = []
         for seq, member in enumerate(members):
-            name = name_of(member)
-            for vnode in range(vnodes):
-                entries.append((hash_point(f"{name}#{vnode}"), seq, member))
+            for point in _vnode_points(name_of(member), vnodes):
+                entries.append((point, seq, member))
         entries.sort(key=lambda entry: entry[0])
         # Three parallel lists in ring order: bisecting plain ints is
         # what a pick pays for, not building and comparing tuples.

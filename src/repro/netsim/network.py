@@ -1,18 +1,19 @@
 """The routed topology: hosts, links, forwarding, middleboxes, taps.
 
-Routing is shortest-path by mean link latency over an undirected graph
-(networkx).  Delivery walks the path hop by hop, sampling each link's
-latency, applying any middlebox at each traversed host, and re-routing when
-a middlebox rewrites the destination (NAT).  Packet taps observe datagrams
-at named hosts, which is how the experiments split "wireless" from
-"resolver" time exactly like the paper's tcpdump-at-P-GW method.
+Routing is shortest-path by mean link latency over an undirected graph:
+one Dijkstra per sending host, run on that host's first send and kept
+until a link changes.  Delivery walks the path hop by hop, sampling each
+link's latency, applying any middlebox at each traversed host, and
+re-routing when a middlebox rewrites the destination (NAT).  Packet taps
+observe datagrams at named hosts, which is how the experiments split
+"wireless" from "resolver" time exactly like the paper's tcpdump-at-P-GW
+method.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.errors import AddressError, RoutingError
 from repro.netsim.engine import Simulator
@@ -28,6 +29,9 @@ Tap = Callable[[float, str, str, Datagram], None]
 #: Hard bound on middlebox-driven re-routing to catch rewrite loops.
 _MAX_REROUTES = 16
 
+#: Distance to a host no route has reached yet.
+_UNREACHED = float("inf")
+
 
 class Network:
     """A topology of hosts and links bound to a simulator."""
@@ -35,12 +39,18 @@ class Network:
     def __init__(self, sim: Simulator, streams: RandomStreams) -> None:
         self.sim = sim
         self.streams = streams
-        self._graph = nx.Graph()
         self._hosts: Dict[str, Host] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
+        #: host -> {neighbour: routing weight}.  Each inner dict is in
+        #: link-insertion order, which :meth:`_routes_from` breaks ties by.
+        self._adjacency: Dict[str, Dict[str, float]] = {}
+        #: source -> {destination: route}, filled per source on first use
+        #: and emptied by every link change.
+        self._routes: Dict[str, Dict[str, List[str]]] = {}
         self._ip_index: Dict[str, Host] = {}
+        #: Taps that see every host, and taps that watch one host.
         self._taps: List[Tap] = []
-        self._paths: Optional[Dict[str, Dict[str, List[str]]]] = None
+        self._host_taps: Dict[str, List[Tap]] = {}
         #: Attached :class:`repro.telemetry.Telemetry`, or ``None``.
         #: Every instrumentation site in the stack checks this before
         #: doing any work, so an unobserved network runs the exact same
@@ -69,7 +79,7 @@ class Network:
         host = Host(name)
         host.network = self
         self._hosts[name] = host
-        self._graph.add_node(name)
+        self._adjacency[name] = {}
         for ip in addresses:
             self.assign_address(host, ip)
         return host
@@ -99,8 +109,10 @@ class Network:
         link = Link(a, b, latency, loss=loss, name=name,
                     bandwidth_mbps=bandwidth_mbps)
         self._links[self._link_key(a, b)] = link
-        self._graph.add_edge(a, b, weight=max(link.mean_latency, 1e-9))
-        self._paths = None  # invalidate the routing cache
+        weight = max(link.mean_latency, 1e-9)
+        self._adjacency[a][b] = weight
+        self._adjacency[b][a] = weight
+        self._routes = {}
         return link
 
     def remove_link(self, a: str, b: str) -> Link:
@@ -114,8 +126,10 @@ class Network:
             link = self._links.pop(key)
         except KeyError:
             raise RoutingError(f"no link between {a} and {b}") from None
-        self._graph.remove_edge(a, b)
-        self._paths = None
+        del self._adjacency[a][b]
+        if a != b:
+            del self._adjacency[b][a]
+        self._routes = {}
         return link
 
     @staticmethod
@@ -183,24 +197,72 @@ class Network:
                 return True
         return False
 
-    def add_tap(self, tap: Tap) -> None:
-        """Register a packet observer (see PacketTrace)."""
-        self._taps.append(tap)
+    def add_tap(self, tap: Tap, host: Optional[str] = None) -> None:
+        """Register a packet observer (see PacketTrace).
 
-    def remove_tap(self, tap: Tap) -> None:
-        """Unregister a packet observer."""
-        self._taps.remove(tap)
+        With ``host``, the tap sees only events at that host, and events
+        at hosts nobody watches are never scheduled.
+        """
+        if host is None:
+            self._taps.append(tap)
+        else:
+            self._host_taps.setdefault(host, []).append(tap)
+
+    def remove_tap(self, tap: Tap, host: Optional[str] = None) -> None:
+        """Unregister a packet observer (same ``host`` as it was added with)."""
+        if host is None:
+            self._taps.remove(tap)
+            return
+        watchers = self._host_taps[host]
+        watchers.remove(tap)
+        if not watchers:
+            del self._host_taps[host]
 
     # -- routing ----------------------------------------------------------------------------
 
     def path(self, src: str, dst: str) -> List[str]:
         """Host names from ``src`` to ``dst`` inclusive."""
-        if self._paths is None:
-            self._paths = dict(nx.all_pairs_dijkstra_path(self._graph))
+        routes = self._routes.get(src)
+        if routes is None:
+            if src not in self._adjacency:
+                raise RoutingError(f"no route from {src} to {dst}")
+            routes = self._routes[src] = self._routes_from(src)
         try:
-            return self._paths[src][dst]
+            return routes[dst]
         except KeyError:
             raise RoutingError(f"no route from {src} to {dst}") from None
+
+    def _routes_from(self, src: str) -> Dict[str, List[str]]:
+        """The shortest route from ``src`` to every host it can reach.
+
+        Dijkstra with the tie-breaking the golden digests were recorded
+        under (docs/DETERMINISM.md, invariant 8): hosts settle in
+        (distance, push order), a host is re-pushed only for a strictly
+        smaller distance, and neighbours are visited in link-insertion
+        order.  Among equal-cost routes this keeps the one found first.
+        """
+        adjacency = self._adjacency
+        routes: Dict[str, List[str]] = {}
+        reached = {src: 0.0}
+        #: (distance, push order, host, the host it was reached from)
+        fringe: List[Tuple[float, int, str, Optional[str]]] = [
+            (0.0, 0, src, None)]
+        pushes = 1
+        while fringe:
+            distance, _, host, previous = heappop(fringe)
+            if host in routes:
+                continue
+            routes[host] = ([host] if previous is None
+                            else routes[previous] + [host])
+            for neighbour, weight in adjacency[host].items():
+                if neighbour in routes:
+                    continue
+                reach = distance + weight
+                if reach < reached.get(neighbour, _UNREACHED):
+                    reached[neighbour] = reach
+                    heappush(fringe, (reach, pushes, neighbour, host))
+                    pushes += 1
+        return routes
 
     def path_mean_latency(self, src: str, dst: str) -> float:
         """Sum of mean one-way link latencies along the route."""
@@ -346,15 +408,17 @@ class Network:
 
     def _schedule_tap(self, event: str, host_name: str, datagram: Datagram,
                       elapsed: float) -> None:
-        if not self._taps:
-            return
-        self.sim.call_after(
-            elapsed, self._emit, event, host_name, datagram)
+        if self._taps or host_name in self._host_taps:
+            self.sim.call_after(
+                elapsed, self._emit, event, host_name, datagram)
 
     def _emit(self, event: str, host_name: str, datagram: Datagram) -> None:
         now = self.sim.now
         for tap in self._taps:
             tap(now, host_name, event, datagram)
+        if self._host_taps:
+            for tap in self._host_taps.get(host_name, ()):
+                tap(now, host_name, event, datagram)
 
     def _count_drop(self, reason: str) -> None:
         tel = self.telemetry

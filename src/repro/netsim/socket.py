@@ -26,6 +26,8 @@ def _fail_request(future: SimFuture, dst: Endpoint, timeout: float) -> None:
     A module-level function with scheduler-carried args — no closure
     allocated per request on the hottest client path (HOT002).
     """
+    if future.done:
+        return  # the reply won; format no message for a stale timer
     future.fail(QueryTimeout(f"no reply from {dst} within {timeout}ms"))
 
 

@@ -8,7 +8,7 @@ read back timestamped records to compute per-segment timings.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.netsim.network import Network
 from repro.netsim.packet import Datagram
@@ -36,13 +36,12 @@ class PacketTrace:
         self._host_filter = host_filter
         self._event_filter = event_filter
         self.records: List[TraceRecord] = []
-        self._tap: Callable = self._observe
-        network.add_tap(self._observe)
+        # The network applies the host filter, so a hop at a host nobody
+        # watches costs no simulator event.
+        network.add_tap(self._observe, host_filter)
 
     def _observe(self, time: float, host: str, event: str,
                  datagram: Datagram) -> None:
-        if self._host_filter is not None and host != self._host_filter:
-            return
         if self._event_filter is not None and event != self._event_filter:
             return
         self.records.append(TraceRecord(
@@ -52,7 +51,7 @@ class PacketTrace:
 
     def close(self) -> None:
         """Stop capturing."""
-        self._network.remove_tap(self._observe)
+        self._network.remove_tap(self._observe, self._host_filter)
 
     def clear(self) -> None:
         """Drop all captured records (keep capturing)."""

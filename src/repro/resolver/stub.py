@@ -147,47 +147,53 @@ class StubResolver:
         last_error: Optional[Exception] = None
         last_servfail: Optional[DigResult] = None
         attempt = 0
-        while True:
-            attempt += 1
-            per_try_timeout = policy.timeout_for(attempt, self._rng)
-            msg_id = self._rng.randrange(1, 0xFFFF)
-            try:
-                if policy.hedge_after_ms is not None and attempt == 1:
-                    response = yield from self._hedged_probe(
-                        name, rtype, edns, authorities, target,
-                        per_try_timeout, msg_id, ctx=ctx)
+        try:
+            while True:
+                attempt += 1
+                per_try_timeout = policy.timeout_for(attempt, self._rng)
+                msg_id = self._rng.randrange(1, 0xFFFF)
+                try:
+                    if policy.hedge_after_ms is not None and attempt == 1:
+                        response = yield from self._hedged_probe(
+                            name, rtype, edns, authorities, target,
+                            per_try_timeout, msg_id, ctx=ctx)
+                    else:
+                        response = yield from self._probe(
+                            name, rtype, edns, authorities, target,
+                            per_try_timeout, msg_id, attempt=attempt, ctx=ctx)
+                except QueryTimeout as error:
+                    self.timeouts_seen += 1
+                    self._count("repro_stub_timeouts_total",
+                                "per-attempt timeouts burned")
+                    last_error = error
+                except WireFormatError as error:
+                    last_error = error
                 else:
-                    response = yield from self._probe(
-                        name, rtype, edns, authorities, target,
-                        per_try_timeout, msg_id, attempt=attempt, ctx=ctx)
-            except QueryTimeout as error:
-                self.timeouts_seen += 1
-                self._count("repro_stub_timeouts_total",
-                            "per-attempt timeouts burned")
-                last_error = error
-            except WireFormatError as error:
-                last_error = error
-            else:
-                result = DigResult(
-                    question_name=name, rtype=rtype, response=response,
-                    query_time_ms=self.network.sim.now - started_at,
-                    server=target, attempts=attempt, started_at=started_at)
-                if response.rcode != Rcode.SERVFAIL:
-                    return result
-                # SERVFAIL is as unsettled as silence: retry while the
-                # policy allows, but keep the response so exhaustion
-                # returns the server's verdict instead of raising.
-                self.servfails_seen += 1
-                self._count("repro_stub_servfails_total",
-                            "SERVFAIL responses absorbed by retries")
-                last_servfail = result
-                last_error = None
-            if not policy.may_retry(attempt):
-                break
-        if last_servfail is not None:
-            return last_servfail
-        raise last_error if last_error is not None else QueryTimeout(
-            f"query for {name} failed")
+                    result = DigResult(
+                        question_name=name, rtype=rtype, response=response,
+                        query_time_ms=self.network.sim.now - started_at,
+                        server=target, attempts=attempt, started_at=started_at)
+                    if response.rcode != Rcode.SERVFAIL:
+                        return result
+                    # SERVFAIL is as unsettled as silence: retry while the
+                    # policy allows, but keep the response so exhaustion
+                    # returns the server's verdict instead of raising.
+                    self.servfails_seen += 1
+                    self._count("repro_stub_servfails_total",
+                                "SERVFAIL responses absorbed by retries")
+                    last_servfail = result
+                    last_error = None
+                if not policy.may_retry(attempt):
+                    break
+            if last_servfail is not None:
+                return last_servfail
+            raise last_error if last_error is not None else QueryTimeout(
+                f"query for {name} failed")
+        finally:
+            # Every error caught above carries a traceback that holds this
+            # frame; a local that points back at one closes a cycle only
+            # the collector can free, however the lookup ended.
+            last_error = None
 
     # -- probes -----------------------------------------------------------------
 

@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from repro.cdn.allocation import ConsistentAllocator, HashRing, hash_point
+from repro.cdn.allocation import (ConsistentAllocator, HashRing, _vnode_points,
+                                  hash_point)
 
 MEMBERS = [f"cache-{index}" for index in range(5)]
 KEYS = [f"10.64.{index // 256}.{index % 256}" for index in range(400)]
@@ -122,6 +123,45 @@ class TestPickAgainstALinearScan:
         ring = HashRing(MEMBERS, name_of=str)
         for key in self.SCAN_KEYS[:50]:
             assert ring.pick(key, lambda member: False) is None
+
+
+def unmemoised_entries(members, vnodes):
+    """``(point, seq)`` of every vnode in ring order, hashed from scratch."""
+    return sorted(((hash_point(f"{name}#{vnode}"), seq)
+                   for seq, name in enumerate(members)
+                   for vnode in range(vnodes)),
+                  key=lambda entry: entry[0])
+
+
+class TestVnodePointMemo:
+    """A rebuilt ring re-uses its members' points; it must not move one."""
+
+    @pytest.mark.parametrize("vnodes", (64, 7))
+    def test_rings_sharing_members_equal_the_unmemoised_construction(
+            self, vnodes):
+        _vnode_points.cache_clear()
+        # The second ring meets three remembered names at new positions.
+        for members in (MEMBERS, ["cache-9", *MEMBERS[3:0:-1], "cache-7"]):
+            ring = HashRing(members, vnodes=vnodes, name_of=str)
+            entries = unmemoised_entries(members, vnodes)
+            assert ring._points == [point for point, _ in entries]
+            assert ring._seqs == [seq for _, seq in entries]
+            assert ring._members == [members[seq] for _, seq in entries]
+            points = ring._points
+            for key in KEYS[:100]:
+                at = hash_point(key)
+                first = next((index for index, point in enumerate(points)
+                              if point >= at), 0)
+                assert ring.pick(key) == ring._members[first]
+                clockwise = ring._members[first:] + ring._members[:first]
+                assert list(ring.walk(key)) == list(dict.fromkeys(clockwise))
+        info = _vnode_points.cache_info()
+        assert (info.misses, info.hits) == (7, 3)
+
+    def test_memo_is_bounded_and_keyed_by_vnode_count(self):
+        assert _vnode_points.cache_info().maxsize is not None
+        assert _vnode_points("cache-0", 3) == _vnode_points("cache-0", 64)[:3]
+        assert len(_vnode_points("cache-0", 64)) == 64
 
 
 class TestWalk:

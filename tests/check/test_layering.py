@@ -52,6 +52,25 @@ class TestContract:
             "repro/dnswire/wire.py": "import numpy\n"})
         assert rules_of(layering.analyze(tree)) == ["ARCH003"]
 
+    def test_arch003_third_party_in_any_layer(self, tmp_path):
+        # The rule began as dnswire's; with networkx gone from netsim it
+        # holds for the whole tree, lazy imports included.
+        tree = fake_repo(tmp_path, {
+            "repro/netsim/network.py": "import networkx as nx\n",
+            "repro/cdn/geo.py":
+                "def load():\n    from numpy import random\n"
+                "    return random\n"})
+        findings = layering.analyze(tree)
+        assert rules_of(findings) == ["ARCH003", "ARCH003"]
+        assert "'netsim' imports third-party 'networkx'" in " ".join(
+            finding.message for finding in findings)
+
+    def test_pre_310_stdlib_fallback_covers_the_real_tree(self):
+        imported = {name.split(".")[0]
+                    for module in load_tree([str(REPO_SRC)])
+                    for name, _ in layering._imports_of(module)}
+        assert imported - {"repro"} <= layering._STDLIB_FALLBACK
+
     def test_arch003_not_triggered_by_stdlib(self, tmp_path):
         tree = fake_repo(tmp_path, {
             "repro/dnswire/wire.py": "import struct\nimport ipaddress\n"})

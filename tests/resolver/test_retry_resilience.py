@@ -1,5 +1,7 @@
 """Tests for retry policies, serve-stale, and bounded stream timeouts."""
 
+import gc
+
 import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
@@ -221,6 +223,62 @@ class TestStubRetries:
         assert stub.hedges_sent == 1
         # ...and the hedge answered well before the 500 ms timeout.
         assert result.query_time_ms < 100
+
+
+class TestTimeoutsLeaveNoCycles:
+    """A lookup that burned a timeout and still returned frees by refcount.
+
+    ``_query_impl`` keeps the last attempt's error in a local, and the
+    error's traceback holds ``_query_impl``'s frame; unless the local is
+    dropped on the way out, every such lookup leaves that pair (and the
+    probe frames, query and future hanging off it) to the collector.
+    Lookups that *die* of their timeouts still leave a cycle, through
+    ``_Process._step``'s own locals — not this path, and not asserted.
+    """
+
+    LOOKUPS = 20
+
+    @staticmethod
+    def collected_after(lookup):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(TestTimeoutsLeaveNoCycles.LOOKUPS):
+                lookup()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_timeout_then_answer(self):
+        world = ResolverWorld()
+        link = world.net.link_between("client", "resolver")
+        stub = world.stub(RetryPolicy(retries=2, timeout_ms=50, backoff=1.0))
+
+        def lookup():
+            link.down = True  # the first attempt is lost, the retry is not
+            world.sim.call_after(40.0, setattr, link, "down", False)
+            result = world.ask(stub)
+            assert (result.status, result.attempts) == ("NOERROR", 2)
+
+        assert self.collected_after(lookup) == 0
+        assert stub.timeouts_seen == self.LOOKUPS
+
+    def test_servfail_then_timeout_returns_the_servfail(self):
+        world = ResolverWorld()
+        world.net.host("upstream").down = True
+        resolver = world.net.host("resolver")
+        stub = world.stub(RetryPolicy(retries=1, timeout_ms=200, backoff=1.0))
+
+        def lookup():
+            # The SERVFAIL leaves at 52 ms and lands at 54; the retry it
+            # provokes finds the resolver gone.
+            resolver.down = False
+            world.sim.call_after(53.0, setattr, resolver, "down", True)
+            result = world.ask(stub)
+            assert (result.status, result.attempts) == ("SERVFAIL", 1)
+
+        assert self.collected_after(lookup) == 0
+        assert stub.timeouts_seen == self.LOOKUPS
 
 
 class TestStreamTimeouts:
