@@ -20,7 +20,7 @@ def main() -> None:
 
     result = figure2.EXPERIMENT.run_serial(trials=25, seed=1)
     print(result.render())
-    violations = figure2.check_shape(result)
+    violations = figure2.EXPERIMENT.check_shape(result)
     print(f"\nFigure 2 shape claims: "
           f"{'ALL HOLD' if not violations else violations}")
     print("  (cellular >> wifi > wired for every domain, with the "
@@ -28,7 +28,7 @@ def main() -> None:
 
     result = figure3.EXPERIMENT.run_serial(trials=40, seed=1)
     print(result.render())
-    violations = figure3.check_shape(result)
+    violations = figure3.EXPERIMENT.check_shape(result)
     print(f"Figure 3 shape claims: "
           f"{'ALL HOLD' if not violations else violations}")
     print("  (the same domain resolves into different provider pools "

@@ -13,11 +13,10 @@ measures:
   (Akamai, Fastly, Amazon CloudFront, Edgecast/Verizon) and the Table 1
   site catalog.
 * :mod:`repro.cdn.allocation` — consistent-hash rings and bounded-load
-  user-traffic allocation (Huang et al.), shared by the router and the
-  population workload engine.
+  user-traffic allocation (Huang et al.); the router and the population
+  workload engine share the ring, the engine alone runs the bounded loads.
 * :mod:`repro.cdn.router` — the C-DNS traffic router: coverage zones,
-  consistent hashing, ECS scoping, next-tier referral, and pluggable
-  content/client/client-bounded allocation policies.
+  consistent hashing on the content name, ECS scoping, next-tier referral.
 * :mod:`repro.cdn.hierarchy` — edge/mid/far cache tiers with miss
   referral.
 * :mod:`repro.cdn.broker` — CDN broker that splits a domain's traffic

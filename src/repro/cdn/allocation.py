@@ -1,7 +1,7 @@
 """Consistent-hash traffic allocation: rings and bounded-load assignment.
 
-Two allocators used by the traffic router and the population workload
-engine:
+Two allocators: the traffic router and the population workload engine
+share the first, the engine alone runs the second:
 
 * :class:`HashRing` — plain consistent hashing of request keys onto
   named members (the ring the C-DNS has always used for pinning content
@@ -143,22 +143,19 @@ class ConsistentAllocator:
     ``assign`` walks the ring clockwise from the key's hash point and
     takes the first member whose current load stays under the bound
     ``ceil((1 + epsilon) * (assigned + 1) / member_count)``.  Keys stay
-    where they are until :meth:`set_members` changes the population or
-    :meth:`release` retires them; a membership change replays the walk
-    for every key in assignment order, so only keys whose walk actually
-    changed move — the consistency property the paper's hit-rate
-    argument depends on.
+    where they are until :meth:`set_members` changes the population; a
+    membership change replays the walk for every key in assignment
+    order, so only keys whose walk actually changed move — the
+    consistency property the paper's hit-rate argument depends on.
     """
 
     def __init__(self, members: Sequence[str],
-                 epsilon: float = 0.25,
-                 vnodes: int = DEFAULT_VNODES) -> None:
+                 epsilon: float = 0.25) -> None:
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
         self.epsilon = epsilon
-        self._vnodes = vnodes
         self._members: List[str] = list(members)
-        self._ring = HashRing(self._members, vnodes=vnodes,
+        self._ring = HashRing(self._members,
                               name_of=lambda member: str(member))
         self._assigned: Dict[str, str] = {}
         self._loads: Dict[str, int] = {name: 0 for name in self._members}
@@ -167,10 +164,6 @@ class ConsistentAllocator:
     @property
     def members(self) -> List[str]:
         return list(self._members)
-
-    @property
-    def assigned_count(self) -> int:
-        return len(self._assigned)
 
     def load(self, member: str) -> int:
         """Current number of keys assigned to ``member``."""
@@ -210,12 +203,6 @@ class ConsistentAllocator:
         self._loads[chosen] = self._loads.get(chosen, 0) + 1
         return chosen
 
-    def release(self, key: str) -> None:
-        """Retire ``key``'s assignment (user left the system)."""
-        current = self._assigned.get(key)
-        if current is not None:
-            self._release_assignment(key, current)
-
     def set_members(self, members: Sequence[str]) -> int:
         """Install a new member set; returns how many keys moved.
 
@@ -224,7 +211,7 @@ class ConsistentAllocator:
         the same member under the bound.
         """
         self._members = list(members)
-        self._ring = HashRing(self._members, vnodes=self._vnodes,
+        self._ring = HashRing(self._members,
                               name_of=lambda member: str(member))
         old = self._assigned
         self._assigned = {}

@@ -57,20 +57,17 @@ class BrokeredCdnAuthority(DnsServer):
 
     ``resolver_classes`` maps source-IP prefixes to connectivity classes —
     standing in for the provider's knowledge of which L-DNS belongs to
-    which access network.  Unknown resolvers fall back to
-    ``default_class``.
+    which access network.  Unknown resolvers count as ``"wired-campus"``.
     """
 
     def __init__(self, network, host,
                  brokers: List[CdnBroker],
                  resolver_classes: Dict[str, str],
-                 default_class: str = "wired-campus",
                  per_domain_delay: Optional[Dict] = None, **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         self._brokers = {broker.deployment.domain: broker
                          for broker in brokers}
         self.resolver_classes = dict(resolver_classes)
-        self.default_class = default_class
         #: domain -> LatencyModel: extra C-DNS internal time per provider
         #: stack ("server hierarchy, naming, indexing, content placement,
         #: cache miss policy", §2).
@@ -85,7 +82,7 @@ class BrokeredCdnAuthority(DnsServer):
         for prefix, connectivity in self.resolver_classes.items():
             if resolver_ip.startswith(prefix) and len(prefix) > best_len:
                 best, best_len = connectivity, len(prefix)
-        return best if best is not None else self.default_class
+        return best if best is not None else "wired-campus"
 
     def handle_query(self, query: Message, client: Endpoint):
         question = query.question

@@ -26,6 +26,8 @@ HTTP_PORT = 80
 FILL_TIMEOUT_MS = 10_000.0
 #: Index lookup before a request is served, hit or miss.
 LOOKUP_DELAY_MS = 0.1
+#: Egress rate of every cache: 1 Gbps (1 Mbps = 125 B/ms).
+BYTES_PER_MS = 1000.0 * 125.0
 
 
 class CacheStats:
@@ -70,8 +72,6 @@ class CacheServer:
                  capacity_bytes: int = 10 ** 9,
                  policy: Optional[EvictionPolicy] = None,
                  parent: Optional[Endpoint] = None,
-                 port: int = HTTP_PORT,
-                 bandwidth_mbps: float = 1000.0,
                  is_origin: bool = False) -> None:
         if capacity_bytes <= 0:
             raise ValueError("cache capacity must be positive")
@@ -81,13 +81,12 @@ class CacheServer:
         self.capacity_bytes = capacity_bytes
         self.policy = policy if policy is not None else LruPolicy()
         self.parent = parent
-        self.bytes_per_ms = bandwidth_mbps * 125.0  # 1 Mbps = 125 B/ms
         self.is_origin = is_origin
         self.online = True
         self.stats = CacheStats()
         self._stored: Set[str] = set()
-        self._used_bytes = 0
-        self.sock = UdpSocket(host, port=port)
+        self.used_bytes = 0
+        self.sock = UdpSocket(host, port=HTTP_PORT)
         self.sock.on_datagram = self._on_request
 
     @property
@@ -97,10 +96,6 @@ class CacheServer:
     @property
     def endpoint(self) -> Endpoint:
         return self.sock.endpoint
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
 
     # -- store management ------------------------------------------------------
 
@@ -114,19 +109,19 @@ class CacheServer:
             return
         if item.size_bytes > self.capacity_bytes:
             return  # object larger than the cache; never admitted
-        while self._used_bytes + item.size_bytes > self.capacity_bytes:
+        while self.used_bytes + item.size_bytes > self.capacity_bytes:
             victim = self.policy.choose_victim()
             if victim is None:
                 return
             self._evict(victim)
         self._stored.add(item.content_id)
-        self._used_bytes += item.size_bytes
+        self.used_bytes += item.size_bytes
         self.policy.on_admit(item.content_id)
 
     def _evict(self, content_id: str) -> None:
         if content_id in self._stored:
             self._stored.remove(content_id)
-            self._used_bytes -= self.catalog.by_url(content_id).size_bytes
+            self.used_bytes -= self.catalog.by_url(content_id).size_bytes
             self.stats.evictions += 1
             tel = self.network.telemetry
             if tel is not None:
@@ -156,8 +151,7 @@ class CacheServer:
         if tel is not None:
             span = tel.tracer.begin("cache.serve", "cdn", self.host.name,
                                     parent=ctx, cache=self.name)
-            if span is not None:
-                ctx = span.context
+            ctx = span.context
         yield LOOKUP_DELAY_MS
         try:
             url = _parse_get(payload)
@@ -227,7 +221,7 @@ class CacheServer:
 
     def _transmit(self, item: ContentItem, client: Endpoint,
                   hit: bool, ctx=None) -> Generator:
-        yield item.size_bytes / self.bytes_per_ms
+        yield item.size_bytes / BYTES_PER_MS
         self.stats.bytes_served += item.size_bytes
         tel = self.network.telemetry
         if tel is not None:
@@ -248,7 +242,7 @@ class CacheServer:
     def __repr__(self) -> str:
         kind = "origin" if self.is_origin else "cache"
         return (f"CacheServer({self.name}, {kind}, "
-                f"{self._used_bytes}/{self.capacity_bytes}B, {self.stats!r})")
+                f"{self.used_bytes}/{self.capacity_bytes}B, {self.stats!r})")
 
 
 def _parse_get(payload: bytes) -> str:

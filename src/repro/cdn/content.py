@@ -71,16 +71,11 @@ class ContentCatalog:
         except KeyError:
             raise ContentNotFound(f"no content at {url}") from None
 
-    def for_domain(self, domain: Name) -> List[ContentItem]:
-        """Items whose domain matches ``domain`` exactly."""
-        return list(self._by_domain.get(domain, []))
-
     def under_domain(self, suffix: Name) -> List[ContentItem]:
         """Items whose domain equals or sits below ``suffix``.
 
         A CDN delivery service owns a whole sub-tree (e.g. everything
-        under ``mycdn.ciab.test``), so placement uses this, not
-        :meth:`for_domain`.
+        under ``mycdn.ciab.test``), so placement matches by suffix.
         """
         return [item for domain, items in self._by_domain.items()
                 if domain.is_subdomain_of(suffix) for item in items]

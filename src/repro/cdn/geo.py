@@ -13,7 +13,7 @@ from __future__ import annotations
 import ipaddress
 import math
 import random
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -94,14 +94,6 @@ class GeoIpDatabase:
                 bearing = self._rng.uniform(0, 2 * math.pi)
                 return displace(entry.location, distance, bearing)
         self.unknown += 1
-        return None
-
-    def exact_entry(self, ip: str) -> Optional[Tuple[GeoPoint, float]]:
-        """The raw (location, error_km) entry covering ``ip``, if any."""
-        address = ipaddress.IPv4Address(ip)
-        for entry in self._entries:
-            if address in entry.network:
-                return entry.location, entry.error_km
         return None
 
     def __len__(self) -> int:

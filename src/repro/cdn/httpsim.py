@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Generator, NamedTuple
 
+from repro.cdn.cache_server import HTTP_PORT
 from repro.errors import CdnError
 from repro.netsim.network import Network
 from repro.netsim.node import Host
@@ -41,8 +42,7 @@ class HttpClient:
         self.timeout = timeout
         self.fetches = 0
 
-    def fetch(self, url: str, server_ip: str,
-              port: int = 80) -> Generator:
+    def fetch(self, url: str, server_ip: str) -> Generator:
         """Process returning a :class:`FetchResult`.
 
         Raises :class:`QueryTimeout` if the server never answers and
@@ -53,7 +53,8 @@ class HttpClient:
         self.fetches += 1
         try:
             reply = yield sock.request(f"GET {url}".encode(),
-                                       Endpoint(server_ip, port), self.timeout)
+                                       Endpoint(server_ip, HTTP_PORT),
+                                       self.timeout)
         finally:
             sock.close()
         latency = self.network.sim.now - started

@@ -162,13 +162,3 @@ TABLE1_SITES: List[DomainDeployment] = [
         }),
 ]
 
-
-def deployment_for(site_or_domain: str) -> DomainDeployment:
-    """Look up a Table 1 deployment by site name or CDN domain."""
-    wanted = site_or_domain.lower().rstrip(".")
-    for deployment in TABLE1_SITES:
-        if deployment.site.lower() == wanted:
-            return deployment
-        if deployment.domain.to_text().rstrip(".").lower() == wanted:
-            return deployment
-    raise KeyError(f"no Table 1 site or domain called {site_or_domain!r}")

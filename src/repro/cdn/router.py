@@ -9,8 +9,8 @@ for the requesting client:
   wider groups otherwise;
 * within a group, **consistent hashing** on the query name pins content to
   caches, concentrating each object on few servers;
-* unhealthy caches are skipped; an empty group (or a content filter miss)
-  makes the router answer with the **next tier's router**, exactly the
+* unhealthy caches are skipped; an empty group makes the router answer
+  with the **next tier's router**, exactly the
   paper's "C-DNS simply returns the address of another C-DNS running at a
   different CDN tier".
 """
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import functools
 import ipaddress
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from repro.cdn.allocation import (ConsistentAllocator, HashRing,
-                                  check_allocation)
+from repro.cdn.allocation import HashRing
 from repro.cdn.cache_server import CacheServer
 from repro.dnswire.edns import ClientSubnet
 from repro.dnswire.message import Message, ResourceRecord, make_response
@@ -97,22 +96,10 @@ class TrafficRouter(DnsServer):
                  default_zone: Optional[CoverageZone] = None,
                  answer_ttl: int = DEFAULT_ANSWER_TTL,
                  next_tier: Optional[str] = None,
-                 content_available: Optional[Callable[[Name], bool]] = None,
                  ecs_enabled: bool = False,
                  health_check: Optional[Callable[[CacheServer], bool]] = None,
-                 allocation: str = "content",
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
-        check_allocation(allocation)
-        #: Traffic-allocation policy.  ``"content"`` (the default, and
-        #: the historical behavior) hashes the query name so content
-        #: concentrates on few caches.  ``"client"`` hashes the client
-        #: address so each user sticks to one cache regardless of
-        #: content.  ``"client-bounded"`` is Huang et al.'s consistent
-        #: user-traffic allocation: sticky per-client assignment with
-        #: bounded loads, so no cache holds more than
-        #: ``ceil((1+eps) * clients / caches)`` users.
-        self.allocation = allocation
         #: Predicate deciding whether a cache is eligible; defaults to the
         #: ground-truth online flag, or wire in a
         #: :class:`repro.cdn.health.HealthMonitor`'s belief instead.
@@ -123,37 +110,13 @@ class TrafficRouter(DnsServer):
         self.answer_ttl = answer_ttl
         #: IP of the next-tier C-DNS returned when this tier cannot serve.
         self.next_tier = next_tier
-        self.content_available = content_available
         self.ecs_enabled = ecs_enabled
         self._rings = {zone.name: HashRing(zone.caches) for zone in zones}
         if default_zone is not None and default_zone.name not in self._rings:
             self._rings[default_zone.name] = HashRing(default_zone.caches)
-        self._allocators: Dict[str, ConsistentAllocator] = {}
-        self._caches_by_name: Dict[str, Dict[str, CacheServer]] = {}
-        if allocation == "client-bounded":
-            for zone in self._all_zones():
-                self._install_allocator(zone)
         self.routed = 0
         self.referred_to_next_tier = 0
         self.zone_updates = 0
-
-    def _all_zones(self) -> List[CoverageZone]:
-        zones = list(self.zones)
-        if (self.default_zone is not None
-                and all(zone.name != self.default_zone.name
-                        for zone in zones)):
-            zones.append(self.default_zone)
-        return zones
-
-    def _install_allocator(self, zone: CoverageZone) -> None:
-        names = [cache.name for cache in zone.caches]
-        existing = self._allocators.get(zone.name)
-        if existing is None:
-            self._allocators[zone.name] = ConsistentAllocator(names)
-        else:
-            existing.set_members(names)
-        self._caches_by_name[zone.name] = {
-            cache.name: cache for cache in zone.caches}
 
     # -- live reconfiguration ---------------------------------------------------
 
@@ -172,15 +135,11 @@ class TrafficRouter(DnsServer):
                 updated = zone._replace(caches=list(caches))
                 self.zones[index] = updated
                 self._rings[zone_name] = HashRing(updated.caches)
-                if self.allocation == "client-bounded":
-                    self._install_allocator(updated)
                 self.zone_updates += 1
                 return
         if self.default_zone is not None and self.default_zone.name == zone_name:
             self.default_zone = self.default_zone._replace(caches=list(caches))
             self._rings[zone_name] = HashRing(self.default_zone.caches)
-            if self.allocation == "client-bounded":
-                self._install_allocator(self.default_zone)
             self.zone_updates += 1
             return
         raise ValueError(f"no coverage zone named {zone_name!r}")
@@ -201,29 +160,17 @@ class TrafficRouter(DnsServer):
 
     def select_cache(self, qname: Name,
                      client_ip: str) -> Tuple[Optional[CacheServer], int]:
-        """The cache for (content, client), plus the ECS scope to stamp."""
+        """The cache for (content, client), plus the ECS scope to stamp.
+
+        The client's zone picks the ring; the content name picks the cache
+        on it, so each object concentrates on few servers.
+        """
         zone, matched_prefix = self.zone_for(client_ip)
         if zone is None:
             return None, 0
-        if self.allocation == "client-bounded":
-            return self._select_bounded(zone, client_ip), matched_prefix
-        ring = self._rings[zone.name]
-        key = (str(qname).lower() if self.allocation == "content"
-               else client_ip)
-        cache = ring.pick(key, predicate=self.health_check)
+        cache = self._rings[zone.name].pick(str(qname).lower(),
+                                            predicate=self.health_check)
         return cache, matched_prefix
-
-    def _select_bounded(self, zone: CoverageZone,
-                        client_ip: str) -> Optional[CacheServer]:
-        allocator = self._allocators[zone.name]
-        by_name = self._caches_by_name[zone.name]
-
-        def eligible(name: str) -> bool:
-            cache = by_name.get(name)
-            return cache is not None and self.health_check(cache)
-
-        chosen = allocator.assign(client_ip, eligible=eligible)
-        return by_name.get(chosen) if chosen is not None else None
 
     # -- query handling ---------------------------------------------------------------
 
@@ -239,12 +186,7 @@ class TrafficRouter(DnsServer):
             else None
         effective_ip = ecs.address if ecs is not None else client.ip
 
-        served_here = (self.content_available is None
-                       or self.content_available(question.name))
-        cache: Optional[CacheServer] = None
-        scope = 0
-        if served_here:
-            cache, scope = self.select_cache(question.name, effective_ip)
+        cache, scope = self.select_cache(question.name, effective_ip)
 
         additionals = []
         if cache is None:

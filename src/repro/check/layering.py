@@ -120,15 +120,19 @@ STDLIB_MODULES = frozenset(
     getattr(sys, "stdlib_module_names", _STDLIB_FALLBACK))
 
 
-def _module_layer(module: str, root: str) -> Optional[str]:
-    """The layer of dotted ``module``, or None if outside ``root``.
+#: The first-party top package.
+ROOT = "repro"
+
+
+def _module_layer(module: str) -> Optional[str]:
+    """The layer of dotted ``module``, or None if outside :data:`ROOT`.
 
     ``repro.cdn.geo`` -> ``cdn``; the top-level ``repro.cli`` -> ``cli``;
     ``repro`` itself -> ``__init__``.
     """
-    if module == root:
+    if module == ROOT:
         return "__init__"
-    prefix = root + "."
+    prefix = ROOT + "."
     if not module.startswith(prefix):
         return None
     return module[len(prefix):].split(".")[0]
@@ -160,15 +164,14 @@ def _imports_of(module: SourceModule) -> List[Tuple[str, int]]:
     return found
 
 
-def analyze(tree: SourceTree, root: str = "repro",
+def analyze(tree: SourceTree,
             contract: Optional[Dict[str, FrozenSet[str]]] = None,
-            stdlib_extra: FrozenSet[str] = frozenset()) -> List[Finding]:
+            ) -> List[Finding]:
     """Check every import edge in ``tree`` against the layer contract.
 
-    ``root`` is the first-party top package; ``contract`` overrides
-    :data:`DEFAULT_CONTRACT` (tests exercise violations with synthetic
-    contracts).  Every layer is barred from third-party imports;
-    ``stdlib_extra`` whitelists extra module roots.
+    ``contract`` overrides :data:`DEFAULT_CONTRACT` (tests exercise
+    violations with synthetic contracts).  Every layer is barred from
+    third-party imports.
     """
     contract = DEFAULT_CONTRACT if contract is None else contract
     findings: List[Finding] = []
@@ -178,7 +181,7 @@ def analyze(tree: SourceTree, root: str = "repro",
     edge_where: Dict[Tuple[str, str], Tuple[SourceModule, int]] = {}
 
     for module in tree:
-        layer = _module_layer(module.module, root)
+        layer = _module_layer(module.module)
         if layer is None:
             continue
         if layer not in contract:
@@ -195,15 +198,14 @@ def analyze(tree: SourceTree, root: str = "repro",
         #: ``repro.x`` and ``repro.x.y``, which resolve to the same edge.
         flagged: Set[Tuple[int, str]] = set()
         for imported, line in _imports_of(module):
-            target = _module_layer(imported, root)
+            target = _module_layer(imported)
             if target == "__init__" and layer != "__init__":
                 # ``from repro import x`` also records ``repro.x``; the
                 # bare facade import carries no layering information.
                 continue
             if target is None:
                 top = imported.split(".")[0]
-                if (top != root and top not in STDLIB_MODULES
-                        and top not in stdlib_extra
+                if (top != ROOT and top not in STDLIB_MODULES
                         and (line, top) not in flagged):
                     flagged.add((line, top))
                     finding = tree.finding(

@@ -110,13 +110,12 @@ def _iter_files(root: str) -> Iterator[str]:
                 yield os.path.join(dirpath, filename)
 
 
-def load_tree(paths: List[str], relative_to: Optional[str] = None) -> SourceTree:
+def load_tree(paths: List[str]) -> SourceTree:
     """Parse every ``*.py`` file under ``paths`` once.
 
-    ``relative_to`` (default: the current directory) anchors the
-    relative paths used in findings.
+    Findings carry paths relative to the current directory.
     """
-    base = os.path.abspath(relative_to or os.curdir)
+    base = os.path.abspath(os.curdir)
     tree = SourceTree()
     seen: Set[str] = set()
     for target in paths:

@@ -16,7 +16,7 @@ killed the host, timeouts would mask the mislocalization.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from repro.cdn.cache_server import CacheServer
 from repro.core.meccdn import MecCdnSite
@@ -118,25 +118,6 @@ class ChurnDriver:
             pod.app.endpoint.ip
             for pod in self.site.cache_service.ready_pods()
             if isinstance(pod.app, CacheServer)))
-
-    # -- lookups against the fleet ------------------------------------------
-
-    def cache_for_ip(self, address: str) -> Optional[CacheServer]:
-        """The cache server (live or rolled) owning ``address``."""
-        for cache in self.site.caches:
-            if cache.endpoint.ip == address:
-                return cache
-        return None
-
-    def caches_for(self,
-                   addresses: Sequence[str]) -> List[CacheServer]:
-        """Cache objects for an address set (propagated zone content)."""
-        caches: List[CacheServer] = []
-        for address in addresses:
-            cache = self.cache_for_ip(address)
-            if cache is not None:
-                caches.append(cache)
-        return caches
 
     def __repr__(self) -> str:
         return (f"ChurnDriver({len(self.schedule)} events, "

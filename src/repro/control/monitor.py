@@ -134,13 +134,6 @@ class StalenessMonitor:
         """Mislocalized fraction of all answered lookups."""
         return self.mislocalized / self.answered if self.answered else 0.0
 
-    @property
-    def window_mislocalization_rate(self) -> float:
-        """Mislocalized fraction of lookups inside propagation windows."""
-        if not self.lookups_in_window:
-            return 0.0
-        return self.mislocalized_in_window / self.lookups_in_window
-
     def __repr__(self) -> str:
         return (f"StalenessMonitor({self.lookups} lookups, "
                 f"{self.mislocalized} mislocalized, "

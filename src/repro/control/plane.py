@@ -37,11 +37,7 @@ from repro.resolver.xfr import DEFAULT_JOURNAL_DEPTH, SecondaryZone
 
 from repro.control.churn import ChurnDriver, ChurnEvent
 from repro.control.monitor import StalenessMonitor
-from repro.control.propagation import (DEFAULT_NOTIFY_DELAY_MS,
-                                       DEFAULT_RETRY_DELAY_MS,
-                                       DEFAULT_MAX_RETRIES,
-                                       PropagationCoordinator,
-                                       PropagationRecord)
+from repro.control.propagation import PropagationCoordinator
 from repro.control.registry import ZoneRegistry
 
 #: Where the primary lives and how far away it is (one-way ms, WAN).
@@ -56,7 +52,7 @@ SECONDARY_LAN_ONE_WAY_MS = 0.25
 #: The secondary's periodic SOA refresh (recovery path) and its
 #: per-query patience.  Short enough that a run-length fault window is
 #: survivable inside one experiment cell.
-DEFAULT_REFRESH_MS = 5000.0
+REFRESH_MS = 5000.0
 SYNC_TIMEOUT_MS = 600.0
 
 
@@ -64,11 +60,7 @@ class ControlPlane:
     """Registry + propagation + monitoring over one built testbed."""
 
     def __init__(self, testbed: Testbed,
-                 journal_depth: int = DEFAULT_JOURNAL_DEPTH,
-                 notify_delay_ms: float = DEFAULT_NOTIFY_DELAY_MS,
-                 retry_delay_ms: float = DEFAULT_RETRY_DELAY_MS,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 refresh_ms: float = DEFAULT_REFRESH_MS) -> None:
+                 journal_depth: int = DEFAULT_JOURNAL_DEPTH) -> None:
         site = testbed.mec_site
         if site is None:
             raise ValueError(
@@ -98,7 +90,7 @@ class ControlPlane:
             journal_depth=journal_depth)
         self.secondary = SecondaryZone(
             network, self.secondary_server, self.registry.origin,
-            Endpoint(PRIMARY_IP, 53), refresh_ms=refresh_ms)
+            Endpoint(PRIMARY_IP, 53), refresh_ms=REFRESH_MS)
         self.secondary._stub.policy = RetryPolicy(
             retries=1, timeout_ms=SYNC_TIMEOUT_MS, backoff=1.0)
         self.secondary.start()
@@ -106,8 +98,6 @@ class ControlPlane:
         # -- propagation + monitoring ---------------------------------------
         self.coordinator = PropagationCoordinator(
             network, self.registry, self.primary, self.secondary,
-            notify_delay_ms=notify_delay_ms,
-            retry_delay_ms=retry_delay_ms, max_retries=max_retries,
             on_applied=self._apply_to_router)
         self.driver: Optional[ChurnDriver] = None
         self.monitor = StalenessMonitor(
@@ -137,8 +127,7 @@ class ControlPlane:
 
     # -- the apply step -------------------------------------------------------
 
-    def _apply_to_router(self, zone: Zone,
-                         record: PropagationRecord) -> None:
+    def _apply_to_router(self, zone: Zone) -> None:
         """Rebuild the router's edge zone from the propagated content."""
         addresses = ZoneRegistry.addresses_in(zone, self.registry.owner)
         caches: List[CacheServer] = []

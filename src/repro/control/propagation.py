@@ -30,13 +30,13 @@ from repro.control.registry import ZoneRegistry, ZoneUpdate
 
 #: Control-plane delay between a registry update and the NOTIFY going
 #: out (config push, reconciliation loop tick).
-DEFAULT_NOTIFY_DELAY_MS = 40.0
+NOTIFY_DELAY_MS = 40.0
 
 #: Cadence of transfer retries while a version is still in flight.
-DEFAULT_RETRY_DELAY_MS = 700.0
+RETRY_DELAY_MS = 700.0
 
 #: Retries before the coordinator leaves recovery to the refresh loop.
-DEFAULT_MAX_RETRIES = 8
+MAX_RETRIES = 8
 
 
 class PropagationRecord:
@@ -76,19 +76,11 @@ class PropagationCoordinator:
 
     def __init__(self, network: Network, registry: ZoneRegistry,
                  primary: AuthoritativeServer, secondary: SecondaryZone,
-                 notify_delay_ms: float = DEFAULT_NOTIFY_DELAY_MS,
-                 retry_delay_ms: float = DEFAULT_RETRY_DELAY_MS,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 on_applied: Optional[
-                     Callable[[Zone, PropagationRecord], None]] = None,
-                 ) -> None:
+                 on_applied: Callable[[Zone], None]) -> None:
         self.network = network
         self.registry = registry
         self.primary = primary
         self.secondary = secondary
-        self.notify_delay_ms = notify_delay_ms
-        self.retry_delay_ms = retry_delay_ms
-        self.max_retries = max_retries
         self.on_applied = on_applied
         #: serial -> lifecycle record, in update order.
         self.records: Dict[int, PropagationRecord] = {}
@@ -107,7 +99,7 @@ class PropagationCoordinator:
             update.serial, update.time)
         self._target_serial = update.serial
         sim = self.network.sim
-        sim.call_at(sim.now + self.notify_delay_ms, self._start_notify_loop)
+        sim.call_at(sim.now + NOTIFY_DELAY_MS, self._start_notify_loop)
 
     def _start_notify_loop(self) -> None:
         if self._loop_running:
@@ -119,7 +111,7 @@ class PropagationCoordinator:
         """NOTIFY, then retry the transfer until current or out of tries."""
         attempts = 0
         try:
-            while self._behind() and attempts < self.max_retries:
+            while self._behind() and attempts < MAX_RETRIES:
                 attempts += 1
                 now = self.network.sim.now
                 for record in self.records.values():
@@ -130,7 +122,7 @@ class PropagationCoordinator:
                 yield from self.secondary.notify()
                 if not self._behind():
                     return
-                yield self.retry_delay_ms
+                yield RETRY_DELAY_MS
             if self._behind():
                 # The periodic SOA refresh loop is now the recovery path.
                 self.gave_up += 1
@@ -160,8 +152,7 @@ class PropagationCoordinator:
         for pending in self.records.values():
             if pending.serial <= serial and pending.applied_at is None:
                 pending.applied_at = time
-        if self.on_applied is not None:
-            self.on_applied(zone, record)
+        self.on_applied(zone)
         tel = self.network.telemetry
         if tel is not None:
             delay = record.delay_ms

@@ -58,8 +58,7 @@ class FallbackClient:
 
     # -- strategies -------------------------------------------------------------
 
-    def race(self, name: Name,
-             rtype: RecordType = RecordType.A) -> Generator:
+    def race(self, name: Name) -> Generator:
         """Multicast: query both resolvers; first *useful* answer wins.
 
         A REFUSED from the MEC DNS (a non-public name under the split
@@ -68,8 +67,7 @@ class FallbackClient:
         """
         started = self.network.sim.now
         attempts = [
-            self.network.sim.spawn(
-                self._one_query(name, rtype, server))
+            self.network.sim.spawn(self._one_query(name, server))
             for server in (self.mec_dns, self.provider_ldns)
         ]
         winner = yield self.network.sim.first_success(attempts)
@@ -78,30 +76,29 @@ class FallbackClient:
         return self._result(name, response, server, started,
                             used_fallback=server == self.provider_ldns)
 
-    def timeout_fallback(self, name: Name,
-                         rtype: RecordType = RecordType.A) -> Generator:
+    def timeout_fallback(self, name: Name) -> Generator:
         """Try the MEC DNS first; on timeout/refusal ask the provider."""
         started = self.network.sim.now
         try:
             server, response = yield from self._one_query(
-                name, rtype, self.mec_dns, timeout=self.mec_timeout)
+                name, self.mec_dns, timeout=self.mec_timeout)
             self._count_win(server)
             return self._result(name, response, server, started,
                                 used_fallback=False)
         except (QueryTimeout, _NotUseful):
             pass
         server, response = yield from self._one_query(
-            name, rtype, self.provider_ldns)
+            name, self.provider_ldns)
         self._count_win(server)
         return self._result(name, response, server, started,
                             used_fallback=True)
 
     # -- internals -------------------------------------------------------------------
 
-    def _one_query(self, name: Name, rtype: RecordType, server: Endpoint,
+    def _one_query(self, name: Name, server: Endpoint,
                    timeout: Optional[float] = None) -> Generator:
         """Process returning (server, response); fails on useless answers."""
-        query = make_query(name, rtype,
+        query = make_query(name, RecordType.A,
                            msg_id=self._rng.randrange(1, 0xFFFF))
         try:
             response = yield from exchange(

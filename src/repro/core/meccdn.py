@@ -28,14 +28,14 @@ from repro.cdn.router import CoverageZone, TrafficRouter
 from repro.dnswire.name import Name
 from repro.mec.cluster import Orchestrator, Pod, Service
 from repro.mec.coredns import CoreDnsServer
-from repro.mec.namespaces import NamespacePolicy, SplitNamespacePlugin
+from repro.mec.namespaces import SplitNamespacePlugin
 from repro.netsim.latency import LatencyModel
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
 
 #: Cluster-internal CIDRs that count as the vRAN's private namespace.
-DEFAULT_INTERNAL_NETWORKS = ["10.40.0.0/16", "10.233.64.0/18", "10.96.0.0/16"]
+INTERNAL_NETWORKS = ["10.40.0.0/16", "10.233.64.0/18", "10.96.0.0/16"]
 
 
 class MecCdnSite:
@@ -45,13 +45,11 @@ class MecCdnSite:
                  catalog: ContentCatalog,
                  cdn_domain: Name = Name("mycdn.ciab.test"),
                  client_networks: Optional[List[str]] = None,
-                 internal_networks: Optional[List[str]] = None,
                  upstream_ldns: Optional[Endpoint] = None,
                  cache_count: int = 2,
                  warm_caches: bool = True,
                  ecs_enabled: bool = False,
                  answer_ttl: int = 0,
-                 namespace_policy: NamespacePolicy = NamespacePolicy.REFUSE,
                  next_tier_cdns: Optional[str] = None,
                  cdns_endpoint_override: Optional[Endpoint] = None,
                  ldns_processing_delay: Optional[LatencyModel] = None,
@@ -67,7 +65,6 @@ class MecCdnSite:
         self.catalog = catalog
         self.cdn_domain = cdn_domain
         client_networks = client_networks or ["10.45.0.0/16"]
-        internal_networks = internal_networks or DEFAULT_INTERNAL_NETWORKS
 
         # Pod fabric latency calibrated against the paper's testbed: the
         # veth/bridge/kube-proxy path costs a few hundred microseconds.
@@ -94,7 +91,7 @@ class MecCdnSite:
         # -- C-DNS (Traffic Router) with a fixed cluster IP --------------------
         self.cdns_service: Service = self.orchestrator.create_service(
             "trafficrouter", namespace="cdn", port=53)
-        zone_networks = list(client_networks) + list(internal_networks)
+        zone_networks = list(client_networks) + INTERNAL_NETWORKS
         self._edge_zone = CoverageZone(f"{name}-edge", zone_networks,
                                        self.caches)
         self._ecs_enabled = ecs_enabled
@@ -106,8 +103,7 @@ class MecCdnSite:
         self.cdns: TrafficRouter = self.cdns_pod.app  # type: ignore[assignment]
 
         # -- CoreDNS (MEC L-DNS) with split namespace --------------------------
-        self.split_namespace = SplitNamespacePlugin(
-            internal_networks=internal_networks, policy=namespace_policy)
+        self.split_namespace = SplitNamespacePlugin(INTERNAL_NETWORKS)
         self.split_namespace.register_public(cdn_domain)
         self.ldns_service: Service = self.orchestrator.create_service(
             "coredns", namespace="kube-system", port=53)
@@ -169,10 +165,6 @@ class MecCdnSite:
     def ldns_endpoint(self) -> Endpoint:
         """What UEs are pointed at: the CoreDNS service cluster IP."""
         return self.ldns_service.endpoint
-
-    @property
-    def cdns_endpoint(self) -> Endpoint:
-        return self.cdns_service.endpoint
 
     def publish_domain(self, domain: Name, cdns: Endpoint) -> None:
         """Onboard another CDN customer's delivery domain at this site."""

@@ -42,10 +42,6 @@ class TieredResolution(NamedTuple):
     referrals_followed: int
     latency_ms: float
 
-    @property
-    def resolved_at_edge(self) -> bool:
-        return self.referrals_followed == 0
-
 
 class EdgeAwareClient:
     """Resolves CDN names across tiers, starting from the MEC L-DNS."""
@@ -59,7 +55,7 @@ class EdgeAwareClient:
         self.referrals_followed = 0
 
     def resolve(self, name: Name,
-                rtype: RecordType = RecordType.A, ctx=None) -> Generator:
+                rtype: RecordType = RecordType.A) -> Generator:
         """Process returning a :class:`TieredResolution`.
 
         Raises :class:`~repro.errors.ResolutionError` if the referral
@@ -69,13 +65,12 @@ class EdgeAwareClient:
         started = self.network.sim.now
         self.resolutions += 1
         tel = self.network.telemetry
-        span = None
+        span = ctx = None
         if tel is not None:
             span = tel.tracer.begin("resolution.tiered", "resolver",
-                                    self.host.name, parent=ctx,
+                                    self.host.name,
                                     qname=str(name), rtype=rtype.name)
-            if span is not None:
-                ctx = span.context
+            ctx = span.context
         servers: List[Endpoint] = []
         target: Optional[Endpoint] = None  # None = use the default L-DNS
         referrals = 0

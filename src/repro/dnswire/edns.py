@@ -179,9 +179,9 @@ class ExtendedDnsError(EdnsOption):
         self.extra_text = extra_text
 
     @classmethod
-    def stale_answer(cls, extra_text: str = "") -> "ExtendedDnsError":
+    def stale_answer(cls) -> "ExtendedDnsError":
         """The marker a serve-stale response carries."""
-        return cls(cls.INFO_CODE_STALE_ANSWER, extra_text)
+        return cls(cls.INFO_CODE_STALE_ANSWER)
 
     @property
     def is_stale_answer(self) -> bool:

@@ -714,7 +714,7 @@ def make_response(query: Message, rcode: Rcode = Rcode.NOERROR,
     return msg
 
 
-def mark_stale(response: Message, extra_text: str = "") -> Message:
+def mark_stale(response: Message) -> Message:
     """Stamp ``response`` as a stale answer (RFC 8767 via RFC 8914).
 
     Adds EDNS state when the response has none, then appends the
@@ -724,5 +724,5 @@ def mark_stale(response: Message, extra_text: str = "") -> Message:
     if response.edns is None:
         response.edns = Edns()
     if response.edns.extended_error is None:
-        response.edns.options.append(ExtendedDnsError.stale_answer(extra_text))
+        response.edns.options.append(ExtendedDnsError.stale_answer())
     return response

@@ -213,10 +213,6 @@ class Name:
         return self._labels[:depth], Name._from_valid(self._labels[depth:],
                                                       self._folded[depth:])
 
-    def wire_length(self) -> int:
-        """Octets needed to encode this name without compression."""
-        return sum(len(label) + 1 for label in self._labels) + 1
-
 
 def _text_to_labels(text: str) -> Tuple[bytes, ...]:
     stripped = text.strip()
@@ -276,16 +272,6 @@ def derelativize(text: str, origin: Optional[Name] = None) -> Name:
     if token.endswith(".") or origin is None:
         return Name(token)
     return Name(token).concatenate(origin)
-
-
-def reverse_pointer(ip: str) -> Name:
-    """The ``in-addr.arpa`` name for an IPv4 address.
-
-    Reverse zones let operators PTR-map their cache and router addresses,
-    and diagnostics resolve addresses back to names.
-    """
-    import ipaddress
-    return Name(ipaddress.IPv4Address(ip).reverse_pointer)
 
 
 #: The root domain name.

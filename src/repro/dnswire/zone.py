@@ -80,11 +80,6 @@ class Zone:
             raise ZoneError(f"{record.name} already holds a CNAME")
         node.setdefault(record.rtype, []).append(record)
 
-    def add_simple(self, owner: str, rtype: RecordType, rdata, ttl: int = DEFAULT_TTL) -> None:
-        """Convenience: add from a textual owner relative to the origin."""
-        name = derelativize(owner, self.origin)
-        self.add(ResourceRecord(name, rtype, ttl, rdata))
-
     def remove(self, record: ResourceRecord) -> bool:
         """Remove one record (matched by owner/type/ttl/rdata).
 
@@ -146,11 +141,11 @@ class Zone:
                 return LookupResult(LookupStatus.NXDOMAIN,
                                     authority=self._soa_authority())
             node = wildcard
-            return self._answer_from_node(node, name, rtype, synthesize_owner=name)
-        return self._answer_from_node(node, name, rtype)
+            return self._answer_from_node(node, rtype, synthesize_owner=name)
+        return self._answer_from_node(node, rtype)
 
     def _answer_from_node(self, node: Dict[RecordType, List[ResourceRecord]],
-                          name: Name, rtype: RecordType,
+                          rtype: RecordType,
                           synthesize_owner: Optional[Name] = None) -> LookupResult:
         def materialise(records: List[ResourceRecord]) -> List[ResourceRecord]:
             if synthesize_owner is None:
@@ -368,42 +363,3 @@ def _parse_ttl(token: str) -> int:
     if _looks_like_ttl(token):
         return int(token[:-1]) * _TTL_UNITS[token[-1].lower()]
     raise ZoneError(f"bad TTL {token!r}")
-
-
-def zone_to_master_text(zone: Zone) -> str:
-    """Render a zone in master-file format (parseable back).
-
-    The SOA leads (as convention requires), owners are written relative
-    to the origin (``@`` for the apex), and rdata uses each type's
-    presentation form.
-    """
-    lines = [f"$ORIGIN {zone.origin.to_text()}"]
-
-    def owner_text(name: Name) -> str:
-        if name == zone.origin:
-            return "@"
-        labels = name.relativize(zone.origin)
-        return Name.from_labels(labels).to_text()[:-1]
-
-    def render(record: ResourceRecord) -> str:
-        return (f"{owner_text(record.name)} {record.ttl} "
-                f"{record.rclass.name} {record.rtype.name} "
-                f"{record.rdata.to_text()}")
-
-    soa = zone.soa
-    if soa is not None:
-        lines.append(render(soa))
-    body = sorted((record for record in zone.records()
-                   if record.rtype != RecordType.SOA),
-                  key=lambda record: (record.name, int(record.rtype),
-                                      record.rdata.to_text()))
-    lines.extend(render(record) for record in body)
-    return "\n".join(lines) + "\n"
-
-
-def zone_from_records(origin: str, records: Iterable[ResourceRecord]) -> Zone:
-    """Build a zone directly from record objects (test/fixture helper)."""
-    zone = Zone(Name(origin))
-    for record in records:
-        zone.add(record)
-    return zone

@@ -53,18 +53,6 @@ class QueryTimeout(ResolutionError):
     """No response arrived within the client's timeout."""
 
 
-class ServerFailure(ResolutionError):
-    """The server answered with SERVFAIL (or an equivalent hard error)."""
-
-
-class NxDomain(ResolutionError):
-    """The queried name does not exist (RCODE = NXDOMAIN)."""
-
-
-class NoAnswer(ResolutionError):
-    """The name exists but has no records of the requested type."""
-
-
 # ---------------------------------------------------------------------------
 # Simulator
 # ---------------------------------------------------------------------------
@@ -95,10 +83,6 @@ class CdnError(ReproError):
 
 class ContentNotFound(CdnError):
     """The requested content is not in the catalog or any reachable tier."""
-
-
-class NoCacheAvailable(CdnError):
-    """The traffic router has no eligible cache server for a request."""
 
 
 class MecError(ReproError):

@@ -42,7 +42,8 @@ DEFAULT_RATES = (200.0, 500.0, 1000.0, 1500.0, 1800.0, 2200.0, 3000.0,
 DEFAULT_DURATION_MS = 2000.0
 
 
-def _zone() -> Zone:
+def content_zone() -> Zone:
+    """The one-name delivery zone the capacity and overload servers host."""
     zone = Zone(Name(CDN_DOMAIN))
     zone.add(ResourceRecord(Name(CDN_DOMAIN), RecordType.SOA, 300,
                             SOA(Name(f"ns.{CDN_DOMAIN}"),
@@ -106,7 +107,7 @@ class CapacityExperiment(Experiment):
         net.add_host("mec-dns", "10.96.0.10")
         net.add_host("clients", "10.45.0.2")
         net.add_link("clients", "mec-dns", Constant(1))
-        AuthoritativeServer(net, net.host("mec-dns"), [_zone()],
+        AuthoritativeServer(net, net.host("mec-dns"), [content_zone()],
                             processing_delay=Constant(SERVICE_MS),
                             workers=WORKERS, max_queue=128)
         return run_load(net, net.host("clients"),
@@ -123,35 +124,31 @@ class CapacityExperiment(Experiment):
                               nominal_capacity_qps=NOMINAL_CAPACITY_QPS,
                               saturation_qps=saturation)
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: CapacityResult) -> List[str]:
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        below = [point for point in result.points
+                 if point.offered_qps <= 0.75 * result.nominal_capacity_qps]
+        above = [point for point in result.points
+                 if point.offered_qps >= 1.5 * result.nominal_capacity_qps]
+        if not below or not above:
+            violations.append("sweep does not straddle the nominal capacity")
+            return violations
+        if not all(point.loss_rate < 0.01 for point in below):
+            violations.append("loss below 75% of capacity should be ~0")
+        if not all(point.loss_rate > 0.05 for point in above):
+            violations.append("well beyond capacity, loss should be material")
+        if not max(point.p95_ms for point in above) > \
+                5 * max(point.p95_ms for point in below):
+            violations.append("queueing blow-up not visible in p95")
+        for point in above:
+            if point.goodput_qps > 1.15 * result.nominal_capacity_qps:
+                violations.append(
+                    f"goodput {point.goodput_qps:.0f} qps exceeds nominal "
+                    f"capacity — the service model leaked")
+        if result.saturation_qps is None:
+            violations.append("saturation never observed in the sweep")
+        return violations
 
 
 EXPERIMENT = CapacityExperiment()
-
-
-def check_shape(result: CapacityResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    below = [point for point in result.points
-             if point.offered_qps <= 0.75 * result.nominal_capacity_qps]
-    above = [point for point in result.points
-             if point.offered_qps >= 1.5 * result.nominal_capacity_qps]
-    if not below or not above:
-        violations.append("sweep does not straddle the nominal capacity")
-        return violations
-    if not all(point.loss_rate < 0.01 for point in below):
-        violations.append("loss below 75% of capacity should be ~0")
-    if not all(point.loss_rate > 0.05 for point in above):
-        violations.append("well beyond capacity, loss should be material")
-    if not max(point.p95_ms for point in above) > \
-            5 * max(point.p95_ms for point in below):
-        violations.append("queueing blow-up not visible in p95")
-    for point in above:
-        if point.goodput_qps > 1.15 * result.nominal_capacity_qps:
-            violations.append(
-                f"goodput {point.goodput_qps:.0f} qps exceeds nominal "
-                f"capacity — the service model leaked")
-    if result.saturation_qps is None:
-        violations.append("saturation never observed in the sweep")
-    return violations

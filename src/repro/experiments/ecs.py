@@ -44,10 +44,6 @@ class EcsResult(NamedTuple):
     rows: List[EcsRow]
     queries: int
 
-    def ratios(self) -> Dict[str, float]:
-        """Deployment key -> measured ECS/no-ECS latency ratio."""
-        return {row.key: row.ratio for row in self.rows}
-
     def render(self) -> str:
         """Render the paper-comparable text output."""
         table_rows = [(row.label,
@@ -110,27 +106,23 @@ class EcsExperiment(Experiment):
         return EcsResult(rows=list(payloads),
                          queries=int(params["queries"]))
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: EcsResult) -> List[str]:
+        """Violated ECS claims (empty = all hold).
+
+        The paper's point is that ECS is *not a win* here: ratios hover
+        around 1.0 (it "may even increase DNS resolution time") while
+        answers stay correct.  We assert every ratio lands in [0.90, 1.15]
+        and correctness holds.
+        """
+        violations: List[str] = []
+        for row in result.rows:
+            if not 0.90 <= row.ratio <= 1.15:
+                violations.append(f"{row.key}: ECS ratio {row.ratio:.2f} "
+                                  f"outside [0.90, 1.15]")
+            if not row.always_correct_cache:
+                violations.append(f"{row.key}: ECS answers not always the MEC "
+                                  f"cache")
+        return violations
 
 
 EXPERIMENT = EcsExperiment()
-
-
-def check_shape(result: EcsResult) -> List[str]:
-    """Violated ECS claims (empty = all hold).
-
-    The paper's point is that ECS is *not a win* here: ratios hover
-    around 1.0 (it "may even increase DNS resolution time") while
-    answers stay correct.  We assert every ratio lands in [0.90, 1.15]
-    and correctness holds.
-    """
-    violations: List[str] = []
-    for row in result.rows:
-        if not 0.90 <= row.ratio <= 1.15:
-            violations.append(f"{row.key}: ECS ratio {row.ratio:.2f} "
-                              f"outside [0.90, 1.15]")
-        if not row.always_correct_cache:
-            violations.append(f"{row.key}: ECS answers not always the MEC "
-                              f"cache")
-    return violations

@@ -87,8 +87,24 @@ class EnvelopeSweepExperiment(Experiment):
             points=points, queries=int(params["queries"]),
             crossover_one_way_ms=_crossover(points))
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: EnvelopeSweepResult) -> List[str]:
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        means = [point.mean_latency_ms for point in result.points]
+        if not all(earlier <= later + 1.0  # allow ~1ms sampling noise
+                   for earlier, later in zip(means, means[1:])):
+            violations.append("latency is not monotone in C-DNS distance")
+        if result.crossover_one_way_ms is None:
+            violations.append("no 20 ms crossover found in the sweep range")
+        elif not 1.0 <= result.crossover_one_way_ms <= 8.0:
+            violations.append(
+                f"crossover at {result.crossover_one_way_ms:.1f} ms one-way "
+                f"is outside the LAN-scale band the paper implies")
+        if not result.points[0].within_envelope:
+            violations.append("even a collocated C-DNS misses the envelope")
+        if result.points[-1].within_envelope:
+            violations.append("a WAN-distance C-DNS should miss the envelope")
+        return violations
 
 
 EXPERIMENT = EnvelopeSweepExperiment()
@@ -105,23 +121,3 @@ def _crossover(points: List[SweepPoint]) -> Optional[float]:
                     + fraction * (current.cdns_one_way_ms
                                   - previous.cdns_one_way_ms))
     return None
-
-
-def check_shape(result: EnvelopeSweepResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    means = [point.mean_latency_ms for point in result.points]
-    if not all(earlier <= later + 1.0  # allow ~1ms sampling noise
-               for earlier, later in zip(means, means[1:])):
-        violations.append("latency is not monotone in C-DNS distance")
-    if result.crossover_one_way_ms is None:
-        violations.append("no 20 ms crossover found in the sweep range")
-    elif not 1.0 <= result.crossover_one_way_ms <= 8.0:
-        violations.append(
-            f"crossover at {result.crossover_one_way_ms:.1f} ms one-way is "
-            f"outside the LAN-scale band the paper implies")
-    if not result.points[0].within_envelope:
-        violations.append("even a collocated C-DNS misses the envelope")
-    if result.points[-1].within_envelope:
-        violations.append("a WAN-distance C-DNS should miss the envelope")
-    return violations

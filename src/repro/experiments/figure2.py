@@ -116,34 +116,31 @@ class Figure2Experiment(Experiment):
         return Figure2Result(rows=list(payloads),
                              trials=int(params["trials"]))
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: Figure2Result) -> List[str]:
+        """Return a list of violated shape claims (empty = all hold)."""
+        violations: List[str] = []
+        bars = result.bars()
+        stdevs = {(row.site, row.connectivity): row.stats.stdev
+                  for row in result.rows}
+        for deployment in TABLE1_SITES:
+            site = deployment.site
+            wired = bars[(site, "wired-campus")]
+            wifi = bars[(site, "wifi-home")]
+            cellular = bars[(site, "cellular-mobile")]
+            if not cellular > wifi:
+                violations.append(f"{site}: cellular ({cellular:.1f}) not "
+                                  f"above wifi ({wifi:.1f})")
+            if not cellular > 2 * wired:
+                violations.append(f"{site}: cellular ({cellular:.1f}) not "
+                                  f"well above wired ({wired:.1f})")
+            if not wifi > wired:
+                violations.append(f"{site}: wifi ({wifi:.1f}) not above wired "
+                                  f"({wired:.1f})")
+            if not stdevs[(site, "cellular-mobile")] > \
+                    stdevs[(site, "wired-campus")]:
+                violations.append(
+                    f"{site}: cellular variability not above wired")
+        return violations
 
 
 EXPERIMENT = Figure2Experiment()
-
-
-def check_shape(result: Figure2Result) -> List[str]:
-    """Return a list of violated shape claims (empty = all hold)."""
-    violations: List[str] = []
-    bars = result.bars()
-    stdevs = {(row.site, row.connectivity): row.stats.stdev
-              for row in result.rows}
-    for deployment in TABLE1_SITES:
-        site = deployment.site
-        wired = bars[(site, "wired-campus")]
-        wifi = bars[(site, "wifi-home")]
-        cellular = bars[(site, "cellular-mobile")]
-        if not cellular > wifi:
-            violations.append(f"{site}: cellular ({cellular:.1f}) not above "
-                              f"wifi ({wifi:.1f})")
-        if not cellular > 2 * wired:
-            violations.append(f"{site}: cellular ({cellular:.1f}) not well "
-                              f"above wired ({wired:.1f})")
-        if not wifi > wired:
-            violations.append(f"{site}: wifi ({wifi:.1f}) not above wired "
-                              f"({wired:.1f})")
-        if not stdevs[(site, "cellular-mobile")] > \
-                stdevs[(site, "wired-campus")]:
-            violations.append(f"{site}: cellular variability not above wired")
-    return violations

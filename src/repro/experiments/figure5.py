@@ -146,36 +146,32 @@ class Figure5Experiment(Experiment):
     def render_result(self, result):
         return result.render_chart() + "\n\n" + result.render()
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: Figure5Result) -> List[str]:
+        """Violated Figure 5 claims (empty = all hold)."""
+        violations: List[str] = []
+        means = result.means()
+        for earlier, later in zip(MEC_DEPLOYMENTS, MEC_DEPLOYMENTS[1:]):
+            if not means[earlier] < means[later]:
+                violations.append(f"{earlier} not faster than {later}")
+        for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
+            if means[key] >= 20:
+                violations.append(f"{key} misses the 20ms envelope "
+                                  f"({means[key]:.1f}ms)")
+        for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
+                    "cloudflare-dns"):
+            if means[key] <= 20:
+                violations.append(f"{key} unexpectedly under 20ms")
+        gap = means["mec-ldns-lan-cdns"] - means["mec-ldns-mec-cdns"]
+        if not 3 <= gap <= 8:
+            violations.append(f"MEC vs LAN C-DNS gap {gap:.1f}ms not ~5ms")
+        speedup = (max(means[key] for key in WARMED_DEPLOYMENTS)
+                   / means["mec-ldns-mec-cdns"])
+        if speedup < 7.5:
+            violations.append(f"best-case speedup {speedup:.1f}x below ~9x")
+        mec_row = result.row("mec-ldns-mec-cdns")
+        if mec_row.wireless.mean / mec_row.latency.mean < 0.6:
+            violations.append("wireless leg does not dominate the MEC bar")
+        return violations
 
 
 EXPERIMENT = Figure5Experiment()
-
-
-def check_shape(result: Figure5Result) -> List[str]:
-    """Violated Figure 5 claims (empty = all hold)."""
-    violations: List[str] = []
-    means = result.means()
-    for earlier, later in zip(MEC_DEPLOYMENTS, MEC_DEPLOYMENTS[1:]):
-        if not means[earlier] < means[later]:
-            violations.append(f"{earlier} not faster than {later}")
-    for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
-        if means[key] >= 20:
-            violations.append(f"{key} misses the 20ms envelope "
-                              f"({means[key]:.1f}ms)")
-    for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
-                "cloudflare-dns"):
-        if means[key] <= 20:
-            violations.append(f"{key} unexpectedly under 20ms")
-    gap = means["mec-ldns-lan-cdns"] - means["mec-ldns-mec-cdns"]
-    if not 3 <= gap <= 8:
-        violations.append(f"MEC vs LAN C-DNS gap {gap:.1f}ms not ~5ms")
-    speedup = (max(means[key] for key in WARMED_DEPLOYMENTS)
-               / means["mec-ldns-mec-cdns"])
-    if speedup < 7.5:
-        violations.append(f"best-case speedup {speedup:.1f}x below ~9x")
-    mec_row = result.row("mec-ldns-mec-cdns")
-    if mec_row.wireless.mean / mec_row.latency.mean < 0.6:
-        violations.append("wireless leg does not dominate the MEC bar")
-    return violations

@@ -194,28 +194,24 @@ class MislocalizationExperiment(Experiment):
         return MislocalizationResult(rows=rows, per_site_distance=per_site,
                                      trials=int(params["trials"]))
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: MislocalizationResult) -> List[str]:
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        wired = result.row("wired-campus")
+        wifi = result.row("wifi-home")
+        cellular = result.row("cellular-mobile")
+        if not cellular.geoip_error_km > 5 * wired.geoip_error_km:
+            violations.append(
+                f"cellular GeoIP error ({cellular.geoip_error_km:.0f} km) not "
+                f"well above wired ({wired.geoip_error_km:.0f} km)")
+        if not wired.geoip_error_km < wifi.geoip_error_km:
+            violations.append("wired GeoIP error not below wifi")
+        if not cellular.mean_cache_distance_km > wired.mean_cache_distance_km:
+            violations.append(
+                f"cellular cache distance "
+                f"({cellular.mean_cache_distance_km:.0f} km) not above wired "
+                f"({wired.mean_cache_distance_km:.0f} km)")
+        return violations
 
 
 EXPERIMENT = MislocalizationExperiment()
-
-
-def check_shape(result: MislocalizationResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    wired = result.row("wired-campus")
-    wifi = result.row("wifi-home")
-    cellular = result.row("cellular-mobile")
-    if not cellular.geoip_error_km > 5 * wired.geoip_error_km:
-        violations.append(
-            f"cellular GeoIP error ({cellular.geoip_error_km:.0f} km) not "
-            f"well above wired ({wired.geoip_error_km:.0f} km)")
-    if not wired.geoip_error_km < wifi.geoip_error_km:
-        violations.append("wired GeoIP error not below wifi")
-    if not cellular.mean_cache_distance_km > wired.mean_cache_distance_km:
-        violations.append(
-            f"cellular cache distance "
-            f"({cellular.mean_cache_distance_km:.0f} km) not above wired "
-            f"({wired.mean_cache_distance_km:.0f} km)")
-    return violations

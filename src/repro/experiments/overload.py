@@ -17,12 +17,8 @@ from __future__ import annotations
 from typing import Generator, List, NamedTuple
 
 from repro.dnswire import cached_wire, make_query
-from repro.dnswire.message import ResourceRecord
-from repro.dnswire.name import Name
-from repro.dnswire.rdata import A, NS, SOA
-from repro.dnswire.types import RecordType
-from repro.dnswire.zone import Zone
 from repro.errors import QueryTimeout
+from repro.experiments.capacity import CONTENT, content_zone
 from repro.experiments.report import format_table
 from repro.mec.ingress import DosMitigation, IngressMonitor
 from repro.measure.stats import percentile
@@ -37,25 +33,11 @@ from repro.resolver.authoritative import AuthoritativeServer
 from repro.resolver.retry import RetryPolicy
 from repro.runtime import Experiment, Param
 
-CDN_DOMAIN = "mycdn.ciab.test"
-CONTENT = Name(f"video.demo1.{CDN_DOMAIN}")
-
 BASELINE_MS = 2_000.0
 ATTACK_MS = 4_000.0
 COOLDOWN_MS = 1_000.0
 LEGIT_INTERVAL_MS = 50.0
 LEGIT_TIMEOUT_MS = 600.0
-
-
-def _zone(address: str) -> Zone:
-    zone = Zone(Name(CDN_DOMAIN))
-    zone.add(ResourceRecord(Name(CDN_DOMAIN), RecordType.SOA, 300,
-                            SOA(Name(f"ns.{CDN_DOMAIN}"),
-                                Name(f"admin.{CDN_DOMAIN}"), 1, 2, 3, 4, 60)))
-    zone.add(ResourceRecord(Name(CDN_DOMAIN), RecordType.NS, 300,
-                            NS(Name(f"ns.{CDN_DOMAIN}"))))
-    zone.add(ResourceRecord(CONTENT, RecordType.A, 0, A("10.233.1.10")))
-    return zone
 
 
 class OverloadRow(NamedTuple):
@@ -110,10 +92,10 @@ def _run_policy(policy: str, attack_qps: float, seed: int) -> OverloadRow:
 
     # Finite capacity: one worker, ~1.2 ms service -> ~830 qps ceiling.
     mec_dns = AuthoritativeServer(net, net.host("mec-dns"),
-                                  [_zone("10.233.1.10")],
+                                  [content_zone()],
                                   processing_delay=Constant(1.2),
                                   workers=1, max_queue=64)
-    AuthoritativeServer(net, net.host("provider"), [_zone("10.233.1.10")])
+    AuthoritativeServer(net, net.host("provider"), [content_zone()])
 
     monitor = IngressMonitor(window_ms=500, threshold_qps=400)
     mitigation = DosMitigation(monitor,
@@ -208,28 +190,25 @@ class OverloadExperiment(Experiment):
         return OverloadResult(rows=list(payloads),
                               attack_qps=float(params["attack_qps"]))
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: OverloadResult) -> List[str]:
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        unmitigated = result.row("none")
+        mitigated = result.row("switch-to-provider")
+        if not unmitigated.attack_success_rate < 0.8:
+            violations.append("the flood did not actually degrade service")
+        if not mitigated.attack_success_rate > 0.95:
+            violations.append(
+                f"mitigation did not preserve availability "
+                f"({mitigated.attack_success_rate:.2f})")
+        if not mitigated.mitigation_activations >= 1:
+            violations.append("mitigation never activated")
+        if not mitigated.attack_p95_ms < LEGIT_TIMEOUT_MS:
+            violations.append("mitigated latency not bounded")
+        if not mitigated.attack_p95_ms > mitigated.baseline_p95_ms:
+            violations.append(
+                "mitigation should cost latency (provider is far)")
+        return violations
 
 
 EXPERIMENT = OverloadExperiment()
-
-
-def check_shape(result: OverloadResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    unmitigated = result.row("none")
-    mitigated = result.row("switch-to-provider")
-    if not unmitigated.attack_success_rate < 0.8:
-        violations.append("the flood did not actually degrade service")
-    if not mitigated.attack_success_rate > 0.95:
-        violations.append(
-            f"mitigation did not preserve availability "
-            f"({mitigated.attack_success_rate:.2f})")
-    if not mitigated.mitigation_activations >= 1:
-        violations.append("mitigation never activated")
-    if not mitigated.attack_p95_ms < LEGIT_TIMEOUT_MS:
-        violations.append("mitigated latency not bounded")
-    if not mitigated.attack_p95_ms > mitigated.baseline_p95_ms:
-        violations.append("mitigation should cost latency (provider is far)")
-    return violations

@@ -36,7 +36,7 @@ from repro.resolver.stub import DigResult, StubResolver
 
 #: Spacing between repeated tests; longer than the 30 s answer TTL so the
 #: L-DNS re-asks the CDN plane each time, as the paper's spread implies.
-DEFAULT_SPACING_MS = 60_000.0
+SPACING_MS = 60_000.0
 
 #: Per-domain extra C-DNS processing ("CDN internal caching mechanisms
 #: around their server hierarchy, naming, indexing, ...", §2) — this is
@@ -145,8 +145,7 @@ class PublicInternetScenario:
         return self._resolvers[connectivity].endpoint
 
     def run_series(self, connectivity: str, deployment: DomainDeployment,
-                   count: int,
-                   spacing_ms: float = DEFAULT_SPACING_MS) -> List[DigResult]:
+                   count: int) -> List[DigResult]:
         """``count`` dig runs for one domain over one access network."""
         if connectivity not in CONNECTIVITIES:
             raise ValueError(f"unknown connectivity {connectivity!r}")
@@ -159,7 +158,7 @@ class PublicInternetScenario:
             for _ in range(count):
                 result = yield from stub.query(deployment.domain)
                 results.append(result)
-                yield spacing_ms
+                yield SPACING_MS
 
         self.sim.run_until_resolved(self.sim.spawn(driver()))
         return results

@@ -373,73 +373,70 @@ class ResilienceExperiment(Experiment):
                                 replays=replays,
                                 queries=int(params["queries"]))
 
-    def check_shape(self, result):
-        return check_shape(result)
+    def check_shape(self, result: ResilienceResult) -> List[str]:
+        """Shape claims the chaos grid must satisfy; violations returned."""
+        claims: List[str] = []
+
+        def fail(text: str) -> None:
+            claims.append(text)
+
+        # -- cdns-crash -------------------------------------------------------
+        for key in MEC_DEPLOYMENTS:
+            base = result.row("cdns-crash", key, "baseline")
+            hard = result.row("cdns-crash", key, "resilient")
+            if base.availability >= 0.85:
+                fail(f"cdns-crash should dent baseline {key} availability "
+                     f"(got {base.availability:.2f} >= 0.85)")
+            if hard.availability < 0.95:
+                fail(f"serve-stale should keep resilient {key} answering "
+                     f"(availability {hard.availability:.2f} < 0.95)")
+            if hard.stale_answers == 0:
+                fail(f"resilient {key} should have served stale answers")
+            if hard.p95_ms > DEADLINE_MS:
+                fail(f"resilient {key} p95 {hard.p95_ms:.1f} ms should stay "
+                     f"inside the {DEADLINE_MS:.0f} ms deadline")
+        for key in WARMED_DEPLOYMENTS:
+            base = result.row("cdns-crash", key, "baseline")
+            if base.availability < 0.99:
+                fail(f"warmed-resolver {key} should be immune to a C-DNS "
+                     f"crash (availability {base.availability:.2f} < 0.99)")
+
+        # -- mec-partition ----------------------------------------------------
+        base = result.row("mec-partition", "mec-ldns-mec-cdns", "baseline")
+        hard = result.row("mec-partition", "mec-ldns-mec-cdns", "resilient")
+        if base.availability >= 0.85:
+            fail(f"partition should dent baseline availability "
+                 f"(got {base.availability:.2f} >= 0.85)")
+        if hard.availability < 0.95:
+            fail(f"provider fallback should restore availability "
+                 f"(got {hard.availability:.2f} < 0.95)")
+        if hard.fallback_answers == 0:
+            fail("resilient partition cell should have used the provider "
+                 "L-DNS")
+        if hard.p95_ms > DEADLINE_MS:
+            fail(f"fallback p95 {hard.p95_ms:.1f} ms should stay inside the "
+                 f"{DEADLINE_MS:.0f} ms deadline")
+
+        # -- lte-burst-loss ---------------------------------------------------
+        base = result.row("lte-burst-loss", "mec-ldns-mec-cdns", "baseline")
+        hard = result.row("lte-burst-loss", "mec-ldns-mec-cdns", "resilient")
+        if hard.availability < base.availability + 0.10:
+            fail(f"hedging+backoff should lift burst-loss availability by "
+                 f">= 0.10 (baseline {base.availability:.2f}, resilient "
+                 f"{hard.availability:.2f})")
+        if hard.p95_ms >= base.p95_ms:
+            fail(f"resilient burst-loss p95 {hard.p95_ms:.1f} ms should beat "
+                 f"baseline {base.p95_ms:.1f} ms")
+
+        # -- determinism ------------------------------------------------------
+        for key, (first, second) in result.replays.items():
+            if first != second:
+                fail(f"replay of {key} with the same seed diverged")
+        for key in ("cdns-crash/mec-ldns-mec-cdns/baseline",
+                    "mec-partition/mec-ldns-mec-cdns/baseline"):
+            if not result.timelines.get(key):
+                fail(f"fault timeline for {key} should not be empty")
+        return claims
 
 
 EXPERIMENT = ResilienceExperiment()
-
-
-def check_shape(result: ResilienceResult) -> List[str]:
-    """Shape claims the chaos grid must satisfy; violations returned."""
-    claims: List[str] = []
-
-    def fail(text: str) -> None:
-        claims.append(text)
-
-    # -- cdns-crash ---------------------------------------------------------
-    for key in MEC_DEPLOYMENTS:
-        base = result.row("cdns-crash", key, "baseline")
-        hard = result.row("cdns-crash", key, "resilient")
-        if base.availability >= 0.85:
-            fail(f"cdns-crash should dent baseline {key} availability "
-                 f"(got {base.availability:.2f} >= 0.85)")
-        if hard.availability < 0.95:
-            fail(f"serve-stale should keep resilient {key} answering "
-                 f"(availability {hard.availability:.2f} < 0.95)")
-        if hard.stale_answers == 0:
-            fail(f"resilient {key} should have served stale answers")
-        if hard.p95_ms > DEADLINE_MS:
-            fail(f"resilient {key} p95 {hard.p95_ms:.1f} ms should stay "
-                 f"inside the {DEADLINE_MS:.0f} ms deadline")
-    for key in WARMED_DEPLOYMENTS:
-        base = result.row("cdns-crash", key, "baseline")
-        if base.availability < 0.99:
-            fail(f"warmed-resolver {key} should be immune to a C-DNS "
-                 f"crash (availability {base.availability:.2f} < 0.99)")
-
-    # -- mec-partition ------------------------------------------------------
-    base = result.row("mec-partition", "mec-ldns-mec-cdns", "baseline")
-    hard = result.row("mec-partition", "mec-ldns-mec-cdns", "resilient")
-    if base.availability >= 0.85:
-        fail(f"partition should dent baseline availability "
-             f"(got {base.availability:.2f} >= 0.85)")
-    if hard.availability < 0.95:
-        fail(f"provider fallback should restore availability "
-             f"(got {hard.availability:.2f} < 0.95)")
-    if hard.fallback_answers == 0:
-        fail("resilient partition cell should have used the provider L-DNS")
-    if hard.p95_ms > DEADLINE_MS:
-        fail(f"fallback p95 {hard.p95_ms:.1f} ms should stay inside the "
-             f"{DEADLINE_MS:.0f} ms deadline")
-
-    # -- lte-burst-loss -----------------------------------------------------
-    base = result.row("lte-burst-loss", "mec-ldns-mec-cdns", "baseline")
-    hard = result.row("lte-burst-loss", "mec-ldns-mec-cdns", "resilient")
-    if hard.availability < base.availability + 0.10:
-        fail(f"hedging+backoff should lift burst-loss availability by "
-             f">= 0.10 (baseline {base.availability:.2f}, resilient "
-             f"{hard.availability:.2f})")
-    if hard.p95_ms >= base.p95_ms:
-        fail(f"resilient burst-loss p95 {hard.p95_ms:.1f} ms should beat "
-             f"baseline {base.p95_ms:.1f} ms")
-
-    # -- determinism --------------------------------------------------------
-    for key, (first, second) in result.replays.items():
-        if first != second:
-            fail(f"replay of {key} with the same seed diverged")
-    for key in ("cdns-crash/mec-ldns-mec-cdns/baseline",
-                "mec-partition/mec-ldns-mec-cdns/baseline"):
-        if not result.timelines.get(key):
-            fail(f"fault timeline for {key} should not be empty")
-    return claims

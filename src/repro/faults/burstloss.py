@@ -60,18 +60,6 @@ class GilbertElliott:
             return True
         return False
 
-    @property
-    def stationary_loss(self) -> float:
-        """Long-run loss fraction implied by the chain parameters."""
-        fraction_bad = self.p_enter / (self.p_enter + self.p_exit)
-        return (fraction_bad * self.bad_loss
-                + (1 - fraction_bad) * self.good_loss)
-
-    @property
-    def mean_burst_traversals(self) -> float:
-        """Expected traversals spent in the Bad state per burst."""
-        return 1.0 / self.p_exit
-
     def __repr__(self) -> str:
         state = "bad" if self.in_bad_state else "good"
         return (f"GilbertElliott(p_enter={self.p_enter}, "

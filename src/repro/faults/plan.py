@@ -1,8 +1,8 @@
 """Declarative fault plans and the injector that replays them.
 
 A :class:`FaultPlan` is a schedule of timed fault events — server
-crashes and restarts, brownouts, link flaps, loss degradation, burst
-loss, partitions — built with chainable helper methods.  A
+crashes and restarts, brownouts, burst loss, partitions — built with
+chainable helper methods.  A
 :class:`FaultInjector` binds the plan to a live
 :class:`~repro.netsim.network.Network` and schedules every event on the
 simulator clock.  Nothing in this module draws randomness of its own:
@@ -15,9 +15,8 @@ The paper's §3 resilience arguments — fall back to the provider's L-DNS
 under high ingress, survive DoS on MEC components — are only testable
 against a substrate that can misbehave on schedule; this module is that
 substrate.  The hooks it drives (``Host.down``, ``Host.brownout_ms``,
-``Link.down``, ``Link.extra_loss``, ``Link.loss_model``,
-``Network.partition``) are all no-fault-defaulted attributes, so an
-uninstalled plan costs nothing.
+``Link.loss_model``, ``Network.partition``) are all no-fault-defaulted
+attributes, so an uninstalled plan costs nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class FaultEvent(NamedTuple):
     """One scheduled fault action."""
 
     at_ms: float
-    kind: str          # e.g. "host-down", "link-up", "partition-on"
+    kind: str          # e.g. "host-down", "burst-on", "partition-on"
     target: str        # human-readable target ("host x", "link a<->b")
     fault_id: int      # pairs -on/-off events of the same fault
     params: dict
@@ -94,40 +93,6 @@ class FaultPlan:
                       fault, host=host)
         return self
 
-    def link_down(self, a: str, b: str, at_ms: float,
-                  duration_ms: Optional[float] = None) -> "FaultPlan":
-        """Black-hole the ``a``-``b`` link; restore after ``duration_ms``."""
-        fault = self._allocate()
-        self._add(at_ms, "link-down", f"link {a}<->{b}", fault, a=a, b=b)
-        if duration_ms is not None:
-            self._add(at_ms + duration_ms, "link-up", f"link {a}<->{b}",
-                      fault, a=a, b=b)
-        return self
-
-    def flap_link(self, a: str, b: str, at_ms: float, down_ms: float,
-                  up_ms: float, cycles: int) -> "FaultPlan":
-        """``cycles`` down/up oscillations starting at ``at_ms``."""
-        if cycles < 1:
-            raise ValueError(f"flap cycles {cycles} must be >= 1")
-        when = at_ms
-        for _ in range(cycles):
-            self.link_down(a, b, when, duration_ms=down_ms)
-            when += down_ms + up_ms
-        return self
-
-    def degrade_link(self, a: str, b: str, at_ms: float, extra_loss: float,
-                     duration_ms: Optional[float] = None) -> "FaultPlan":
-        """Add i.i.d. loss to a link (radio interference, congestion)."""
-        if not 0 < extra_loss < 1:
-            raise ValueError(f"extra loss {extra_loss} out of (0, 1)")
-        fault = self._allocate()
-        self._add(at_ms, "degrade-on", f"link {a}<->{b}", fault,
-                  a=a, b=b, extra_loss=extra_loss)
-        if duration_ms is not None:
-            self._add(at_ms + duration_ms, "degrade-off", f"link {a}<->{b}",
-                      fault, a=a, b=b)
-        return self
-
     def burst_loss(self, a: str, b: str, at_ms: float,
                    duration_ms: Optional[float] = None,
                    p_enter: float = 0.02, p_exit: float = 0.25,
@@ -144,18 +109,12 @@ class FaultPlan:
                       fault, a=a, b=b)
         return self
 
-    def partition(self, group_a: Sequence[str], at_ms: float,
-                  duration_ms: Optional[float] = None,
-                  group_b: Optional[Sequence[str]] = None) -> "FaultPlan":
-        """Cut ``group_a`` off from ``group_b`` (default: everything else)."""
-        names = sorted(group_a)
-        label = (f"partition {{{','.join(names)}}}"
-                 + ("" if group_b is None
-                    else f" | {{{','.join(sorted(group_b))}}}"))
+    def partition(self, group: Sequence[str], at_ms: float,
+                  duration_ms: Optional[float] = None) -> "FaultPlan":
+        """Cut the hosts in ``group`` off from everything else."""
+        label = f"partition {{{','.join(sorted(group))}}}"
         fault = self._allocate()
-        self._add(at_ms, "partition-on", label, fault,
-                  group_a=list(group_a),
-                  group_b=None if group_b is None else list(group_b))
+        self._add(at_ms, "partition-on", label, fault, group=list(group))
         if duration_ms is not None:
             self._add(at_ms + duration_ms, "partition-off", label, fault)
         return self
@@ -221,18 +180,6 @@ class FaultInjector:
     def _apply_brownout_off(self, event: FaultEvent) -> None:
         self.network.host(event.params["host"]).brownout_ms = 0.0
 
-    def _apply_link_down(self, event: FaultEvent) -> None:
-        self._link(event).down = True
-
-    def _apply_link_up(self, event: FaultEvent) -> None:
-        self._link(event).down = False
-
-    def _apply_degrade_on(self, event: FaultEvent) -> None:
-        self._link(event).extra_loss = event.params["extra_loss"]
-
-    def _apply_degrade_off(self, event: FaultEvent) -> None:
-        self._link(event).extra_loss = 0.0
-
     def _apply_burst_on(self, event: FaultEvent) -> None:
         model = GilbertElliott(event.params["p_enter"],
                                event.params["p_exit"],
@@ -245,9 +192,8 @@ class FaultInjector:
         self._link(event).loss_model = None
 
     def _apply_partition_on(self, event: FaultEvent) -> None:
-        token = self.network.partition(event.params["group_a"],
-                                       event.params["group_b"])
-        self._partition_tokens[event.fault_id] = token
+        self._partition_tokens[event.fault_id] = self.network.partition(
+            event.params["group"])
 
     def _apply_partition_off(self, event: FaultEvent) -> None:
         token = self._partition_tokens.pop(event.fault_id, None)

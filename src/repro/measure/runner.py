@@ -63,14 +63,13 @@ class MeasurementRun(NamedTuple):
 
 
 def measure_deployment_queries(testbed: Testbed, count: int,
-                               spacing_ms: float = 500.0,
                                warmup: int = 1) -> List[QueryMeasurement]:
     """Run ``warmup + count`` sequential queries; return the measured ones.
 
     Warmup queries let resolvers with warm-cache semantics settle (and
     mirror the practice of discarding the first dig of a session).
     """
-    return measure_deployment_run(testbed, count, spacing_ms=spacing_ms,
+    return measure_deployment_run(testbed, count,
                                   warmup=warmup).measurements
 
 

@@ -51,14 +51,6 @@ class ReplicaController:
             self.restarts += 1
         return started
 
-    def scale_to(self, replicas: int) -> None:
-        """Change the desired count; the next cycle converges to it."""
-        if replicas < 1:
-            raise ValueError("desired replica count must be >= 1")
-        self.replicas = replicas
-        for pod in self.service.ready_pods()[replicas:]:
-            self.orchestrator.kill_pod(pod)
-
     def start(self) -> None:
         """Start the background control loop (a simulator process)."""
         if self._running:

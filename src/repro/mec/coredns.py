@@ -46,10 +46,8 @@ class CachePlugin(Plugin):
 
     name = "cache"
 
-    def __init__(self, cache: Optional[DnsCache] = None,
-                 serve_stale: bool = False) -> None:
-        self.cache = (cache if cache is not None
-                      else DnsCache(serve_stale=serve_stale))
+    def __init__(self, serve_stale: bool = False) -> None:
+        self.cache = DnsCache(serve_stale=serve_stale)
         self._owner: Optional[DnsServer] = None
         self.stale_served = 0
         #: Control-plane hook: returns True while a zone/endpoint update
@@ -128,10 +126,9 @@ class KubernetesPlugin(Plugin):
 
     name = "kubernetes"
 
-    def __init__(self, orchestrator: Orchestrator,
-                 cluster_domain: Name = Name("cluster.local")) -> None:
+    def __init__(self, orchestrator: Orchestrator) -> None:
         self.orchestrator = orchestrator
-        self.cluster_domain = cluster_domain
+        self.cluster_domain = Name("cluster.local")
 
     def handle(self, ctx: QueryContext, next_plugin) -> Generator:
         """Chain hook: answer, annotate, or delegate to ``next_plugin``."""
@@ -152,9 +149,9 @@ class KubernetesPlugin(Plugin):
 class _ForwardingPluginBase(Plugin):
     """Shared upstream-forwarding machinery: one shot of ``timeout`` ms."""
 
-    def __init__(self, timeout: float = 2000.0,
-                 forward_ecs: bool = True) -> None:
-        self.timeout = timeout
+    def __init__(self, forward_ecs: bool = True) -> None:
+        #: One shot of this many ms; ``MecCdnSite`` overwrites it.
+        self.timeout = 2000.0
         self.forward_ecs = forward_ecs
         self._owner: Optional[DnsServer] = None
         self.forwarded = 0
@@ -230,7 +227,6 @@ class CoreDnsServer(DnsServer):
     """
 
     def __init__(self, network, host, orchestrator: Orchestrator,
-                 cluster_domain: Name = Name("cluster.local"),
                  stub_domains: Optional[Dict[Name, Endpoint]] = None,
                  upstream: Optional[Endpoint] = None,
                  enable_cache: bool = True,
@@ -244,7 +240,7 @@ class CoreDnsServer(DnsServer):
         #: on queries that arrive without one (the §4 ECS experiment
         #: "enables ECS support at L-DNS").
         self.ecs_inject = ecs_inject
-        self.kubernetes = KubernetesPlugin(orchestrator, cluster_domain)
+        self.kubernetes = KubernetesPlugin(orchestrator)
         self.stub = StubDomainPlugin(stub_domains, forward_ecs=forward_ecs)
         plugins: List[Plugin] = list(front_plugins or [])
         self.cache_plugin: Optional[CachePlugin] = None

@@ -35,12 +35,6 @@ class IpPlanResult(NamedTuple):
     shared_per_site: Dict[str, int]
     shared_total: int
 
-    @property
-    def savings_factor(self) -> float:
-        if self.shared_total == 0:
-            return float("inf")
-        return self.dedicated_total / self.shared_total
-
 
 class PublicIpPlan:
     """Compares dedicated-IP and shared-cluster-IP addressing."""

@@ -54,10 +54,6 @@ class SplitNamespacePlugin(Plugin):
         """Publish ``suffix`` (called when a MEC-CDN instance deploys)."""
         self._public_suffixes.add(suffix)
 
-    def unregister_public(self, suffix: Name) -> None:
-        """Withdraw a suffix from the public namespace."""
-        self._public_suffixes.discard(suffix)
-
     def is_public(self, qname: Name) -> bool:
         """Whether ``qname`` falls under any published public suffix."""
         return any(qname.is_subdomain_of(suffix)
@@ -67,10 +63,6 @@ class SplitNamespacePlugin(Plugin):
         """Whether ``ip`` belongs to the internal VNF networks."""
         address = ipaddress.IPv4Address(ip)
         return any(address in network for network in self.internal_networks)
-
-    @property
-    def public_suffixes(self) -> List[Name]:
-        return sorted(self._public_suffixes)
 
     # -- chain hook -----------------------------------------------------------
 

@@ -67,14 +67,6 @@ class NatMiddlebox(Middlebox):
         self._reverse[public] = private
         return public
 
-    def mapping_for(self, private: Endpoint) -> Optional[Endpoint]:
-        """The public endpoint assigned to a private flow, or None."""
-        return self._forward.get(private)
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._forward)
-
     # -- middlebox hook -------------------------------------------------------------
 
     def process(self, datagram: Datagram, host: Host) -> Optional[Datagram]:

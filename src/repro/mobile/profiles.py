@@ -33,10 +33,6 @@ class AccessProfile(NamedTuple):
     access_backhaul: LatencyModel
     description: str
 
-    @property
-    def mean_one_way(self) -> float:
-        return self.radio.mean + self.access_backhaul.mean
-
 
 WIRED_CAMPUS = AccessProfile(
     name="wired-campus",

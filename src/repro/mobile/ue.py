@@ -26,7 +26,6 @@ class UserEquipment:
         self.network = network
         self.host: Host = network.add_host(name, bearer_ip)
         self.base_station = None  # set by BaseStation.attach
-        self._default_dns = default_dns
         self._dns = default_dns
         self.dns_switches = 0
 
@@ -45,12 +44,6 @@ class UserEquipment:
         if self._dns != endpoint:
             self.dns_switches += 1
         self._dns = endpoint
-
-    def restore_default_dns(self) -> None:
-        """Point the UE back at its provider-configured resolver."""
-        if self._default_dns is None:
-            raise ValueError(f"UE {self.name} has no default DNS to restore")
-        self.switch_dns(self._default_dns)
 
     def stub(self, policy: Optional[RetryPolicy] = None) -> StubResolver:
         """A stub resolver bound to the UE's current DNS target.

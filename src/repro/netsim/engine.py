@@ -253,12 +253,6 @@ class Simulator:
         """A fresh unresolved future bound to this simulator."""
         return SimFuture(self)
 
-    def timer(self, delay: float, value: Any = None) -> SimFuture:
-        """A future that resolves to ``value`` after ``delay`` ms."""
-        fut = self.future()
-        self.call_after(delay, fut.resolve, value)
-        return fut
-
     # -- processes ------------------------------------------------------------------
 
     def spawn(self, generator: Generator[Any, Any, Any]) -> SimFuture:

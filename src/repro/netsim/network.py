@@ -68,7 +68,7 @@ class Network:
         #: ``group_b is None`` means "everything not in group_a".  Empty
         #: when no fault plan is active, so the per-packet check is one
         #: truthiness test.
-        self._partitions: List[Tuple[frozenset, Optional[frozenset]]] = []
+        self._partitions: List[frozenset] = []
 
     # -- construction -------------------------------------------------------------
 
@@ -165,20 +165,19 @@ class Network:
 
     # -- partitions (fault injection) ---------------------------------------------
 
-    def partition(self, group_a, group_b=None) -> Tuple[frozenset,
-                                                        Optional[frozenset]]:
-        """Split the topology: drop traffic between the two host groups.
+    def partition(self, group) -> frozenset:
+        """Split the topology: isolate ``group`` from every other host.
 
-        ``group_b=None`` isolates ``group_a`` from every other host.  The
-        returned token heals the cut via :meth:`heal_partition`.  Packets
-        are dropped by endpoint membership (src in one group, dst in the
-        other), which black-holes the traffic a real partition would.
+        The returned token heals the cut via :meth:`heal_partition`.
+        Packets are dropped by endpoint membership (one end inside the
+        group, the other outside), which black-holes the traffic a real
+        partition would.
         """
-        token = (frozenset(group_a),
-                 None if group_b is None else frozenset(group_b))
-        for name in token[0] | (token[1] or frozenset()):
+        names = sorted(group)
+        for name in names:
             if name not in self._hosts:
                 raise AddressError(f"unknown host {name}")
+        token = frozenset(names)
         self._partitions.append(token)
         return token
 
@@ -188,14 +187,8 @@ class Network:
 
     def is_partitioned(self, src: str, dst: str) -> bool:
         """Whether an active partition separates two hosts."""
-        for group_a, group_b in self._partitions:
-            src_in_a, dst_in_a = src in group_a, dst in group_a
-            if group_b is None:
-                if src_in_a != dst_in_a:
-                    return True
-            elif (src_in_a and dst in group_b) or (dst_in_a and src in group_b):
-                return True
-        return False
+        return any((src in group) != (dst in group)
+                   for group in self._partitions)
 
     def add_tap(self, tap: Tap, host: Optional[str] = None) -> None:
         """Register a packet observer (see PacketTrace).
@@ -264,15 +257,6 @@ class Network:
                     pushes += 1
         return routes
 
-    def path_mean_latency(self, src: str, dst: str) -> float:
-        """Sum of mean one-way link latencies along the route."""
-        hops = self.path(src, dst)
-        total = 0.0
-        for a, b in zip(hops, hops[1:]):
-            link = self.link_between(a, b)
-            total += link.latency_from(a).mean
-        return total
-
     # -- forwarding -----------------------------------------------------------------------------
 
     def send(self, datagram: Datagram, from_host: Host) -> None:
@@ -331,7 +315,7 @@ class Network:
             link = links[(previous, nxt) if previous <= nxt
                          else (nxt, previous)]
             hop_start = elapsed
-            delay = link.sample_delay(previous, rng, current.size)
+            delay = link.sample_delay(rng, current.size)
             if delay is None:
                 self._count_drop("loss")
                 self._schedule_tap("drop", nxt, current, elapsed)

@@ -36,10 +36,5 @@ class RandomStreams:
         self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are namespaced under ``name``."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:
         return f"RandomStreams(seed={self.seed}, streams={len(self._streams)})"

@@ -57,10 +57,6 @@ class PacketTrace:
         """Drop all captured records (keep capturing)."""
         self.records.clear()
 
-    def between(self, start: float, end: float) -> List[TraceRecord]:
-        """Records with ``start <= time <= end``."""
-        return [record for record in self.records if start <= record.time <= end]
-
     def first(self, event: Optional[str] = None) -> Optional[TraceRecord]:
         """The first record (optionally of one event kind), or None."""
         for record in self.records:

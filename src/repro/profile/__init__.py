@@ -27,8 +27,7 @@ from repro.profile.criticalpath import (STAGE_BACKHAUL, STAGE_CDNS,
                                         STAGE_OTHER, STAGE_RADIO, STAGES,
                                         STAGE_TCP_FALLBACK, STAGE_UPSTREAM,
                                         CriticalPath, PathStep, Segment,
-                                        analyze_trace, render_path,
-                                        trace_segments)
+                                        analyze_trace, trace_segments)
 from repro.profile.profiler import (ProfileEntry, collapsed_stacks,
                                     render_collapsed, render_profile,
                                     simulated_profile)
@@ -65,7 +64,6 @@ __all__ = [
     "evaluate_slo",
     "parse_slo_text",
     "render_collapsed",
-    "render_path",
     "render_profile",
     "simulated_profile",
     "trace_segments",

@@ -24,9 +24,8 @@ sums telescope exactly and the invariant
 holds with no floating-point slack; converting that exact total back
 to float reproduces IEEE ``max_end - min_start`` bit for bit (both are
 the correctly-rounded difference).  That is the float-identity
-contract the test suite asserts against
-:func:`repro.telemetry.analysis.trace_duration` for every trace of a
-figure5 run.
+contract ``tests/profile/test_criticalpath.py`` asserts against the
+plain float difference for every trace of a figure5 run.
 
 This package only *reads* spans — it never creates telemetry, so the
 ARCH002 zero-perturbation contract is untouched.
@@ -96,8 +95,8 @@ class CriticalPath(NamedTuple):
     stages: Dict[str, Fraction]
     steps: List[PathStep]
     #: Exact trace duration; equals ``sum(stages.values())`` by
-    #: construction, and ``float(total_exact)`` equals
-    #: :func:`repro.telemetry.analysis.trace_duration` bit for bit.
+    #: construction, and ``float(total_exact)`` equals the float
+    #: ``max end - min start`` bit for bit.
     total_exact: Fraction
 
     @property
@@ -245,19 +244,3 @@ def analyze_trace(spans: Iterable[Span], trace_id: int) -> CriticalPath:
     return CriticalPath(trace_id=trace_id, stages=stages, steps=steps,
                         total_exact=total)
 
-
-def render_path(path: CriticalPath) -> str:
-    """One trace's budget as a human-readable step table."""
-    lines = [f"trace {path.trace_id}: {path.total_ms:.3f} ms total"]
-    for step in path.steps:
-        lines.append(f"  {step.start_ms:10.3f} ..{step.end_ms:10.3f}  "
-                     f"{float(step.width):8.3f} ms  "
-                     f"{step.stage:18s} {step.what}")
-    by_stage = sorted(path.stages.items(),
-                      key=lambda item: STAGES.index(item[0]))
-    for stage, width in by_stage:
-        share = (float(width / path.total_exact) * 100.0
-                 if path.total_exact else 0.0)
-        lines.append(f"  {stage:18s} {float(width):8.3f} ms "
-                     f"({share:5.1f}%)")
-    return "\n".join(lines)

@@ -3,8 +3,9 @@
 Implements the answer-side semantics the reproduction needs: longest-match
 zone selection, CNAME chasing across hosted zones, wildcard answers,
 referrals for delegations, NXDOMAIN/NODATA with SOA in the authority
-section, and an ECS hook that lets subclasses (the CDN traffic router)
-select answers by client subnet and stamp the response scope.
+section, AXFR/IXFR out of a bounded change journal, and an ECS hook
+that lets a subclass select answers by client subnet and stamp the
+response scope (the zone itself answers untailored, scope 0).
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ class AuthoritativeServer(DnsServer):
     """Serves the zones it hosts; refuses everything else."""
 
     def __init__(self, network, host, zones: Iterable[Zone],
-                 ecs_enabled: bool = False, allow_axfr: bool = True,
+                 ecs_enabled: bool = False,
                  rotate_answers: bool = False,
                  journal_depth: Optional[int] = None, **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         self.zones = {zone.origin: zone for zone in zones}
         self.ecs_enabled = ecs_enabled
-        #: Serve AXFR for hosted zones (real servers gate this by ACL).
-        self.allow_axfr = allow_axfr
         #: Round-robin rotation of multi-record answers (poor-man's load
         #: balancing, as BIND's ``rrset-order cyclic``).
         self.rotate_answers = rotate_answers
@@ -80,9 +79,9 @@ class AuthoritativeServer(DnsServer):
                       client: Endpoint) -> Tuple[List[ResourceRecord], int]:
         """Choose which records to return and the ECS scope to stamp.
 
-        The default returns everything with scope 0 (answer not tailored).
-        The CDN traffic router overrides this to pick a cache server by
-        client location and advertise a meaningful scope.
+        The default returns everything with scope 0 (answer not tailored);
+        ``tests/resolver/test_ecs_scoped_cache.py`` overrides it with a
+        per-subnet authority to drive the resolver's scoped cache.
         """
         return records, 0
 
@@ -91,9 +90,9 @@ class AuthoritativeServer(DnsServer):
     def handle_query(self, query: Message, client: Endpoint) -> Message:
         question = query.question
         if question.rtype == RecordType.AXFR:
-            return self._handle_axfr(query, client)
+            return self._handle_axfr(query)
         if question.rtype == RecordType.IXFR:
-            return self._handle_ixfr(query, client)
+            return self._handle_ixfr(query)
         zone = self.find_zone(question.name)
         if zone is None:
             return make_response(query, rcode=Rcode.REFUSED)
@@ -149,11 +148,9 @@ class AuthoritativeServer(DnsServer):
                                  additionals=additionals)
         return self._finish_response(response, ecs, scope)
 
-    def _handle_axfr(self, query: Message, client: Endpoint) -> Message:
+    def _handle_axfr(self, query: Message) -> Message:
         """Full zone transfer for a hosted zone apex (RFC 5936 shape)."""
         from repro.resolver.xfr import axfr_response_records
-        if not self.allow_axfr:
-            return make_response(query, rcode=Rcode.REFUSED)
         zone = self.zones.get(query.question.name)
         if zone is None:
             return make_response(query, rcode=Rcode.NOTAUTH)
@@ -161,7 +158,7 @@ class AuthoritativeServer(DnsServer):
         return make_response(query, authoritative=True,
                              answers=axfr_response_records(zone))
 
-    def _handle_ixfr(self, query: Message, client: Endpoint) -> Message:
+    def _handle_ixfr(self, query: Message) -> Message:
         """Incremental transfer (RFC 1995): diffs, or AXFR fallback.
 
         The client's current serial rides in the request's authority
@@ -171,8 +168,6 @@ class AuthoritativeServer(DnsServer):
         from repro.dnswire.rdata import SOA as SoaRdata
         from repro.resolver.xfr import (axfr_response_records,
                                         ixfr_response_records)
-        if not self.allow_axfr:
-            return make_response(query, rcode=Rcode.REFUSED)
         zone = self.zones.get(query.question.name)
         if zone is None or zone.soa is None:
             return make_response(query, rcode=Rcode.NOTAUTH)

@@ -28,8 +28,8 @@ MIN_POSITIVE_TTL = 0
 #: TTL stamped on stale answers (RFC 8767 §5.2 recommends 30 seconds).
 STALE_ANSWER_TTL = 30
 #: How long past expiry an entry stays usable for serve-stale (RFC 8767
-#: suggests one to three days; a conservative hour is the default here).
-DEFAULT_MAX_STALE_TTL = 3600
+#: suggests one to three days; a conservative hour here).
+MAX_STALE_TTL = 3600
 #: Negative TTL for a response that carries no SOA.
 DEFAULT_NEGATIVE_TTL = 60
 
@@ -63,10 +63,6 @@ class CacheAnswer:
         self.records = records or []
         self.stale = stale
 
-    @property
-    def is_miss(self) -> bool:
-        return self.outcome == CacheOutcome.MISS
-
     def __repr__(self) -> str:
         flavor = " stale" if self.stale else ""
         return (f"CacheAnswer({self.outcome.value},"
@@ -96,21 +92,17 @@ class DnsCache:
     """Bounded LRU cache of RRsets and negative answers.
 
     With ``serve_stale`` enabled (RFC 8767), expired positive entries are
-    retained for ``max_stale_ttl`` seconds past expiry; :meth:`get` still
+    retained for :data:`MAX_STALE_TTL` seconds past expiry; :meth:`get` still
     reports a MISS for them (resolution must be *attempted*), but
     :meth:`get_stale` serves them when the attempt fails.
     """
 
     def __init__(self, max_entries: int = 100_000,
-                 serve_stale: bool = False,
-                 max_stale_ttl: int = DEFAULT_MAX_STALE_TTL) -> None:
+                 serve_stale: bool = False) -> None:
         if max_entries <= 0:
             raise ValueError("cache capacity must be positive")
-        if max_stale_ttl < 0:
-            raise ValueError("max_stale_ttl must be >= 0")
         self.max_entries = max_entries
         self.serve_stale = serve_stale
-        self.max_stale_ttl = max_stale_ttl
         self._positive: "OrderedDict[_Key, _PositiveEntry]" = OrderedDict()
         self._negative: "OrderedDict[_Key, _NegativeEntry]" = OrderedDict()
         self.hits = 0
@@ -198,7 +190,7 @@ class DnsCache:
         RFC 8767: resolution must have been attempted (and failed) before
         stale data is used, so callers probe :meth:`get` first, go
         upstream on MISS, and only fall back here.  Stale records carry
-        :data:`STALE_ANSWER_TTL`; entries older than ``max_stale_ttl``
+        :data:`STALE_ANSWER_TTL`; entries older than :data:`MAX_STALE_TTL`
         are gone.  A still-fresh entry is served normally.
         """
         key = (name, rtype)
@@ -222,7 +214,7 @@ class DnsCache:
 
     def _usable_stale(self, entry: _PositiveEntry, now: float) -> bool:
         return (self.serve_stale
-                and now < entry.expires_at + self.max_stale_ttl * 1000.0)
+                and now < entry.expires_at + MAX_STALE_TTL * 1000.0)
 
     def peek_addresses(self, name: Name, now: float) -> List[str]:
         """Cached A-record addresses for ``name`` without counting stats."""
@@ -230,11 +222,6 @@ class DnsCache:
         if entry is None or entry.expires_at <= now:
             return []
         return [record.rdata.address for record in entry.records]  # type: ignore[attr-defined]
-
-    def flush(self) -> None:
-        """Drop every cached entry."""
-        self._positive.clear()
-        self._negative.clear()
 
     def __repr__(self) -> str:
         return (f"DnsCache({len(self._positive)} positive, "

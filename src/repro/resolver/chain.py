@@ -86,11 +86,10 @@ class PluginChain:
                     span = tel.tracer.begin(
                         f"plugin.{plugin.name}", "mec", inner_ctx.track,
                         parent=outer_trace, qname=str(inner_ctx.qname))
-                    if span is not None:
-                        # Spans begun by this plugin (and deeper chain
-                        # links) nest under it; each query owns its
-                        # context, so the save/restore cannot race.
-                        inner_ctx.trace = span.context
+                    # Spans begun by this plugin (and deeper chain
+                    # links) nest under it; each query owns its
+                    # context, so the save/restore cannot race.
+                    inner_ctx.trace = span.context
                 try:
                     result = plugin.handle(inner_ctx,
                                            make_continuation(index + 1))
@@ -111,14 +110,6 @@ class PluginChain:
 
         response = yield from make_continuation(0)(ctx)
         return response
-
-    def insert_before(self, name: str, plugin: Plugin) -> None:
-        """Insert ``plugin`` before the plugin called ``name``."""
-        for index, existing in enumerate(self.plugins):
-            if existing.name == name:
-                self.plugins.insert(index, plugin)
-                return
-        self.plugins.append(plugin)
 
     def __repr__(self) -> str:
         return f"PluginChain({[plugin.name for plugin in self.plugins]})"

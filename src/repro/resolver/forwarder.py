@@ -46,7 +46,6 @@ class ForwardingResolver(DnsServer):
                  stub_domains: Optional[Dict[Name, Endpoint]] = None,
                  cache: Optional[DnsCache] = None,
                  upstream_timeout: float = 2000.0,
-                 forward_ecs: bool = True,
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         if not upstreams:
@@ -55,14 +54,9 @@ class ForwardingResolver(DnsServer):
         self.stub_domains = dict(stub_domains or {})
         self.cache = cache if cache is not None else DnsCache()
         self.upstream_timeout = upstream_timeout
-        self.forward_ecs = forward_ecs
         self.forwarded = 0
         self.served_from_cache = 0
         self.stale_served = 0
-
-    def add_stub_domain(self, domain: Name, upstream: Endpoint) -> None:
-        """Route queries under ``domain`` to a dedicated upstream."""
-        self.stub_domains[domain] = upstream
 
     def upstreams_for(self, qname: Name) -> List[Endpoint]:
         """The upstream list for ``qname``: longest stub-domain match wins."""
@@ -98,7 +92,8 @@ class ForwardingResolver(DnsServer):
         for upstream in self.upstreams_for(question.name):
             self.forwarded += 1
             response = yield from self.forward(
-                query, upstream, self.upstream_timeout, self.forward_ecs, ctx)
+                query, upstream, self.upstream_timeout, forward_ecs=True,
+                ctx=ctx)
             if response is None:
                 continue
             self._cache_response(question, response)

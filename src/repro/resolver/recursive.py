@@ -37,14 +37,13 @@ class RecursiveResolver(DnsServer):
     """A caching iterative resolver seeded with root hints."""
 
     def __init__(self, network, host, root_hints: List[Tuple[Name, str]],
-                 cache: Optional[DnsCache] = None,
                  upstream_timeout: float = 2000.0,
                  ecs_enabled: bool = False, **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         if not root_hints:
             raise ValueError("recursive resolver needs at least one root hint")
         self.root_hints = list(root_hints)
-        self.cache = cache if cache is not None else DnsCache()
+        self.cache = DnsCache()
         self.upstream_timeout = upstream_timeout
         self.ecs_enabled = ecs_enabled
         # (name, rtype, subnet) -> (records, expires_at); RFC 7871 §7.3.1.

@@ -40,7 +40,7 @@ CLASSIC_UDP_PAYLOAD = 512
 
 
 class DnsServer:
-    """A DNS server bound to ``host``'s address on ``port``.
+    """A DNS server bound to ``host``'s address on :data:`DNS_PORT`.
 
     ``workers`` bounds concurrent query processing (an M/G/c-style service
     model): when every worker is busy, queries queue FIFO, and beyond
@@ -51,16 +51,14 @@ class DnsServer:
     """
 
     def __init__(self, network: Network, host: Host,
-                 ip: Optional[str] = None, port: int = DNS_PORT,
                  processing_delay: Optional[LatencyModel] = None,
-                 name: Optional[str] = None,
                  workers: Optional[int] = None,
                  max_queue: int = 256) -> None:
         self.network = network
         self.host = host
-        self.name = name or f"{type(self).__name__}@{host.name}"
+        self.name = f"{type(self).__name__}@{host.name}"
         self.processing_delay = processing_delay or DEFAULT_PROCESSING_DELAY
-        self.sock = UdpSocket(host, ip=ip, port=port)
+        self.sock = UdpSocket(host, port=DNS_PORT)
         self.sock.on_datagram = self._on_datagram
         self._rng = network.streams.stream(f"dns-server:{self.name}")
         self._next_query_id = 1
@@ -76,12 +74,10 @@ class DnsServer:
         self._backlog: "list" = []
         self.queries_dropped = 0
         self.peak_backlog = 0
-        self._tcp_server = None
-        if port == DNS_PORT:
-            from repro.netsim.stream import StreamServer
-            self._tcp_server = StreamServer(
-                network, host, DNS_TCP_PORT, self._handle_stream_query,
-                ip=self.sock.ip)
+        from repro.netsim.stream import StreamServer
+        self._tcp_server = StreamServer(
+            network, host, DNS_TCP_PORT, self._handle_stream_query,
+            ip=self.sock.ip)
 
     @property
     def endpoint(self) -> Endpoint:
@@ -149,10 +145,9 @@ class DnsServer:
             span = tel.tracer.begin("dns.serve", "resolver", self.host.name,
                                     parent=getattr(query, "trace_ctx", None),
                                     server=self.name, qname=qname)
-            if span is not None:
-                # Children spawned by the handler (plugin chain, upstream
-                # exchanges, the reply datagram) nest under the serve span.
-                query.trace_ctx = span.context
+            # Children spawned by the handler (plugin chain, upstream
+            # exchanges, the reply datagram) nest under the serve span.
+            query.trace_ctx = span.context
         yield self.processing_delay.sample(self._rng)
         response = yield from self._produce_response(query, client)
         if response is not None:

@@ -123,8 +123,7 @@ class StubResolver:
                                 client=self.host.name)
         try:
             result = yield from self._query_impl(
-                name, rtype, target, edns, authorities,
-                span.context if span is not None else ctx)
+                name, rtype, target, edns, authorities, span.context)
         except Exception as error:
             tel.metrics.counter("repro_stub_failures_total",
                                 "lookups that exhausted every retry").inc(
@@ -305,11 +304,3 @@ class StubResolver:
         if tel is not None:
             tel.tracer.end(span, outcome=response.rcode.name)
         return response
-
-    def resolve_addresses(self, name: Name,
-                          server: Optional[Endpoint] = None) -> Generator:
-        """Process returning the list of A addresses (empty on NXDOMAIN)."""
-        result = yield from self.query(name, RecordType.A, server=server)
-        if result.response.rcode == Rcode.NXDOMAIN:
-            return []
-        return result.addresses

@@ -83,10 +83,9 @@ def begin_trial_capture(
 
 
 def end_trial_capture(
-        facade: Optional[Telemetry],
-        restore: Optional[Telemetry] = None) -> Optional[TelemetrySnapshot]:
-    """Snapshot ``facade`` and restore the previous ambient default."""
-    _telemetry.set_default(restore)
+        facade: Optional[Telemetry]) -> Optional[TelemetrySnapshot]:
+    """Snapshot ``facade`` and clear the ambient default."""
+    _telemetry.clear_default()
     if facade is None:
         return None
     return TelemetrySnapshot(spans=list(facade.tracer.finished),

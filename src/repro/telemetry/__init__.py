@@ -31,9 +31,6 @@ from __future__ import annotations
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry import exporters
-from repro.telemetry.analysis import (LatencySplit, gateway_crossings,
-                                      trace_duration,
-                                      wireless_resolver_split)
 from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
                                      Histogram, MetricsRegistry)
 from repro.telemetry.sampling import (Exemplar, HeadSampler, TailReservoir,
@@ -46,9 +43,7 @@ __all__ = [
     "Telemetry", "TelemetryConfig", "Tracer", "Span", "TraceContext",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
     "TimeSeries", "TailReservoir", "Exemplar", "HeadSampler",
-    "hash_unit", "hash_unit_u64", "exemplar_spans",
-    "LatencySplit", "wireless_resolver_split", "gateway_crossings",
-    "trace_duration", "exporters",
+    "hash_unit", "hash_unit_u64", "exemplar_spans", "exporters",
     "set_default", "get_default", "clear_default",
 ]
 
@@ -59,33 +54,26 @@ class TelemetryConfig(NamedTuple):
     Per-trial facades must behave identically to the session facade
     (same sampling decisions, same window layout, same reservoir
     bounds), so the executor clones this config across the process
-    boundary instead of the facade itself — the config is six plain
+    boundary instead of the facade itself — the config is three plain
     values and pickles for free.
     """
 
-    tracing: bool = True
     #: Deterministic head-sampling rate for traces (1.0 = keep all).
     trace_sample: float = 1.0
     #: Simulated-time window width for the streaming time-series.
     window_ms: float = 1000.0
     #: Slowest-query exemplars retained by the tail reservoir.
     tail_capacity: int = 32
-    max_windows: int = 4096
-    max_annotations: int = 512
 
 
 class Telemetry:
     """One run's tracer, metrics, time-series, and tail reservoir."""
 
-    def __init__(self, tracing: bool = True, trace_sample: float = 1.0,
-                 window_ms: float = 1000.0, tail_capacity: int = 32,
-                 max_windows: int = 4096,
-                 max_annotations: int = 512) -> None:
-        self.tracer = Tracer(enabled=tracing, sample_rate=trace_sample)
+    def __init__(self, trace_sample: float = 1.0,
+                 window_ms: float = 1000.0, tail_capacity: int = 32) -> None:
+        self.tracer = Tracer(sample_rate=trace_sample)
         self.metrics = MetricsRegistry()
-        self.timeseries = TimeSeries(window_ms=window_ms,
-                                     max_windows=max_windows,
-                                     max_annotations=max_annotations)
+        self.timeseries = TimeSeries(window_ms=window_ms)
         self.tail = TailReservoir(tail_capacity)
         #: Simulators this facade was attached to (via their networks).
         #: Held only for end-of-trial engine introspection — the facade
@@ -95,22 +83,14 @@ class Telemetry:
     def config(self) -> TelemetryConfig:
         """The config that reproduces this facade's behaviour."""
         return TelemetryConfig(
-            tracing=self.tracer.enabled,
             trace_sample=self.tracer.sample_rate,
             window_ms=self.timeseries.window_ms,
-            tail_capacity=self.tail.capacity,
-            max_windows=self.timeseries.max_windows,
-            max_annotations=self.timeseries.max_annotations)
+            tail_capacity=self.tail.capacity)
 
     @classmethod
     def from_config(cls, config: TelemetryConfig) -> "Telemetry":
         """A fresh facade behaving exactly like ``config`` describes."""
-        return cls(tracing=config.tracing,
-                   trace_sample=config.trace_sample,
-                   window_ms=config.window_ms,
-                   tail_capacity=config.tail_capacity,
-                   max_windows=config.max_windows,
-                   max_annotations=config.max_annotations)
+        return cls(*config)
 
     def attach(self, network) -> "Telemetry":
         """Make ``network`` (and everything riding it) report here.

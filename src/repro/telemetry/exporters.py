@@ -101,8 +101,7 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
 # -- Chrome trace_event JSON -------------------------------------------------------
 
 
-def to_chrome_trace(spans: Iterable[Span],
-                    process_name: str = "repro-mec-cdn") -> Dict[str, Any]:
+def to_chrome_trace(spans: Iterable[Span]) -> Dict[str, Any]:
     """Build a Chrome ``trace_event`` document from finished spans.
 
     Each distinct span track (host or link name) becomes one "thread" so
@@ -116,7 +115,7 @@ def to_chrome_trace(spans: Iterable[Span],
     """
     events: List[Dict[str, Any]] = [{
         "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-        "args": {"name": process_name},
+        "args": {"name": "repro-mec-cdn"},
     }]
     tids: Dict[str, int] = {}
     by_id: Dict[int, Span] = {}
@@ -174,10 +173,9 @@ def to_chrome_trace(spans: Iterable[Span],
             "otherData": {"clock": "simulated", "time_unit_in": "ms"}}
 
 
-def write_chrome_trace(spans: Iterable[Span], path: str,
-                       process_name: str = "repro-mec-cdn") -> None:
+def write_chrome_trace(spans: Iterable[Span], path: str) -> None:
     """Serialize :func:`to_chrome_trace` output to ``path``."""
-    document = to_chrome_trace(spans, process_name=process_name)
+    document = to_chrome_trace(spans)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")

@@ -106,10 +106,6 @@ class Gauge:
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        """Subtract ``amount`` from the selected sample."""
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> float:
         """The current value for one label combination (0.0 if unseen)."""
         return self._samples.get(_label_key(labels), 0.0)
@@ -303,13 +299,6 @@ class Histogram:
         """Sum of observed values for one label combination."""
         sample = self._samples.get(_label_key(labels))
         return sample.total if sample is not None else 0.0
-
-    def cumulative_buckets(self, **labels: object) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs for one sample."""
-        sample = self._samples.get(_label_key(labels))
-        if sample is None:
-            return [(bound, 0) for bound in self.buckets]
-        return list(zip(self.buckets, sample.cumulative()))
 
     def samples(self) -> Iterator[Tuple[LabelKey, BucketCell]]:
         """``(label_key, sample)`` pairs in stable sorted order."""

@@ -66,16 +66,9 @@ class HeadSampler:
             raise ValueError(f"sample rate must be in [0, 1], got {rate}")
         self.rate = rate
 
-    def keep(self, key: str) -> bool:
-        """Whether the trace keyed ``key`` is sampled in."""
-        if self.rate >= 1.0:
-            return True
-        if self.rate <= 0.0:
-            return False
-        return hash_unit(key) < self.rate
-
     def keep_id(self, value: int) -> bool:
-        """Integer-keyed variant of :meth:`keep` (splitmix64 hash)."""
+        """Whether the trace with integer id ``value`` is sampled in
+        (splitmix64 hash)."""
         if self.rate >= 1.0:
             return True
         if self.rate <= 0.0:

@@ -56,17 +56,12 @@ class TimeSeries:
 
     # -- recording ----------------------------------------------------------
 
-    def window_index(self, t_ms: float) -> int:
-        """The window holding simulated time ``t_ms``."""
-        return int(t_ms // self.window_ms)
-
-    def count(self, name: str, t_ms: float, amount: float = 1.0,
-              **labels: object) -> None:
-        """Add ``amount`` to the counter series window covering ``t_ms``."""
+    def count(self, name: str, t_ms: float, **labels: object) -> None:
+        """Add one to the counter series window covering ``t_ms``."""
         series = self._counters.setdefault(name, {}).setdefault(
             _label_key(labels), {})
         index = int(t_ms // self.window_ms)
-        series[index] = series.get(index, 0.0) + amount
+        series[index] = series.get(index, 0.0) + 1.0
         self._prune(series)
 
     def observe(self, name: str, t_ms: float, value: float,
@@ -120,12 +115,6 @@ class TimeSeries:
         self._cap_annotations()
 
     # -- reading back -------------------------------------------------------
-
-    def counter_series(self, name: str) -> List[Tuple[LabelKey,
-                                                      Dict[int, float]]]:
-        """``(labels, windows)`` per label set, in stable sorted order."""
-        by_label = self._counters.get(name, {})
-        return [(key, dict(by_label[key])) for key in sorted(by_label)]
 
     def annotations(self) -> List[Annotation]:
         """Every annotation, sorted by (time, scope, name, detail)."""

@@ -25,8 +25,8 @@ the simulation stream is untouched either way.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
-                    Tuple, Union)
+from types import SimpleNamespace
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.telemetry.sampling import hash_unit_u64
 
@@ -99,20 +99,15 @@ class Span:
 class Tracer:
     """Creates, finishes, and stores spans.
 
-    ``enabled=False`` turns every method into a cheap no-op returning
-    ``None`` — the instrumented call sites all tolerate ``None`` spans
-    and contexts, so a disabled tracer costs one attribute check per
-    site and nothing else.
+    Until :meth:`bind_clock_source` is called the clock reads 0.0.
     """
 
-    def __init__(self, enabled: bool = True,
-                 max_spans: int = 1_000_000,
-                 sample_rate: float = 1.0) -> None:
+    def __init__(self, sample_rate: float = 1.0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(
                 f"sample_rate must be in [0, 1], got {sample_rate}")
-        self.enabled = enabled
-        self.max_spans = max_spans
+        #: Spans retained before the rest are counted in ``dropped``.
+        self.max_spans = 1_000_000
         #: Fraction of traces retained by deterministic head sampling.
         self.sample_rate = sample_rate
         self.finished: List[Span] = []
@@ -122,84 +117,59 @@ class Tracer:
         #: Trace ids head-sampling decided to drop (only populated when
         #: ``sample_rate < 1.0``; bounded by the run's trace count).
         self._unsampled: Set[int] = set()
-        self._clock: Callable[[], float] = lambda: 0.0
-        #: When bound, the clock is read as ``_clock_source.now`` — a
-        #: plain attribute load instead of a callable invocation.  The
-        #: clock is read on every span begin/end/event, so the callable
-        #: indirection was a measurable slice of instrumented runs.
-        self._clock_source: Optional[Any] = None
+        #: The clock is ``_clock_source.now``, read on every span
+        #: begin/end/event: a plain attribute load, not a call.
+        self._clock_source: Any = SimpleNamespace(now=0.0)
         self._next_trace_id = 0
         self._next_span_id = 0
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Point the tracer at a simulator clock (``lambda: sim.now``)."""
-        self._clock = clock
-        self._clock_source = None
 
     def bind_clock_source(self, source: Any) -> None:
         """Read the clock from ``source.now`` (any object with a ``now``
         attribute, typically a :class:`~repro.netsim.Simulator`)."""
         self._clock_source = source
 
-    def _now(self) -> float:
-        source = self._clock_source
-        return source.now if source is not None else self._clock()
-
     # -- span lifecycle ---------------------------------------------------------
 
     def begin(self, name: str, category: str, track: str,
-              parent: ParentLike = None, **attrs: Any) -> Optional[Span]:
+              parent: ParentLike = None, **attrs: Any) -> Span:
         """Open a span starting now; ``parent=None`` starts a new trace."""
-        if not self.enabled:
-            return None
-        source = self._clock_source
-        now = source.now if source is not None else self._clock()
         return self._make(name, category, track, parent,
-                          start_ms=now, end_ms=None, attrs=attrs)
+                          start_ms=self._clock_source.now, end_ms=None,
+                          attrs=attrs)
 
     def end(self, span: Optional[Span], **attrs: Any) -> None:
         """Close ``span`` at the current clock; no-op on ``None``."""
         if span is None or span.end_ms is not None:
             return
-        source = self._clock_source
-        span.end_ms = source.now if source is not None else self._clock()
+        span.end_ms = self._clock_source.now
         if attrs:
             span.attrs.update(attrs)
         self._store(span)
 
     def add(self, name: str, category: str, track: str,
             start_ms: float, end_ms: float,
-            parent: ParentLike = None, **attrs: Any) -> Optional[Span]:
+            parent: ParentLike = None, **attrs: Any) -> Span:
         """Record a fully-formed span with explicit times.
 
         Used where the caller already knows both endpoints — the network
         walk computes each hop's departure and arrival before the packet
         "moves", so hop spans are added in one shot.
         """
-        if not self.enabled:
-            return None
         span = self._make(name, category, track, parent,
                           start_ms=start_ms, end_ms=end_ms, attrs=attrs)
         self._store(span)
         return span
 
     def event(self, name: str, category: str, track: str,
-              parent: ParentLike = None, **attrs: Any) -> Optional[Span]:
+              parent: ParentLike = None, **attrs: Any) -> Span:
         """Record an instant (zero-duration) event at the current clock."""
-        if not self.enabled:
-            return None
-        source = self._clock_source
-        now = source.now if source is not None else self._clock()
+        now = self._clock_source.now
         span = self._make(name, category, track, parent,
                           start_ms=now, end_ms=now, attrs=attrs)
         self._store(span)
         return span
 
     # -- reading back -----------------------------------------------------------
-
-    def spans_for(self, trace_id: int) -> List[Span]:
-        """Finished spans belonging to one trace, in finish order."""
-        return [span for span in self.finished if span.trace_id == trace_id]
 
     def trace_ids(self) -> List[int]:
         """Distinct trace ids among finished spans, in first-seen order."""
@@ -308,12 +278,4 @@ class Tracer:
         self.finished.append(span)
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"Tracer({state}, {len(self.finished)} spans)"
-
-
-def spans_in_window(spans: Iterable[Span], start: float,
-                    end: float) -> List[Span]:
-    """Finished spans whose end time falls inside ``[start, end]``."""
-    return [span for span in spans
-            if span.end_ms is not None and start <= span.end_ms <= end]
+        return f"Tracer({len(self.finished)} spans)"

@@ -21,8 +21,7 @@ of all traffic off-site.
 
 from __future__ import annotations
 
-import random
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple
 
 from repro.core.deployments import MEC_DEPLOYMENTS, build_testbed
 from repro.measure.runner import measure_deployment_queries
@@ -63,31 +62,13 @@ class DeploymentModel(NamedTuple):
     #: chain) or a client-blind warmed resolver pinned to the anchor.
     localized: bool
 
-    def dns_legs(self, rng: random.Random) -> Tuple[float, float]:
-        """One lookup's ``(wireless, resolver)`` legs, separately.
-
-        The split form lets tail exemplars attribute a slow lookup to
-        the right leg; the draw order is identical to :meth:`dns_ms`,
-        so which form a caller uses cannot change any downstream
-        sample.  The engine's loop makes these same two draws from
-        ``wireless.samples`` / ``resolver.samples`` directly, and
-        tests/workload/test_kernel_equivalence.py holds it to this
-        method.
-        """
-        return (self.wireless.sample(rng), self.resolver.sample(rng))
-
-    def dns_ms(self, rng: random.Random) -> float:
-        """One lookup's latency (wireless + resolver legs)."""
-        return self.wireless.sample(rng) + self.resolver.sample(rng)
-
 
 def is_localized(key: str) -> bool:
     """Whether ``key`` resolves at the client's MEC site."""
     return key in MEC_DEPLOYMENTS
 
 
-def calibrate(key: str, seed: int,
-              queries: int = CALIBRATION_QUERIES) -> DeploymentModel:
+def calibrate(key: str, seed: int) -> DeploymentModel:
     """Measure ``key``'s testbed and build its mesoscale model.
 
     The testbed seed is ``derive_seed(seed, "calibrate", key)``: shared
@@ -95,7 +76,7 @@ def calibrate(key: str, seed: int,
     across base seeds and deployments.
     """
     testbed = build_testbed(key, seed=derive_seed(seed, "calibrate", key))
-    measurements = measure_deployment_queries(testbed, queries)
+    measurements = measure_deployment_queries(testbed, CALIBRATION_QUERIES)
     wireless: List[float] = [m.wireless_ms for m in measurements]
     resolver: List[float] = [m.resolver_ms for m in measurements]
     return DeploymentModel(

@@ -70,7 +70,7 @@ class _DistrictObserver:
         self._scope = scope
         #: Interned once: small-int site labels recur on every span.
         self._site_strs = [str(site) for site in range(sites)]
-        self._tracing = tel.tracer.enabled and tel.tracer.sample_rate > 0.0
+        self._tracing = tel.tracer.sample_rate > 0.0
         self._sampler = HeadSampler(tel.tracer.sample_rate)
         self._salt = int(hash_unit(scope) * 9007199254740992.0)
         self._sessions = 0

@@ -15,7 +15,7 @@ never migrate anyone's home.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, NamedTuple
+from typing import NamedTuple
 
 from repro.runtime.spec import derive_seed
 
@@ -56,11 +56,6 @@ class Population:
             home_site=derive_seed(self.seed, "home", index) % self.sites,
             seed=derive_seed(self.seed, "ue", index))
 
-    def users(self) -> Iterator[UserProfile]:
-        """All UEs in index order (lazily)."""
-        for index in range(self.size):
-            yield self.user(index)
-
     def user_rng(self, profile: UserProfile) -> random.Random:
         """The UE's behavioural RNG stream (arrivals, sessions, content).
 
@@ -68,13 +63,6 @@ class Population:
         that UE, keeps replay exact while sharing no state across UEs.
         """
         return random.Random(profile.seed)
-
-    def site_census(self) -> List[int]:
-        """UEs per home site (O(size) time, O(sites) memory)."""
-        census = [0] * self.sites
-        for index in range(self.size):
-            census[derive_seed(self.seed, "home", index) % self.sites] += 1
-        return census
 
     def __len__(self) -> int:
         return self.size

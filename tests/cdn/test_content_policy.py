@@ -28,7 +28,7 @@ class TestCatalog:
         catalog.add_object(Name("a.test"), "/1", 10)
         catalog.add_object(Name("a.test"), "/2", 10)
         catalog.add_object(Name("b.test"), "/1", 10)
-        assert len(catalog.for_domain(Name("a.test"))) == 2
+        assert len(catalog.under_domain(Name("a.test"))) == 2
         assert len(catalog) == 3
         assert set(catalog.domains()) == {Name("a.test"), Name("b.test")}
 

@@ -130,7 +130,7 @@ class TestTrafficRouter:
 
     def test_next_tier_referral_when_content_missing(self, scenario):
         # Edge router that does not host this delivery service refers to mid.
-        scenario.edge_router.content_available = lambda name: False
+        scenario.edge_router.select_cache = lambda qname, ip: (None, 0)
         scenario.edge_router.next_tier = scenario.mid_router.endpoint.ip
         result = scenario.query()
         assert result.addresses == [scenario.mid_router.endpoint.ip]

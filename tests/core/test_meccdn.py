@@ -5,7 +5,6 @@ import pytest
 from repro.cdn import ContentCatalog, HttpClient
 from repro.core import MecCdnSite
 from repro.dnswire import Name
-from repro.mec.namespaces import NamespacePolicy
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.resolver import StubResolver
 
@@ -102,13 +101,9 @@ class TestMecCdnSite:
     def test_publish_additional_domain(self):
         scenario = SiteScenario()
         scenario.site.publish_domain(Name("othercdn.test"),
-                                     scenario.site.cdns_endpoint)
+                                     scenario.site.cdns_service.endpoint)
         assert scenario.site.split_namespace.is_public(
             Name("x.othercdn.test"))
-
-    def test_ignore_policy_configurable(self):
-        scenario = SiteScenario(namespace_policy=NamespacePolicy.IGNORE)
-        assert scenario.site.split_namespace.policy == NamespacePolicy.IGNORE
 
     def test_requires_nodes(self):
         sim = Simulator()

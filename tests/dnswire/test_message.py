@@ -214,7 +214,7 @@ class TestCompressionInMessages:
         # The owner of the answer should be a 2-byte pointer; a full repeat
         # would make the message much longer.
         uncompressed_len = (len(make_response(query).to_wire())
-                            + Name("a-very-long-cdn-name.example.com").wire_length()
+                            + len("a-very-long-cdn-name.example.com") + 2
                             + 10 + 4)
         assert len(wire) < uncompressed_len
 

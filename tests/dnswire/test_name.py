@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dnswire.name import MAX_LABEL_LENGTH, Name, ROOT, derelativize
+from repro.dnswire.wire import WireWriter
 from repro.errors import NameError_
 
 
@@ -139,9 +140,13 @@ class TestStructure:
         assert rest == Name("example.com")
 
     def test_wire_length(self):
+        def encoded(name):
+            writer = WireWriter()
+            writer.write_name(name)
+            return writer.getvalue()
         # 3 + 1 + 7 + 1 + 3 + 1 + root(1) = 17
-        assert Name("www.example.com").wire_length() == 17
-        assert ROOT.wire_length() == 1
+        assert len(encoded(Name("www.example.com"))) == 17
+        assert encoded(ROOT) == b"\x00"
 
 
 class TestDerelativize:

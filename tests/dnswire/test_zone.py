@@ -13,7 +13,6 @@ from repro.dnswire import (
     parse_master_file,
 )
 from repro.dnswire.rdata import NS, SOA
-from repro.dnswire.zone import zone_from_records
 from repro.errors import ZoneError
 
 
@@ -120,23 +119,12 @@ class TestZoneBuilding:
         with pytest.raises(ZoneError):
             zone.add(rr("alias.example.com", RecordType.A, A("192.0.2.1")))
 
-    def test_add_simple_relative(self):
-        z = Zone(Name("example.com"))
-        z.add_simple("www", RecordType.A, A("192.0.2.1"))
-        assert z.lookup(Name("www.example.com"), RecordType.A).status == \
-            LookupStatus.SUCCESS
-
     def test_soa_property(self, zone):
         assert zone.soa is not None
         assert zone.soa.rdata.minimum == 60
 
     def test_records_iteration(self, zone):
         assert sum(1 for _ in zone.records()) == 8
-
-    def test_zone_from_records(self):
-        z = zone_from_records("example.org", [
-            rr("a.example.org", RecordType.A, A("192.0.2.1"))])
-        assert z.origin == Name("example.org")
 
 
 MASTER = """

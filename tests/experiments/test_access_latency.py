@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.access_latency import EXPERIMENT, check_shape
+from repro.experiments.access_latency import EXPERIMENT
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +12,7 @@ def result():
 
 class TestAccessLatency:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_all_deployments_measured(self, result):
         assert len(result.rows) == 6

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
-from repro.experiments.capacity import EXPERIMENT, check_shape
+from repro.experiments.capacity import EXPERIMENT
 from repro.measure.loadgen import LoadGenerator, run_load
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.resolver import AuthoritativeServer
@@ -82,7 +82,7 @@ def curve():
 
 class TestCapacityCurve:
     def test_shape_claims_hold(self, curve):
-        assert check_shape(curve) == []
+        assert EXPERIMENT.check_shape(curve) == []
 
     def test_goodput_plateaus_at_capacity(self, curve):
         beyond = [point for point in curve.points

@@ -5,7 +5,7 @@ import pytest
 from repro.core.deployments import DEPLOYMENT_KEYS
 from repro.experiments.churn import (DEADLINE_MS, EXPERIMENT,
                                      FAULT_DEPLOYMENT, FAULT_SCENARIOS, MODES,
-                                     WARMED_DEPLOYMENTS, check_shape)
+                                     WARMED_DEPLOYMENTS)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ class TestChurnGrid:
             result.row("churn-only", "no-such-deployment", "resilient")
 
     def test_shape_claims_hold_at_full_fidelity(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_every_cell_sees_the_full_schedule_and_handover(self, result):
         for row in result.rows:

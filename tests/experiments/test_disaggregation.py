@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.disaggregation import EXPERIMENT, check_shape
+from repro.experiments.disaggregation import EXPERIMENT
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +12,7 @@ def result():
 
 class TestDisaggregation:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_two_routings_compared(self, result):
         assert {row.routing for row in result.rows} == \

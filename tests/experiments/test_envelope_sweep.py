@@ -6,7 +6,6 @@ from repro.core.deployments import build_custom_cdns_testbed
 from repro.experiments.envelope_sweep import (
     ENVELOPE_MS,
     EXPERIMENT,
-    check_shape,
 )
 from repro.measure import measure_deployment_queries
 
@@ -19,7 +18,7 @@ def result():
 
 class TestEnvelopeSweep:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_latency_monotone_in_distance(self, result):
         means = [point.mean_latency_ms for point in result.points]

@@ -84,7 +84,7 @@ class TestFigure2:
         assert len(figure2_result.rows) == 15  # 5 domains x 3 networks
 
     def test_shape_claims_hold(self, figure2_result):
-        assert f2_mod.check_shape(figure2_result) == []
+        assert f2_mod.EXPERIMENT.check_shape(figure2_result) == []
 
     def test_minimum_twelve_tests(self, figure2_result):
         assert all(row.stats.count >= 12 for row in figure2_result.rows)
@@ -106,7 +106,7 @@ def figure3_result():
 
 class TestFigure3:
     def test_shape_claims_hold(self, figure3_result):
-        assert f3_mod.check_shape(figure3_result) == []
+        assert f3_mod.EXPERIMENT.check_shape(figure3_result) == []
 
     def test_answers_only_from_deployment_pools(self, figure3_result):
         assert all(row.unmatched == 0 for row in figure3_result.rows)
@@ -134,14 +134,14 @@ class TestFigure5:
             f5_mod.DEPLOYMENT_KEYS)
 
     def test_shape_claims_hold(self, figure5_result):
-        assert f5_mod.check_shape(figure5_result) == []
+        assert f5_mod.EXPERIMENT.check_shape(figure5_result) == []
 
     def test_shape_claims_hold_at_every_seed(self):
         # Calibration must not hold only at the seed EXPERIMENTS.md used.
         mec_means = []
         for seed in (1, 7, 42, 1234, 98765):
             result = f5_mod.EXPERIMENT.run_serial(queries=15, seed=seed)
-            assert f5_mod.check_shape(result) == [], f"seed {seed}"
+            assert f5_mod.EXPERIMENT.check_shape(result) == [], f"seed {seed}"
             mec_means.append(result.means()["mec-ldns-mec-cdns"])
         # The headline bar moves by well under 15% across seeds.
         assert max(mec_means) - min(mec_means) < \
@@ -166,7 +166,7 @@ class TestFigure5:
 class TestEcs:
     def test_ratios_and_correctness(self):
         result = ecs_mod.EXPERIMENT.run_serial(queries=15, seed=42)
-        assert ecs_mod.check_shape(result) == []
+        assert ecs_mod.EXPERIMENT.check_shape(result) == []
         assert len(result.rows) == 3
         for row in result.rows:
             assert row.always_correct_cache

@@ -7,7 +7,6 @@ from repro.experiments.mislocalization import (
     CLIENT_LOCATION,
     EXPERIMENT,
     GEOIP_ENTRIES,
-    check_shape,
 )
 
 
@@ -18,7 +17,7 @@ def result():
 
 class TestMislocalization:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_rows_cover_connectivities(self, result):
         assert [row.connectivity for row in result.rows] == \

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone, make_query
 from repro.dnswire.rdata import A, NS, SOA
-from repro.experiments.overload import EXPERIMENT, check_shape
+from repro.experiments.overload import EXPERIMENT
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator, UdpSocket
 from repro.resolver import AuthoritativeServer, StubResolver
 
@@ -94,7 +94,7 @@ def overload_result():
 
 class TestOverloadExperiment:
     def test_shape_claims_hold(self, overload_result):
-        assert check_shape(overload_result) == []
+        assert EXPERIMENT.check_shape(overload_result) == []
 
     def test_flood_degrades_unmitigated_service(self, overload_result):
         row = overload_result.row("none")

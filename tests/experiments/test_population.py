@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.population import (EXPERIMENT, PopulationExperiment,
-                                          PopulationResult, check_shape)
+                                          PopulationResult)
 from repro.runtime import result_digest
 from repro.workload.arrivals import DiurnalProfile
 
@@ -84,7 +84,7 @@ class TestResult:
 
 class TestShapeClaims:
     def test_small_run_passes_the_structural_claims(self, small_result):
-        assert check_shape(small_result) == []
+        assert EXPERIMENT.check_shape(small_result) == []
 
     def test_empty_rows_are_flagged(self, small_result):
         row = small_result.rows[0]._replace(queries=0)
@@ -94,7 +94,7 @@ class TestShapeClaims:
             allocation=small_result.allocation,
             catalog=small_result.catalog)
         assert any("no queries" in violation
-                   for violation in check_shape(broken))
+                   for violation in EXPERIMENT.check_shape(broken))
 
     def test_delocalized_mec_row_is_flagged(self, small_result):
         row = small_result.row("mec-ldns-mec-cdns")._replace(
@@ -105,7 +105,7 @@ class TestShapeClaims:
             allocation=small_result.allocation,
             catalog=small_result.catalog)
         assert any("localization" in violation
-                   for violation in check_shape(broken))
+                   for violation in EXPERIMENT.check_shape(broken))
 
     @pytest.mark.parametrize("seed", [5, 10, 12])
     def test_p50_in_the_bin_straddling_20ms_is_not_a_violation(self, seed):
@@ -115,11 +115,11 @@ class TestShapeClaims:
             target_queries=20_000, deployment="all",
             allocation="client-bounded", seed=seed)
         assert result.row("mec-ldns-lan-cdns").dns.p50 > 20.0
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_p50_bin_wholly_above_20ms_is_flagged(self, small_result):
         row = small_result.row("mec-ldns-mec-cdns")
         row = row._replace(dns=row.dns._replace(p50=21.9))
         broken = small_result._replace(rows=[row])
         assert any("misses the 20ms envelope" in violation
-                   for violation in check_shape(broken))
+                   for violation in EXPERIMENT.check_shape(broken))

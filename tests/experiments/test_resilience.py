@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.resilience import (DEADLINE_MS, EXPERIMENT, MODES,
-                                          SCENARIOS, check_shape)
+                                          SCENARIOS)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ class TestResilienceGrid:
             result.row("cdns-crash", "no-such-deployment", "baseline")
 
     def test_shape_claims_hold_at_full_fidelity(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_stale_answers_only_in_resilient_cells(self, result):
         for row in result.rows:

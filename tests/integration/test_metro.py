@@ -85,8 +85,11 @@ class MetroWorld:
                              "10.233.64.0/18"],
             next_tier_cdns=self.mid_cdns.endpoint.ip)
         # Edge policy: only the popular service is edge-hosted.
-        self.site.cdns.content_available = \
-            lambda qname: qname.is_subdomain_of(Name("demo1.mycdn.ciab.test"))
+        select_cache = self.site.cdns.select_cache
+        self.site.cdns.select_cache = lambda qname, ip: (
+            select_cache(qname, ip)
+            if qname.is_subdomain_of(Name("demo1.mycdn.ciab.test"))
+            else (None, 0))
         self.client = EdgeAwareClient(self.net, self.ue.host,
                                       self.site.ldns_endpoint)
 
@@ -108,7 +111,7 @@ def metro():
 class TestEdgePath:
     def test_edge_content_resolves_locally(self, metro):
         result = metro.resolve(EDGE_CONTENT)
-        assert result.resolved_at_edge
+        assert result.referrals_followed == 0
         assert result.addresses[0] in [cache.endpoint.ip
                                        for cache in metro.site.caches]
         assert len(result.servers_queried) == 1
@@ -124,7 +127,6 @@ class TestEdgePath:
 class TestReferralPath:
     def test_longtail_follows_referral_to_mid_tier(self, metro):
         result = metro.resolve(LONGTAIL_CONTENT)
-        assert not result.resolved_at_edge
         assert result.referrals_followed == 1
         assert result.addresses == [metro.mid_cache.endpoint.ip]
         # First the L-DNS (edge), then the mid-tier C-DNS directly.
@@ -161,7 +163,7 @@ class TestReferralPath:
 class TestReferralLoopGuard:
     def test_referral_loop_detected(self, metro):
         # Misconfigure the mid tier to refer everything back to itself.
-        metro.mid_cdns.content_available = lambda qname: False
+        metro.mid_cdns.select_cache = lambda qname, ip: (None, 0)
         metro.mid_cdns.next_tier = metro.mid_cdns.endpoint.ip
         from repro.netsim.engine import ProcessFailed
         with pytest.raises(ProcessFailed) as excinfo:

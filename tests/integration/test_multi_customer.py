@@ -68,15 +68,6 @@ class TestMultiCustomer:
         result = self.query(sim, net, site, "img.othercdn.test")
         assert result.status == "REFUSED"  # not in the public namespace yet
 
-    def test_unpublish_revokes_access(self, world):
-        sim, net, site = world
-        onboard_second_customer(sim, net, site)
-        assert self.query(sim, net, site,
-                          "img.othercdn.test").status == "NOERROR"
-        site.split_namespace.unregister_public(Name("othercdn.test"))
-        assert self.query(sim, net, site,
-                          "img.othercdn.test").status == "REFUSED"
-
     def test_customers_isolated_by_stub_domain(self, world):
         sim, net, site = world
         cache2, router2 = onboard_second_customer(sim, net, site)

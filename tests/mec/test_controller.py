@@ -60,14 +60,6 @@ class TestReplicaController:
         controller.reconcile_once()  # keeps running, keeps trying
         assert controller.placement_failures == 2
 
-    def test_scale_down(self, cluster):
-        sim, net, orch, service = cluster
-        controller = ReplicaController(orch, service, starter, replicas=3)
-        controller.reconcile_once()
-        controller.scale_to(1)
-        assert len(service.ready_pods()) == 1
-        assert controller.reconcile_once() == 0
-
     def test_control_loop_runs_on_clock(self, cluster):
         sim, net, orch, service = cluster
         controller = ReplicaController(orch, service, starter, replicas=2,
@@ -84,6 +76,3 @@ class TestReplicaController:
         sim, net, orch, service = cluster
         with pytest.raises(ValueError):
             ReplicaController(orch, service, starter, replicas=0)
-        controller = ReplicaController(orch, service, starter, replicas=1)
-        with pytest.raises(ValueError):
-            controller.scale_to(0)

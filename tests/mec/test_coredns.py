@@ -172,13 +172,6 @@ class TestSplitNamespace:
         assert isinstance(excinfo.value.__cause__, QueryTimeout)
         assert split.ignored == 1
 
-    def test_unregister_public(self):
-        split = self.make_split()
-        split.unregister_public(Name("mycdn.ciab.test"))
-        scenario = MecDnsScenario(split=split)
-        result = scenario.query_from("ue", "video.mycdn.ciab.test")
-        assert result.status == "REFUSED"
-
     def test_is_public_respects_suffixes(self):
         split = self.make_split()
         assert split.is_public(Name("a.b.mycdn.ciab.test"))
@@ -238,9 +231,7 @@ class TestIpReuse:
         result = PublicIpPlan(sites).evaluate()
         assert result.shared_total == 10
         assert result.dedicated_total == 300
-        assert result.savings_factor == pytest.approx(30.0)
 
     def test_result_type(self):
         result = PublicIpPlan([]).evaluate()
         assert isinstance(result, IpPlanResult)
-        assert result.savings_factor == float("inf")

@@ -70,9 +70,11 @@ class TestProfiles:
                                  "cellular-mobile", "cellular-5g"}
 
     def test_latency_ordering(self):
-        assert WIRED_CAMPUS.mean_one_way < WIFI_HOME.mean_one_way
-        assert WIFI_HOME.mean_one_way < CELLULAR_LTE.mean_one_way
-        assert CELLULAR_5G.mean_one_way < CELLULAR_LTE.mean_one_way
+        def one_way(profile):
+            return profile.radio.mean + profile.access_backhaul.mean
+        assert one_way(WIRED_CAMPUS) < one_way(WIFI_HOME)
+        assert one_way(WIFI_HOME) < one_way(CELLULAR_LTE)
+        assert one_way(CELLULAR_5G) < one_way(CELLULAR_LTE)
 
     def test_lte_radio_near_10ms_one_way(self):
         import random
@@ -113,13 +115,12 @@ class TestNat:
     def test_flows_spread_across_public_pool(self):
         scenario = MobileScenario()
         nat = scenario.epc.nat
+        used_ips = set()
         for index in range(4):
             private = Endpoint("10.45.0.2", 50000 + index)
             datagram = Datagram(private, Endpoint("203.0.113.53", 53), b"x")
             processed = nat.process(datagram, scenario.epc.pgw)
-            assert processed.src.ip in nat.public_ips
-        used_ips = {nat.mapping_for(Endpoint("10.45.0.2", 50000 + i)).ip
-                    for i in range(4)}
+            used_ips.add(processed.src.ip)
         assert used_ips == {"198.51.100.1", "198.51.100.2"}
 
     def test_same_flow_keeps_mapping(self):
@@ -129,7 +130,6 @@ class TestNat:
         first = nat.process(Datagram(private, Endpoint("1.2.3.4", 53), b"a"), host)
         second = nat.process(Datagram(private, Endpoint("1.2.3.4", 53), b"b"), host)
         assert first.src == second.src
-        assert nat.active_flows == 1
 
     def test_intra_network_traffic_not_translated(self):
         nat = NatMiddlebox(["198.51.100.1"])
@@ -182,12 +182,6 @@ class TestHandoff:
         assert record.dns_switched
         assert scenario.ue.dns == Endpoint("10.96.0.10", 53)
         assert scenario.ue.dns_switches == 1
-
-    def test_restore_default_dns(self):
-        scenario = MobileScenario()
-        HandoffController(scenario.net).handoff(scenario.ue, scenario.cell_b)
-        scenario.ue.restore_default_dns()
-        assert scenario.ue.dns == Endpoint("203.0.113.53", 53)
 
     def test_handoff_requires_attachment(self):
         scenario = MobileScenario()

@@ -6,6 +6,13 @@ from repro.errors import QueryTimeout, SimulationError
 from repro.netsim.engine import ProcessFailed, Simulator
 
 
+def timer(sim, delay, value=None):
+    """A future that resolves to ``value`` after ``delay`` ms."""
+    fut = sim.future()
+    sim.call_after(delay, fut.resolve, value)
+    return fut
+
+
 class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
@@ -124,7 +131,7 @@ class TestFutures:
 
     def test_timer(self):
         sim = Simulator()
-        fut = sim.timer(25, "done")
+        fut = timer(sim, 25, "done")
         assert sim.run_until_resolved(fut) == "done"
         assert sim.now == 25
 
@@ -144,7 +151,7 @@ class TestProcesses:
         sim = Simulator()
 
         def process():
-            value = yield sim.timer(30, "payload")
+            value = yield timer(sim, 30, "payload")
             return value
 
         assert sim.run_until_resolved(sim.spawn(process())) == "payload"
@@ -245,13 +252,13 @@ class TestSharedDrain:
         for _ in range(3):
             sim.call_soon(lambda: None)
         sim.run()
-        assert sim.run_until_resolved(sim.timer(5, "done")) == "done"
+        assert sim.run_until_resolved(timer(sim, 5, "done")) == "done"
         assert sim.events_processed == 4
 
     def test_run_until_resolved_stops_at_resolution(self):
         sim = Simulator()
         fired = []
-        fut = sim.timer(10, "value")
+        fut = timer(sim, 10, "value")
         sim.call_after(20, lambda: fired.append(True))
         assert sim.run_until_resolved(fut) == "value"
         # The later event is still queued; the loop stopped at the future.

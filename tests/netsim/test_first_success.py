@@ -4,13 +4,14 @@ import pytest
 
 from repro.errors import QueryTimeout, SimulationError
 from repro.netsim.engine import Simulator
+from tests.netsim.test_engine import timer
 
 
 class TestFirstSuccess:
     def test_fastest_success_wins(self):
         sim = Simulator()
-        combined = sim.first_success([sim.timer(30, "slow"),
-                                      sim.timer(10, "fast")])
+        combined = sim.first_success([timer(sim, 30, "slow"),
+                                      timer(sim, 10, "fast")])
         assert sim.run_until_resolved(combined) == "fast"
         assert sim.now == 10
 
@@ -18,7 +19,7 @@ class TestFirstSuccess:
         sim = Simulator()
         failing = sim.future()
         sim.call_after(5, lambda: failing.fail(QueryTimeout("early fail")))
-        combined = sim.first_success([failing, sim.timer(20, "late ok")])
+        combined = sim.first_success([failing, timer(sim, 20, "late ok")])
         assert sim.run_until_resolved(combined) == "late ok"
         assert sim.now == 20
 
@@ -36,7 +37,7 @@ class TestFirstSuccess:
 
     def test_single_future(self):
         sim = Simulator()
-        combined = sim.first_success([sim.timer(3, 42)])
+        combined = sim.first_success([timer(sim, 3, 42)])
         assert sim.run_until_resolved(combined) == 42
 
     def test_empty_list_rejected(self):
@@ -46,7 +47,7 @@ class TestFirstSuccess:
 
     def test_later_results_ignored(self):
         sim = Simulator()
-        futures = [sim.timer(1, "first"), sim.timer(2, "second")]
+        futures = [timer(sim, 1, "first"), timer(sim, 2, "second")]
         combined = sim.first_success(futures)
         sim.run()
         assert combined.result() == "first"

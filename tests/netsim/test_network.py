@@ -62,7 +62,6 @@ class TestTopology:
         net.add_link("a", "c", Constant(5))
         net.add_link("c", "d", Constant(5))
         assert net.path("a", "d") == ["a", "b", "d"]
-        assert net.path_mean_latency("a", "d") == 2
 
     def test_no_route_raises(self, net):
         net.add_host("a", "1.0.0.1")

@@ -50,15 +50,6 @@ class TestRandomStreams:
         assert second.random() == link.random()
         assert first != second  # sanity: we compared sequences, not objects
 
-    def test_fork_is_namespaced(self):
-        root = RandomStreams(3)
-        child_a = root.fork("exp-a")
-        child_b = root.fork("exp-b")
-        assert child_a.stream("x").random() != child_b.stream("x").random()
-        # Forks are reproducible too.
-        again = RandomStreams(3).fork("exp-a")
-        assert again.stream("x").random() == RandomStreams(3).fork("exp-a").stream("x").random()
-
 
 RNG = random.Random(1234)
 

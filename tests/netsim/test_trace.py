@@ -75,15 +75,6 @@ class TestFilters:
 
 
 class TestLifecycle:
-    def test_between_selects_time_window(self):
-        sim, net = three_hop_network()
-        trace = PacketTrace(net)
-        send_one(sim, net)
-        early = trace.between(0.0, 1.0)
-        assert early
-        assert all(record.time <= 1.0 for record in early)
-        assert len(trace.between(100.0, 200.0)) == 0
-
     def test_first_by_event_kind(self):
         sim, net = three_hop_network()
         trace = PacketTrace(net)

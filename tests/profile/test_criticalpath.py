@@ -11,8 +11,17 @@ from repro.profile import (STAGE_BACKHAUL, STAGE_CDNS, STAGE_CLIENT,
                            STAGE_LDNS_CACHE, STAGE_OTHER, STAGE_RADIO,
                            STAGE_TCP_FALLBACK, STAGE_UPSTREAM, STAGES,
                            analyze_trace, trace_segments)
-from repro.telemetry.analysis import trace_duration
 from repro.telemetry.trace import Tracer
+
+
+def spans_for(tracer, trace_id):
+    return [span for span in tracer.finished if span.trace_id == trace_id]
+
+
+def trace_duration(spans):
+    """Wall span of one trace in plain floats: latest end - earliest start."""
+    return (max(span.end_ms for span in spans)
+            - min(span.start_ms for span in spans))
 
 
 class TestFloatIdentity:
@@ -21,16 +30,16 @@ class TestFloatIdentity:
         trace_ids = session.tracer.trace_ids()
         assert len(trace_ids) >= 36  # six deployments, six queries + warmup
         for trace_id in trace_ids:
-            spans = session.tracer.spans_for(trace_id)
+            spans = spans_for(session.tracer, trace_id)
             path = analyze_trace(spans, trace_id)
             # Exact identities — no approx, no tolerance.
             assert sum(path.stages.values(), Fraction(0)) == path.total_exact
-            assert float(path.total_exact) == trace_duration(spans, trace_id)
+            assert float(path.total_exact) == trace_duration(spans)
 
     def test_segments_partition_the_trace(self, figure5_session):
         session, _ = figure5_session
         for trace_id in session.tracer.trace_ids():
-            spans = session.tracer.spans_for(trace_id)
+            spans = spans_for(session.tracer, trace_id)
             segments = trace_segments(spans, trace_id)
             starts = [span.start_ms for span in spans]
             ends = [span.end_ms for span in spans]

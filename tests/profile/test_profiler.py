@@ -11,8 +11,7 @@ def _trace_totals(session):
     """Exact summed duration across every trace of the run."""
     total = Fraction(0)
     for trace_id in session.tracer.trace_ids():
-        spans = session.tracer.spans_for(trace_id)
-        total += analyze_trace(spans, trace_id).total_exact
+        total += analyze_trace(session.tracer.finished, trace_id).total_exact
     return total
 
 

@@ -49,7 +49,7 @@ class CacheModel(RuleBasedStateMachine):
         answer = self.cache.get(name, RecordType.A, self.now)
         expected = self.model.get(name)
         if expected is None or expected[2] <= self.now:
-            assert answer.is_miss, f"{name}: expected miss, got {answer}"
+            assert answer.outcome == CacheOutcome.MISS, f"{name}: expected miss, got {answer}"
             return
         kind, payload, expiry = expected
         if kind == "pos":

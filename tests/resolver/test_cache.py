@@ -7,6 +7,8 @@ from repro.dnswire import Name, RecordType, ResourceRecord
 from repro.dnswire.rdata import A
 from repro.resolver.cache import CacheOutcome, DnsCache, MAX_TTL
 
+MISS = CacheOutcome.MISS
+
 
 def rr(owner, address, ttl=300):
     return ResourceRecord(Name(owner), RecordType.A, ttl, A(address))
@@ -15,7 +17,7 @@ def rr(owner, address, ttl=300):
 class TestPositive:
     def test_miss_then_hit(self):
         cache = DnsCache()
-        assert cache.get(Name("a.com"), RecordType.A, 0).is_miss
+        assert cache.get(Name("a.com"), RecordType.A, 0).outcome == MISS
         cache.put_records([rr("a.com", "192.0.2.1")], now=0)
         answer = cache.get(Name("a.com"), RecordType.A, 1000)
         assert answer.outcome == CacheOutcome.HIT
@@ -30,7 +32,7 @@ class TestPositive:
     def test_expiry(self):
         cache = DnsCache()
         cache.put_records([rr("a.com", "192.0.2.1", ttl=10)], now=0)
-        assert cache.get(Name("a.com"), RecordType.A, 10_000).is_miss
+        assert cache.get(Name("a.com"), RecordType.A, 10_000).outcome == MISS
 
     def test_rrset_grouping(self):
         cache = DnsCache()
@@ -41,7 +43,7 @@ class TestPositive:
     def test_type_separation(self):
         cache = DnsCache()
         cache.put_records([rr("a.com", "192.0.2.1")], now=0)
-        assert cache.get(Name("a.com"), RecordType.AAAA, 0).is_miss
+        assert cache.get(Name("a.com"), RecordType.AAAA, 0).outcome == MISS
 
     def test_case_insensitive_keying(self):
         cache = DnsCache()
@@ -96,7 +98,7 @@ class TestNegative:
         cache = DnsCache()
         cache.put_negative(Name("no.com"), RecordType.A,
                            CacheOutcome.NEGATIVE_NXDOMAIN, ttl=5, now=0)
-        assert cache.get(Name("no.com"), RecordType.A, 6000).is_miss
+        assert cache.get(Name("no.com"), RecordType.A, 6000).outcome == MISS
 
     def test_nxdomain_covers_all_types(self):
         cache = DnsCache()
@@ -126,7 +128,7 @@ class TestCapacity:
         for index in range(5):
             cache.put_records([rr(f"h{index}.com", "192.0.2.1")], now=0)
         assert len(cache) == 3
-        assert cache.get(Name("h0.com"), RecordType.A, 0).is_miss
+        assert cache.get(Name("h0.com"), RecordType.A, 0).outcome == MISS
         assert cache.get(Name("h4.com"), RecordType.A, 0).outcome == \
             CacheOutcome.HIT
 
@@ -138,17 +140,11 @@ class TestCapacity:
         cache.put_records([rr("c.com", "192.0.2.3")], now=0)
         assert cache.get(Name("a.com"), RecordType.A, 0).outcome == \
             CacheOutcome.HIT
-        assert cache.get(Name("b.com"), RecordType.A, 0).is_miss
+        assert cache.get(Name("b.com"), RecordType.A, 0).outcome == MISS
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             DnsCache(max_entries=0)
-
-    def test_flush(self):
-        cache = DnsCache()
-        cache.put_records([rr("a.com", "192.0.2.1")], now=0)
-        cache.flush()
-        assert len(cache) == 0
 
 
 class TestStats:
@@ -171,4 +167,4 @@ def test_entry_valid_exactly_until_ttl(ttl, probe_ms):
         assert answer.outcome == CacheOutcome.HIT
         assert 0 <= answer.records[0].ttl <= ttl
     else:
-        assert answer.is_miss
+        assert answer.outcome == MISS

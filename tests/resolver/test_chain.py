@@ -88,24 +88,6 @@ class TestChain:
         response, ctx = run_chain(chain)
         assert ctx.response is response
 
-    def test_insert_before(self):
-        second = AnswerPlugin(".", "203.0.113.1")
-        second.name = "default"
-        chain = PluginChain([second])
-        first = AnswerPlugin("cluster.local", "10.96.0.1")
-        first.name = "kubernetes"
-        chain.insert_before("default", first)
-        assert [plugin.name for plugin in chain.plugins] == \
-            ["kubernetes", "default"]
-        response, _ = run_chain(chain, "svc.cluster.local")
-        assert response.answer_addresses() == ["10.96.0.1"]
-
-    def test_insert_before_missing_appends(self):
-        chain = PluginChain([])
-        plugin = AnswerPlugin(".", "203.0.113.1")
-        chain.insert_before("nonexistent", plugin)
-        assert chain.plugins == [plugin]
-
     def test_context_accessors(self):
         ctx = QueryContext(make_query(Name("a.b.c"), RecordType.AAAA), CLIENT)
         assert ctx.qname == Name("a.b.c")

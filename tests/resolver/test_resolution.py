@@ -168,10 +168,10 @@ class TestForwarder:
         assert internet.resolver.upstream_queries_sent == 0
 
     def test_longest_stub_domain_wins(self, internet):
-        forwarder, stub = self.build(internet)
-        forwarder.add_stub_domain(Name("com"), internet.resolver.endpoint)
-        forwarder.add_stub_domain(Name("example.com"),
-                                  internet.auth_server.endpoint)
+        forwarder, stub = self.build(
+            internet,
+            stub_domains={Name("com"): internet.resolver.endpoint,
+                          Name("example.com"): internet.auth_server.endpoint})
         assert forwarder.upstreams_for(Name("www.example.com")) == \
             [internet.auth_server.endpoint]
         assert forwarder.upstreams_for(Name("other.com")) == \
@@ -209,16 +209,6 @@ class TestStubBehaviour:
         assert isinstance(excinfo.value.__cause__, QueryTimeout)
         assert stub.queries_issued == 3
         assert internet.sim.now >= 60  # three timeouts back to back
-
-    def test_resolve_addresses_helper(self, internet):
-        future = internet.sim.spawn(
-            internet.stub.resolve_addresses(Name("www.example.com")))
-        assert internet.sim.run_until_resolved(future) == ["203.0.113.80"]
-
-    def test_resolve_addresses_empty_on_nxdomain(self, internet):
-        future = internet.sim.spawn(
-            internet.stub.resolve_addresses(Name("ghost.example.com")))
-        assert internet.sim.run_until_resolved(future) == []
 
     def test_attempts_recorded(self, internet):
         result = internet.run_query("www.example.com")

@@ -1,6 +1,7 @@
 """Tests for retry policies, serve-stale, and bounded stream timeouts."""
 
 import gc
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,9 @@ from repro.resolver import (AuthoritativeServer, DnsCache, ForwardingResolver,
 from repro.resolver.cache import STALE_ANSWER_TTL
 
 QNAME = Name("www.example.com")
+
+#: A ``Link.loss_model`` that swallows every packet while installed.
+BLACKHOLE = SimpleNamespace(lost=lambda rng: True)
 
 
 def build_zone():
@@ -214,8 +218,8 @@ class TestStubRetries:
     def test_hedge_recovers_lost_primary_without_full_timeout(self):
         world = ResolverWorld()
         link = world.net.link_between("client", "resolver")
-        link.down = True  # swallow the primary packet...
-        world.sim.call_at(5.0, lambda: setattr(link, "down", False))
+        link.loss_model = BLACKHOLE  # swallow the primary packet...
+        world.sim.call_at(5.0, lambda: setattr(link, "loss_model", None))
         stub = world.stub(policy=RetryPolicy(retries=0, timeout_ms=500,
                                              hedge_after_ms=10.0))
         result = world.ask(stub)
@@ -255,8 +259,8 @@ class TestTimeoutsLeaveNoCycles:
         stub = world.stub(RetryPolicy(retries=2, timeout_ms=50, backoff=1.0))
 
         def lookup():
-            link.down = True  # the first attempt is lost, the retry is not
-            world.sim.call_after(40.0, setattr, link, "down", False)
+            link.loss_model = BLACKHOLE  # first attempt lost, retry not
+            world.sim.call_after(40.0, setattr, link, "loss_model", None)
             result = world.ask(stub)
             assert (result.status, result.attempts) == ("NOERROR", 2)
 

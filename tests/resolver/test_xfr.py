@@ -102,14 +102,6 @@ class TestAxfrOverTheWire:
         assert stub.tcp_fallbacks == 1
         assert len(result.response.answers) == 4 + 40 + 2 - 1
 
-    def test_axfr_refused_when_disabled(self, world):
-        sim, net, primary, _, _ = world
-        primary.allow_axfr = False
-        stub = StubResolver(net, net.host("client"), primary.endpoint)
-        result = sim.run_until_resolved(sim.spawn(
-            stub.query(ORIGIN, RecordType.AXFR)))
-        assert result.status == "REFUSED"
-
     def test_axfr_for_unhosted_zone_notauth(self, world):
         sim, net, primary, _, _ = world
         stub = StubResolver(net, net.host("client"), primary.endpoint)

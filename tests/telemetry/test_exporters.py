@@ -1,6 +1,7 @@
 """Tests for the Prometheus, Chrome trace, and JSON artifact exporters."""
 
 import json
+from types import SimpleNamespace
 
 from repro.telemetry.exporters import (
     to_chrome_trace,
@@ -65,12 +66,12 @@ class TestPrometheusText:
 def finished_spans():
     """Two finished spans on two tracks plus one still-open span."""
     tracer = Tracer()
-    clock = [0.0]
-    tracer.bind_clock(lambda: clock[0])
+    clock = SimpleNamespace(now=0.0)
+    tracer.bind_clock_source(clock)
     root = tracer.begin("lookup", "measure", "driver", qname="x.test")
     tracer.add("transit", "net", "pgw", start_ms=1.0, end_ms=3.5,
                parent=root)
-    clock[0] = 10.0
+    clock.now = 10.0
     tracer.end(root, status="NOERROR")
     tracer.begin("never-finished", "measure", "driver")
     return tracer.finished

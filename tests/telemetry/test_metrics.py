@@ -14,6 +14,12 @@ from repro.telemetry.metrics import (
 )
 
 
+def cumulative_buckets(hist):
+    """``(upper_bound, cumulative_count)`` pairs of the unlabelled sample."""
+    ((_, cell),) = hist.samples()
+    return list(zip(hist.buckets, cell.cumulative()))
+
+
 class TestCounter:
     def test_starts_at_zero(self):
         counter = Counter("c", "help")
@@ -63,7 +69,7 @@ class TestGauge:
     def test_inc_dec(self):
         gauge = Gauge("g", "help")
         gauge.inc(3.0)
-        gauge.dec(1.0)
+        gauge.inc(-1.0)
         assert gauge.value() == 2.0
 
     def test_labelled_series_independent(self):
@@ -91,7 +97,7 @@ class TestHistogram:
         hist.observe(0.5)
         hist.observe(5.0)
         hist.observe(100.0)
-        cumulative = dict(hist.cumulative_buckets())
+        cumulative = dict(cumulative_buckets(hist))
         assert cumulative[1.0] == 1
         assert cumulative[10.0] == 2
         assert cumulative[math.inf] == 3
@@ -99,7 +105,7 @@ class TestHistogram:
     def test_inf_bucket_always_present(self):
         hist = Histogram("h", "help", buckets=(5.0,))
         hist.observe(999.0)
-        assert dict(hist.cumulative_buckets())[math.inf] == 1
+        assert dict(cumulative_buckets(hist))[math.inf] == 1
 
     def test_labelled_histograms(self):
         hist = Histogram("h", "help", buckets=(10.0,))
@@ -132,7 +138,7 @@ class TestBucketCell:
         assert observed.counts[DEFAULT_BUCKETS.index(bucket)] == 2
         for cell in (observed, built, halves):
             assert cell.cumulative()[-1] == cell.count == len(values)
-        assert hist.cumulative_buckets() == list(
+        assert cumulative_buckets(hist) == list(
             zip(DEFAULT_BUCKETS, observed.cumulative()))
 
     def test_merge_rejects_another_layout(self):

@@ -39,11 +39,11 @@ class TestHashUnit:
 class TestHeadSampler:
     def test_rate_one_keeps_everything(self):
         sampler = HeadSampler(1.0)
-        assert all(sampler.keep(f"k{i}") for i in range(50))
+        assert all(sampler.keep_id(i) for i in range(50))
 
     def test_rate_zero_drops_everything(self):
         sampler = HeadSampler(0.0)
-        assert not any(sampler.keep(f"k{i}") for i in range(50))
+        assert not any(sampler.keep_id(i) for i in range(50))
 
     def test_fractional_rate_is_deterministic_and_close(self):
         sampler = HeadSampler(0.2)

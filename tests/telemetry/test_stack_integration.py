@@ -17,7 +17,30 @@ from repro import telemetry
 from repro.core.deployments import build_testbed
 from repro.dnswire.name import Name
 from repro.measure.runner import measure_deployment_queries
-from repro.telemetry.analysis import wireless_resolver_split
+
+
+def spans_for(tracer, trace_id):
+    return [span for span in tracer.finished if span.trace_id == trace_id]
+
+
+def wireless_resolver_split(spans, gateway_host, started_ms, finished_ms):
+    """``(wireless_ms, resolver_ms, crossings)`` of one lookup, from spans.
+
+    The span-world mirror of ``measure.runner._wireless_portion``: a
+    crossing is the end of a ``net/transit`` span arriving at the gateway
+    inside the lookup; wireless time is (first crossing - start) +
+    (finish - last crossing), the rest is the resolver side.
+    """
+    crossings = [span.end_ms for span in spans
+                 if (span.name, span.category) == ("transit", "net")
+                 and span.attrs.get("to") == gateway_host
+                 and started_ms <= span.end_ms <= finished_ms]
+    total = finished_ms - started_ms
+    if not crossings:
+        return 0.0, total, 0
+    wireless = (max(min(crossings) - started_ms, 0.0)
+                + max(finished_ms - max(crossings), 0.0))
+    return wireless, max(total - wireless, 0.0), len(crossings)
 
 
 @pytest.fixture(autouse=True)
@@ -47,21 +70,17 @@ class TestSpanTapParity:
         assert measurements
         for m in measurements:
             assert m.trace_id is not None
-            spans = tel.tracer.spans_for(m.trace_id)
-            split = wireless_resolver_split(
-                spans, testbed.gateway_host,
-                m.started_at, m.started_at + m.latency_ms,
-                trace_id=m.trace_id)
-            assert split.crossings >= 2  # query out, answer back
-            assert split.wireless_ms == pytest.approx(m.wireless_ms,
-                                                      abs=1e-9)
-            assert split.resolver_ms == pytest.approx(m.resolver_ms,
-                                                      abs=1e-9)
+            wireless_ms, resolver_ms, crossings = wireless_resolver_split(
+                spans_for(tel.tracer, m.trace_id), testbed.gateway_host,
+                m.started_at, m.started_at + m.latency_ms)
+            assert crossings >= 2  # query out, answer back
+            assert wireless_ms == pytest.approx(m.wireless_ms, abs=1e-9)
+            assert resolver_ms == pytest.approx(m.resolver_ms, abs=1e-9)
 
     def test_trace_covers_whole_lookup(self):
         _, tel, measurements = measured_run("mec-ldns-mec-cdns")
         for m in measurements:
-            spans = tel.tracer.spans_for(m.trace_id)
+            spans = spans_for(tel.tracer, m.trace_id)
             names = {span.name for span in spans}
             # The trace must walk the whole stack: driver, stub,
             # network hops, and the serving DNS.

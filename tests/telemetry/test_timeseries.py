@@ -8,18 +8,20 @@ from repro.telemetry.metrics import BucketCell
 from repro.telemetry.timeseries import TimeSeries
 
 
-def label_windows(series_list):
-    """``{labels-tuple: windows}`` view of a *_series() result."""
-    return {key: windows for key, windows in series_list}
+def counter_windows(series, name):
+    """``{labels-tuple: {window index: value}}`` of one counter series."""
+    return {tuple(sorted(entry["labels"].items())):
+            {window["index"]: window["value"] for window in entry["windows"]}
+            for entry in series.to_dict()["series"]
+            if entry["name"] == name and entry["kind"] == "counter"}
 
 
 class TestRecording:
     def test_window_index(self):
         series = TimeSeries(window_ms=250.0)
-        assert series.window_index(0.0) == 0
-        assert series.window_index(249.9) == 0
-        assert series.window_index(250.0) == 1
-        assert series.window_index(1000.0) == 4
+        for t_ms in (0.0, 249.9, 250.0, 1000.0):
+            series.count("q", t_ms)
+        assert counter_windows(series, "q") == {(): {0: 2.0, 1: 1.0, 4: 1.0}}
 
     def test_counts_accumulate_per_window_and_label(self):
         series = TimeSeries(window_ms=100.0)
@@ -27,7 +29,7 @@ class TestRecording:
         series.count("hits", 20.0, site="a")
         series.count("hits", 150.0, site="a")
         series.count("hits", 10.0, site="b")
-        windows = label_windows(series.counter_series("hits"))
+        windows = counter_windows(series, "hits")
         assert windows[(("site", "a"),)] == {0: 2.0, 1: 1.0}
         assert windows[(("site", "b"),)] == {0: 1.0}
 
@@ -98,8 +100,7 @@ class TestBounds:
         series = TimeSeries(window_ms=100.0, max_windows=4)
         for window in range(10):
             series.count("q", window * 100.0)
-        ((_, windows),) = series.counter_series("q")
-        assert sorted(windows) == [6, 7, 8, 9]
+        assert sorted(counter_windows(series, "q")[()]) == [6, 7, 8, 9]
 
     def test_annotations_capped_earliest_kept(self):
         series = TimeSeries(max_annotations=3)

@@ -57,19 +57,6 @@ class TestDatagram:
 
 
 class TestTraceHelpers:
-    def test_between_window(self, net):
-        trace = PacketTrace(net)
-        sender = UdpSocket(net.host("a"))
-        receiver = UdpSocket(net.host("b"), port=9)
-        receiver.on_datagram = lambda payload, src, sock: None
-        sender.send_to(b"x", Endpoint("10.0.0.2", 9))
-        net.sim.run()
-        sender.send_to(b"y", Endpoint("10.0.0.2", 9))
-        net.sim.run()
-        early = trace.between(0, 1.0)
-        assert early and all(record.time <= 1.0 for record in early)
-        assert len(trace.between(0, net.sim.now)) == len(trace.records)
-
     def test_first_with_no_match(self, net):
         trace = PacketTrace(net)
         assert trace.first("deliver") is None

@@ -79,6 +79,14 @@ class ReferenceRouter:
         return self.index[str(chosen)]
 
 
+def dns_legs(model: DeploymentModel,
+             rng: random.Random) -> Tuple[float, float]:
+    """One lookup's ``(wireless, resolver)`` legs: two draws, wireless
+    first, through ``Empirical.sample`` — the kernel makes the same two
+    from ``wireless.samples`` / ``resolver.samples`` directly."""
+    return model.wireless.sample(rng), model.resolver.sample(rng)
+
+
 def reference_run_district(config: DistrictConfig, model: DeploymentModel,
                            seed: int) -> Tuple[DistrictStats, List[Session]]:
     """``run_district`` without a memo, a bound name or an in-lined draw,
@@ -128,7 +136,7 @@ def reference_run_district(config: DistrictConfig, model: DeploymentModel,
                 served_site = cache_index // config.caches_per_site
                 hit = caches[cache_index].lookup(rank)
                 cache_load[cache_index] += 1
-                wireless_ms, resolver_ms = model.dns_legs(rng)
+                wireless_ms, resolver_ms = dns_legs(model, rng)
                 dns_ms = wireless_ms + resolver_ms + interruption
                 fetch_leg = (INTRA_SITE_LEG if served_site == site
                              else INTER_SITE_LEG)

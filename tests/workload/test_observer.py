@@ -163,7 +163,7 @@ def test_an_origin_fill_is_a_stage_and_a_handover_is_not_assumed():
 
 
 def test_tracing_off_and_tail_off_leave_only_the_windows():
-    quiet = observe(CONFIG._replace(tracing=False, tail_capacity=0))
+    quiet = observe(CONFIG._replace(trace_sample=0.0, tail_capacity=0))
     assert not quiet.tracer.finished
     assert quiet.tracer.sampled_out == 0
     assert quiet.tail.offered == 0
