@@ -108,12 +108,13 @@ DEFAULT_CONTRACT: Dict[str, FrozenSet[str]] = {
 #: (< 3.10): everything ``src/repro`` imports today (a test holds it to
 #: that), so ARCH003 reads the same on 3.9.
 _STDLIB_FALLBACK = frozenset({
-    "__future__", "abc", "argparse", "array", "ast", "atexit", "base64",
-    "binascii", "bisect", "cProfile", "collections", "contextlib", "copy",
+    "__future__", "abc", "argparse", "array", "ast", "base64", "binascii",
+    "bisect", "cProfile", "collections", "concurrent", "contextlib", "copy",
     "dataclasses", "enum", "fnmatch", "fractions", "functools", "hashlib",
     "heapq", "inspect", "io", "ipaddress", "itertools", "json", "math",
-    "multiprocessing", "operator", "os", "random", "re", "string", "struct",
-    "sys", "textwrap", "time", "traceback", "types", "typing", "warnings",
+    "multiprocessing", "operator", "os", "pstats", "random", "re", "string",
+    "struct", "sys", "textwrap", "time", "traceback", "types", "typing",
+    "warnings",
 })
 
 STDLIB_MODULES = frozenset(

@@ -45,7 +45,6 @@ RULES: Dict[str, str] = {
 #: Call-graph roots: what a worker process actually executes.
 DEFAULT_ROOTS: Tuple[str, ...] = (
     "*.run_trial",
-    "*._run_trial_task",
     "*._run_chunk",
     "repro.runtime.capture.*",
 )

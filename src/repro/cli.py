@@ -105,19 +105,25 @@ def _maybe_install_telemetry(args: argparse.Namespace):
     return tel
 
 
+def _uninstall_telemetry(tel) -> None:
+    """Clear the ambient facade :func:`_maybe_install_telemetry` set."""
+    if tel is not None:
+        from repro import telemetry
+        telemetry.clear_default()
+
+
 def _export_telemetry(tel, args: argparse.Namespace,
                       meta: Optional[dict] = None) -> None:
-    """Uninstall ambient telemetry and write the requested artifacts.
+    """Write the requested artifacts of a run that finished.
 
-    ``--metrics-out`` picks its format by extension: ``.prom``/``.txt``
-    gets the Prometheus text exposition, anything else the JSON artifact
-    (metrics + span roll-ups + time-series + tail exemplars, with any
-    ``meta`` — e.g. executor chunk stats — kept out of the
-    byte-compared payload).
+    Called only when no exception escaped the run: a sweep that raised
+    (a worker died, say) writes no artifact.  ``--metrics-out`` picks its
+    format by extension: ``.prom``/``.txt`` gets the Prometheus text
+    exposition, anything else the JSON artifact (metrics + span roll-ups
+    + time-series + tail exemplars, with any ``meta`` — e.g. executor
+    chunk stats — kept out of the byte-compared payload).
     """
-    from repro import telemetry
     from repro.telemetry import exporters
-    telemetry.clear_default()
     if args.trace_out:
         try:
             exporters.write_chrome_trace(tel.tracer.finished, args.trace_out)
@@ -159,20 +165,23 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 print()
             status = _run_experiment(name, args, executor_meta) or status
     finally:
-        if tel is not None:
-            _export_telemetry(
-                tel, args,
-                meta={"executor": executor_meta} if executor_meta else None)
+        _uninstall_telemetry(tel)
+    if tel is not None:
+        _export_telemetry(
+            tel, args,
+            meta={"executor": executor_meta} if executor_meta else None)
     return status
 
 
 def _cmd_dig(args: argparse.Namespace) -> int:
     tel = _maybe_install_telemetry(args)
     try:
-        return _run_dig(args)
+        status = _run_dig(args)
     finally:
-        if tel is not None:
-            _export_telemetry(tel, args)
+        _uninstall_telemetry(tel)
+    if tel is not None:
+        _export_telemetry(tel, args)
+    return status
 
 
 def _run_dig(args: argparse.Namespace) -> int:

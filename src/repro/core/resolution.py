@@ -27,6 +27,7 @@ from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
 from repro.resolver.stub import StubResolver
+from repro.telemetry.trace import ERROR_NAME, EndOnError
 
 DEFAULT_MAX_REFERRALS = 4
 
@@ -75,15 +76,11 @@ class EdgeAwareClient:
         target: Optional[Endpoint] = None  # None = use the default L-DNS
         referrals = 0
         while True:
-            try:
+            with EndOnError(tel.tracer if tel is not None else None, span,
+                            status="FAILED", error=ERROR_NAME,
+                            referrals=referrals):
                 result = yield from self.stub.query(name, rtype,
                                                     server=target, ctx=ctx)
-            except Exception as error:
-                if tel is not None:
-                    tel.tracer.end(span, status="FAILED",
-                                   error=type(error).__name__,
-                                   referrals=referrals)
-                raise
             servers.append(result.server)
             if result.status != "NOERROR" or not result.addresses \
                     or not is_referral(result.response):

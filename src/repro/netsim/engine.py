@@ -141,7 +141,7 @@ class _Process:
         except StopIteration as stop:
             self._done.resolve(stop.value)
             return
-        except Exception as error:  # noqa: BLE001 - propagate via future
+        except Exception as error:  # the process boundary: whatever a process raises fails its future
             wrapper = ProcessFailed(str(error))
             wrapper.__cause__ = error
             self._done.fail(wrapper)

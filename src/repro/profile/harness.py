@@ -5,12 +5,12 @@ three observers that read without perturbing: the harness's own
 telemetry session (every lookup emits the spans the budget and
 critical-path analyzers need), the
 :func:`repro.netsim.observe_simulators` hook (event-loop counters), and
-:class:`~repro.runtime.TrialExecutor` per-trial ``cProfile`` capture
-(merged in spec order — see :mod:`repro.runtime.capture`), which feeds
-the hottest-functions table.  Everything reported is either simulated
-time or a deterministic count; how fast the simulator itself runs is
-``bench/``'s question (``queries_per_s``, ``netsim.events_per_s``),
-measured with no profiler attached.
+one ``cProfile.Profile`` around the whole run, which feeds the
+hottest-functions table (the executor's own frames included).
+Everything reported is either simulated time or a deterministic count;
+how fast the simulator itself runs is ``bench/``'s question
+(``queries_per_s``, ``netsim.events_per_s``), measured with no
+profiler attached.
 
 Trials run serially (``jobs=1``): the counters and the profiler live
 in this process, and a profile sharded over workers would measure the
@@ -25,8 +25,10 @@ for a flamegraph).
 
 from __future__ import annotations
 
+import cProfile
 import os
-from typing import Any, Dict, List, NamedTuple, Optional
+import pstats
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import telemetry as _telemetry
 from repro.netsim import Simulator, observe_simulators
@@ -34,7 +36,7 @@ from repro.profile.budget import BudgetReport, budget_report
 from repro.profile.profiler import (ProfileEntry, collapsed_stacks,
                                     render_collapsed, render_profile,
                                     simulated_profile)
-from repro.runtime import ExperimentRun, ProfileStats, TrialExecutor
+from repro.runtime import ExperimentRun, TrialExecutor
 
 
 class ProfileRunResult(NamedTuple):
@@ -51,15 +53,15 @@ class ProfileRunResult(NamedTuple):
     folded_path: str
 
 
-def _top_functions(stats: Optional[ProfileStats],
+def _top_functions(stats: Dict[Tuple[str, int, str], Tuple[Any, ...]],
                    top: int) -> List[Dict[str, Any]]:
-    """The ``top`` hottest rows of the merged cProfile table, by cumtime.
+    """The ``top`` hottest rows of a raw cProfile table, by cumtime.
 
-    File paths are reduced to basenames so the table compares across
-    machines; ties break on the rendered name for a total order.
+    ``stats`` maps ``(filename, lineno, funcname)`` to
+    ``(primcalls, calls, tottime, cumtime, callers)``.  File paths are
+    reduced to basenames so the table compares across machines; ties
+    break on the rendered name for a total order.
     """
-    if not stats:
-        return []
     rows: List[Dict[str, Any]] = []
     for (filename, lineno, funcname), row in stats.items():
         base = os.path.basename(filename) if filename not in ("~", "") else filename
@@ -87,9 +89,12 @@ def run_profile(name: str,
     session = _telemetry.Telemetry()
     _telemetry.set_default(session)
     observe_simulators(simulators.append)
+    profiler = cProfile.Profile()
+    profiler.enable()
     try:
-        run = TrialExecutor(jobs=1, profile=True).run(experiment, overrides)
+        run = TrialExecutor().run(experiment, overrides)
     finally:
+        profiler.disable()
         observe_simulators(None)
         _telemetry.set_default(previous)
 
@@ -107,7 +112,9 @@ def run_profile(name: str,
         events=sum(sim.events_processed for sim in simulators),
         max_heap_depth=max((sim.max_queue_depth for sim in simulators),
                            default=0),
-        top_functions=_top_functions(run.profile_stats, top),
+        # typeshed does not declare ``Stats.stats``, the raw table.
+        top_functions=_top_functions(
+            getattr(pstats.Stats(profiler), "stats"), top),
         budget_path=budget_path, folded_path=folded_path)
 
 
@@ -123,8 +130,7 @@ def render_summary(result: ProfileRunResult, top: int = 15) -> str:
              f"heap depth {result.max_heap_depth}",
              f"artifacts: {result.budget_path}, {result.folded_path}"]
     if result.top_functions:
-        lines.append("hottest functions (merged per-trial cProfile, "
-                     "by cumulative time):")
+        lines.append("hottest functions (cProfile, by cumulative time):")
         for row in result.top_functions:
             lines.append(f"  {row['cumtime_s']:9.4f} s  "
                          f"{row['calls']:9d} calls  {row['function']}")

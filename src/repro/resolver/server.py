@@ -25,6 +25,7 @@ from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
 from repro.netsim.socket import UdpSocket
 from repro.resolver.exchange import exchange
+from repro.telemetry.trace import ERROR_NAME, EndOnError
 
 #: Default per-query processing time: sub-millisecond, as for a warm
 #: in-memory resolver.
@@ -231,14 +232,11 @@ class DnsServer:
             span = tel.tracer.begin("upstream.exchange", "resolver",
                                     self.host.name, parent=ctx,
                                     server=self.name, upstream=str(server))
-        try:
+        with EndOnError(tel.tracer if tel is not None else None, span,
+                        outcome=ERROR_NAME):
             response = yield from exchange(
                 self.host, query, server, timeout, ip=self.sock.ip,
                 ctx=span.context if span is not None else ctx)
-        except Exception as error:
-            if tel is not None:
-                tel.tracer.end(span, outcome=type(error).__name__)
-            raise
         if tel is not None:
             tel.tracer.end(span, outcome=response.rcode.name)
         return response

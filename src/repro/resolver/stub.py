@@ -29,6 +29,7 @@ from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
 from repro.resolver.exchange import exchange
 from repro.resolver.retry import RetryPolicy
+from repro.telemetry.trace import ERROR_NAME, EndOnError
 
 
 class DigResult:
@@ -121,16 +122,14 @@ class StubResolver:
         tel.metrics.counter("repro_stub_lookups_total",
                             "client lookups started").inc(
                                 client=self.host.name)
-        try:
+        with EndOnError(tel.tracer, span,
+                        on_error=lambda kind: tel.metrics.counter(
+                            "repro_stub_failures_total",
+                            "lookups that exhausted every retry").inc(
+                                kind=kind),
+                        status="FAILED", error=ERROR_NAME):
             result = yield from self._query_impl(
                 name, rtype, target, edns, authorities, span.context)
-        except Exception as error:
-            tel.metrics.counter("repro_stub_failures_total",
-                                "lookups that exhausted every retry").inc(
-                                    kind=type(error).__name__)
-            tel.tracer.end(span, status="FAILED",
-                           error=type(error).__name__)
-            raise
         tel.tracer.end(span, status=result.status,
                        attempts=result.attempts, stale=result.stale)
         return result
@@ -216,7 +215,8 @@ class StubResolver:
                                 "client transmissions").inc(
                                     server=target.ip)
         probe_ctx = span.context if span is not None else ctx
-        try:
+        with EndOnError(tel.tracer if tel is not None else None, span,
+                        outcome=ERROR_NAME):
             response = yield from exchange(
                 self.host, query, target, per_try_timeout, ctx=probe_ctx)
             if response.flags.tc:
@@ -224,10 +224,6 @@ class StubResolver:
                 # transport (RFC 7766), like dig's automatic +tcp retry.
                 response = yield from self._retry_over_stream(
                     query, target, timeout=per_try_timeout, ctx=probe_ctx)
-        except Exception as error:
-            if tel is not None:
-                tel.tracer.end(span, outcome=type(error).__name__)
-            raise
         if tel is not None:
             tel.tracer.end(span, outcome=response.rcode.name)
         return response
@@ -285,7 +281,8 @@ class StubResolver:
                                     server=str(target))
             tel.metrics.counter("repro_stub_tcp_fallbacks_total",
                                 "truncated replies retried over TCP").inc()
-        try:
+        with EndOnError(tel.tracer if tel is not None else None, span,
+                        outcome=ERROR_NAME):
             channel = yield from open_channel(
                 self.network, self.host, Endpoint(target.ip, DNS_TCP_PORT),
                 timeout=timeout)
@@ -297,10 +294,6 @@ class StubResolver:
             response = Message.from_wire(raw)
             if response.msg_id != query.msg_id:
                 raise WireFormatError("tcp retry transaction id mismatch")
-        except Exception as error:
-            if tel is not None:
-                tel.tracer.end(span, outcome=type(error).__name__)
-            raise
         if tel is not None:
             tel.tracer.end(span, outcome=response.rcode.name)
         return response

@@ -9,8 +9,9 @@ The pieces, bottom-up:
   :func:`result_digest` for the determinism contract;
 * :mod:`repro.runtime.capture` — per-trial telemetry snapshots so
   exported traces/metrics match between backends;
-* :mod:`repro.runtime.executor` — :class:`TrialExecutor` with serial
-  and ``multiprocessing`` backends and per-trial fault isolation;
+* :mod:`repro.runtime.executor` — :class:`TrialExecutor`: one trial
+  loop, run in-process or on a process pool, with per-trial fault
+  isolation;
 * :mod:`repro.runtime.registry` — :class:`ExperimentRegistry`, the
   CLI's dispatch table.
 
@@ -20,9 +21,8 @@ pickled :class:`Experiment` instances rather than importing modules by
 name.  See ``docs/RUNTIME.md`` for the full tour.
 """
 
-from repro.runtime.capture import (ProfileStats, TelemetrySnapshot,
-                                   begin_trial_capture, end_trial_capture,
-                                   merge_profile_stats, merge_snapshot)
+from repro.runtime.capture import (TelemetrySnapshot, begin_trial_capture,
+                                   end_trial_capture, merge_snapshot)
 from repro.runtime.executor import (ChunkStats, ExecutorStats, ExperimentRun,
                                     TrialExecutor, TrialFailure, TrialOutcome,
                                     shutdown_worker_pool, warm_worker_pool)
@@ -39,7 +39,6 @@ __all__ = [
     "ExperimentRegistry",
     "ExperimentRun",
     "Param",
-    "ProfileStats",
     "TelemetrySnapshot",
     "TrialExecutor",
     "TrialFailure",
@@ -50,7 +49,6 @@ __all__ = [
     "end_trial_capture",
     "freeze_cell",
     "jsonify",
-    "merge_profile_stats",
     "shutdown_worker_pool",
     "warm_worker_pool",
     "merge_snapshot",

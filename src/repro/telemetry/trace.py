@@ -26,7 +26,8 @@ the simulation stream is untouched either way.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
+                    Type, Union)
 
 from repro.telemetry.sampling import hash_unit_u64
 
@@ -138,7 +139,10 @@ class Tracer:
                           attrs=attrs)
 
     def end(self, span: Optional[Span], **attrs: Any) -> None:
-        """Close ``span`` at the current clock; no-op on ``None``."""
+        """Close ``span`` at the current clock; no-op on ``None``.
+
+        A step that may raise closes its span with :class:`EndOnError`.
+        """
         if span is None or span.end_ms is not None:
             return
         span.end_ms = self._clock_source.now
@@ -279,3 +283,47 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer({len(self.finished)} spans)"
+
+
+#: :class:`EndOnError` attribute value that stands for the escaping
+#: exception's class name.
+ERROR_NAME: Any = object()
+
+
+class EndOnError:
+    """``with EndOnError(tracer, span, **attrs):`` — a step that raises
+    still ends its span, and the error propagates.
+
+    On an :class:`Exception` the span ends with ``attrs`` in the order
+    given, each :data:`ERROR_NAME` value replaced by the exception's
+    class name; ``on_error`` (if any) gets that name first.  A
+    ``GeneratorExit`` — a simulated process being closed — is not a
+    failure and ends nothing.  ``tracer=None`` (telemetry off) makes the
+    block a plain block.  The exception is never stored, so no reference
+    cycle runs through its traceback.
+    """
+
+    __slots__ = ("tracer", "span", "on_error", "attrs")
+
+    def __init__(self, tracer: Optional[Tracer], span: Optional[Span],
+                 on_error: Optional[Callable[[str], None]] = None,
+                 **attrs: Any) -> None:
+        self.tracer = tracer
+        self.span = span
+        self.on_error = on_error
+        self.attrs = attrs
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, error_type: Optional[Type[BaseException]],
+                 _error: Optional[BaseException], _traceback: Any) -> None:
+        if (error_type is None or self.tracer is None
+                or not issubclass(error_type, Exception)):
+            return
+        name = error_type.__name__
+        if self.on_error is not None:
+            self.on_error(name)
+        self.tracer.end(self.span, **{
+            key: name if value is ERROR_NAME else value
+            for key, value in self.attrs.items()})

@@ -124,6 +124,8 @@ class TestWholeProgramPasses:
         # Every inline allow in the tree, by rule.  A rule absent here
         # has no justified exception left; one that gains an entry did
         # so in a reviewed diff.
+        # DET001 is the chunk timer's perf_counter pair: the serial
+        # backend runs the same chunk loop, so it has no pair of its own.
         report = runner.run_check([str(ROOT / "src" / "repro")],
                                   include_suppressed=True)
-        assert report.counts_by_rule() == {"DET001": 4, "RACE001": 9}
+        assert report.counts_by_rule() == {"DET001": 2, "RACE001": 9}

@@ -17,7 +17,6 @@ class TestRunProfile:
         result = run_profile("figure5", {"queries": 2},
                              out_dir=str(tmp_path), top=5)
         assert result.run.ok
-        assert result.run.profile_stats
 
         budget = json.loads((tmp_path / "figure5-budget.json").read_text())
         assert budget["format"] == "repro-budget-v1"
@@ -39,11 +38,15 @@ class TestRunProfile:
         assert len(result.top_functions) == 5
         hottest = result.top_functions[0]
         assert set(hottest) == {"function", "calls", "tottime_s", "cumtime_s"}
+        # One profiler around the whole run: the experiment's run_trial
+        # row counts every trial, one per deployment option.
+        run_trial = [row for row in result.top_functions
+                     if row["function"].endswith(":run_trial")]
+        assert [row["calls"] for row in run_trial] == [6]
 
     def test_profiling_does_not_perturb_results(self, tmp_path):
         experiment = builtin_registry().get("figure5")
         plain = TrialExecutor(jobs=1).run(experiment, {"queries": 2})
-        assert plain.profile_stats is None
         result = run_profile("figure5", {"queries": 2},
                              out_dir=str(tmp_path))
         assert result_digest(result.run.result) == \

@@ -4,11 +4,20 @@ The toy experiments live at module level so worker processes can
 unpickle them by qualified name (the tests package is importable).
 """
 
+import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro import telemetry
 from repro.runtime import (Experiment, Param, TrialExecutor, derive_seed,
-                           merge_profile_stats, result_digest)
+                           result_digest)
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 class SquareExperiment(Experiment):
@@ -59,6 +68,53 @@ class ExplodingExperiment(Experiment):
 
     def merge(self, params, payloads):
         return list(payloads)
+
+
+class WorkerKillingExperiment(Experiment):
+    """One cell SIGKILLs the worker process running it, as the OOM
+    killer would; in the parent process it is a plain cell."""
+
+    name = "worker-killing"
+    title = "toy whose trial kills its own worker"
+    shape_checked = False
+    params = (Param("count", int, 4, "number of cells"),)
+
+    def trials(self, params):
+        return [self.spec(index, seed=0, value=index)
+                for index in range(int(params["count"]))]
+
+    def run_trial(self, spec):
+        if spec.value("value") == 1 \
+                and multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return spec.value("value")
+
+    def merge(self, params, payloads):
+        return list(payloads)
+
+
+#: A dead worker, then a healthy sweep, in one fresh interpreter; last,
+#: the Python thread counts every pool fork saw (a fork beside a live
+#: thread can deadlock the child, which Python 3.12+ only warns about).
+DEAD_WORKER_SCRIPT = """
+import os, threading
+from concurrent.futures.process import BrokenProcessPool
+from repro.runtime import TrialExecutor
+from tests.runtime.test_executor import (SquareExperiment,
+                                         WorkerKillingExperiment)
+threads_at_fork = set()
+fork = os.fork
+def counted_fork():
+    threads_at_fork.add(threading.active_count())
+    return fork()
+os.fork = counted_fork
+try:
+    TrialExecutor(jobs=2).run(WorkerKillingExperiment())
+except BrokenProcessPool:
+    print("raised")
+print(TrialExecutor(jobs=2).run(SquareExperiment()).result)
+print(sorted(threads_at_fork))
+"""
 
 
 class TestExecutor:
@@ -146,49 +202,23 @@ class TestTelemetryCapture:
         assert telemetry.get_default() is None
 
 
-def _run_trial_row(stats):
-    """The merged cProfile row for the experiment's ``run_trial``."""
-    rows = [row for (_, _, funcname), row in stats.items()
-            if funcname == "run_trial"]
-    assert len(rows) == 1
-    return rows[0]
+class TestDeadWorker:
+    """The failure rule: a worker that dies fails the sweep, never hangs it."""
 
+    def test_dead_worker_fails_the_sweep_and_the_next_one_runs(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT)]))
+        # Its own session, so a timeout can reach the pool workers too.
+        child = subprocess.Popen(
+            [sys.executable, "-c", DEAD_WORKER_SCRIPT], cwd=str(ROOT),
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a killed worker hung the sweep")
+        assert child.returncode == 0, err
+        assert out.splitlines() == ["raised", "[0, 1, 4, 9]", "[1]"]
 
-class TestProfileCapture:
-    def test_profiling_off_by_default(self):
-        run = TrialExecutor(jobs=1).run(SquareExperiment())
-        assert run.ok
-        assert run.profile_stats is None
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_per_trial_profiles_merge_across_backends(self, jobs):
-        run = TrialExecutor(jobs=jobs, profile=True).run(
-            SquareExperiment(), {"count": 6})
-        assert run.ok
-        stats = run.profile_stats
-        assert stats
-        # Rows are (cc, nc, tt, ct, callers); run_trial is called once
-        # per trial, so the merged table must account for all six —
-        # regardless of which worker profiled which trial.
-        cc, nc, _, ct, _ = _run_trial_row(stats)
-        assert cc == nc == 6
-        assert ct >= 0.0
-
-    def test_profiling_does_not_change_results(self):
-        experiment = SquareExperiment()
-        plain = TrialExecutor(jobs=1).run(experiment, {"count": 5})
-        profiled = TrialExecutor(jobs=1, profile=True).run(
-            experiment, {"count": 5})
-        assert profiled.result == plain.result
-        assert result_digest(profiled.result) == result_digest(plain.result)
-
-    def test_merge_profile_stats_adds_componentwise(self):
-        func = ("toy.py", 1, "f")
-        caller = ("toy.py", 9, "main")
-        first = {func: (2, 2, 0.5, 1.0, {caller: (2, 2, 0.5, 1.0)})}
-        second = {func: (3, 4, 0.25, 0.5, {caller: (3, 4, 0.25, 0.5)})}
-        merged = merge_profile_stats([first, None, second])
-        cc, nc, tt, ct, callers = merged[func]
-        assert (cc, nc, tt, ct) == (5, 6, 0.75, 1.5)
-        assert callers[caller] == (5, 6, 0.75, 1.5)
-        assert merge_profile_stats([None, None]) is None

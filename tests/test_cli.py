@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -121,6 +127,29 @@ class TestTelemetryExports:
         assert document["spans"]["traces"] > 0
         names = {entry["name"] for entry in document["metrics"]}
         assert "repro_lookup_latency_ms" in names
+
+    def test_sweep_that_raised_writes_no_artifact(self, tmp_path):
+        # A dead worker fails the sweep: exit status 1, and no artifact
+        # half-written from the trials that did finish.
+        trace_path = tmp_path / "trace.json"
+        metrics_path = tmp_path / "metrics.json"
+        code = ("import sys\n"
+                "from concurrent.futures.process import BrokenProcessPool\n"
+                "from repro.runtime import TrialExecutor\n"
+                "def broken(self, experiment, overrides=None):\n"
+                "    raise BrokenProcessPool('a worker died')\n"
+                "TrialExecutor.run = broken\n"
+                "from repro.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "experiment", "table1",
+             "--trace-out", str(trace_path),
+             "--metrics-out", str(metrics_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+            capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "BrokenProcessPool: a worker died" in done.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_flags_leaves_telemetry_off(self, capsys):
         from repro import telemetry
