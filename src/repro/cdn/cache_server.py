@@ -123,11 +123,6 @@ class CacheServer:
             self._stored.remove(content_id)
             self.used_bytes -= self.catalog.by_url(content_id).size_bytes
             self.stats.evictions += 1
-            tel = self.network.telemetry
-            if tel is not None:
-                tel.metrics.counter("repro_cache_evictions_total",
-                                    "objects evicted from cache stores").inc(
-                                        cache=self.name)
         self.policy.on_evict(content_id)
 
     def warm(self, items) -> None:
@@ -146,98 +141,53 @@ class CacheServer:
 
     def _serve(self, payload: bytes, client: Endpoint,
                ctx=None) -> Generator:
-        tel = self.network.telemetry
-        span = None
-        if tel is not None:
-            span = tel.tracer.begin("cache.serve", "cdn", self.host.name,
-                                    parent=ctx, cache=self.name)
-            ctx = span.context
         yield LOOKUP_DELAY_MS
         try:
             url = _parse_get(payload)
             item = self.catalog.by_url(url)
         except (ValueError, ContentNotFound):
             self.stats.not_found += 1
-            self._count_request(tel, "not-found")
             self.sock.send_to(b"404 " + payload[:64], client, ctx=ctx)
-            if tel is not None:
-                tel.tracer.end(span, result="not-found")
             return
         if self.contains(item.content_id):
             self.stats.hits += 1
-            self._count_request(tel, "hit")
             self.policy.on_hit(item.content_id)
             yield from self._transmit(item, client, hit=True, ctx=ctx)
-            if tel is not None:
-                tel.tracer.end(span, result="hit", url=item.url)
             return
         self.stats.misses += 1
-        self._count_request(tel, "miss")
         if self.parent is None:
             self.stats.not_found += 1
             self.sock.send_to(f"404 {url}".encode(), client, ctx=ctx)
-            if tel is not None:
-                tel.tracer.end(span, result="miss-no-parent", url=item.url)
             return
         filled = yield from self._fill_from_parent(item, ctx=ctx)
         if not filled:
             self.sock.send_to(f"504 {url}".encode(), client, ctx=ctx)
-            if tel is not None:
-                tel.tracer.end(span, result="fill-failed", url=item.url)
             return
         self.admit(item)
         yield from self._transmit(item, client, hit=False, ctx=ctx)
-        if tel is not None:
-            tel.tracer.end(span, result="miss-filled", url=item.url)
 
     def _fill_from_parent(self, item: ContentItem, ctx=None) -> Generator:
         assert self.parent is not None
-        tel = self.network.telemetry
-        span = None
-        if tel is not None:
-            span = tel.tracer.begin("cache.fill", "cdn", self.host.name,
-                                    parent=ctx, cache=self.name,
-                                    parent_server=str(self.parent),
-                                    url=item.url)
         sock = UdpSocket(self.host)
         try:
             reply = yield sock.request(
                 f"GET {item.url}".encode(), self.parent, FILL_TIMEOUT_MS,
-                ctx=span.context if span is not None else ctx)
+                ctx=ctx)
         except QueryTimeout:
-            if tel is not None:
-                tel.tracer.end(span, outcome="timeout")
             return False
         finally:
             sock.close()
         self.stats.fills += 1
-        ok = reply.payload.startswith(b"200 ")
-        if tel is not None:
-            tel.metrics.counter("repro_cache_fills_total",
-                                "parent-fill exchanges completed").inc(
-                                    cache=self.name)
-            tel.tracer.end(span, outcome="filled" if ok else "parent-error")
-        return ok
+        return reply.payload.startswith(b"200 ")
 
     def _transmit(self, item: ContentItem, client: Endpoint,
                   hit: bool, ctx=None) -> Generator:
         yield item.size_bytes / BYTES_PER_MS
         self.stats.bytes_served += item.size_bytes
-        tel = self.network.telemetry
-        if tel is not None:
-            tel.metrics.counter("repro_cache_bytes_served_total",
-                                "content bytes transmitted to clients").inc(
-                                    item.size_bytes, cache=self.name)
         marker = "HIT" if hit else "MISS"
         self.sock.send_to(
             f"200 {item.size_bytes} {marker} {self.name}".encode(), client,
             ctx=ctx)
-
-    def _count_request(self, tel, result: str) -> None:
-        if tel is not None:
-            tel.metrics.counter("repro_cache_requests_total",
-                                "content requests by first-touch "
-                                "result").inc(cache=self.name, result=result)
 
     def __repr__(self) -> str:
         kind = "origin" if self.is_origin else "cache"

@@ -80,16 +80,6 @@ class ContentCatalog:
         return [item for domain, items in self._by_domain.items()
                 if domain.is_subdomain_of(suffix) for item in items]
 
-    def domains(self) -> List[Name]:
-        """All domains with at least one item."""
-        return list(self._by_domain)
-
-    def __len__(self) -> int:
-        return len(self._by_url)
-
-    def __contains__(self, url: str) -> bool:
-        return url in self._by_url
-
     def populate_synthetic(self, domain: Name, count: int,
                            rng: random.Random,
                            min_bytes: int = 2_000,

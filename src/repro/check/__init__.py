@@ -24,9 +24,9 @@ A pass, or a rule that needs its own machinery, stays only while it has
 a finding on the real tree that was fixed or justified in place;
 ``docs/DETERMINISM.md`` records the evidence.
 
-Run it as ``repro check`` (a subcommand of :mod:`repro.cli`) or as
-``python -m repro.check``; see :mod:`repro.check.runner` for the entry
-point and ``docs/DETERMINISM.md`` for the rule catalogue.
+Run it as ``repro check`` (a subcommand of :mod:`repro.cli`); see
+:mod:`repro.check.runner` for the entry point and ``docs/DETERMINISM.md``
+for the rule catalogue.
 
 The package imports nothing first-party outside itself, so the CI job
 can run it without the simulator or its third-party dependencies.

@@ -125,7 +125,7 @@ def run_check(paths: Sequence[str] = DEFAULT_PATHS,
 
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the ``repro check`` flags (shared with ``python -m repro.check``)."""
+    """Install the ``repro check`` flags."""
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to analyse "
                              "(default: src/repro)")
@@ -174,12 +174,3 @@ def run_cli(args: argparse.Namespace) -> int:
             return 2
     return 0 if report.ok else 1
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.check``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-check",
-        description="Determinism & architecture static analysis for the "
-                    "MEC-CDN reproduction")
-    add_check_arguments(parser)
-    return run_cli(parser.parse_args(argv))

@@ -117,11 +117,10 @@ def _export_telemetry(tel, args: argparse.Namespace,
     """Write the requested artifacts of a run that finished.
 
     Called only when no exception escaped the run: a sweep that raised
-    (a worker died, say) writes no artifact.  ``--metrics-out`` picks its
-    format by extension: ``.prom``/``.txt`` gets the Prometheus text
-    exposition, anything else the JSON artifact (metrics + span roll-ups
-    + time-series + tail exemplars, with any ``meta`` — e.g. executor
-    chunk stats — kept out of the byte-compared payload).
+    (a worker died, say) writes no artifact.  ``--metrics-out`` writes the
+    JSON artifact (metrics + span roll-ups + time-series + tail exemplars,
+    with any ``meta`` — e.g. executor chunk stats — kept out of the
+    byte-compared payload).
     """
     from repro.telemetry import exporters
     if args.trace_out:
@@ -136,14 +135,11 @@ def _export_telemetry(tel, args: argparse.Namespace,
                   file=sys.stderr)
     if args.metrics_out:
         try:
-            if args.metrics_out.endswith((".prom", ".txt")):
-                exporters.write_prometheus_text(tel.metrics, args.metrics_out)
-            else:
-                exporters.write_json_artifact(tel.metrics, args.metrics_out,
-                                              spans=tel.tracer.finished,
-                                              meta=meta,
-                                              timeseries=tel.timeseries,
-                                              tail=tel.tail)
+            exporters.write_json_artifact(tel.metrics, args.metrics_out,
+                                          spans=tel.tracer.finished,
+                                          meta=meta,
+                                          timeseries=tel.timeseries,
+                                          tail=tel.tail)
         except OSError as exc:
             print(f"error: cannot write metrics to {args.metrics_out}: {exc}",
                   file=sys.stderr)
@@ -239,9 +235,8 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write a Chrome trace_event JSON of every "
                              "query's spans (open in about:tracing/Perfetto)")
     parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write collected metrics (.prom/.txt = "
-                             "Prometheus text, otherwise JSON artifact "
-                             "with time-series and tail exemplars)")
+                        help="write collected metrics as a JSON artifact "
+                             "with time-series and tail exemplars")
     parser.add_argument("--trace-sample", type=float, default=1.0,
                         metavar="RATE",
                         help="deterministic head-sampling rate for traces "

@@ -19,6 +19,8 @@ moment it is back.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.network import Network
@@ -127,7 +129,8 @@ class StalenessMonitor:
     @property
     def mean_staleness_ms(self) -> float:
         windows = [window for _, window in self.windows_ms()]
-        return sum(windows) / len(windows) if windows else 0.0
+        return (reduce(add, windows, 0) / len(windows) if windows
+                else 0.0)
 
     @property
     def mislocalization_rate(self) -> float:

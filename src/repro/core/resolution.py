@@ -27,7 +27,6 @@ from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
 from repro.resolver.stub import StubResolver
-from repro.telemetry.trace import ERROR_NAME, EndOnError
 
 DEFAULT_MAX_REFERRALS = 4
 
@@ -65,32 +64,14 @@ class EdgeAwareClient:
         """
         started = self.network.sim.now
         self.resolutions += 1
-        tel = self.network.telemetry
-        span = ctx = None
-        if tel is not None:
-            span = tel.tracer.begin("resolution.tiered", "resolver",
-                                    self.host.name,
-                                    qname=str(name), rtype=rtype.name)
-            ctx = span.context
         servers: List[Endpoint] = []
         target: Optional[Endpoint] = None  # None = use the default L-DNS
         referrals = 0
         while True:
-            with EndOnError(tel.tracer if tel is not None else None, span,
-                            status="FAILED", error=ERROR_NAME,
-                            referrals=referrals):
-                result = yield from self.stub.query(name, rtype,
-                                                    server=target, ctx=ctx)
+            result = yield from self.stub.query(name, rtype, server=target)
             servers.append(result.server)
             if result.status != "NOERROR" or not result.addresses \
                     or not is_referral(result.response):
-                if tel is not None:
-                    tel.tracer.end(span, status=result.status,
-                                   referrals=referrals)
-                    tel.metrics.counter(
-                        "repro_tiered_resolutions_total",
-                        "tier-aware resolutions by depth").inc(
-                            client=self.host.name, referrals=referrals)
                 return TieredResolution(
                     name=name, addresses=result.addresses,
                     status=result.status, servers_queried=servers,
@@ -99,9 +80,6 @@ class EdgeAwareClient:
             referrals += 1
             self.referrals_followed += 1
             if referrals > DEFAULT_MAX_REFERRALS:
-                if tel is not None:
-                    tel.tracer.end(span, status="REFERRAL-LOOP",
-                                   referrals=referrals)
                 raise ResolutionError(
                     f"C-DNS referral chain for {name} exceeded "
                     f"{DEFAULT_MAX_REFERRALS} hops: {servers}")

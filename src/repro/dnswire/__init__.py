@@ -6,13 +6,12 @@ reproduction exercises end to end:
 * :mod:`repro.dnswire.name` — domain names with the RFC 1035 label rules.
 * :mod:`repro.dnswire.types` — record type / class / opcode / rcode registries.
 * :mod:`repro.dnswire.wire` — wire buffers with name compression.
-* :mod:`repro.dnswire.rdata` — typed record data (A, AAAA, CNAME, NS, SOA,
-  PTR, MX, TXT, SRV, and a generic fallback).
+* :mod:`repro.dnswire.rdata` — typed record data (A, CNAME, NS, SOA, PTR,
+  TXT, and a generic fallback).
 * :mod:`repro.dnswire.edns` — EDNS0 OPT pseudo-records and the Client Subnet
   option (RFC 7871), which the paper evaluates in §4.
 * :mod:`repro.dnswire.message` — full query/response message codec.
-* :mod:`repro.dnswire.zone` — zone data with lookup semantics and a
-  master-file parser.
+* :mod:`repro.dnswire.zone` — zone data with lookup semantics.
 
 Messages produced by the simulated servers are always round-tripped through
 the wire codec, so the protocol layer is exercised on every simulated query.
@@ -35,19 +34,16 @@ from repro.dnswire.message import (
 from repro.dnswire.rdata import (
     Rdata,
     A,
-    AAAA,
     CNAME,
     NS,
     PTR,
-    MX,
     TXT,
     SOA,
-    SRV,
     GenericRdata,
 )
 from repro.dnswire.edns import (ClientSubnet, EdnsOptionCode, Edns,
                                 ExtendedDnsError)
-from repro.dnswire.zone import Zone, LookupResult, LookupStatus, parse_master_file
+from repro.dnswire.zone import Zone, LookupResult, LookupStatus
 
 __all__ = [
     "Name",
@@ -68,14 +64,11 @@ __all__ = [
     "mark_stale",
     "Rdata",
     "A",
-    "AAAA",
     "CNAME",
     "NS",
     "PTR",
-    "MX",
     "TXT",
     "SOA",
-    "SRV",
     "GenericRdata",
     "ClientSubnet",
     "EdnsOptionCode",
@@ -84,5 +77,4 @@ __all__ = [
     "Zone",
     "LookupResult",
     "LookupStatus",
-    "parse_master_file",
 ]

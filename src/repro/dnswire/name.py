@@ -11,9 +11,8 @@ peer sends — so presentation format follows RFC 1035 §5.1: octets
 ``0x21``–``0x7e`` render as themselves, except that a ``.`` or ``\\``
 *inside* a label renders as ``\\.`` / ``\\\\``; every other octet
 (space and controls included) renders as a three-digit decimal escape
-``\\DDD``.  Parsing accepts those escapes, plus ``\\X`` for any non-digit
-``X``, so ``Name(name.to_text()) == name`` for every name.  Text that
-is not ASCII is rejected; IDNA is out of scope.
+``\\DDD``.  That rendering is for display: parsing text rejects a
+backslash, and text that is not ASCII; IDNA is out of scope.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ class Name:
     """An immutable DNS domain name.
 
     Construct from labels with :meth:`from_labels` or from presentation
-    format with :meth:`from_text` (also available as ``Name("example.com.")``).
+    format with ``Name("example.com.")``.
     """
 
     __slots__ = ("_labels", "_folded", "_hash", "_text")
@@ -102,11 +101,6 @@ class Name:
         name = cls.__new__(cls)
         name._init_from(tuple(labels))
         return name
-
-    @classmethod
-    def from_text(cls, text: str) -> "Name":
-        """Parse presentation format, e.g. ``"www.example.com."``."""
-        return cls(text)
 
     # -- accessors -----------------------------------------------------------
 
@@ -163,10 +157,6 @@ class Name:
         # pickle carries the labels alone and the receiver rebuilds.
         return Name.from_labels, (self._labels,)
 
-    def __lt__(self, other: "Name") -> bool:
-        # Canonical DNS ordering compares label sequences from the root down.
-        return tuple(reversed(self._folded)) < tuple(reversed(other._folded))
-
     # -- structure ------------------------------------------------------------
 
     def parent(self) -> "Name":
@@ -180,11 +170,9 @@ class Name:
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if ``self`` equals ``other`` or sits below it."""
-        if len(other._folded) > len(self._folded):
-            return False
-        if not other._folded:
-            return True
-        return self._folded[-len(other._folded):] == other._folded
+        depth = len(other._folded)
+        # A longer ``other`` compares against all of ``self`` and differs.
+        return not depth or self._folded[-depth:] == other._folded
 
     def relativize(self, origin: "Name") -> Tuple[bytes, ...]:
         """Labels of ``self`` relative to ``origin``.
@@ -197,10 +185,6 @@ class Name:
         if origin.is_root:
             return self._labels
         return self._labels[: len(self._labels) - len(origin._labels)]
-
-    def concatenate(self, suffix: "Name") -> "Name":
-        """``self`` + ``suffix`` (e.g. relative name + origin)."""
-        return Name.from_labels(self._labels + suffix._labels)
 
     def prepend(self, label: str) -> "Name":
         """A new name with ``label`` added on the left."""
@@ -223,55 +207,10 @@ def _text_to_labels(text: str) -> Tuple[bytes, ...]:
     except UnicodeEncodeError:
         raise NameError_(f"non-ASCII label in {text!r}") from None
     if b"\\" in raw:
-        return _unescape_labels(raw, text)
+        raise NameError_(f"escapes are not parsed: {text!r}")
     if raw.endswith(b"."):
         raw = raw[:-1]
     return tuple(raw.split(b"."))
-
-
-def _unescape_labels(raw: bytes, text: str) -> Tuple[bytes, ...]:
-    """Split ``raw`` on its unescaped dots, decoding ``\\DDD`` and ``\\X``."""
-    labels = []
-    label = bytearray()
-    at, end = 0, len(raw)
-    while at < end:
-        octet = raw[at]
-        if octet == 0x2E:  # an unescaped "." ends the label
-            labels.append(bytes(label))
-            label.clear()
-            at += 1
-        elif octet != 0x5C:
-            label.append(octet)
-            at += 1
-        else:
-            escaped = raw[at + 1:at + 4]
-            if (len(escaped) == 3 and escaped.isdigit()
-                    and int(escaped) <= 0xFF):
-                label.append(int(escaped))
-                at += 4
-            elif escaped and not escaped[:1].isdigit():
-                label.append(escaped[0])
-                at += 2
-            else:
-                raise NameError_(f"bad escape in {text!r}")
-    if label:  # relative spelling: no trailing root dot
-        labels.append(bytes(label))
-    return tuple(labels)
-
-
-def derelativize(text: str, origin: Optional[Name] = None) -> Name:
-    """Parse ``text``; append ``origin`` unless the text is absolute.
-
-    ``"@"`` denotes the origin itself, following master-file convention.
-    """
-    token = text.strip()
-    if token == "@":
-        if origin is None:
-            raise NameError_("'@' used without an origin")
-        return origin
-    if token.endswith(".") or origin is None:
-        return Name(token)
-    return Name(token).concatenate(origin)
 
 
 #: The root domain name.

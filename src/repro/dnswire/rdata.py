@@ -12,7 +12,7 @@ IPv4/IPv6 addresses are carried as strings in canonical presentation form;
 from __future__ import annotations
 
 import ipaddress
-from typing import Callable, Dict, List, Tuple, Type
+from typing import Callable, Dict, Tuple, Type
 
 from repro.dnswire.name import Name
 from repro.dnswire.types import RecordType
@@ -34,7 +34,7 @@ class Rdata:
     """Base class for record data.
 
     Subclasses define ``rtype`` and implement :meth:`to_wire`,
-    :meth:`from_wire`, :meth:`to_text`, and :meth:`from_text`.
+    :meth:`from_wire` and :meth:`to_text`.
     Instances are immutable by convention and compare by value.
     """
 
@@ -50,10 +50,6 @@ class Rdata:
 
     def to_text(self) -> str:
         """Render in presentation (zone-file) format."""
-        raise NotImplementedError
-
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "Rdata":
         raise NotImplementedError
 
     # value semantics -------------------------------------------------------
@@ -123,45 +119,6 @@ class A(Rdata):
         """Render in presentation (zone-file) format."""
         return self.address
 
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "A":
-        return cls(tokens[0])
-
-
-@_register(RecordType.AAAA)
-class AAAA(Rdata):
-    """IPv6 address record."""
-
-    __slots__ = ("address",)
-
-    def __init__(self, address: str) -> None:
-        self.address = str(ipaddress.IPv6Address(address))
-
-    def _key(self) -> tuple:
-        return (self.address,)
-
-    def to_wire(self, writer: WireWriter) -> None:
-        """Serialise to wire format."""
-        writer.write_bytes(ipaddress.IPv6Address(self.address).packed)
-
-    @classmethod
-    def from_wire(cls, reader: WireReader, rdlength: int) -> "AAAA":
-        if rdlength != 16:
-            raise WireFormatError(f"AAAA rdata must be 16 octets, got {rdlength}")
-        # Same shortcut as A.from_wire: packed bytes already stringify
-        # to the canonical (compressed) form.
-        record = cls.__new__(cls)
-        record.address = str(ipaddress.IPv6Address(reader.read_bytes(16)))
-        return record
-
-    def to_text(self) -> str:
-        """Render in presentation (zone-file) format."""
-        return self.address
-
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "AAAA":
-        return cls(tokens[0])
-
 
 class _SingleName(Rdata):
     """Common shape for rdata that is exactly one domain name."""
@@ -187,11 +144,6 @@ class _SingleName(Rdata):
     def to_text(self) -> str:
         return self.target.to_text()
 
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "_SingleName":
-        from repro.dnswire.name import derelativize
-        return cls(derelativize(tokens[0], origin))
-
 
 @_register(RecordType.CNAME)
 class CNAME(_SingleName):
@@ -206,38 +158,6 @@ class NS(_SingleName):
 @_register(RecordType.PTR)
 class PTR(_SingleName):
     """Reverse-mapping pointer record."""
-
-
-@_register(RecordType.MX)
-class MX(Rdata):
-    """Mail exchange record (carried for protocol completeness)."""
-
-    __slots__ = ("preference", "exchange")
-
-    def __init__(self, preference: int, exchange: Name) -> None:
-        self.preference = preference
-        self.exchange = exchange
-
-    def _key(self) -> tuple:
-        return (self.preference, self.exchange)
-
-    def to_wire(self, writer: WireWriter) -> None:
-        """Serialise to wire format."""
-        writer.write_u16(self.preference)
-        writer.write_name(self.exchange, compress=False)
-
-    @classmethod
-    def from_wire(cls, reader: WireReader, rdlength: int) -> "MX":
-        return cls(reader.read_u16(), reader.read_name())
-
-    def to_text(self) -> str:
-        """Render in presentation (zone-file) format."""
-        return f"{self.preference} {self.exchange.to_text()}"
-
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "MX":
-        from repro.dnswire.name import derelativize
-        return cls(int(tokens[0]), derelativize(tokens[1], origin))
 
 
 @_register(RecordType.TXT)
@@ -284,10 +204,6 @@ class TXT(Rdata):
             for chunk in self.strings
         )
 
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "TXT":
-        return cls(tuple(token.strip('"').encode("utf-8") for token in tokens))
-
 
 @_register(RecordType.SOA)
 class SOA(Rdata):
@@ -328,54 +244,6 @@ class SOA(Rdata):
         return (f"{self.mname.to_text()} {self.rname.to_text()} {self.serial} "
                 f"{self.refresh} {self.retry} {self.expire} {self.minimum}")
 
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "SOA":
-        from repro.dnswire.name import derelativize
-        return cls(
-            derelativize(tokens[0], origin),
-            derelativize(tokens[1], origin),
-            int(tokens[2]), int(tokens[3]), int(tokens[4]),
-            int(tokens[5]), int(tokens[6]),
-        )
-
-
-@_register(RecordType.SRV)
-class SRV(Rdata):
-    """Service-location record (used by the Kubernetes DNS analog)."""
-
-    __slots__ = ("priority", "weight", "port", "target")
-
-    def __init__(self, priority: int, weight: int, port: int, target: Name) -> None:
-        self.priority = priority
-        self.weight = weight
-        self.port = port
-        self.target = target
-
-    def _key(self) -> tuple:
-        return (self.priority, self.weight, self.port, self.target)
-
-    def to_wire(self, writer: WireWriter) -> None:
-        """Serialise to wire format."""
-        writer.write_u16(self.priority)
-        writer.write_u16(self.weight)
-        writer.write_u16(self.port)
-        writer.write_name(self.target, compress=False)
-
-    @classmethod
-    def from_wire(cls, reader: WireReader, rdlength: int) -> "SRV":
-        return cls(reader.read_u16(), reader.read_u16(), reader.read_u16(),
-                   reader.read_name())
-
-    def to_text(self) -> str:
-        """Render in presentation (zone-file) format."""
-        return f"{self.priority} {self.weight} {self.port} {self.target.to_text()}"
-
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "SRV":
-        from repro.dnswire.name import derelativize
-        return cls(int(tokens[0]), int(tokens[1]), int(tokens[2]),
-                   derelativize(tokens[3], origin))
-
 
 class GenericRdata(Rdata):
     """Opaque rdata for unknown types (RFC 3597 style)."""
@@ -403,8 +271,3 @@ class GenericRdata(Rdata):
         """Render in presentation (zone-file) format."""
         return f"\\# {len(self.data)} {self.data.hex()}"
 
-    @classmethod
-    def from_text(cls, tokens: List[str], origin: Name) -> "GenericRdata":
-        if len(tokens) >= 3 and tokens[0] == "\\#":
-            return cls(bytes.fromhex("".join(tokens[2:])))
-        raise WireFormatError(f"cannot parse generic rdata from {tokens!r}")

@@ -27,17 +27,6 @@ class RecordType(enum.IntEnum):
     AXFR = 252
     ANY = 255
 
-    @classmethod
-    def from_text(cls, text: str) -> "RecordType":
-        """Parse a mnemonic like ``"A"`` or a ``TYPE123`` generic form."""
-        token = text.strip().upper()
-        if token.startswith("TYPE") and token[4:].isdigit():
-            return cls(int(token[4:]))
-        try:
-            return cls[token]
-        except KeyError:
-            raise ValueError(f"unknown record type {text!r}") from None
-
 
 class RecordClass(enum.IntEnum):
     """DNS CLASS values (RFC 1035 §3.2.4)."""
@@ -47,14 +36,6 @@ class RecordClass(enum.IntEnum):
     HS = 4
     NONE = 254
     ANY = 255
-
-    @classmethod
-    def from_text(cls, text: str) -> "RecordClass":
-        token = text.strip().upper()
-        try:
-            return cls[token]
-        except KeyError:
-            raise ValueError(f"unknown record class {text!r}") from None
 
 
 class Opcode(enum.IntEnum):

@@ -1,27 +1,22 @@
-"""Zone data with authoritative lookup semantics and a master-file parser.
+"""Zone data with authoritative lookup semantics.
 
 A :class:`Zone` holds the records of one authoritative zone and implements
 the lookup algorithm an authoritative server needs: exact match, CNAME
 interposition, wildcard synthesis (RFC 1034 §4.3.2), delegation detection,
-and the NXDOMAIN / NODATA distinction.
-
-The master-file parser covers the subset of RFC 1035 §5 the reproduction
-uses: ``$ORIGIN``, ``$TTL``, relative and absolute names, ``@``, repeated
-owner names, parenthesised record data (for SOA), and ``;`` comments.
+and the NXDOMAIN / NODATA distinction.  Zones are built in code
+(:meth:`Zone.add`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.dnswire.name import Name, derelativize
+from repro.dnswire.name import Name
 from repro.dnswire.message import ResourceRecord
-from repro.dnswire.rdata import CNAME, rdata_class_for
-from repro.dnswire.types import RecordClass, RecordType
+from repro.dnswire.rdata import CNAME
+from repro.dnswire.types import RecordType
 from repro.errors import ZoneError
-
-DEFAULT_TTL = 300
 
 #: Key for the per-node RRset map.
 _RRsetKey = RecordType
@@ -107,10 +102,6 @@ class Zone:
         for node in self._nodes.values():
             for rrset in node.values():
                 yield from rrset
-
-    def names(self) -> Iterable[Name]:
-        """All owner names with data in this zone."""
-        return self._nodes.keys()
 
     @property
     def soa(self) -> Optional[ResourceRecord]:
@@ -219,147 +210,3 @@ class Zone:
                     for rrset in node.values())
         return f"Zone({self.origin}, {count} records)"
 
-
-# ---------------------------------------------------------------------------
-# Master file parsing
-# ---------------------------------------------------------------------------
-
-def _tokenise(text: str) -> List[List[str]]:
-    """Split master-file text into logical lines of tokens.
-
-    Handles ``;`` comments, quoted strings, and ``( ... )`` continuation
-    across physical lines.
-    """
-    logical_lines: List[List[str]] = []
-    current: List[str] = []
-    depth = 0
-    starts_with_space = False
-    for raw_line in text.splitlines():
-        tokens, line_depth = _tokenise_line(raw_line)
-        if depth == 0:
-            if not tokens:
-                continue
-            starts_with_space = raw_line[:1] in (" ", "\t")
-            current = tokens
-        else:
-            current.extend(tokens)
-        depth += line_depth
-        if depth < 0:
-            raise ZoneError("unbalanced ')' in master file")
-        if depth == 0:
-            if starts_with_space:
-                current.insert(0, "")  # marker: inherit previous owner
-            logical_lines.append(current)
-            current = []
-    if depth != 0:
-        raise ZoneError("unbalanced '(' in master file")
-    return logical_lines
-
-
-def _tokenise_line(line: str) -> Tuple[List[str], int]:
-    tokens: List[str] = []
-    depth_delta = 0
-    index = 0
-    length = len(line)
-    while index < length:
-        char = line[index]
-        if char == ";":
-            break
-        if char in " \t":
-            index += 1
-            continue
-        if char == "(":
-            depth_delta += 1
-            index += 1
-            continue
-        if char == ")":
-            depth_delta -= 1
-            index += 1
-            continue
-        if char == '"':
-            end = line.find('"', index + 1)
-            if end == -1:
-                raise ZoneError(f"unterminated quote in line: {line!r}")
-            tokens.append(line[index:end + 1])
-            index = end + 1
-            continue
-        end = index
-        while end < length and line[end] not in ' \t;()"':
-            end += 1
-        tokens.append(line[index:end])
-        index = end
-    return tokens, depth_delta
-
-
-def parse_master_file(text: str, origin: Optional[Name] = None) -> Zone:
-    """Parse master-file text into a :class:`Zone`.
-
-    ``origin`` seeds ``$ORIGIN``; the file may override it.  The zone's
-    origin is the first origin in effect when a record is added.
-    """
-    current_origin = origin
-    default_ttl = DEFAULT_TTL
-    zone: Optional[Zone] = None
-    previous_owner: Optional[Name] = None
-
-    for tokens in _tokenise(text):
-        if tokens and tokens[0] == "$ORIGIN":
-            current_origin = Name(tokens[1])
-            continue
-        if tokens and tokens[0] == "$TTL":
-            default_ttl = _parse_ttl(tokens[1])
-            continue
-        if current_origin is None:
-            raise ZoneError("record before any $ORIGIN and no default origin")
-        if zone is None:
-            zone = Zone(current_origin)
-
-        if tokens[0] == "":
-            if previous_owner is None:
-                raise ZoneError("continuation line before any owner name")
-            owner = previous_owner
-            rest = tokens[1:]
-        else:
-            owner = derelativize(tokens[0], current_origin)
-            rest = tokens[1:]
-        previous_owner = owner
-
-        ttl = default_ttl
-        rclass = RecordClass.IN
-        index = 0
-        while index < len(rest):
-            token = rest[index]
-            if token.upper() in ("IN", "CH", "HS"):
-                rclass = RecordClass.from_text(token)
-                index += 1
-            elif token and (token.isdigit() or _looks_like_ttl(token)):
-                ttl = _parse_ttl(token)
-                index += 1
-            else:
-                break
-        if index >= len(rest):
-            raise ZoneError(f"record for {owner} has no type")
-        rtype = RecordType.from_text(rest[index])
-        rdata_tokens = rest[index + 1:]
-        rdata_cls = rdata_class_for(rtype)
-        rdata = rdata_cls.from_text(rdata_tokens, current_origin)
-        zone.add(ResourceRecord(owner, rtype, ttl, rdata, rclass))
-
-    if zone is None:
-        raise ZoneError("master file contained no records")
-    return zone
-
-
-_TTL_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
-
-
-def _looks_like_ttl(token: str) -> bool:
-    return token[:-1].isdigit() and token[-1].lower() in _TTL_UNITS
-
-
-def _parse_ttl(token: str) -> int:
-    if token.isdigit():
-        return int(token)
-    if _looks_like_ttl(token):
-        return int(token[:-1]) * _TTL_UNITS[token[-1].lower()]
-    raise ZoneError(f"bad TTL {token!r}")

@@ -38,7 +38,7 @@ class CompressionLoopError(WireFormatError):
 
 
 class ZoneError(DnsError):
-    """A zone is malformed (bad master file, out-of-zone data, ...)."""
+    """A zone is malformed (out-of-zone data, a CNAME beside other data, ...)."""
 
 
 # ---------------------------------------------------------------------------

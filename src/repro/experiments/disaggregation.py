@@ -19,6 +19,8 @@ answer stability, and the aggregate hit ratio drops measurably.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import List, NamedTuple
 
 from repro.cdn.cache_server import CacheServer
@@ -118,7 +120,7 @@ class _Scenario:
             routing="aggregated" if len(self.caches) == 1 else "disaggregated",
             groups=len(self.caches),
             hit_ratio=hits / (hits + misses),
-            mean_fetch_ms=sum(latencies) / len(latencies))
+            mean_fetch_ms=reduce(add, latencies, 0) / len(latencies))
 
 
 #: Total cache capacity is held constant: 1 x 3C vs 3 x C.

@@ -38,25 +38,6 @@ class Figure2Result(NamedTuple):
         return {(row.site, row.connectivity): row.stats.mean
                 for row in self.rows}
 
-    def render_chart(self, width: int = 40) -> str:
-        """Grouped horizontal bars, one block per domain (like Figure 2)."""
-        scale_max = max(row.stats.maximum for row in self.rows)
-        lines = ["Figure 2 (chart): '#' trimmed mean, '|' max"]
-        last_site = None
-        for row in self.rows:
-            if row.site != last_site:
-                lines.append(f"--- {row.site} ---")
-                last_site = row.site
-            filled = round(width * row.stats.mean / scale_max)
-            marker = min(round(width * row.stats.maximum / scale_max),
-                         width - 1)
-            bar = list("#" * filled + " " * (width - filled))
-            if bar[marker] == " ":
-                bar[marker] = "|"
-            lines.append(f"{row.connectivity:16s}{''.join(bar)} "
-                         f"{row.stats.mean:6.1f} ms")
-        return "\n".join(lines)
-
     def render(self) -> str:
         """Render the paper-comparable text output."""
         table_rows = []

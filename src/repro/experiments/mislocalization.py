@@ -20,6 +20,8 @@ argues P2 cannot be met from outside the mobile network.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Dict, List, NamedTuple
 
 from repro.cdn.geo import GeoIpDatabase, GeoPoint, haversine_km
@@ -151,7 +153,7 @@ class MislocalizationExperiment(Experiment):
             believed = geoip.lookup(visible)
             assert believed is not None
             errors.append(haversine_km(CLIENT_LOCATION, believed))
-        return ("geoip", connectivity, sum(errors) / len(errors))
+        return ("geoip", connectivity, reduce(add, errors, 0) / len(errors))
 
     def _series_cell(self, spec):
         site = str(spec.value("site"))
@@ -180,7 +182,7 @@ class MislocalizationExperiment(Experiment):
                 geoip_error[connectivity] = error
             else:
                 _, site, connectivity, distances = payload
-                site_mean = (sum(distances) / len(distances)
+                site_mean = (reduce(add, distances, 0) / len(distances)
                              if distances else 0.0)
                 per_site.setdefault(site, {})[connectivity] = site_mean
                 mean_distance[connectivity].extend(distances)
@@ -188,7 +190,7 @@ class MislocalizationExperiment(Experiment):
                     connectivity=connectivity,
                     geoip_error_km=geoip_error[connectivity],
                     mean_cache_distance_km=(
-                        sum(mean_distance[connectivity])
+                        reduce(add, mean_distance[connectivity], 0)
                         / len(mean_distance[connectivity])))
                 for connectivity in CONNECTIVITIES]
         return MislocalizationResult(rows=rows, per_site_distance=per_site,

@@ -133,7 +133,6 @@ class FaultInjector:
         #: seed and plan produce identical timelines.
         self.timeline: List[str] = []
         self._partition_tokens: Dict[int, object] = {}
-        self._loss_models: Dict[int, GilbertElliott] = {}
 
     def install(self) -> "FaultInjector":
         """Schedule every plan event on the simulator clock."""
@@ -143,10 +142,6 @@ class FaultInjector:
         for event in self.plan.events:
             self.network.sim.call_at(event.at_ms, self._fire, event)
         return self
-
-    def loss_model(self, fault_id: int) -> Optional[GilbertElliott]:
-        """The live burst-loss chain a burst-on event installed."""
-        return self._loss_models.get(fault_id)
 
     # -- event dispatch -----------------------------------------------------------
 
@@ -185,7 +180,6 @@ class FaultInjector:
                                event.params["p_exit"],
                                event.params["bad_loss"],
                                event.params["good_loss"])
-        self._loss_models[event.fault_id] = model
         self._link(event).loss_model = model
 
     def _apply_burst_off(self, event: FaultEvent) -> None:

@@ -20,7 +20,7 @@ enforces for rendered artifacts.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 #: Resolution of the log-spaced grid.  32 bins/decade = ~7.5% relative
 #: bin width, finer than any latency claim the experiments assert.
@@ -194,23 +194,6 @@ class LatencyHistogram:
             p99=self.quantile(0.99),
             p999=self.quantile(0.999),
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready document (sparse bins, exact fields verbatim)."""
-        return {
-            "bins_per_decade": BINS_PER_DECADE,
-            "low_ms": LOW_MS,
-            "count": self.count,
-            "sum_ms": self.total,
-            "min_ms": self.minimum if self.count else None,
-            "max_ms": self.maximum if self.count else None,
-            "nonzero_bins": {str(index): bucket
-                             for index, bucket in enumerate(self.counts)
-                             if bucket},
-        }
-
-    def __len__(self) -> int:
-        return self.count
 
     def __repr__(self) -> str:
         if not self.count:

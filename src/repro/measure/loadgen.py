@@ -9,6 +9,8 @@ distribution — the inputs for a hockey-stick capacity curve.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Generator, List, NamedTuple
 
 from repro.dnswire.message import make_query
@@ -81,31 +83,20 @@ class LoadGenerator:
                                     self.reply_timeout_ms)
             except (QueryTimeout, WireFormatError):
                 return  # lost, late or garbled: counted as loss
-            latency = sim.now - started
-            latencies.append(latency)
-            tel = self.network.telemetry
-            if tel is not None:
-                tel.metrics.histogram(
-                    "repro_loadgen_latency_ms",
-                    "answered load-generator query latency").observe(latency)
+            latencies.append(sim.now - started)
 
         elapsed = 0.0
         msg_id = 0
-        tel = self.network.telemetry
         while elapsed < duration_ms:
             msg_id = (msg_id + 1) & 0xFFFF or 1
             pending["sent"] += 1
-            if tel is not None:
-                tel.metrics.counter(
-                    "repro_loadgen_sent_total",
-                    "load-generator queries injected").inc()
             sim.spawn(one_query(msg_id))
             yield gap_ms
             elapsed += gap_ms
         yield self.reply_timeout_ms  # drain in-flight replies
 
         if latencies:
-            mean = sum(latencies) / len(latencies)
+            mean = reduce(add, latencies, 0) / len(latencies)
             p50 = percentile(latencies, 50)
             p95 = percentile(latencies, 95)
             p99 = percentile(latencies, 99)

@@ -136,8 +136,7 @@ def measure_deployment_run(testbed: Testbed, count: int,
                     tel.metrics.histogram(
                         "repro_lookup_latency_ms",
                         "measured DNS lookup latency").observe(
-                            finished - started,
-                            exemplar={"trace_id": str(span.trace_id)})
+                            finished - started)
             if index >= warmup:
                 wireless = _wireless_portion(trace, started, finished)
                 total = result.query_time_ms

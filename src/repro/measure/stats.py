@@ -10,6 +10,8 @@ untrimmed extremes so the error lines can be drawn.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import List, NamedTuple, Sequence
 
 from repro.telemetry.metrics import percentile
@@ -55,8 +57,9 @@ def summarize(values: Sequence[float], trim: bool = True) -> SummaryStats:
     central = trimmed(values) if trim else list(values)
     if not central:
         central = list(values)
-    mean = sum(central) / len(central)
-    variance = (sum((value - mean) ** 2 for value in central) / len(central)
+    mean = reduce(add, central, 0) / len(central)
+    variance = (reduce(add, [(value - mean) ** 2 for value in central], 0)
+                / len(central)
                 if len(central) > 1 else 0.0)
     return SummaryStats(
         count=len(values),

@@ -57,13 +57,9 @@ class Pod:
         #: cache server, ...); set by the deployer callback.
         self.app = None
 
-    @property
-    def ip(self) -> str:
-        return self.host.address
-
     def __repr__(self) -> str:
         state = "running" if self.running else "terminated"
-        return f"Pod({self.name}, {self.ip}, {state})"
+        return f"Pod({self.name}, {self.host.address}, {state})"
 
 
 class Service:

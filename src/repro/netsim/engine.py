@@ -133,12 +133,20 @@ class _Process:
 
     def _step(self, send_value: Any = None,
               throw_error: Optional[BaseException] = None) -> None:
+        # An error the generator handles loses its traceback.  From 3.12 a
+        # finished generator's frame links to its caller's (``f_back``), so
+        # traceback -> generator frame -> this frame's ``throw_error`` is a
+        # cycle that holds the generator's locals (sockets, futures) until
+        # the collector runs.  An error that escapes keeps it.
         try:
             if throw_error is not None:
                 yielded = self._generator.throw(throw_error)
+                throw_error.__traceback__ = None
             else:
                 yielded = self._generator.send(send_value)
         except StopIteration as stop:
+            if throw_error is not None:
+                throw_error.__traceback__ = None
             self._done.resolve(stop.value)
             return
         except Exception as error:  # the process boundary: whatever a process raises fails its future

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+from functools import reduce
+from operator import add
 from typing import List, Sequence
 
 
@@ -179,7 +181,7 @@ class Empirical(LatencyModel):
 
     @property
     def mean(self) -> float:
-        return sum(self.samples) / len(self.samples)
+        return reduce(add, self.samples, 0) / len(self.samples)
 
     def __repr__(self) -> str:
         return f"Empirical(n={len(self.samples)}, mean={self.mean:.2f}ms)"
@@ -195,11 +197,13 @@ class Compound(LatencyModel):
 
     def sample(self, rng: random.Random) -> float:
         """Draw one one-way latency sample in milliseconds."""
-        return sum(component.sample(rng) for component in self.components)
+        return reduce(add, [component.sample(rng)
+                            for component in self.components], 0)
 
     @property
     def mean(self) -> float:
-        return sum(component.mean for component in self.components)
+        return reduce(add, [component.mean
+                            for component in self.components], 0)
 
     def __add__(self, other: LatencyModel) -> "Compound":
         return Compound(self.components + [other])

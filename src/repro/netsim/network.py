@@ -145,10 +145,6 @@ class Network:
         except KeyError:
             raise AddressError(f"unknown host {name}") from None
 
-    def hosts(self) -> List[Host]:
-        """All hosts in the topology."""
-        return list(self._hosts.values())
-
     def host_for_ip(self, ip: str) -> Host:
         """The host owning ``ip``; raises AddressError if unowned."""
         try:

@@ -26,8 +26,9 @@ from repro.netsim.node import Host
 from repro.netsim.packet import Endpoint
 from repro.netsim.socket import UdpSocket
 
-#: Handler signature for stream servers: (payload, peer) -> response bytes.
-StreamHandler = Callable[[bytes, Endpoint], bytes]
+#: Handler signature for stream servers: (payload, peer) -> a process
+#: returning the response bytes.
+StreamHandler = Callable[[bytes, Endpoint], Generator]
 
 #: Per-attempt retransmission timeout (ms) inside the reliability loop.
 _RETRANSMIT_TIMEOUT = 1000.0
@@ -37,8 +38,8 @@ _MAX_RETRANSMITS = 6
 class StreamServer:
     """Accepts stream exchanges on a well-known port.
 
-    The handler may be a plain function returning the response bytes or a
-    generator (a simulator process) for handlers that need upstream work.
+    The handler is a generator (a simulator process) that returns the
+    response bytes, so it can do upstream work first.
     """
 
     def __init__(self, network: Network, host: Host, port: int,
@@ -66,12 +67,7 @@ class StreamServer:
         self.network.sim.spawn(self._serve(body, peer))
 
     def _serve(self, body: bytes, peer: Endpoint) -> Generator:
-        import inspect
-        result = self.handler(body, peer)
-        if inspect.isgenerator(result):
-            response = yield from result
-        else:
-            response = result
+        response = yield from self.handler(body, peer)
         self.exchanges_served += 1
         if response is not None:
             self.sock.send_to(_segment(b"RSP", response), peer)

@@ -57,16 +57,6 @@ class PacketTrace:
         """Drop all captured records (keep capturing)."""
         self.records.clear()
 
-    def first(self, event: Optional[str] = None) -> Optional[TraceRecord]:
-        """The first record (optionally of one event kind), or None."""
-        for record in self.records:
-            if event is None or record.event == event:
-                return record
-        return None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
     def __repr__(self) -> str:
         scope = self._host_filter or "*"
         return f"PacketTrace(host={scope}, records={len(self.records)})"

@@ -17,6 +17,8 @@ the simulation.
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import add
 from typing import Any, Dict, Iterable, List, NamedTuple
 
 from repro.profile.criticalpath import STAGES, analyze_trace
@@ -143,7 +145,7 @@ def budget_report(spans: Iterable[Span]) -> BudgetReport:
                 stage_samples.setdefault(stage, []).append(
                     path.stage_ms(stage))
         stages = {stage: StageBudget(
-                      mean_ms=sum(stage_samples[stage])
+                      mean_ms=reduce(add, stage_samples[stage], 0)
                       / len(stage_samples[stage]),
                       samples=stage_samples[stage])
                   for stage in STAGES
@@ -152,7 +154,8 @@ def budget_report(spans: Iterable[Span]) -> BudgetReport:
         rows.append(BudgetRow(
             deployment=deployment,
             count=len(resolve_samples),
-            mean_ms=sum(resolve_samples) / len(resolve_samples),
+            mean_ms=(reduce(add, resolve_samples, 0)
+                     / len(resolve_samples)),
             p50_ms=percentile(resolve_samples, 50),
             p95_ms=percentile(resolve_samples, 95),
             p99_ms=percentile(resolve_samples, 99),

@@ -165,7 +165,6 @@ def _stage_for(span: Span, chain: Tuple[Span, ...],
     if span.name == "dns.serve" and "upstream.exchange" in ancestor_names:
         return STAGE_UPSTREAM
     if (span.category == "mec" or span.name in ("dns.serve",
-                                                "resolution.tiered",
                                                 "ldns.cache-lookup",
                                                 "ldns.serve-stale")
             or span.name.startswith("plugin.")):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
@@ -114,10 +114,6 @@ def add_tail_arguments(parser: argparse.ArgumentParser) -> None:
                              "repro experiment ... --metrics-out)")
     parser.add_argument("--top", type=int, default=0,
                         help="exemplars to print (default: all retained)")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="also reconstruct the exemplars as span "
-                             "trees and write a Chrome trace_event JSON "
-                             "(open in about:tracing/Perfetto)")
 
 
 def run_tail_cli(args: argparse.Namespace) -> int:
@@ -158,27 +154,5 @@ def run_tail_cli(args: argparse.Namespace) -> int:
             share = (100.0 * ms / exemplar.total_ms
                      if exemplar.total_ms else 0.0)
             print(f"     {stage:<14s} {ms:9.2f} ms  {share:5.1f}%")
-    if args.trace_out:
-        from repro.telemetry import exporters
-        from repro.telemetry.sampling import exemplar_spans
-        from repro.telemetry.trace import Tracer
-        tracer = Tracer()
-        exemplar_spans(exemplars, tracer)
-        try:
-            exporters.write_chrome_trace(tracer.finished, args.trace_out)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace_out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"\n;; wrote {len(tracer.finished)} reconstructed spans to "
-              f"{args.trace_out} (open in about:tracing or Perfetto)")
     return 0
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.profile``) for SLOs."""
-    parser = argparse.ArgumentParser(
-        prog="repro-slo",
-        description="Evaluate declarative latency SLOs over run artifacts")
-    add_slo_arguments(parser)
-    return run_slo_cli(parser.parse_args(argv))

@@ -20,8 +20,8 @@ there::
 * **threshold** — milliseconds.
 
 Two windowed forms evaluate against the ``repro-timeseries-v1``
-document (standalone, or embedded as the ``timeseries`` section of the
-telemetry artifact):
+document embedded as the ``timeseries`` section of the telemetry
+artifact:
 
 ``<scope> window <agg> <metric> <op> <threshold>``
     The point-rule check applied to **every** window the series
@@ -45,12 +45,8 @@ telemetry artifact):
     resolve against the control-plane (``repro_control_*``) then the
     workload (``repro_workload_*``) families.
 
-Point rules are evaluated against machine-readable artifacts the
-toolchain already writes: ``repro-budget-v1`` documents (raw samples —
-any quantile computes exactly) and, as a fallback for ``*``-scoped
-``resolve_ms`` rules, the ``repro-telemetry-v1`` metrics artifact
-(quantiles estimated from the ``repro_lookup_latency_ms`` histogram by
-linear interpolation within the bucket, Prometheus-style).
+Point rules are evaluated against the ``repro-budget-v1`` documents
+``repro profile`` writes (raw samples — any quantile computes exactly).
 
 A rule that cannot be evaluated — no matching deployment, no samples,
 an empty window — **fails**: a gate that silently passes on missing
@@ -61,13 +57,13 @@ or a ``repro-slo-v1`` JSON document and exits 1 on any breach.
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import add
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
                     Optional, Tuple, Union)
 
 from repro.telemetry.metrics import BucketCell, percentile
 
-#: Metric names answerable from the telemetry-artifact histograms.
-_HISTOGRAM_METRICS = {"resolve_ms": "repro_lookup_latency_ms"}
 
 #: Window-rule metric shorthands onto engine time-series names.
 _SERIES_METRICS = {"dns_ms": "repro_workload_dns_ms",
@@ -84,6 +80,10 @@ _OPS: Dict[str, Callable[[float, float], bool]] = {
 }
 
 _AGGS = ("min", "max", "mean", "p50", "p90", "p95", "p99")
+
+#: The percentile each order-statistic aggregation reads.
+_PERCENTS = {"min": 0.0, "max": 100.0, "p50": 50.0, "p90": 90.0,
+             "p95": 95.0, "p99": 99.0}
 
 
 class SloParseError(ValueError):
@@ -376,13 +376,9 @@ def _parse_threshold(line_no: int, text: str) -> float:
 
 
 def _aggregate(samples: List[float], agg: str) -> float:
-    if agg == "min":
-        return min(samples)
-    if agg == "max":
-        return max(samples)
     if agg == "mean":
-        return sum(samples) / len(samples)
-    return percentile(samples, float(agg[1:]))
+        return reduce(add, samples, 0) / len(samples)
+    return percentile(samples, _PERCENTS[agg])
 
 
 def _budget_samples(rule: SloRule,
@@ -405,53 +401,19 @@ def _budget_samples(rule: SloRule,
     return samples
 
 
-def _histogram_estimate(rule: SloRule,
-                        documents: List[Dict[str, Any]]
-                        ) -> Optional[float]:
-    """Estimate the rule's aggregate from a telemetry-artifact histogram.
-
-    Only ``*``-scoped rules over histogram-backed metrics can use this
-    path (the histogram is not labeled by deployment).  Quantiles use
-    Prometheus-style linear interpolation within the containing bucket.
-    """
-    name = _HISTOGRAM_METRICS.get(rule.metric)
-    if name is None or rule.scope != "*":
-        return None
-    for document in documents:
-        if document.get("format") != "repro-telemetry-v1":
-            continue
-        for metric in document.get("metrics", []):
-            if metric.get("name") != name or metric.get("kind") != "histogram":
-                continue
-            for sample in metric.get("samples", []):
-                count = sample.get("count", 0)
-                if not count:
-                    continue
-                buckets = sample.get("buckets", [])
-                return _estimate(BucketCell.from_running(
-                    tuple(float(bucket["le"]) for bucket in buckets),
-                    [int(bucket["count"]) for bucket in buckets],
-                    count, float(sample.get("sum", 0.0))), rule.agg)
-    return None
-
-
-def _estimate(cell: BucketCell, agg: str) -> Optional[float]:
-    """The rule's aggregate as far as a bucketed cell can answer it."""
+def _estimate(cell: BucketCell, agg: str) -> float:
+    """The rule's aggregate as a bucketed cell answers it (no ``min``:
+    window rules reject it at parse time)."""
     if agg == "mean":
         return cell.total / cell.count
-    if agg == "min":
-        return None  # a histogram cannot bound the minimum
-    return cell.quantile(100.0 if agg == "max" else float(agg[1:]))
+    return cell.quantile(_PERCENTS[agg])
 
 
 def _timeseries_docs(documents: List[Dict[str, Any]]
                      ) -> List[Dict[str, Any]]:
-    """Every ``repro-timeseries-v1`` document, standalone or embedded."""
+    """Every ``repro-timeseries-v1`` document the artifacts embed."""
     found: List[Dict[str, Any]] = []
     for document in documents:
-        if document.get("format") == "repro-timeseries-v1":
-            found.append(document)
-            continue
         embedded = document.get("timeseries")
         if (isinstance(embedded, dict)
                 and embedded.get("format") == "repro-timeseries-v1"):
@@ -517,9 +479,6 @@ def _check_window_rule(rule: WindowRule,
             failures.append(f"window {index} has no samples")
             continue
         value = _estimate(cell, rule.agg)
-        if value is None:  # pragma: no cover - min rejected at parse
-            failures.append(f"window {index}: unanswerable aggregate")
-            continue
         if (worst is None
                 or (value > worst if bigger_is_worse else value < worst)):
             worst, worst_window = value, index
@@ -567,9 +526,9 @@ def _check_burnrate_rule(rule: BurnRateRule,
 
     def trailing(window: int, span: int,
                  cells: Dict[int, float]) -> float:
-        return sum(cells[index]
-                   for index in range(window - span + 1, window + 1)
-                   if index in cells)
+        return reduce(add, [cells[index] for index
+                            in range(window - span + 1, window + 1)
+                            if index in cells], 0)
 
     fired: List[int] = []
     peak = 0.0
@@ -616,15 +575,13 @@ def _check_burnrate_rule(rule: BurnRateRule,
 def _check_point_rule(rule: SloRule,
                       documents: List[Dict[str, Any]]) -> SloCheck:
     samples = _budget_samples(rule, documents)
-    if samples:
-        value: Optional[float] = _aggregate(samples, rule.agg)
-        detail = f"{len(samples)} samples"
-    else:
-        value = _histogram_estimate(rule, documents)
-        detail = ("histogram estimate" if value is not None
-                  else "no matching data")
-    ok = value is not None and _OPS[rule.op](value, rule.threshold)
-    return SloCheck(rule=rule, value=value, ok=ok, detail=detail)
+    if not samples:
+        return SloCheck(rule=rule, value=None, ok=False,
+                        detail="no matching data")
+    value = _aggregate(samples, rule.agg)
+    return SloCheck(rule=rule, value=value, ok=_OPS[rule.op](value,
+                                                            rule.threshold),
+                    detail=f"{len(samples)} samples")
 
 
 def evaluate_slo(rules: Iterable[AnySloRule],

@@ -47,12 +47,6 @@ class ExperimentRegistry:
     def __iter__(self) -> Iterator[Experiment]:
         return iter(self._experiments.values())
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._experiments
-
-    def __len__(self) -> int:
-        return len(self._experiments)
-
     # -- CLI integration -----------------------------------------------------
 
     def cli_params(self) -> List[Param]:

@@ -2,8 +2,8 @@
 
 The observability substrate for the whole stack: a :class:`Tracer`
 producing spans on the simulated clock, a :class:`MetricsRegistry` of
-counters/gauges/histograms, and exporters to Prometheus text, Chrome
-``trace_event`` JSON, and a JSON experiment artifact.
+counters/histograms, and exporters to Chrome ``trace_event``
+JSON and a JSON experiment artifact.
 
 Everything hangs off one :class:`Telemetry` facade::
 
@@ -11,7 +11,7 @@ Everything hangs off one :class:`Telemetry` facade::
     tel.attach(testbed.network)          # binds the sim clock, too
     ... run the workload ...
     exporters.write_chrome_trace(tel.tracer.finished, "trace.json")
-    print(exporters.to_prometheus_text(tel.metrics))
+    exporters.write_json_artifact(tel.metrics, "metrics.json")
 
 Instrumented call sites all guard on ``network.telemetry`` being
 non-``None`` (and the sockets/servers thread a per-query context
@@ -31,19 +31,18 @@ from __future__ import annotations
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry import exporters
-from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
-                                     Histogram, MetricsRegistry)
+from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Histogram,
+                                     MetricsRegistry)
 from repro.telemetry.sampling import (Exemplar, HeadSampler, TailReservoir,
-                                      exemplar_spans, hash_unit,
-                                      hash_unit_u64)
+                                      hash_unit, hash_unit_u64)
 from repro.telemetry.timeseries import TimeSeries
 from repro.telemetry.trace import Span, TraceContext, Tracer
 
 __all__ = [
     "Telemetry", "TelemetryConfig", "Tracer", "Span", "TraceContext",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
+    "MetricsRegistry", "Counter", "Histogram", "DEFAULT_BUCKETS",
     "TimeSeries", "TailReservoir", "Exemplar", "HeadSampler",
-    "hash_unit", "hash_unit_u64", "exemplar_spans", "exporters",
+    "hash_unit", "hash_unit_u64", "exporters",
     "set_default", "get_default", "clear_default",
 ]
 

@@ -1,11 +1,7 @@
 """Serialize spans and metrics to interoperable formats.
 
-Three exporters:
+Two exporters:
 
-* :func:`to_prometheus_text` — the Prometheus text exposition format
-  (``# HELP``/``# TYPE`` headers, ``_bucket``/``_sum``/``_count``
-  histogram series) so a run's counters drop straight into promtool or
-  a textfile collector.
 * :func:`to_chrome_trace` — Chrome ``trace_event`` JSON ("X" complete
   events, microsecond timestamps); load the file in ``about:tracing``
   or https://ui.perfetto.dev to see every query as a flame chart laid
@@ -20,82 +16,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.telemetry.metrics import (Counter, Gauge, Histogram,
-                                     MetricsRegistry)
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.trace import Span
 
 _US_PER_MS = 1000.0
-
-
-# -- Prometheus text format --------------------------------------------------------
-
-
-def _format_value(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _escape_label(value: str) -> str:
-    return (value.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _render_labels(pairs: Iterable[tuple]) -> str:
-    rendered = ",".join(f'{key}="{_escape_label(value)}"'
-                        for key, value in pairs)
-    return f"{{{rendered}}}" if rendered else ""
-
-
-def _render_exemplar(pairs: Iterable[tuple], value: float) -> str:
-    """An OpenMetrics exemplar suffix: `` # {labels} value``.
-
-    Unlike :func:`_render_labels`, the braces are mandatory even with no
-    labels — the ``#`` marker introduces a label set, not a comment.
-    """
-    rendered = ",".join(f'{key}="{_escape_label(label)}"'
-                        for key, label in pairs)
-    return f" # {{{rendered}}} {_format_value(value)}"
-
-
-def to_prometheus_text(registry: MetricsRegistry) -> str:
-    """Render every instrument in the Prometheus text exposition format.
-
-    Histogram buckets that captured an exemplar carry the OpenMetrics
-    suffix (`` # {trace_id="17"} 12.4``), linking the bucket straight to
-    a trace in the matching ``--trace-out`` file; plain Prometheus
-    parsers that predate OpenMetrics treat the suffix as a comment.
-    """
-    lines: List[str] = []
-    for instrument in registry.instruments():
-        name = instrument.name
-        lines.append(f"# HELP {name} {instrument.help}")
-        lines.append(f"# TYPE {name} {instrument.kind}")
-        if isinstance(instrument, (Counter, Gauge)):
-            for key, value in instrument.samples():
-                lines.append(
-                    f"{name}{_render_labels(key)} {_format_value(value)}")
-        elif isinstance(instrument, Histogram):
-            for key, sample in instrument.samples():
-                exemplars = instrument.exemplars(**dict(key))
-                for index, (bound, running) in enumerate(
-                        zip(instrument.buckets, sample.cumulative())):
-                    bucket_pairs = list(key) + [("le", _format_value(bound))]
-                    line = (f"{name}_bucket{_render_labels(bucket_pairs)}"
-                            f" {running}")
-                    exemplar = exemplars.get(index)
-                    if exemplar is not None:
-                        line += _render_exemplar(exemplar[0], exemplar[1])
-                    lines.append(line)
-                lines.append(f"{name}_sum{_render_labels(key)} "
-                             f"{_format_value(sample.total)}")
-                lines.append(f"{name}_count{_render_labels(key)} "
-                             f"{sample.count}")
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 # -- Chrome trace_event JSON -------------------------------------------------------
@@ -212,7 +136,7 @@ def to_json_artifact(registry: MetricsRegistry,
         entry: Dict[str, Any] = {"name": instrument.name,
                                  "kind": instrument.kind,
                                  "help": instrument.help}
-        if isinstance(instrument, (Counter, Gauge)):
+        if isinstance(instrument, Counter):
             entry["samples"] = [{"labels": dict(key), "value": value}
                                 for key, value in instrument.samples()]
         elif isinstance(instrument, Histogram):
@@ -273,8 +197,3 @@ def write_json_artifact(registry: MetricsRegistry, path: str,
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-
-def write_prometheus_text(registry: MetricsRegistry, path: str) -> None:
-    """Serialize :func:`to_prometheus_text` output to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_prometheus_text(registry))

@@ -1,4 +1,4 @@
-"""A small in-process metrics registry: counters, gauges, histograms.
+"""A small in-process metrics registry: counters and histograms.
 
 Modeled on the Prometheus client-library data model — instruments are
 registered once by name, carry a help string, and hold one sample per
@@ -20,16 +20,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import accumulate
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
-
-#: An OpenMetrics exemplar attached to one histogram bucket: the
-#: sorted exemplar label pairs (typically ``trace_id``) plus the
-#: observed value that landed it there.
-ExemplarValue = Tuple[LabelKey, float]
 
 #: Latency-oriented default buckets, in milliseconds.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -66,14 +62,6 @@ class Counter:
             key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + amount
 
-    def value(self, **labels: object) -> float:
-        """The current count for one label combination (0.0 if unseen)."""
-        return self._samples.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        """Sum across every label combination."""
-        return sum(self._samples.values())
-
     def samples(self) -> Iterator[Tuple[LabelKey, float]]:
         """``(label_key, value)`` pairs in stable sorted order."""
         yield from sorted(self._samples.items())
@@ -84,43 +72,7 @@ class Counter:
             self._samples[key] = self._samples.get(key, 0.0) + value
 
     def __repr__(self) -> str:
-        return f"Counter({self.name}={self.total():g})"
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, pool size)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str) -> None:
-        self.name = name
-        self.help = help
-        self._samples: Dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels: object) -> None:
-        """Replace the sample selected by ``labels`` with ``value``."""
-        self._samples[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """Add ``amount`` (may be negative) to the selected sample."""
-        key = _label_key(labels)
-        self._samples[key] = self._samples.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        """The current value for one label combination (0.0 if unseen)."""
-        return self._samples.get(_label_key(labels), 0.0)
-
-    def samples(self) -> Iterator[Tuple[LabelKey, float]]:
-        """``(label_key, value)`` pairs in stable sorted order."""
-        yield from sorted(self._samples.items())
-
-    def merge_from(self, other: "Gauge") -> None:
-        """Adopt every sample of ``other`` (last write wins)."""
-        for key, value in sorted(other._samples.items()):
-            self._samples[key] = value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}, {len(self._samples)} series)"
+        return f"Counter({self.name}, {len(self._samples)} series)"
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -130,8 +82,6 @@ def percentile(values: Sequence[float], pct: float) -> float:
     if not 0 <= pct <= 100:
         raise ValueError(f"percentile {pct} out of [0, 100]")
     ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
     rank = (pct / 100) * (len(ordered) - 1)
     low = math.floor(rank)
     high = math.ceil(rank)
@@ -176,7 +126,7 @@ class BucketCell:
         return cls.from_running(
             DEFAULT_BUCKETS,
             [bisect_right(ordered, bound) for bound in DEFAULT_BUCKETS],
-            len(values), sum(values))
+            len(values), reduce(add, values, 0))
 
     @classmethod
     def from_running(cls, bounds: Sequence[float], running: Sequence[int],
@@ -198,13 +148,11 @@ class BucketCell:
             cell.counts[bisect_left(cell.bounds, bound)] += in_bucket
         return cell
 
-    def observe(self, value: float) -> int:
-        """Record one value; returns the index of the bucket it hit."""
-        index = bisect_left(self.bounds, value)
-        self.counts[index] += 1
+    def observe(self, value: float) -> None:
+        """Record one value."""
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
-        return index
 
     def merge(self, other: "BucketCell") -> None:
         """Add ``other`` bucket-wise (same layout)."""
@@ -257,48 +205,20 @@ class Histogram:
 
     def __init__(self, name: str, help: str,
                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds or bounds[-1] != float("inf"):
-            bounds.append(float("inf"))
+        # The +Inf bucket is always there, whatever the caller passed.
+        bounds = sorted({float(b) for b in buckets} | {math.inf})
         self.name = name
         self.help = help
         self.buckets: Tuple[float, ...] = tuple(bounds)
         self._samples: Dict[LabelKey, BucketCell] = {}
-        #: Last exemplar per (label set, bucket index) — OpenMetrics
-        #: semantics: a bucket carries at most one, newest wins.
-        self._exemplars: Dict[LabelKey, Dict[int, ExemplarValue]] = {}
 
-    def observe(self, value: float,
-                exemplar: Optional[Dict[str, str]] = None,
-                **labels: object) -> None:
-        """Record one observation into the selected sample.
-
-        ``exemplar`` optionally attaches OpenMetrics exemplar labels
-        (e.g. ``{"trace_id": "17"}``) to the bucket the value lands in;
-        the bucket keeps the most recent one.
-        """
+    def observe(self, value: float, **labels: object) -> None:
+        """Record one observation into the selected sample."""
         key = _label_key(labels)
         sample = self._samples.get(key)
         if sample is None:
             sample = self._samples[key] = BucketCell(self.buckets)
-        index = sample.observe(value)
-        if exemplar is not None:
-            self._exemplars.setdefault(key, {})[index] = (
-                _label_key(dict(exemplar)), value)
-
-    def exemplars(self, **labels: object) -> Dict[int, ExemplarValue]:
-        """Bucket-index -> exemplar for one label combination."""
-        return dict(self._exemplars.get(_label_key(labels), {}))
-
-    def count(self, **labels: object) -> int:
-        """Observations recorded for one label combination."""
-        sample = self._samples.get(_label_key(labels))
-        return sample.count if sample is not None else 0
-
-    def sum(self, **labels: object) -> float:
-        """Sum of observed values for one label combination."""
-        sample = self._samples.get(_label_key(labels))
-        return sample.total if sample is not None else 0.0
+        sample.observe(value)
 
     def samples(self) -> Iterator[Tuple[LabelKey, BucketCell]]:
         """``(label_key, sample)`` pairs in stable sorted order."""
@@ -316,10 +236,6 @@ class Histogram:
             if mine is None:
                 mine = self._samples[key] = BucketCell(self.buckets)
             mine.merge(theirs)
-        # Incoming exemplars win: snapshots merge in spec order, so
-        # "newest" is the later trial — same outcome on every backend.
-        for key, per_bucket in sorted(other._exemplars.items()):
-            self._exemplars.setdefault(key, {}).update(per_bucket)
 
     def __repr__(self) -> str:
         observed = sum(s.count for _, s in self.samples())
@@ -343,10 +259,6 @@ class MetricsRegistry:
         """The counter called ``name``, creating it on first use."""
         return self._get_or_create(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        """The gauge called ``name``, creating it on first use."""
-        return self._get_or_create(Gauge, name, help)
-
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         """The histogram called ``name``, creating it on first use.
@@ -363,10 +275,6 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as {instrument.kind}")
         return instrument
 
-    def get(self, name: str) -> Optional[object]:
-        """The registered instrument called ``name``, or ``None``."""
-        return self._instruments.get(name)
-
     def instruments(self) -> List[object]:
         """Every registered instrument, sorted by name."""
         return [self._instruments[name]
@@ -375,24 +283,18 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
     def merge_from(self, other: "MetricsRegistry") -> None:
         """Fold every instrument of ``other`` into this registry.
 
-        Counters add, gauges adopt the incoming value, histograms add
-        bucket-wise.  Instruments missing here are created with the
-        incoming help text (and bucket layout); a name registered as a
-        different kind in the two registries raises, same as
-        re-registering locally would.
+        Counters add, histograms add bucket-wise.  Instruments missing
+        here are created with the incoming help text (and bucket layout);
+        a name registered as a different kind in the two registries
+        raises, same as re-registering locally would.
         """
         for name in sorted(other._instruments):
             theirs = other._instruments[name]
             if isinstance(theirs, Counter):
                 self.counter(name, theirs.help).merge_from(theirs)
-            elif isinstance(theirs, Gauge):
-                self.gauge(name, theirs.help).merge_from(theirs)
             elif isinstance(theirs, Histogram):
                 self.histogram(name, theirs.help,
                                theirs.buckets).merge_from(theirs)

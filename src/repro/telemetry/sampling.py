@@ -16,8 +16,7 @@ problems dissolve with the two primitives here:
   per-stage breakdown).  Top-K under a strict total order is
   merge-order independent, so per-shard reservoirs folded in spec order
   reproduce the serial reservoir byte for byte.  The stored exemplars
-  are what ``repro tail`` prints and what :func:`exemplar_spans` turns
-  back into openable span trees.
+  are what ``repro tail`` prints.
 
 Keys must be unique within a run (the engine builds them from the
 deployment/district/UE/session/query coordinates), which is what makes
@@ -182,25 +181,3 @@ class TailReservoir:
     def __repr__(self) -> str:
         return (f"TailReservoir({len(self)}/{self.capacity} kept, "
                 f"{self.offered} offered)")
-
-
-def exemplar_spans(exemplars: List[Exemplar], tracer: Any) -> None:
-    """Synthesize a span tree per exemplar into ``tracer``.
-
-    The root span covers the whole query at its simulated time; each
-    stage becomes a child laid end to end, so the reconstructed trace
-    opens in Perfetto with the same per-stage attribution ``repro
-    tail`` prints and feeds the critical-path analyzer unchanged.
-    """
-    for exemplar in exemplars:
-        attrs = dict(exemplar.attrs)
-        track = attrs.get("deployment", "tail-exemplar")
-        root = tracer.add(
-            "query", "workload", track,
-            exemplar.t_ms, exemplar.t_ms + exemplar.total_ms,
-            key=exemplar.key, **attrs)
-        at = exemplar.t_ms
-        for name, ms in exemplar.stages:
-            tracer.add(name, "workload.stage", track, at, at + ms,
-                       parent=root)
-            at += ms

@@ -79,17 +79,6 @@ class Span:
         """The context that parents children of this span."""
         return TraceContext(self.trace_id, self.span_id)
 
-    @property
-    def duration_ms(self) -> float:
-        """Span duration; 0.0 while the span is still open."""
-        if self.end_ms is None:
-            return 0.0
-        return self.end_ms - self.start_ms
-
-    @property
-    def done(self) -> bool:
-        return self.end_ms is not None
-
     def __repr__(self) -> str:
         when = (f"{self.start_ms:.3f}..{self.end_ms:.3f}"
                 if self.end_ms is not None else f"{self.start_ms:.3f}..open")
@@ -174,20 +163,6 @@ class Tracer:
         return span
 
     # -- reading back -----------------------------------------------------------
-
-    def trace_ids(self) -> List[int]:
-        """Distinct trace ids among finished spans, in first-seen order."""
-        seen: Dict[int, None] = {}
-        for span in self.finished:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
-    def clear(self) -> None:
-        """Drop every stored span (ids keep incrementing)."""
-        self.finished.clear()
-        self.dropped = 0
-        self.sampled_out = 0
-        self._unsampled.clear()
 
     # -- merging ----------------------------------------------------------------
 

@@ -13,6 +13,8 @@ time is an exact sample of the target process.
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 from typing import Iterator, List, Sequence
 
 #: Hour-of-day activity multipliers for a generic mobile population:
@@ -48,7 +50,7 @@ class DiurnalProfile:
             raise ValueError("diurnal profile must have a positive peak")
         self.hourly: List[float] = list(hourly)
         self.peak: float = max(self.hourly)
-        self.mean: float = sum(self.hourly) / len(self.hourly)
+        self.mean: float = reduce(add, self.hourly, 0) / len(self.hourly)
 
     def hour_of(self, t_seconds: float) -> int:
         """The hour-of-day bucket containing ``t_seconds``."""

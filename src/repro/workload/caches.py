@@ -45,18 +45,6 @@ class RankLru:
         entries[rank] = None
         return False
 
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.requests
-        return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __repr__(self) -> str:
         return (f"RankLru(cap={self.capacity}, n={len(self._entries)}, "
-                f"hit_rate={self.hit_rate:.3f})")
+                f"hits={self.hits}, misses={self.misses})")

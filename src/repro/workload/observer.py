@@ -197,9 +197,8 @@ class _DistrictObserver:
                records: List[QueryRecord]) -> None:
         """One trace for a sampled session: a root span plus one query
         span per request.  Stage-level breakdown lives in the tail
-        exemplars (which ``exemplar_spans`` re-expands into full
-        trees), so the sampled stream stays cheap enough to leave on at
-        population scale."""
+        exemplars (``repro tail`` prints it), so the sampled stream stays
+        cheap enough to leave on at population scale."""
         tracer = self._tel.tracer
         deployment = self._deployment
         site_strs = self._site_strs

@@ -64,9 +64,6 @@ class Population:
         """
         return random.Random(profile.seed)
 
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:
         return (f"Population({self.size} UEs across {self.sites} sites, "
                 f"seed={self.seed})")

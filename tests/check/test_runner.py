@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.check import runner
+from repro.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -48,21 +49,21 @@ class TestRunCheck:
 
 class TestCli:
     def test_exit_zero_on_clean_tree(self, capsys):
-        assert runner.main([str(ROOT / "src" / "repro")]) == 0
+        assert main(["check", str(ROOT / "src" / "repro")]) == 0
         out = capsys.readouterr().out
         assert "repro check: clean" in out
 
     def test_exit_one_on_violation_fixture(self, tmp_path, capsys):
         write_violation(tmp_path)
-        assert runner.main([str(tmp_path)]) == 1
+        assert main(["check", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "DET001" in out
 
     def test_json_format_and_out_artifact(self, tmp_path, capsys):
         write_violation(tmp_path)
         out_path = tmp_path / "report.json"
-        code = runner.main([str(tmp_path), "--format", "json",
-                            "--out", str(out_path)])
+        code = main(["check", str(tmp_path), "--format", "json",
+                     "--out", str(out_path)])
         assert code == 1
         stdout_doc = json.loads(capsys.readouterr().out)
         file_doc = json.loads(out_path.read_text())
@@ -74,7 +75,7 @@ class TestCli:
                                  "summary", "findings"}
 
     def test_list_rules(self, capsys):
-        assert runner.main(["--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         listed = [line.split()[0]
                   for line in capsys.readouterr().out.splitlines()]
         assert listed == SURVIVING_RULES
@@ -99,13 +100,13 @@ class TestOnlySelection:
 
     def test_cli_only_comma_separated(self, tmp_path, capsys):
         write_violation(tmp_path)
-        assert runner.main([str(tmp_path), "--only",
-                            "DET002,ARCH001"]) == 0
+        assert main(["check", str(tmp_path), "--only",
+                     "DET002,ARCH001"]) == 0
         capsys.readouterr()
-        assert runner.main([str(tmp_path), "--only", "DET001"]) == 1
+        assert main(["check", str(tmp_path), "--only", "DET001"]) == 1
 
     def test_cli_only_unknown_rule_exits_two(self, tmp_path, capsys):
-        assert runner.main([str(tmp_path), "--only", "NOPE001"]) == 2
+        assert main(["check", str(tmp_path), "--only", "NOPE001"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
 

@@ -9,12 +9,13 @@ octets once touched.  ``cached_wire`` must be byte-identical to
 ``to_wire`` over generated messages.
 """
 
+import ipaddress
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dnswire import (AAAA, CNAME, MX, NS, SOA, SRV, TXT, A,
+from repro.dnswire import (CNAME, NS, SOA, TXT, A,
                            ClientSubnet, Edns, ExtendedDnsError, Flags,
                            GenericRdata, LazyMessage, Message, Name, Opcode,
                            Question, Rcode, RecordType, ResourceRecord,
@@ -196,16 +197,14 @@ _u32 = st.integers(0, 0xFFFFFFFF)
 
 _rdata = st.one_of(
     _ipv4.map(lambda address: (RecordType.A, A(address))),
-    _ipv6.map(lambda address: (RecordType.AAAA, AAAA(address))),
+    _ipv6.map(lambda address: (RecordType.AAAA, GenericRdata(
+        ipaddress.IPv6Address(address).packed, RecordType.AAAA))),
     _names.map(lambda target: (RecordType.CNAME, CNAME(target))),
     _names.map(lambda target: (RecordType.NS, NS(target))),
-    st.tuples(_u16, _names).map(lambda mx: (RecordType.MX, MX(*mx))),
     st.lists(st.binary(max_size=40), min_size=1, max_size=3).map(
         lambda chunks: (RecordType.TXT, TXT(tuple(chunks)))),
     st.tuples(_names, _names, _u32, _u32, _u32, _u32, _u32).map(
         lambda soa: (RecordType.SOA, SOA(*soa))),
-    st.tuples(_u16, _u16, _u16, _names).map(
-        lambda srv: (RecordType.SRV, SRV(*srv))),
     st.tuples(st.binary(max_size=16), st.sampled_from([99, 65280])).map(
         lambda raw: (RecordType.ANY, GenericRdata(*raw))),
 )

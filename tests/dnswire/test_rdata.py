@@ -5,12 +5,21 @@ from hypothesis import given, strategies as st
 
 from repro.dnswire.name import Name
 from repro.dnswire.rdata import (
-    A, AAAA, CNAME, GenericRdata, MX, NS, PTR, SOA, SRV, TXT,
+    A, CNAME, GenericRdata, NS, PTR, SOA, TXT,
     parse_rdata, rdata_class_for,
 )
 from repro.dnswire.types import RecordType
 from repro.dnswire.wire import WireReader, WireWriter
 from repro.errors import WireFormatError
+
+
+def generic_roundtrip(data, rtype):
+    """A type with no class of its own decodes as opaque octets."""
+    parsed = parse_rdata(int(rtype), WireReader(data), len(data))
+    assert parsed == GenericRdata(data, int(rtype))
+    writer = WireWriter()
+    parsed.to_wire(writer)
+    assert writer.getvalue() == data
 
 
 def roundtrip(rdata, rtype):
@@ -26,7 +35,6 @@ class TestA:
 
     def test_text(self):
         assert A("192.0.2.1").to_text() == "192.0.2.1"
-        assert A.from_text(["192.0.2.1"], Name(".")) == A("192.0.2.1")
 
     def test_invalid_address(self):
         with pytest.raises(ValueError):
@@ -45,11 +53,8 @@ class TestA:
 
 class TestAAAA:
     def test_roundtrip(self):
-        rdata = AAAA("2001:db8::1")
-        assert roundtrip(rdata, RecordType.AAAA) == rdata
-
-    def test_canonical_form(self):
-        assert AAAA("2001:0db8:0000:0000:0000:0000:0000:0001").address == "2001:db8::1"
+        generic_roundtrip(bytes.fromhex("20010db8" + "00" * 11 + "01"),
+                          RecordType.AAAA)
 
 
 class TestNameRdata:
@@ -63,23 +68,14 @@ class TestNameRdata:
         assert roundtrip(PTR(Name("host.example.com")), RecordType.PTR).target == \
             Name("host.example.com")
 
-    def test_from_text_relative(self):
-        rdata = CNAME.from_text(["cdn"], Name("example.com"))
-        assert rdata.target == Name("cdn.example.com")
-
     def test_cname_and_ns_not_equal(self):
         assert CNAME(Name("x.com")) != NS(Name("x.com"))
 
 
 class TestMX:
     def test_roundtrip(self):
-        rdata = MX(10, Name("mail.example.com"))
-        assert roundtrip(rdata, RecordType.MX) == rdata
-
-    def test_text(self):
-        rdata = MX.from_text(["10", "mail"], Name("example.com"))
-        assert rdata.preference == 10
-        assert rdata.exchange == Name("mail.example.com")
+        generic_roundtrip(b"\x00\x0a\x04mail\x07example\x03com\x00",
+                          RecordType.MX)
 
 
 class TestTXT:
@@ -107,18 +103,11 @@ class TestSOA:
         assert parsed == rdata
         assert parsed.minimum == 300
 
-    def test_from_text(self):
-        rdata = SOA.from_text(
-            ["ns1", "admin", "1", "2", "3", "4", "5"], Name("example.com"))
-        assert rdata.mname == Name("ns1.example.com")
-        assert rdata.serial == 1
-        assert rdata.minimum == 5
-
 
 class TestSRV:
     def test_roundtrip(self):
-        rdata = SRV(0, 5, 53, Name("dns.kube-system.svc.cluster.local"))
-        assert roundtrip(rdata, RecordType.SRV) == rdata
+        generic_roundtrip(b"\x00\x00\x00\x05\x00\x35\x03dns\x00",
+                          RecordType.SRV)
 
 
 class TestGeneric:
@@ -132,7 +121,6 @@ class TestGeneric:
     def test_rfc3597_text(self):
         rdata = GenericRdata(b"\xde\xad")
         assert rdata.to_text() == "\\# 2 dead"
-        assert GenericRdata.from_text(["\\#", "2", "dead"], Name(".")).data == b"\xde\xad"
 
     def test_registry_lookup(self):
         assert rdata_class_for(int(RecordType.A)) is A

@@ -1,4 +1,4 @@
-"""Tests for zone data, lookup semantics, and the master-file parser."""
+"""Tests for zone data and lookup semantics."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.dnswire import (
     RecordType,
     ResourceRecord,
     Zone,
-    parse_master_file,
 )
 from repro.dnswire.rdata import NS, SOA
 from repro.errors import ZoneError
@@ -126,78 +125,3 @@ class TestZoneBuilding:
     def test_records_iteration(self, zone):
         assert sum(1 for _ in zone.records()) == 8
 
-
-MASTER = """
-$ORIGIN mycdn.ciab.test.
-$TTL 1h
-@       IN SOA ns1 admin ( 2024010101 7200 3600
-                           1209600 300 )
-        IN NS  ns1
-ns1     IN A   10.0.0.53
-video   300 IN A 10.233.1.10
-video   IN A   10.233.1.11
-demo    IN CNAME video
-*.edge  IN A   10.233.2.1
-txt     IN TXT "v=mec1" "edge=atlanta"
-"""
-
-
-class TestMasterFile:
-    def test_parse_counts(self):
-        zone = parse_master_file(MASTER)
-        assert zone.origin == Name("mycdn.ciab.test")
-        assert sum(1 for _ in zone.records()) == 8
-
-    def test_soa_parenthesised(self):
-        zone = parse_master_file(MASTER)
-        assert zone.soa.rdata.serial == 2024010101
-        assert zone.soa.rdata.minimum == 300
-
-    def test_ttl_handling(self):
-        zone = parse_master_file(MASTER)
-        result = zone.lookup(Name("video.mycdn.ciab.test"), RecordType.A)
-        assert {r.ttl for r in result.records} == {300, 3600}
-
-    def test_default_ttl_applied(self):
-        zone = parse_master_file(MASTER)
-        result = zone.lookup(Name("ns1.mycdn.ciab.test"), RecordType.A)
-        assert result.records[0].ttl == 3600
-
-    def test_relative_names_resolved(self):
-        zone = parse_master_file(MASTER)
-        result = zone.lookup(Name("demo.mycdn.ciab.test"), RecordType.A)
-        assert result.status == LookupStatus.CNAME
-        assert result.cname_target == Name("video.mycdn.ciab.test")
-
-    def test_wildcard_from_master(self):
-        zone = parse_master_file(MASTER)
-        result = zone.lookup(Name("atl1.edge.mycdn.ciab.test"), RecordType.A)
-        assert result.status == LookupStatus.SUCCESS
-
-    def test_txt_quoting(self):
-        zone = parse_master_file(MASTER)
-        result = zone.lookup(Name("txt.mycdn.ciab.test"), RecordType.TXT)
-        assert result.records[0].rdata.strings == (b"v=mec1", b"edge=atlanta")
-
-    def test_origin_argument(self):
-        zone = parse_master_file("www IN A 192.0.2.1", origin=Name("example.com"))
-        assert zone.lookup(Name("www.example.com"), RecordType.A).status == \
-            LookupStatus.SUCCESS
-
-    def test_no_origin_raises(self):
-        with pytest.raises(ZoneError):
-            parse_master_file("www IN A 192.0.2.1")
-
-    def test_unbalanced_parens_raise(self):
-        with pytest.raises(ZoneError):
-            parse_master_file("$ORIGIN e.com.\n@ IN SOA ns1 admin ( 1 2 3")
-
-    def test_empty_file_raises(self):
-        with pytest.raises(ZoneError):
-            parse_master_file("; only a comment\n")
-
-    def test_comments_ignored(self):
-        zone = parse_master_file(
-            "$ORIGIN e.com.\nwww IN A 192.0.2.1 ; the web server\n")
-        assert zone.lookup(Name("www.e.com"), RecordType.A).status == \
-            LookupStatus.SUCCESS

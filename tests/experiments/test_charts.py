@@ -1,19 +1,13 @@
-"""Tests for the ASCII chart renderers."""
+"""Tests for the Figure 5 ASCII chart."""
 
 import pytest
 
-from repro.experiments import figure2 as f2_mod
 from repro.experiments import figure5 as f5_mod
 
 
 @pytest.fixture(scope="module")
 def figure5():
     return f5_mod.EXPERIMENT.run_serial(queries=8, seed=42)
-
-
-@pytest.fixture(scope="module")
-def figure2():
-    return f2_mod.EXPERIMENT.run_serial(trials=12, seed=5)
 
 
 class TestFigure5Chart:
@@ -41,22 +35,3 @@ class TestFigure5Chart:
                 bar = line[len("MEC L-DNS w/ MEC C-DNS "):-len(" 999.9 ms")]
                 assert len(bar) <= 32
 
-
-class TestFigure2Chart:
-    def test_grouped_by_domain(self, figure2):
-        chart = figure2.render_chart()
-        assert chart.count("---") == 2 * 5  # five domain headers
-        assert chart.count(" ms") == 15
-
-    def test_cellular_bar_longest_per_domain(self, figure2):
-        chart = figure2.render_chart()
-        blocks = chart.split("---")
-        for block in blocks[1:]:
-            if "cellular" not in block:
-                continue
-            lengths = {}
-            for line in block.splitlines():
-                if " ms" in line:
-                    lengths[line.split()[0]] = line.count("#")
-            if len(lengths) == 3:
-                assert max(lengths, key=lengths.get) == "cellular-mobile"

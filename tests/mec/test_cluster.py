@@ -61,7 +61,7 @@ class TestPods:
         pod = orch.deploy_pod(service)
         assert service.active_pod is pod
         assert net.host_for_ip(service.cluster_ip) is pod.host
-        assert pod.ip.startswith("10.233.")
+        assert pod.host.address.startswith("10.233.")
 
     def test_pod_host_reachable_over_fabric(self, cluster):
         net, orch = cluster

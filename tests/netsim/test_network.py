@@ -270,9 +270,9 @@ class TestTrace:
         sender = UdpSocket(net.host("a"))
         sender.send_to(b"x", Endpoint("10.0.0.2", 5))
         net.sim.run()
-        assert len(trace) == 1
-        assert trace.first().event == "deliver"
+        assert len(trace.records) == 1
+        assert trace.records[0].event == "deliver"
         trace.close()
         sender.send_to(b"x", Endpoint("10.0.0.2", 5))
         net.sim.run()
-        assert len(trace) == 1
+        assert len(trace.records) == 1

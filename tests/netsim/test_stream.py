@@ -20,10 +20,19 @@ def net():
     return network
 
 
+def answering(reply):
+    """A stream handler that answers at once with ``reply(body)``."""
+    def handler(body, peer):
+        return reply(body)
+        yield  # every stream handler is a simulator process
+
+    return handler
+
+
 class TestStreamChannel:
     def test_connect_then_exchange(self, net):
         StreamServer(net, net.host("server"), 8080,
-                     handler=lambda body, peer: b"echo:" + body)
+                     handler=answering(lambda body: b"echo:" + body))
 
         def client():
             channel = yield from open_channel(
@@ -73,7 +82,8 @@ class TestStreamChannel:
         net.add_link("client", "server", Constant(5), loss=0.3)
         served = []
         StreamServer(net, net.host("server"), 8080,
-                     handler=lambda body, peer: served.append(body) or b"ok")
+                     handler=answering(
+                         lambda body: served.append(body) or b"ok"))
 
         def client():
             channel = yield from open_channel(
@@ -84,7 +94,7 @@ class TestStreamChannel:
 
     def test_server_exchange_counter(self, net):
         server = StreamServer(net, net.host("server"), 8080,
-                              handler=lambda body, peer: b"r")
+                              handler=answering(lambda body: b"r"))
 
         def client():
             channel = yield from open_channel(

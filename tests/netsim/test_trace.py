@@ -75,30 +75,23 @@ class TestFilters:
 
 
 class TestLifecycle:
-    def test_first_by_event_kind(self):
-        sim, net = three_hop_network()
-        trace = PacketTrace(net)
-        send_one(sim, net)
-        assert trace.first("deliver").host == "server"
-        assert trace.first("nonexistent") is None
-
     def test_clear_keeps_capturing(self):
         sim, net = three_hop_network()
         trace = PacketTrace(net)
         send_one(sim, net)
         trace.clear()
-        assert len(trace) == 0
+        assert len(trace.records) == 0
         send_one(sim, net)
-        assert len(trace) > 0
+        assert len(trace.records) > 0
 
     def test_close_stops_capturing(self):
         sim, net = three_hop_network()
         trace = PacketTrace(net)
         send_one(sim, net)
-        seen = len(trace)
+        seen = len(trace.records)
         trace.close()
         send_one(sim, net)
-        assert len(trace) == seen
+        assert len(trace.records) == seen
 
 
 NAT_HOSTS = ("ue", "enb", "pgw", "wan", "server")
@@ -168,10 +161,10 @@ class TestHostFilterAppliedByTheNetwork:
 
     def test_close_stops_a_filtered_trace_and_its_events(self):
         sim, net, (gateway,) = nat_scenario("pgw")
-        seen = len(gateway)
+        seen = len(gateway.records)
         gateway.close()
         before = sim.events_processed
         UdpSocket(net.host("ue")).send_to(b"x", Endpoint("10.1.0.1", 9))
         sim.run()
-        assert len(gateway) == seen
+        assert len(gateway.records) == seen
         assert sim.events_processed - before == 1  # the delivery alone

@@ -10,7 +10,7 @@ from repro.telemetry.trace import Tracer
 def _trace_totals(session):
     """Exact summed duration across every trace of the run."""
     total = Fraction(0)
-    for trace_id in session.tracer.trace_ids():
+    for trace_id in sorted({span.trace_id for span in session.tracer.finished}):
         total += analyze_trace(session.tracer.finished, trace_id).total_exact
     return total
 

@@ -55,25 +55,11 @@ ESTIMATE_TIMESERIES_DOC = {
     ],
 }
 
-ESTIMATE_TELEMETRY_DOC = {
-    "format": "repro-telemetry-v1",
-    "metrics": [
-        {"name": "repro_lookup_latency_ms", "kind": "histogram",
-         "samples": [{"labels": {}, "count": 576, "sum": 41000.0,
-                      "buckets": [{"le": 10.0, "count": 0},
-                                  {"le": 20.0, "count": 170},
-                                  {"le": 50.0, "count": 192},
-                                  {"le": 100.0, "count": 316},
-                                  {"le": 200.0, "count": 570},
-                                  {"le": "+Inf", "count": 576}]}]},
-    ],
-}
-
 #: ``(p50, p90, p99, max)`` as ``repro slo`` prints them.  Window rules
-#: and the histogram fallback read the same full ``DEFAULT_BUCKETS``
-#: layout: the "gap" p50 interpolates inside ``(10, 20]``, not across
-#: the empty buckets below it, and a rank in ``+Inf`` reads the last
-#: finite bound of the layout (5000), not of the occupied buckets.
+#: read the full ``DEFAULT_BUCKETS`` layout: the "gap" p50 interpolates
+#: inside ``(10, 20]``, not across the empty buckets below it, and a rank
+#: in ``+Inf`` reads the last finite bound of the layout (5000), not of
+#: the occupied buckets.
 PINNED_ESTIMATES = {
     "gap window total_ms": (16.75438596491228, 38.854014598540154,
                             49.47664233576643, 100.0),
@@ -81,7 +67,6 @@ PINNED_ESTIMATES = {
     "tail window total_ms": (315.38461538461536, 500.0, 5000.0, 5000.0),
     "* window total_ms": (17.406015037593985, 49.10218978102189,
                           477.96153846153885, 5000.0),
-    "* resolve_ms": (88.70967741935485, 179.68503937007875, 200.0, 200.0),
 }
 
 
@@ -152,14 +137,6 @@ class TestEvaluate:
         assert not check.ok and check.value is None
         assert check.detail == "no matching data"
 
-    def test_histogram_fallback_for_star_scope(self):
-        verdict = self.run("* mean resolve_ms < 11\n"
-                           "* p50 resolve_ms <= 10\n",
-                           documents=(HISTOGRAM_DOC,))
-        assert verdict.ok
-        assert [check.value for check in verdict.checks] == [10.0, 10.0]
-        assert verdict.checks[0].detail == "histogram estimate"
-
     def test_histogram_cannot_answer_min_or_scoped_rules(self):
         verdict = self.run("* min resolve_ms > 0\n"
                            "a p50 resolve_ms < 10\n",
@@ -220,8 +197,8 @@ class TestCli:
 
     def test_bucket_estimates_are_pinned(self, tmp_path, capsys):
         from repro.cli import main
-        series = self.write(tmp_path, "ts.json", ESTIMATE_TIMESERIES_DOC)
-        artifact = self.write(tmp_path, "tel.json", ESTIMATE_TELEMETRY_DOC)
+        series = self.write(tmp_path, "ts.json",
+                            {"timeseries": ESTIMATE_TIMESERIES_DOC})
         lines, expected = [], []
         for target, values in PINNED_ESTIMATES.items():
             *scope, metric = target.split()
@@ -229,20 +206,21 @@ class TestCli:
                 lines.append(f"{' '.join(scope)} {agg} {metric} < 100000")
                 expected.append(value)
         rules = self.write(tmp_path, "rules.slo", "\n".join(lines) + "\n")
-        assert main(["slo", rules, "--input", series, "--input", artifact,
+        assert main(["slo", rules, "--input", series,
                      "--format", "json"]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [check["value"] for check in checks] == expected
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
-        from repro.profile.runner import main
+        from repro.cli import main
         budget = self.write(tmp_path, "budget.json", BUDGET_DOC)
         bad = self.write(tmp_path, "bad.slo", "not a rule\n")
-        assert main([bad, "--input", budget]) == 2
+        assert main(["slo", bad, "--input", budget]) == 2
         empty = self.write(tmp_path, "empty.slo", "# nothing\n")
-        assert main([empty, "--input", budget]) == 2
+        assert main(["slo", empty, "--input", budget]) == 2
         good = self.write(tmp_path, "good.slo", "a mean resolve_ms < 30\n")
-        assert main([good, "--input", str(tmp_path / "missing.json")]) == 2
+        assert main(["slo", good, "--input",
+                     str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
 
     def test_json_output_and_verdict_file(self, tmp_path, capsys):

@@ -64,8 +64,8 @@ class TestAxfrPayload:
     def test_rebuild_roundtrip(self):
         zone = build_zone(serial=7, extra_hosts=3)
         rebuilt = zone_from_axfr(ORIGIN, axfr_response_records(zone))
-        assert sorted(map(str, rebuilt.names())) == \
-            sorted(map(str, zone.names()))
+        assert sorted(map(str, rebuilt.records())) == \
+            sorted(map(str, zone.records()))
         assert rebuilt.soa.rdata.serial == 7
 
     def test_rebuild_rejects_missing_soa_frame(self):

@@ -176,7 +176,7 @@ class TestTelemetryCapture:
         # The session facade is still installed after the run.
         assert telemetry.get_default() is session
         counter = session.metrics.counter("toy_trials_total", "trials run")
-        assert counter.total() == 4.0
+        assert sum(value for _, value in counter.samples()) == 4.0
         assert len(session.tracer.finished) == 4
 
     def test_sharded_telemetry_merges_in_spec_order(self):
@@ -207,7 +207,7 @@ class TestDeadWorker:
 
     def test_dead_worker_fails_the_sweep_and_the_next_one_runs(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), str(ROOT)]))
+            [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]))
         # Its own session, so a timeout can reach the pool workers too.
         child = subprocess.Popen(
             [sys.executable, "-c", DEAD_WORKER_SCRIPT], cwd=str(ROOT),

@@ -57,3 +57,18 @@ def test_digest_matches_golden(name, jobs):
         f"{name} drifted from its golden digest with jobs={jobs}; if the "
         f"behaviour change is deliberate, re-record with "
         f"scripts/make_goldens.py")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_digest_does_not_depend_on_how_sum_adds_floats(name,
+                                                       compensated_sum):
+    # 3.12 made builtin sum() compensated over floats; a digest that went
+    # through it held on 3.11 and drifted on 3.12 (capacity, figure2 and
+    # mislocalization did).  Serial only: pool workers may predate the swap.
+    golden = GOLDENS[name]
+    run = TrialExecutor(jobs=1).run(REGISTRY.get(name),
+                                    _tuplify(golden["overrides"]))
+    assert run.ok, [failure.describe() for failure in run.failures]
+    assert result_digest(run.result) == golden["digest"], (
+        f"{name}'s digest depends on how builtin sum() adds floats; total "
+        f"floats left to right (docs/DETERMINISM.md)")

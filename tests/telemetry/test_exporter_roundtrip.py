@@ -1,14 +1,13 @@
 """Round-trip tests for the telemetry exporters.
 
-Pins the details downstream consumers rely on: Prometheus bucket
-cumulation and label escaping, ``+Inf`` handling in both text and JSON
-output, and the Chrome flow events that stitch cross-track parentage.
+Pins the details downstream consumers rely on: ``+Inf`` handling in
+the JSON output, and the Chrome flow events that stitch cross-track
+parentage.
 """
 
 import json
 
-from repro.telemetry.exporters import (to_chrome_trace, to_json_artifact,
-                                       to_prometheus_text)
+from repro.telemetry.exporters import to_chrome_trace, to_json_artifact
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import Tracer
 
@@ -17,44 +16,11 @@ def _registry():
     registry = MetricsRegistry()
     counter = registry.counter("repro_test_total", "test counter")
     counter.inc(3, path='a\\b"c', note="two\nlines")
-    registry.gauge("repro_test_depth", "test gauge").set(7, host="h1")
     histogram = registry.histogram("repro_test_ms", "test histogram",
                                    buckets=(1.0, 2.0))
     for value in (0.5, 1.5, 99.0):
         histogram.observe(value, deployment="d1")
     return registry
-
-
-class TestPrometheusText:
-    def test_histogram_buckets_cumulate(self):
-        text = to_prometheus_text(_registry())
-        assert 'repro_test_ms_bucket{deployment="d1",le="1"} 1' in text
-        assert 'repro_test_ms_bucket{deployment="d1",le="2"} 2' in text
-        # The overflow bucket renders the Prometheus spelling of inf and
-        # counts every observation.
-        assert 'repro_test_ms_bucket{deployment="d1",le="+Inf"} 3' in text
-        assert 'repro_test_ms_sum{deployment="d1"} 101' in text
-        assert 'repro_test_ms_count{deployment="d1"} 3' in text
-
-    def test_label_escaping(self):
-        text = to_prometheus_text(_registry())
-        # Backslash, quote, and newline all escape per the exposition
-        # format; the raw newline must never reach the output line.
-        assert 'path="a\\\\b\\"c"' in text
-        assert 'note="two\\nlines"' in text
-        # The raw newline never reaches the output: the whole sample
-        # stays one exposition line.
-        sample_lines = [line for line in text.splitlines()
-                        if line.startswith("repro_test_total{")]
-        assert len(sample_lines) == 1
-        assert sample_lines[0].endswith(" 3")
-
-    def test_help_and_type_headers(self):
-        text = to_prometheus_text(_registry())
-        assert "# HELP repro_test_ms test histogram" in text
-        assert "# TYPE repro_test_ms histogram" in text
-        assert "# TYPE repro_test_total counter" in text
-        assert "# TYPE repro_test_depth gauge" in text
 
 
 class TestJsonArtifact:

@@ -1,4 +1,4 @@
-"""Tests for the Prometheus, Chrome trace, and JSON artifact exporters."""
+"""Tests for the Chrome trace and JSON artifact exporters."""
 
 import json
 from types import SimpleNamespace
@@ -6,10 +6,8 @@ from types import SimpleNamespace
 from repro.telemetry.exporters import (
     to_chrome_trace,
     to_json_artifact,
-    to_prometheus_text,
     write_chrome_trace,
     write_json_artifact,
-    write_prometheus_text,
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import Tracer
@@ -20,47 +18,11 @@ def populated_registry():
     registry = MetricsRegistry()
     registry.counter("repro_queries_total", "queries").inc(server="mec")
     registry.counter("repro_queries_total", "queries").inc(server="mec")
-    registry.gauge("repro_queue_depth", "queue").set(4.0, server="mec")
     hist = registry.histogram("repro_latency_ms", "latency",
                               buckets=(10.0, 100.0))
     hist.observe(5.0)
     hist.observe(50.0)
     return registry
-
-
-class TestPrometheusText:
-    def test_help_and_type_headers(self):
-        text = to_prometheus_text(populated_registry())
-        assert "# HELP repro_queries_total queries" in text
-        assert "# TYPE repro_queries_total counter" in text
-        assert "# TYPE repro_queue_depth gauge" in text
-        assert "# TYPE repro_latency_ms histogram" in text
-
-    def test_counter_sample_with_labels(self):
-        text = to_prometheus_text(populated_registry())
-        assert 'repro_queries_total{server="mec"} 2' in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        text = to_prometheus_text(populated_registry())
-        assert 'repro_latency_ms_bucket{le="10"} 1' in text
-        assert 'repro_latency_ms_bucket{le="100"} 2' in text
-        assert 'repro_latency_ms_bucket{le="+Inf"} 2' in text
-        assert "repro_latency_ms_sum 55" in text
-        assert "repro_latency_ms_count 2" in text
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c", "h").inc(path='a"b\\c')
-        text = to_prometheus_text(registry)
-        assert 'path="a\\"b\\\\c"' in text
-
-    def test_empty_registry_renders_empty(self):
-        assert to_prometheus_text(MetricsRegistry()) == ""
-
-    def test_write_round_trip(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        write_prometheus_text(populated_registry(), str(path))
-        assert path.read_text() == to_prometheus_text(populated_registry())
 
 
 def finished_spans():
@@ -155,65 +117,6 @@ class TestJsonArtifact:
         write_json_artifact(populated_registry(), str(path))
         parsed = json.loads(path.read_text())
         assert parsed["format"] == "repro-telemetry-v1"
-
-
-class TestOpenMetricsExemplars:
-    def exemplar_registry(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("repro_lookup_latency_ms", "latency",
-                                  buckets=(10.0, 100.0))
-        hist.observe(5.0, exemplar={"trace_id": "17"})
-        hist.observe(50.0, exemplar={"trace_id": "23"})
-        return registry
-
-    def test_bucket_lines_carry_exemplars(self):
-        text = to_prometheus_text(self.exemplar_registry())
-        assert ('repro_lookup_latency_ms_bucket{le="10"} 1 '
-                '# {trace_id="17"} 5' in text)
-        assert ('repro_lookup_latency_ms_bucket{le="100"} 2 '
-                '# {trace_id="23"} 50' in text)
-
-    def test_sum_and_count_lines_unchanged(self):
-        text = to_prometheus_text(self.exemplar_registry())
-        assert "repro_lookup_latency_ms_sum 55" in text
-        assert "repro_lookup_latency_ms_count 2" in text
-
-    def test_exemplar_round_trips_through_the_text_format(self):
-        # An OpenMetrics consumer splits the line on " # ": the left
-        # half must stay plain Prometheus, the right half must parse
-        # back to the exemplar labels and value.
-        import re
-        for line in to_prometheus_text(self.exemplar_registry()).splitlines():
-            if " # " not in line:
-                continue
-            sample, exemplar = line.split(" # ", 1)
-            assert re.fullmatch(r'\S+\{[^}]*\} \d+', sample)
-            match = re.fullmatch(r'\{trace_id="(\d+)"\} ([\d.]+)', exemplar)
-            assert match, exemplar
-        assert any(" # " in line for line in
-                   to_prometheus_text(self.exemplar_registry()).splitlines())
-
-    def test_exemplar_label_values_escaped(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", "help", buckets=(10.0,))
-        hist.observe(5.0, exemplar={"key": 'a"b\\c\nd'})
-        text = to_prometheus_text(registry)
-        assert '# {key="a\\"b\\\\c\\nd"} 5' in text
-
-    def test_last_observation_wins_per_bucket(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", "help", buckets=(10.0,))
-        hist.observe(3.0, exemplar={"trace_id": "1"})
-        hist.observe(4.0, exemplar={"trace_id": "2"})
-        text = to_prometheus_text(registry)
-        assert text.count(" # ") == 1
-        assert '# {trace_id="2"} 4' in text
-
-    def test_buckets_without_exemplars_have_no_suffix(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", "help", buckets=(10.0,)).observe(5.0)
-        text = to_prometheus_text(registry)
-        assert " # " not in text
 
 
 class TestArtifactSections:

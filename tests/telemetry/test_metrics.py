@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: counters, gauges, histograms."""
+"""Tests for the metrics registry: counters and histograms."""
 
 import math
 
@@ -8,7 +8,6 @@ from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     BucketCell,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -22,29 +21,27 @@ def cumulative_buckets(hist):
 
 class TestCounter:
     def test_starts_at_zero(self):
-        counter = Counter("c", "help")
-        assert counter.value() == 0.0
-        assert counter.total() == 0.0
+        assert dict(Counter("c", "help").samples()) == {}
 
     def test_inc_default_amount(self):
         counter = Counter("c", "help")
         counter.inc()
         counter.inc()
-        assert counter.value() == 2.0
+        assert dict(counter.samples()) == {(): 2.0}
 
     def test_labels_partition_the_series(self):
         counter = Counter("c", "help")
         counter.inc(server="a")
         counter.inc(server="a")
         counter.inc(server="b")
-        assert counter.value(server="a") == 2.0
-        assert counter.value(server="b") == 1.0
-        assert counter.total() == 3.0
+        assert dict(counter.samples()) == {(("server", "a"),): 2.0,
+                                           (("server", "b"),): 1.0}
 
     def test_label_order_does_not_matter(self):
         counter = Counter("c", "help")
         counter.inc(a="1", b="2")
-        assert counter.value(b="2", a="1") == 1.0
+        counter.inc(b="2", a="1")
+        assert dict(counter.samples()) == {(("a", "1"), ("b", "2")): 2.0}
 
     def test_negative_increment_rejected(self):
         counter = Counter("c", "help")
@@ -60,26 +57,6 @@ class TestCounter:
         assert samples[(("server", "b"),)] == 2.5
 
 
-class TestGauge:
-    def test_set_and_read(self):
-        gauge = Gauge("g", "help")
-        gauge.set(42.0)
-        assert gauge.value() == 42.0
-
-    def test_inc_dec(self):
-        gauge = Gauge("g", "help")
-        gauge.inc(3.0)
-        gauge.inc(-1.0)
-        assert gauge.value() == 2.0
-
-    def test_labelled_series_independent(self):
-        gauge = Gauge("g", "help")
-        gauge.set(1.0, host="a")
-        gauge.set(9.0, host="b")
-        assert gauge.value(host="a") == 1.0
-        assert gauge.value(host="b") == 9.0
-
-
 class TestHistogram:
     def test_default_buckets_end_in_inf(self):
         assert DEFAULT_BUCKETS[-1] == math.inf
@@ -89,8 +66,9 @@ class TestHistogram:
         hist.observe(0.5)
         hist.observe(5.0)
         hist.observe(100.0)
-        assert hist.count() == 3
-        assert hist.sum() == pytest.approx(105.5)
+        ((_, cell),) = hist.samples()
+        assert cell.count == 3
+        assert cell.total == pytest.approx(105.5)
 
     def test_cumulative_buckets(self):
         hist = Histogram("h", "help", buckets=(1.0, 10.0))
@@ -111,9 +89,9 @@ class TestHistogram:
         hist = Histogram("h", "help", buckets=(10.0,))
         hist.observe(1.0, site="edge")
         hist.observe(2.0, site="cloud")
-        assert hist.count(site="edge") == 1
-        assert hist.count(site="cloud") == 1
-        assert hist.count() == 0  # the unlabelled series is untouched
+        counts = {key: cell.count for key, cell in hist.samples()}
+        # One series per label set; the unlabelled series is untouched.
+        assert counts == {(("site", "cloud"),): 1, (("site", "edge"),): 1}
 
 
 class TestBucketCell:
@@ -168,15 +146,15 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("x", "help")
         with pytest.raises(ValueError):
-            registry.gauge("x", "help")
+            registry.histogram("x", "help")
 
     def test_len_and_contains(self):
         registry = MetricsRegistry()
         registry.counter("a", "help")
         registry.histogram("b", "help")
         assert len(registry) == 2
-        assert "a" in registry
-        assert "missing" not in registry
+        assert [instrument.name for instrument
+                in registry.instruments()] == ["a", "b"]
 
     def test_instruments_sorted_by_name(self):
         registry = MetricsRegistry()
@@ -184,6 +162,3 @@ class TestMetricsRegistry:
         registry.counter("aa", "help")
         names = [instrument.name for instrument in registry.instruments()]
         assert names == sorted(names)
-
-    def test_get_unknown_returns_none(self):
-        assert MetricsRegistry().get("nope") is None

@@ -6,11 +6,9 @@ from repro.telemetry.sampling import (
     Exemplar,
     HeadSampler,
     TailReservoir,
-    exemplar_spans,
     hash_unit,
     hash_unit_u64,
 )
-from repro.telemetry.trace import Tracer
 
 
 def make_exemplar(key, total_ms, t_ms=0.0):
@@ -110,22 +108,3 @@ class TestTailReservoir:
         with pytest.raises(ValueError):
             TailReservoir(-1)
 
-
-class TestExemplarSpans:
-    def test_reconstructs_root_and_stage_children(self):
-        exemplar = make_exemplar("d0/u1/s0/q0", 100.0, t_ms=2000.0)
-        tracer = Tracer()
-        exemplar_spans([exemplar], tracer)
-        spans = tracer.finished
-        assert len(spans) == 3
-        root = spans[0]
-        assert root.name == "query"
-        assert root.start_ms == 2000.0
-        assert root.end_ms == 2100.0
-        assert root.attrs["key"] == "d0/u1/s0/q0"
-        # Stages lie end to end inside the root.
-        dns, fetch = spans[1], spans[2]
-        assert (dns.start_ms, dns.end_ms) == (2000.0, 2040.0)
-        assert (fetch.start_ms, fetch.end_ms) == (2040.0, 2100.0)
-        assert dns.parent_id == root.span_id
-        assert fetch.parent_id == root.span_id

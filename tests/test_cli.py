@@ -103,9 +103,9 @@ class TestCommands:
 
 
 class TestTelemetryExports:
-    def test_dig_writes_chrome_trace_and_prometheus(self, tmp_path, capsys):
+    def test_dig_writes_chrome_trace_and_metrics(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.prom"
+        metrics_path = tmp_path / "metrics.json"
         assert main(["dig", "--count", "2",
                      "--trace-out", str(trace_path),
                      "--metrics-out", str(metrics_path)]) == 0
@@ -114,9 +114,10 @@ class TestTelemetryExports:
                     if event["ph"] == "X"]
         assert complete
         assert all("ts" in event and "dur" in event for event in complete)
-        text = metrics_path.read_text()
-        assert "# TYPE repro_stub_lookups_total counter" in text
-        assert "repro_net_datagrams_total" in text
+        names = {metric["name"] for metric
+                 in json.loads(metrics_path.read_text())["metrics"]}
+        assert {"repro_stub_lookups_total",
+                "repro_net_datagrams_total"} <= names
 
     def test_experiment_writes_json_metrics(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
@@ -212,16 +213,6 @@ class TestTailCommand:
         out = capsys.readouterr().out
         assert "d0/u2/s0/q1" in out
         assert "d0/u1/s0/q2" not in out
-
-    def test_trace_out_reconstructs_spans(self, tmp_path, capsys):
-        trace_path = tmp_path / "tail-trace.json"
-        assert main(["tail", str(self.artifact_with_exemplars(tmp_path)),
-                     "--trace-out", str(trace_path)]) == 0
-        document = json.loads(trace_path.read_text())
-        complete = [event for event in document["traceEvents"]
-                    if event["ph"] == "X"]
-        # 2 exemplars x (1 root + 2 stages).
-        assert len(complete) == 6
 
     def test_missing_exemplars_section_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "plain.json"

@@ -21,7 +21,6 @@ from repro.netsim import (
     Datagram,
     Endpoint,
     Network,
-    PacketTrace,
     RandomStreams,
     Simulator,
     UdpSocket,
@@ -54,13 +53,6 @@ class TestDatagram:
                             Endpoint("10.0.0.2", 2), b"abc")
         assert datagram.size == 3
         assert "10.0.0.1:1" in repr(datagram)
-
-
-class TestTraceHelpers:
-    def test_first_with_no_match(self, net):
-        trace = PacketTrace(net)
-        assert trace.first("deliver") is None
-        assert repr(trace).startswith("PacketTrace")
 
 
 class TestNetworkEdges:

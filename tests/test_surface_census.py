@@ -70,9 +70,6 @@ ALLOW: Dict[str, str] = {
     "src/repro/mec/plugins_extra.py::LoadBalancePlugin":
         "DESIGN.md §3 MEC row (loadbalance plugin); "
         "tests/mec/test_plugins_extra.py",
-    "src/repro/dnswire/zone.py::parse_master_file":
-        "DESIGN.md §3 zone-data row (master-file parser); "
-        "tests/dnswire/test_zone.py, tests/dnswire/test_zone_writer.py",
     "src/repro/cdn/allocation.py::ConsistentAllocator.set_members":
         "Huang et al. (PAPERS.md): a membership change moves only the keys "
         "whose walk changed; tests/cdn/test_allocation.py::"

@@ -32,7 +32,7 @@ def stats_fields(stats):
     """Comparable view (histograms don't define value equality)."""
     return (stats.queries, stats.sessions, stats.active_ues, stats.hits,
             stats.localized, stats.handovers, stats.cache_load,
-            stats.dns.to_dict(), stats.total.to_dict())
+            stats.dns.__getstate__(), stats.total.__getstate__())
 
 
 class TestCalibration:

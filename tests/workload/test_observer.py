@@ -143,7 +143,8 @@ def test_the_tail_keeps_the_slowest_query_with_its_stages(tel):
 
 
 def test_close_reports_the_kernels_counters(tel):
-    totals = {name: tel.metrics.counter(name).value(deployment=DEPLOYMENT)
+    totals = {name: dict(tel.metrics.counter(name).samples())[
+                  (("deployment", DEPLOYMENT),)]
               for name in ("repro_workload_queries_total",
                            "repro_workload_hits_total",
                            "repro_workload_mislocalized_total",
