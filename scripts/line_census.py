@@ -40,11 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 #: Test-only lines, classified and out of scope included, may not exceed
-#: this.  Runs read 1,173-1,174: which pool worker closes a suspended
+#: this.  Runs read 1,167-1,168: which pool worker closes a suspended
 #: generator (running its ``except`` lines) depends on scheduling, so the
 #: ceiling sits two above the largest reading.  Lower it when a change
 #: deletes lines; never raise it to fit one.
-CEILING = 1176
+CEILING = 1170
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -264,8 +264,6 @@ CLASSES: Dict[str, Tuple[str, str]] = {
         "a", "missing"),
     "src/repro/experiments/population.py::PopulationExperiment._keys": (
         "a", "input"),
-    "src/repro/experiments/population.py::PopulationExperiment.check_shape": (
-        "a", "gate"),
     "src/repro/experiments/report.py::format_table": ("a", "input"),
     "src/repro/experiments/report.py::format_bar": ("a", "clamp"),
     "src/repro/experiments/resilience.py::ResilienceResult.row": (

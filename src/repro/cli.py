@@ -81,7 +81,7 @@ def _run_experiment(name: str, args: argparse.Namespace,
         print(run.failures[0].traceback, file=sys.stderr)
         return 1
     print(experiment.render_result(run.result))
-    if experiment.shape_checked:
+    if experiment.claims(run.result):
         violations = experiment.check_shape(run.result)
         print(f"shape claims: {'ALL HOLD' if not violations else violations}")
     return 0

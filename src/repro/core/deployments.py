@@ -120,6 +120,8 @@ MEC_DEPLOYMENTS = tuple(key for key, placement in DEPLOYMENTS.items()
                         if placement.resolver is None)
 WARMED_DEPLOYMENTS = tuple(key for key in DEPLOYMENTS
                            if key not in MEC_DEPLOYMENTS)
+#: The bars the paper finds inside the 20 ms AR/VR envelope.
+ENVELOPE_DEPLOYMENTS = ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns")
 
 
 class ResilienceConfig(NamedTuple):

@@ -25,7 +25,7 @@ from repro.core.deployments import (
 from repro.experiments.report import format_table
 from repro.measure.runner import measure_deployment_queries
 from repro.measure.stats import summarize
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 DEFAULT_ROUNDS = 12
 #: The paper's motivating budget for AR/VR-class applications.
@@ -113,29 +113,21 @@ class AccessLatencyExperiment(Experiment):
         return AccessLatencyResult(rows=list(payloads),
                                    rounds=int(params["rounds"]))
 
-    def check_shape(self, result: AccessLatencyResult) -> List[str]:
-        """Violated claims (empty = all hold)."""
-        violations: List[str] = []
+    def claims(self, result: AccessLatencyResult) -> List[Claim]:
+        """A 'drastic' cut carried by DNS over a flat, all-hit fetch leg."""
         mec = result.row("mec-ldns-mec-cdns")
         worst = max(result.rows, key=lambda row: row.total_ms)
-        if not worst.total_ms / mec.total_ms > 4:
-            violations.append(
-                f"access-latency reduction only "
-                f"{worst.total_ms / mec.total_ms:.1f}x — not 'drastic'")
-        # The fetch leg is MEC-local everywhere, so it must be roughly flat:
-        # the spread between deployments comes from DNS.
         fetches = [row.fetch_ms for row in result.rows]
-        if max(fetches) - min(fetches) > 0.3 * max(fetches):
-            violations.append("fetch leg varies too much across deployments")
-        for row in result.rows:
-            if row.cache_hit_rate < 1.0:
-                violations.append(f"{row.key}: content not served from the "
-                                  f"warmed MEC cache")
-        dns_gap = worst.dns_ms - mec.dns_ms
-        total_gap = worst.total_ms - mec.total_ms
-        if not 0.9 <= dns_gap / total_gap <= 1.1:
-            violations.append("the access-latency gap is not DNS-dominated")
-        return violations
+        dns, gap = worst.dns_ms - mec.dns_ms, worst.total_ms - mec.total_ms
+        return [
+            Claim("slowest total ms over 4x MEC", worst.total_ms, ">",
+                  4 * mec.total_ms),
+            Claim("fetch ms spread across deployments",
+                  max(fetches) - min(fetches), "<=", 0.3 * max(fetches)),
+            Claim("lowest edge hit rate",
+                  min(row.cache_hit_rate for row in result.rows), ">=", 1.0),
+            Claim("DNS gap ms over 0.9x access gap", dns, ">=", 0.9 * gap),
+            Claim("DNS gap ms under 1.1x access gap", dns, "<=", 1.1 * gap)]
 
 
 EXPERIMENT = AccessLatencyExperiment()

@@ -26,7 +26,7 @@ from repro.netsim.network import Network
 from repro.netsim.packet import Endpoint
 from repro.netsim.rand import RandomStreams
 from repro.resolver.authoritative import AuthoritativeServer
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 CDN_DOMAIN = "mycdn.ciab.test"
 CONTENT = Name(f"video.demo1.{CDN_DOMAIN}")
@@ -124,31 +124,30 @@ class CapacityExperiment(Experiment):
                               nominal_capacity_qps=NOMINAL_CAPACITY_QPS,
                               saturation_qps=saturation)
 
-    def check_shape(self, result: CapacityResult) -> List[str]:
-        """Violated claims (empty = all hold)."""
-        violations: List[str] = []
+    def claims(self, result: CapacityResult) -> List[Claim]:
+        """Lossless below capacity; lossy, slow and capped well beyond it."""
+        nominal = result.nominal_capacity_qps
         below = [point for point in result.points
-                 if point.offered_qps <= 0.75 * result.nominal_capacity_qps]
+                 if point.offered_qps <= 0.75 * nominal]
         above = [point for point in result.points
-                 if point.offered_qps >= 1.5 * result.nominal_capacity_qps]
+                 if point.offered_qps >= 1.5 * nominal]
+        rows = [Claim("points at or below 75% capacity", len(below), ">=", 1),
+                Claim("points at or above 150% capacity", len(above), ">=", 1),
+                Claim("sweeps without a saturation onset",
+                      int(result.saturation_qps is None), "==", 0)]
         if not below or not above:
-            violations.append("sweep does not straddle the nominal capacity")
-            return violations
-        if not all(point.loss_rate < 0.01 for point in below):
-            violations.append("loss below 75% of capacity should be ~0")
-        if not all(point.loss_rate > 0.05 for point in above):
-            violations.append("well beyond capacity, loss should be material")
-        if not max(point.p95_ms for point in above) > \
-                5 * max(point.p95_ms for point in below):
-            violations.append("queueing blow-up not visible in p95")
-        for point in above:
-            if point.goodput_qps > 1.15 * result.nominal_capacity_qps:
-                violations.append(
-                    f"goodput {point.goodput_qps:.0f} qps exceeds nominal "
-                    f"capacity — the service model leaked")
-        if result.saturation_qps is None:
-            violations.append("saturation never observed in the sweep")
-        return violations
+            return rows
+        return rows + [
+            Claim("largest loss rate at or below 75% capacity",
+                  max(point.loss_rate for point in below), "<", 0.01),
+            Claim("smallest loss rate at or above 150% capacity",
+                  min(point.loss_rate for point in above), ">", 0.05),
+            Claim("p95 ms beyond capacity over 5x below",
+                  max(point.p95_ms for point in above), ">",
+                  5 * max(point.p95_ms for point in below)),
+            Claim("largest goodput qps beyond capacity",
+                  max(point.goodput_qps for point in above), "<=",
+                  1.15 * nominal)]
 
 
 EXPERIMENT = CapacityExperiment()

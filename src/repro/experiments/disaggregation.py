@@ -32,7 +32,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.latency import Constant
 from repro.netsim.network import Network
 from repro.netsim.rand import RandomStreams
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 DEFAULT_REQUESTS = 1500
 DEFAULT_OBJECTS = 300
@@ -161,20 +161,15 @@ class DisaggregationExperiment(Experiment):
         return DisaggregationResult(rows=list(payloads),
                                     requests=int(params["requests"]))
 
-    def check_shape(self, result: DisaggregationResult) -> List[str]:
-        """Violated claims (empty = all hold)."""
-        violations: List[str] = []
+    def claims(self, result: DisaggregationResult) -> List[Claim]:
+        """Scattering requests over groups costs hit ratio and latency."""
         aggregated = result.row("aggregated")
         disaggregated = result.row("disaggregated")
-        if not aggregated.hit_ratio > disaggregated.hit_ratio + 0.03:
-            violations.append(
-                f"disaggregation did not reduce the hit ratio "
-                f"({aggregated.hit_ratio:.2f} vs "
-                f"{disaggregated.hit_ratio:.2f})")
-        if not disaggregated.mean_fetch_ms > aggregated.mean_fetch_ms:
-            violations.append(
-                "disaggregation did not raise mean fetch latency")
-        return violations
+        return [
+            Claim("aggregated hit ratio over disaggregated + 0.03",
+                  aggregated.hit_ratio, ">", disaggregated.hit_ratio + 0.03),
+            Claim("disaggregated mean fetch ms over aggregated",
+                  disaggregated.mean_fetch_ms, ">", aggregated.mean_fetch_ms)]
 
 
 EXPERIMENT = DisaggregationExperiment()

@@ -20,7 +20,7 @@ from repro.core.deployments import (DEPLOYMENT_LABELS, MEC_DEPLOYMENTS,
 from repro.experiments.report import format_table
 from repro.measure.runner import measure_deployment_queries
 from repro.measure.stats import summarize
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 #: The published ratios, same order.
 PAPER_RATIOS: Dict[str, float] = {
@@ -106,23 +106,17 @@ class EcsExperiment(Experiment):
         return EcsResult(rows=list(payloads),
                          queries=int(params["queries"]))
 
-    def check_shape(self, result: EcsResult) -> List[str]:
-        """Violated ECS claims (empty = all hold).
-
-        The paper's point is that ECS is *not a win* here: ratios hover
-        around 1.0 (it "may even increase DNS resolution time") while
-        answers stay correct.  We assert every ratio lands in [0.90, 1.15]
-        and correctness holds.
-        """
-        violations: List[str] = []
+    def claims(self, result: EcsResult) -> List[Claim]:
+        """ECS is *not a win*: ratios hover near 1.0, answers stay correct."""
+        rows = [Claim("deployments whose ECS answers miss the MEC cache",
+                      sum(not row.always_correct_cache for row in result.rows),
+                      "==", 0)]
         for row in result.rows:
-            if not 0.90 <= row.ratio <= 1.15:
-                violations.append(f"{row.key}: ECS ratio {row.ratio:.2f} "
-                                  f"outside [0.90, 1.15]")
-            if not row.always_correct_cache:
-                violations.append(f"{row.key}: ECS answers not always the MEC "
-                                  f"cache")
-        return violations
+            rows += [Claim(f"{row.key} ECS ratio, floor", row.ratio, ">=",
+                           0.9),
+                     Claim(f"{row.key} ECS ratio, ceiling", row.ratio, "<=",
+                           1.15)]
+        return rows
 
 
 EXPERIMENT = EcsExperiment()

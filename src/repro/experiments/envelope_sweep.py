@@ -15,13 +15,14 @@ region is only a few milliseconds wide.
 
 from __future__ import annotations
 
+import math
 from typing import List, NamedTuple, Optional
 
 from repro.core.deployments import build_custom_cdns_testbed
 from repro.experiments.report import format_table
 from repro.measure.runner import measure_deployment_queries
 from repro.measure.stats import summarize
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 ENVELOPE_MS = 20.0
 DEFAULT_DISTANCES = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 30.0)
@@ -87,24 +88,21 @@ class EnvelopeSweepExperiment(Experiment):
             points=points, queries=int(params["queries"]),
             crossover_one_way_ms=_crossover(points))
 
-    def check_shape(self, result: EnvelopeSweepResult) -> List[str]:
-        """Violated claims (empty = all hold)."""
-        violations: List[str] = []
+    def claims(self, result: EnvelopeSweepResult) -> List[Claim]:
+        """Latency grows with distance; the 20 ms crossover is LAN-scale."""
         means = [point.mean_latency_ms for point in result.points]
-        if not all(earlier <= later + 1.0  # allow ~1ms sampling noise
-                   for earlier, later in zip(means, means[1:])):
-            violations.append("latency is not monotone in C-DNS distance")
-        if result.crossover_one_way_ms is None:
-            violations.append("no 20 ms crossover found in the sweep range")
-        elif not 1.0 <= result.crossover_one_way_ms <= 8.0:
-            violations.append(
-                f"crossover at {result.crossover_one_way_ms:.1f} ms one-way "
-                f"is outside the LAN-scale band the paper implies")
-        if not result.points[0].within_envelope:
-            violations.append("even a collocated C-DNS misses the envelope")
-        if result.points[-1].within_envelope:
-            violations.append("a WAN-distance C-DNS should miss the envelope")
-        return violations
+        # A sweep that never crosses 20 ms (None) has no crossover in band;
+        # a real crossover is past the first point's distance, never 0.
+        crossover = result.crossover_one_way_ms or math.inf
+        return [
+            # Allow ~1 ms of sampling noise between neighbouring points.
+            Claim("largest latency drop ms to the next point", max(
+                earlier - later for earlier, later in zip(means, means[1:])),
+                "<=", 1.0),
+            Claim("crossover ms one-way, floor", crossover, ">=", 1.0),
+            Claim("crossover ms one-way, ceiling", crossover, "<=", 8.0),
+            Claim("collocated C-DNS mean ms", means[0], "<", ENVELOPE_MS),
+            Claim("farthest C-DNS mean ms", means[-1], ">=", ENVELOPE_MS)]
 
 
 EXPERIMENT = EnvelopeSweepExperiment()

@@ -20,7 +20,7 @@ from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES
 from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_table
 from repro.measure.stats import SummaryStats, summarize
-from repro.runtime import Experiment, Param, derive_seed
+from repro.runtime import Claim, Experiment, Param, derive_seed
 
 
 class Figure2Row(NamedTuple):
@@ -97,31 +97,24 @@ class Figure2Experiment(Experiment):
         return Figure2Result(rows=list(payloads),
                              trials=int(params["trials"]))
 
-    def check_shape(self, result: Figure2Result) -> List[str]:
-        """Return a list of violated shape claims (empty = all hold)."""
-        violations: List[str] = []
+    def claims(self, result: Figure2Result) -> List[Claim]:
+        """Per site: cellular > wifi > wired, cellular > 2x wired, noisier."""
         bars = result.bars()
         stdevs = {(row.site, row.connectivity): row.stats.stdev
                   for row in result.rows}
-        for deployment in TABLE1_SITES:
-            site = deployment.site
-            wired = bars[(site, "wired-campus")]
-            wifi = bars[(site, "wifi-home")]
-            cellular = bars[(site, "cellular-mobile")]
-            if not cellular > wifi:
-                violations.append(f"{site}: cellular ({cellular:.1f}) not "
-                                  f"above wifi ({wifi:.1f})")
-            if not cellular > 2 * wired:
-                violations.append(f"{site}: cellular ({cellular:.1f}) not "
-                                  f"well above wired ({wired:.1f})")
-            if not wifi > wired:
-                violations.append(f"{site}: wifi ({wifi:.1f}) not above wired "
-                                  f"({wired:.1f})")
-            if not stdevs[(site, "cellular-mobile")] > \
-                    stdevs[(site, "wired-campus")]:
-                violations.append(
-                    f"{site}: cellular variability not above wired")
-        return violations
+        rows = []
+        for site in (deployment.site for deployment in TABLE1_SITES):
+            wired, wifi, cellular = (bars[(site, connectivity)]
+                                     for connectivity in CONNECTIVITIES)
+            rows += [
+                Claim(f"{site} cellular ms over wifi", cellular, ">", wifi),
+                Claim(f"{site} cellular ms over 2x wired", cellular, ">",
+                      2 * wired),
+                Claim(f"{site} wifi ms over wired", wifi, ">", wired),
+                Claim(f"{site} cellular stdev ms over wired",
+                      stdevs[(site, "cellular-mobile")], ">",
+                      stdevs[(site, "wired-campus")])]
+        return rows
 
 
 EXPERIMENT = Figure2Experiment()

@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple
 from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES
 from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_bar, format_table
-from repro.runtime import Experiment, Param, derive_seed
+from repro.runtime import Claim, Experiment, Param, derive_seed
 
 
 class Figure3Row(NamedTuple):
@@ -117,39 +117,23 @@ class Figure3Experiment(Experiment):
         return Figure3Result(rows=list(payloads),
                              trials=int(params["trials"]))
 
-    def check_shape(self, result: Figure3Result) -> List[str]:
-        """Violated Figure 3 claims (empty list = all hold)."""
-        violations: List[str] = []
-        for deployment in TABLE1_SITES:
-            site = deployment.site
-            legal_labels = {pool.label for pool in deployment.pools}
-            distributions = {}
-            for connectivity in CONNECTIVITIES:
-                distribution = result.distribution_for(site, connectivity)
-                distributions[connectivity] = distribution
-                illegal = set(distribution) - legal_labels
-                if illegal:
-                    violations.append(
-                        f"{site}/{connectivity}: answers outside "
-                        f"the deployment pools: {illegal}")
-            # Distributions must differ across connectivities: compare the
-            # dominant pool share, which the weights separate by >= 15 points.
-            wired = distributions["wired-campus"]
-            cellular = distributions["cellular-mobile"]
-            if wired and cellular:
-                top_wired = max(wired, key=wired.get)
-                share_wired = wired[top_wired]
-                share_cell = cellular.get(top_wired, 0.0)
-                if abs(share_wired - share_cell) < 0.10:
-                    violations.append(
-                        f"{site}: wired and cellular distributions look the "
-                        f"same (top pool {top_wired}: {share_wired:.2f} vs "
-                        f"{share_cell:.2f})")
-        for row in result.rows:
-            if row.unmatched:
-                violations.append(f"{row.site}/{row.connectivity}: "
-                                  f"{row.unmatched} unmatched answers")
-        return violations
+    def claims(self, result: Figure3Result) -> List[Claim]:
+        """Only the site's pools answer; wired and cellular shares differ."""
+        rows = [Claim("pools answered outside the deployment", sum(
+                    len(set(row.distribution) - {
+                        pool.label for pool in _deployment(row.site).pools})
+                    for row in result.rows), "==", 0),
+                Claim("unmatched answers",
+                      sum(row.unmatched for row in result.rows), "==", 0)]
+        for site in (deployment.site for deployment in TABLE1_SITES):
+            wired = result.distribution_for(site, "wired-campus")
+            cellular = result.distribution_for(site, "cellular-mobile")
+            if wired and cellular:  # their weights differ by >= 15 points
+                top = max(wired, key=wired.get)
+                gap = abs(wired[top] - cellular.get(top, 0.0))
+                rows.append(Claim(f"{site} wired/cellular top-pool share gap",
+                                  gap, ">=", 0.10))
+        return rows
 
 
 EXPERIMENT = Figure3Experiment()

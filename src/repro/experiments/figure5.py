@@ -15,6 +15,7 @@ from typing import Dict, List, NamedTuple
 from repro.core.deployments import (
     DEPLOYMENT_KEYS,
     DEPLOYMENT_LABELS,
+    ENVELOPE_DEPLOYMENTS,
     MEC_DEPLOYMENTS,
     WARMED_DEPLOYMENTS,
     build_testbed,
@@ -22,7 +23,7 @@ from repro.core.deployments import (
 from repro.experiments.report import format_table
 from repro.measure.runner import measure_deployment_queries
 from repro.measure.stats import SummaryStats, summarize
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 #: Mean lookup latency per bar as published (ms).
 PAPER_MEANS: Dict[str, float] = {
@@ -146,32 +147,27 @@ class Figure5Experiment(Experiment):
     def render_result(self, result):
         return result.render_chart() + "\n\n" + result.render()
 
-    def check_shape(self, result: Figure5Result) -> List[str]:
-        """Violated Figure 5 claims (empty = all hold)."""
-        violations: List[str] = []
+    def claims(self, result: Figure5Result) -> List[Claim]:
+        """Bar order, the 20 ms envelope, a 3-8 ms LAN gap, a >= 7.5x
+        best-case speedup, and the wireless leg dominating the MEC bar."""
         means = result.means()
-        for earlier, later in zip(MEC_DEPLOYMENTS, MEC_DEPLOYMENTS[1:]):
-            if not means[earlier] < means[later]:
-                violations.append(f"{earlier} not faster than {later}")
-        for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
-            if means[key] >= 20:
-                violations.append(f"{key} misses the 20ms envelope "
-                                  f"({means[key]:.1f}ms)")
-        for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
-                    "cloudflare-dns"):
-            if means[key] <= 20:
-                violations.append(f"{key} unexpectedly under 20ms")
+        rows = [Claim(f"{earlier} mean ms below {later}", means[earlier],
+                      "<", means[later])
+                for earlier, later in zip(MEC_DEPLOYMENTS,
+                                          MEC_DEPLOYMENTS[1:])]
+        rows += [Claim(f"{key} mean ms", mean,
+                       "<" if key in ENVELOPE_DEPLOYMENTS else ">", 20)
+                 for key, mean in means.items()]
         gap = means["mec-ldns-lan-cdns"] - means["mec-ldns-mec-cdns"]
-        if not 3 <= gap <= 8:
-            violations.append(f"MEC vs LAN C-DNS gap {gap:.1f}ms not ~5ms")
-        speedup = (max(means[key] for key in WARMED_DEPLOYMENTS)
-                   / means["mec-ldns-mec-cdns"])
-        if speedup < 7.5:
-            violations.append(f"best-case speedup {speedup:.1f}x below ~9x")
         mec_row = result.row("mec-ldns-mec-cdns")
-        if mec_row.wireless.mean / mec_row.latency.mean < 0.6:
-            violations.append("wireless leg does not dominate the MEC bar")
-        return violations
+        return rows + [
+            Claim("MEC vs LAN C-DNS gap ms, floor", gap, ">=", 3),
+            Claim("MEC vs LAN C-DNS gap ms, ceiling", gap, "<=", 8),
+            Claim("best-case speedup over MEC",
+                  max(means[key] for key in WARMED_DEPLOYMENTS)
+                  / means["mec-ldns-mec-cdns"], ">=", 7.5),
+            Claim("MEC bar wireless share",
+                  mec_row.wireless.mean / mec_row.latency.mean, ">=", 0.6)]
 
 
 EXPERIMENT = Figure5Experiment()

@@ -29,7 +29,7 @@ from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES
 from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_table
 from repro.netsim.rand import RandomStreams
-from repro.runtime import Experiment, Param, derive_seed
+from repro.runtime import Claim, Experiment, Param, derive_seed
 
 #: The device's true location (the paper measured from one spot; we use
 #: the Georgia Tech campus).
@@ -196,24 +196,18 @@ class MislocalizationExperiment(Experiment):
         return MislocalizationResult(rows=rows, per_site_distance=per_site,
                                      trials=int(params["trials"]))
 
-    def check_shape(self, result: MislocalizationResult) -> List[str]:
-        """Violated claims (empty = all hold)."""
-        violations: List[str] = []
-        wired = result.row("wired-campus")
-        wifi = result.row("wifi-home")
-        cellular = result.row("cellular-mobile")
-        if not cellular.geoip_error_km > 5 * wired.geoip_error_km:
-            violations.append(
-                f"cellular GeoIP error ({cellular.geoip_error_km:.0f} km) not "
-                f"well above wired ({wired.geoip_error_km:.0f} km)")
-        if not wired.geoip_error_km < wifi.geoip_error_km:
-            violations.append("wired GeoIP error not below wifi")
-        if not cellular.mean_cache_distance_km > wired.mean_cache_distance_km:
-            violations.append(
-                f"cellular cache distance "
-                f"({cellular.mean_cache_distance_km:.0f} km) not above wired "
-                f"({wired.mean_cache_distance_km:.0f} km)")
-        return violations
+    def claims(self, result: MislocalizationResult) -> List[Claim]:
+        """Cellular is geolocated far worse than wired, and served farther."""
+        wired, wifi, cellular = (result.row(connectivity)
+                                 for connectivity in CONNECTIVITIES)
+        return [
+            Claim("cellular GeoIP error km over 5x wired",
+                  cellular.geoip_error_km, ">", 5 * wired.geoip_error_km),
+            Claim("wired GeoIP error km below wifi", wired.geoip_error_km,
+                  "<", wifi.geoip_error_km),
+            Claim("cellular cache distance km over wired",
+                  cellular.mean_cache_distance_km, ">",
+                  wired.mean_cache_distance_km)]
 
 
 EXPERIMENT = MislocalizationExperiment()

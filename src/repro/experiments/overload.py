@@ -31,7 +31,7 @@ from repro.netsim.rand import RandomStreams
 from repro.netsim.socket import UdpSocket
 from repro.resolver.authoritative import AuthoritativeServer
 from repro.resolver.retry import RetryPolicy
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 BASELINE_MS = 2_000.0
 ATTACK_MS = 4_000.0
@@ -190,25 +190,21 @@ class OverloadExperiment(Experiment):
         return OverloadResult(rows=list(payloads),
                               attack_qps=float(params["attack_qps"]))
 
-    def check_shape(self, result: OverloadResult) -> List[str]:
-        """Violated claims (empty = all hold)."""
-        violations: List[str] = []
+    def claims(self, result: OverloadResult) -> List[Claim]:
+        """A flood degrades service; the far provider restores it, slower."""
         unmitigated = result.row("none")
         mitigated = result.row("switch-to-provider")
-        if not unmitigated.attack_success_rate < 0.8:
-            violations.append("the flood did not actually degrade service")
-        if not mitigated.attack_success_rate > 0.95:
-            violations.append(
-                f"mitigation did not preserve availability "
-                f"({mitigated.attack_success_rate:.2f})")
-        if not mitigated.mitigation_activations >= 1:
-            violations.append("mitigation never activated")
-        if not mitigated.attack_p95_ms < LEGIT_TIMEOUT_MS:
-            violations.append("mitigated latency not bounded")
-        if not mitigated.attack_p95_ms > mitigated.baseline_p95_ms:
-            violations.append(
-                "mitigation should cost latency (provider is far)")
-        return violations
+        return [
+            Claim("unmitigated attack success rate",
+                  unmitigated.attack_success_rate, "<", 0.8),
+            Claim("mitigated attack success rate",
+                  mitigated.attack_success_rate, ">", 0.95),
+            Claim("mitigation activations", mitigated.mitigation_activations,
+                  ">=", 1),
+            Claim("mitigated attack p95 ms", mitigated.attack_p95_ms, "<",
+                  LEGIT_TIMEOUT_MS),
+            Claim("mitigated attack p95 ms over its baseline",
+                  mitigated.attack_p95_ms, ">", mitigated.baseline_p95_ms)]
 
 
 EXPERIMENT = OverloadExperiment()

@@ -18,14 +18,14 @@ counters; no per-query records exist anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Sequence
 
 from repro.cdn.allocation import check_allocation
 from repro.core.deployments import (DEPLOYMENT_KEYS, DEPLOYMENT_LABELS,
-                                    MEC_DEPLOYMENTS)
+                                    ENVELOPE_DEPLOYMENTS, MEC_DEPLOYMENTS)
 from repro.experiments.report import format_table
 from repro.measure.histogram import HistogramSummary, LatencyHistogram
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 from repro.runtime.spec import TrialSpec
 from repro.workload.arrivals import SECONDS_PER_HOUR, DiurnalProfile
 from repro.workload.deployment import calibrate, is_localized
@@ -264,85 +264,60 @@ class PopulationExperiment(Experiment):
             allocation=str(params["allocation"]),
             catalog=int(params["catalog"]))
 
-    def check_shape(self, result: PopulationResult) -> List[str]:
-        """Violated population-scale claims (empty = all hold)."""
-        violations: List[str] = []
-        by_key = {row.key: row for row in result.rows}
-
-        for row in result.rows:
-            if not row.queries:
-                violations.append(f"{row.key} served no queries")
-                continue
-            summary = row.total
-            if not summary.p50 <= summary.p99 <= summary.p999:
-                violations.append(f"{row.key} quantiles not monotone")
+    def claims(self, result: PopulationResult) -> List[Claim]:
+        """Statistical claims only for rows of >= ``SHAPE_MIN_QUERIES``."""
+        rows = [Claim(f"{row.key} queries", row.queries, ">", 0)
+                for row in result.rows]
+        dns_p50 = {row.key: row.dns.p50 for row in result.rows if row.queries}
+        for row in (row for row in result.rows if row.queries):
+            # A reported p50 is a bin midpoint; the 20 ms line is a claim
+            # about the true median, so it fails only when the whole
+            # covering bin sits on the wrong side.
+            floor, ceiling = LatencyHistogram.bin_bounds(row.dns.p50)
+            key, total = row.key, row.total
+            rows += [Claim(f"{key} total p50 ms", total.p50, "<=", total.p99),
+                     Claim(f"{key} total p99 ms", total.p99, "<=", total.p999),
+                     Claim(f"{key} dns p50 bin floor ms", floor, "<", 20)
+                     if key in ENVELOPE_DEPLOYMENTS
+                     else Claim(f"{key} dns p50 bin ceiling ms", ceiling, ">",
+                                20)]
             if is_localized(row.key):
-                if row.localization < 0.99:
-                    violations.append(
-                        f"{row.key} localization {row.localization:.3f} "
-                        f"below 0.99 despite MEC collocation")
+                rows.append(Claim(f"{row.key} localization",
+                                  row.localization, ">=", 0.99))
             elif result.sites > 1 and row.queries >= SHAPE_MIN_QUERIES:
                 # A client-blind resolver pins the city to one anchor site:
                 # localization collapses toward 1/sites.
-                if row.localization > 0.5:
-                    violations.append(
-                        f"{row.key} localization {row.localization:.3f} "
-                        f"too high for a client-blind resolver")
-
-        def dns_p50(key: str) -> Optional[float]:
-            row = by_key.get(key)
-            return row.dns.p50 if row is not None and row.queries else None
-
-        present = [key for key in MEC_DEPLOYMENTS if dns_p50(key) is not None]
-        for earlier, later in zip(present, present[1:]):
-            early_p50, late_p50 = dns_p50(earlier), dns_p50(later)
-            assert early_p50 is not None and late_p50 is not None
-            if not early_p50 < late_p50:
-                violations.append(f"{earlier} dns p50 not below {later}")
-        # A reported p50 is a bin midpoint; the 20 ms line is a claim about
-        # the true median, so flag it only when the whole covering bin sits
-        # on the wrong side.
-        for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
-            p50 = dns_p50(key)
-            if p50 is not None and LatencyHistogram.bin_bounds(p50)[0] >= 20:
-                violations.append(
-                    f"{key} dns p50 {p50:.1f}ms misses the 20ms envelope")
-        for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
-                    "cloudflare-dns"):
-            p50 = dns_p50(key)
-            if p50 is not None and LatencyHistogram.bin_bounds(p50)[1] <= 20:
-                violations.append(f"{key} dns p50 unexpectedly under 20ms")
+                rows.append(Claim(f"{row.key} localization",
+                                  row.localization, "<=", 0.5))
+        present = [key for key in MEC_DEPLOYMENTS if key in dns_p50]
+        rows += [Claim(f"{earlier} dns p50 ms below {later}", dns_p50[earlier],
+                       "<", dns_p50[later])
+                 for earlier, later in zip(present, present[1:])]
 
         # Load balance is where client-blind resolution falls apart at
         # city scale: the anchor cache absorbs everything, so imbalance
         # (max/mean over caches) approaches the cache count, while any
-        # consistent-hash policy keeps the localized rows near flat.
-        localized_rows = [row for row in result.rows
-                          if is_localized(row.key)
-                          and row.queries >= SHAPE_MIN_QUERIES]
-        blind_rows = [row for row in result.rows
-                      if not is_localized(row.key)
-                      and row.queries >= SHAPE_MIN_QUERIES]
-        for row in localized_rows:
-            if row.load_imbalance > 3.0:
-                violations.append(
-                    f"{row.key} cache load imbalance {row.load_imbalance:.2f} "
-                    f"exceeds 3.0 under consistent hashing")
-        if localized_rows and blind_rows:
-            worst_localized = max(row.load_imbalance for row in localized_rows)
-            best_blind = min(row.load_imbalance for row in blind_rows)
-            if best_blind <= 2.0 * worst_localized:
-                violations.append(
-                    f"anchor-pinned imbalance {best_blind:.2f} not clearly "
-                    f"worse than localized {worst_localized:.2f}")
-        for row in localized_rows + blind_rows:
-            # Caches must be doing real work: some hits (Zipf head repeats)
-            # and some misses (cold starts at minimum).
-            if not 0.0 < row.hit_rate < 1.0:
-                violations.append(
-                    f"{row.key} hit rate {row.hit_rate:.3f} degenerate")
-
-        return violations
+        # consistent-hash policy keeps the localized rows near flat.  And
+        # caches must do real work: some hits (Zipf head repeats) and some
+        # misses (cold starts at minimum).
+        sized = [row for row in result.rows
+                 if row.queries >= SHAPE_MIN_QUERIES]
+        localized = [row.load_imbalance for row in sized
+                     if is_localized(row.key)]
+        blind = [row.load_imbalance for row in sized
+                 if not is_localized(row.key)]
+        if localized and blind:
+            rows.append(Claim(
+                "best anchor-pinned imbalance over 2x worst localized",
+                min(blind), ">", 2.0 * max(localized)))
+        for row in sized:
+            rows += [Claim(f"{row.key} hit rate, floor", row.hit_rate, ">", 0),
+                     Claim(f"{row.key} hit rate, ceiling", row.hit_rate, "<",
+                           1)]
+            if is_localized(row.key):
+                rows.append(Claim(f"{row.key} cache load imbalance",
+                                  row.load_imbalance, "<=", 3.0))
+        return rows
 
 
 EXPERIMENT = PopulationExperiment()

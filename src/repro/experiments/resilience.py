@@ -29,7 +29,8 @@ run — fault firing and measurements — is byte-for-byte deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, NamedTuple, Tuple
+from typing import (Dict, Generator, List, Mapping, NamedTuple, Sequence,
+                    Tuple)
 
 from repro.core.deployments import (DEPLOYMENT_KEYS, MEC_DEPLOYMENTS,
                                     WARMED_DEPLOYMENTS, ResilienceConfig,
@@ -42,7 +43,7 @@ from repro.measure.runner import MeasurementRun, measure_deployment_run
 from repro.measure.stats import percentile
 from repro.resolver.retry import RetryPolicy
 from repro.resolver.stub import StubResolver
-from repro.runtime import Experiment, Param
+from repro.runtime import Claim, Experiment, Param
 
 #: A lookup is "available" only if it returned addresses within this
 #: deadline: past it, a streaming client has already rebuffered.
@@ -169,6 +170,18 @@ def _digest(timeline: List[str], run: MeasurementRun) -> str:
                      f"{m.status} [{','.join(m.addresses)}] "
                      f"att={m.attempts} stale={m.stale}")
     return "\n".join(lines)
+
+
+def replay_claims(replays: Mapping[str, Tuple[str, str]],
+                  timelines: Mapping[str, List[str]],
+                  faulted: Sequence[str]) -> List[Claim]:
+    """A grid's determinism evidence: every replayed cell reproduced its
+    digest, and every ``faulted`` cell logged its faults."""
+    return [Claim("replays diverged",
+                  sum(first != second for first, second in replays.values()),
+                  "==", 0),
+            Claim("empty fault timelines",
+                  sum(not timelines.get(key) for key in faulted), "==", 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,70 +386,42 @@ class ResilienceExperiment(Experiment):
                                 replays=replays,
                                 queries=int(params["queries"]))
 
-    def check_shape(self, result: ResilienceResult) -> List[str]:
-        """Shape claims the chaos grid must satisfy; violations returned."""
-        claims: List[str] = []
-
-        def fail(text: str) -> None:
-            claims.append(text)
-
-        # -- cdns-crash -------------------------------------------------------
-        for key in MEC_DEPLOYMENTS:
-            base = result.row("cdns-crash", key, "baseline")
-            hard = result.row("cdns-crash", key, "resilient")
-            if base.availability >= 0.85:
-                fail(f"cdns-crash should dent baseline {key} availability "
-                     f"(got {base.availability:.2f} >= 0.85)")
-            if hard.availability < 0.95:
-                fail(f"serve-stale should keep resilient {key} answering "
-                     f"(availability {hard.availability:.2f} < 0.95)")
-            if hard.stale_answers == 0:
-                fail(f"resilient {key} should have served stale answers")
-            if hard.p95_ms > DEADLINE_MS:
-                fail(f"resilient {key} p95 {hard.p95_ms:.1f} ms should stay "
-                     f"inside the {DEADLINE_MS:.0f} ms deadline")
-        for key in WARMED_DEPLOYMENTS:
-            base = result.row("cdns-crash", key, "baseline")
-            if base.availability < 0.99:
-                fail(f"warmed-resolver {key} should be immune to a C-DNS "
-                     f"crash (availability {base.availability:.2f} < 0.99)")
-
-        # -- mec-partition ----------------------------------------------------
-        base = result.row("mec-partition", "mec-ldns-mec-cdns", "baseline")
-        hard = result.row("mec-partition", "mec-ldns-mec-cdns", "resilient")
-        if base.availability >= 0.85:
-            fail(f"partition should dent baseline availability "
-                 f"(got {base.availability:.2f} >= 0.85)")
-        if hard.availability < 0.95:
-            fail(f"provider fallback should restore availability "
-                 f"(got {hard.availability:.2f} < 0.95)")
-        if hard.fallback_answers == 0:
-            fail("resilient partition cell should have used the provider "
-                 "L-DNS")
-        if hard.p95_ms > DEADLINE_MS:
-            fail(f"fallback p95 {hard.p95_ms:.1f} ms should stay inside the "
-                 f"{DEADLINE_MS:.0f} ms deadline")
-
-        # -- lte-burst-loss ---------------------------------------------------
+    def claims(self, result: ResilienceResult) -> List[Claim]:
+        """What each fault does to each mode, and the determinism evidence."""
+        # A C-DNS crash or a MEC partition dents a MEC baseline; serve-stale
+        # or provider fallback keeps the resilient client answering inside
+        # the deadline.
+        rows = []
+        for scenario, key in ([("cdns-crash", key) for key in MEC_DEPLOYMENTS]
+                              + [("mec-partition", "mec-ldns-mec-cdns")]):
+            base = result.row(scenario, key, "baseline")
+            hard = result.row(scenario, key, "resilient")
+            kind, answers = (("stale", hard.stale_answers)
+                             if scenario == "cdns-crash"
+                             else ("provider", hard.fallback_answers))
+            rows += [Claim(f"{scenario} {key} baseline availability",
+                           base.availability, "<", 0.85),
+                     Claim(f"{scenario} {key} resilient availability",
+                           hard.availability, ">=", 0.95),
+                     Claim(f"{scenario} {key} resilient {kind} answers",
+                           answers, ">", 0),
+                     Claim(f"{scenario} {key} resilient p95 ms", hard.p95_ms,
+                           "<=", DEADLINE_MS)]
+        # A warmed resolver is immune to a C-DNS crash; hedging + backoff
+        # lift burst-loss availability and the tail.
+        rows += [Claim(f"cdns-crash {key} baseline availability", result.row(
+            "cdns-crash", key, "baseline").availability, ">=", 0.99)
+            for key in WARMED_DEPLOYMENTS]
         base = result.row("lte-burst-loss", "mec-ldns-mec-cdns", "baseline")
         hard = result.row("lte-burst-loss", "mec-ldns-mec-cdns", "resilient")
-        if hard.availability < base.availability + 0.10:
-            fail(f"hedging+backoff should lift burst-loss availability by "
-                 f">= 0.10 (baseline {base.availability:.2f}, resilient "
-                 f"{hard.availability:.2f})")
-        if hard.p95_ms >= base.p95_ms:
-            fail(f"resilient burst-loss p95 {hard.p95_ms:.1f} ms should beat "
-                 f"baseline {base.p95_ms:.1f} ms")
-
-        # -- determinism ------------------------------------------------------
-        for key, (first, second) in result.replays.items():
-            if first != second:
-                fail(f"replay of {key} with the same seed diverged")
-        for key in ("cdns-crash/mec-ldns-mec-cdns/baseline",
-                    "mec-partition/mec-ldns-mec-cdns/baseline"):
-            if not result.timelines.get(key):
-                fail(f"fault timeline for {key} should not be empty")
-        return claims
+        return rows + [
+            Claim("burst-loss resilient availability over baseline + 0.10",
+                  hard.availability, ">=", base.availability + 0.10),
+            Claim("burst-loss resilient p95 ms below baseline", hard.p95_ms,
+                  "<", base.p95_ms),
+        ] + replay_claims(result.replays, result.timelines,
+                          ("cdns-crash/mec-ldns-mec-cdns/baseline",
+                           "mec-partition/mec-ldns-mec-cdns/baseline"))
 
 
 EXPERIMENT = ResilienceExperiment()

@@ -37,7 +37,6 @@ class Table1Experiment(Experiment):
 
     name = "table1"
     title = "Table 1: CDN domains tested for static web content"
-    shape_checked = False
 
     def trials(self, params):
         return [self.spec(0, seed=0)]

@@ -83,7 +83,6 @@ class Table2Experiment(Experiment):
 
     name = "table2"
     title = "Table 2: Entities and roles in MEC CDN"
-    shape_checked = False
 
     def trials(self, params):
         return [self.spec(0, seed=0)]

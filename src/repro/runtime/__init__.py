@@ -26,7 +26,7 @@ from repro.runtime.capture import (TelemetrySnapshot, begin_trial_capture,
 from repro.runtime.executor import (ChunkStats, ExecutorStats, ExperimentRun,
                                     TrialExecutor, TrialFailure, TrialOutcome,
                                     shutdown_worker_pool, warm_worker_pool)
-from repro.runtime.experiment import (Experiment, Param, jsonify,
+from repro.runtime.experiment import (Claim, Experiment, Param, jsonify,
                                       result_digest)
 from repro.runtime.registry import ExperimentRegistry
 from repro.runtime.spec import CellItems, TrialSpec, derive_seed, freeze_cell
@@ -34,6 +34,7 @@ from repro.runtime.spec import CellItems, TrialSpec, derive_seed, freeze_cell
 __all__ = [
     "CellItems",
     "ChunkStats",
+    "Claim",
     "ExecutorStats",
     "Experiment",
     "ExperimentRegistry",

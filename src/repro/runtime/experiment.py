@@ -17,7 +17,9 @@ machinery that exploits this.
 
 Experiments declare their tunables as :class:`Param` rows, which is
 what lets the CLI generate its flags from the registry instead of
-hand-maintaining an if/elif dispatch.
+hand-maintaining an if/elif dispatch, and their shape claims as
+:class:`Claim` rows, which one evaluator, :meth:`Experiment.check_shape`,
+checks and renders.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import operator
 from typing import (Callable, ClassVar, Dict, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -47,6 +50,30 @@ class Param(NamedTuple):
     cli: bool = True
 
 
+#: The comparisons a :class:`Claim` may state.
+_OPS: Dict[str, Callable[[float, float], bool]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq}
+
+
+class Claim(NamedTuple):
+    """One shape claim: ``value op bound`` must hold.
+
+    ``name`` says what is measured, never the measurement, and is unique
+    within an experiment, so one claim can be followed across seeds.  A
+    yes/no fact is stated as a count that must be 0.
+    """
+
+    name: str
+    value: float
+    op: str
+    bound: float
+
+    def holds(self) -> bool:
+        """Whether ``value op bound``."""
+        return _OPS[self.op](self.value, self.bound)
+
+
 class Experiment(abc.ABC):
     """A declarative trial plan: expand, run each cell, merge."""
 
@@ -56,8 +83,6 @@ class Experiment(abc.ABC):
     title: ClassVar[str] = ""
     #: Declared tunables; :meth:`resolve_params` fills the defaults.
     params: ClassVar[Tuple[Param, ...]] = ()
-    #: Whether the CLI prints a ``shape claims:`` line for this artifact.
-    shape_checked: ClassVar[bool] = True
 
     # -- parameters ---------------------------------------------------------
 
@@ -100,9 +125,15 @@ class Experiment(abc.ABC):
         text: str = render()
         return text
 
+    def claims(self, result: object) -> List[Claim]:
+        """The shape claims ``result`` states (none by default)."""
+        return []
+
     def check_shape(self, result: object) -> List[str]:
         """Violated shape claims for ``result`` (empty = all hold)."""
-        return []
+        return [f"{claim.name}: {claim.value:g} not {claim.op} "
+                f"{claim.bound:g}"
+                for claim in self.claims(result) if not claim.holds()]
 
     # -- convenience --------------------------------------------------------
 

@@ -14,6 +14,15 @@ class TestAccessLatency:
     def test_shape_claims_hold(self, result):
         assert EXPERIMENT.check_shape(result) == []
 
+    def test_a_slowest_mec_row_is_a_violation_not_a_division(self, result):
+        # The access gap to the slowest row is then zero.
+        rows = [row._replace(total_ms=row.total_ms + 1000.0)
+                if row.key == "mec-ldns-mec-cdns" else row
+                for row in result.rows]
+        violations = EXPERIMENT.check_shape(result._replace(rows=rows))
+        assert any(violation.startswith("slowest total ms over 4x MEC")
+                   for violation in violations)
+
     def test_all_deployments_measured(self, result):
         assert len(result.rows) == 6
 

@@ -32,6 +32,14 @@ class TestChurnGrid:
     def test_shape_claims_hold_at_full_fidelity(self, result):
         assert EXPERIMENT.check_shape(result) == []
 
+    def test_a_missing_cell_raises_like_any_other_row_lookup(self, result):
+        broken = result._replace(rows=[
+            row for row in result.rows
+            if (row.scenario, row.deployment) != ("churn-only",
+                                                  "mec-ldns-lan-cdns")])
+        with pytest.raises(KeyError):
+            EXPERIMENT.check_shape(broken)
+
     def test_every_cell_sees_the_full_schedule_and_handover(self, result):
         for row in result.rows:
             assert row.updates == 3

@@ -93,7 +93,7 @@ class TestShapeClaims:
             districts=small_result.districts, sites=small_result.sites,
             allocation=small_result.allocation,
             catalog=small_result.catalog)
-        assert any("no queries" in violation
+        assert any(violation.endswith("queries: 0 not > 0")
                    for violation in EXPERIMENT.check_shape(broken))
 
     def test_delocalized_mec_row_is_flagged(self, small_result):
@@ -121,5 +121,5 @@ class TestShapeClaims:
         row = small_result.row("mec-ldns-mec-cdns")
         row = row._replace(dns=row.dns._replace(p50=21.9))
         broken = small_result._replace(rows=[row])
-        assert any("misses the 20ms envelope" in violation
+        assert any(violation.startswith("mec-ldns-mec-cdns dns p50 bin floor")
                    for violation in EXPERIMENT.check_shape(broken))

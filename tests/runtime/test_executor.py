@@ -25,7 +25,6 @@ class SquareExperiment(Experiment):
 
     name = "square"
     title = "toy squares"
-    shape_checked = False
     params = (Param("count", int, 4, "number of cells"),
               Param("seed", int, 7, "base seed"))
 
@@ -54,7 +53,6 @@ class ExplodingExperiment(Experiment):
 
     name = "exploding"
     title = "toy with one crashing trial"
-    shape_checked = False
     params = (Param("count", int, 3, "number of cells"),)
 
     def trials(self, params):
@@ -76,7 +74,6 @@ class WorkerKillingExperiment(Experiment):
 
     name = "worker-killing"
     title = "toy whose trial kills its own worker"
-    shape_checked = False
     params = (Param("count", int, 4, "number of cells"),)
 
     def trials(self, params):
