@@ -12,15 +12,19 @@ call per process.  Executable lines are what ``co_lines()`` lists for the
 code objects of every ``src/repro`` file.  A line no surface runs is
 *test-only* if tier-1 runs it and *nowhere* if nothing does.
 
-Every test-only line must sit in a ``def`` / ``class`` that ``CLASSES``
-names (the innermost enclosing one, or any around it), or be out of scope:
+Every test-only line must sit inside a ``raise`` statement (class (a) by
+construction), in a ``def`` / ``class`` that ``CLASSES`` names (the
+innermost enclosing one, or any around it), or be out of scope:
 ``dnswire/message.py`` (ROADMAP item 2) and ``__repr__`` / ``__str__``.
 A class says why the lines stay: (a) an error path under one of the
-``DEGRADE_RULES``, (b) a mechanism its DESIGN.md row lists, (c) a bound a
-test lowers or drives past.  The exit status is 1 if the table names a
-def that is gone, a test-only line is unclassified, or the test-only total
-is above ``CEILING``.  Needs 3.12 or later, and pytest for tier-1;
-``docs/TESTING.md`` says how to read the report and lower the ceiling.
+``DEGRADE_RULES``, (b) a mechanism its DESIGN.md row lists, (c) a bound or
+input a test lowers, drives past or feeds.  ``CLASSES`` is also the table
+of parameters only tests set, keyed ``file::qualname(param)``
+(``tests/test_surface_census.py``).  The exit status is 1 if the table
+names a def or parameter that is gone, a test-only line is unclassified,
+or the test-only total is above ``CEILING``.  Needs 3.12 or later, and
+pytest for tier-1; ``docs/TESTING.md`` says how to read the report and
+lower the ceiling.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 #: Test-only lines, classified and out of scope included, may not exceed
-#: this.  Runs read 1,167-1,168: which pool worker closes a suspended
-#: generator (running its ``except`` lines) depends on scheduling, so the
-#: ceiling sits two above the largest reading.  Lower it when a change
-#: deletes lines; never raise it to fit one.
-CEILING = 1170
+#: this.  Three runs read 1,041-1,042: which pool worker closes a
+#: suspended generator (running its ``except`` lines) depends on
+#: scheduling, so the ceiling sits two above the largest reading.  Lower
+#: it when a change deletes lines; never raise it to fit one.
+CEILING = 1044
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -94,10 +98,12 @@ _WIRE = "DESIGN.md §3 DNS wire protocol: "
 _ZONE = "DESIGN.md §3 Zone data: "
 _SIM = "DESIGN.md §3 Event simulator: "
 
-#: Why a test-only def stays: ``file::qualname`` -> (class, reason).  An
+#: Why a test-only def, or a parameter only tests set, stays:
+#: ``file::qualname`` or ``file::qualname(param)`` -> (class, reason).  An
 #: (a) reason is a key of DEGRADE_RULES; a (b) reason cites its DESIGN.md
-#: row; a (c) reason names the bound a test lowers.  An entry covers the
-#: defs nested in it.
+#: row; a (c) reason names the bound or input a test lowers, drives past or
+#: feeds.  An entry covers the defs nested in it; a test-only line inside
+#: a ``raise`` needs none.
 CLASSES: Dict[str, Tuple[str, str]] = {
     # -- cdn ---------------------------------------------------------------
     "src/repro/cdn/allocation.py::ConsistentAllocator": (
@@ -106,23 +112,17 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/cdn/allocation.py::HashRing": (
         "b", _CDN + "consistent hashing — the ring's members; an empty "
         "ring picks nothing"),
-    "src/repro/cdn/allocation.py::check_allocation": ("a", "input"),
-    "src/repro/cdn/cache_server.py::CacheServer.__init__": ("a", "input"),
     "src/repro/cdn/cache_server.py::CacheServer._serve": ("a", "network"),
     "src/repro/cdn/cache_server.py::CacheServer._fill_from_parent": (
         "a", "network"),
     "src/repro/cdn/cache_server.py::CacheServer.admit": ("a", "clamp"),
-    "src/repro/cdn/content.py::ContentItem.__init__": ("a", "input"),
-    "src/repro/cdn/content.py::ZipfRankStream.__init__": ("a", "input"),
     "src/repro/cdn/content.py::ZipfRankStream._integral": (
         "a", "degenerate"),
     "src/repro/cdn/content.py::ZipfRankStream.next_rank": (
         "a", "degenerate"),
     "src/repro/cdn/content.py::ZipfRankStream._next_rank_logarithmic": (
         "a", "degenerate"),
-    "src/repro/cdn/geo.py::GeoIpDatabase.register": ("a", "input"),
     "src/repro/cdn/geo.py::GeoIpDatabase.lookup": ("a", "missing"),
-    "src/repro/cdn/health.py::HealthMonitor.__init__": ("a", "input"),
     "src/repro/cdn/health.py::HealthMonitor._account": (
         "b", _CDN + "active health monitor with failure hysteresis — a "
         "cache that answers again is healthy again"),
@@ -137,9 +137,9 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/cdn/providers.py::DomainDeployment.pool_for_ip": (
         "a", "missing"),
     "src/repro/cdn/router.py::TrafficRouter": (
-        "b", _CDN + "C-DNS traffic router — coverage zones with a default "
-        "zone, next-tier referral when no cache covers the client, REFUSED "
-        "outside its domain"),
+        "b", _CDN + "C-DNS traffic router — coverage zones, next-tier "
+        "referral when no cache covers the client, REFUSED outside its "
+        "domain"),
     "src/repro/cdn/router.py::referral_marker": (
         "b", _CDN + "next-tier referral markers"),
     "src/repro/cdn/router.py::is_referral": (
@@ -170,18 +170,10 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     # -- control / core ------------------------------------------------------
     "src/repro/control/monitor.py::StalenessMonitor.mean_staleness_ms": (
         "a", "degenerate"),
-    "src/repro/control/plane.py::ControlPlane.__init__": ("a", "input"),
-    "src/repro/control/plane.py::ControlPlane.add_churn": ("a", "input"),
     "src/repro/control/registry.py::ZoneRegistry.update": ("a", "noop"),
-    "src/repro/core/deployments.py::build_testbed": ("a", "input"),
-    "src/repro/core/deployments.py::build_custom_cdns_testbed": (
-        "a", "input"),
-    "src/repro/core/fallback.py::FallbackClient._one_query": (
-        "a", "network"),
     "src/repro/core/fallback.py::FallbackClient.race": (
         "b", "DESIGN.md §5 Fallback strategy: multicast to MEC-DNS and the "
         "provider L-DNS"),
-    "src/repro/core/meccdn.py::MecCdnSite.__init__": ("a", "input"),
     "src/repro/core/meccdn.py::MecCdnSite.publish_domain": (
         "b", _CORE + "end-to-end MEC-CDN assembly — another CDN customer's "
         "domain onboarded at the site (paper §5)"),
@@ -191,7 +183,7 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     # -- dnswire -------------------------------------------------------------
     "src/repro/dnswire/edns.py::ClientSubnet": (
         "b", _WIRE + "EDNS0 + ECS (RFC 7871) — IPv6 subnets and the client "
-        "network ECS-scoped caching keys on"),
+        "network a subnet names"),
     "src/repro/dnswire/edns.py::Edns.__eq__": ("a", "type"),
     "src/repro/dnswire/edns.py::Edns.options_from_wire": ("a", "wire"),
     "src/repro/dnswire/edns.py::OpaqueOption": ("a", "wire"),
@@ -202,15 +194,10 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/dnswire/name.py::Name.__reduce__": (
         "b", _WIRE + "domain names — a Name sent to a pool worker rebuilds "
         "its per-process hash"),
-    "src/repro/dnswire/name.py::Name._init_from": ("a", "input"),
-    "src/repro/dnswire/name.py::Name.parent": ("a", "input"),
-    "src/repro/dnswire/name.py::Name.relativize": ("a", "input"),
     "src/repro/dnswire/name.py::Name.to_text": ("a", "wire"),
     "src/repro/dnswire/name.py::_text_to_labels": ("a", "input"),
-    "src/repro/dnswire/name.py::_validate_label": ("a", "input"),
     "src/repro/dnswire/rdata.py::Rdata.__eq__": ("a", "type"),
     "src/repro/dnswire/rdata.py::parse_rdata": ("a", "wire"),
-    "src/repro/dnswire/rdata.py::A.from_wire": ("a", "wire"),
     "src/repro/dnswire/rdata.py::GenericRdata": ("a", "wire"),
     "src/repro/dnswire/rdata.py::TXT": (
         "b", _WIRE + "typed rdata (TXT), the record the C-DNS next-tier "
@@ -228,7 +215,6 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/dnswire/wire.py::WireReader.read_name": (
         "c", "_NAME_MEMO_MAX, which a test drives past (the truncated "
         "spelling beside it follows rule wire)"),
-    "src/repro/dnswire/zone.py::Zone.add": ("a", "input"),
     "src/repro/dnswire/zone.py::Zone.lookup": (
         "b", _ZONE + "wildcard + CNAME semantics — wildcard synthesis, "
         "empty non-terminals, out-of-zone names"),
@@ -249,65 +235,24 @@ CLASSES: Dict[str, Tuple[str, str]] = {
         "b", _RESOLVER + "TTL-aware positive/negative cache — the SOA a "
         "negative answer carries"),
     # -- experiments ---------------------------------------------------------
-    "src/repro/experiments/access_latency.py::AccessLatencyResult.row": (
-        "a", "missing"),
-    "src/repro/experiments/churn.py::ChurnResult.row": ("a", "missing"),
-    "src/repro/experiments/disaggregation.py::DisaggregationResult.row": (
-        "a", "missing"),
     "src/repro/experiments/envelope_sweep.py::_crossover": ("a", "missing"),
-    "src/repro/experiments/figure5.py::Figure5Result.row": ("a", "missing"),
-    "src/repro/experiments/mislocalization.py::MislocalizationResult.row": (
-        "a", "missing"),
-    "src/repro/experiments/overload.py::OverloadResult.row": (
-        "a", "missing"),
-    "src/repro/experiments/population.py::PopulationResult.row": (
-        "a", "missing"),
-    "src/repro/experiments/population.py::PopulationExperiment._keys": (
-        "a", "input"),
-    "src/repro/experiments/report.py::format_table": ("a", "input"),
     "src/repro/experiments/report.py::format_bar": ("a", "clamp"),
-    "src/repro/experiments/resilience.py::ResilienceResult.row": (
-        "a", "missing"),
-    # -- faults --------------------------------------------------------------
-    "src/repro/faults/burstloss.py::GilbertElliott.__init__": ("a", "input"),
-    "src/repro/faults/plan.py::FaultPlan._add": ("a", "input"),
-    "src/repro/faults/plan.py::FaultPlan.brownout_host": ("a", "input"),
-    "src/repro/faults/plan.py::FaultPlan.burst_loss": (
-        "b", "DESIGN.md §3 Measurement: retry behaviour under faults — a "
-        "burst-loss fault that ends"),
-    "src/repro/faults/plan.py::FaultInjector.install": ("a", "input"),
-    "src/repro/faults/plan.py::FaultInjector._apply_burst_off": (
-        "b", "DESIGN.md §3 Measurement: retry behaviour under faults — a "
-        "burst-loss fault that ends"),
-    "src/repro/faults/plan.py::FaultInjector._apply_partition_off": (
-        "a", "input"),
     # -- measure -------------------------------------------------------------
     "src/repro/measure/histogram.py::LatencyHistogram.add": ("a", "clamp"),
     "src/repro/measure/histogram.py::LatencyHistogram._bin_index": (
         "a", "clamp"),
-    "src/repro/measure/histogram.py::LatencyHistogram.merge": (
-        "a", "input"),
     "src/repro/measure/histogram.py::LatencyHistogram.quantile": (
         "a", "input, clamp"),
     "src/repro/measure/histogram.py::LatencyHistogram.summary": (
         "a", "degenerate"),
     "src/repro/measure/loadgen.py::LoadGenerator.run": (
         "a", "input, degenerate"),
-    "src/repro/measure/runner.py::measure_deployment_run": ("a", "input"),
-    "src/repro/measure/stats.py::summarize": ("a", "degenerate"),
     "src/repro/measure/stats.py::trimmed": ("a", "degenerate"),
     # -- mec -----------------------------------------------------------------
-    "src/repro/mec/cluster.py::Node.__init__": ("a", "input"),
-    "src/repro/mec/cluster.py::Orchestrator._place": ("a", "input"),
-    "src/repro/mec/cluster.py::Orchestrator.create_service": ("a", "input"),
-    "src/repro/mec/cluster.py::Orchestrator.scale": ("a", "input"),
     "src/repro/mec/cluster.py::Orchestrator.kill_pod": ("a", "noop"),
-    "src/repro/mec/cluster.py::Orchestrator.service": ("a", "missing"),
     "src/repro/mec/cluster.py::Orchestrator.resolve_service_name": (
         "b", _MEC + "CoreDNS analog with plugin chain incl. kubernetes — "
         "service names resolve to cluster IPs"),
-    "src/repro/mec/controller.py::ReplicaController.__init__": (
-        "a", "input"),
     "src/repro/mec/controller.py::ReplicaController.reconcile_once": (
         "a", "network"),
     "src/repro/mec/coredns.py::KubernetesPlugin.handle": (
@@ -325,55 +270,30 @@ CLASSES: Dict[str, Tuple[str, str]] = {
         "the default forward"),
     "src/repro/mec/coredns.py::CoreDnsServer.add_stub_domain": (
         "b", _MEC + "stub-domain upstream (the paper's §4 configuration)"),
-    "src/repro/mec/ingress.py::IngressMonitor.__init__": ("a", "input"),
     "src/repro/mec/ipreuse.py::PublicIpPlan": (
         "b", "DESIGN.md §5 Public IP reuse: public IPs needed with and "
         "without the shared-cluster-IP design"),
-    "src/repro/mec/plugins_extra.py::RewritePlugin": (
-        "b", "DESIGN.md §2 Kubernetes + CoreDNS: the CoreDNS-analog plugin "
-        "chain (rewrite)"),
-    "src/repro/mec/plugins_extra.py::LoadBalancePlugin": (
-        "b", "DESIGN.md §2 Kubernetes + CoreDNS: the CoreDNS-analog plugin "
-        "chain (loadbalance)"),
     "src/repro/mec/namespaces.py::SplitNamespacePlugin.handle": (
         "b", _MEC + "split public/internal DNS namespaces — internal "
         "clients see both; the IGNORE policy answers nothing"),
-    # -- mobile --------------------------------------------------------------
-    "src/repro/mobile/handoff.py::HandoffController.handoff": (
-        "a", "input"),
-    "src/repro/mobile/nat.py::NatMiddlebox.__init__": ("a", "input"),
     # -- netsim --------------------------------------------------------------
-    "src/repro/netsim/engine.py::SimFuture.result": ("a", "input"),
     "src/repro/netsim/engine.py::SimFuture.add_done_callback": (
         "b", _SIM + "process callbacks — a callback added to a resolved "
         "future runs on the next tick"),
     "src/repro/netsim/engine.py::_Process._step": ("a", "input"),
-    "src/repro/netsim/engine.py::Simulator.call_at": ("a", "input"),
-    "src/repro/netsim/engine.py::Simulator.call_after": ("a", "input"),
-    "src/repro/netsim/engine.py::Simulator._drain": (
-        "c", "max_events, the runaway-loop guard, which tests set low"),
-    "src/repro/netsim/engine.py::Simulator.first_success": ("a", "input"),
-    "src/repro/netsim/engine.py::Simulator.run_until_resolved": (
-        "a", "input"),
     "src/repro/netsim/latency.py::LatencyModel.__add__": (
         "b", _SIM + "latency distributions (constant/uniform/normal/"
         "lognormal/gamma/empirical/shifted)"),
-    "src/repro/netsim/latency.py::Constant.__init__": ("a", "input"),
     "src/repro/netsim/latency.py::Uniform": (
         "b", _SIM + "latency distributions (uniform)"),
     "src/repro/netsim/latency.py::Normal": (
         "b", _SIM + "latency distributions (normal)"),
-    "src/repro/netsim/latency.py::lognormal_from_median_p95": (
-        "a", "input"),
     "src/repro/netsim/latency.py::Gamma": (
         "b", _SIM + "latency distributions (gamma)"),
     "src/repro/netsim/latency.py::Empirical": (
         "b", _SIM + "latency distributions (empirical)"),
     "src/repro/netsim/latency.py::Compound": (
         "b", _SIM + "latency distributions (shifted: a sum of models)"),
-    "src/repro/netsim/link.py::Link.__init__": ("a", "input"),
-    "src/repro/netsim/link.py::Link.sample_delay": (
-        "b", _SIM + "links — random loss and serialization delay"),
     "src/repro/netsim/network.py::Network": ("a", "input"),
     "src/repro/netsim/network.py::Network._walk": ("a", "network"),
     "src/repro/netsim/network.py::Network._routes_from": (
@@ -385,15 +305,9 @@ CLASSES: Dict[str, Tuple[str, str]] = {
         "b", _SIM + "tcpdump-analog capture of every host"),
     "src/repro/netsim/network.py::Network._emit": (
         "b", _SIM + "tcpdump-analog capture of every host"),
-    "src/repro/netsim/node.py::Host": ("a", "input"),
-    "src/repro/netsim/socket.py::UdpSocket": ("a", "input"),
     "src/repro/netsim/stream.py::StreamChannel._reliable_exchange": (
         "a", "network"),
-    "src/repro/netsim/stream.py::StreamChannel.exchange": ("a", "input"),
-    "src/repro/netsim/trace.py::PacketTrace._observe": (
-        "b", _SIM + "tcpdump-analog capture — an event filter"),
     # -- profile -------------------------------------------------------------
-    "src/repro/profile/budget.py::BudgetReport.row": ("a", "missing"),
     "src/repro/profile/criticalpath.py::_stage_for": (
         "b", _RESOLVER + "the stages of truncation→TCP retry, the "
         "forwarder's upstream exchange and the plugin chain"),
@@ -403,30 +317,21 @@ CLASSES: Dict[str, Tuple[str, str]] = {
         "c", "the row limit, which tests set below the row count"),
     "src/repro/profile/runner.py::run_slo_cli": ("a", "usage, gate"),
     "src/repro/profile/runner.py::run_tail_cli": ("a", "usage"),
-    "src/repro/profile/slo.py::_parse_point": ("a", "input"),
-    "src/repro/profile/slo.py::_parse_window": ("a", "input"),
-    "src/repro/profile/slo.py::_parse_burnrate": ("a", "input"),
-    "src/repro/profile/slo.py::_check_op": ("a", "input"),
     "src/repro/profile/slo.py::_parse_threshold": ("a", "input"),
     "src/repro/profile/slo.py::_budget_samples": ("a", "missing"),
-    "src/repro/profile/slo.py::_timeseries_docs": ("a", "missing"),
     "src/repro/profile/slo.py::_check_window_rule": ("a", "gate"),
     "src/repro/profile/slo.py::_check_burnrate_rule": ("a", "gate"),
     "src/repro/profile/slo.py::_check_point_rule": ("a", "gate"),
     # -- resolver ------------------------------------------------------------
     "src/repro/resolver/authoritative.py::AuthoritativeServer.handle_query": (
         "b", _RESOLVER + "authoritative server over zones (referrals, "
-        "CNAME, wildcards, answer rotation) — NXDOMAIN, NODATA and REFUSED "
-        "answers"),
-    "src/repro/resolver/authoritative.py::AuthoritativeServer._finish_response": (
-        "b", _RESOLVER + "authoritative server over zones (ECS scope)"),
+        "CNAME, wildcards) — NXDOMAIN, NODATA and REFUSED answers"),
     "src/repro/resolver/authoritative.py::AuthoritativeServer._handle_axfr": (
         "b", _RESOLVER + "AXFR/IXFR with change journal — NOTAUTH for a "
         "zone it does not serve"),
     "src/repro/resolver/authoritative.py::AuthoritativeServer._handle_ixfr": (
         "b", _RESOLVER + "AXFR/IXFR with change journal — a secondary "
         "already current"),
-    "src/repro/resolver/cache.py::DnsCache.__init__": ("a", "input"),
     "src/repro/resolver/cache.py::DnsCache._evict_if_needed": (
         "c", "max_entries, which tests set to a few entries"),
     "src/repro/resolver/cache.py::DnsCache.get": (
@@ -444,7 +349,6 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/resolver/chain.py::PluginChain.run": (
         "b", _RESOLVER + "plugin-style handler chain — a chain that runs "
         "out of plugins answers REFUSED"),
-    "src/repro/resolver/exchange.py::exchange": ("a", "wire"),
     "src/repro/resolver/forwarder.py::ForwardingResolver.handle_query": (
         "b", _RESOLVER + "forwarding resolver over the TTL-aware "
         "positive/negative cache — cached NXDOMAIN, serve-stale, SERVFAIL "
@@ -452,36 +356,22 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/resolver/forwarder.py::ForwardingResolver._cache_response": (
         "b", _RESOLVER + "TTL-aware positive/negative cache"),
     "src/repro/resolver/recursive.py::RecursiveResolver": (
-        "b", _RESOLVER + "iterative recursive resolver with ECS-scoped "
-        "caching"),
+        "b", _RESOLVER + "iterative recursive resolver"),
     "src/repro/resolver/recursive.py::_is_glue": (
         "b", _RESOLVER + "iterative recursive resolver — glue under a "
         "referral"),
-    "src/repro/resolver/retry.py::RetryBudget": (
-        "b", _RESOLVER + "the stub's retry schedule (budgets)"),
-    "src/repro/resolver/retry.py::RetryPolicy.__init__": ("a", "input"),
-    "src/repro/resolver/retry.py::RetryPolicy.timeout_for": ("a", "input"),
-    "src/repro/resolver/retry.py::RetryPolicy.may_retry": (
-        "b", _RESOLVER + "the stub's retry schedule (budgets)"),
-    "src/repro/resolver/server.py::DnsServer.__init__": ("a", "input"),
     "src/repro/resolver/server.py::DnsServer._on_datagram": ("a", "wire"),
     "src/repro/resolver/server.py::DnsServer._send_error_for_garbage": (
         "a", "wire"),
-    "src/repro/resolver/server.py::DnsServer._produce_response": (
-        "a", "network"),
     "src/repro/resolver/server.py::DnsServer._admit": (
         "b", _RESOLVER + "finite-capacity service model (workers + "
         "backlog) — a query shed at a full queue"),
     "src/repro/resolver/stub.py::StubResolver._query_impl": (
         "b", _RESOLVER + "stub resolver, the one owner of the retry "
-        "schedule — budgets, malformed replies and SERVFAIL retried"),
+        "schedule — malformed replies and SERVFAIL retried"),
     "src/repro/resolver/xfr.py::ZoneDelta.new_serial": (
         "b", _RESOLVER + "AXFR/IXFR with change journal"),
-    "src/repro/resolver/xfr.py::diff_zones": ("a", "input"),
-    "src/repro/resolver/xfr.py::ZoneJournal.__init__": ("a", "input"),
     "src/repro/resolver/xfr.py::apply_ixfr": ("a", "input"),
-    "src/repro/resolver/xfr.py::axfr_response_records": ("a", "input"),
-    "src/repro/resolver/xfr.py::zone_from_axfr": ("a", "input"),
     "src/repro/resolver/xfr.py::SecondaryZone._transfer_ixfr": (
         "a", "network"),
     "src/repro/resolver/xfr.py::SecondaryZone.stop": (
@@ -490,51 +380,80 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/runtime/executor.py::TrialFailure.describe": ("a", "trial"),
     "src/repro/runtime/executor.py::_run_chunk": ("a", "trial"),
     "src/repro/runtime/executor.py::_run_pool": ("a", "trial"),
-    "src/repro/runtime/executor.py::TrialExecutor.__init__": ("a", "input"),
-    "src/repro/runtime/experiment.py::Experiment.resolve_params": (
-        "a", "input"),
     "src/repro/runtime/registry.py::ExperimentRegistry": (
         "a", "input, missing"),
-    "src/repro/runtime/spec.py::TrialSpec.value": ("a", "missing"),
     "src/repro/runtime/spec.py::TrialSpec.label": ("a", "trial"),
     # -- telemetry -----------------------------------------------------------
-    "src/repro/telemetry/metrics.py::Counter.inc": ("a", "input"),
-    "src/repro/telemetry/metrics.py::percentile": ("a", "input"),
-    "src/repro/telemetry/metrics.py::BucketCell.merge": ("a", "input"),
     "src/repro/telemetry/metrics.py::BucketCell.quantile": ("a", "clamp"),
-    "src/repro/telemetry/metrics.py::MetricsRegistry": ("a", "input"),
     "src/repro/telemetry/sampling.py::HeadSampler.keep_id": (
         "a", "degenerate"),
-    "src/repro/telemetry/sampling.py::TailReservoir.__init__": (
-        "a", "input"),
     "src/repro/telemetry/sampling.py::TailReservoir.offer": (
         "c", "capacity, which tests set to 0"),
-    "src/repro/telemetry/timeseries.py::TimeSeries.__init__": (
-        "a", "input"),
-    "src/repro/telemetry/timeseries.py::TimeSeries.merge_from": (
-        "a", "input"),
     "src/repro/telemetry/timeseries.py::TimeSeries._prune": (
         "c", "max_windows, which tests set below the run's windows"),
     "src/repro/telemetry/trace.py::Tracer.end": ("a", "noop"),
     "src/repro/telemetry/trace.py::Tracer._store": (
         "c", "max_spans, which tests set to a few spans"),
     # -- workload ------------------------------------------------------------
-    "src/repro/workload/arrivals.py::DiurnalProfile.__init__": (
-        "a", "input"),
-    "src/repro/workload/arrivals.py::NhppArrivals": ("a", "input"),
-    "src/repro/workload/caches.py::RankLru.__init__": ("a", "input"),
     "src/repro/workload/engine.py::DistrictStats.load_imbalance": (
         "a", "degenerate"),
     "src/repro/workload/engine.py::merge_stats": ("a", "degenerate"),
     "src/repro/workload/engine.py::_Router.select": (
         "b", _CDN + "consistent hashing — the client-keyed ring of the "
         "`--allocation client` policy"),
-    "src/repro/workload/mobility.py::MobilityModel.__init__": (
-        "a", "input"),
     "src/repro/workload/mobility.py::MobilityModel.place_session": (
         "a", "degenerate"),
-    "src/repro/workload/population.py::Population": ("a", "input"),
-    "src/repro/workload/sessions.py::SessionModel.__init__": ("a", "input"),
+    # -- parameters only tests set -------------------------------------------
+    # Tests are not callers (tests/test_surface_census.py): a defaulted
+    # parameter no code outside tests/ sets is a constant, unless it is one
+    # of these.
+    "src/repro/cdn/allocation.py::HashRing.__init__(vnodes)": (
+        "b", _CDN + "consistent hashing — virtual nodes per member (Huang "
+        "et al., PAPERS.md)"),
+    "src/repro/cdn/allocation.py::ConsistentAllocator.__init__(epsilon)": (
+        "b", _CDN + "consistent hashing — the bounded-load allocator's load "
+        "bound, (1 + epsilon) x the mean (Huang et al., PAPERS.md)"),
+    "src/repro/cdn/allocation.py::ConsistentAllocator.assign(eligible)": (
+        "c", "the eligible members, which tests feed to drive the walk past "
+        "its bound"),
+    "src/repro/check/hotpath.py::analyze(hot_prefixes)": (
+        "c", "the hot prefixes, which tests feed with their fixture tree"),
+    "src/repro/check/layering.py::analyze(contract)": (
+        "c", "the layer contract, which tests feed with their fixture tree"),
+    "src/repro/check/races.py::analyze(roots)": (
+        "c", "the entry roots, which tests feed with their fixture tree"),
+    "src/repro/cli.py::main(argv)": (
+        "c", "argv, which tests feed in place of sys.argv"),
+    "src/repro/core/meccdn.py::MecCdnSite.__init__(next_tier_cdns)": (
+        "b", _CDN + "C-DNS traffic router — next-tier referral (paper §3), "
+        "asserted by tests/integration/test_metro.py"),
+    "src/repro/core/meccdn.py::MecCdnSite.__init__(upstream_ldns)": (
+        "b", _MEC + "stub-domain upstream (the paper's §4 configuration) — "
+        "the default forward to the provider L-DNS"),
+    "src/repro/dnswire/message.py::Flags.__init__(tc)": (
+        "b", _WIRE + "full message codec — a header flag bit"),
+    "src/repro/dnswire/message.py::Flags.__init__(ad)": (
+        "b", _WIRE + "full message codec — a header flag bit"),
+    "src/repro/dnswire/message.py::Flags.__init__(cd)": (
+        "b", _WIRE + "full message codec — a header flag bit"),
+    "src/repro/dnswire/message.py::Message.__init__(opcode)": (
+        "b", _WIRE + "full message codec — the header opcode"),
+    "src/repro/dnswire/rdata.py::GenericRdata.__init__(generic_rtype)": (
+        "b", _WIRE + "typed rdata — any other type as opaque rdata (RFC "
+        "3597)"),
+    "src/repro/mec/cluster.py::Orchestrator.register_node(capacity)": (
+        "c", "a node's pod capacity, which tests lower to fill a cluster"),
+    "src/repro/mec/namespaces.py::SplitNamespacePlugin.__init__(policy)": (
+        "b", "DESIGN.md §5 Fallback strategy: the §3 ignore-then-fall-back "
+        "workaround (NamespacePolicy.IGNORE)"),
+    "src/repro/resolver/cache.py::DnsCache.__init__(max_entries)": (
+        "c", "max_entries, which tests set to a few entries"),
+    "src/repro/telemetry/timeseries.py::TimeSeries.__init__(max_windows)": (
+        "c", "max_windows, which tests set below the run's windows"),
+    "src/repro/telemetry/timeseries.py::TimeSeries.__init__"
+    "(max_annotations)": (
+        "c", "max_annotations, which tests set below the run's "
+        "annotations"),
 }
 
 #: Each CI ``repro`` command (.github/workflows/ci.yml), as arguments to
@@ -649,22 +568,48 @@ def scopes(tree: ast.Module) -> List[Tuple[int, int, str]]:
     return found
 
 
-def qualnames(path: Path) -> Set[str]:
-    return {name for _, _, name in scopes(ast.parse(path.read_text("utf-8")))}
+def parameters(tree: ast.Module) -> Dict[str, Set[str]]:
+    """Every def's parameters and every class's annotated fields, by
+    qualname (as :func:`scopes` spells it)."""
+    found: Dict[str, Set[str]] = {}
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{owner}.{child.name}" if owner else child.name
+                args = child.args
+                found[qualname] = {arg.arg for arg in (
+                    args.posonlyargs + args.args + args.kwonlyargs)}
+                visit(child, qualname)
+            elif isinstance(child, ast.ClassDef):
+                qualname = f"{owner}.{child.name}" if owner else child.name
+                found[qualname] = {item.target.id for item in child.body
+                                   if isinstance(item, ast.AnnAssign)
+                                   and isinstance(item.target, ast.Name)}
+                visit(child, qualname)
+            else:
+                visit(child, owner)
+    visit(tree, "")
+    return found
 
 
 def table_errors() -> List[str]:
-    """Every ``CLASSES`` entry that names no def / class, or whose reason
-    does not fit its class; tier-1 checks this without a census run."""
+    """Every ``CLASSES`` entry that names no def / class (or, keyed
+    ``qualname(param)``, no parameter of one), or whose reason does not
+    fit its class; tier-1 checks this without a census run."""
     errors: List[str] = []
-    defined: Dict[str, Set[str]] = {}
+    defined: Dict[str, Dict[str, Set[str]]] = {}
     for key, (kind, reason) in sorted(CLASSES.items()):
         file, _, qualname = key.partition("::")
+        qualname, _, param = qualname.rstrip(")").partition("(")
         if file not in defined:
             path = ROOT / file
-            defined[file] = qualnames(path) if path.is_file() else set()
+            defined[file] = (parameters(ast.parse(path.read_text("utf-8")))
+                             if path.is_file() else {})
         if qualname not in defined[file]:
             errors.append(f"{key}: no such def / class")
+        elif param and param not in defined[file][qualname]:
+            errors.append(f"{key}: no such parameter")
         if kind == "a":
             unknown = [rule for rule in reason.split(", ")
                        if rule not in DEGRADE_RULES]
@@ -676,6 +621,13 @@ def table_errors() -> List[str]:
         elif kind not in ("a", "b", "c"):
             errors.append(f"{key}: class {kind!r} is not a, b or c")
     return errors
+
+
+def raise_lines(tree: ast.Module) -> Set[int]:
+    """Lines inside a ``raise`` statement: class (a) without an entry."""
+    return {line for node in ast.walk(tree) if isinstance(node, ast.Raise)
+            for line in range(node.lineno,
+                              (node.end_lineno or node.lineno) + 1)}
 
 
 def enclosing(spans: List[Tuple[int, int, str]], line: int) -> str:
@@ -749,7 +701,9 @@ def census(surface: Lines, tested: Lines) -> Dict:
     for path in sorted(SRC.rglob("*.py")):
         file = path.relative_to(ROOT).as_posix()
         real = os.path.realpath(path)
-        spans = scopes(ast.parse(path.read_text("utf-8")))
+        tree = ast.parse(path.read_text("utf-8"))
+        spans = scopes(tree)
+        raising = raise_lines(tree)
         for line in sorted(executable(path)):
             report["executable"] += 1
             if (real, line) in surface:
@@ -764,6 +718,8 @@ def census(surface: Lines, tested: Lines) -> Dict:
                 if (file in OUT_OF_SCOPE_FILES
                         or qualname.rpartition(".")[2] in OUT_OF_SCOPE_NAMES):
                     kind = "out of scope"
+                elif line in raising:
+                    kind = "a"
                 else:
                     kind = classify(file, qualname) or "unclassified"
                 report["by_class"][kind] = report["by_class"].get(kind, 0) + 1

@@ -35,11 +35,9 @@ class FetchResult(NamedTuple):
 class HttpClient:
     """Issues GETs from a client host."""
 
-    def __init__(self, network: Network, host: Host,
-                 timeout: float = DEFAULT_FETCH_TIMEOUT_MS) -> None:
+    def __init__(self, network: Network, host: Host) -> None:
         self.network = network
         self.host = host
-        self.timeout = timeout
         self.fetches = 0
 
     def fetch(self, url: str, server_ip: str) -> Generator:
@@ -54,7 +52,7 @@ class HttpClient:
         try:
             reply = yield sock.request(f"GET {url}".encode(),
                                        Endpoint(server_ip, HTTP_PORT),
-                                       self.timeout)
+                                       DEFAULT_FETCH_TIMEOUT_MS)
         finally:
             sock.close()
         latency = self.network.sim.now - started

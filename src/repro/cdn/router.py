@@ -6,7 +6,7 @@ for the requesting client:
 
 * **coverage zones** map client (or ECS) networks to the cache group that
   should serve them — the edge group when the router runs inside the MEC,
-  wider groups otherwise;
+  wider groups otherwise; a catch-all is a ``0.0.0.0/0`` zone;
 * within a group, **consistent hashing** on the query name pins content to
   caches, concentrating each object on few servers;
 * unhealthy caches are skipped; an empty group makes the router answer
@@ -93,7 +93,6 @@ class TrafficRouter(DnsServer):
 
     def __init__(self, network, host, cdn_domain: Name,
                  zones: List[CoverageZone],
-                 default_zone: Optional[CoverageZone] = None,
                  answer_ttl: int = DEFAULT_ANSWER_TTL,
                  next_tier: Optional[str] = None,
                  ecs_enabled: bool = False,
@@ -106,14 +105,11 @@ class TrafficRouter(DnsServer):
         self.health_check = health_check or (lambda cache: cache.online)
         self.cdn_domain = cdn_domain
         self.zones = list(zones)
-        self.default_zone = default_zone
         self.answer_ttl = answer_ttl
         #: IP of the next-tier C-DNS returned when this tier cannot serve.
         self.next_tier = next_tier
         self.ecs_enabled = ecs_enabled
         self._rings = {zone.name: HashRing(zone.caches) for zone in zones}
-        if default_zone is not None and default_zone.name not in self._rings:
-            self._rings[default_zone.name] = HashRing(default_zone.caches)
         self.routed = 0
         self.referred_to_next_tier = 0
         self.zone_updates = 0
@@ -137,11 +133,6 @@ class TrafficRouter(DnsServer):
                 self._rings[zone_name] = HashRing(updated.caches)
                 self.zone_updates += 1
                 return
-        if self.default_zone is not None and self.default_zone.name == zone_name:
-            self.default_zone = self.default_zone._replace(caches=list(caches))
-            self._rings[zone_name] = HashRing(self.default_zone.caches)
-            self.zone_updates += 1
-            return
         raise ValueError(f"no coverage zone named {zone_name!r}")
 
     # -- selection --------------------------------------------------------------
@@ -154,9 +145,7 @@ class TrafficRouter(DnsServer):
             matched, prefix = zone.covers(client_ip)
             if matched and (best is None or prefix > best_prefix):
                 best, best_prefix = zone, prefix
-        if best is not None:
-            return best, best_prefix
-        return self.default_zone, 0
+        return best, best_prefix
 
     def select_cache(self, qname: Name,
                      client_ip: str) -> Tuple[Optional[CacheServer], int]:

@@ -106,8 +106,7 @@ class ControlPlane:
             scope=testbed.key)
         self.registry.subscribe(
             lambda update, zone: self.monitor.note_update(update))
-        if site.ldns.cache_plugin is not None:
-            site.ldns.cache_plugin.churn_window = self.coordinator.in_flight
+        site.ldns.cache_plugin.churn_window = self.coordinator.in_flight
         self.router_applies = 0
 
     # -- churn ---------------------------------------------------------------

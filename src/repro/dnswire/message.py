@@ -89,16 +89,15 @@ class Flags:
 
 
 class Question:
-    """A question section entry: name, type, class."""
+    """A question section entry: name, type, class (``IN`` unless decoded
+    from the wire)."""
 
     __slots__ = ("name", "rtype", "rclass")
 
-    def __init__(self, name: Name, rtype: RecordType,
-                 rclass: RecordClass = RecordClass.IN) -> None:
+    def __init__(self, name: Name, rtype: RecordType) -> None:
         self.name = name
         self.rtype = rtype if type(rtype) is RecordType else RecordType(rtype)
-        self.rclass = (rclass if type(rclass) is RecordClass
-                       else RecordClass(rclass))
+        self.rclass = RecordClass.IN
 
     def to_wire(self, writer: WireWriter) -> None:
         """Serialise to wire format."""

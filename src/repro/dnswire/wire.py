@@ -40,10 +40,9 @@ _NAME_MEMO_MAX = 4096
 class WireWriter:
     """Serialises DNS data, compressing names against earlier output."""
 
-    def __init__(self, enable_compression: bool = True) -> None:
+    def __init__(self) -> None:
         self._parts = bytearray()
         self._offsets: Dict[Tuple[bytes, ...], int] = {}
-        self._enable_compression = enable_compression
 
     def __len__(self) -> int:
         return len(self._parts)
@@ -83,7 +82,7 @@ class WireWriter:
         index = 0
         while index < len(labels):
             suffix = tuple(label.lower() for label in labels[index:])
-            known = self._offsets.get(suffix) if (compress and self._enable_compression) else None
+            known = self._offsets.get(suffix) if compress else None
             if known is not None:
                 self.write_u16(0xC000 | known)
                 return

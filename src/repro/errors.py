@@ -89,9 +89,5 @@ class MecError(ReproError):
     """Base class for MEC orchestrator errors."""
 
 
-class ServiceNotFound(MecError):
-    """A cluster service name did not resolve to any registered service."""
-
-
 class CapacityError(MecError):
     """An orchestrator placement failed because no node has capacity."""

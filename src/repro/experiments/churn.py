@@ -222,7 +222,6 @@ def _churn_cell(scenario: str, deployment: str, mode: str, queries: int,
     within = [entry for entry in usable if entry[1] <= DEADLINE_MS]
     latencies = [entry[1] for entry in lookups]
     assert testbed.mec_site is not None
-    cache_plugin = testbed.mec_site.ldns.cache_plugin
     delays = [record.delay_ms
               for record in plane.coordinator.records.values()
               if record.delay_ms is not None]
@@ -240,8 +239,8 @@ def _churn_cell(scenario: str, deployment: str, mode: str, queries: int,
         misloc_rate=monitor.mislocalization_rate,
         lookups_in_window=monitor.lookups_in_window,
         mislocalized_in_window=monitor.mislocalized_in_window,
-        stale_during_churn=(cache_plugin.stale_served_during_churn
-                            if cache_plugin is not None else 0),
+        stale_during_churn=(
+            testbed.mec_site.ldns.cache_plugin.stale_served_during_churn),
         axfr_fallbacks=plane.primary.ixfr_axfr_fallbacks,
         handoffs=controller.handoffs,
         post_handoff_lookups=controller.post_handoff_lookups,

@@ -35,6 +35,9 @@ PAPER_MEANS: Dict[str, float] = {
     "cloudflare-dns": 128.4,
 }
 
+#: Cells on :meth:`Figure5Result.render_chart`'s latency axis.
+CHART_WIDTH = 46
+
 
 class Figure5Row(NamedTuple):
     key: str
@@ -60,13 +63,14 @@ class Figure5Result(NamedTuple):
                 return row
         raise KeyError(key)
 
-    def render_chart(self, width: int = 46) -> str:
+    def render_chart(self) -> str:
         """A horizontal bar chart shaped like the paper's Figure 5.
 
         Each bar splits into the wireless segment (``=``) and the
         resolver segment (``#``); ``|`` marks min/max whiskers scaled to
         the same axis.
         """
+        width = CHART_WIDTH
         scale_max = max(row.latency.maximum for row in self.rows)
         label_width = max(len(row.label) for row in self.rows)
         lines = ["Figure 5 (chart): '=' wireless, '#' resolver, "

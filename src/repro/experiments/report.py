@@ -30,9 +30,13 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
     return "\n".join(lines)
 
 
-def format_bar(fraction: float, width: int = 30) -> str:
-    """A unicode bar for quick visual comparison, e.g. '#####     42%'."""
+#: Cells in a :func:`format_bar` bar.
+BAR_WIDTH = 30
+
+
+def format_bar(fraction: float) -> str:
+    """A bar for quick visual comparison, e.g. '#####.....' for 0.5."""
     if not 0 <= fraction <= 1:
         fraction = max(0.0, min(1.0, fraction))
-    filled = round(fraction * width)
-    return "#" * filled + "." * (width - filled)
+    filled = round(fraction * BAR_WIDTH)
+    return "#" * filled + "." * (BAR_WIDTH - filled)

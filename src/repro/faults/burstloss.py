@@ -1,18 +1,19 @@
 """Gilbert–Elliott two-state burst-loss model.
 
-The i.i.d. per-traversal loss on :class:`~repro.netsim.link.Link` cannot
-express what LTE radio links actually do under interference: losses come
-in *bursts*.  The classic Gilbert–Elliott chain models this with a Good
-and a Bad state; each packet traversal first steps the chain, then drops
-with the loss probability of the current state.  With ``p_enter`` small
+Independent per-packet loss cannot express what LTE radio links
+actually do under interference: losses come in *bursts*.  The classic
+Gilbert–Elliott chain models this with a Good and a Bad state; each
+packet traversal first steps the chain, then drops with the loss
+probability of the current state.  With ``p_enter`` small
 and ``p_exit`` moderate, long loss-free stretches alternate with short
 windows where almost everything dies — exactly the pattern that defeats
 a fixed-timeout retry loop and motivates backoff + hedging.
 
 Installed on a link as ``link.loss_model`` (usually via
-:meth:`repro.faults.FaultPlan.burst_loss`), it *replaces* the i.i.d.
-draw while present.  State advances per traversal and all draws come
-from the link's seeded RNG stream, so runs are reproducible.
+:meth:`repro.faults.FaultPlan.burst_loss`), it is the link's one loss
+path; a link without one loses nothing.  State advances per traversal
+and all draws come from the link's seeded RNG stream, so runs are
+reproducible.
 """
 
 from __future__ import annotations

@@ -94,19 +94,15 @@ class FaultPlan:
         return self
 
     def burst_loss(self, a: str, b: str, at_ms: float,
-                   duration_ms: Optional[float] = None,
                    p_enter: float = 0.02, p_exit: float = 0.25,
                    bad_loss: float = 0.95,
                    good_loss: float = 0.0) -> "FaultPlan":
-        """Install a Gilbert–Elliott burst-loss process on a link."""
+        """Install a Gilbert–Elliott burst-loss process on a link for the
+        rest of the run."""
         GilbertElliott(p_enter, p_exit, bad_loss, good_loss)  # validate now
-        fault = self._allocate()
-        self._add(at_ms, "burst-on", f"link {a}<->{b}", fault,
+        self._add(at_ms, "burst-on", f"link {a}<->{b}", self._allocate(),
                   a=a, b=b, p_enter=p_enter, p_exit=p_exit,
                   bad_loss=bad_loss, good_loss=good_loss)
-        if duration_ms is not None:
-            self._add(at_ms + duration_ms, "burst-off", f"link {a}<->{b}",
-                      fault, a=a, b=b)
         return self
 
     def partition(self, group: Sequence[str], at_ms: float,
@@ -181,9 +177,6 @@ class FaultInjector:
                                event.params["bad_loss"],
                                event.params["good_loss"])
         self._link(event).loss_model = model
-
-    def _apply_burst_off(self, event: FaultEvent) -> None:
-        self._link(event).loss_model = None
 
     def _apply_partition_on(self, event: FaultEvent) -> None:
         self._partition_tokens[event.fault_id] = self.network.partition(

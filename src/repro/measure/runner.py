@@ -62,15 +62,14 @@ class MeasurementRun(NamedTuple):
     retries: RetryStats
 
 
-def measure_deployment_queries(testbed: Testbed, count: int,
-                               warmup: int = 1) -> List[QueryMeasurement]:
-    """Run ``warmup + count`` sequential queries; return the measured ones.
+def measure_deployment_queries(testbed: Testbed,
+                               count: int) -> List[QueryMeasurement]:
+    """Run one warmup query and ``count`` more; return the measured ones.
 
-    Warmup queries let resolvers with warm-cache semantics settle (and
-    mirror the practice of discarding the first dig of a session).
+    The warmup query lets resolvers with warm-cache semantics settle (and
+    mirrors the practice of discarding the first dig of a session).
     """
-    return measure_deployment_run(testbed, count,
-                                  warmup=warmup).measurements
+    return measure_deployment_run(testbed, count).measurements
 
 
 def measure_deployment_run(testbed: Testbed, count: int,

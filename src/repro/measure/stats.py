@@ -50,13 +50,11 @@ class SummaryStats(NamedTuple):
                 f"p99={self.p99:.1f}")
 
 
-def summarize(values: Sequence[float], trim: bool = True) -> SummaryStats:
+def summarize(values: Sequence[float]) -> SummaryStats:
     """Paper-style summary: trimmed central stats, untrimmed extremes."""
     if not values:
         raise ValueError("cannot summarize an empty sample")
-    central = trimmed(values) if trim else list(values)
-    if not central:
-        central = list(values)
+    central = trimmed(values) or list(values)
     mean = reduce(add, central, 0) / len(central)
     variance = (reduce(add, [(value - mean) ** 2 for value in central], 0)
                 / len(central)

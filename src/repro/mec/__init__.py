@@ -28,7 +28,6 @@ from repro.mec.coredns import (
     ForwardPlugin,
 )
 from repro.mec.namespaces import SplitNamespacePlugin, NamespacePolicy
-from repro.mec.plugins_extra import RewritePlugin, LoadBalancePlugin
 from repro.mec.ingress import IngressMonitor, DosMitigation
 from repro.mec.ipreuse import PublicIpPlan
 
@@ -45,8 +44,6 @@ __all__ = [
     "ForwardPlugin",
     "SplitNamespacePlugin",
     "NamespacePolicy",
-    "RewritePlugin",
-    "LoadBalancePlugin",
     "IngressMonitor",
     "DosMitigation",
     "PublicIpPlan",

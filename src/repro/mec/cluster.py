@@ -18,7 +18,7 @@ from __future__ import annotations
 import ipaddress
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import CapacityError, MecError, ServiceNotFound
+from repro.errors import CapacityError, MecError
 from repro.netsim.latency import Constant, LatencyModel
 from repro.netsim.network import Network
 from repro.netsim.node import Host
@@ -134,14 +134,6 @@ class Orchestrator:
             raise MecError(f"service {service.fqdn} already exists")
         self.services[service.fqdn] = service
         return service
-
-    def service(self, name: str, namespace: str = "default") -> Service:
-        """Look up a service by name/namespace; raises ServiceNotFound."""
-        fqdn = f"{name}.{namespace}.svc.cluster.local."
-        try:
-            return self.services[fqdn]
-        except KeyError:
-            raise ServiceNotFound(fqdn) from None
 
     def resolve_service_name(self, fqdn: str) -> Optional[Service]:
         """Service for an FQDN like ``dns.kube-system.svc.cluster.local.``"""

@@ -11,8 +11,10 @@ Mirrors the configuration the paper's prototype uses (§4):
   provider's L-DNS — so non-MEC names keep resolving;
 * a **cache** plugin serves repeat queries locally.
 
-A :class:`repro.mec.namespaces.SplitNamespacePlugin` can be placed at the
-front of the chain to implement the public/internal split.
+The chain is cache, kubernetes, stub domain, then forward when an
+upstream is given.  A :class:`repro.mec.namespaces.SplitNamespacePlugin`
+can be placed at the front of the chain to implement the public/internal
+split.
 """
 
 from __future__ import annotations
@@ -28,12 +30,19 @@ from repro.mec.cluster import Orchestrator
 from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache
 from repro.resolver.chain import Plugin, PluginChain, QueryContext
-from repro.resolver.forwarder import stub_domain_upstream
-from repro.resolver.recursive import ECS_V4_PREFIX
 from repro.resolver.server import DnsServer
 
 #: TTL for service-discovery answers (kubernetes plugin default is 5s).
 SERVICE_TTL = 5
+#: The client prefix ``ecs_inject`` advertises (the RFC 7871 IPv4 default).
+ECS_V4_PREFIX = 24
+
+
+def stub_domain_upstream(domains: Dict[Name, Endpoint],
+                         qname: Name) -> Optional[Endpoint]:
+    """The upstream of the longest configured domain ``qname`` is under."""
+    matches = [domain for domain in domains if qname.is_subdomain_of(domain)]
+    return domains[max(matches, key=len)] if matches else None
 
 
 class CachePlugin(Plugin):
@@ -222,14 +231,13 @@ class CoreDnsServer(DnsServer):
     """CoreDNS: the plugin chain behind one server socket.
 
     ``front_plugins`` are placed before everything else (the split-
-    namespace policy goes here); ``enable_cache`` controls the cache
-    plugin; ``upstream`` adds a default forward plugin when given.
+    namespace policy goes here); ``upstream`` adds a default forward
+    plugin when given.
     """
 
     def __init__(self, network, host, orchestrator: Orchestrator,
                  stub_domains: Optional[Dict[Name, Endpoint]] = None,
                  upstream: Optional[Endpoint] = None,
-                 enable_cache: bool = True,
                  front_plugins: Optional[List[Plugin]] = None,
                  forward_ecs: bool = True,
                  ecs_inject: bool = False,
@@ -242,12 +250,9 @@ class CoreDnsServer(DnsServer):
         self.ecs_inject = ecs_inject
         self.kubernetes = KubernetesPlugin(orchestrator)
         self.stub = StubDomainPlugin(stub_domains, forward_ecs=forward_ecs)
+        self.cache_plugin = CachePlugin(serve_stale=serve_stale)
         plugins: List[Plugin] = list(front_plugins or [])
-        self.cache_plugin: Optional[CachePlugin] = None
-        if enable_cache:
-            self.cache_plugin = CachePlugin(serve_stale=serve_stale)
-            plugins.append(self.cache_plugin)
-        plugins.extend([self.kubernetes, self.stub])
+        plugins.extend([self.cache_plugin, self.kubernetes, self.stub])
         self.forward_plugin: Optional[ForwardPlugin] = None
         if upstream is not None:
             self.forward_plugin = ForwardPlugin(upstream,

@@ -73,26 +73,25 @@ class Uniform(LatencyModel):
 
 
 class Normal(LatencyModel):
-    """Gaussian truncated at ``floor`` (resampled, not clipped to a spike)."""
+    """Gaussian truncated at zero (resampled, not clipped to a spike)."""
 
-    def __init__(self, mu: float, sigma: float, floor: float = 0.0) -> None:
+    def __init__(self, mu: float, sigma: float) -> None:
         if sigma < 0:
             raise ValueError(f"negative sigma {sigma}")
         self.mu = mu
         self.sigma = sigma
-        self.floor = floor
 
     def sample(self, rng: random.Random) -> float:
         """Draw one one-way latency sample in milliseconds."""
         for _ in range(64):
             value = rng.gauss(self.mu, self.sigma)
-            if value >= self.floor:
+            if value >= 0.0:
                 return value
-        return self.floor  # pathological parameters; keep the sim running
+        return 0.0  # pathological parameters; keep the sim running
 
     @property
     def mean(self) -> float:
-        return max(self.mu, self.floor)
+        return max(self.mu, 0.0)
 
     def __repr__(self) -> str:
         return f"Normal(mu={self.mu}, sigma={self.sigma})"
@@ -146,23 +145,22 @@ def lognormal_from_median_p95(median: float, p95: float,
 class Gamma(LatencyModel):
     """Gamma-distributed delay (moderate tail, strictly positive)."""
 
-    def __init__(self, shape: float, scale: float, shift: float = 0.0) -> None:
+    def __init__(self, shape: float, scale: float) -> None:
         if shape <= 0 or scale <= 0:
             raise ValueError("gamma shape and scale must be positive")
         self.shape = shape
         self.scale = scale
-        self.shift = shift
 
     def sample(self, rng: random.Random) -> float:
         """Draw one one-way latency sample in milliseconds."""
-        return self.shift + rng.gammavariate(self.shape, self.scale)
+        return rng.gammavariate(self.shape, self.scale)
 
     @property
     def mean(self) -> float:
-        return self.shift + self.shape * self.scale
+        return self.shape * self.scale
 
     def __repr__(self) -> str:
-        return f"Gamma(shape={self.shape}, scale={self.scale}, shift={self.shift})"
+        return f"Gamma(shape={self.shape}, scale={self.scale})"
 
 
 class Empirical(LatencyModel):

@@ -99,15 +99,13 @@ class Network:
         host.addresses.remove(ip)
         del self._ip_index[ip]
 
-    def add_link(self, a: str, b: str, latency, loss: float = 0.0,
-                 name: Optional[str] = None,
-                 bandwidth_mbps: Optional[float] = None) -> Link:
-        """Connect two hosts with a latency model (and optional loss)."""
+    def add_link(self, a: str, b: str, latency,
+                 name: Optional[str] = None) -> Link:
+        """Connect two hosts with a latency model."""
         for endpoint in (a, b):
             if endpoint not in self._hosts:
                 raise AddressError(f"unknown host {endpoint}")
-        link = Link(a, b, latency, loss=loss, name=name,
-                    bandwidth_mbps=bandwidth_mbps)
+        link = Link(a, b, latency, name=name)
         self._links[self._link_key(a, b)] = link
         weight = max(link.mean_latency, 1e-9)
         self._adjacency[a][b] = weight
@@ -311,7 +309,7 @@ class Network:
             link = links[(previous, nxt) if previous <= nxt
                          else (nxt, previous)]
             hop_start = elapsed
-            delay = link.sample_delay(rng, current.size)
+            delay = link.sample_delay(rng)
             if delay is None:
                 self._count_drop("loss")
                 self._schedule_tap("drop", nxt, current, elapsed)

@@ -30,11 +30,9 @@ class PacketTrace:
     """Collects :class:`TraceRecord` entries from a network tap."""
 
     def __init__(self, network: Network,
-                 host_filter: Optional[str] = None,
-                 event_filter: Optional[str] = None) -> None:
+                 host_filter: Optional[str] = None) -> None:
         self._network = network
         self._host_filter = host_filter
-        self._event_filter = event_filter
         self.records: List[TraceRecord] = []
         # The network applies the host filter, so a hop at a host nobody
         # watches costs no simulator event.
@@ -42,8 +40,6 @@ class PacketTrace:
 
     def _observe(self, time: float, host: str, event: str,
                  datagram: Datagram) -> None:
-        if self._event_filter is not None and event != self._event_filter:
-            return
         self.records.append(TraceRecord(
             time=time, host=host, event=event,
             src=str(datagram.src), dst=str(datagram.dst),

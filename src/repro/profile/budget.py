@@ -54,13 +54,6 @@ class BudgetReport(NamedTuple):
 
     rows: List[BudgetRow]
 
-    def row(self, deployment: str) -> BudgetRow:
-        """The row for one deployment key; raises ``KeyError`` if absent."""
-        for candidate in self.rows:
-            if candidate.deployment == deployment:
-                return candidate
-        raise KeyError(deployment)
-
     def to_dict(self) -> Dict[str, Any]:
         """The machine-readable ``repro-budget-v1`` document."""
         return {

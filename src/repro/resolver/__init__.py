@@ -6,16 +6,16 @@
 * :mod:`repro.resolver.server` — base class: socket handling, wire codec,
   processing delay, one-shot upstream query and forward helpers.
 * :mod:`repro.resolver.authoritative` — authoritative server over zones
-  (CNAME chasing, wildcards, referrals, ECS hook).
+  (CNAME chasing, wildcards, referrals).
 * :mod:`repro.resolver.recursive` — iterative resolver with root hints,
   referral chasing, glue handling, and negative caching.
-* :mod:`repro.resolver.forwarder` — forwarding resolver with stub-domain
-  routing (the CoreDNS mechanism the paper's prototype configures).
+* :mod:`repro.resolver.forwarder` — forwarding resolver over a cache,
+  with serve-stale.
 * :mod:`repro.resolver.stub` — the client side; its :class:`DigResult`
   mirrors the fields the paper reads off ``dig``.
 * :mod:`repro.resolver.chain` — CoreDNS-style plugin chain.
 * :mod:`repro.resolver.retry` — the stub's retry policy: timeouts,
-  backoff + jitter, retry budgets, hedged queries.
+  backoff + jitter, hedged queries.
 """
 
 from repro.resolver.cache import DnsCache, CacheOutcome
@@ -25,7 +25,7 @@ from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.stub import StubResolver, DigResult
 from repro.resolver.chain import Plugin, PluginChain, QueryContext
-from repro.resolver.retry import RetryBudget, RetryPolicy
+from repro.resolver.retry import RetryPolicy
 from repro.resolver.xfr import SecondaryZone
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Plugin",
     "PluginChain",
     "QueryContext",
-    "RetryBudget",
     "RetryPolicy",
     "SecondaryZone",
 ]

@@ -3,16 +3,16 @@
 Implements the answer-side semantics the reproduction needs: longest-match
 zone selection, CNAME chasing across hosted zones, wildcard answers,
 referrals for delegations, NXDOMAIN/NODATA with SOA in the authority
-section, AXFR/IXFR out of a bounded change journal, and an ECS hook
-that lets a subclass select answers by client subnet and stamp the
-response scope (the zone itself answers untailored, scope 0).
+section, and AXFR/IXFR out of a bounded change journal.  Answers are
+the zone's records in zone order: an ECS option in the query is echoed
+untouched, and nothing is tailored to the client (the C-DNS that does
+tailor is :class:`repro.cdn.router.TrafficRouter`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-from repro.dnswire.edns import ClientSubnet
 from repro.dnswire.message import Message, ResourceRecord, make_response
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode, RecordType
@@ -28,16 +28,9 @@ class AuthoritativeServer(DnsServer):
     """Serves the zones it hosts; refuses everything else."""
 
     def __init__(self, network, host, zones: Iterable[Zone],
-                 ecs_enabled: bool = False,
-                 rotate_answers: bool = False,
                  journal_depth: Optional[int] = None, **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         self.zones = {zone.origin: zone for zone in zones}
-        self.ecs_enabled = ecs_enabled
-        #: Round-robin rotation of multi-record answers (poor-man's load
-        #: balancing, as BIND's ``rrset-order cyclic``).
-        self.rotate_answers = rotate_answers
-        self._rotation_counter = 0
         self.axfr_served = 0
         self.ixfr_served = 0
         #: IXFR requests answered with a full AXFR-style payload because
@@ -71,20 +64,6 @@ class AuthoritativeServer(DnsServer):
                     best = zone
         return best
 
-    # -- answer selection hook ---------------------------------------------------
-
-    def select_answer(self, qname: Name, rtype: RecordType,
-                      records: List[ResourceRecord],
-                      ecs: Optional[ClientSubnet],
-                      client: Endpoint) -> Tuple[List[ResourceRecord], int]:
-        """Choose which records to return and the ECS scope to stamp.
-
-        The default returns everything with scope 0 (answer not tailored);
-        ``tests/resolver/test_ecs_scoped_cache.py`` overrides it with a
-        per-subnet authority to drive the resolver's scoped cache.
-        """
-        return records, 0
-
     # -- query handling --------------------------------------------------------------
 
     def handle_query(self, query: Message, client: Endpoint) -> Message:
@@ -97,25 +76,17 @@ class AuthoritativeServer(DnsServer):
         if zone is None:
             return make_response(query, rcode=Rcode.REFUSED)
 
-        ecs = query.edns.client_subnet if (self.ecs_enabled and query.edns) else None
         answers: List[ResourceRecord] = []
         authorities: List[ResourceRecord] = []
         additionals: List[ResourceRecord] = []
         rcode = Rcode.NOERROR
-        scope = 0
         authoritative_answer = True
 
         qname = question.name
         for _ in range(MAX_CNAME_CHAIN):
             result = zone.lookup(qname, question.rtype)
             if result.status == LookupStatus.SUCCESS:
-                selected, scope = self.select_answer(
-                    qname, question.rtype, result.records, ecs, client)
-                if self.rotate_answers and len(selected) > 1:
-                    self._rotation_counter += 1
-                    pivot = self._rotation_counter % len(selected)
-                    selected = selected[pivot:] + selected[:pivot]
-                answers.extend(selected)
+                answers.extend(result.records)
                 break
             if result.status == LookupStatus.CNAME:
                 answers.extend(result.records)
@@ -142,11 +113,10 @@ class AuthoritativeServer(DnsServer):
         else:
             rcode = Rcode.SERVFAIL  # CNAME loop within our own zones
 
-        response = make_response(query, rcode=rcode,
-                                 authoritative=authoritative_answer,
-                                 answers=answers, authorities=authorities,
-                                 additionals=additionals)
-        return self._finish_response(response, ecs, scope)
+        return make_response(query, rcode=rcode,
+                             authoritative=authoritative_answer,
+                             answers=answers, authorities=authorities,
+                             additionals=additionals)
 
     def _handle_axfr(self, query: Message) -> Message:
         """Full zone transfer for a hosted zone apex (RFC 5936 shape)."""
@@ -189,10 +159,3 @@ class AuthoritativeServer(DnsServer):
             self.ixfr_axfr_fallbacks += 1
             answers = axfr_response_records(zone)
         return make_response(query, authoritative=True, answers=answers)
-
-    def _finish_response(self, response: Message, ecs, scope) -> Message:
-        if response.edns is not None and ecs is not None:
-            response.edns.options = [
-                opt if not isinstance(opt, ClientSubnet) else ecs.with_scope(scope)
-                for opt in response.edns.options]
-        return response

@@ -1,39 +1,29 @@
-"""Forwarding resolver with stub-domain routing.
+"""Forwarding resolver: a cache in front of upstream resolvers.
 
-This models two things from the paper:
-
-* the carrier or public resolver front-ends that simply forward to an
-  upstream recursive farm, and
-* the CoreDNS *stub domain* mechanism the prototype configures in §4:
-  "we update the configuration of L-DNS with the sub-domain and upstream
-  server to ensure that L-DNS redirects queries for this CDN domain to
-  C-DNS" — i.e. queries under a configured sub-domain go to a dedicated
-  upstream (the ATC Traffic Router) instead of the default path.
+This models the carrier or public resolver front-ends that simply
+forward to an upstream recursive farm.  The paper's §4 *stub domain*
+(a sub-domain sent to a dedicated upstream, the C-DNS) is the CoreDNS
+L-DNS's: :class:`repro.mec.coredns.StubDomainPlugin`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.dnswire.message import Message, make_response, mark_stale
-from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode
 from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache, negative_ttl
 from repro.resolver.server import DnsServer
 
-
-def stub_domain_upstream(domains: Dict[Name, Endpoint],
-                         qname: Name) -> Optional[Endpoint]:
-    """The upstream of the longest configured domain ``qname`` is under."""
-    matches = [domain for domain in domains if qname.is_subdomain_of(domain)]
-    return domains[max(matches, key=len)] if matches else None
+#: One shot per upstream, in ms, before trying the next.
+UPSTREAM_TIMEOUT_MS = 2000.0
 
 
 class ForwardingResolver(DnsServer):
-    """Caches locally; otherwise forwards to the matching upstream.
+    """Caches locally; otherwise forwards to each upstream in turn.
 
-    Each upstream gets one shot of ``upstream_timeout`` ms; retrying is
+    Each upstream gets one shot of ``UPSTREAM_TIMEOUT_MS``; retrying is
     the client's business (its :class:`~repro.resolver.retry.RetryPolicy`).
     When every upstream fails and the cache was built with
     ``serve_stale``, an expired entry is served (marked with the RFC
@@ -43,25 +33,15 @@ class ForwardingResolver(DnsServer):
     """
 
     def __init__(self, network, host, upstreams: List[Endpoint],
-                 stub_domains: Optional[Dict[Name, Endpoint]] = None,
-                 cache: Optional[DnsCache] = None,
-                 upstream_timeout: float = 2000.0,
-                 **kwargs) -> None:
+                 cache: Optional[DnsCache] = None, **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         if not upstreams:
             raise ValueError("forwarding resolver needs at least one upstream")
         self.upstreams = list(upstreams)
-        self.stub_domains = dict(stub_domains or {})
         self.cache = cache if cache is not None else DnsCache()
-        self.upstream_timeout = upstream_timeout
         self.forwarded = 0
         self.served_from_cache = 0
         self.stale_served = 0
-
-    def upstreams_for(self, qname: Name) -> List[Endpoint]:
-        """The upstream list for ``qname``: longest stub-domain match wins."""
-        dedicated = stub_domain_upstream(self.stub_domains, qname)
-        return [dedicated] if dedicated is not None else self.upstreams
 
     def handle_query(self, query: Message, client: Endpoint) -> Generator:
         question = query.question
@@ -89,10 +69,10 @@ class ForwardingResolver(DnsServer):
             self.served_from_cache += 1
             return make_response(query, recursion_available=True)
 
-        for upstream in self.upstreams_for(question.name):
+        for upstream in self.upstreams:
             self.forwarded += 1
             response = yield from self.forward(
-                query, upstream, self.upstream_timeout, forward_ecs=True,
+                query, upstream, UPSTREAM_TIMEOUT_MS, forward_ecs=True,
                 ctx=ctx)
             if response is None:
                 continue

@@ -6,17 +6,15 @@ walks the delegation tree from the root hints (root → TLD → authoritative
 learns — positively and negatively — within the bailiwick of the zone cut
 it was talking to.
 
-ECS (RFC 7871) support: when enabled, the resolver attaches the client's
-/24 (or /56 for IPv6) to upstream queries so authoritative servers can
-tailor answers; responses whose scope prefix is non-zero are cached per
-client subnet, as the RFC requires.
+It sends no ECS option upstream: in the paper's deployments the
+resolver→CDN ECS leg is the CoreDNS L-DNS's (``ecs_inject``), so every
+answer this resolver caches is cached for all of its clients.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Generator, List, Tuple
 
-from repro.dnswire.edns import ClientSubnet, Edns
 from repro.dnswire.message import Message, ResourceRecord, make_query, make_response
 from repro.dnswire.name import Name, ROOT
 from repro.dnswire.types import Rcode, RecordType
@@ -28,60 +26,42 @@ from repro.resolver.server import DnsServer
 MAX_CNAME_CHAIN = 8
 MAX_REFERRALS = 16
 MAX_NS_RESOLUTION_DEPTH = 4
-#: ECS prefixes a resolver advertises for its clients (RFC 7871 defaults).
-ECS_V4_PREFIX = 24
-ECS_V6_PREFIX = 56
+#: One shot per upstream server, in ms, before trying the next.
+UPSTREAM_TIMEOUT_MS = 2000.0
 
 
 class RecursiveResolver(DnsServer):
     """A caching iterative resolver seeded with root hints."""
 
     def __init__(self, network, host, root_hints: List[Tuple[Name, str]],
-                 upstream_timeout: float = 2000.0,
-                 ecs_enabled: bool = False, **kwargs) -> None:
+                 **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         if not root_hints:
             raise ValueError("recursive resolver needs at least one root hint")
         self.root_hints = list(root_hints)
         self.cache = DnsCache()
-        self.upstream_timeout = upstream_timeout
-        self.ecs_enabled = ecs_enabled
-        # (name, rtype, subnet) -> (records, expires_at); RFC 7871 §7.3.1.
-        self._ecs_cache: Dict[Tuple[Name, RecordType, str],
-                              Tuple[List[ResourceRecord], float]] = {}
         self.upstream_queries_sent = 0
 
     # -- entry point -----------------------------------------------------------
 
     def handle_query(self, query: Message, client: Endpoint) -> Generator:
         question = query.question
-        ecs = self._effective_ecs(query, client)
         rcode, answers = yield from self._resolve(
-            question.name, question.rtype, ecs, depth=0)
+            question.name, question.rtype, depth=0)
         response = make_response(query, rcode=rcode,
                                  recursion_available=True, answers=answers)
         return response
 
-    def _effective_ecs(self, query: Message,
-                       client: Endpoint) -> Optional[ClientSubnet]:
-        if not self.ecs_enabled:
-            return None
-        if query.edns is not None and query.edns.client_subnet is not None:
-            return query.edns.client_subnet
-        prefix = ECS_V6_PREFIX if ":" in client.ip else ECS_V4_PREFIX
-        return ClientSubnet(client.ip, prefix)
-
     # -- CNAME-chasing resolution -------------------------------------------------
 
     def _resolve(self, qname: Name, rtype: RecordType,
-                 ecs: Optional[ClientSubnet],
                  depth: int) -> Generator:
         """Process returning ``(rcode, answer_records)``."""
         answers: List[ResourceRecord] = []
         current = qname
         for _ in range(MAX_CNAME_CHAIN):
             outcome, records = yield from self._resolve_rrset(
-                current, rtype, ecs, depth)
+                current, rtype, depth)
             if outcome == "answer":
                 answers.extend(records)
                 return Rcode.NOERROR, answers
@@ -100,7 +80,6 @@ class RecursiveResolver(DnsServer):
     # -- single RRset resolution -----------------------------------------------------
 
     def _resolve_rrset(self, name: Name, rtype: RecordType,
-                       ecs: Optional[ClientSubnet],
                        depth: int) -> Generator:
         """Process returning ``(outcome, records)`` for one (name, rtype).
 
@@ -108,10 +87,6 @@ class RecursiveResolver(DnsServer):
         ``nodata``, ``servfail``; a CNAME is reported, not followed.
         """
         now = self.network.sim.now
-        if ecs is not None:
-            scoped = self._ecs_cache_get(name, rtype, ecs, now)
-            if scoped is not None:
-                return "answer", scoped
         cached = self.cache.get(name, rtype, now)
         if cached.outcome == CacheOutcome.HIT:
             return "answer", cached.records
@@ -132,11 +107,11 @@ class RecursiveResolver(DnsServer):
             if not server_addresses:
                 return "servfail", []
             response = yield from self._query_any_server(
-                name, rtype, server_addresses, ecs)
+                name, rtype, server_addresses)
             if response is None:
                 return "servfail", []
             now = self.network.sim.now
-            self._cache_response(response, zone_cut, ecs, now)
+            self._cache_response(response, zone_cut, now)
 
             if response.rcode == Rcode.NXDOMAIN:
                 ttl = negative_ttl(response)
@@ -207,7 +182,7 @@ class RecursiveResolver(DnsServer):
                 addresses.extend(cached)
                 continue
             rcode, records = yield from self._resolve(
-                ns_name, RecordType.A, None, depth + 1)
+                ns_name, RecordType.A, depth + 1)
             if rcode == Rcode.NOERROR:
                 addresses.extend(
                     record.rdata.address for record in records  # type: ignore[attr-defined]
@@ -217,18 +192,15 @@ class RecursiveResolver(DnsServer):
         return addresses
 
     def _query_any_server(self, name: Name, rtype: RecordType,
-                          addresses: List[str],
-                          ecs: Optional[ClientSubnet]) -> Generator:
+                          addresses: List[str]) -> Generator:
         """Try each server address once; return the first response."""
         for address in addresses:
             query = make_query(name, rtype, msg_id=self.allocate_query_id(),
                                recursion_desired=False)
-            if ecs is not None:
-                query.edns = Edns(options=[ecs])
             try:
                 self.upstream_queries_sent += 1
                 response = yield from self.query_upstream(
-                    query, Endpoint(address, 53), self.upstream_timeout)
+                    query, Endpoint(address, 53), UPSTREAM_TIMEOUT_MS)
             except (QueryTimeout, WireFormatError):
                 continue
             return response
@@ -237,52 +209,15 @@ class RecursiveResolver(DnsServer):
     # -- caching ------------------------------------------------------------------------------
 
     def _cache_response(self, response: Message, zone_cut: Name,
-                        ecs: Optional[ClientSubnet], now: float) -> None:
-        """Cache in-bailiwick records; honour ECS scope on answers."""
-        response_scope = 0
-        if response.edns is not None and response.edns.client_subnet is not None:
-            response_scope = response.edns.client_subnet.scope_prefix
-        scoped_answer = ecs is not None and response_scope > 0
-
+                        now: float) -> None:
+        """Cache in-bailiwick records and the glue for named servers."""
         in_bailiwick = [record for record
                         in (response.answers + response.authorities
                             + response.additionals)
                         if record.name.is_subdomain_of(zone_cut)
                         or (record.rtype == RecordType.A
                             and _is_glue(record, response))]
-        if scoped_answer:
-            answers = [record for record in response.answers
-                       if record.name.is_subdomain_of(zone_cut)]
-            self._ecs_cache_put(answers, ecs, now)
-            in_bailiwick = [record for record in in_bailiwick
-                            if record not in answers]
         self.cache.put_records(in_bailiwick, now)
-
-    def _ecs_cache_put(self, records: List[ResourceRecord],
-                       ecs: ClientSubnet, now: float) -> None:
-        if not records:
-            return
-        subnet = str(ecs.network())
-        by_key: Dict[Tuple[Name, RecordType], List[ResourceRecord]] = {}
-        for record in records:
-            by_key.setdefault((record.name, record.rtype), []).append(record)
-        for (name, rtype), rrset in by_key.items():
-            ttl = min(record.ttl for record in rrset)
-            self._ecs_cache[(name, rtype, subnet)] = (rrset, now + ttl * 1000.0)
-
-    def _ecs_cache_get(self, name: Name, rtype: RecordType,
-                       ecs: ClientSubnet,
-                       now: float) -> Optional[List[ResourceRecord]]:
-        key = (name, rtype, str(ecs.network()))
-        entry = self._ecs_cache.get(key)
-        if entry is None:
-            return None
-        records, expires_at = entry
-        if expires_at <= now:
-            del self._ecs_cache[key]
-            return None
-        remaining = int((expires_at - now) / 1000.0)
-        return [record.with_ttl(remaining) for record in records]
 
 
 def _glue_addresses(response: Message, server_names: List[Name]) -> List[str]:

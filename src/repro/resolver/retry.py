@@ -1,16 +1,13 @@
-"""Retry policies for resolution under faults: backoff, budgets, hedging.
+"""Retry policies for resolution under faults: backoff, jitter, hedging.
 
 The paper's measurements assume a network that answers; under injected
 faults (:mod:`repro.faults`) the interesting question becomes *how* a
-client keeps resolving.  This module packages the three standard
-mechanisms as one pluggable :class:`RetryPolicy`:
+client keeps resolving.  This module packages the two standard
+mechanisms as one :class:`RetryPolicy`:
 
 * **exponential backoff with jitter** — per-attempt timeouts grow
   geometrically so a burst outage is waited out rather than hammered,
   and jitter decorrelates clients that fail together;
-* **retry budgets** — an Envoy-style cap (``max(min_retries,
-  ratio * requests)``) shared per destination, so retries cannot
-  amplify an overload into a storm;
 * **hedged queries** — after ``hedge_after_ms`` with no answer, a second
   identical query is raced against the first; whichever response arrives
   first wins.  Hedging converts one-off packet loss from a full timeout
@@ -29,66 +26,21 @@ import random
 from typing import Optional
 
 
-class RetryBudget:
-    """Per-destination retry allowance: ``max(min_retries, ratio * requests)``.
-
-    Shared by every client pointed at the same destination, it bounds the
-    system-wide retry amplification factor at ``1 + ratio`` once traffic
-    volume dwarfs ``min_retries``.
-    """
-
-    def __init__(self, ratio: float = 0.2, min_retries: int = 3) -> None:
-        if ratio < 0:
-            raise ValueError(f"budget ratio {ratio} must be >= 0")
-        if min_retries < 0:
-            raise ValueError(f"min_retries {min_retries} must be >= 0")
-        self.ratio = ratio
-        self.min_retries = min_retries
-        self.requests = 0
-        self.retries = 0
-        self.retries_denied = 0
-
-    @property
-    def allowance(self) -> float:
-        """How many retries the budget currently covers."""
-        return max(float(self.min_retries), self.ratio * self.requests)
-
-    def record_request(self) -> None:
-        """Count a first-attempt request toward the budget base."""
-        self.requests += 1
-
-    def try_acquire(self) -> bool:
-        """Spend one retry if the budget allows; False when exhausted."""
-        if self.retries < self.allowance:
-            self.retries += 1
-            return True
-        self.retries_denied += 1
-        return False
-
-    def __repr__(self) -> str:
-        return (f"RetryBudget(ratio={self.ratio}, "
-                f"min_retries={self.min_retries}, "
-                f"{self.retries}/{self.allowance:.1f} spent, "
-                f"denied={self.retries_denied})")
-
-
 class RetryPolicy:
-    """How a client retries: attempt count, timeouts, hedging, budget.
+    """How a client retries: attempt count, timeouts, hedging.
 
     ``timeout_ms`` is the first attempt's timeout; attempt ``n`` waits
     ``timeout_ms * backoff**(n-1)`` (clamped to ``max_timeout_ms``), with
     ``jitter_frac`` of symmetric multiplicative jitter drawn from the
     caller's RNG stream.  ``hedge_after_ms`` arms a hedged second query
-    on the first attempt.  ``budget``, when shared between clients, gates
-    every retry attempt globally.
+    on the first attempt.
     """
 
     def __init__(self, retries: int = 2, timeout_ms: float = 3000.0,
                  backoff: float = 2.0,
                  max_timeout_ms: Optional[float] = None,
                  jitter_frac: float = 0.0,
-                 hedge_after_ms: Optional[float] = None,
-                 budget: Optional[RetryBudget] = None) -> None:
+                 hedge_after_ms: Optional[float] = None) -> None:
         if retries < 0:
             raise ValueError(f"retries {retries} must be >= 0")
         if timeout_ms <= 0:
@@ -105,7 +57,6 @@ class RetryPolicy:
         self.max_timeout_ms = max_timeout_ms
         self.jitter_frac = jitter_frac
         self.hedge_after_ms = hedge_after_ms
-        self.budget = budget
 
     def timeout_for(self, attempt: int,
                     rng: Optional[random.Random] = None) -> float:
@@ -130,12 +81,8 @@ class RetryPolicy:
         return timeout
 
     def may_retry(self, attempt: int) -> bool:
-        """Whether attempt ``attempt + 1`` is allowed (count and budget)."""
-        if attempt > self.retries:
-            return False
-        if self.budget is not None:
-            return self.budget.try_acquire()
-        return True
+        """Whether attempt ``attempt + 1`` is allowed."""
+        return attempt <= self.retries
 
     def __repr__(self) -> str:
         hedge = (f", hedge_after={self.hedge_after_ms}ms"

@@ -7,8 +7,8 @@ experiments (Figures 2 and 5) are built from sequences of these results.
 Every stub holds one :class:`~repro.resolver.retry.RetryPolicy` — the
 only way to say how long it waits and how often it retries.  The default
 is three 3-second attempts with no backoff and no jitter; a richer
-policy adds exponential backoff and jitter, a shared retry budget, and a
-hedged second query racing the first attempt.  SERVFAIL responses are
+policy adds exponential backoff and jitter and a hedged second query
+racing the first attempt.  SERVFAIL responses are
 retried like transport failures — a resolver that answered "I am
 broken" is no more settled than one that said nothing.
 """
@@ -140,8 +140,6 @@ class StubResolver:
                     ctx) -> Generator:
         policy = self.policy
         started_at = self.network.sim.now
-        if policy.budget is not None:
-            policy.budget.record_request()
         last_error: Optional[Exception] = None
         last_servfail: Optional[DigResult] = None
         attempt = 0

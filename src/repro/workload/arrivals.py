@@ -32,7 +32,7 @@ SECONDS_PER_DAY = 24 * SECONDS_PER_HOUR
 
 
 class DiurnalProfile:
-    """A piecewise-constant hour-of-day rate multiplier.
+    """The piecewise-constant hour-of-day rate multiplier ``DEFAULT_DIURNAL``.
 
     ``multiplier(t)`` is the activity level at simulation time ``t``
     seconds (day-periodic); ``peak`` is its maximum, the thinning
@@ -40,15 +40,8 @@ class DiurnalProfile:
     a desired *average* rate into the base rate the process needs.
     """
 
-    def __init__(self, hourly: Sequence[float] = DEFAULT_DIURNAL) -> None:
-        if len(hourly) != 24:
-            raise ValueError(
-                f"diurnal profile needs 24 hourly values, got {len(hourly)}")
-        if any(value < 0 for value in hourly):
-            raise ValueError("diurnal multipliers must be non-negative")
-        if max(hourly) <= 0:
-            raise ValueError("diurnal profile must have a positive peak")
-        self.hourly: List[float] = list(hourly)
+    def __init__(self) -> None:
+        self.hourly: List[float] = list(DEFAULT_DIURNAL)
         self.peak: float = max(self.hourly)
         self.mean: float = reduce(add, self.hourly, 0) / len(self.hourly)
 

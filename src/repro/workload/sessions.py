@@ -15,26 +15,20 @@ class SessionModel:
     """Request-count and think-time draws for one session."""
 
     def __init__(self, mean_requests: float = 8.0,
-                 mean_think_s: float = 4.0,
-                 min_requests: int = 1) -> None:
-        if mean_requests < min_requests:
-            raise ValueError(
-                f"mean_requests {mean_requests} below floor {min_requests}")
+                 mean_think_s: float = 4.0) -> None:
+        if mean_requests < 1:
+            raise ValueError(f"mean_requests {mean_requests} below floor 1")
         if mean_think_s <= 0:
             raise ValueError(f"think time must be positive, got {mean_think_s}")
-        if min_requests < 1:
-            raise ValueError(f"sessions need >= 1 request, got {min_requests}")
         self.mean_requests = mean_requests
         self.mean_think_s = mean_think_s
-        self.min_requests = min_requests
         #: Geometric success probability giving the requested mean above
-        #: the floor: E[floor + G] = floor + (1-p)/p.
-        excess = mean_requests - min_requests
-        self._p = 1.0 / (1.0 + excess)
+        #: the one-request floor: E[1 + G] = 1 + (1-p)/p.
+        self._p = 1.0 / (1.0 + (mean_requests - 1))
 
     def request_count(self, rng: random.Random) -> int:
-        """Number of requests in one session (geometric, >= floor)."""
-        count = self.min_requests
+        """Number of requests in one session (geometric, >= 1)."""
+        count = 1
         while rng.random() >= self._p:
             count += 1
         return count

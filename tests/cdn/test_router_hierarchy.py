@@ -67,7 +67,7 @@ class RouterScenario:
         far_zone = CoverageZone("far", ["0.0.0.0/0"], [])
         self.far_router = TrafficRouter(
             self.net, self.net.host("far-router"), domain,
-            zones=[], default_zone=far_zone)
+            zones=[far_zone])
         self.stub = StubResolver(self.net, self.net.host("client"),
                                  self.edge_router.endpoint)
 

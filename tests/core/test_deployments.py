@@ -119,7 +119,7 @@ class TestFigure5Shape:
 class TestMeasurementHarness:
     def test_warmup_excluded(self):
         testbed = build_testbed("mec-ldns-mec-cdns", seed=3)
-        measurements = measure_deployment_queries(testbed, 4, warmup=2)
+        measurements = measure_deployment_queries(testbed, 4)
         assert len(measurements) == 4
 
     def test_positive_count_required(self):

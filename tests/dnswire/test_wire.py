@@ -128,10 +128,10 @@ class TestNames:
         assert len(writer.getvalue()) - first_len == 2
 
     def test_compression_disabled(self):
-        writer = WireWriter(enable_compression=False)
+        writer = WireWriter()
         writer.write_name(Name("example.com"))
         first_len = len(writer)
-        writer.write_name(Name("example.com"))
+        writer.write_name(Name("example.com"), compress=False)
         assert len(writer.getvalue()) == 2 * first_len
 
     @pytest.mark.parametrize("octets, is_root, end", [
@@ -217,9 +217,9 @@ def test_many_names_roundtrip_with_compression(names):
 
 @given(st.lists(_names, min_size=1, max_size=8))
 def test_compression_never_grows_output(names):
-    compressed = WireWriter(enable_compression=True)
-    plain = WireWriter(enable_compression=False)
+    compressed = WireWriter()
+    plain = WireWriter()
     for name in names:
         compressed.write_name(name)
-        plain.write_name(name)
+        plain.write_name(name, compress=False)
     assert len(compressed) <= len(plain)

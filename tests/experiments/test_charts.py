@@ -30,8 +30,8 @@ class TestFigure5Chart:
         assert max(lengths, key=lengths.get) == "Cloudflare"
 
     def test_width_respected(self, figure5):
-        for line in figure5.render_chart(width=30).splitlines():
+        for line in figure5.render_chart().splitlines():
             if " ms" in line:
                 bar = line[len("MEC L-DNS w/ MEC C-DNS "):-len(" 999.9 ms")]
-                assert len(bar) <= 32
+                assert len(bar) <= f5_mod.CHART_WIDTH + 2
 

@@ -12,7 +12,7 @@ from repro.experiments import figure2 as f2_mod
 from repro.experiments import figure3 as f3_mod
 from repro.experiments import figure5 as f5_mod
 from repro.experiments import table1, table2
-from repro.experiments.report import format_bar, format_table
+from repro.experiments.report import BAR_WIDTH, format_bar, format_table
 
 
 class TestReport:
@@ -31,9 +31,9 @@ class TestReport:
         assert text.splitlines()[0] == "T"
 
     def test_format_bar(self):
-        assert format_bar(0.5, width=10) == "#####....."
-        assert format_bar(0.0, width=4) == "...."
-        assert format_bar(1.5, width=4) == "####"  # clamped
+        assert format_bar(0.5) == "#" * 15 + "." * 15
+        assert format_bar(0.0) == "." * BAR_WIDTH
+        assert format_bar(1.5) == "#" * BAR_WIDTH  # clamped
 
 
 class TestTable1:

@@ -33,9 +33,6 @@ class TestPlanning:
             EXPERIMENT.trials(params)
 
     def test_window_activity_factor(self):
-        flat = PopulationExperiment._window_activity(
-            DiurnalProfile([1.0] * 24), 18 * 3600.0, 3600.0)
-        assert flat == pytest.approx(1.0)
         profile = DiurnalProfile()
         evening = PopulationExperiment._window_activity(
             profile, 18 * 3600.0, 3600.0)

@@ -11,6 +11,7 @@ from repro.core import FallbackClient, MecCdnSite
 from repro.dnswire import Name
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.resolver import RetryPolicy, StubResolver
+from tests.netsim.test_network import IidLoss
 
 
 class SiteUnderTest:
@@ -21,7 +22,9 @@ class SiteUnderTest:
                  for i in range(2)]
         self.net.add_link("node-0", "node-1", Constant(0.2))
         self.net.add_host("ue", "10.45.0.2")
-        self.net.add_link("ue", "node-0", Constant(5), loss=radio_loss)
+        radio = self.net.add_link("ue", "node-0", Constant(5))
+        if radio_loss:
+            radio.loss_model = IidLoss(radio_loss)
         self.net.add_host("provider", "203.0.113.10")
         self.net.add_link("node-0", "provider", Constant(30))
         self.net.add_link("ue", "provider", Constant(35))
@@ -155,8 +158,9 @@ class TestFillPathFailure:
         cache.used_bytes = 0
         cache.parent = Endpoint("10.99.99.99", 80)
         from repro.cdn.cache_server import FILL_TIMEOUT_MS
-        client = HttpClient(scenario.net, scenario.net.host("ue"),
-                            timeout=FILL_TIMEOUT_MS * 2)
+        from repro.cdn.httpsim import DEFAULT_FETCH_TIMEOUT_MS
+        client = HttpClient(scenario.net, scenario.net.host("ue"))
+        assert DEFAULT_FETCH_TIMEOUT_MS > FILL_TIMEOUT_MS
         future = scenario.sim.spawn(
             client.fetch(scenario.item.url, cache.endpoint.ip))
         result = scenario.sim.run_until_resolved(future)

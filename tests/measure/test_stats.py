@@ -78,10 +78,6 @@ class TestSummarize:
     def test_count_is_total_samples(self):
         assert summarize([1.0, 2.0, 3.0]).count == 3
 
-    def test_untrimmed_mode(self):
-        values = [10.0] * 9 + [110.0]
-        assert summarize(values, trim=False).mean == pytest.approx(20.0)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])

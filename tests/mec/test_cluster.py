@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CapacityError, MecError, ServiceNotFound
+from repro.errors import CapacityError, MecError
 from repro.mec import Orchestrator
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 
@@ -38,13 +38,6 @@ class TestServices:
         orch.create_service("dns")
         with pytest.raises(MecError):
             orch.create_service("dns")
-
-    def test_service_lookup(self, cluster):
-        _, orch = cluster
-        created = orch.create_service("dns", namespace="kube-system")
-        assert orch.service("dns", "kube-system") is created
-        with pytest.raises(ServiceNotFound):
-            orch.service("ghost")
 
     def test_resolve_service_name(self, cluster):
         _, orch = cluster

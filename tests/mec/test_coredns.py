@@ -35,7 +35,7 @@ def build_zone(domain, address):
 class MecDnsScenario:
     """UE + internal VNF querying a MEC CoreDNS with stub/forward plugins."""
 
-    def __init__(self, split=None, enable_cache=True):
+    def __init__(self, split=None):
         self.sim = Simulator()
         self.net = Network(self.sim, RandomStreams(17))
         # Cluster node + clients.
@@ -65,7 +65,6 @@ class MecDnsScenario:
             stub_domains={Name("mycdn.ciab.test"):
                           Endpoint("10.40.4.4", 53)},
             upstream=Endpoint("203.0.113.10", 53),
-            enable_cache=enable_cache,
             front_plugins=[split] if split else None)
 
     def query_from(self, host_name, qname, timeout=3000, retries=0):
@@ -115,12 +114,6 @@ class TestCoreDns:
         assert scenario.coredns.forward_plugin.forwarded == 1
         assert second.query_time_ms < first.query_time_ms
 
-    def test_cache_disabled_forwards_every_time(self):
-        scenario = MecDnsScenario(enable_cache=False)
-        scenario.query_from("ue", "video.example.com")
-        scenario.query_from("ue", "video.example.com")
-        assert scenario.coredns.forward_plugin.forwarded == 2
-
     def test_add_stub_domain_at_runtime(self):
         scenario = MecDnsScenario()
         scenario.coredns.add_stub_domain(Name("example.com"),
@@ -130,7 +123,7 @@ class TestCoreDns:
         assert result.status == "REFUSED"
 
     def test_dead_upstream_servfail(self):
-        scenario = MecDnsScenario(enable_cache=False)
+        scenario = MecDnsScenario()
         scenario.coredns.forward_plugin.upstream = Endpoint("10.99.9.9", 53)
         scenario.coredns.forward_plugin.timeout = 50
         result = scenario.query_from("ue", "video.example.com")

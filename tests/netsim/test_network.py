@@ -18,6 +18,17 @@ from repro.netsim import (
 )
 
 
+class IidLoss:
+    """A ``Link.loss_model`` that drops each traversal with probability
+    ``p``, independently: one draw per traversal."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def lost(self, rng):
+        return rng.random() < self.p
+
+
 @pytest.fixture
 def net():
     sim = Simulator()
@@ -158,7 +169,8 @@ class TestDelivery:
         net = Network(sim, RandomStreams(7))
         net.add_host("a", "10.0.0.1")
         net.add_host("b", "10.0.0.2")
-        link = net.add_link("a", "b", Constant(1), loss=0.5)
+        link = net.add_link("a", "b", Constant(1))
+        link.loss_model = IidLoss(0.5)
         delivered = []
         server = UdpSocket(net.host("b"), port=9)
         server.on_datagram = lambda payload, src, sock: delivered.append(payload)
@@ -262,16 +274,15 @@ class TestTrace:
         assert (10.0, "forward") in events  # query passing the P-GW
         assert (50.0, "forward") in events  # reply passing the P-GW
 
-    def test_trace_event_filter_and_close(self, net):
+    def test_trace_close_stops_capture(self, net):
         build_line(net, ("a", "10.0.0.1", 1), ("b", "10.0.0.2", 0))
-        trace = PacketTrace(net, event_filter="deliver")
+        trace = PacketTrace(net, host_filter="b")
         server = UdpSocket(net.host("b"), port=5)
         server.on_datagram = lambda payload, src, sock: None
         sender = UdpSocket(net.host("a"))
         sender.send_to(b"x", Endpoint("10.0.0.2", 5))
         net.sim.run()
-        assert len(trace.records) == 1
-        assert trace.records[0].event == "deliver"
+        assert [record.event for record in trace.records] == ["deliver"]
         trace.close()
         sender.send_to(b"x", Endpoint("10.0.0.2", 5))
         net.sim.run()

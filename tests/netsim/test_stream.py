@@ -8,6 +8,7 @@ from repro.errors import SocketError
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.stream import StreamServer, open_channel
 from repro.resolver import AuthoritativeServer, StubResolver
+from tests.netsim.test_network import IidLoss
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ class TestStreamChannel:
         net = Network(sim, RandomStreams(3))
         net.add_host("client", "10.0.0.2")
         net.add_host("server", "10.0.0.80")
-        net.add_link("client", "server", Constant(5), loss=0.3)
+        net.add_link("client", "server", Constant(5)).loss_model = IidLoss(0.3)
         served = []
         StreamServer(net, net.host("server"), 8080,
                      handler=answering(

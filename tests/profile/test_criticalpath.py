@@ -58,7 +58,8 @@ class TestFigure5Attribution:
         report = budget_report(session.tracer.finished)
         keys = [row.deployment for row in report.rows]
         assert "mec-ldns-mec-cdns" in keys and "google-dns" in keys
-        mec = report.row("mec-ldns-mec-cdns")
+        mec = {row.deployment: row for row in report.rows}[
+            "mec-ldns-mec-cdns"]
         # The UE's air interface and the on-site recursion both show up.
         assert STAGE_RADIO in mec.stages
         assert STAGE_UPSTREAM in mec.stages
@@ -68,11 +69,12 @@ class TestFigure5Attribution:
         session, _ = figure5_session
         from repro.profile import budget_report
         report = budget_report(session.tracer.finished)
-        google = report.row("google-dns")
+        rows = {row.deployment: row for row in report.rows}
+        google = rows["google-dns"]
         backhaul = google.stages[STAGE_BACKHAUL].mean_ms
         assert backhaul > google.mean_ms / 2
         # And the cloud resolver is far over the MEC one.
-        assert google.mean_ms > report.row("mec-ldns-mec-cdns").mean_ms
+        assert google.mean_ms > rows["mec-ldns-mec-cdns"].mean_ms
 
     def test_counts_match_non_warmup_queries(self, figure5_session):
         session, _ = figure5_session

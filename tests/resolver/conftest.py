@@ -76,7 +76,7 @@ def build_cdn_zone():
 class MiniInternet:
     """The assembled fixture object."""
 
-    def __init__(self, ecs_enabled=False, seed=11):
+    def __init__(self, seed=11):
         self.sim = Simulator()
         self.net = Network(self.sim, RandomStreams(seed))
         self.net.add_host("client", "10.0.0.2")
@@ -94,12 +94,10 @@ class MiniInternet:
             self.net, self.net.host("tld"), build_tld_zones())
         self.auth_server = AuthoritativeServer(
             self.net, self.net.host("auth"),
-            [build_example_zone(), build_cdn_zone()],
-            ecs_enabled=ecs_enabled)
+            [build_example_zone(), build_cdn_zone()])
         self.resolver = RecursiveResolver(
             self.net, self.net.host("resolver"),
-            root_hints_from(("a.root", "192.5.5.1")),
-            ecs_enabled=ecs_enabled)
+            root_hints_from(("a.root", "192.5.5.1")))
         self.stub = StubResolver(self.net, self.net.host("client"),
                                  self.resolver.endpoint)
 

@@ -165,14 +165,18 @@ class TestIxfrEndToEnd:
                                 "livestream": "10.233.2.1"})
         primary.add_zone(big_v1)
         from repro.netsim import PacketTrace
-        trace = PacketTrace(net, host_filter="secondary",
-                            event_filter="deliver")
+        trace = PacketTrace(net, host_filter="secondary")
+
+        def delivered_bytes():
+            return sum(record.size for record in trace.records
+                       if record.event == "deliver")
+
         self.sync(sim, secondary)  # full AXFR of the 30-record zone
-        axfr_bytes = sum(record.size for record in trace.records)
+        axfr_bytes = delivered_bytes()
         trace.clear()
         primary.add_zone(big_v2)
         self.sync(sim, secondary)  # incremental: one added record
-        ixfr_bytes = sum(record.size for record in trace.records)
+        ixfr_bytes = delivered_bytes()
         trace.close()
         assert secondary.ixfr_transfers == 1
         # The diff moves a small fraction of the full-zone bytes.

@@ -12,8 +12,9 @@ from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
 from repro.netsim.stream import StreamServer, open_channel
 from repro.resolver import (AuthoritativeServer, DnsCache, ForwardingResolver,
-                            RetryBudget, RetryPolicy, StubResolver)
+                            RetryPolicy, StubResolver)
 from repro.resolver.cache import STALE_ANSWER_TTL
+from repro.resolver.forwarder import UPSTREAM_TIMEOUT_MS
 
 QNAME = Name("www.example.com")
 
@@ -85,27 +86,6 @@ class TestRetryPolicy:
             RetryPolicy(timeout_ms=10).timeout_for(0)
 
 
-class TestRetryBudget:
-    def test_allowance_grows_with_requests(self):
-        budget = RetryBudget(ratio=0.1, min_retries=2)
-        assert budget.allowance == 2.0
-        for _ in range(100):
-            budget.record_request()
-        assert budget.allowance == pytest.approx(10.0)
-
-    def test_acquire_spends_then_denies(self):
-        budget = RetryBudget(ratio=0.0, min_retries=1)
-        assert budget.try_acquire()
-        assert not budget.try_acquire()
-        assert budget.retries_denied == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(ratio=-0.1)
-        with pytest.raises(ValueError):
-            RetryBudget(min_retries=-1)
-
-
 class ResolverWorld:
     """client -- resolver -- upstream, with a configurable resolver cache."""
 
@@ -122,8 +102,7 @@ class ResolverWorld:
         self.resolver = ForwardingResolver(
             self.net, self.net.host("resolver"),
             upstreams=[Endpoint("203.0.113.10", 53)],
-            cache=DnsCache(serve_stale=serve_stale),
-            upstream_timeout=50)
+            cache=DnsCache(serve_stale=serve_stale))
 
     def stub(self, policy):
         return StubResolver(self.net, self.net.host("client"),
@@ -135,7 +114,10 @@ class ResolverWorld:
 
 class TestServeStale:
     def warm_then_kill_upstream(self, world):
-        stub = world.stub(RetryPolicy(retries=0, timeout_ms=500))
+        # Longer than the resolver's one shot upstream, so the stub hears
+        # its verdict.
+        stub = world.stub(RetryPolicy(retries=0,
+                                      timeout_ms=UPSTREAM_TIMEOUT_MS + 500))
         fresh = world.ask(stub)
         assert fresh.addresses == ["198.18.0.9"] and not fresh.stale
         # Let the 300 s TTL lapse, then take the upstream away entirely.
@@ -172,7 +154,7 @@ class TestStubRetries:
     def test_servfail_retried_like_timeout(self):
         world = ResolverWorld(serve_stale=False)
         stub = self.dead_upstream_stub(world, RetryPolicy(
-            retries=2, timeout_ms=500, backoff=1.0))
+            retries=2, timeout_ms=UPSTREAM_TIMEOUT_MS + 500, backoff=1.0))
         result = world.ask(stub)
         assert result.status == "SERVFAIL"
         assert result.attempts == 3
@@ -194,17 +176,6 @@ class TestStubRetries:
         # 50 + 100 + 200 ms of per-attempt timeouts, no jitter.
         assert world.sim.now - started == pytest.approx(350.0)
         assert stub.timeouts_seen == 3
-
-    def test_budget_caps_retries_before_policy_count(self):
-        world = ResolverWorld()
-        world.net.host("resolver").down = True
-        budget = RetryBudget(ratio=0.0, min_retries=1)
-        stub = world.stub(policy=RetryPolicy(retries=5, timeout_ms=20,
-                                             budget=budget))
-        with pytest.raises(ProcessFailed):
-            world.ask(stub)
-        assert stub.queries_issued == 2  # first attempt + one budgeted retry
-        assert budget.retries_denied == 1
 
     def test_hedge_fires_when_primary_is_slow(self):
         world = ResolverWorld()
@@ -271,13 +242,17 @@ class TestTimeoutsLeaveNoCycles:
         world = ResolverWorld()
         world.net.host("upstream").down = True
         resolver = world.net.host("resolver")
-        stub = world.stub(RetryPolicy(retries=1, timeout_ms=200, backoff=1.0))
+        stub = world.stub(RetryPolicy(retries=1,
+                                      timeout_ms=2 * UPSTREAM_TIMEOUT_MS,
+                                      backoff=1.0))
 
         def lookup():
-            # The SERVFAIL leaves at 52 ms and lands at 54; the retry it
+            # The SERVFAIL leaves 2 ms after the resolver's one shot
+            # upstream times out and lands 2 ms later; the retry it
             # provokes finds the resolver gone.
             resolver.down = False
-            world.sim.call_after(53.0, setattr, resolver, "down", True)
+            world.sim.call_after(UPSTREAM_TIMEOUT_MS + 3.0, setattr,
+                                 resolver, "down", True)
             result = world.ask(stub)
             assert (result.status, result.attempts) == ("SERVFAIL", 1)
 

@@ -169,25 +169,3 @@ class TestSecondaryZone:
         assert secondary.refreshes >= 3
         assert secondary.transfers == 1  # serial never moved after sync
         secondary.stop()
-
-
-class TestAnswerRotation:
-    def test_rotation_cycles_rrset_order(self):
-        sim = Simulator()
-        net = Network(sim, RandomStreams(7))
-        net.add_host("auth", "10.0.0.53")
-        net.add_host("client", "10.0.0.2")
-        net.add_link("client", "auth", Constant(1))
-        zone = build_zone(serial=1)
-        zone.add(rr("video.mycdn.ciab.test", RecordType.A, A("10.233.1.11")))
-        zone.add(rr("video.mycdn.ciab.test", RecordType.A, A("10.233.1.12")))
-        server = AuthoritativeServer(net, net.host("auth"), [zone],
-                                     rotate_answers=True)
-        stub = StubResolver(net, net.host("client"), server.endpoint)
-        firsts = []
-        for _ in range(6):
-            result = sim.run_until_resolved(sim.spawn(
-                stub.query(Name("video.mycdn.ciab.test"))))
-            assert len(result.addresses) == 3
-            firsts.append(result.addresses[0])
-        assert len(set(firsts)) == 3  # every record led at least once

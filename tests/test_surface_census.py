@@ -10,12 +10,12 @@ Four counts over the tree, each held at zero, stdlib ``ast`` only:
   so the count is a fixed point.  In ``bench/``, which names its shim
   targets as ``"module:qualname"`` and identifier strings, those count.
 * **never-passed parameters** — a defaulted parameter, or defaulted
-  ``NamedTuple`` / dataclass field, that no call site sets.  Here, and only
-  here, ``tests/`` is a caller: a test that lowers a bound
-  (``DnsCache(max_entries=2)``) or feeds ``main(argv)`` is what the
-  parameter is for.  A ``**mapping`` call site sets the parameters that
-  some dict literal spells as a string key; a function's own ``**kwargs``
-  passed on sets nothing.
+  ``NamedTuple`` / dataclass field, that no call site under ``src bench
+  examples scripts`` sets.  Tests are not callers: a value only a test
+  sets is a second path nothing runs, so it is a constant.  A
+  ``**mapping`` call site sets the parameters that some dict literal
+  spells as a string key; a function's own ``**kwargs`` passed on sets
+  nothing.
 * **never-read parameters** — accepted, then ignored by a body that is more
   than a stub; a leading underscore says "ignored on purpose".
 * **unused imports** — the one pyflakes rule a deletion breaks unseen
@@ -29,12 +29,18 @@ dispatch targets (reached by the interpreter or a name-built ``getattr``);
 and, for the two parameter counts, a method that overrides — or is
 overridden by, test doubles included — a namesake up or down its class
 tree (``handle_query(client)``, ``run_trial(spec)``, ``from_wire(rdlength)``:
-the signature belongs to the protocol).  What else stays unreferenced is
-in ``ALLOW`` with its reason.
+the signature belongs to the protocol).
+
+What else stays is in one table, ``CLASSES`` of ``scripts/line_census.py``:
+a name is excused by a (b) entry — a mechanism a DESIGN.md row lists — at
+its own key or an enclosing class's; a parameter only tests set, by an
+entry keyed ``file::qualname(param)``: (b) for a wire field or paper
+mechanism, (c) for a bound or input a test lowers, drives past or feeds.
 """
 
 import ast
 import functools
+import importlib.util
 import re
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
@@ -45,37 +51,17 @@ RUNS = ("src", "bench", "examples", "scripts")
 DISPATCH = ("visit_", "_apply_", "_cmd_")
 SHIM_TARGET = re.compile(r"^repro[\w.]*:([\w.]+)$")
 
-#: Unreferenced names that stay, ``file::qualname`` -> the DESIGN.md row or
-#: test that is the reason.  At most 15; a new entry needs a reason of the
-#: same kind, not a wish.
-ALLOW: Dict[str, str] = {
-    "src/repro/cdn/hierarchy.py::TieredCdn":
-        "DESIGN.md §3 CDN row (edge/mid/far tiers with miss referral); "
-        "tests/cdn/test_router_hierarchy.py::TestTieredCdn",
-    "src/repro/core/resolution.py::EdgeAwareClient":
-        "DESIGN.md §3 core row (tier-aware client following next-tier "
-        "referrals); tests/integration/test_metro.py",
-    "src/repro/core/fallback.py::FallbackClient.race":
-        "DESIGN.md §5 fallback-strategy ablation; reached by "
-        "getattr(client, strategy) in tests/integration/test_ablations.py",
-    "src/repro/core/meccdn.py::MecCdnSite.publish_domain":
-        "paper §5, one cluster IP for many CDN customers; "
-        "tests/integration/test_multi_customer.py",
-    "src/repro/mec/ipreuse.py::PublicIpPlan":
-        "DESIGN.md §5 public-IP-reuse ablation; "
-        "tests/mec/test_coredns.py::TestIpReuse",
-    "src/repro/mec/plugins_extra.py::RewritePlugin":
-        "DESIGN.md §3 MEC row (rewrite plugin); "
-        "tests/mec/test_plugins_extra.py",
-    "src/repro/mec/plugins_extra.py::LoadBalancePlugin":
-        "DESIGN.md §3 MEC row (loadbalance plugin); "
-        "tests/mec/test_plugins_extra.py",
-    "src/repro/cdn/allocation.py::ConsistentAllocator.set_members":
-        "Huang et al. (PAPERS.md): a membership change moves only the keys "
-        "whose walk changed; tests/cdn/test_allocation.py::"
-        "TestMembershipChange; re-enters the router with the client "
-        "policies (ROADMAP item 4)",
-}
+
+def load_line_census():
+    spec = importlib.util.spec_from_file_location(
+        "line_census", ROOT / "scripts" / "line_census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The one table of what stays: ``file::qualname`` -> (class, reason).
+TABLE = load_line_census().CLASSES
 
 Scope = Optional[Tuple[str, str]]
 
@@ -288,20 +274,20 @@ MENTIONS = mentions(TREES)
 IN_TESTS = mentions(TESTS)
 
 
-def calls_of(name: str) -> List[Site]:
-    """Call sites for the parameter count, ``tests/`` included."""
-    return MENTIONS.calls.get(name, []) + IN_TESTS.calls.get(name, [])
+def calls_of(name: str, callers: Tuple[Mentions, ...]) -> List[Site]:
+    return [site for found in callers for site in found.calls.get(name, [])]
 
 
-def allowed(found: Def) -> bool:
-    """In ``ALLOW``, or a member of a class that is."""
+def excused(found: Def) -> bool:
+    """Excused by a (b) entry of ``TABLE``, its own or an enclosing one's."""
     names = found.qualname.split(".")
-    return any(f"{found.file}::{'.'.join(names[:depth])}" in ALLOW
+    return any(TABLE.get(f"{found.file}::{'.'.join(names[:depth])}",
+                         ("",))[0] == "b"
                for depth in range(1, len(names) + 1))
 
 
 @functools.lru_cache(maxsize=None)
-def dead_names(allow: bool = True) -> List[Def]:
+def dead_names() -> List[Def]:
     """Defs no live code mentions, to a fixed point."""
     by_key = {found.key: found for found in DEFS}
     dead: Set[Tuple[str, str]] = set()
@@ -322,7 +308,7 @@ def dead_names(allow: bool = True) -> List[Def]:
     while True:
         newly = {found.key for found in DEFS
                  if found.key not in dead and not dispatched(found)
-                 and not (allow and allowed(found))
+                 and not excused(found)
                  and not any(runs(scope) and not inside(scope, found)
                              for scope in MENTIONS.uses.get(found.name, ()))}
         if not newly:
@@ -341,6 +327,11 @@ class Settable(NamedTuple):
     @property
     def where(self) -> str:
         return f"{self.found.where}({self.name})"
+
+    @property
+    def key(self) -> str:
+        """Its ``TABLE`` key, ``file::qualname(param)``."""
+        return f"{self.found.file}::{self.found.qualname}({self.name})"
 
 
 def is_method(found: Def) -> bool:
@@ -378,34 +369,38 @@ def settables() -> Iterator[Settable]:
                 yield Settable(found, callee, arg.arg, None)
 
 
-def call_sites(settable: Settable) -> Iterator[Tuple[Site, bool]]:
+def call_sites(settable: Settable, callers: Tuple[Mentions, ...]
+               ) -> Iterator[Tuple[Site, bool]]:
     """Calls that reach the settable's owner, and whether their positional
     arguments are the owner's own (not a subclass ``__init__``'s)."""
-    for site in calls_of(settable.callee):
+    for site in calls_of(settable.callee, callers):
         yield site, True
     if isinstance(settable.found.node, ast.ClassDef):
-        for site in calls_of("_replace"):
+        for site in calls_of("_replace", callers):
             yield site, False
     if settable.found.name != "__init__":
         return
     below = {name for name in CLASSES if settable.callee in ancestors(name)}
     for name in below:
         inherits = "__init__" not in methods_of(frozenset({name}))
-        for site in calls_of(name):
+        for site in calls_of(name, callers):
             yield site, inherits
-    for site in calls_of("__init__"):
+    for site in calls_of("__init__", callers):
         if site.cls in below:
             yield site, True
 
 
-def is_set(settable: Settable) -> bool:
-    for (call, _, forwarded), positional in call_sites(settable):
+def is_set(settable: Settable,
+           callers: Tuple[Mentions, ...] = (MENTIONS,)) -> bool:
+    """Whether some call site of ``callers`` (by default, code outside
+    ``tests/``) passes the settable."""
+    dict_keys = set().union(*(found.dict_keys for found in callers))
+    for (call, _, forwarded), positional in call_sites(settable, callers):
         for keyword in call.keywords:
             if keyword.arg == settable.name:
                 return True
             if keyword.arg is None and bare(keyword.value) not in forwarded \
-                    and settable.name in (MENTIONS.dict_keys
-                                          | IN_TESTS.dict_keys):
+                    and settable.name in dict_keys:
                 return True
         if positional and settable.position is not None and (
                 len(call.args) > settable.position
@@ -475,19 +470,27 @@ def test_every_name_is_reached_from_something_that_runs():
         found.where for found in dead)
 
 
-def test_allow_list_is_short_reasoned_and_current():
-    assert len(ALLOW) <= 15
-    assert all(reason.strip() for reason in ALLOW.values())
-    needed = {f"{found.file}::{found.qualname}"
-              for found in dead_names(allow=False)}
-    assert set(ALLOW) <= needed, f"referenced or gone: {set(ALLOW) - needed}"
+def live_settables() -> List[Settable]:
+    dead = {found.key for found in dead_names()}
+    return [settable for settable in settables()
+            if settable.found.key not in dead]
 
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
-    dead = {found.key for found in dead_names()}
-    never = [settable.where for settable in settables()
-             if settable.found.key not in dead and not is_set(settable)]
+    never = [settable.where for settable in live_settables()
+             if not is_set(settable) and settable.key not in TABLE]
     assert never == [], "never passed by any caller:\n" + "\n".join(never)
+
+
+def test_a_parameter_only_tests_set_is_a_table_entry():
+    """Tests are not callers: a value only they set has an entry, and an
+    entry names a parameter that only tests set."""
+    only_tests = {settable.key for settable in live_settables()
+                  if not is_set(settable)
+                  and is_set(settable, (MENTIONS, IN_TESTS))}
+    entries = {key for key in TABLE if key.endswith(")")}
+    assert only_tests - entries == set(), "set only by tests, no entry"
+    assert entries - only_tests == set(), "set outside tests, or never"
 
 
 def test_every_parameter_is_read():

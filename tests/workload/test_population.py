@@ -93,8 +93,7 @@ class TestSessionModel:
         assert sum(draws) / len(draws) == pytest.approx(4.0, rel=0.05)
 
     def test_degenerate_mean_pins_the_floor(self):
-        model = SessionModel(mean_requests=1.0, min_requests=1,
-                             mean_think_s=1.0)
+        model = SessionModel(mean_requests=1.0, mean_think_s=1.0)
         rng = random.Random(3)
         assert all(model.request_count(rng) == 1 for _ in range(100))
 
@@ -103,8 +102,6 @@ class TestSessionModel:
             SessionModel(mean_requests=0.5)
         with pytest.raises(ValueError):
             SessionModel(mean_think_s=0.0)
-        with pytest.raises(ValueError):
-            SessionModel(min_requests=0)
 
 
 class TestMobilityModel:
