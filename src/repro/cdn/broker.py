@@ -84,7 +84,7 @@ class BrokeredCdnAuthority(DnsServer):
                 best, best_len = connectivity, len(prefix)
         return best if best is not None else "wired-campus"
 
-    def handle_query(self, query: Message, client: Endpoint):
+    def handle_query(self, query: Message, client: Endpoint, trace):
         question = query.question
         broker = self._brokers.get(question.name)
         if broker is None:

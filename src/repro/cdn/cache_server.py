@@ -136,8 +136,10 @@ class CacheServer:
                     sock: UdpSocket) -> None:
         if not self.online:
             return  # an offline cache is silent; clients time out
+        datagram = sock.delivering
+        assert datagram is not None  # set for the length of this call
         self.network.sim.spawn(
-            self._serve(payload, client, ctx=sock.last_delivery_ctx))
+            self._serve(payload, client, ctx=datagram.trace_ctx))
 
     def _serve(self, payload: bytes, client: Endpoint,
                ctx=None) -> Generator:

@@ -17,8 +17,6 @@ for the requesting client:
 
 from __future__ import annotations
 
-import functools
-import ipaddress
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.cdn.allocation import HashRing
@@ -28,7 +26,7 @@ from repro.dnswire.message import Message, ResourceRecord, make_response
 from repro.dnswire.name import Name
 from repro.dnswire.rdata import A
 from repro.dnswire.types import Rcode, RecordType
-from repro.netsim.packet import Endpoint
+from repro.netsim.packet import Endpoint, parse_ipv4, parse_ipv4_network
 from repro.resolver.server import DnsServer
 
 #: Short answer TTL, typical for CDN routing answers.
@@ -57,19 +55,6 @@ def is_referral(response) -> bool:
                for record in response.additionals)
 
 
-@functools.lru_cache(maxsize=1024)
-def _parsed_network(cidr: str) -> Tuple[int, int, int]:
-    """``(network, netmask, prefixlen)`` of a CIDR string, as integers.
-
-    Coverage networks are constants of a deployment while
-    :meth:`CoverageZone.covers` runs once per zone per routed query, so
-    each string is parsed once and matched by mask-and-compare after.
-    """
-    network = ipaddress.IPv4Network(cidr)
-    return (int(network.network_address), int(network.netmask),
-            network.prefixlen)
-
-
 class CoverageZone(NamedTuple):
     """Client networks mapped to the caches that should serve them."""
 
@@ -78,11 +63,16 @@ class CoverageZone(NamedTuple):
     caches: List[CacheServer]
 
     def covers(self, ip: str) -> Tuple[bool, int]:
-        """(matched, matched-prefix-length) for ``ip``."""
-        address = int(ipaddress.IPv4Address(ip))
+        """(matched, matched-prefix-length) for ``ip``.
+
+        Networks and the address are each parsed once per distinct string
+        (:func:`~repro.netsim.packet.parse_ipv4`) and matched by
+        mask-and-compare after: this runs once per zone per routed query.
+        """
+        address = parse_ipv4(ip)
         best = -1
         for cidr in self.networks:
-            network, netmask, prefixlen = _parsed_network(cidr)
+            network, netmask, prefixlen = parse_ipv4_network(cidr)
             if address & netmask == network:
                 best = max(best, prefixlen)
         return best >= 0, max(best, 0)
@@ -163,7 +153,8 @@ class TrafficRouter(DnsServer):
 
     # -- query handling ---------------------------------------------------------------
 
-    def handle_query(self, query: Message, client: Endpoint) -> Message:
+    def handle_query(self, query: Message, client: Endpoint,
+                     trace) -> Message:
         question = query.question
         if not question.name.is_subdomain_of(self.cdn_domain):
             return make_response(query, rcode=Rcode.REFUSED)
@@ -191,7 +182,7 @@ class TrafficRouter(DnsServer):
             zone, _ = self.zone_for(effective_ip)
             tel.tracer.event(
                 "cdns.route", "cdn", self.host.name,
-                parent=getattr(query, "trace_ctx", None),
+                parent=trace,
                 qname=str(question.name), client_ip=effective_ip,
                 zone=zone.name if zone is not None else "none",
                 cache=cache.name if cache is not None else "none",

@@ -1,9 +1,11 @@
 """DNS message codec: header, question, resource records, full messages.
 
 Every message moving between simulated hosts is serialised by
-:meth:`Message.to_wire` and re-parsed with :meth:`Message.from_wire`, so
+:func:`cached_wire` (byte-identical to :meth:`Message.to_wire`), so
 compression, EDNS rendering, and section bookkeeping are exercised on every
-query the experiments run.
+query the experiments run.  The receiver reads the sender's object beside
+the bytes (``Datagram.view``); :meth:`Message.from_wire` parses bytes that
+arrive without one.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Generator, List, NamedTuple
 
-from repro.dnswire import cached_wire, make_query
+from repro.dnswire import ClientSubnet, Edns, cached_wire, make_query
 from repro.errors import QueryTimeout
 from repro.experiments.capacity import CONTENT, content_zone
 from repro.experiments.report import format_table
@@ -112,9 +112,13 @@ def _run_policy(policy: str, attack_qps: float, seed: int) -> OverloadRow:
 
     mec_dns.sock.on_datagram = metered
 
-    # The flood: fixed-rate datagrams straight at the MEC DNS.
+    # The flood: fixed-rate datagrams straight at the MEC DNS, shaped as a
+    # resolver's queries (EDNS0 with a client subnet).  It is the one
+    # foreign sender: raw bytes with no decoded view, which the server
+    # must parse.
     attacker_sock = UdpSocket(net.host("attacker"))
     gap_ms = 1000.0 / attack_qps
+    edns = Edns(options=[ClientSubnet("10.45.0.66", 24)])
 
     def flood() -> Generator:
         yield BASELINE_MS
@@ -122,7 +126,8 @@ def _run_policy(policy: str, attack_qps: float, seed: int) -> OverloadRow:
         index = 0
         while elapsed < ATTACK_MS:
             index += 1
-            query = make_query(CONTENT, msg_id=(index % 0xFFFF) or 1)
+            query = make_query(CONTENT, msg_id=(index % 0xFFFF) or 1,
+                               edns=edns)
             attacker_sock.send_to(cached_wire(query),
                                   Endpoint("10.96.0.10", 53))
             yield gap_ms

@@ -19,8 +19,10 @@ split.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Generator, List, Optional
 
+from repro.dnswire.edns import ClientSubnet, Edns
 from repro.dnswire.message import (Message, ResourceRecord, make_response,
                                    mark_stale)
 from repro.dnswire.name import Name
@@ -268,20 +270,33 @@ class CoreDnsServer(DnsServer):
         """The §4 configuration step: sub-domain -> C-DNS."""
         self.stub.add(domain, upstream)
 
-    def handle_query(self, query: Message, client: Endpoint) -> Generator:
-        if self.ecs_inject and (query.edns is None
-                                or query.edns.client_subnet is None):
-            from repro.dnswire.edns import ClientSubnet, Edns
-            ecs = ClientSubnet(client.ip, ECS_V4_PREFIX)
-            if query.edns is None:
-                query.edns = Edns(options=[ecs])
-            else:
-                query.edns.options.append(ecs)
+    def rewrite_query(self, query: Message, client: Endpoint) -> Message:
+        """With ``ecs_inject``, a copy of ``query`` carrying the client's
+        subnet; a query that already has ECS passes as it is.
+
+        The client's query is read-only (its sender still reads it, and a
+        forwarder hands its EDNS on by reference), so the option goes on a
+        shallow copy with an EDNS of its own.  That copy is what the chain
+        answers and what the reply's UDP size limit comes from.
+        """
+        edns = query.edns
+        has_ecs = edns is not None and edns.client_subnet is not None
+        if not self.ecs_inject or has_ecs:
+            return query
+        base = Edns() if edns is None else edns
+        injected = copy.copy(query)
+        injected.edns = Edns(base.udp_payload, base.version, base.dnssec_ok,
+                             base.options + [ClientSubnet(client.ip,
+                                                          ECS_V4_PREFIX)])
+        return injected
+
+    def handle_query(self, query: Message, client: Endpoint,
+                     trace) -> Generator:
         ctx = QueryContext(query, client)
         tel = self.network.telemetry
         if tel is not None:
             ctx.telemetry = tel
-            ctx.trace = getattr(query, "trace_ctx", None)
+            ctx.trace = trace
             ctx.track = self.host.name
         response = yield from self.chain.run(ctx)
         return response

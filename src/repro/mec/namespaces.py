@@ -18,12 +18,12 @@ timeout from MEC DNS" workaround.
 from __future__ import annotations
 
 import enum
-import ipaddress
 from typing import Generator, List, Set
 
 from repro.dnswire.message import make_response
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode
+from repro.netsim.packet import parse_ipv4, parse_ipv4_network
 from repro.resolver.chain import Plugin, QueryContext
 
 
@@ -41,8 +41,10 @@ class SplitNamespacePlugin(Plugin):
 
     def __init__(self, internal_networks: List[str],
                  policy: NamespacePolicy = NamespacePolicy.REFUSE) -> None:
-        self.internal_networks = [ipaddress.IPv4Network(cidr)
-                                  for cidr in internal_networks]
+        #: CIDR strings; each is validated here and parsed once.
+        self.internal_networks = list(internal_networks)
+        for cidr in self.internal_networks:
+            parse_ipv4_network(cidr)
         self.policy = policy
         self._public_suffixes: Set[Name] = set()
         self.refused = 0
@@ -61,8 +63,9 @@ class SplitNamespacePlugin(Plugin):
 
     def is_internal_client(self, ip: str) -> bool:
         """Whether ``ip`` belongs to the internal VNF networks."""
-        address = ipaddress.IPv4Address(ip)
-        return any(address in network for network in self.internal_networks)
+        address = parse_ipv4(ip)
+        return any(address & netmask == network for network, netmask, _
+                   in map(parse_ipv4_network, self.internal_networks))
 
     # -- chain hook -----------------------------------------------------------
 

@@ -7,7 +7,9 @@ endpoints; the payload is never interpreted below the application layer.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import functools
+import ipaddress
+from typing import NamedTuple, Optional, Tuple
 
 
 class Endpoint(NamedTuple):
@@ -18,6 +20,31 @@ class Endpoint(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.ip}:{self.port}"
+
+
+@functools.lru_cache(maxsize=4096)
+def parse_ipv4(ip: str) -> int:
+    """The integer form of a dotted-quad address, parsed once per string.
+
+    Client addresses repeat across every query a router or policy
+    plugin sees, so membership tests run on this integer against
+    :func:`parse_ipv4_network`'s mask.  A malformed string raises
+    ``ValueError`` on every call (errors are not cached).
+    """
+    return int(ipaddress.IPv4Address(ip))
+
+
+@functools.lru_cache(maxsize=1024)
+def parse_ipv4_network(cidr: str) -> Tuple[int, int, int]:
+    """``(network, netmask, prefixlen)`` of a CIDR string, as integers.
+
+    ``parse_ipv4(ip) & netmask == network`` is exactly ``ip in
+    IPv4Network(cidr)``; a CIDR with host bits set raises ``ValueError``
+    like the constructor does.
+    """
+    network = ipaddress.IPv4Network(cidr)
+    return (int(network.network_address), int(network.netmask),
+            network.prefixlen)
 
 
 class Datagram:
@@ -44,19 +71,21 @@ class Datagram:
         self.trace_ctx = None
         #: Optional already-decoded view of ``payload`` (opaque to this
         #: layer — the application layers above put a dnswire Message
-        #: here).  The sender attaches it only when handing off
-        #: ownership; the receiver takes it with :meth:`claim_view`.
+        #: here); the receiver takes it with :meth:`claim_view`.
         #: ``payload`` stays authoritative: the view never changes wire
         #: sizes, delays, or any simulated behaviour, it only spares the
         #: receiver a re-parse of bytes the sender already had decoded.
+        #: The view is read-only on both sides: a query's sender keeps
+        #: reading it after the send, so a receiver that needs a changed
+        #: message builds a copy.
         self.view: Optional[object] = None
 
     def claim_view(self) -> Optional[object]:
         """Take the decoded payload view, leaving ``None`` behind.
 
-        Claim-once keeps ownership single: whoever claims it may treat
-        the object as theirs, and any later reader (a duplicate
-        delivery, a telemetry tap) falls back to parsing ``payload``.
+        Claim-once keeps one reader per send: any later reader (a
+        duplicate delivery, a telemetry tap) falls back to parsing
+        ``payload``.
         """
         view = self.view
         self.view = None

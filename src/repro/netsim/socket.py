@@ -46,10 +46,11 @@ class UdpSocket:
         self.closed = False
         self.on_datagram: Optional[DatagramHandler] = None
         self._pending_request: Optional[SimFuture] = None
-        #: Trace context of the most recently dispatched datagram, read
-        #: synchronously by server handlers inside ``on_datagram`` to
-        #: join the sender's trace.
-        self.last_delivery_ctx = None
+        #: The datagram ``on_datagram`` is being called for (``None``
+        #: outside that call): handlers read its trace context and claim
+        #: its decoded view here, beside the ``(payload, client, sock)``
+        #: arguments.
+        self.delivering: Optional[Datagram] = None
         host.register_socket(self)
 
     @property
@@ -65,9 +66,8 @@ class UdpSocket:
         ``ctx`` optionally attaches a telemetry trace context that rides
         the datagram out-of-band (it never touches the wire bytes).
         ``view`` optionally attaches an already-decoded view of
-        ``payload`` (see :meth:`Datagram.claim_view`); attach one only
-        when this sender is done with the object — the receiver that
-        claims it owns it.
+        ``payload`` (see :meth:`Datagram.claim_view`); from here on the
+        object is read-only for this sender and for the receiver.
         """
         if self.closed:
             raise SocketError("send on closed socket")
@@ -80,14 +80,14 @@ class UdpSocket:
         self.host.network.send(datagram, self.host)
 
     def request(self, payload: bytes, dst: Endpoint,
-                timeout: float, ctx=None) -> SimFuture:
+                timeout: float, ctx=None, view=None) -> SimFuture:
         """Send and await the first datagram delivered back to this socket.
 
         The returned future resolves to the reply :class:`Datagram` or
         fails with :class:`QueryTimeout` after ``timeout`` ms.  One request
         may be outstanding per socket; protocol layers that need concurrent
         queries open one ephemeral socket per query, as real stub resolvers
-        do.
+        do.  ``ctx`` and ``view`` ride the request as in :meth:`send_to`.
         """
         if self._pending_request is not None and not self._pending_request.done:
             raise SocketError("socket already has a request in flight")
@@ -95,7 +95,7 @@ class UdpSocket:
         future = sim.future()
         self._pending_request = future
         sim.call_after(timeout, _fail_request, future, dst, timeout)
-        self.send_to(payload, dst, ctx=ctx)
+        self.send_to(payload, dst, ctx=ctx, view=view)
         return future
 
     # -- receiving ----------------------------------------------------------------
@@ -104,14 +104,15 @@ class UdpSocket:
         """Network-side entry point: dispatch one arriving datagram."""
         if self.closed:
             return
-        self.last_delivery_ctx = datagram.trace_ctx
         pending = self._pending_request
         if pending is not None and not pending.done:
             self._pending_request = None
             pending.resolve(datagram)
             return
         if self.on_datagram is not None:
+            self.delivering = datagram
             self.on_datagram(datagram.payload, datagram.src, self)
+            self.delivering = None
 
     def close(self) -> None:
         """Release the underlying socket resources."""

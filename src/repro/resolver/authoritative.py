@@ -66,7 +66,8 @@ class AuthoritativeServer(DnsServer):
 
     # -- query handling --------------------------------------------------------------
 
-    def handle_query(self, query: Message, client: Endpoint) -> Message:
+    def handle_query(self, query: Message, client: Endpoint,
+                     trace) -> Message:
         question = query.question
         if question.rtype == RecordType.AXFR:
             return self._handle_axfr(query)

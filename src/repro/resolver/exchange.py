@@ -18,16 +18,19 @@ def exchange(host: Host, query: Message, server: Endpoint, timeout: float,
     """Process: send ``query`` to ``server``; return the decoded response.
 
     A fresh ephemeral socket per call (as real stubs do) keeps concurrent
-    exchanges independent.  Raises :class:`~repro.errors.QueryTimeout`
-    after ``timeout`` ms and :class:`~repro.errors.WireFormatError` on a
-    reply that does not decode or does not carry ``query``'s id — the
-    one place that is decided, for every client.  Emits no span, counter
-    or RNG draw: observation belongs to the caller.
+    exchanges independent.  ``query`` rides the datagram as its decoded
+    view, so the server reads it instead of parsing the wire again; it is
+    read-only on both sides from the send on (this function still reads
+    its id).  Raises :class:`~repro.errors.QueryTimeout` after
+    ``timeout`` ms and :class:`~repro.errors.WireFormatError` on a reply
+    that does not decode or does not carry ``query``'s id — the one place
+    that is decided, for every client.  Emits no span, counter or RNG
+    draw: observation belongs to the caller.
     """
     sock = UdpSocket(host, ip=ip)
     try:
         reply = yield sock.request(cached_wire(query), server, timeout,
-                                   ctx=ctx)
+                                   ctx=ctx, view=query)
     finally:
         sock.close()
     view = reply.claim_view()

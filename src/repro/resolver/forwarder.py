@@ -43,15 +43,15 @@ class ForwardingResolver(DnsServer):
         self.served_from_cache = 0
         self.stale_served = 0
 
-    def handle_query(self, query: Message, client: Endpoint) -> Generator:
+    def handle_query(self, query: Message, client: Endpoint,
+                     trace) -> Generator:
         question = query.question
         now = self.network.sim.now
         tel = self.network.telemetry
-        ctx = getattr(query, "trace_ctx", None)
         cached = self.cache.get(question.name, question.rtype, now)
         if tel is not None:
             tel.tracer.event("ldns.cache-lookup", "resolver", self.host.name,
-                             parent=ctx, outcome=cached.outcome.name,
+                             parent=trace, outcome=cached.outcome.name,
                              qname=str(question.name))
             tel.metrics.counter("repro_ldns_cache_lookups_total",
                                 "L-DNS cache probes by outcome").inc(
@@ -73,7 +73,7 @@ class ForwardingResolver(DnsServer):
             self.forwarded += 1
             response = yield from self.forward(
                 query, upstream, UPSTREAM_TIMEOUT_MS, forward_ecs=True,
-                ctx=ctx)
+                ctx=trace)
             if response is None:
                 continue
             self._cache_response(question, response)
@@ -89,7 +89,7 @@ class ForwardingResolver(DnsServer):
                 self.stale_served += 1
                 if tel is not None:
                     tel.tracer.event("ldns.serve-stale", "resolver",
-                                     self.host.name, parent=ctx,
+                                     self.host.name, parent=trace,
                                      qname=str(question.name))
                     tel.metrics.counter(
                         "repro_ldns_stale_served_total",

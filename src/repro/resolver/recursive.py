@@ -44,7 +44,8 @@ class RecursiveResolver(DnsServer):
 
     # -- entry point -----------------------------------------------------------
 
-    def handle_query(self, query: Message, client: Endpoint) -> Generator:
+    def handle_query(self, query: Message, client: Endpoint,
+                     trace) -> Generator:
         question = query.question
         rcode, answers = yield from self._resolve(
             question.name, question.rtype, depth=0)

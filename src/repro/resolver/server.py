@@ -1,13 +1,17 @@
 """Base class for simulated DNS servers.
 
 Handles the transport plumbing every server shares: binding a socket,
-decoding queries (FORMERR on garbage, NOTIMP on unsupported opcodes),
-sampling a per-query processing delay, running the subclass handler as a
-simulator process, and encoding the response.
+taking each query's decoded form off its datagram (or decoding foreign
+bytes: FORMERR on garbage, NOTIMP on unsupported opcodes), sampling a
+per-query processing delay, running the subclass handler as a simulator
+process, and encoding the response.
 
 Subclasses implement :meth:`DnsServer.handle_query`, either as a plain
 method returning a :class:`~repro.dnswire.message.Message` or as a
-generator (a simulator process) when they need upstream queries.
+generator (a simulator process) when they need upstream queries.  A
+query is read-only: its sender keeps reading it after the send (the id
+check, the TCP re-send), so a server that needs a changed query builds
+a copy in :meth:`DnsServer.rewrite_query`.
 """
 
 from __future__ import annotations
@@ -94,25 +98,31 @@ class DnsServer:
             tel.metrics.counter("repro_dns_queries_total",
                                 "queries received by DNS servers").inc(
                                     server=self.name)
-        try:
-            query = Message.from_wire(payload)
-        except WireFormatError:
-            self._send_error_for_garbage(payload, client)
-            return
-        # Join the client's trace: the context rode the datagram
-        # out-of-band, and the decoded Message carries it onward.
-        query.trace_ctx = sock.last_delivery_ctx
+        datagram = sock.delivering
+        assert datagram is not None  # set for the length of this call
+        # The sender's Message rides the datagram (resolver.exchange);
+        # only bytes that arrive without one are parsed.
+        query = datagram.claim_view()
+        if not isinstance(query, Message):
+            try:
+                query = Message.from_wire(payload)
+            except WireFormatError:
+                self._send_error_for_garbage(payload, client)
+                return
         if query.opcode != Opcode.QUERY or not query.questions:
             response = make_response(query, rcode=Rcode.NOTIMP)
             self._send(response, client)
             return
-        self._admit(query, client)
+        # Join the client's trace: the context rode the datagram
+        # out-of-band and travels beside the query from here on.
+        self._admit(query, client, datagram.trace_ctx)
 
-    def _admit(self, query: Message, client: Endpoint) -> None:
+    def _admit(self, query: Message, client: Endpoint, trace) -> None:
         """Run immediately if a worker is free; queue or drop otherwise."""
         if self.workers is None or self._busy_workers < self.workers:
             self._busy_workers += 1
-            self.network.sim.spawn(self._serve_and_release(query, client))
+            self.network.sim.spawn(
+                self._serve_and_release(query, client, trace))
             return
         if len(self._backlog) >= self.max_queue:
             self.queries_dropped += 1
@@ -123,45 +133,45 @@ class DnsServer:
                     "queries dropped by overloaded servers").inc(
                         server=self.name)
             return
-        self._backlog.append((query, client))
+        self._backlog.append((query, client, trace))
         self.peak_backlog = max(self.peak_backlog, len(self._backlog))
 
-    def _serve_and_release(self, query: Message,
-                           client: Endpoint) -> Generator:
+    def _serve_and_release(self, query: Message, client: Endpoint,
+                           trace) -> Generator:
         try:
-            yield from self._serve(query, client)
+            yield from self._serve(query, client, trace)
         finally:
             self._busy_workers -= 1
             if self._backlog:
-                next_query, next_client = self._backlog.pop(0)
                 self._busy_workers += 1
                 self.network.sim.spawn(
-                    self._serve_and_release(next_query, next_client))
+                    self._serve_and_release(*self._backlog.pop(0)))
 
-    def _serve(self, query: Message, client: Endpoint) -> Generator:
+    def _serve(self, query: Message, client: Endpoint, trace) -> Generator:
         tel = self.network.telemetry
         span = None
         if tel is not None:
             qname = str(query.questions[0].name) if query.questions else "?"
             span = tel.tracer.begin("dns.serve", "resolver", self.host.name,
-                                    parent=getattr(query, "trace_ctx", None),
-                                    server=self.name, qname=qname)
+                                    parent=trace, server=self.name,
+                                    qname=qname)
             # Children spawned by the handler (plugin chain, upstream
             # exchanges, the reply datagram) nest under the serve span.
-            query.trace_ctx = span.context
+            trace = span.context
         yield self.processing_delay.sample(self._rng)
-        response = yield from self._produce_response(query, client)
+        query = self.rewrite_query(query, client)
+        response = yield from self._produce_response(query, client, trace)
         if response is not None:
-            self._send(response, client, query)
+            self._send(response, client, query, trace)
         if tel is not None:
             tel.tracer.end(span, rcode=(response.rcode.name
                                         if response is not None
                                         else "NO-RESPONSE"))
 
-    def _produce_response(self, query: Message,
-                          client: Endpoint) -> Generator:
+    def _produce_response(self, query: Message, client: Endpoint,
+                          trace) -> Generator:
         try:
-            result = self.handle_query(query, client)
+            result = self.handle_query(query, client, trace)
             if inspect.isgenerator(result):
                 response = yield from result
             else:
@@ -180,11 +190,12 @@ class DnsServer:
             return b""
             yield  # pragma: no cover - generator marker
         yield self.processing_delay.sample(self._rng)
-        response = yield from self._produce_response(query, client)
+        query = self.rewrite_query(query, client)
+        response = yield from self._produce_response(query, client, None)
         return response.to_wire() if response is not None else b""
 
     def _send(self, response: Message, client: Endpoint,
-              query: Optional[Message] = None) -> None:
+              query: Optional[Message] = None, trace=None) -> None:
         self.responses_sent += 1
         wire = cached_wire(response)
         max_payload = CLASSIC_UDP_PAYLOAD
@@ -202,10 +213,9 @@ class DnsServer:
             wire = cached_wire(truncated)
             response = truncated
             self.truncated_sent += 1
-        ctx = getattr(query, "trace_ctx", None) if query is not None else None
         # The response object is done on this side — hand it to the
         # client as a decoded view so the reply is never re-parsed.
-        self.sock.send_to(wire, client, ctx=ctx, view=response)
+        self.sock.send_to(wire, client, ctx=trace, view=response)
 
     def _send_error_for_garbage(self, payload: bytes, client: Endpoint) -> None:
         """Best effort FORMERR: echo the query id if two octets exist."""
@@ -270,12 +280,22 @@ class DnsServer:
 
     # -- subclass API -----------------------------------------------------------------
 
-    def handle_query(self, query: Message, client: Endpoint):
+    def rewrite_query(self, query: Message, client: Endpoint) -> Message:
+        """The query the handler answers and the reply is sized for.
+
+        ``query`` itself here: it is read-only, shared with its sender.
+        A server that must change it returns a copy.
+        """
+        return query
+
+    def handle_query(self, query: Message, client: Endpoint, trace):
         """Produce a response Message (or a generator yielding one).
 
-        Returning ``None`` suppresses the response (used by policy plugins
-        that deliberately ignore queries, per the paper's "MEC DNS ignores
-        queries not related to MEC-CDN" workaround).
+        ``trace`` is the telemetry context to parent spans on (``None``
+        when telemetry is off).  Returning ``None`` suppresses the
+        response (used by policy plugins that deliberately ignore
+        queries, per the paper's "MEC DNS ignores queries not related to
+        MEC-CDN" workaround).
         """
         raise NotImplementedError
 

@@ -46,7 +46,7 @@ class FallbackScenario:
         class _FilteredAuthority(AuthoritativeServer):
             """An authoritative MEC DNS behind the namespace policy."""
 
-            def handle_query(self, query, client):
+            def handle_query(self, query, client, trace):
                 if not split.is_public(query.question.name):
                     if policy is NamespacePolicy.IGNORE:
                         split.ignored += 1
@@ -55,7 +55,7 @@ class FallbackScenario:
                     from repro.dnswire.message import make_response
                     from repro.dnswire.types import Rcode
                     return make_response(query, rcode=Rcode.REFUSED)
-                return super().handle_query(query, client)
+                return super().handle_query(query, client, trace)
 
         _FilteredAuthority(self.net, self.net.host("mec-dns"),
                            [build_zone("mycdn.ciab.test", "10.233.1.10")])

@@ -13,8 +13,6 @@ what it buys:
 arithmetic and lives with its unit: ``tests/mec/test_coredns.py``.)
 """
 
-import ipaddress
-
 import pytest
 
 from repro.cdn import CacheServer, ContentCatalog, CoverageZone, TrafficRouter
@@ -51,8 +49,7 @@ def probe_internal_names(split_enabled):
     site = MecCdnSite(net, "edge1", nodes, catalog)
     if not split_enabled:
         # The insecure ablation: treat every client as internal.
-        site.split_namespace.internal_networks.append(
-            ipaddress.IPv4Network("0.0.0.0/0"))
+        site.split_namespace.internal_networks.append("0.0.0.0/0")
     leaked = 0
     for service_name in ("coredns.kube-system", "trafficrouter.cdn",
                          "cache.cdn"):

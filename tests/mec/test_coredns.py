@@ -170,6 +170,25 @@ class TestSplitNamespace:
         assert split.is_public(Name("a.b.mycdn.ciab.test"))
         assert not split.is_public(Name("mycdn.ciab.test.evil.com"))
 
+    def test_internal_client_matches_ipaddress_for_every_input(self):
+        # Membership is mask-and-compare on once-parsed integers; the
+        # answer must be what ipaddress containment gives.
+        import ipaddress
+        cidrs = ["10.40.0.0/16", "10.96.0.128/25", "192.0.2.7/32"]
+        split = SplitNamespacePlugin(internal_networks=cidrs)
+        for ip in ("10.39.255.255", "10.40.0.0", "10.40.255.255",
+                   "10.41.0.0", "10.96.0.127", "10.96.0.128",
+                   "10.96.0.255", "192.0.2.6", "192.0.2.7", "0.0.0.0"):
+            expected = any(ipaddress.IPv4Address(ip)
+                           in ipaddress.IPv4Network(cidr) for cidr in cidrs)
+            for _ in range(2):  # a parse and a cache hit answer alike
+                assert split.is_internal_client(ip) == expected, ip
+        with pytest.raises(ValueError):
+            SplitNamespacePlugin(internal_networks=["10.40.0.1/16"])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                split.is_internal_client("10.40.0.256")
+
 
 class TestIngress:
     def test_rate_estimation(self):

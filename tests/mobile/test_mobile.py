@@ -102,9 +102,9 @@ class TestNat:
         seen = []
         original = scenario.dns.handle_query
 
-        def spy(query, client):
+        def spy(query, client, trace):
             seen.append(client.ip)
-            return original(query, client)
+            return original(query, client, trace)
 
         scenario.dns.handle_query = spy
         result = scenario.query()

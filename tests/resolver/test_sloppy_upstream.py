@@ -35,7 +35,7 @@ class AnswerAll(DnsServer):
         self.address = address
         self.id_mask = id_mask
 
-    def handle_query(self, query, client):
+    def handle_query(self, query, client, trace):
         response = make_response(query, answers=[ResourceRecord(
             query.question.name, RecordType.A, 300, A(self.address))])
         response.msg_id = query.msg_id ^ self.id_mask
