@@ -154,7 +154,7 @@ class Testbed(NamedTuple):
     ue: UserEquipment
     epc: EvolvedPacketCore
     query_name: Name
-    #: Host name where the tcpdump-analog trace should attach (the P-GW).
+    #: Host whose forwards split wireless from resolver time (the P-GW).
     gateway_host: str
     #: The MEC site; every Figure 5 deployment builds one.
     mec_site: Optional[MecCdnSite]

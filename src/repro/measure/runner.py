@@ -3,10 +3,10 @@
 The paper: "We perform the measurements using both dig from the client
 side and tcpdump at P-GW to track the DNS request packets", splitting each
 lookup into (i) the wireless UE<->P-GW delay and (ii) everything beyond
-the P-GW.  :func:`measure_deployment_queries` reproduces this: a
-:class:`~repro.netsim.trace.PacketTrace` at the gateway host timestamps
-the query and reply as they cross the P-GW; the difference attributes the
-round trip to the two segments.
+the P-GW.  :func:`measure_deployment_queries` reproduces this: the
+gateway host's ``crossings`` list records when the query and reply cross
+the P-GW; the first and last crossing inside a lookup split its round
+trip into the two segments.
 
 For fault-injection runs, :func:`measure_deployment_run` additionally
 reports retry behaviour — attempts per lookup, timeouts burned, hedges
@@ -20,7 +20,6 @@ from typing import Generator, List, NamedTuple, Optional
 
 from repro.core.deployments import Testbed
 from repro.errors import QueryTimeout, WireFormatError
-from repro.netsim.trace import PacketTrace
 from repro.resolver.stub import StubResolver
 
 
@@ -87,7 +86,9 @@ def measure_deployment_run(testbed: Testbed, count: int,
     """
     if count <= 0:
         raise ValueError("need a positive query count")
-    trace = PacketTrace(testbed.network, host_filter=testbed.gateway_host)
+    crossings: List[float] = []
+    gateway = testbed.network.host(testbed.gateway_host)
+    gateway.crossings = crossings
     if stub is None:
         stub = testbed.ue.stub()
     sim = testbed.sim
@@ -98,8 +99,10 @@ def measure_deployment_run(testbed: Testbed, count: int,
 
     def driver() -> Generator:
         for index in range(warmup + count):
-            trace.clear()
             started = sim.now
+            # A packet walked before this lookup may cross after its
+            # start, so trim by time rather than clearing.
+            crossings[:] = [time for time in crossings if time >= started]
             issued_before = stub.queries_issued
             span = None
             if tel is not None:
@@ -137,7 +140,7 @@ def measure_deployment_run(testbed: Testbed, count: int,
                         "measured DNS lookup latency").observe(
                             finished - started)
             if index >= warmup:
-                wireless = _wireless_portion(trace, started, finished)
+                wireless = _wireless_portion(crossings, started, finished)
                 total = result.query_time_ms
                 measurements.append(QueryMeasurement(
                     latency_ms=total,
@@ -153,7 +156,7 @@ def measure_deployment_run(testbed: Testbed, count: int,
             yield spacing_ms
 
     sim.run_until_resolved(sim.spawn(driver()))
-    trace.close()
+    gateway.crossings = None
     total_queries = warmup + count
     stats = RetryStats(
         queries=total_queries,
@@ -166,16 +169,14 @@ def measure_deployment_run(testbed: Testbed, count: int,
     return MeasurementRun(measurements=measurements, retries=stats)
 
 
-def _wireless_portion(trace: PacketTrace, started: float,
+def _wireless_portion(crossings: List[float], started: float,
                       finished: float) -> float:
     """UE<->P-GW time: first gateway crossing out + last crossing back."""
-    crossings = [record.time for record in trace.records
-                 if record.event in ("forward", "deliver")
-                 and started <= record.time <= finished]
-    if not crossings:
+    inside = [time for time in crossings if started <= time <= finished]
+    if not inside:
         # The gateway never saw the packets (a degenerate topology);
         # attribute everything to the resolver side.
         return 0.0
-    outbound = min(crossings) - started
-    inbound = finished - max(crossings)
+    outbound = min(inside) - started
+    inbound = finished - max(inside)
     return max(outbound, 0.0) + max(inbound, 0.0)

@@ -10,11 +10,11 @@ testbed (USRP radios, srsLTE, a LAN, and the public Internet).  It provides:
   calibrate each link type.
 * :mod:`repro.netsim.packet` / :mod:`.node` / :mod:`.link` /
   :mod:`.network` — datagrams, hosts, links, and a routed topology with
-  middlebox (NAT) support.
+  middlebox (NAT) support.  A host's ``crossings`` list records when
+  datagrams pass it (the paper uses tcpdump at the P-GW to split
+  wireless vs. resolver time).
 * :mod:`repro.netsim.socket` — UDP-style sockets with request/timeout
   semantics.
-* :mod:`repro.netsim.trace` — a tcpdump-analog packet tap (the paper uses
-  tcpdump at the P-GW to split wireless vs. resolver time).
 
 All times are milliseconds; all randomness flows from one seed.
 """
@@ -38,7 +38,6 @@ from repro.netsim.node import Host, Middlebox
 from repro.netsim.link import Link
 from repro.netsim.network import Network
 from repro.netsim.socket import UdpSocket
-from repro.netsim.trace import PacketTrace, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -62,6 +61,4 @@ __all__ = [
     "Link",
     "Network",
     "UdpSocket",
-    "PacketTrace",
-    "TraceRecord",
 ]

@@ -180,7 +180,7 @@ class Simulator:
 
     def __init__(self) -> None:
         #: Current simulated time in milliseconds.  A plain attribute,
-        #: not a property: the clock is read on every span, tap, and
+        #: not a property: the clock is read on every span and
         #: scheduling call, and the property descriptor was a measurable
         #: per-event cost.  Treat it as read-only outside the engine.
         self.now = 0.0

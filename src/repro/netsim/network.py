@@ -1,19 +1,19 @@
-"""The routed topology: hosts, links, forwarding, middleboxes, taps.
+"""The routed topology: hosts, links, forwarding, middleboxes.
 
 Routing is shortest-path by mean link latency over an undirected graph:
 one Dijkstra per sending host, run on that host's first send and kept
 until a link changes.  Delivery walks the path hop by hop, sampling each
 link's latency, applying any middlebox at each traversed host, and
-re-routing when a middlebox rewrites the destination (NAT).  Packet taps
-observe datagrams at named hosts, which is how the experiments split
-"wireless" from "resolver" time exactly like the paper's tcpdump-at-P-GW
-method.
+re-routing when a middlebox rewrites the destination (NAT).  A host whose
+``crossings`` list is set gets the arrival time of every datagram it
+forwards appended at walk time; that is how the experiments split
+"wireless" from "resolver" time, like the paper's tcpdump-at-P-GW method.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AddressError, RoutingError
 from repro.netsim.engine import Simulator
@@ -21,10 +21,6 @@ from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.rand import RandomStreams
-
-#: A tap sees (time_ms, host_name, event, datagram); event is "send",
-#: "forward", "deliver", or "drop".
-Tap = Callable[[float, str, str, Datagram], None]
 
 #: Hard bound on middlebox-driven re-routing to catch rewrite loops.
 _MAX_REROUTES = 16
@@ -48,9 +44,6 @@ class Network:
         #: and emptied by every link change.
         self._routes: Dict[str, Dict[str, List[str]]] = {}
         self._ip_index: Dict[str, Host] = {}
-        #: Taps that see every host, and taps that watch one host.
-        self._taps: List[Tap] = []
-        self._host_taps: Dict[str, List[Tap]] = {}
         #: Attached :class:`repro.telemetry.Telemetry`, or ``None``.
         #: Every instrumentation site in the stack checks this before
         #: doing any work, so an unobserved network runs the exact same
@@ -184,27 +177,6 @@ class Network:
         return any((src in group) != (dst in group)
                    for group in self._partitions)
 
-    def add_tap(self, tap: Tap, host: Optional[str] = None) -> None:
-        """Register a packet observer (see PacketTrace).
-
-        With ``host``, the tap sees only events at that host, and events
-        at hosts nobody watches are never scheduled.
-        """
-        if host is None:
-            self._taps.append(tap)
-        else:
-            self._host_taps.setdefault(host, []).append(tap)
-
-    def remove_tap(self, tap: Tap, host: Optional[str] = None) -> None:
-        """Unregister a packet observer (same ``host`` as it was added with)."""
-        if host is None:
-            self._taps.remove(tap)
-            return
-        watchers = self._host_taps[host]
-        watchers.remove(tap)
-        if not watchers:
-            del self._host_taps[host]
-
     # -- routing ----------------------------------------------------------------------------
 
     def path(self, src: str, dst: str) -> List[str]:
@@ -272,7 +244,6 @@ class Network:
                     "repro_net_datagrams_total",
                     "datagrams injected into the network")
             counter.inc(protocol=datagram.protocol)
-        self._emit("send", from_host.name, datagram)
         self._walk(datagram, from_host, elapsed=0.0, reroutes=0)
 
     def _walk(self, datagram: Datagram, at: Host, elapsed: float,
@@ -284,19 +255,17 @@ class Network:
             dst_host = self.host_for_ip(datagram.dst.ip)
         except AddressError:
             self._count_drop("unroutable")
-            self._schedule_tap("drop", at.name, datagram, elapsed)
             return
         if self._partitions and self.is_partitioned(at.name, dst_host.name):
             self._count_drop("partition")
-            self._schedule_tap("drop", at.name, datagram, elapsed)
             return
         hops = self.path(at.name, dst_host.name)
         rng = self.streams.stream("link-delays")
         current = datagram
         # The walk runs synchronously at send time, so ``sim.now`` here is
-        # the injection instant; hop span endpoints are ``send_now +
-        # elapsed``, the same float expression the tap callbacks observe
-        # as ``sim.now`` when they fire.
+        # the injection instant; a hop arrives at ``send_now + elapsed``,
+        # the float both the transit span's end and a host's crossing
+        # record hold.
         tracer = None
         ctx = datagram.trace_ctx
         if self.telemetry is not None and ctx is not None:
@@ -312,7 +281,6 @@ class Network:
             delay = link.sample_delay(rng)
             if delay is None:
                 self._count_drop("loss")
-                self._schedule_tap("drop", nxt, current, elapsed)
                 return
             elapsed += delay
             current.hops.append(nxt)
@@ -325,29 +293,31 @@ class Network:
                     protocol=current.protocol, size=current.size,
                     final=nxt == hops[-1],
                     **{"from": previous, "to": nxt})
+            if nxt == hops[-1]:
+                break
             arrived_at = self._hosts[nxt]
-            if arrived_at.middlebox is not None and nxt != hops[-1]:
+            if arrived_at.middlebox is not None:
                 processed = arrived_at.middlebox.process(current, arrived_at)
                 if processed is None:
                     self._count_drop("middlebox")
-                    self._schedule_tap("drop", nxt, current, elapsed)
                     return
-                self._schedule_tap("forward", nxt, processed, elapsed)
+                if arrived_at.crossings is not None:
+                    arrived_at.crossings.append(send_now + elapsed)
                 if processed.dst.ip != current.dst.ip:
                     self._walk(processed, arrived_at, elapsed, reroutes + 1)
                     return
                 current = processed
-            elif nxt != hops[-1]:
-                self._schedule_tap("forward", nxt, current, elapsed)
+            elif arrived_at.crossings is not None:
+                arrived_at.crossings.append(send_now + elapsed)
         final_host = self._hosts[hops[-1]]
         if final_host.middlebox is not None:
             processed = final_host.middlebox.process(current, final_host)
             if processed is None:
                 self._count_drop("middlebox")
-                self._schedule_tap("drop", final_host.name, current, elapsed)
                 return
             if not final_host.owns(processed.dst.ip):
-                self._schedule_tap("forward", final_host.name, processed, elapsed)
+                if final_host.crossings is not None:
+                    final_host.crossings.append(send_now + elapsed)
                 self._walk(processed, final_host, elapsed, reroutes + 1)
                 return
             current = processed
@@ -358,13 +328,10 @@ class Network:
         tel = self.telemetry
         if host.down:
             self._count_drop("host-down")
-            self._emit("drop", host.name, datagram)
             return
-        self._emit("deliver", host.name, datagram)
         sock = host.socket_on_port(datagram.dst.port)
         if sock is None:
             self._count_drop("no-socket")
-            self._emit("drop", host.name, datagram)
             return
         if tel is not None:
             if tel is not self._metrics_facade:
@@ -381,22 +348,6 @@ class Network:
                                  parent=datagram.trace_ctx,
                                  dst=str(datagram.dst))
         sock.handle_delivery(datagram)
-
-    # -- taps ------------------------------------------------------------------------------------
-
-    def _schedule_tap(self, event: str, host_name: str, datagram: Datagram,
-                      elapsed: float) -> None:
-        if self._taps or host_name in self._host_taps:
-            self.sim.call_after(
-                elapsed, self._emit, event, host_name, datagram)
-
-    def _emit(self, event: str, host_name: str, datagram: Datagram) -> None:
-        now = self.sim.now
-        for tap in self._taps:
-            tap(now, host_name, event, datagram)
-        if self._host_taps:
-            for tap in self._host_taps.get(host_name, ()):
-                tap(now, host_name, event, datagram)
 
     def _count_drop(self, reason: str) -> None:
         tel = self.telemetry

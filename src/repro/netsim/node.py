@@ -48,6 +48,10 @@ class Host:
         #: (a machine that is up but pathologically slow).
         self.down = False
         self.brownout_ms = 0.0
+        #: When a list, the network appends the arrival time of every
+        #: datagram this host forwards (the P-GW vantage of the paper's
+        #: tcpdump).  ``None`` records nothing.
+        self.crossings: Optional[List[float]] = None
 
     # -- addressing ----------------------------------------------------------
 

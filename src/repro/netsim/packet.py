@@ -59,8 +59,8 @@ class Datagram:
         self.dst = dst
         self.payload = payload
         #: Payload length in octets, precomputed: the size is read on
-        #: every hop (bandwidth delay) and every tap span, and the
-        #: payload never changes after construction.
+        #: every transit span, and the payload never changes after
+        #: construction.
         self.size = len(payload)
         self.protocol = protocol
         #: Host names traversed so far (filled in by the network walk).
@@ -84,7 +84,7 @@ class Datagram:
         """Take the decoded payload view, leaving ``None`` behind.
 
         Claim-once keeps one reader per send: any later reader (a
-        duplicate delivery, a telemetry tap) falls back to parsing
+        duplicate delivery) falls back to parsing
         ``payload``.
         """
         view = self.view

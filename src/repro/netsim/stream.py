@@ -13,7 +13,8 @@ The model keeps what matters for latency studies and drops the rest:
   the retransmission delay — and ordered per channel.
 
 Internally each exchange rides the datagram fabric with a retry loop, so
-paths, NAT middleboxes, and taps all apply exactly as for UDP.
+paths, NAT middleboxes, and crossing records all apply exactly as for
+UDP.
 """
 
 from __future__ import annotations

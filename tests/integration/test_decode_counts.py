@@ -5,6 +5,11 @@ datagram as the sender's :class:`Message`, and every reply rides back as
 the server's, so a run with no foreign sender calls ``Message.from_wire``
 zero times.  Counts carry no noise: a change that brings a re-parse back,
 or adds or drops a simulator event, fails here without a wall-clock pair.
+
+The P-GW's crossing record is appended as a packet is walked, so it adds
+no event: ``figure5``'s 270 are the lookups' own (a scheduled callback
+per gateway crossing made 80 more), and ``capacity`` records no
+crossing.
 """
 
 import pytest
@@ -17,7 +22,7 @@ from repro.netsim import observe_simulators
 TRIALS = {
     "capacity": (capacity.EXPERIMENT,
                  {"duration_ms": 500.0, "rates": (400.0, 2000.0)}, 9604),
-    "figure5": (figure5.EXPERIMENT, {"queries": 4}, 350),
+    "figure5": (figure5.EXPERIMENT, {"queries": 4}, 270),
 }
 
 

@@ -1,4 +1,4 @@
-"""Tests for topology, forwarding, middleboxes, sockets, and traces."""
+"""Tests for topology, forwarding, middleboxes, sockets, and crossings."""
 
 import gc
 import weakref
@@ -6,12 +6,12 @@ import weakref
 import pytest
 
 from repro.errors import AddressError, QueryTimeout, RoutingError, SocketError
+from repro.mobile.nat import NatMiddlebox
 from repro.netsim import (
     Constant,
     Endpoint,
     Middlebox,
     Network,
-    PacketTrace,
     RandomStreams,
     Simulator,
     UdpSocket,
@@ -264,26 +264,82 @@ class TestTrace:
     def test_trace_records_forwarding_at_host(self, net):
         build_line(net, ("ue", "10.0.0.1", 10), ("pgw", "10.0.0.2", 20),
                    ("dns", "10.0.0.3", 0))
-        trace = PacketTrace(net, host_filter="pgw")
+        net.host("pgw").crossings = crossings = []
         server = UdpSocket(net.host("dns"), port=53)
         server.on_datagram = lambda payload, src, sock: sock.send_to(b"r", src)
         client = UdpSocket(net.host("ue"))
         future = client.request(b"q", Endpoint("10.0.0.3", 53), timeout=500)
         net.sim.run_until_resolved(future)
-        events = [(record.time, record.event) for record in trace.records]
-        assert (10.0, "forward") in events  # query passing the P-GW
-        assert (50.0, "forward") in events  # reply passing the P-GW
+        # The query and the reply passing the P-GW.
+        assert crossings == [10.0, 50.0]
 
     def test_trace_close_stops_capture(self, net):
-        build_line(net, ("a", "10.0.0.1", 1), ("b", "10.0.0.2", 0))
-        trace = PacketTrace(net, host_filter="b")
-        server = UdpSocket(net.host("b"), port=5)
+        """Setting ``crossings`` back to ``None`` stops the record."""
+        build_line(net, ("a", "10.0.0.1", 1), ("b", "10.0.0.2", 1),
+                   ("c", "10.0.0.3", 0))
+        net.host("b").crossings = crossings = []
+        server = UdpSocket(net.host("c"), port=5)
         server.on_datagram = lambda payload, src, sock: None
         sender = UdpSocket(net.host("a"))
-        sender.send_to(b"x", Endpoint("10.0.0.2", 5))
+        sender.send_to(b"x", Endpoint("10.0.0.3", 5))
         net.sim.run()
-        assert [record.event for record in trace.records] == ["deliver"]
-        trace.close()
-        sender.send_to(b"x", Endpoint("10.0.0.2", 5))
+        assert crossings == [1.0]
+        net.host("b").crossings = None
+        sender.send_to(b"x", Endpoint("10.0.0.3", 5))
         net.sim.run()
-        assert len(trace.records) == 1
+        assert crossings == [1.0]
+
+    def test_nat_crossings_only_at_the_watched_host(self):
+        watched_sim, watched = nat_scenario("pgw")
+        bare_sim, _ = nat_scenario()
+        # Query out at 7, reply back through the NAT at 27, then the
+        # datagrams to a closed port (sent at 34) and over the dead link
+        # (sent at 500, once the request's timer has run out).  The
+        # unowned address drops at the sender, the closed port and the
+        # dead link past the P-GW: no drop is a crossing there.
+        assert watched.host("pgw").crossings == [7.0, 27.0, 41.0, 507.0]
+        assert watched.link_between("wan", "server").packets_dropped == 1
+        for name in NAT_HOSTS:
+            if name != "pgw":
+                assert watched.host(name).crossings is None
+        # Recording schedules nothing.
+        assert watched_sim.events_processed == bare_sim.events_processed
+
+
+NAT_HOSTS = ("ue", "enb", "pgw", "wan", "server")
+
+
+def nat_scenario(*watched):
+    """ue -- enb -- pgw (NAT) -- wan -- server, with ``watched`` recording.
+
+    One echoed request (forwarded through the NAT both ways), then one
+    datagram each into a port nobody listens on, an address nobody owns
+    and a dead link (a drop at the destination, at the sender and in
+    transit).
+    """
+    sim = Simulator()
+    net = Network(sim, RandomStreams(3))
+    net.add_host("ue", "10.1.0.2")
+    net.add_host("enb", "10.1.0.3")
+    net.add_host("pgw", "10.1.0.1", "198.51.100.1")
+    net.add_host("wan", "203.0.113.1")
+    net.add_host("server", "203.0.113.10")
+    net.add_link("ue", "enb", Constant(5.0))
+    net.add_link("enb", "pgw", Constant(2.0))
+    net.add_link("pgw", "wan", Constant(7.0))
+    backbone = net.add_link("wan", "server", Constant(3.0))
+    net.host("pgw").install_middlebox(NatMiddlebox(["198.51.100.1"]))
+    for name in watched:
+        net.host(name).crossings = []
+    server = UdpSocket(net.host("server"), port=53)
+    server.on_datagram = lambda payload, src, sock: sock.send_to(b"r", src)
+    client = UdpSocket(net.host("ue"))
+    sim.run_until_resolved(
+        client.request(b"q", Endpoint("203.0.113.10", 53), timeout=500))
+    client.send_to(b"nobody-listens", Endpoint("203.0.113.10", 9))
+    client.send_to(b"nobody-owns", Endpoint("192.0.2.9", 53))
+    sim.run()
+    backbone.loss_model = IidLoss(1.0)
+    client.send_to(b"dead-link", Endpoint("203.0.113.10", 53))
+    sim.run()
+    return sim, net
