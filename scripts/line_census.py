@@ -44,12 +44,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 #: Test-only lines, classified and out of scope included, may not exceed
-#: this.  Two runs read 979 and 980: which pool worker closes a suspended
-#: generator (running its ``except`` lines) depends on scheduling, so the
-#: ceiling sits two above the largest reading.  Lower it when a change
-#: deletes lines or a surface starts running them; never raise it to fit
-#: one.
-CEILING = 982
+#: this.  Two runs read 919 and 919, but which pool worker closes a
+#: suspended generator (running its ``except`` lines) depends on
+#: scheduling, and earlier pairs of runs differed by one, so the ceiling
+#: sits two above the largest reading.  Lower it when a change deletes
+#: lines or a surface starts running them; never raise it to fit one.
+CEILING = 921
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -78,9 +78,9 @@ DEGRADE_RULES: Dict[str, str] = {
     "clamp": "a value outside a fixed range clamps to the nearest edge, or "
              "is left out (an object larger than the whole cache is never "
              "stored)",
-    "gate": "a gate reports what fails it: a static-analysis finding, an "
-            "SLO rule breached or without data, a failed shape claim; a "
-            "clean run never takes these paths",
+    "gate": "a gate reports what fails it: a static-analysis finding, a "
+            "claim breached or without data; a clean run never takes these "
+            "paths",
     "usage": "a CLI usage error or unreadable input prints to stderr and "
              "exits 2",
     "noop": "repeating a finished step (ending an ended span, killing a "
@@ -309,11 +309,9 @@ CLASSES: Dict[str, Tuple[str, str]] = {
         "c", "the row limit, which tests set below the row count"),
     "src/repro/profile/runner.py::run_slo_cli": ("a", "usage, gate"),
     "src/repro/profile/runner.py::run_tail_cli": ("a", "usage"),
-    "src/repro/profile/slo.py::_parse_threshold": ("a", "input"),
-    "src/repro/profile/slo.py::_budget_samples": ("a", "missing"),
-    "src/repro/profile/slo.py::_check_window_rule": ("a", "gate"),
-    "src/repro/profile/slo.py::_check_burnrate_rule": ("a", "gate"),
-    "src/repro/profile/slo.py::_check_point_rule": ("a", "gate"),
+    "src/repro/profile/slo.py::_aggregate": ("a", "gate"),
+    "src/repro/profile/slo.py::burn_rates": ("a", "gate"),
+    "src/repro/profile/slo.py::burn_rates.burn": ("a", "degenerate"),
     # -- resolver ------------------------------------------------------------
     "src/repro/resolver/authoritative.py::AuthoritativeServer.handle_query": (
         "b", _RESOLVER + "authoritative server over zones (referrals, "
@@ -472,14 +470,10 @@ SURFACES: List[List[str]] = [
        "6000", "--metrics-out", f"population-telemetry-jobs{jobs}.json",
        "--trace-sample", "0.05", "--window-ms", "300000", "--jobs", jobs]
       for jobs in ("1", "2")],
-    ["slo", str(ROOT / "slo" / "population.slo"),
-     "--input", "population-telemetry-jobs2.json",
-     "--out", "population-slo.json"],
+    ["slo", "population-telemetry-jobs2.json"],
     ["tail", "population-telemetry-jobs2.json", "--top", "5"],
     ["profile", "figure5", "--out-dir", "profile-out"],
-    ["slo", str(ROOT / "slo" / "figure5.slo"),
-     "--input", "profile-out/figure5-budget.json",
-     "--out", "profile-out/figure5-slo.json"],
+    ["slo", "profile-out/figure5-budget.json"],
     ["experiment", "figure5", "--queries", "12",
      "--metrics-out", "figure5-metrics.json",
      "--trace-out", "figure5-trace.json"],

@@ -14,8 +14,9 @@ Subcommands:
 * ``profile <artifact>`` — run one artifact under the latency-budget
   profiler (:mod:`repro.profile`): per-deployment budget report and
   collapsed-stack flamegraph input.
-* ``slo <rules.slo> --input <artifact.json>`` — evaluate declarative
-  latency SLOs over budget/metrics artifacts; exits nonzero on breach.
+* ``slo <artifact.json>`` — check the latency bounds
+  (:mod:`repro.profile.slo`) of a budget or telemetry artifact as claim
+  rows; exits 1 on a breach, 2 on an unreadable artifact.
 * ``tail <artifact.json>`` — print the tail-latency exemplars a
   telemetry artifact retained (slowest queries with per-stage
   attribution); ``--trace-out`` reconstructs them for Perfetto.
@@ -35,7 +36,7 @@ Usage examples::
     python -m repro.cli deployments
     python -m repro.cli check --format json --out report.json
     python -m repro.cli profile figure5 --out-dir out
-    python -m repro.cli slo slo/figure5.slo --input out/figure5-budget.json
+    python -m repro.cli slo out/figure5-budget.json
 """
 
 from __future__ import annotations
@@ -308,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     slo = sub.add_parser(
         "slo",
-        help="evaluate declarative latency SLOs over budget/metrics "
-             "artifacts (exits nonzero on breach)")
+        help="check the latency bounds of a budget or telemetry artifact "
+             "(exits nonzero on breach)")
     add_slo_arguments(slo)
     slo.set_defaults(handler=_cmd_slo)
 

@@ -12,10 +12,11 @@ questions the raw spans cannot:
 * **What dominates?** — :mod:`repro.profile.profiler` builds
   deterministic inclusive/exclusive simulated-time profiles with
   text-table and collapsed-stack (flamegraph) exporters.
-* **Is it good enough?** — :mod:`repro.profile.slo` evaluates
-  declarative SLO rules (``mec-ldns-mec-cdns p99 resolve_ms < 20``)
-  over budget/metrics artifacts, and :mod:`repro.profile.harness`
-  (``repro profile``) produces those artifacts from one profiled run.
+* **Is it good enough?** — :mod:`repro.profile.slo` states the latency
+  bounds as :class:`~repro.runtime.Claim` rows over the artifact each
+  reads (``mec-ldns-mec-cdns p99 resolve_ms < 20`` over the budget
+  document), and :mod:`repro.profile.harness` (``repro profile``)
+  produces the budget document from one profiled run.
 
 See ``docs/OBSERVABILITY.md`` ("From spans to answers") for the tour.
 """
@@ -31,9 +32,8 @@ from repro.profile.criticalpath import (STAGE_BACKHAUL, STAGE_CDNS,
 from repro.profile.profiler import (ProfileEntry, collapsed_stacks,
                                     render_collapsed, render_profile,
                                     simulated_profile)
-from repro.profile.slo import (BurnRateRule, SloCheck, SloParseError,
-                               SloRule, SloVerdict, WindowRule,
-                               evaluate_slo, parse_slo_text)
+from repro.profile.slo import (budget_claims, burn_rates, series_windows,
+                               telemetry_claims)
 
 __all__ = [
     "STAGES",
@@ -51,20 +51,16 @@ __all__ = [
     "PathStep",
     "ProfileEntry",
     "Segment",
-    "BurnRateRule",
-    "SloCheck",
-    "SloParseError",
-    "SloRule",
-    "SloVerdict",
-    "WindowRule",
     "StageBudget",
     "analyze_trace",
+    "budget_claims",
     "budget_report",
+    "burn_rates",
     "collapsed_stacks",
-    "evaluate_slo",
-    "parse_slo_text",
     "render_collapsed",
     "render_profile",
+    "series_windows",
     "simulated_profile",
+    "telemetry_claims",
     "trace_segments",
 ]

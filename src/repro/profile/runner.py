@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List
 
 
 def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
@@ -46,64 +45,41 @@ def run_profile_cli(args: argparse.Namespace) -> int:
 
 
 def add_slo_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags for ``repro slo``."""
-    parser.add_argument("rules", metavar="RULES.slo",
-                        help="SLO rule file "
-                             "(<scope> <agg> <metric> <op> <threshold>)")
-    parser.add_argument("--input", metavar="PATH", action="append",
-                        dest="inputs", required=True,
-                        help="artifact to evaluate against: a "
-                             "repro-budget-v1 or repro-telemetry-v1 JSON "
-                             "document (repeatable)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="stdout format (default: text)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="also write the repro-slo-v1 verdict JSON "
-                             "to PATH (the CI artifact)")
+    """The one argument of ``repro slo``."""
+    parser.add_argument("artifact", metavar="ARTIFACT.json",
+                        help="a repro-budget-v1 document (repro profile) "
+                             "or a repro-telemetry-v1 artifact "
+                             "(--metrics-out)")
 
 
 def run_slo_cli(args: argparse.Namespace) -> int:
-    """Execute a parsed ``repro slo`` invocation."""
-    from repro.profile.slo import SloParseError, evaluate_slo, parse_slo_text
+    """Execute a parsed ``repro slo`` invocation: one PASS/FAIL line per
+    claim row of the artifact's format."""
+    from repro.profile.slo import CLAIM_ROWS
     try:
-        with open(args.rules, "r", encoding="utf-8") as handle:
-            rules = parse_slo_text(handle.read())
-    except OSError as exc:
-        print(f"error: cannot read rules {args.rules}: {exc}",
+        with open(args.artifact, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot load artifact {args.artifact}: {exc}",
               file=sys.stderr)
         return 2
-    except SloParseError as exc:
-        print(f"error: {args.rules}: {exc}", file=sys.stderr)
+    rows = (CLAIM_ROWS.get(document.get("format"))
+            if isinstance(document, dict) else None)
+    if rows is None:
+        print(f"error: {args.artifact} is neither of "
+              f"{' nor '.join(CLAIM_ROWS)}", file=sys.stderr)
         return 2
-    if not rules:
-        print(f"error: {args.rules} contains no rules", file=sys.stderr)
-        return 2
-    documents: List[Dict[str, Any]] = []
-    for path in args.inputs:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load artifact {path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not isinstance(document, dict):
-            print(f"error: {path} is not a JSON object", file=sys.stderr)
-            return 2
-        documents.append(document)
-    verdict = evaluate_slo(rules, documents)
-    if args.format == "json":
-        print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(verdict.render_text())
-    if args.out:
-        try:
-            verdict.write(args.out)
-        except OSError as exc:
-            print(f"error: cannot write verdict to {args.out}: {exc}",
-                  file=sys.stderr)
-            return 2
-    return 0 if verdict.ok else 1
+    claims = rows(document)
+    width = max(len(claim.name) for claim in claims)
+    failed = 0
+    for claim in claims:
+        holds = claim.holds()
+        failed += not holds
+        print(f"[{'PASS' if holds else 'FAIL'}] {claim.name:{width}s} "
+              f"{claim.value:9.3f} {claim.op} {claim.bound:g}")
+    print(f"slo: {'BREACH' if failed else 'OK'} — {len(claims)} claims, "
+          f"{failed} failing")
+    return 1 if failed else 0
 
 
 def add_tail_arguments(parser: argparse.ArgumentParser) -> None:

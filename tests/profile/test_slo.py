@@ -1,27 +1,38 @@
-"""Tests for SLO parsing, evaluation, and the ``repro slo`` gate."""
+"""Tests for the budget claim rows, the window reader, and the ``repro
+slo`` gate."""
 
 import json
-import pathlib
+import math
 
 import pytest
 
-from repro.profile import (SloParseError, evaluate_slo, parse_slo_text)
+from repro.profile.slo import budget_claims, series_windows, telemetry_claims
+from repro.telemetry.metrics import percentile
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-BUDGET_DOC = {
-    "format": "repro-budget-v1",
-    "rows": [
-        {"deployment": "a", "count": 4,
-         "resolve_ms": {"samples": [10.0, 20.0, 30.0, 40.0]},
-         "stages": {"radio": {"mean_ms": 2.5,
-                              "samples": [1.0, 2.0, 3.0, 4.0]}}},
-        {"deployment": "b", "count": 4,
-         "resolve_ms": {"samples": [5.0, 5.0, 5.0, 5.0]},
-         "stages": {}},
-    ],
+def budget_doc(**samples):
+    """A ``repro-budget-v1`` document: deployment -> resolve samples; the
+    MEC deployment's upstream-recursion stage reads 1, 2, 1, 2 ms."""
+    rows = [{"deployment": deployment.replace("_", "-"),
+             "count": len(values),
+             "resolve_ms": {"samples": list(values)},
+             "stages": {"upstream-recursion": {
+                 "mean_ms": 1.5, "samples": [1.0, 2.0, 1.0, 2.0]}}}
+            for deployment, values in samples.items()]
+    return {"format": "repro-budget-v1", "rows": rows}
+
+
+#: Every budget row holds.
+BUDGET_SAMPLES = {
+    "mec_ldns_mec_cdns": [10.0, 12.0, 14.0, 16.0],
+    "mec_ldns_lan_cdns": [20.0, 21.0, 22.0, 23.0],
+    "mec_ldns_wan_cdns": [60.0, 60.0, 60.0, 60.0],
+    "lan_ldns": [110.0, 110.0, 110.0, 110.0],
+    "google_dns": [120.0, 120.0, 120.0, 120.0],
 }
 
+
+#: A telemetry artifact that carries a histogram but no time-series.
 HISTOGRAM_DOC = {
     "format": "repro-telemetry-v1",
     "metrics": [
@@ -32,6 +43,10 @@ HISTOGRAM_DOC = {
                                   {"le": "+Inf", "count": 4}]}]},
     ],
 }
+
+
+def rows(document):
+    return {claim.name: claim for claim in budget_claims(document)}
 
 
 def _latency_series(deployment, count, total, buckets):
@@ -55,182 +70,139 @@ ESTIMATE_TIMESERIES_DOC = {
     ],
 }
 
-#: ``(p50, p90, p99, max)`` as ``repro slo`` prints them.  Window rules
-#: read the full ``DEFAULT_BUCKETS`` layout: the "gap" p50 interpolates
-#: inside ``(10, 20]``, not across the empty buckets below it, and a rank
-#: in ``+Inf`` reads the last finite bound of the layout (5000), not of
-#: the occupied buckets.
+#: ``(p50, p90, p99, max)`` of each scope's window.  The reader rebuilds
+#: the full ``DEFAULT_BUCKETS`` layout: the "gap" p50 interpolates inside
+#: ``(10, 20]``, not across the empty buckets below it, and a rank in
+#: ``+Inf`` reads the last finite bound of the layout (5000), not of the
+#: occupied buckets.
 PINNED_ESTIMATES = {
-    "gap window total_ms": (16.75438596491228, 38.854014598540154,
-                            49.47664233576643, 100.0),
-    "lone window total_ms": (150.0, 190.0, 199.0, 200.0),
-    "tail window total_ms": (315.38461538461536, 500.0, 5000.0, 5000.0),
-    "* window total_ms": (17.406015037593985, 49.10218978102189,
-                          477.96153846153885, 5000.0),
+    "gap": (16.75438596491228, 38.854014598540154,
+            49.47664233576643, 100.0),
+    "lone": (150.0, 190.0, 199.0, 200.0),
+    "tail": (315.38461538461536, 500.0, 5000.0, 5000.0),
+    "*": (17.406015037593985, 49.10218978102189,
+          477.96153846153885, 5000.0),
 }
 
 
-class TestParse:
-    def test_rules_comments_and_blanks(self):
-        rules = parse_slo_text(
-            "# full-line comment\n"
-            "\n"
-            "a p99 resolve_ms < 20   # trailing comment\n"
-            "* mean stage.radio_ms >= 1.5\n")
-        assert len(rules) == 2
-        assert rules[0].describe() == "a p99 resolve_ms < 20"
-        assert rules[1] == rules[1]._replace(scope="*", agg="mean",
-                                             metric="stage.radio_ms",
-                                             op=">=", threshold=1.5)
-
-    @pytest.mark.parametrize("line,fragment", [
-        ("a p99 resolve_ms <", "expected"),            # wrong arity
-        ("a p42 resolve_ms < 20", "aggregation"),      # unknown agg
-        ("a p99 resolve_ms != 20", "operator"),        # unknown op
-        ("a p99 latency < 20", "metric"),              # unknown metric
-        ("a p99 stage.radio < 20", "metric"),          # missing _ms suffix
-        ("a p99 resolve_ms < fast", "threshold"),      # non-numeric bound
-    ])
-    def test_malformed_lines_raise(self, line, fragment):
-        with pytest.raises(SloParseError, match=fragment):
-            parse_slo_text(line)
-
-    def test_error_carries_line_number(self):
-        with pytest.raises(SloParseError, match="line 3"):
-            parse_slo_text("# ok\na p99 resolve_ms < 20\nbroken line\n")
-
-
 class TestEvaluate:
-    def run(self, text, documents=(BUDGET_DOC,)):
-        return evaluate_slo(parse_slo_text(text), list(documents))
-
     def test_budget_samples_pass_and_fail(self):
-        verdict = self.run("a mean resolve_ms < 30\n"
-                           "a mean resolve_ms < 20\n")
-        assert [check.ok for check in verdict.checks] == [True, False]
-        assert verdict.checks[0].value == 25.0
-        assert verdict.checks[0].detail == "4 samples"
-        assert not verdict.ok
+        claim = rows(budget_doc(**BUDGET_SAMPLES))[
+            "mec-ldns-mec-cdns mean resolve_ms"]
+        assert claim.value == 13.0 and claim.holds()
+        slow = dict(BUDGET_SAMPLES,
+                    mec_ldns_mec_cdns=[10.0, 20.0, 30.0, 40.0])
+        claim = rows(budget_doc(**slow))["mec-ldns-mec-cdns mean resolve_ms"]
+        assert claim.value == 25.0 and not claim.holds()
 
     def test_quantiles_interpolate_over_raw_samples(self):
-        verdict = self.run("a p50 resolve_ms <= 25\n")
-        assert verdict.ok and verdict.checks[0].value == 25.0
+        claims = rows(budget_doc(**BUDGET_SAMPLES))
+        p99 = claims["mec-ldns-mec-cdns p99 resolve_ms"]
+        assert p99.value == percentile([10.0, 12.0, 14.0, 16.0], 99)
+        assert p99.value == pytest.approx(15.94)
+        assert claims["mec-ldns-lan-cdns p95 resolve_ms"].value == \
+            pytest.approx(22.85)
 
     def test_star_scope_pools_every_deployment(self):
-        verdict = self.run("* min resolve_ms >= 5\n")
-        assert verdict.ok
-        assert verdict.checks[0].detail == "8 samples"
+        # The pooled median (16 + 120) / 2 is neither deployment's own.
+        claims = rows(budget_doc(mec_ldns_mec_cdns=[10.0, 12.0, 14.0, 16.0],
+                                 google_dns=[120.0] * 4))
+        assert claims["* p50 resolve_ms"].value == 68.0
 
     def test_stage_metric(self):
-        verdict = self.run("a mean stage.radio_ms < 2\n")
-        assert not verdict.ok and verdict.checks[0].value == 2.5
+        claim = rows(budget_doc(**BUDGET_SAMPLES))[
+            "mec-ldns-mec-cdns mean stage.upstream-recursion_ms"]
+        assert claim.value == 1.5 and claim.holds()
 
     def test_greater_than_asserts_reproduction_claims(self):
-        # "> threshold" lets the suite pin that the slow deployment
-        # really is slow — the paper's claim, not a perf wish.
-        verdict = self.run("a max resolve_ms > 35\n")
-        assert verdict.ok and verdict.checks[0].value == 40.0
+        # A ">" bound pins that the slow deployment really is slow: the
+        # paper's claim, not a performance wish.
+        name = "mec-ldns-wan-cdns mean resolve_ms"
+        assert rows(budget_doc(**BUDGET_SAMPLES))[name].holds()
+        fast_wan = dict(BUDGET_SAMPLES, mec_ldns_wan_cdns=[15.0] * 4)
+        claim = rows(budget_doc(**fast_wan))[name]
+        assert claim.op == ">" and not claim.holds()
 
     def test_missing_data_fails_not_passes(self):
-        verdict = self.run("nowhere p50 resolve_ms < 10\n")
-        check = verdict.checks[0]
-        assert not check.ok and check.value is None
-        assert check.detail == "no matching data"
+        without = {key: values for key, values in BUDGET_SAMPLES.items()
+                   if key != "google_dns"}
+        claims = rows(budget_doc(**without))
+        presence = claims["google-dns budget samples"]
+        assert presence.value == 0 and not presence.holds()
+        p50 = claims["google-dns p50 resolve_ms"]
+        assert math.isnan(p50.value) and not p50.holds()
+        assert all(claim.holds() for name, claim in claims.items()
+                   if not name.startswith("google-dns"))
 
     def test_histogram_cannot_answer_min_or_scoped_rules(self):
-        verdict = self.run("* min resolve_ms > 0\n"
-                           "a p50 resolve_ms < 10\n",
-                           documents=(HISTOGRAM_DOC,))
-        assert [check.ok for check in verdict.checks] == [False, False]
-        assert all(check.detail == "no matching data"
-                   for check in verdict.checks)
+        # Budget rows need raw samples and telemetry rows need windows:
+        # a whole-run histogram answers neither, so every row fails.
+        assert not any(claim.holds()
+                       for claim in budget_claims(HISTOGRAM_DOC))
+        assert not any(claim.holds()
+                       for claim in telemetry_claims(HISTOGRAM_DOC))
 
-    def test_raw_samples_beat_histogram_estimate(self):
-        verdict = self.run("* mean resolve_ms < 30\n",
-                           documents=(BUDGET_DOC, HISTOGRAM_DOC))
-        assert verdict.checks[0].detail == "8 samples"
-
-    def test_verdict_document_shape(self):
-        document = self.run("a mean resolve_ms < 30\n").to_dict()
-        assert document["format"] == "repro-slo-v1"
-        assert document["ok"] is True
-        assert document["checks"][0]["rule"] == "a mean resolve_ms < 30"
-        text = self.run("a mean resolve_ms < 1\n").render_text()
-        assert "[FAIL]" in text and "BREACH" in text
+    def test_verdict_document_shape(self, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(budget_doc(**BUDGET_SAMPLES)))
+        assert main(["slo", str(path)]) == 0
+        *lines, summary = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:2]] == [
+            ["[PASS]", "mec-ldns-mec-cdns"], ["[PASS]", "mec-ldns-mec-cdns"]]
+        assert lines[0].split()[-3:] == ["15.940", "<", "20"]
+        assert summary == "slo: OK — 13 claims, 0 failing"
 
 
-class TestCommittedRules:
-    def test_figure5_slo_parses(self):
-        text = (REPO_ROOT / "slo" / "figure5.slo").read_text()
-        rules = parse_slo_text(text)
-        assert len(rules) >= 6
-        scoped = {rule.scope for rule in rules}
-        assert "mec-ldns-mec-cdns" in scoped
-        # The paper's headline budget is pinned: MEC resolution under
-        # the ~20 ms an MEC application can spend end to end.
-        assert any(rule.scope == "mec-ldns-mec-cdns"
-                   and rule.metric == "resolve_ms"
-                   and rule.op in ("<", "<=") and rule.threshold <= 20.0
-                   for rule in rules)
+class TestClaimRows:
+    def test_p1_bound_is_a_budget_row(self):
+        # The paper's headline budget: MEC resolution under the ~20 ms an
+        # MEC application can spend end to end.
+        p1 = rows(budget_doc(**BUDGET_SAMPLES))[
+            "mec-ldns-mec-cdns p99 resolve_ms"]
+        assert (p1.op, p1.bound) == ("<", 20.0)
+
+
+class TestSeriesWindows:
+    def test_bucket_estimates_are_pinned(self):
+        for scope, expected in PINNED_ESTIMATES.items():
+            (cell,) = series_windows(ESTIMATE_TIMESERIES_DOC,
+                                     "repro_workload_total_ms",
+                                     scope).values()
+            assert tuple(cell.quantile(pct)
+                         for pct in (50, 90, 99, 100)) == expected
 
 
 class TestCli:
     def write(self, tmp_path, name, payload):
         path = tmp_path / name
-        if isinstance(payload, str):
-            path.write_text(payload)
-        else:
-            path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str)
+                        else json.dumps(payload))
         return str(path)
 
     def test_exit_zero_on_pass_and_one_on_breach(self, tmp_path, capsys):
         from repro.cli import main
-        budget = self.write(tmp_path, "budget.json", BUDGET_DOC)
-        passing = self.write(tmp_path, "pass.slo", "a mean resolve_ms < 30\n")
-        assert main(["slo", passing, "--input", budget]) == 0
-        assert "slo: OK" in capsys.readouterr().out
+        passing = self.write(tmp_path, "pass.json",
+                             budget_doc(**BUDGET_SAMPLES))
+        assert main(["slo", passing]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 13 and "slo: OK" in out
 
-        # The injected breach: a 20 ms budget the 40 ms tail busts.
-        breach = self.write(tmp_path, "breach.slo", "a p99 resolve_ms < 20\n")
-        assert main(["slo", breach, "--input", budget]) == 1
-        assert "BREACH" in capsys.readouterr().out
-
-    def test_bucket_estimates_are_pinned(self, tmp_path, capsys):
-        from repro.cli import main
-        series = self.write(tmp_path, "ts.json",
-                            {"timeseries": ESTIMATE_TIMESERIES_DOC})
-        lines, expected = [], []
-        for target, values in PINNED_ESTIMATES.items():
-            *scope, metric = target.split()
-            for agg, value in zip(("p50", "p90", "p99", "max"), values):
-                lines.append(f"{' '.join(scope)} {agg} {metric} < 100000")
-                expected.append(value)
-        rules = self.write(tmp_path, "rules.slo", "\n".join(lines) + "\n")
-        assert main(["slo", rules, "--input", series,
-                     "--format", "json"]) == 0
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [check["value"] for check in checks] == expected
+        # The injected breach: a tail that busts the 20 ms P1 budget.
+        tail = dict(BUDGET_SAMPLES,
+                    mec_ldns_mec_cdns=[10.0, 12.0, 14.0, 26.0])
+        breach = self.write(tmp_path, "breach.json", budget_doc(**tail))
+        assert main(["slo", breach]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] mec-ldns-mec-cdns p99 resolve_ms" in out
+        assert "BREACH" in out
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         from repro.cli import main
-        budget = self.write(tmp_path, "budget.json", BUDGET_DOC)
-        bad = self.write(tmp_path, "bad.slo", "not a rule\n")
-        assert main(["slo", bad, "--input", budget]) == 2
-        empty = self.write(tmp_path, "empty.slo", "# nothing\n")
-        assert main(["slo", empty, "--input", budget]) == 2
-        good = self.write(tmp_path, "good.slo", "a mean resolve_ms < 30\n")
-        assert main(["slo", good, "--input",
-                     str(tmp_path / "missing.json")]) == 2
+        assert main(["slo", str(tmp_path / "missing.json")]) == 2
+        unknown = self.write(tmp_path, "unknown.json",
+                             {"format": "repro-slo-v1"})
+        assert main(["slo", unknown]) == 2
+        assert main(["slo", self.write(tmp_path, "bad.json", "{")]) == 2
+        assert main(["slo", self.write(tmp_path, "list.json", [])]) == 2
         capsys.readouterr()
-
-    def test_json_output_and_verdict_file(self, tmp_path, capsys):
-        from repro.cli import main
-        budget = self.write(tmp_path, "budget.json", BUDGET_DOC)
-        rules = self.write(tmp_path, "rules.slo", "a mean resolve_ms < 30\n")
-        out = tmp_path / "verdict.json"
-        assert main(["slo", rules, "--input", budget,
-                     "--format", "json", "--out", str(out)]) == 0
-        printed = json.loads(capsys.readouterr().out)
-        written = json.loads(out.read_text())
-        assert printed == written
-        assert written["format"] == "repro-slo-v1" and written["ok"]

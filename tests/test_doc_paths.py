@@ -23,7 +23,7 @@ CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
 #: ``bench/out/``, which ``bench/run.py`` writes and git ignores.
 REPO_PATH = re.compile(
     r"^(?!bench/out/)"
-    r"(?:(?:src|tests|scripts|bench|docs|slo|examples)/[^\s*<>{}…$]+"
+    r"(?:(?:src|tests|scripts|bench|docs|examples)/[^\s*<>{}…$]+"
     r"|[A-Z][A-Za-z_]*\.(?:json|md))$")
 #: A fully dotted name under the package, as written or called.
 REPRO_NAME = re.compile(r"^repro(?:\.[A-Za-z_]\w*)+(?:\(\))?$")
