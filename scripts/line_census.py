@@ -20,7 +20,9 @@ A class says why the lines stay: (a) an error path under one of the
 ``DEGRADE_RULES``, (b) a mechanism its DESIGN.md row lists, (c) a bound or
 input a test lowers, drives past or feeds.  ``CLASSES`` is also the table
 of parameters only tests set, keyed ``file::qualname(param)``
-(``tests/test_surface_census.py``).  The exit status is 1 if the table
+(``tests/test_surface_census.py``), and of the static-analysis findings
+the design needs, keyed ``file::qualname[RULE]``
+(``tests/check/test_runner.py``).  The exit status is 1 if the table
 names a def or parameter that is gone, a test-only line is unclassified,
 or the test-only total is above ``CEILING``.  Needs 3.12 or later, and
 pytest for tier-1; ``docs/TESTING.md`` says how to read the report and
@@ -38,18 +40,21 @@ import sys
 import tempfile
 from pathlib import Path
 from types import CodeType
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from tests.static import index  # noqa: E402  (the one module index)
 
 #: Test-only lines, classified and out of scope included, may not exceed
-#: this.  Two runs read 919 and 919, but which pool worker closes a
+#: this.  Two runs read 798 and 798, but which pool worker closes a
 #: suspended generator (running its ``except`` lines) depends on
 #: scheduling, and earlier pairs of runs differed by one, so the ceiling
 #: sits two above the largest reading.  Lower it when a change deletes
 #: lines or a surface starts running them; never raise it to fit one.
-CEILING = 921
+CEILING = 800
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -78,9 +83,8 @@ DEGRADE_RULES: Dict[str, str] = {
     "clamp": "a value outside a fixed range clamps to the nearest edge, or "
              "is left out (an object larger than the whole cache is never "
              "stored)",
-    "gate": "a gate reports what fails it: a static-analysis finding, a "
-            "claim breached or without data; a clean run never takes these "
-            "paths",
+    "gate": "a gate reports what fails it: a claim breached or without "
+            "data; a clean run never takes these paths",
     "usage": "a CLI usage error or unreadable input prints to stderr and "
              "exits 2",
     "noop": "repeating a finished step (ending an ended span, killing a "
@@ -99,13 +103,15 @@ _WIRE = "DESIGN.md §3 DNS wire protocol: "
 _ZONE = "DESIGN.md §3 Zone data: "
 _SIM = "DESIGN.md §3 Event simulator: "
 
-#: Why a test-only def, or a parameter only tests set, stays:
-#: ``file::qualname`` or ``file::qualname(param)`` -> (class, reason).  An
-#: (a) reason is a key of DEGRADE_RULES; a (b) reason cites its DESIGN.md
-#: row; a (c) reason names the bound or input a test lowers, drives past or
-#: feeds.  An entry covers the defs nested in it; a test-only line inside
-#: a ``raise`` needs none.
-CLASSES: Dict[str, Tuple[str, str]] = {
+#: The one exemption table.  Why a test-only def, or a parameter only tests
+#: set, stays: ``file::qualname`` or ``file::qualname(param)`` -> (class,
+#: reason).  An (a) reason is a key of DEGRADE_RULES; a (b) reason cites
+#: its DESIGN.md row; a (c) reason names the bound or input a test lowers,
+#: drives past or feeds.  An entry covers the defs nested in it; a
+#: test-only line inside a ``raise`` needs none.  Why a def keeps findings
+#: of a static-analysis rule: ``file::qualname[RULE]`` -> (the exact count
+#: of them, reason).
+CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     # -- cdn ---------------------------------------------------------------
     "src/repro/cdn/allocation.py::ConsistentAllocator": (
         "b", _CDN + "consistent hashing — the bounded-load allocator's "
@@ -145,19 +151,6 @@ CLASSES: Dict[str, Tuple[str, str]] = {
         "b", _CDN + "next-tier referral markers"),
     "src/repro/cdn/router.py::is_referral": (
         "b", _CDN + "next-tier referral markers"),
-    # -- check (the static gate is clean on src/repro) ---------------------
-    "src/repro/check/determinism.py::_DeterminismVisitor": ("a", "gate"),
-    "src/repro/check/determinism.py::_is_setish": ("a", "gate"),
-    "src/repro/check/findings.py::Finding": ("a", "gate"),
-    "src/repro/check/hotpath.py::_ModuleHot": ("a", "gate"),
-    "src/repro/check/layering.py::analyze": ("a", "gate"),
-    "src/repro/check/layering.py::_find_cycles": ("a", "gate"),
-    "src/repro/check/races.py::_FunctionRace": ("a", "gate"),
-    "src/repro/check/runner.py::Report": ("a", "gate"),
-    "src/repro/check/runner.py::run_check": ("a", "usage, gate"),
-    "src/repro/check/runner.py::run_cli": ("a", "usage, gate"),
-    "src/repro/check/sources.py::SourceTree.finding": ("a", "gate"),
-    "src/repro/check/sources.py::load_tree": ("a", "gate"),
     # -- cli -----------------------------------------------------------------
     "src/repro/cli.py::_cmd_dig": (
         "b", "DESIGN.md §2 Real DNS wire traffic (dig, tcpdump): `repro "
@@ -406,12 +399,6 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "src/repro/cdn/allocation.py::ConsistentAllocator.assign(eligible)": (
         "c", "the eligible members, which tests feed to drive the walk past "
         "its bound"),
-    "src/repro/check/hotpath.py::analyze(hot_prefixes)": (
-        "c", "the hot prefixes, which tests feed with their fixture tree"),
-    "src/repro/check/layering.py::analyze(contract)": (
-        "c", "the layer contract, which tests feed with their fixture tree"),
-    "src/repro/check/races.py::analyze(roots)": (
-        "c", "the entry roots, which tests feed with their fixture tree"),
     "src/repro/cli.py::main(argv)": (
         "c", "argv, which tests feed in place of sys.argv"),
     "src/repro/core/meccdn.py::MecCdnSite.__init__(next_tier_cdns)": (
@@ -444,12 +431,34 @@ CLASSES: Dict[str, Tuple[str, str]] = {
     "(max_annotations)": (
         "c", "max_annotations, which tests set below the run's "
         "annotations"),
+    # -- static-analysis findings the design needs ---------------------------
+    # The clean-tree test (tests/check/test_runner.py) holds the findings
+    # on src/repro, by def and rule, to exactly these counts.
+    "src/repro/dnswire/message.py::cached_wire[RACE001]": (
+        2, "a pure content-keyed memo: a key fully determines its bytes, so "
+        "a hit, a miss or an eviction never changes an output, and each "
+        "worker forks its own copy"),
+    "src/repro/dnswire/wire.py::WireReader.read_name[RACE001]": (
+        2, "a pure content-keyed memo like cached_wire's: a spelling fully "
+        "determines its Name"),
+    "src/repro/runtime/executor.py::_run_chunk[DET001]": (
+        2, "the perf_counter pair that times a chunk: its wall time is "
+        "operator diagnostics under the artifact's meta, never result "
+        "material"),
+    "src/repro/runtime/executor.py::get_worker_pool[RACE001]": (
+        2, "parent-process-only pool bookkeeping: workers never dispatch "
+        "trials, and the call graph reaches it only through its "
+        "any-same-named-method `.run` edge"),
+    "src/repro/runtime/executor.py::shutdown_worker_pool[RACE001]": (
+        2, "parent-process-only pool teardown, as get_worker_pool"),
+    "src/repro/telemetry/__init__.py::set_default[RACE001]": (
+        1, "a deliberate per-trial facade swap; capture restores it before "
+        "results merge"),
 }
 
 #: Each CI ``repro`` command (.github/workflows/ci.yml), as arguments to
 #: ``python -m repro.cli``; run in a scratch directory.
 SURFACES: List[List[str]] = [
-    ["check", str(SRC), "--out", "repro-check-report.json"],
     ["experiment", "all", "--jobs", "2", "--trials", "6", "--queries", "8",
      "--rounds", "4"],
     ["experiment", "all"],
@@ -535,72 +544,32 @@ def executable(path: Path) -> Set[int]:
             for _, _, line in each.co_lines() if line}  # 0: module RESUME
 
 
-def scopes(tree: ast.Module) -> List[Tuple[int, int, str]]:
-    """``(first, last, qualname)`` of every def / class, outermost first;
-    qualnames are dotted through functions too (``outer.inner``)."""
-    found: List[Tuple[int, int, str]] = []
-
-    def visit(node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                qualname = f"{owner}.{child.name}" if owner else child.name
-                first = min([child.lineno] + [decorator.lineno for decorator
-                                              in child.decorator_list])
-                found.append((first, child.end_lineno or child.lineno,
-                              qualname))
-                visit(child, qualname)
-            else:
-                visit(child, owner)
-    visit(tree, "")
-    return found
-
-
-def parameters(tree: ast.Module) -> Dict[str, Set[str]]:
-    """Every def's parameters and every class's annotated fields, by
-    qualname (as :func:`scopes` spells it)."""
-    found: Dict[str, Set[str]] = {}
-
-    def visit(node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{owner}.{child.name}" if owner else child.name
-                args = child.args
-                found[qualname] = {arg.arg for arg in (
-                    args.posonlyargs + args.args + args.kwonlyargs)}
-                visit(child, qualname)
-            elif isinstance(child, ast.ClassDef):
-                qualname = f"{owner}.{child.name}" if owner else child.name
-                found[qualname] = {item.target.id for item in child.body
-                                   if isinstance(item, ast.AnnAssign)
-                                   and isinstance(item.target, ast.Name)}
-                visit(child, qualname)
-            else:
-                visit(child, owner)
-    visit(tree, "")
-    return found
-
-
 def table_errors() -> List[str]:
     """Every ``CLASSES`` entry that names no def / class (or, keyed
     ``qualname(param)``, no parameter of one), or whose reason does not
-    fit its class; tier-1 checks this without a census run."""
+    fit its class or count; tier-1 checks this without a census run."""
     errors: List[str] = []
     defined: Dict[str, Dict[str, Set[str]]] = {}
     for key, (kind, reason) in sorted(CLASSES.items()):
         file, _, qualname = key.partition("::")
+        qualname, _, rule = qualname.rstrip("]").partition("[")
         qualname, _, param = qualname.rstrip(")").partition("(")
         if file not in defined:
             path = ROOT / file
-            defined[file] = (parameters(ast.parse(path.read_text("utf-8")))
+            defined[file] = ({found.qualname: found.parameters
+                              for found in index.load(path).defs}
                              if path.is_file() else {})
         if qualname not in defined[file]:
             errors.append(f"{key}: no such def / class")
         elif param and param not in defined[file][qualname]:
             errors.append(f"{key}: no such parameter")
-        if kind == "a":
-            unknown = [rule for rule in reason.split(", ")
-                       if rule not in DEGRADE_RULES]
+        if rule:
+            if not (isinstance(kind, int) and kind > 0 and reason):
+                errors.append(f"{key}: a finding row gives its count and "
+                              f"a reason")
+        elif kind == "a":
+            unknown = [name for name in reason.split(", ")
+                       if name not in DEGRADE_RULES]
             if unknown:
                 errors.append(f"{key}: unknown degrade rule "
                               f"{', '.join(unknown)}")
@@ -616,13 +585,6 @@ def raise_lines(tree: ast.Module) -> Set[int]:
     return {line for node in ast.walk(tree) if isinstance(node, ast.Raise)
             for line in range(node.lineno,
                               (node.end_lineno or node.lineno) + 1)}
-
-
-def enclosing(spans: List[Tuple[int, int, str]], line: int) -> str:
-    """The innermost def / class around ``line`` ('' at module level)."""
-    inside = [(first, name) for first, last, name in spans
-              if first <= line <= last]
-    return max(inside)[1] if inside else ""
 
 
 def classify(file: str, qualname: str) -> Optional[str]:
@@ -687,17 +649,16 @@ def census(surface: Lines, tested: Lines) -> Dict:
                     "not_on_surfaces": 0, "nowhere": 0, "test_only": 0,
                     "by_class": {}, "unclassified": 0, "defs": {}}
     for path in sorted(SRC.rglob("*.py")):
-        file = path.relative_to(ROOT).as_posix()
+        module = index.load(path)
+        file = module.file
         real = os.path.realpath(path)
-        tree = ast.parse(path.read_text("utf-8"))
-        spans = scopes(tree)
-        raising = raise_lines(tree)
+        raising = raise_lines(module.tree)
         for line in sorted(executable(path)):
             report["executable"] += 1
             if (real, line) in surface:
                 continue
             report["not_on_surfaces"] += 1
-            qualname = enclosing(spans, line)
+            qualname = module.enclosing(line)
             if (real, line) not in tested:
                 report["nowhere"] += 1
                 kind = "nowhere"

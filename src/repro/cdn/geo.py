@@ -63,7 +63,7 @@ class GeoIpDatabase:
     ``rng`` is required: lookup perturbation must draw from an explicit
     named stream (``network.streams.stream("geoip")``), never a hidden
     shared default — instances that silently share one RNG break replay
-    determinism (rule DET005 in ``repro check``).
+    determinism (the analyzer's rule DET005, ``tests/static``).
     """
 
     def __init__(self, rng: random.Random) -> None:

@@ -9,8 +9,6 @@ Subcommands:
 * ``dig <name>`` — run dig-style queries against a chosen Figure 5
   deployment and print each result plus the summary.
 * ``deployments`` — list the six evaluated DNS deployments.
-* ``check`` — the determinism & architecture static-analysis gate
-  (:mod:`repro.check`); exits nonzero on findings.
 * ``profile <artifact>`` — run one artifact under the latency-budget
   profiler (:mod:`repro.profile`): per-deployment budget report and
   collapsed-stack flamegraph input.
@@ -34,7 +32,6 @@ Usage examples::
     python -m repro.cli dig video.demo1.mycdn.ciab.test \
         --deployment mec-ldns-mec-cdns --count 5
     python -m repro.cli deployments
-    python -m repro.cli check --format json --out report.json
     python -m repro.cli profile figure5 --out-dir out
     python -m repro.cli slo out/figure5-budget.json
 """
@@ -204,11 +201,6 @@ def _run_dig(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import runner as check_runner
-    return check_runner.run_cli(args)
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.profile import runner as profile_runner
     return profile_runner.run_profile_cli(args)
@@ -289,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     dep = sub.add_parser("deployments",
                          help="list the evaluated DNS deployments")
     dep.set_defaults(handler=_cmd_deployments)
-
-    from repro.check.runner import add_check_arguments
-    chk = sub.add_parser("check",
-                         help="determinism & architecture static analysis "
-                              "(exits nonzero on findings)")
-    add_check_arguments(chk)
-    chk.set_defaults(handler=_cmd_check)
 
     from repro.profile.runner import add_profile_arguments, add_slo_arguments
     prof = sub.add_parser(

@@ -677,9 +677,7 @@ def cached_wire(msg: Message) -> bytes:
     if tail is None:
         tail = msg.to_wire()[2:]
         if len(_WIRE_MEMO) >= _WIRE_MEMO_MAX:
-            # repro: allow[RACE001] pure content-keyed memo: a key fully determines its bytes, so hit/miss/eviction never changes any output
             _WIRE_MEMO.clear()
-        # repro: allow[RACE001] same memo — insertion is value-deterministic and per-process (workers fork with their own copy)
         _WIRE_MEMO[key] = tail
     return struct.pack("!H", msg.msg_id) + tail
 

@@ -236,9 +236,7 @@ class WireReader:
         if name is None:
             name = self._decode_name()
             if len(_NAME_MEMO) >= _NAME_MEMO_MAX:
-                # repro: allow[RACE001] pure content-keyed memo like _WIRE_MEMO: a spelling fully determines its Name, so hit/miss/eviction never changes any output
                 _NAME_MEMO.clear()
-            # repro: allow[RACE001] same memo — insertion is value-deterministic and per-process (workers fork with their own copy)
             _NAME_MEMO[spelling] = name
         else:
             self._offset = at + 1

@@ -28,7 +28,7 @@ contract ``tests/profile/test_criticalpath.py`` asserts against the
 plain float difference for every trace of a figure5 run.
 
 This package only *reads* spans — it never creates telemetry, so the
-ARCH002 zero-perturbation contract is untouched.
+zero-perturbation contract is untouched.
 """
 
 from __future__ import annotations

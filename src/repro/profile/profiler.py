@@ -3,7 +3,7 @@
 A conventional profiler samples the wall clock; this one *derives* a
 profile from the spans a run already recorded, so it is exactly
 reproducible — same seed, same profile, byte for byte — and costs the
-simulation nothing (ARCH002's zero-perturbation contract holds: spans
+simulation nothing (the zero-perturbation contract holds: spans
 are only read here).
 
 Two views:

@@ -1,9 +1,8 @@
 """CLI glue for ``repro profile``, ``repro slo``, and ``repro tail``.
 
-Mirrors :mod:`repro.check.runner`: ``add_*_arguments`` installs the
-flags on a subparser, ``run_*_cli`` executes a parsed invocation and
-returns the exit status (0 ok, 1 breach/failure, 2 usage error).  The
-heavyweight imports (experiments, the harness) happen lazily so
+``add_*_arguments`` installs the flags on a subparser, ``run_*_cli``
+executes a parsed invocation and returns the exit status (0 ok, 1
+breach/failure, 2 usage error).  The heavyweight imports (experiments, the harness) happen lazily so
 ``repro slo``/``repro tail`` on an existing artifact stay cheap.
 """
 

@@ -159,7 +159,7 @@ def _run_chunk(experiment: Experiment, specs: Sequence[TrialSpec],
     chunk's wall time is the one executor fact only the worker can
     measure.
     """
-    started = time.perf_counter()  # repro: allow[DET001] chunk wall time is operator diagnostics (artifact meta only), never result material
+    started = time.perf_counter()
     done: List[_TrialDone] = []
     for spec in specs:
         facade = begin_trial_capture(capture)
@@ -173,7 +173,7 @@ def _run_chunk(experiment: Experiment, specs: Sequence[TrialSpec],
                 message=str(error), traceback=traceback.format_exc())
         done.append(_TrialDone(TrialOutcome(spec, payload, failure),
                                end_trial_capture(facade)))
-    wall_ms = (time.perf_counter() - started) * 1000.0  # repro: allow[DET001] same wall-clock diagnostics as above
+    wall_ms = (time.perf_counter() - started) * 1000.0
     return done, wall_ms
 
 
@@ -226,9 +226,7 @@ def get_worker_pool(workers: int) -> ProcessPoolExecutor:
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else None)
-        # repro: allow[RACE001] parent-process-only bookkeeping: workers never dispatch trials (the analyzer reaches here only through its any-same-named-method `.run` edge)
         _POOL = ProcessPoolExecutor(workers, mp_context=context)
-        # repro: allow[RACE001] same parent-only pool bookkeeping
         _POOL_WORKERS = workers
     return _POOL
 
@@ -247,9 +245,7 @@ def shutdown_worker_pool() -> None:
     global _POOL, _POOL_WORKERS
     if _POOL is not None:
         _POOL.shutdown(wait=True, cancel_futures=True)
-        # repro: allow[RACE001] parent-process-only pool teardown (see get_worker_pool)
         _POOL = None
-        # repro: allow[RACE001] same parent-only pool bookkeeping
         _POOL_WORKERS = 0
 
 

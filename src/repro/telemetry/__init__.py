@@ -138,7 +138,6 @@ _default: Optional[Telemetry] = None
 def set_default(telemetry: Optional[Telemetry]) -> None:
     """Install the ambient telemetry picked up by testbed builders."""
     global _default
-    # repro: allow[RACE001] deliberate per-trial facade swap; capture restores it before results merge
     _default = telemetry
 
 

@@ -2,7 +2,7 @@
 
 This file is *parsed* by the determinism analyzer in tests — it is never
 imported or executed, and it must keep exactly the violations the tests
-assert (one per rule, plus one inline-suppressed wall-clock read).
+assert (one per rule, two of DET002).
 """
 
 import os
@@ -35,6 +35,3 @@ def hidden_default(rng=None):
 def set_order_escape(items):
     return list(set(items))  # DET006
 
-
-def suppressed_wall_clock():
-    return time.time()  # repro: allow[DET001] fixture proves suppression

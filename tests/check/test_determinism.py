@@ -5,8 +5,8 @@ import textwrap
 
 import pytest
 
-from repro.check import determinism
-from repro.check.sources import load_tree
+from tests.static import determinism, exemption_errors
+from tests.static.index import modules
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -15,7 +15,7 @@ def lint(code, tmp_path):
     """Rules triggered by ``code``, as a sorted list of rule ids."""
     path = tmp_path / "snippet.py"
     path.write_text(textwrap.dedent(code))
-    findings = determinism.analyze(load_tree([str(path)]))
+    findings = determinism.analyze(modules(path))
     return sorted(finding.rule for finding in findings)
 
 
@@ -84,29 +84,36 @@ class TestRules:
         assert lint(code, tmp_path) == []
 
 
-class TestSuppression:
-    def test_inline_allow_suppresses(self, tmp_path):
-        code = ("import time\n"
-                "now = time.time()  # repro: allow[DET001] calibration only\n")
-        assert lint(code, tmp_path) == []
+class TestExemptionTable:
+    """A row excuses exactly its count of one rule's findings in one def."""
 
-    def test_inline_allow_is_rule_specific(self, tmp_path):
-        code = ("import time\n"
-                "now = time.time()  # repro: allow[DET002]\n")
-        assert lint(code, tmp_path) == ["DET001"]
+    def errors(self, tmp_path, reads, rule="DET001"):
+        path = tmp_path / "snippet.py"
+        path.write_text("import time\n\ndef calibrate():\n    pass\n"
+                        + "    time.time()\n" * reads)
+        module, = modules(path)
+        return exemption_errors(determinism.analyze([module]),
+                                {f"{module.file}::calibrate[{rule}]": 1})
+
+    def test_a_row_excuses_its_count(self, tmp_path):
+        assert self.errors(tmp_path, reads=1) == []
+
+    def test_an_extra_finding_in_an_excused_def_fails(self, tmp_path):
+        error, = self.errors(tmp_path, reads=2)
+        assert error.endswith(
+            "::calibrate[DET001]: 2 finding(s), the table excuses 1")
+
+    def test_a_row_is_rule_specific(self, tmp_path):
+        assert len(self.errors(tmp_path, reads=1, rule="DET002")) == 2
+
+    def test_a_stale_row_fails(self, tmp_path):
+        assert len(self.errors(tmp_path, reads=0)) == 1
 
 
 class TestFixtureFile:
     def test_known_violations(self):
         findings = determinism.analyze(
-            load_tree([str(FIXTURES / "det_violations.py")]))
+            modules(FIXTURES / "det_violations.py"))
         rules = sorted(finding.rule for finding in findings)
         assert rules == ["DET001", "DET002", "DET002", "DET003",
                          "DET004", "DET005", "DET006"]
-
-    def test_suppressed_line_absent(self):
-        findings = determinism.analyze(
-            load_tree([str(FIXTURES / "det_violations.py")]))
-        det001 = [finding for finding in findings
-                  if finding.rule == "DET001"]
-        assert len(det001) == 1  # the suppressed second read is absent

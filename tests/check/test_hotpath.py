@@ -2,8 +2,8 @@
 
 import textwrap
 
-from repro.check import hotpath
-from repro.check.sources import load_tree
+from tests.static import exemption_errors, hotpath
+from tests.static.index import modules
 
 #: tmp_path fixtures resolve to their bare stem as the module name.
 HOT = ("snippet",)
@@ -13,8 +13,7 @@ def lint(code, tmp_path, hot_prefixes=HOT):
     """Rules triggered by ``code``, as a sorted list of rule ids."""
     path = tmp_path / "snippet.py"
     path.write_text(textwrap.dedent(code))
-    findings = hotpath.analyze(load_tree([str(path)]),
-                               hot_prefixes=hot_prefixes)
+    findings = hotpath.analyze(modules(path), hot_prefixes=hot_prefixes)
     return sorted(finding.rule for finding in findings)
 
 
@@ -66,23 +65,24 @@ class TestHot002SchedulingAllocation:
             hot_prefixes=hotpath.DEFAULT_HOT_PREFIXES) == []
 
 
-class TestSuppression:
-    def test_inline_allow_suppresses(self, tmp_path):
-        assert lint(
-            """\
-            def arm(sim, fut, value):
-                sim.call_after(5.0, lambda: fut.resolve(value))  # repro: allow[HOT002] one-shot setup
-            """, tmp_path) == []
+class TestExemptionTable:
+    """A row excuses exactly its count of findings in one def."""
 
-    def test_include_suppressed_reinstates(self, tmp_path):
-        # Inventory runs see through the allow comments.
+    def errors(self, tmp_path, lambdas):
         path = tmp_path / "snippet.py"
-        path.write_text(textwrap.dedent(
-            """\
-            def arm(sim, fut, value):
-                sim.call_after(5.0, lambda: fut.resolve(value))  # repro: allow[HOT002] one-shot setup
-            """))
-        tree = load_tree([str(path)])
-        tree.include_suppressed = True
-        findings = hotpath.analyze(tree, hot_prefixes=HOT)
-        assert [finding.rule for finding in findings] == ["HOT002"]
+        path.write_text("def arm(sim, fut):\n    pass\n" + lambdas * (
+            "    sim.call_after(5.0, lambda: fut.resolve(None))\n"))
+        module, = modules(path)
+        return exemption_errors(hotpath.analyze([module], hot_prefixes=HOT),
+                                {f"{module.file}::arm[HOT002]": 1})
+
+    def test_a_row_excuses_its_count(self, tmp_path):
+        assert self.errors(tmp_path, lambdas=1) == []
+
+    def test_an_extra_finding_in_an_excused_def_fails(self, tmp_path):
+        error, = self.errors(tmp_path, lambdas=2)
+        assert error.endswith(
+            "::arm[HOT002]: 2 finding(s), the table excuses 1")
+
+    def test_a_stale_row_fails(self, tmp_path):
+        assert len(self.errors(tmp_path, lambdas=0)) == 1

@@ -2,15 +2,15 @@
 
 import textwrap
 
-from repro.check import races
-from repro.check.sources import load_tree
+from tests.static import exemption_errors, races
+from tests.static.index import modules
 
 
-def lint(code, tmp_path, roots=races.DEFAULT_ROOTS):
+def lint(code, tmp_path):
     """Rules triggered by ``code``, as a sorted list of rule ids."""
     path = tmp_path / "snippet.py"
     path.write_text(textwrap.dedent(code))
-    findings = races.analyze(load_tree([str(path)]), roots=roots)
+    findings = races.analyze(modules(path))
     return sorted(finding.rule for finding in findings)
 
 
@@ -141,24 +141,24 @@ class TestRace003ProcessDependence:
             """, tmp_path) == []
 
 
-class TestSuppression:
-    def test_inline_allow_suppresses(self, tmp_path):
-        assert lint(
-            """\
-            COUNT = 0
+class TestExemptionTable:
+    """A row excuses exactly its count of findings in one def."""
 
-            def run_trial(spec):
-                global COUNT
-                COUNT = COUNT + 1  # repro: allow[RACE001] merged post-barrier
-            """, tmp_path) == []
+    def errors(self, tmp_path, stores):
+        path = tmp_path / "snippet.py"
+        path.write_text("COUNT = 0\n\ndef run_trial(spec):\n"
+                        "    global COUNT\n" + "    COUNT = spec\n" * stores)
+        module, = modules(path)
+        return exemption_errors(races.analyze([module]),
+                                {f"{module.file}::run_trial[RACE001]": 1})
 
-    def test_comment_line_above_suppresses(self, tmp_path):
-        assert lint(
-            """\
-            COUNT = 0
+    def test_a_row_excuses_its_count(self, tmp_path):
+        assert self.errors(tmp_path, stores=1) == []
 
-            def run_trial(spec):
-                global COUNT
-                # repro: allow[RACE001] merged post-barrier
-                COUNT = COUNT + 1
-            """, tmp_path) == []
+    def test_an_extra_finding_in_an_excused_def_fails(self, tmp_path):
+        error, = self.errors(tmp_path, stores=2)
+        assert error.endswith(
+            "::run_trial[RACE001]: 2 finding(s), the table excuses 1")
+
+    def test_a_stale_row_fails(self, tmp_path):
+        assert len(self.errors(tmp_path, stores=0)) == 1

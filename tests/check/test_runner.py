@@ -1,132 +1,82 @@
-"""End-to-end tests for the ``repro check`` runner."""
+"""Every rule over a tree: the clean-tree gate, and one fixture per rule.
 
-import json
-import pathlib
+The analyzer (``tests/static``) has no command; this file is its caller.
+``test_clean_tree_acceptance`` groups the raw findings on ``src/repro``
+by enclosing def and rule and requires them to equal the exemption rows
+of the one table (``CLASSES`` in ``scripts/line_census.py``): a finding
+no row names, a row whose count is off, and a row that excuses nothing
+all fail it.
+"""
 
 import pytest
 
-from repro.check import runner
-from repro.cli import main
+from tests.static import RULES, analyze, exemption_errors, line_census
+from tests.static.index import ROOT, modules
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
+#: ``file::qualname[RULE]`` -> the exact count the table excuses.
+EXCUSED = {key: count for key, (count, _) in line_census().CLASSES.items()
+           if key.endswith("]")}
 
-VIOLATION = "import time\nnow = time.time()\n"
+#: One fixture per rule id, as files (path -> source) that fail on it.
+FIXTURES = {
+    "DET001": {"snippet.py": "import time\nnow = time.time()\n"},
+    "DET002": {"snippet.py": "import os\nnoise = os.urandom(16)\n"},
+    "DET003": {"snippet.py": "import random\nvalue = random.random()\n"},
+    "DET004": {"snippet.py": "import random\nrng = random.Random()\n"},
+    "DET005": {"snippet.py": "import random\n\ndef f(rng=None):\n"
+                             "    return rng or random.Random(0)\n"},
+    "DET006": {"snippet.py": "items = list(set([3, 1, 2]))\n"},
+    "ARCH001": {"repro/__init__.py": "", "repro/telemetry/__init__.py": "",
+                "repro/netsim/__init__.py": "",
+                "repro/telemetry/trace.py":
+                    "from repro.netsim import engine\n"},
+    "ARCH003": {"repro/__init__.py": "", "repro/dnswire/__init__.py": "",
+                "repro/dnswire/wire.py": "import numpy\n"},
+    "ARCH004": {"repro/__init__.py": "",
+                "repro/widgets/__init__.py": "import os\n"},
+    "RACE001": {"snippet.py": "SEEN = []\n\ndef run_trial(spec):\n"
+                              "    SEEN.append(spec)\n"},
+    "RACE003": {"snippet.py": "def run_trial(spec):\n"
+                              "    return id(spec)\n"},
+    "HOT002": {"repro/__init__.py": "", "repro/netsim/__init__.py": "",
+               "repro/netsim/engine.py":
+                   "def arm(sim, fut, value):\n"
+                   "    sim.call_soon(lambda: fut.resolve(value))\n"},
+}
 
-#: Every rule id ``--list-rules`` prints: the ones with evidence behind
-#: them (docs/DETERMINISM.md, "What earns a rule its place").
-SURVIVING_RULES = [
-    "ARCH001", "ARCH002", "ARCH003", "ARCH004", "ARCH005",
-    "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-    "GEN001", "HOT002", "RACE001", "RACE003",
-]
 
-
-def write_violation(tmp_path):
-    path = tmp_path / "dirty.py"
-    path.write_text(VIOLATION)
-    return path
+def fixture_rules(directory, files):
+    """The rule ids ``files``, written under ``directory``, trigger."""
+    for rel, source in files.items():
+        path = directory / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return {finding.rule for finding in analyze(modules(directory))}
 
 
 class TestRunCheck:
     def test_clean_tree_acceptance(self):
-        # The merge gate of this PR: src/repro itself must be clean.
-        report = runner.run_check([str(ROOT / "src" / "repro")])
-        assert report.ok, report.render_text()
-        assert report.findings == []
-        assert report.scanned > 50
+        findings = analyze(modules(ROOT / "src" / "repro"))
+        assert exemption_errors(findings, EXCUSED) == []
 
     def test_violation_reported(self, tmp_path):
-        write_violation(tmp_path)
-        report = runner.run_check([str(tmp_path)])
-        assert not report.ok
-        assert report.counts_by_rule() == {"DET001": 1}
+        (tmp_path / "dirty.py").write_text(FIXTURES["DET001"]["snippet.py"])
+        assert [finding.rule for finding in analyze(modules(tmp_path))] == \
+            ["DET001"]
 
-    def test_syntax_error_is_gen001(self, tmp_path):
+    def test_syntax_error_raises(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
-        report = runner.run_check([str(tmp_path)])
-        assert report.counts_by_rule() == {"GEN001": 1}
+        with pytest.raises(SyntaxError):
+            modules(tmp_path)
 
 
-class TestCli:
-    def test_exit_zero_on_clean_tree(self, capsys):
-        assert main(["check", str(ROOT / "src" / "repro")]) == 0
-        out = capsys.readouterr().out
-        assert "repro check: clean" in out
-
-    def test_exit_one_on_violation_fixture(self, tmp_path, capsys):
-        write_violation(tmp_path)
-        assert main(["check", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "DET001" in out
-
-    def test_json_format_and_out_artifact(self, tmp_path, capsys):
-        write_violation(tmp_path)
-        out_path = tmp_path / "report.json"
-        code = main(["check", str(tmp_path), "--format", "json",
-                     "--out", str(out_path)])
-        assert code == 1
-        stdout_doc = json.loads(capsys.readouterr().out)
-        file_doc = json.loads(out_path.read_text())
-        assert stdout_doc == file_doc
-        assert file_doc["version"] == 1
-        assert file_doc["summary"] == {"DET001": 1}
-        assert file_doc["findings"][0]["rule"] == "DET001"
-        assert set(file_doc) == {"version", "analyzers", "files_scanned",
-                                 "summary", "findings"}
-
-    def test_list_rules(self, capsys):
-        assert main(["check", "--list-rules"]) == 0
-        listed = [line.split()[0]
-                  for line in capsys.readouterr().out.splitlines()]
-        assert listed == SURVIVING_RULES
+@pytest.mark.parametrize("rule", sorted(FIXTURES))
+def test_each_fixture_fails_on_its_rule_alone(rule, tmp_path):
+    assert fixture_rules(tmp_path, FIXTURES[rule]) == {rule}
 
 
-class TestOnlySelection:
-    def test_only_filters_rules(self, tmp_path):
-        write_violation(tmp_path)
-        report = runner.run_check([str(tmp_path)], only=["DET002"])
-        assert report.ok  # the DET001 finding is filtered out
-        report = runner.run_check([str(tmp_path)], only=["DET001"])
-        assert report.counts_by_rule() == {"DET001": 1}
-
-    def test_only_narrows_analyzers(self, tmp_path):
-        write_violation(tmp_path)
-        report = runner.run_check([str(tmp_path)], only=["HOT002"])
-        assert report.analyzers == ["hotpath"]
-
-    def test_only_unknown_rule_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown rule"):
-            runner.run_check([str(tmp_path)], only=["HOT999"])
-
-    def test_cli_only_comma_separated(self, tmp_path, capsys):
-        write_violation(tmp_path)
-        assert main(["check", str(tmp_path), "--only",
-                     "DET002,ARCH001"]) == 0
-        capsys.readouterr()
-        assert main(["check", str(tmp_path), "--only", "DET001"]) == 1
-
-    def test_cli_only_unknown_rule_exits_two(self, tmp_path, capsys):
-        assert main(["check", str(tmp_path), "--only", "NOPE001"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-
-class TestWholeProgramPasses:
-    WHOLE_PROGRAM = ["RACE001", "RACE003", "HOT002"]
-
-    def test_clean_tree_under_new_passes(self):
-        # The merge gate: the whole-program passes report nothing
-        # unsuppressed on src/repro itself.
-        report = runner.run_check(
-            [str(ROOT / "src" / "repro")], only=self.WHOLE_PROGRAM)
-        assert report.analyzers == ["races", "hotpath"]
-        assert report.ok, report.render_text()
-
-    def test_include_suppressed_sees_inventory(self):
-        # Every inline allow in the tree, by rule.  A rule absent here
-        # has no justified exception left; one that gains an entry did
-        # so in a reviewed diff.
-        # DET001 is the chunk timer's perf_counter pair: the serial
-        # backend runs the same chunk loop, so it has no pair of its own.
-        report = runner.run_check([str(ROOT / "src" / "repro")],
-                                  include_suppressed=True)
-        assert report.counts_by_rule() == {"DET001": 2, "RACE001": 9}
+def test_the_catalogue_is_what_the_fixtures_trigger(tmp_path):
+    triggered = set()
+    for rule, files in FIXTURES.items():
+        triggered |= fixture_rules(tmp_path / rule, files)
+    assert triggered == set(RULES)

@@ -21,19 +21,16 @@ DET006    iteration order of a ``set``/``frozenset`` escaping into
           ordering differs across processes
 ========  ==============================================================
 
-A violation is suppressed inline with ``# repro: allow[DETnnn]`` on the
-flagged line.
+A finding the design needs is excused by a row of the one exemption
+table (``CLASSES`` in ``scripts/line_census.py``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.check.findings import Finding
-from repro.check.sources import SourceModule, SourceTree
-
-ANALYZER_NAME = "determinism"
+from tests.static.index import Finding, Module
 
 RULES: Dict[str, str] = {
     "DET001": "wall-clock read in simulation code",
@@ -72,40 +69,6 @@ _SET_BUILTINS = {"set", "frozenset"}
 _ORDER_ESCAPES = {"list", "tuple", "iter", "enumerate"}
 
 
-def _collect_imports(tree: ast.Module) -> Dict[str, str]:
-    """Map local alias -> fully-qualified dotted name for every import."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                full = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = full
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-class _Resolver:
-    """Resolves expressions to dotted import paths, best effort."""
-
-    def __init__(self, aliases: Dict[str, str]) -> None:
-        self._aliases = aliases
-
-    def dotted(self, node: ast.AST) -> Optional[str]:
-        if isinstance(node, ast.Name):
-            return self._aliases.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = self.dotted(node.value)
-            if base is not None:
-                return f"{base}.{node.attr}"
-        return None
-
-
 def _is_setish(node: ast.AST) -> bool:
     """Whether ``node`` evaluates to a literal/constructed set."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -116,26 +79,22 @@ def _is_setish(node: ast.AST) -> bool:
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
-    def __init__(self, module: SourceModule, tree: SourceTree) -> None:
+    def __init__(self, module: Module) -> None:
         self._module = module
-        self._tree = tree
-        self._resolver = _Resolver(_collect_imports(module.tree))
         self.findings: List[Finding] = []
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        finding = self._tree.finding(self._module, rule, line, message)
-        if finding is not None:
-            self.findings.append(finding)
+        self.findings.append(Finding(
+            self._module.file, getattr(node, "lineno", 1), rule, message))
 
     def _is_random_ctor(self, node: ast.AST) -> bool:
         return (isinstance(node, ast.Call)
-                and self._resolver.dotted(node.func) == "random.Random")
+                and self._module.dotted(node.func) == "random.Random")
 
     # -- forbidden calls ----------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        path = self._resolver.dotted(node.func)
+        path = self._module.dotted(node.func)
         if path is not None:
             if path in _WALL_CLOCK:
                 self._emit("DET001", node,
@@ -242,11 +201,11 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def analyze(tree: SourceTree) -> List[Finding]:
-    """Run every DET rule over every module in ``tree``."""
+def analyze(modules: List[Module]) -> List[Finding]:
+    """Run every DET rule over every module."""
     findings: List[Finding] = []
-    for module in tree:
-        visitor = _DeterminismVisitor(module, tree)
+    for module in modules:
+        visitor = _DeterminismVisitor(module)
         visitor.visit(module.tree)
         findings.extend(visitor.findings)
     return findings

@@ -15,8 +15,9 @@ HOT002    per-event allocation on the scheduling path: a lambda/nested
           (hot modules only)
 ========  ==============================================================
 
-The rule flags *cost*, not *incorrectness* — a finding is either fixed
-or kept with an inline ``# repro: allow[HOT002]`` rationale.
+The rule flags *cost*, not *incorrectness*: a finding is fixed, or kept
+with a row of the exemption table (``CLASSES`` in
+``scripts/line_census.py``) that says why.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.check.findings import Finding
-from repro.check.sources import SourceModule, SourceTree
-
-ANALYZER_NAME = "hotpath"
+from tests.static.index import Finding, Module
 
 RULES: Dict[str, str] = {
     "HOT002": "per-event allocation on the scheduling path",
@@ -50,26 +48,21 @@ _SCHEDULE_METHODS = frozenset({
 LoopNode = Union[ast.For, ast.AsyncFor, ast.While]
 
 
-def _is_hot(module: SourceModule,
-            prefixes: Sequence[str]) -> bool:
-    return any(module.module == prefix
-               or module.module.startswith(prefix + ".")
+def _is_hot(module: Module, prefixes: Sequence[str]) -> bool:
+    return any(module.name == prefix or module.name.startswith(prefix + ".")
                for prefix in prefixes)
 
 
 class _ModuleHot:
     """HOT002 over one hot module."""
 
-    def __init__(self, module: SourceModule, tree: SourceTree) -> None:
+    def __init__(self, module: Module) -> None:
         self.module = module
-        self.tree = tree
         self.findings: List[Finding] = []
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        finding = self.tree.finding(
-            self.module, rule, getattr(node, "lineno", 1), message)
-        if finding is not None:
-            self.findings.append(finding)
+        self.findings.append(Finding(
+            self.module.file, getattr(node, "lineno", 1), rule, message))
 
     def check(self) -> None:
         for node in ast.walk(self.module.tree):
@@ -116,15 +109,15 @@ class _ModuleHot:
         return nodes
 
 
-def analyze(tree: SourceTree,
+def analyze(modules: List[Module],
             hot_prefixes: Sequence[str] = DEFAULT_HOT_PREFIXES
             ) -> List[Finding]:
-    """Run HOT002 over every hot module in ``tree``."""
+    """Run HOT002 over every hot module."""
     findings: List[Finding] = []
-    for module in tree:
+    for module in modules:
         if not _is_hot(module, hot_prefixes):
             continue
-        checker = _ModuleHot(module, tree)
+        checker = _ModuleHot(module)
         checker.check()
         findings.extend(checker.findings)
     return list(dict.fromkeys(findings))

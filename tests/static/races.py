@@ -19,22 +19,25 @@ RACE003   process-dependent value in worker-reachable code: ``id()``
           set-typed local (hash order feeding merged results)
 ========  ==============================================================
 
-The call graph deliberately over-approximates (unknown ``obj.method()``
-receivers match every same-named method), so reachability errs toward
-reporting; rule shapes are kept narrow to compensate.
+The call graph indexes every module-level function and method under
+``module.qualname`` and resolves a call three ways: a name of the module
+or one it imports (through the import-alias map), ``self.method(...)`` to
+the enclosing class, and ``obj.method(...)`` to every same-named method in
+the tree.  That last one over-approximates on purpose (reporting too much
+reachable code is safe, missing some is not), so the rule shapes stay
+narrow to compensate.  A nested function or lambda is analysed under the
+function around it: if the parent runs, the closure may.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import fnmatch
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.check.callgraph import (CallGraph, FunctionInfo, FunctionNode,
-                                   ProgramIndex, module_level_bindings)
-from repro.check.findings import Finding
-from repro.check.sources import SourceTree
+from tests.static.index import Def, Finding, Module
 
-ANALYZER_NAME = "races"
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 RULES: Dict[str, str] = {
     "RACE001": "worker-reachable write to module/class-level state",
@@ -43,7 +46,7 @@ RULES: Dict[str, str] = {
 }
 
 #: Call-graph roots: what a worker process actually executes.
-DEFAULT_ROOTS: Tuple[str, ...] = (
+ROOTS: Tuple[str, ...] = (
     "*.run_trial",
     "*._run_chunk",
     "repro.runtime.capture.*",
@@ -54,6 +57,94 @@ _MUTATORS = frozenset({
     "append", "add", "update", "extend", "insert", "remove", "pop",
     "clear", "setdefault", "popitem", "discard", "sort", "reverse",
 })
+
+#: Method names so common that matching every same-named method would
+#: make everything reachable; a call by one of these resolves to nothing.
+_IGNORED_METHOD_NAMES = _MUTATORS - {"reverse"} | {
+    "get", "items", "keys", "values", "join", "split", "strip", "format",
+    "encode", "decode", "copy", "startswith", "endswith", "replace",
+    "lower", "upper", "count", "index", "read", "write", "close",
+}
+
+
+class _CallGraph:
+    """Every function and method of a tree, and best-effort call edges."""
+
+    def __init__(self, modules: List[Module]) -> None:
+        #: ``module.qualname`` -> its def.
+        self.functions: Dict[str, Def] = {}
+        #: bare name -> every method bearing it.
+        self.methods: Dict[str, List[str]] = {}
+        for module in modules:
+            for found in module.defs:
+                if found.local or isinstance(found.node, ast.ClassDef):
+                    continue
+                full = f"{module.name}.{found.qualname}"
+                self.functions[full] = found
+                if found.owner is not None:
+                    self.methods.setdefault(found.name, []).append(full)
+        self.edges = {full: {target for node in ast.walk(found.node)
+                             if isinstance(node, ast.Call)
+                             for target in self._callees(node, found)}
+                      for full, found in self.functions.items()}
+
+    def _known(self, dotted: Optional[str]) -> List[str]:
+        """``dotted`` as a function, or as a class's constructor."""
+        if dotted is None:
+            return []
+        for candidate in (dotted, f"{dotted}.__init__"):
+            if candidate in self.functions:
+                return [candidate]
+        return []
+
+    def _callees(self, call: ast.Call, caller: Def) -> List[str]:
+        func, module = call.func, caller.module
+        if isinstance(func, ast.Name):
+            return (self._known(f"{module.name}.{func.id}")
+                    or self._known(module.dotted(func)))
+        if not isinstance(func, ast.Attribute):
+            return []
+        known = self._known(module.dotted(func))
+        if known:
+            return known
+        if isinstance(func.value, ast.Name) and func.value.id == "self" \
+                and caller.owner is not None:
+            method = f"{module.name}.{caller.owner}.{func.attr}"
+            if method in self.functions:
+                return [method]
+        if func.attr in _IGNORED_METHOD_NAMES:
+            return []
+        return self.methods.get(func.attr, [])
+
+    def reachable(self) -> List[Def]:
+        """Functions reachable from those whose ``module.qualname``
+        matches an ``fnmatch`` pattern of :data:`ROOTS`."""
+        frontier = [full for full in self.functions
+                    if any(fnmatch.fnmatchcase(full, pattern)
+                           for pattern in ROOTS)]
+        seen: Set[str] = set()
+        while frontier:
+            current = frontier.pop()
+            if current not in seen:
+                seen.add(current)
+                frontier.extend(self.edges[current])
+        return [self.functions[full] for full in sorted(seen)]
+
+
+def _module_level_bindings(module: Module) -> Set[str]:
+    """Names bound by assignment at module scope (shared process state)."""
+    bound: Set[str] = set()
+    for stmt in module.tree.body:
+        targets: Tuple[ast.expr, ...] = ()
+        if isinstance(stmt, ast.Assign):
+            targets = tuple(stmt.targets)
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = (stmt.target,)
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    bound.add(node.id)
+    return bound
 
 
 def _local_set_names(node: FunctionNode) -> Set[str]:
@@ -93,26 +184,23 @@ def _plain_local_stores(node: FunctionNode,
 class _FunctionRace:
     """All RACE rules over one reachable function."""
 
-    def __init__(self, info: FunctionInfo, tree: SourceTree,
-                 index: ProgramIndex) -> None:
-        self.info = info
-        self.tree = tree
-        self.index = index
-        self.module_bindings = module_level_bindings(info.module)
+    def __init__(self, found: Def) -> None:
+        self.found = found
+        self.module_bindings = _module_level_bindings(found.module)
         self.module_classes = {
-            name.rsplit(".", 1)[1] for name in index.classes
-            if name.rsplit(".", 1)[0] == info.module.module}
+            each.name for each in found.module.defs
+            if each.owner is None and isinstance(each.node, ast.ClassDef)}
         self.findings: List[Finding] = []
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        finding = self.tree.finding(
-            self.info.module, rule, getattr(node, "lineno", 1), message)
-        if finding is not None:
-            self.findings.append(finding)
+        self.findings.append(Finding(
+            self.found.module.file, getattr(node, "lineno", 1), rule,
+            message))
 
     def check(self) -> None:
-        node = self.info.node
-        where = f"worker-reachable {self.info.name}()"
+        node = self.found.node
+        assert not isinstance(node, ast.ClassDef)
+        where = f"worker-reachable {self.found.name}()"
         declared_global: Set[str] = set()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Global):
@@ -196,14 +284,11 @@ class _FunctionRace:
                        f"it are order-dependent — iterate sorted(...)")
 
 
-def analyze(tree: SourceTree,
-            roots: Sequence[str] = DEFAULT_ROOTS) -> List[Finding]:
-    """Run every RACE rule over code reachable from ``roots``."""
-    index = ProgramIndex.build(tree)
-    graph = CallGraph.build(index)
+def analyze(modules: List[Module]) -> List[Finding]:
+    """Run every RACE rule over code reachable from :data:`ROOTS`."""
     findings: List[Finding] = []
-    for info in graph.reachable_functions(roots):
-        checker = _FunctionRace(info, tree, index)
+    for found in _CallGraph(modules).reachable():
+        checker = _FunctionRace(found)
         checker.check()
         findings.extend(checker.findings)
     return list(dict.fromkeys(findings))

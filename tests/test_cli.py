@@ -223,24 +223,3 @@ class TestTailCommand:
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["tail", str(tmp_path / "absent.json")]) == 2
-
-
-class TestCheckCommand:
-    def test_parser_accepts_check_flags(self):
-        args = build_parser().parse_args(
-            ["check", "src/repro", "--only", "DET001,DET005",
-             "--format", "json"])
-        assert args.paths == ["src/repro"]
-        assert args.only == ["DET001,DET005"]
-        assert args.format == "json"
-
-    def test_check_clean_on_own_source(self, capsys):
-        import pathlib
-        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-        assert main(["check", str(src)]) == 0
-        assert "repro check: clean" in capsys.readouterr().out
-
-    def test_check_fails_on_violation(self, tmp_path, capsys):
-        (tmp_path / "dirty.py").write_text("import time\nt = time.time()\n")
-        assert main(["check", str(tmp_path)]) == 1
-        assert "DET001" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 """What a process pays before it simulates anything: imports and memory.
 
-``src/repro`` has no runtime dependency (``repro check`` rule ARCH003 says
-so statically); these run the claim in a fresh interpreter, where a lazy
+``src/repro`` has no runtime dependency (the analyzer's rule ARCH003,
+``tests/static/layering.py``, says so statically); these run the claim in a fresh interpreter, where a lazy
 or transitive third-party import would also show, and put a ceiling on
 the resident memory of a population run so neither an import nor a model
 structure can add tens of MiB unseen (ROADMAP item 6).
@@ -26,8 +26,6 @@ def run_child(code):
     return done.stdout
 
 
-@pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"),
-                    reason="needs sys.stdlib_module_names (3.10+)")
 def test_importing_the_cli_loads_only_the_stdlib_and_repro():
     # Site start-up may import what it likes; count what the CLI adds.
     loaded = run_child(

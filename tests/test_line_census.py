@@ -7,22 +7,17 @@ deleted or renamed def or parameter fails tier-1 instead of the next
 census.
 """
 
-import importlib.util
 import re
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests.static import line_census
+from tests.static.index import ROOT
 
 
 @pytest.fixture(scope="module")
 def census():
-    spec = importlib.util.spec_from_file_location(
-        "line_census", ROOT / "scripts" / "line_census.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return line_census()
 
 
 def test_every_class_entry_names_a_def_that_exists(census):
@@ -36,13 +31,19 @@ def test_a_stale_or_unreasoned_entry_is_reported(census, monkeypatch):
         "src/repro/cli.py::build_parser": ("b", "a paper mechanism"),
         "src/repro/cli.py::main(argv)": ("c", "argv, which tests feed"),
         "src/repro/cli.py::main(args)": ("c", "a parameter that is not"),
+        "src/repro/cli.py::main[DET001]": (1, "a finding row"),
+        "src/repro/cli.py::main[RACE001]": (0, "a count of none"),
+        "src/repro/cli.py::gone[RACE001]": (1, "a def that is not"),
     })
     assert census.table_errors() == [
         "src/repro/cli.py::build_parser: a (b) reason cites its DESIGN.md "
         "row",
         "src/repro/cli.py::gone: no such def / class",
+        "src/repro/cli.py::gone[RACE001]: no such def / class",
         "src/repro/cli.py::main: unknown degrade rule wishful",
         "src/repro/cli.py::main(args): no such parameter",
+        "src/repro/cli.py::main[RACE001]: a finding row gives its count and "
+        "a reason",
     ]
 
 

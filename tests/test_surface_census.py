@@ -40,77 +40,35 @@ mechanism, (c) for a bound or input a test lowers, drives past or feeds.
 
 import ast
 import functools
-import importlib.util
 import re
-from pathlib import Path
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
                     Set, Tuple)
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests.static import index, line_census
+from tests.static.index import ROOT, Def
+
 RUNS = ("src", "bench", "examples", "scripts")
 DISPATCH = ("visit_", "_apply_", "_cmd_")
 SHIM_TARGET = re.compile(r"^repro[\w.]*:([\w.]+)$")
 
-
-def load_line_census():
-    spec = importlib.util.spec_from_file_location(
-        "line_census", ROOT / "scripts" / "line_census.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 #: The one table of what stays: ``file::qualname`` -> (class, reason).
-TABLE = load_line_census().CLASSES
+TABLE = line_census().CLASSES
 
 Scope = Optional[Tuple[str, str]]
 
 
-class Def(NamedTuple):
-    """One module- or class-level ``def`` / ``class`` of ``src/repro``."""
-
-    file: str
-    qualname: str
-    node: ast.AST
-    owner: Optional[str]
-
-    @property
-    def name(self) -> str:
-        return self.qualname.rpartition(".")[2]
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.file, self.qualname)
-
-    @property
-    def where(self) -> str:
-        return f"{self.file}:{self.node.lineno} {self.qualname}"
-
-
 def parse(*tops: str) -> Dict[str, ast.Module]:
-    return {path.relative_to(ROOT).as_posix():
-            ast.parse(path.read_text("utf-8"), str(path))
-            for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
+    return {module.file: module.tree
+            for module in index.modules(*(ROOT / top for top in tops))}
 
 
 TREES = parse(*RUNS)
 SRC = {file: tree for file, tree in TREES.items() if file.startswith("src/")}
 TESTS = parse("tests")
 
-
-def definitions(file: str, body: List[ast.stmt],
-                owner: Optional[str] = None) -> Iterator[Def]:
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            qualname = f"{owner}.{node.name}" if owner else node.name
-            yield Def(file, qualname, node, owner)
-            if isinstance(node, ast.ClassDef):
-                yield from definitions(file, node.body, qualname)
-
-
-DEFS = [found for file, tree in SRC.items()
-        for found in definitions(file, tree.body)]
+#: Every module- or class-level ``def`` / ``class`` of ``src/repro``.
+DEFS = [found for file in SRC for found in index.load(ROOT / file).defs
+        if not found.local]
 #: Every class by bare name, test doubles included: a hook a test subclass
 #: overrides is a protocol, and a test subclass's call sites are its base's.
 CLASSES: Dict[str, List[ast.ClassDef]] = {}
@@ -281,7 +239,7 @@ def calls_of(name: str, callers: Tuple[Mentions, ...]) -> List[Site]:
 def excused(found: Def) -> bool:
     """Excused by a (b) entry of ``TABLE``, its own or an enclosing one's."""
     names = found.qualname.split(".")
-    return any(TABLE.get(f"{found.file}::{'.'.join(names[:depth])}",
+    return any(TABLE.get(f"{found.module.file}::{'.'.join(names[:depth])}",
                          ("",))[0] == "b"
                for depth in range(1, len(names) + 1))
 
@@ -301,7 +259,7 @@ def dead_names() -> List[Def]:
         return True
 
     def inside(scope: Scope, found: Def) -> bool:
-        return scope is not None and scope[0] == found.file and (
+        return scope is not None and scope[0] == found.module.file and (
             scope[1] == found.qualname
             or scope[1].startswith(found.qualname + "."))
 
@@ -331,7 +289,7 @@ class Settable(NamedTuple):
     @property
     def key(self) -> str:
         """Its ``TABLE`` key, ``file::qualname(param)``."""
-        return f"{self.found.file}::{self.found.qualname}({self.name})"
+        return f"{self.found.module.file}::{self.found.qualname}({self.name})"
 
 
 def is_method(found: Def) -> bool:
@@ -449,7 +407,7 @@ def quoted_names(tree: ast.Module) -> Set[str]:
 
 
 def unused_imports(file: str, tree: ast.Module) -> Iterator[str]:
-    lines = (ROOT / file).read_text("utf-8").splitlines()
+    lines = index.load(ROOT / file).lines
     used = quoted_names(tree) | {node.id for node in ast.walk(tree)
                                  if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
