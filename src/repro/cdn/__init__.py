@@ -16,9 +16,8 @@ measures:
   user-traffic allocation (Huang et al.); the router and the population
   workload engine share the ring, the engine alone runs the bounded loads.
 * :mod:`repro.cdn.router` — the C-DNS traffic router: coverage zones,
-  consistent hashing on the content name, ECS scoping, next-tier referral.
-* :mod:`repro.cdn.hierarchy` — edge/mid/far cache tiers with miss
-  referral.
+  consistent hashing on the content name, ECS scoping; SERVFAIL when no
+  healthy cache covers the client.
 * :mod:`repro.cdn.broker` — CDN broker that splits a domain's traffic
   across providers (the §2/Q3 opaqueness source).
 * :mod:`repro.cdn.httpsim` — the client side of the GET protocol.
@@ -38,7 +37,6 @@ from repro.cdn.providers import (
 )
 from repro.cdn.router import TrafficRouter, CoverageZone
 from repro.cdn.health import HealthMonitor
-from repro.cdn.hierarchy import CdnTier, TieredCdn
 from repro.cdn.broker import CdnBroker
 from repro.cdn.httpsim import HttpClient, FetchResult
 
@@ -65,8 +63,6 @@ __all__ = [
     "TrafficRouter",
     "CoverageZone",
     "HealthMonitor",
-    "CdnTier",
-    "TieredCdn",
     "CdnBroker",
     "HttpClient",
     "FetchResult",

@@ -4,10 +4,12 @@ Two allocators: the traffic router and the population workload engine
 share the first, the engine alone runs the second:
 
 * :class:`HashRing` — plain consistent hashing of request keys onto
-  named members (the ring the C-DNS has always used for pinning content
-  to caches; extracted here so other layers share the *same* hash
-  geometry, which is what makes mesoscale routing decisions agree with
-  the packet-level router by construction);
+  named members (the ring the C-DNS uses for pinning content to caches).
+  The two layers share the ring's geometry, not its picks: the router
+  keys on the query name with its trailing dot and names members by pod
+  host, the engine keys on ``obj{rank:07d}.pop.mycdn.ciab.test`` and
+  names members ``site{s}-cache{c}``, so the same object can land on
+  different caches in the two layers;
 * :class:`ConsistentAllocator` — consistent hashing **with bounded
   loads**, after Huang et al., "Consistent User-Traffic Allocation and
   Load Balancing in Mobile Edge Caching": sticky user→cache assignment

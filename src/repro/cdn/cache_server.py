@@ -65,7 +65,7 @@ class CacheServer:
 
     ``is_origin=True`` makes the server authoritative for the whole
     catalog: every request is served without storing (infinite store), the
-    role the paper's origin plays behind the far tier.
+    role the paper's origin plays behind the CDN's caches.
     """
 
     def __init__(self, network: Network, host: Host, catalog: ContentCatalog,

@@ -9,10 +9,8 @@ for the requesting client:
   wider groups otherwise; a catch-all is a ``0.0.0.0/0`` zone;
 * within a group, **consistent hashing** on the query name pins content to
   caches, concentrating each object on few servers;
-* unhealthy caches are skipped; an empty group makes the router answer
-  with the **next tier's router**, exactly the
-  paper's "C-DNS simply returns the address of another C-DNS running at a
-  different CDN tier".
+* unhealthy caches are skipped; a client no zone covers, or whose group
+  has no healthy cache, gets SERVFAIL.
 """
 
 from __future__ import annotations
@@ -31,29 +29,6 @@ from repro.resolver.server import DnsServer
 
 #: Short answer TTL, typical for CDN routing answers.
 DEFAULT_ANSWER_TTL = 30
-
-#: Owner-name prefix of the TXT marker a router attaches when the
-#: answered address is *another C-DNS* rather than a cache (the paper's
-#: next-tier referral).  Tier-aware clients re-query the answered address
-#: when they see it; plain clients ignore the additional record.
-REFERRAL_MARKER_LABEL = "_cdns-referral"
-
-
-def referral_marker(qname: Name, ttl: int) -> ResourceRecord:
-    """The TXT additional that tags an answer as a next-tier referral."""
-    from repro.dnswire.rdata import TXT
-    return ResourceRecord(qname.prepend(REFERRAL_MARKER_LABEL),
-                          RecordType.TXT, ttl,
-                          TXT.from_string("next-tier-cdns"))
-
-
-def is_referral(response) -> bool:
-    """Whether a router response carries the next-tier referral marker."""
-    return any(record.rtype == RecordType.TXT
-               and record.name.labels
-               and record.name.labels[0] == REFERRAL_MARKER_LABEL.encode()
-               for record in response.additionals)
-
 
 class CoverageZone(NamedTuple):
     """Client networks mapped to the caches that should serve them."""
@@ -84,7 +59,6 @@ class TrafficRouter(DnsServer):
     def __init__(self, network, host, cdn_domain: Name,
                  zones: List[CoverageZone],
                  answer_ttl: int = DEFAULT_ANSWER_TTL,
-                 next_tier: Optional[str] = None,
                  ecs_enabled: bool = False,
                  health_check: Optional[Callable[[CacheServer], bool]] = None,
                  **kwargs) -> None:
@@ -96,12 +70,9 @@ class TrafficRouter(DnsServer):
         self.cdn_domain = cdn_domain
         self.zones = list(zones)
         self.answer_ttl = answer_ttl
-        #: IP of the next-tier C-DNS returned when this tier cannot serve.
-        self.next_tier = next_tier
         self.ecs_enabled = ecs_enabled
         self._rings = {zone.name: HashRing(zone.caches) for zone in zones}
         self.routed = 0
-        self.referred_to_next_tier = 0
         self.zone_updates = 0
 
     # -- live reconfiguration ---------------------------------------------------
@@ -168,12 +139,7 @@ class TrafficRouter(DnsServer):
 
         cache, scope = self.select_cache(question.name, effective_ip)
 
-        additionals = []
-        if cache is None:
-            outcome = ("servfail" if self.next_tier is None
-                       else "next-tier-referral")
-        else:
-            outcome = "routed"
+        outcome = "servfail" if cache is None else "routed"
         tel = self.network.telemetry
         if tel is not None:
             # Re-derive the zone for its name only: zone_for is a pure
@@ -192,21 +158,13 @@ class TrafficRouter(DnsServer):
                 "traffic-router routing decisions by outcome").inc(
                     router=self.name, outcome=outcome)
         if cache is None:
-            if self.next_tier is None:
-                return make_response(query, rcode=Rcode.SERVFAIL,
-                                     authoritative=True)
-            self.referred_to_next_tier += 1
-            answer = ResourceRecord(question.name, RecordType.A,
-                                    self.answer_ttl, A(self.next_tier))
-            additionals.append(referral_marker(question.name,
-                                               self.answer_ttl))
-        else:
-            self.routed += 1
-            answer = ResourceRecord(question.name, RecordType.A,
-                                    self.answer_ttl, A(cache.endpoint.ip))
+            return make_response(query, rcode=Rcode.SERVFAIL,
+                                 authoritative=True)
+        self.routed += 1
+        answer = ResourceRecord(question.name, RecordType.A,
+                                self.answer_ttl, A(cache.endpoint.ip))
 
-        response = make_response(query, authoritative=True, answers=[answer],
-                                 additionals=additionals)
+        response = make_response(query, authoritative=True, answers=[answer])
         if response.edns is not None and ecs is not None:
             response.edns.options = [
                 opt if not isinstance(opt, ClientSubnet)

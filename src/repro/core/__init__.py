@@ -19,11 +19,8 @@ from repro.core.deployments import (
     build_testbed,
 )
 from repro.core.fallback import FallbackClient, FallbackResult
-from repro.core.resolution import EdgeAwareClient, TieredResolution
 
 __all__ = [
-    "EdgeAwareClient",
-    "TieredResolution",
     "MecCdnSite",
     "DEPLOYMENT_KEYS",
     "DEPLOYMENT_LABELS",

@@ -50,7 +50,6 @@ class MecCdnSite:
                  warm_caches: bool = True,
                  ecs_enabled: bool = False,
                  answer_ttl: int = 0,
-                 next_tier_cdns: Optional[str] = None,
                  cdns_endpoint_override: Optional[Endpoint] = None,
                  ldns_processing_delay: Optional[LatencyModel] = None,
                  cdns_processing_delay: Optional[LatencyModel] = None,
@@ -96,7 +95,6 @@ class MecCdnSite:
                                        self.caches)
         self._ecs_enabled = ecs_enabled
         self._answer_ttl = answer_ttl
-        self._next_tier_cdns = next_tier_cdns
         self._cdns_processing_delay = cdns_processing_delay
         self.cdns_pod: Pod = self.orchestrator.deploy_pod(
             self.cdns_service, starter=self._start_cdns)
@@ -135,7 +133,6 @@ class MecCdnSite:
             self.network, pod.host, self.cdn_domain,
             zones=[self._edge_zone],
             answer_ttl=self._answer_ttl,
-            next_tier=self._next_tier_cdns,
             ecs_enabled=self._ecs_enabled,
             **kwargs)
 

@@ -7,7 +7,7 @@ reproduction exercises end to end:
 * :mod:`repro.dnswire.types` — record type / class / opcode / rcode registries.
 * :mod:`repro.dnswire.wire` — wire buffers with name compression.
 * :mod:`repro.dnswire.rdata` — typed record data (A, CNAME, NS, SOA, PTR,
-  TXT, and a generic fallback).
+  and a generic fallback for every other type).
 * :mod:`repro.dnswire.edns` — EDNS0 OPT pseudo-records and the Client Subnet
   option (RFC 7871), which the paper evaluates in §4.
 * :mod:`repro.dnswire.message` — full query/response message codec.
@@ -37,7 +37,6 @@ from repro.dnswire.rdata import (
     CNAME,
     NS,
     PTR,
-    TXT,
     SOA,
     GenericRdata,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "CNAME",
     "NS",
     "PTR",
-    "TXT",
     "SOA",
     "GenericRdata",
     "ClientSubnet",

@@ -12,7 +12,7 @@ IPv4/IPv6 addresses are carried as strings in canonical presentation form;
 from __future__ import annotations
 
 import ipaddress
-from typing import Callable, Dict, Tuple, Type
+from typing import Callable, Dict, Type
 
 from repro.dnswire.name import Name
 from repro.dnswire.types import RecordType
@@ -158,51 +158,6 @@ class NS(_SingleName):
 @_register(RecordType.PTR)
 class PTR(_SingleName):
     """Reverse-mapping pointer record."""
-
-
-@_register(RecordType.TXT)
-class TXT(Rdata):
-    """Text record: one or more character strings of up to 255 octets."""
-
-    __slots__ = ("strings",)
-
-    def __init__(self, strings: Tuple[bytes, ...]) -> None:
-        for chunk in strings:
-            if len(chunk) > 255:
-                raise WireFormatError("TXT character-string exceeds 255 octets")
-        self.strings = tuple(strings)
-
-    @classmethod
-    def from_string(cls, text: str) -> "TXT":
-        """Build from a single Python string, splitting at 255 octets."""
-        raw = text.encode("utf-8")
-        chunks = tuple(raw[i:i + 255] for i in range(0, len(raw), 255)) or (b"",)
-        return cls(chunks)
-
-    def _key(self) -> tuple:
-        return (self.strings,)
-
-    def to_wire(self, writer: WireWriter) -> None:
-        """Serialise to wire format."""
-        for chunk in self.strings:
-            writer.write_u8(len(chunk))
-            writer.write_bytes(chunk)
-
-    @classmethod
-    def from_wire(cls, reader: WireReader, rdlength: int) -> "TXT":
-        end = reader.offset + rdlength
-        strings = []
-        while reader.offset < end:
-            length = reader.read_u8()
-            strings.append(reader.read_bytes(length))
-        return cls(tuple(strings))
-
-    def to_text(self) -> str:
-        """Render in presentation (zone-file) format."""
-        return " ".join(
-            '"' + chunk.decode("utf-8", "backslashreplace") + '"'
-            for chunk in self.strings
-        )
 
 
 @_register(RecordType.SOA)

@@ -2,9 +2,10 @@
 
 A :class:`Zone` holds the records of one authoritative zone and implements
 the lookup algorithm an authoritative server needs: exact match, CNAME
-interposition, wildcard synthesis (RFC 1034 §4.3.2), delegation detection,
-and the NXDOMAIN / NODATA distinction.  Zones are built in code
-(:meth:`Zone.add`).
+interposition, delegation detection, and the NXDOMAIN / NODATA distinction
+(an empty non-terminal is NODATA).  There is no wildcard synthesis: a
+``*`` label is an ordinary label that answers only its literal name.
+Zones are built in code (:meth:`Zone.add`).
 """
 
 from __future__ import annotations
@@ -123,39 +124,27 @@ class Zone:
 
         node = self._nodes.get(name)
         if node is None:
-            wildcard = self._find_wildcard(name)
-            if wildcard is None:
-                if self._has_descendants(name):
-                    # Empty non-terminal: the name "exists" per RFC 4592.
-                    return LookupResult(LookupStatus.NODATA,
-                                        authority=self._soa_authority())
-                return LookupResult(LookupStatus.NXDOMAIN,
+            if self._has_descendants(name):
+                # Empty non-terminal: the name "exists" per RFC 4592.
+                return LookupResult(LookupStatus.NODATA,
                                     authority=self._soa_authority())
-            node = wildcard
-            return self._answer_from_node(node, rtype, synthesize_owner=name)
+            return LookupResult(LookupStatus.NXDOMAIN,
+                                authority=self._soa_authority())
         return self._answer_from_node(node, rtype)
 
     def _answer_from_node(self, node: Dict[RecordType, List[ResourceRecord]],
-                          rtype: RecordType,
-                          synthesize_owner: Optional[Name] = None) -> LookupResult:
-        def materialise(records: List[ResourceRecord]) -> List[ResourceRecord]:
-            if synthesize_owner is None:
-                return list(records)
-            return [ResourceRecord(synthesize_owner, record.rtype, record.ttl,
-                                   record.rdata, record.rclass)
-                    for record in records]
-
+                          rtype: RecordType) -> LookupResult:
         if RecordType.CNAME in node and rtype not in (RecordType.CNAME, RecordType.ANY):
-            records = materialise(node[RecordType.CNAME])
+            records = list(node[RecordType.CNAME])
             target = records[0].rdata.target  # type: ignore[attr-defined]
             return LookupResult(LookupStatus.CNAME, records=records,
                                 cname_target=target)
         if rtype == RecordType.ANY:
-            records = [record for rrset in node.values() for record in materialise(rrset)]
+            records = [record for rrset in node.values() for record in rrset]
             if records:
                 return LookupResult(LookupStatus.SUCCESS, records=records)
         elif rtype in node:
-            return LookupResult(LookupStatus.SUCCESS, records=materialise(node[rtype]))
+            return LookupResult(LookupStatus.SUCCESS, records=list(node[rtype]))
         return LookupResult(LookupStatus.NODATA, authority=self._soa_authority())
 
     def _find_delegation(self, name: Name) -> Optional[List[ResourceRecord]]:
@@ -185,17 +174,6 @@ class Zone:
             for rtype in (RecordType.A, RecordType.AAAA):
                 glue.extend(node.get(rtype, []))
         return glue
-
-    def _find_wildcard(self, name: Name) -> Optional[Dict[RecordType, List[ResourceRecord]]]:
-        """The closest-enclosing ``*`` node covering ``name``, if any."""
-        current = name
-        while current != self.origin and not current.is_root:
-            candidate = current.parent().prepend("*")
-            node = self._nodes.get(candidate)
-            if node is not None:
-                return node
-            current = current.parent()
-        return None
 
     def _has_descendants(self, name: Name) -> bool:
         return any(existing != name and existing.is_subdomain_of(name)

@@ -6,7 +6,7 @@
 * :mod:`repro.resolver.server` — base class: socket handling, wire codec,
   processing delay, one-shot upstream query and forward helpers.
 * :mod:`repro.resolver.authoritative` — authoritative server over zones
-  (CNAME chasing, wildcards, referrals).
+  (CNAME chasing, referrals).
 * :mod:`repro.resolver.recursive` — iterative resolver with root hints,
   referral chasing, glue handling, and negative caching.
 * :mod:`repro.resolver.forwarder` — forwarding resolver over a cache,

@@ -1,9 +1,9 @@
 """Authoritative DNS server over one or more zones.
 
 Implements the answer-side semantics the reproduction needs: longest-match
-zone selection, CNAME chasing across hosted zones, wildcard answers,
-referrals for delegations, NXDOMAIN/NODATA with SOA in the authority
-section, and AXFR/IXFR out of a bounded change journal.  Answers are
+zone selection, CNAME chasing across hosted zones, referrals for
+delegations, NXDOMAIN/NODATA with SOA in the authority section, and
+AXFR/IXFR out of a bounded change journal.  Answers are
 the zone's records in zone order: an ECS option in the query is echoed
 untouched, and nothing is tailored to the client (the C-DNS that does
 tailor is :class:`repro.cdn.router.TrafficRouter`).

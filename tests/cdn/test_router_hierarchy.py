@@ -1,57 +1,39 @@
-"""Tests for the traffic router (C-DNS) and the tiered CDN."""
+"""Tests for the traffic router (C-DNS)."""
 
 import pytest
 
-from repro.cdn import (
-    CacheServer,
-    CdnTier,
-    ContentCatalog,
-    CoverageZone,
-    HttpClient,
-    TieredCdn,
-    TrafficRouter,
-)
+from repro.cdn import CacheServer, ContentCatalog, CoverageZone, TrafficRouter
 from repro.dnswire import ClientSubnet, Edns, Name, RecordType
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.resolver import StubResolver
 
 
 class RouterScenario:
-    """Two edge caches + one mid cache + origin, with per-tier routers."""
+    """Two edge caches behind an edge router, one cache behind a mid router."""
 
     def __init__(self):
         self.sim = Simulator()
         self.net = Network(self.sim, RandomStreams(21))
         self.catalog = ContentCatalog()
-        self.item = self.catalog.add_object(
-            Name("video.demo1.mycdn.ciab.test"), "/seg1.ts", 100_000)
         # Hosts.
         self.net.add_host("client", "10.45.0.2")
         self.net.add_host("edge1", "10.233.1.10")
         self.net.add_host("edge2", "10.233.1.11")
         self.net.add_host("mid1", "172.16.5.10")
-        self.net.add_host("origin", "203.0.113.80")
         self.net.add_host("edge-router", "10.233.0.53")
         self.net.add_host("mid-router", "172.16.5.53")
-        self.net.add_host("far-router", "203.0.113.53")
         for name in ("edge1", "edge2", "edge-router"):
             self.net.add_link("client", name, Constant(2))
         for name in ("mid1", "mid-router"):
             self.net.add_link("client", name, Constant(10))
             self.net.add_link("edge1", name, Constant(8))
             self.net.add_link("edge2", name, Constant(8))
-        self.net.add_link("client", "origin", Constant(40))
-        self.net.add_link("mid1", "origin", Constant(30))
-        self.net.add_link("client", "far-router", Constant(40))
 
-        self.origin = CacheServer(self.net, self.net.host("origin"),
-                                  self.catalog, is_origin=True)
-        self.mid = CacheServer(self.net, self.net.host("mid1"), self.catalog,
-                               parent=self.origin.endpoint)
+        self.mid = CacheServer(self.net, self.net.host("mid1"), self.catalog)
         self.edge1 = CacheServer(self.net, self.net.host("edge1"),
-                                 self.catalog, parent=self.mid.endpoint)
+                                 self.catalog)
         self.edge2 = CacheServer(self.net, self.net.host("edge2"),
-                                 self.catalog, parent=self.mid.endpoint)
+                                 self.catalog)
 
         domain = Name("mycdn.ciab.test")
         edge_zone = CoverageZone("edge", ["10.45.0.0/16"],
@@ -64,10 +46,6 @@ class RouterScenario:
         self.mid_router = TrafficRouter(
             self.net, self.net.host("mid-router"), domain,
             zones=[mid_zone])
-        far_zone = CoverageZone("far", ["0.0.0.0/0"], [])
-        self.far_router = TrafficRouter(
-            self.net, self.net.host("far-router"), domain,
-            zones=[far_zone])
         self.stub = StubResolver(self.net, self.net.host("client"),
                                  self.edge_router.endpoint)
 
@@ -127,25 +105,6 @@ class TestTrafficRouter:
             stub.query(Name("video.demo1.mycdn.ciab.test")))
         result = scenario.sim.run_until_resolved(future)
         assert result.status == "SERVFAIL"
-
-    def test_next_tier_referral_when_content_missing(self, scenario):
-        # Edge router that does not host this delivery service refers to mid.
-        scenario.edge_router.select_cache = lambda qname, ip: (None, 0)
-        scenario.edge_router.next_tier = scenario.mid_router.endpoint.ip
-        result = scenario.query()
-        assert result.addresses == [scenario.mid_router.endpoint.ip]
-        assert scenario.edge_router.referred_to_next_tier == 1
-
-    def test_empty_zone_refers_to_next_tier(self, scenario):
-        scenario.far_router.next_tier = "198.18.0.1"
-        scenario.net.add_host("anyone", "198.51.100.77")
-        scenario.net.add_link("anyone", "far-router", Constant(1))
-        stub = StubResolver(scenario.net, scenario.net.host("anyone"),
-                            scenario.far_router.endpoint)
-        future = scenario.sim.spawn(
-            stub.query(Name("video.demo1.mycdn.ciab.test")))
-        result = scenario.sim.run_until_resolved(future)
-        assert result.addresses == ["198.18.0.1"]
 
     def test_ecs_subnet_drives_zone_selection(self, scenario):
         # A query whose ECS places the client outside the edge zone.
@@ -207,60 +166,3 @@ class TestTrafficRouter:
         assert zone.covers("192.0.2.1") == (False, 0)
         zone.networks.append("192.0.2.0/24")
         assert zone.covers("192.0.2.1") == (True, 24)
-
-
-class TestTieredCdn:
-    def build_tiers(self, scenario):
-        edge_tier = CdnTier("edge", scenario.edge_router,
-                            [scenario.edge1, scenario.edge2])
-        mid_tier = CdnTier("mid", scenario.mid_router, [scenario.mid])
-        far_tier = CdnTier("far", scenario.far_router, [scenario.origin])
-        return TieredCdn([edge_tier, mid_tier, far_tier])
-
-    def test_parent_linking(self, scenario):
-        cdn = self.build_tiers(scenario)
-        assert scenario.edge1.parent == scenario.mid.endpoint
-        assert scenario.mid.parent == scenario.origin.endpoint
-        assert scenario.edge_router.next_tier == \
-            scenario.mid_router.endpoint.ip
-        assert cdn.edge.name == "edge"
-        assert cdn.origin_tier.name == "far"
-
-    def test_fetch_fills_through_tiers(self, scenario):
-        self.build_tiers(scenario)
-        cache_ip = scenario.query().addresses[0]
-        client = HttpClient(scenario.net, scenario.net.host("client"))
-        future = scenario.sim.spawn(
-            client.fetch(scenario.item.url, cache_ip))
-        result = scenario.sim.run_until_resolved(future)
-        assert result.status == 200
-        assert not result.cache_hit
-        # The object travelled origin -> mid -> edge.
-        assert scenario.mid.stats.fills == 1
-        assert scenario.mid.contains(scenario.item.url)
-        # Second fetch is an edge hit and faster.
-        future = scenario.sim.spawn(
-            client.fetch(scenario.item.url, cache_ip))
-        second = scenario.sim.run_until_resolved(future)
-        assert second.cache_hit
-        assert second.latency_ms < result.latency_ms
-
-    def test_hit_ratio_per_tier(self, scenario):
-        cdn = self.build_tiers(scenario)
-        cache_ip = scenario.query().addresses[0]
-        client = HttpClient(scenario.net, scenario.net.host("client"))
-        for _ in range(4):
-            future = scenario.sim.spawn(
-                client.fetch(scenario.item.url, cache_ip))
-            scenario.sim.run_until_resolved(future)
-        assert cdn.edge.hit_ratio() == pytest.approx(3 / 4)
-
-    def test_tier_lookup(self, scenario):
-        cdn = self.build_tiers(scenario)
-        assert cdn.tier("mid").caches == [scenario.mid]
-        with pytest.raises(KeyError):
-            cdn.tier("nonexistent")
-
-    def test_empty_tier_list_rejected(self):
-        with pytest.raises(ValueError):
-            TieredCdn([])

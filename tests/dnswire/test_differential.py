@@ -15,7 +15,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dnswire import (CNAME, NS, SOA, TXT, A,
+from repro.dnswire import (CNAME, NS, SOA, A,
                            ClientSubnet, Edns, ExtendedDnsError, Flags,
                            GenericRdata, LazyMessage, Message, Name, Opcode,
                            Question, Rcode, RecordType, ResourceRecord,
@@ -202,7 +202,9 @@ _rdata = st.one_of(
     _names.map(lambda target: (RecordType.CNAME, CNAME(target))),
     _names.map(lambda target: (RecordType.NS, NS(target))),
     st.lists(st.binary(max_size=40), min_size=1, max_size=3).map(
-        lambda chunks: (RecordType.TXT, TXT(tuple(chunks)))),
+        lambda chunks: (RecordType.TXT, GenericRdata(
+            b"".join(bytes([len(chunk)]) + chunk for chunk in chunks),
+            RecordType.TXT))),
     st.tuples(_names, _names, _u32, _u32, _u32, _u32, _u32).map(
         lambda soa: (RecordType.SOA, SOA(*soa))),
     st.tuples(st.binary(max_size=16), st.sampled_from([99, 65280])).map(

@@ -71,15 +71,15 @@ class TestLookup:
         result = zone.lookup(Name("alias.example.com"), RecordType.CNAME)
         assert result.status == LookupStatus.SUCCESS
 
-    def test_wildcard_synthesis(self, zone):
-        result = zone.lookup(Name("anything.wild.example.com"), RecordType.A)
+    def test_star_label_is_literal(self, zone):
+        # No wildcard synthesis: "*" is an ordinary label.
+        result = zone.lookup(Name("*.wild.example.com"), RecordType.A)
         assert result.status == LookupStatus.SUCCESS
-        assert result.records[0].name == Name("anything.wild.example.com")
         assert result.records[0].rdata.address == "192.0.2.99"
-
-    def test_wildcard_multiple_levels(self, zone):
-        result = zone.lookup(Name("a.b.wild.example.com"), RecordType.A)
-        assert result.status == LookupStatus.SUCCESS
+        result = zone.lookup(Name("x.wild.example.com"), RecordType.A)
+        assert result.status == LookupStatus.NXDOMAIN
+        result = zone.lookup(Name("wild.example.com"), RecordType.A)
+        assert result.status == LookupStatus.NODATA
 
     def test_empty_non_terminal_is_nodata(self, zone):
         # "empty.example.com" exists only as an interior node.

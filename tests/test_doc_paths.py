@@ -4,7 +4,7 @@ README, DESIGN, EXPERIMENTS and ``docs/*.md`` name files and dotted
 Python names in backticks and in fenced command blocks; a deletion that
 forgets one leaves a doc pointing at nothing.  CHANGES.md, ROADMAP.md
 and ``bench/README.md`` are history (they name deleted files on
-purpose) and are not scanned.
+purpose) and are not scanned; CHANGES.md is only held to a line width.
 """
 
 import pkgutil
@@ -60,3 +60,12 @@ def test_quoted_repro_names_resolve():
                                              REPRO_NAME)))
                if not resolves(name.rstrip("()"))]
     assert missing == []
+
+
+def test_changes_lines_are_wrapped():
+    """CHANGES.md is read in a terminal and a diff: no line over 200
+    characters."""
+    long_lines = [number for number, line in enumerate(
+        (ROOT / "CHANGES.md").read_text("utf-8").splitlines(), 1)
+        if len(line) > 200]
+    assert long_lines == []

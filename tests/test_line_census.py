@@ -29,6 +29,12 @@ def test_a_stale_or_unreasoned_entry_is_reported(census, monkeypatch):
         "src/repro/cli.py::gone": ("a", "input"),
         "src/repro/cli.py::main": ("a", "wishful"),
         "src/repro/cli.py::build_parser": ("b", "a paper mechanism"),
+        "src/repro/cli.py::_cmd_dig": (
+            "b", "DESIGN.md §3 Resolver stack: the dig the paper measured "
+            "with — a paraphrase"),
+        "src/repro/cli.py::_run_dig": (
+            "b", "DESIGN.md §3 Resolver stack: stub resolver = the `dig` "
+            "analog — quoted"),
         "src/repro/cli.py::main(argv)": ("c", "argv, which tests feed"),
         "src/repro/cli.py::main(args)": ("c", "a parameter that is not"),
         "src/repro/cli.py::main[DET001]": (1, "a finding row"),
@@ -36,6 +42,8 @@ def test_a_stale_or_unreasoned_entry_is_reported(census, monkeypatch):
         "src/repro/cli.py::gone[RACE001]": (1, "a def that is not"),
     })
     assert census.table_errors() == [
+        "src/repro/cli.py::_cmd_dig: a (b) reason quotes its mechanism from "
+        "DESIGN.md, not 'the dig the paper measured with'",
         "src/repro/cli.py::build_parser: a (b) reason cites its DESIGN.md "
         "row",
         "src/repro/cli.py::gone: no such def / class",
