@@ -7,7 +7,7 @@ encodes those deployments:
 
 * :data:`PROVIDERS` — the providers seen in Figure 3 with their pools.
 * :data:`TABLE1_SITES` — each Table 1 site, its CDN domain, and the
-  per-connectivity pool weights.
+  per-connectivity pool weights; :func:`table1_site` looks one up.
 
 The weights are calibrated to the *qualitative* shape of Figure 3 (which
 pools appear per connectivity and their rough ordering); the paper's bars
@@ -162,3 +162,10 @@ TABLE1_SITES: List[DomainDeployment] = [
         }),
 ]
 
+
+def table1_site(site: str) -> DomainDeployment:
+    """The Table 1 deployment of ``site``; ``KeyError`` for any other."""
+    for deployment in TABLE1_SITES:
+        if deployment.site == site:
+            return deployment
+    raise KeyError(site)

@@ -6,8 +6,9 @@ Subcommands:
   experiment registry (``table1``, ``figure5``, ``resilience``, ...)
   or ``all``.  ``--jobs N`` shards each artifact's trial plan over a
   process pool; serial and sharded runs print byte-identical output.
-* ``dig <name>`` — run dig-style queries against a chosen Figure 5
-  deployment and print each result plus the summary.
+* ``dig`` — run dig-style queries for the testbed's content name
+  against a chosen Figure 5 deployment and print each result plus the
+  summary.
 * ``deployments`` — list the six evaluated DNS deployments.
 * ``profile <artifact>`` — run one artifact under the latency-budget
   profiler (:mod:`repro.profile`): per-deployment budget report and
@@ -29,8 +30,7 @@ Usage examples::
 
     python -m repro.cli experiment figure5 --queries 40
     python -m repro.cli experiment all --jobs 4
-    python -m repro.cli dig video.demo1.mycdn.ciab.test \
-        --deployment mec-ldns-mec-cdns --count 5
+    python -m repro.cli dig --deployment mec-ldns-mec-cdns --count 5
     python -m repro.cli deployments
     python -m repro.cli profile figure5 --out-dir out
     python -m repro.cli slo out/figure5-budget.json
@@ -180,9 +180,6 @@ def _cmd_dig(args: argparse.Namespace) -> int:
 
 def _run_dig(args: argparse.Namespace) -> int:
     testbed = build_testbed(args.deployment, seed=args.seed, ecs=args.ecs)
-    if args.name != str(testbed.query_name).rstrip("."):
-        print(f"note: the testbed serves {testbed.query_name}; "
-              f"querying it instead of {args.name!r}", file=sys.stderr)
     if args.verbose:
         stub = testbed.ue.stub()
         result = testbed.sim.run_until_resolved(
@@ -264,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(handler=_cmd_experiment)
 
     dig = sub.add_parser("dig", help="query a Figure 5 deployment")
-    dig.add_argument("name", nargs="?",
-                     default="video.demo1.mycdn.ciab.test")
     dig.add_argument("--deployment", choices=DEPLOYMENT_KEYS,
                      default="mec-ldns-mec-cdns")
     dig.add_argument("--count", type=int, default=5)

@@ -38,8 +38,7 @@ from repro.netsim.network import Network
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Endpoint
 from repro.netsim.rand import RandomStreams
-from repro.resolver.cache import DnsCache
-from repro.resolver.forwarder import ForwardingResolver
+from repro.resolver.chain import CachePlugin, ChainServer, ForwardPlugin
 
 #: The delivery domain and content name from the paper's prototype (§4).
 CDN_DOMAIN = Name("mycdn.ciab.test")
@@ -134,7 +133,7 @@ class ResilienceConfig(NamedTuple):
 
     * ``answer_ttl`` > 0 lets the CoreDNS cache hold the C-DNS answer
       briefly, giving serve-stale something to serve;
-    * ``serve_stale`` turns on RFC 8767 at the resolver caches;
+    * ``serve_stale`` turns on RFC 8767 at the MEC L-DNS's cache;
     * ``coredns_upstream_timeout`` shortens the L-DNS's upstream wait so
       a dead C-DNS is detected inside the client's patience, not after.
     """
@@ -277,8 +276,7 @@ def _assemble(key: str, placement: Placement, seed: int, ecs: bool = False,
     if placement.resolver is not None:
         expected_ips = expected_ips[:1]  # the one address it has cached
         dns_target = _warmed_resolver(
-            epc, placement.resolver, processing, expected_ips[0],
-            hardening.serve_stale).endpoint
+            epc, placement.resolver, processing, expected_ips[0]).endpoint
     ue.switch_dns(dns_target)
     return Testbed(
         key=key, label=placement.label,
@@ -291,24 +289,26 @@ def _assemble(key: str, placement: Placement, seed: int, ecs: bool = False,
 
 def _warmed_resolver(epc: EvolvedPacketCore,
                      at: Tuple[str, str, LatencyModel],
-                     processing: LatencyModel, cache_answer_ip: str,
-                     serve_stale: bool) -> ForwardingResolver:
-    """A resolver with the CDN A record already cached.
+                     processing: LatencyModel,
+                     cache_answer_ip: str) -> ChainServer:
+    """A cache → forward L-DNS with the CDN A record already cached.
 
     Models the paper's observation that for established CDN domains "the
     A records TTL never expires at L-DNS": the measured latency is the
     path to the resolver plus its lookup, with no upstream traversal.
+    The cache always hits the one name it holds, so RFC 8767 never runs
+    here.
     """
-    cache = DnsCache(serve_stale=serve_stale)
-    cache.put_records(
+    cache = CachePlugin()
+    cache.cache.put_records(
         [ResourceRecord(QUERY_NAME, RecordType.A, 86400, A(cache_answer_ip))],
         now=0.0)
-    return ForwardingResolver(epc.network, epc.add_sgi_host(*at),
-                              upstreams=[Endpoint(WAN_CDNS_IP, 53)],
-                              cache=cache, processing_delay=processing)
+    return ChainServer(epc.network, epc.add_sgi_host(*at),
+                       [cache, ForwardPlugin(Endpoint(WAN_CDNS_IP, 53))],
+                       processing_delay=processing)
 
 
-def add_provider_ldns(testbed: Testbed) -> ForwardingResolver:
+def add_provider_ldns(testbed: Testbed) -> ChainServer:
     """Attach the carrier's L-DNS behind the core as a fallback target.
 
     §3's mitigation — "have DNS requests ... be forwarded to L-DNS on
@@ -319,4 +319,4 @@ def add_provider_ldns(testbed: Testbed) -> ForwardingResolver:
     """
     return _warmed_resolver(
         testbed.epc, ("provider-ldns", "172.21.0.53", CARRIER_LDNS_LATENCY),
-        Constant(0.4), testbed.expected_cache_ips[0], serve_stale=False)
+        Constant(0.4), testbed.expected_cache_ips[0])

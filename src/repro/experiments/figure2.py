@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES
+from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES, table1_site
 from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_table
 from repro.measure.stats import SummaryStats, summarize
@@ -54,13 +54,6 @@ class Figure2Result(NamedTuple):
             title=f"Figure 2: DNS lookup latency ({self.trials} tests/bar)")
 
 
-def _deployment(site: str):
-    for deployment in TABLE1_SITES:
-        if deployment.site == site:
-            return deployment
-    raise KeyError(site)
-
-
 class Figure2Experiment(Experiment):
     """One trial per (site, connectivity) bar, independently seeded."""
 
@@ -88,7 +81,7 @@ class Figure2Experiment(Experiment):
         site = str(spec.value("site"))
         connectivity = str(spec.value("connectivity"))
         scenario = PublicInternetScenario(seed=spec.seed)
-        results = scenario.run_series(connectivity, _deployment(site),
+        results = scenario.run_series(connectivity, table1_site(site),
                                       int(spec.value("trials")))
         stats = summarize([result.query_time_ms for result in results])
         return Figure2Row(site, connectivity, stats)

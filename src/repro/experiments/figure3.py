@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, NamedTuple
 
-from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES
+from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES, table1_site
 from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_bar, format_table
 from repro.runtime import Claim, Experiment, Param, derive_seed
@@ -63,13 +63,6 @@ class Figure3Result(NamedTuple):
         return "\n".join(blocks)
 
 
-def _deployment(site: str):
-    for deployment in TABLE1_SITES:
-        if deployment.site == site:
-            return deployment
-    raise KeyError(site)
-
-
 class Figure3Experiment(Experiment):
     """One trial per (site, connectivity) bar, independently seeded."""
 
@@ -95,7 +88,7 @@ class Figure3Experiment(Experiment):
     def run_trial(self, spec):
         site = str(spec.value("site"))
         connectivity = str(spec.value("connectivity"))
-        deployment = _deployment(site)
+        deployment = table1_site(site)
         scenario = PublicInternetScenario(seed=spec.seed)
         results = scenario.run_series(connectivity, deployment,
                                       int(spec.value("trials")))
@@ -121,7 +114,7 @@ class Figure3Experiment(Experiment):
         """Only the site's pools answer; wired and cellular shares differ."""
         rows = [Claim("pools answered outside the deployment", sum(
                     len(set(row.distribution) - {
-                        pool.label for pool in _deployment(row.site).pools})
+                        pool.label for pool in table1_site(row.site).pools})
                     for row in result.rows), "==", 0),
                 Claim("unmatched answers",
                       sum(row.unmatched for row in result.rows), "==", 0)]

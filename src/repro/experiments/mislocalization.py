@@ -25,7 +25,7 @@ from operator import add
 from typing import Dict, List, NamedTuple
 
 from repro.cdn.geo import GeoIpDatabase, GeoPoint, haversine_km
-from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES
+from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES, table1_site
 from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_table
 from repro.netsim.rand import RandomStreams
@@ -95,13 +95,6 @@ class MislocalizationResult(NamedTuple):
         return summary + "\n\n" + detail
 
 
-def _deployment(site: str):
-    for deployment in TABLE1_SITES:
-        if deployment.site == site:
-            return deployment
-    raise KeyError(site)
-
-
 class MislocalizationExperiment(Experiment):
     """Two kinds of independently-seeded cells.
 
@@ -158,7 +151,7 @@ class MislocalizationExperiment(Experiment):
     def _series_cell(self, spec):
         site = str(spec.value("site"))
         connectivity = str(spec.value("connectivity"))
-        deployment = _deployment(site)
+        deployment = table1_site(site)
         scenario = PublicInternetScenario(seed=spec.seed)
         results = scenario.run_series(connectivity, deployment,
                                       int(spec.value("trials")))

@@ -10,7 +10,9 @@ cellular hotspot), each with its own L-DNS:
   the LTE radio and the opaque operator path the paper blames for the
   "substantially higher delay and higher response time variability".
 
-All three resolvers forward CDN-domain queries to one consolidated
+All three resolvers are cache → forward chains
+(:class:`~repro.resolver.chain.ChainServer`, the MEC L-DNS's cache and
+forward plugins) that send CDN-domain queries to one consolidated
 authority plane (:class:`~repro.cdn.broker.BrokeredCdnAuthority`) that
 applies each Table 1 site's per-connectivity pool mix.  Answer TTLs are
 short (30 s) and the experiment spaces queries a minute apart, so every
@@ -31,7 +33,7 @@ from repro.netsim.latency import lognormal_from_median_p95
 from repro.netsim.network import Network
 from repro.netsim.packet import Endpoint
 from repro.netsim.rand import RandomStreams
-from repro.resolver.forwarder import ForwardingResolver
+from repro.resolver.chain import CachePlugin, ChainServer, ForwardPlugin
 from repro.resolver.stub import DigResult, StubResolver
 
 #: Spacing between repeated tests; longer than the 30 s answer TTL so the
@@ -77,12 +79,20 @@ class PublicInternetScenario:
             per_domain_delay=per_domain_delay)
 
         self._clients: Dict[str, str] = {}
-        self._resolvers: Dict[str, ForwardingResolver] = {}
+        self._resolvers: Dict[str, ChainServer] = {}
         self._build_wired()
         self._build_wifi()
         self._build_cellular()
 
     # -- access paths -----------------------------------------------------------
+
+    def _add_resolver(self, connectivity: str, client: str,
+                      host: str) -> None:
+        """The L-DNS on ``host``: cache, then forward to the CDN plane."""
+        self._clients[connectivity] = client
+        self._resolvers[connectivity] = ChainServer(
+            self.network, self.network.host(host),
+            [CachePlugin(), ForwardPlugin(self.authority.endpoint)])
 
     def _build_wired(self) -> None:
         net = self.network
@@ -93,11 +103,7 @@ class PublicInternetScenario:
         net.add_link("campus-sw", "campus-ldns", WIRED_CAMPUS.access_backhaul)
         net.add_link("campus-ldns", "cdn-plane",
                      lognormal_from_median_p95(5.0, 9.0, shift=2.0))
-        resolver = ForwardingResolver(
-            net, net.host("campus-ldns"),
-            upstreams=[self.authority.endpoint])
-        self._clients["wired-campus"] = "client-wired"
-        self._resolvers["wired-campus"] = resolver
+        self._add_resolver("wired-campus", "client-wired", "campus-ldns")
 
     def _build_wifi(self) -> None:
         net = self.network
@@ -108,11 +114,7 @@ class PublicInternetScenario:
         net.add_link("home-ap", "isp-ldns", WIFI_HOME.access_backhaul)
         net.add_link("isp-ldns", "cdn-plane",
                      lognormal_from_median_p95(6.0, 11.0, shift=2.5))
-        resolver = ForwardingResolver(
-            net, net.host("isp-ldns"),
-            upstreams=[self.authority.endpoint])
-        self._clients["wifi-home"] = "client-wifi"
-        self._resolvers["wifi-home"] = resolver
+        self._add_resolver("wifi-home", "client-wifi", "isp-ldns")
 
     def _build_cellular(self) -> None:
         net = self.network
@@ -131,11 +133,7 @@ class PublicInternetScenario:
                      lognormal_from_median_p95(15.0, 36.0, shift=6.0))
         net.add_link("carrier-ldns", "cdn-plane",
                      lognormal_from_median_p95(6.0, 11.0, shift=2.5))
-        resolver = ForwardingResolver(
-            net, net.host("carrier-ldns"),
-            upstreams=[self.authority.endpoint])
-        self._clients["cellular-mobile"] = "client-cell"
-        self._resolvers["cellular-mobile"] = resolver
+        self._add_resolver("cellular-mobile", "client-cell", "carrier-ldns")
         self.epc = epc
 
     # -- query drivers ----------------------------------------------------------------

@@ -7,9 +7,9 @@ models that platform:
 
 * :mod:`repro.mec.cluster` — nodes, pods, services, cluster IPs
   (including the fixed-cluster-IP-across-scaling behaviour §4 relies on).
-* :mod:`repro.mec.coredns` — the CoreDNS analog assembled from chain
-  plugins: cache, kubernetes service discovery, stub-domain forwarding,
-  default forward.
+* :mod:`repro.mec.coredns` — the CoreDNS analog: the chain server
+  (:mod:`repro.resolver.chain`) with kubernetes service discovery and
+  stub-domain forwarding between its cache and default forward.
 * :mod:`repro.mec.namespaces` — the split public/internal namespace
   plugin, with refuse and ignore policies.
 * :mod:`repro.mec.ingress` — ingress-rate monitoring and the
@@ -22,10 +22,8 @@ from repro.mec.cluster import Orchestrator, Node, Pod, Service
 from repro.mec.controller import ReplicaController
 from repro.mec.coredns import (
     CoreDnsServer,
-    CachePlugin,
     KubernetesPlugin,
     StubDomainPlugin,
-    ForwardPlugin,
 )
 from repro.mec.namespaces import SplitNamespacePlugin, NamespacePolicy
 from repro.mec.ingress import IngressMonitor, DosMitigation
@@ -38,10 +36,8 @@ __all__ = [
     "Service",
     "ReplicaController",
     "CoreDnsServer",
-    "CachePlugin",
     "KubernetesPlugin",
     "StubDomainPlugin",
-    "ForwardPlugin",
     "SplitNamespacePlugin",
     "NamespacePolicy",
     "IngressMonitor",

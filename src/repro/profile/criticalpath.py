@@ -164,10 +164,7 @@ def _stage_for(span: Span, chain: Tuple[Span, ...],
         return STAGE_UPSTREAM
     if span.name == "dns.serve" and "upstream.exchange" in ancestor_names:
         return STAGE_UPSTREAM
-    if (span.category == "mec" or span.name in ("dns.serve",
-                                                "ldns.cache-lookup",
-                                                "ldns.serve-stale")
-            or span.name.startswith("plugin.")):
+    if span.category == "mec" or span.name == "dns.serve":
         return STAGE_LDNS_CACHE
     if (span.category == "measure" or span.track in client_tracks
             or span.name in ("lookup", "stub.query", "stub.attempt")):

@@ -9,11 +9,11 @@
   (CNAME chasing, referrals).
 * :mod:`repro.resolver.recursive` — iterative resolver with root hints,
   referral chasing, glue handling, and negative caching.
-* :mod:`repro.resolver.forwarder` — forwarding resolver over a cache,
-  with serve-stale.
 * :mod:`repro.resolver.stub` — the client side; its :class:`DigResult`
   mirrors the fields the paper reads off ``dig``.
-* :mod:`repro.resolver.chain` — CoreDNS-style plugin chain.
+* :mod:`repro.resolver.chain` — CoreDNS-style plugin chain and
+  :class:`ChainServer`, the one L-DNS: a public resolver is its cache
+  and forward plugins (with serve-stale).
 * :mod:`repro.resolver.retry` — the stub's retry policy: timeouts,
   backoff + jitter, hedged queries.
 """
@@ -22,9 +22,9 @@ from repro.resolver.cache import DnsCache, CacheOutcome
 from repro.resolver.server import DnsServer
 from repro.resolver.authoritative import AuthoritativeServer
 from repro.resolver.recursive import RecursiveResolver
-from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.stub import StubResolver, DigResult
-from repro.resolver.chain import Plugin, PluginChain, QueryContext
+from repro.resolver.chain import (CachePlugin, ChainServer, ForwardPlugin,
+                                  Plugin, PluginChain, QueryContext)
 from repro.resolver.retry import RetryPolicy
 from repro.resolver.xfr import SecondaryZone
 
@@ -34,9 +34,11 @@ __all__ = [
     "DnsServer",
     "AuthoritativeServer",
     "RecursiveResolver",
-    "ForwardingResolver",
     "StubResolver",
     "DigResult",
+    "ChainServer",
+    "CachePlugin",
+    "ForwardPlugin",
     "Plugin",
     "PluginChain",
     "QueryContext",

@@ -21,13 +21,11 @@ from repro.dnswire.types import Rcode, RecordType
 from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache, negative_ttl
-from repro.resolver.server import DnsServer
+from repro.resolver.server import UPSTREAM_TIMEOUT_MS, DnsServer
 
 MAX_CNAME_CHAIN = 8
 MAX_REFERRALS = 16
 MAX_NS_RESOLUTION_DEPTH = 4
-#: One shot per upstream server, in ms, before trying the next.
-UPSTREAM_TIMEOUT_MS = 2000.0
 
 
 class RecursiveResolver(DnsServer):

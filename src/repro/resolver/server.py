@@ -36,6 +36,9 @@ from repro.telemetry.trace import ERROR_NAME, EndOnError
 DEFAULT_PROCESSING_DELAY = Constant(0.2)
 
 DNS_PORT = 53
+#: One shot per upstream, in ms: how long every forwarder and the
+#: recursive resolver wait on an upstream before giving up on it.
+UPSTREAM_TIMEOUT_MS = 2000.0
 #: The simulator has one port space per host (no protocol dimension), so
 #: DNS-over-TCP (really TCP/53) listens here.
 DNS_TCP_PORT = 1053

@@ -13,14 +13,11 @@ from repro.cdn.providers import (
     CONNECTIVITIES,
     FASTLY_151,
     TABLE1_SITES,
+    table1_site,
 )
 
 ATLANTA = GeoPoint(33.749, -84.388)
 NYC = GeoPoint(40.713, -74.006)
-
-
-def deployment_for(site):
-    return next(row for row in TABLE1_SITES if row.site == site)
 
 
 class TestGeo:
@@ -114,9 +111,15 @@ class TestProviders:
             assert len(mixes) == 3
 
     def test_pool_for_ip(self):
-        deployment = deployment_for("Agoda")
+        deployment = table1_site("Agoda")
         assert deployment.pool_for_ip("23.55.124.9") == AKAMAI_24
         assert deployment.pool_for_ip("203.0.113.1") is None
+
+    def test_unknown_site_raises_key_error(self):
+        assert table1_site("Expedia").domain.to_text() == \
+            "a.cdn.intentmedia.net."
+        with pytest.raises(KeyError):
+            table1_site("Hotels.com")
 
     def test_unknown_connectivity_rejected(self):
         with pytest.raises(ValueError):
@@ -125,7 +128,7 @@ class TestProviders:
 
 class TestBroker:
     def test_selection_tracks_weights(self):
-        deployment = deployment_for("Agoda")
+        deployment = table1_site("Agoda")
         broker = CdnBroker(deployment, random.Random(9))
         counts = Counter(broker.select_pool("wired-campus").label
                          for _ in range(2000))
@@ -133,7 +136,7 @@ class TestBroker:
         assert share == pytest.approx(0.80, abs=0.04)
 
     def test_distributions_differ_by_connectivity(self):
-        deployment = deployment_for("Agoda")
+        deployment = table1_site("Agoda")
         broker = CdnBroker(deployment, random.Random(9))
         wired = Counter(broker.select_pool("wired-campus").label
                         for _ in range(1000))
@@ -142,7 +145,7 @@ class TestBroker:
         assert wired[AKAMAI_24.label] > 2 * cellular[AKAMAI_24.label]
 
     def test_resolve_returns_in_pool_address(self):
-        deployment = deployment_for("Booking.com")
+        deployment = table1_site("Booking.com")
         broker = CdnBroker(deployment, random.Random(1))
         address = broker.resolve("wifi-home", "resolver-x")
         assert deployment.pool_for_ip(address) is not None

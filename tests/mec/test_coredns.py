@@ -1,7 +1,10 @@
 """Tests for the CoreDNS analog, split namespaces, ingress, and IP reuse."""
 
+import gc
+
 import pytest
 
+from repro.core.deployments import build_testbed
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import QueryTimeout
@@ -20,11 +23,12 @@ from repro.netsim.engine import ProcessFailed
 from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
 
 
-def build_zone(domain, address):
+def build_zone(domain, address, negative_ttl=60):
     zone = Zone(Name(domain))
     zone.add(ResourceRecord(Name(domain), RecordType.SOA,
                             300, SOA(Name(f"ns.{domain}"),
-                                     Name(f"admin.{domain}"), 1, 2, 3, 4, 60)))
+                                     Name(f"admin.{domain}"), 1, 2, 3, 4,
+                                     negative_ttl)))
     zone.add(ResourceRecord(Name(domain), RecordType.NS, 300,
                             NS(Name(f"ns.{domain}"))))
     zone.add(ResourceRecord(Name(f"video.{domain}"), RecordType.A, 300,
@@ -35,7 +39,7 @@ def build_zone(domain, address):
 class MecDnsScenario:
     """UE + internal VNF querying a MEC CoreDNS with stub/forward plugins."""
 
-    def __init__(self, split=None):
+    def __init__(self, split=None, negative_ttl=60):
         self.sim = Simulator()
         self.net = Network(self.sim, RandomStreams(17))
         # Cluster node + clients.
@@ -50,7 +54,8 @@ class MecDnsScenario:
         self.net.add_link("node-a", "provider-ldns", Constant(25))
         self.net.add_link("node-a", "cdns", Constant(0.5))
         AuthoritativeServer(self.net, self.net.host("provider-ldns"),
-                            [build_zone("example.com", "198.18.1.1")])
+                            [build_zone("example.com", "198.18.1.1",
+                                        negative_ttl)])
         AuthoritativeServer(self.net, self.net.host("cdns"),
                             [build_zone("mycdn.ciab.test", "10.233.1.10")])
         # Orchestrator with one registered service for discovery tests.
@@ -67,12 +72,13 @@ class MecDnsScenario:
             upstream=Endpoint("203.0.113.10", 53),
             front_plugins=[split] if split else None)
 
-    def query_from(self, host_name, qname, timeout=3000, retries=0):
+    def query_from(self, host_name, qname, timeout=3000, retries=0,
+                   rtype=RecordType.A):
         stub = StubResolver(
             self.net, self.net.host(host_name), self.coredns.endpoint,
             policy=RetryPolicy(retries=retries, timeout_ms=timeout,
                                backoff=1.0))
-        future = self.sim.spawn(stub.query(Name(qname)))
+        future = self.sim.spawn(stub.query(Name(qname), rtype))
         return self.sim.run_until_resolved(future)
 
 
@@ -128,6 +134,56 @@ class TestCoreDns:
         scenario.coredns.forward_plugin.timeout = 50
         result = scenario.query_from("ue", "video.example.com")
         assert result.status == "SERVFAIL"
+
+
+class TestOneCacheRuleSet:
+    """The MEC L-DNS's cache follows the rules every L-DNS follows."""
+
+    def test_nxdomain_cached_for_the_soa_negative_ttl(self):
+        # RFC 2308: the SOA says 45 s, so the entry outlives 30 s and is
+        # gone before the 60 s a response without an SOA would get.
+        scenario = MecDnsScenario(negative_ttl=45)
+        forward = scenario.coredns.forward_plugin
+        assert scenario.query_from("ue", "ghost.example.com").status == \
+            "NXDOMAIN"
+        scenario.sim.run(until=scenario.sim.now + 40_000)
+        assert scenario.query_from("ue", "ghost.example.com").status == \
+            "NXDOMAIN"
+        assert forward.forwarded == 1
+        scenario.sim.run(until=scenario.sim.now + 10_000)
+        scenario.query_from("ue", "ghost.example.com")
+        assert forward.forwarded == 2
+
+    def test_repeated_nodata_answered_from_cache(self):
+        scenario = MecDnsScenario()
+        first = scenario.query_from("ue", "video.example.com",
+                                    rtype=RecordType.AAAA)
+        second = scenario.query_from("ue", "video.example.com",
+                                     rtype=RecordType.AAAA)
+        assert (first.status, first.addresses) == ("NOERROR", [])
+        assert (second.status, second.addresses) == ("NOERROR", [])
+        assert scenario.coredns.forward_plugin.forwarded == 1
+        assert second.query_time_ms < first.query_time_ms
+
+    def test_lookups_leave_no_cycles(self):
+        # The chain hands each plugin a partial of PluginChain.run, not a
+        # closure over itself, so a finished lookup frees by refcount.
+        testbed = build_testbed("mec-ldns-mec-cdns")
+        stub = testbed.ue.stub()
+
+        def lookup():
+            future = testbed.sim.spawn(stub.query(testbed.query_name))
+            assert testbed.sim.run_until_resolved(future).status == "NOERROR"
+
+        lookup()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                lookup()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSplitNamespace:

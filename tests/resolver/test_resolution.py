@@ -8,7 +8,8 @@ from repro.netsim.engine import ProcessFailed
 from repro.netsim import Constant
 from repro.netsim.packet import Endpoint
 from repro.mec.coredns import stub_domain_upstream
-from repro.resolver import ForwardingResolver, RetryPolicy, StubResolver
+from repro.resolver import (CachePlugin, ChainServer, ForwardPlugin,
+                            RetryPolicy, StubResolver)
 
 from tests.resolver.conftest import MiniInternet
 
@@ -123,34 +124,36 @@ class TestEcsResolution:
 
 
 class TestForwarder:
-    def build(self, internet):
-        internet.net.add_host("fwd", "10.0.0.54")
-        internet.net.add_link("client", "fwd", Constant(1))
-        internet.net.add_link("fwd", "resolver", Constant(2))
-        forwarder = ForwardingResolver(
-            internet.net, internet.net.host("fwd"),
-            upstreams=[internet.resolver.endpoint])
-        stub = StubResolver(internet.net, internet.net.host("client"),
-                            forwarder.endpoint)
-        return forwarder, stub
+    """A public L-DNS: the cache → forward plugin chain behind one socket."""
+
+    def build(self, internet, host="fwd", ip="10.0.0.54", upstream=None):
+        internet.net.add_host(host, ip)
+        internet.net.add_link("client", host, Constant(1))
+        internet.net.add_link(host, "resolver", Constant(2))
+        self.cache = CachePlugin()
+        self.forward = ForwardPlugin(upstream or internet.resolver.endpoint)
+        server = ChainServer(internet.net, internet.net.host(host),
+                             [self.cache, self.forward])
+        return StubResolver(internet.net, internet.net.host("client"),
+                            server.endpoint)
 
     def run(self, internet, stub, name, rtype=RecordType.A):
         future = internet.sim.spawn(stub.query(Name(name), rtype))
         return internet.sim.run_until_resolved(future)
 
     def test_forwards_to_upstream(self, internet):
-        forwarder, stub = self.build(internet)
+        stub = self.build(internet)
         result = self.run(internet, stub, "www.example.com")
         assert result.addresses == ["203.0.113.80"]
-        assert forwarder.forwarded == 1
+        assert self.forward.forwarded == 1
 
     def test_caches_forwarded_answers(self, internet):
-        forwarder, stub = self.build(internet)
+        stub = self.build(internet)
         self.run(internet, stub, "www.example.com")
         result = self.run(internet, stub, "www.example.com")
         assert result.addresses == ["203.0.113.80"]
-        assert forwarder.forwarded == 1
-        assert forwarder.served_from_cache == 1
+        assert self.forward.forwarded == 1
+        assert self.cache.cache.hits == 1
 
     def test_longest_stub_domain_wins(self, internet):
         # The paper's stub domain is the CoreDNS L-DNS's; this is its rule.
@@ -163,22 +166,19 @@ class TestForwarder:
         assert stub_domain_upstream(domains, Name("example.org")) is None
 
     def test_dead_upstream_yields_servfail(self, internet):
-        internet.net.add_host("fwd2", "10.0.0.55")
-        internet.net.add_link("client", "fwd2", Constant(1))
-        forwarder = ForwardingResolver(
-            internet.net, internet.net.host("fwd2"),
-            upstreams=[Endpoint("10.9.9.9", 53)])  # unroutable
-        stub = StubResolver(internet.net, internet.net.host("client"),
-                            forwarder.endpoint)
+        stub = self.build(internet, "fwd2", "10.0.0.55",
+                          upstream=Endpoint("10.9.9.9", 53))  # unroutable
         result = self.run(internet, stub, "www.example.com")
         assert result.status == "SERVFAIL"
+        # The relay's own SERVFAIL carries no RA (CoreDNS's rule).
+        assert not result.response.flags.ra
 
     def test_negative_answers_cached(self, internet):
-        forwarder, stub = self.build(internet)
+        stub = self.build(internet)
         self.run(internet, stub, "ghost.example.com")
         result = self.run(internet, stub, "ghost.example.com")
         assert result.status == "NXDOMAIN"
-        assert forwarder.forwarded == 1
+        assert self.forward.forwarded == 1
 
 
 class TestStubBehaviour:

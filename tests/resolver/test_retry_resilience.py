@@ -11,10 +11,10 @@ from repro.errors import QueryTimeout
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
 from repro.netsim.stream import StreamServer, open_channel
-from repro.resolver import (AuthoritativeServer, DnsCache, ForwardingResolver,
-                            RetryPolicy, StubResolver)
+from repro.resolver import (AuthoritativeServer, CachePlugin, ChainServer,
+                            ForwardPlugin, RetryPolicy, StubResolver)
 from repro.resolver.cache import STALE_ANSWER_TTL
-from repro.resolver.forwarder import UPSTREAM_TIMEOUT_MS
+from repro.resolver.server import UPSTREAM_TIMEOUT_MS
 
 QNAME = Name("www.example.com")
 
@@ -87,7 +87,8 @@ class TestRetryPolicy:
 
 
 class ResolverWorld:
-    """client -- resolver -- upstream, with a configurable resolver cache."""
+    """client -- resolver -- upstream; the resolver is a cache → forward
+    chain, with serve-stale when asked."""
 
     def __init__(self, serve_stale=False, seed=31):
         self.sim = Simulator()
@@ -99,10 +100,10 @@ class ResolverWorld:
         self.net.add_link("resolver", "upstream", Constant(10))
         AuthoritativeServer(self.net, self.net.host("upstream"),
                             [build_zone()])
-        self.resolver = ForwardingResolver(
+        self.cache = CachePlugin(serve_stale=serve_stale)
+        self.resolver = ChainServer(
             self.net, self.net.host("resolver"),
-            upstreams=[Endpoint("203.0.113.10", 53)],
-            cache=DnsCache(serve_stale=serve_stale))
+            [self.cache, ForwardPlugin(Endpoint("203.0.113.10", 53))])
 
     def stub(self, policy):
         return StubResolver(self.net, self.net.host("client"),
@@ -132,7 +133,7 @@ class TestServeStale:
         assert result.status == "NOERROR"
         assert result.addresses == ["198.18.0.9"]
         assert result.stale
-        assert world.resolver.stale_served == 1
+        assert world.cache.stale_served == 1
 
     def test_stale_answer_carries_ede_and_capped_ttl(self):
         world = ResolverWorld(serve_stale=True)

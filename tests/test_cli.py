@@ -96,11 +96,6 @@ class TestCommands:
         assert main(["dig", "--count", "2", "--ecs"]) == 0
         assert capsys.readouterr().out.count("NOERROR") == 2
 
-    def test_dig_warns_on_other_name(self, capsys):
-        assert main(["dig", "www.google.com", "--count", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "note:" in captured.err
-
 
 class TestTelemetryExports:
     def test_dig_writes_chrome_trace_and_metrics(self, tmp_path, capsys):

@@ -110,15 +110,18 @@ class TestTelemetryGolden:
     """Every telemetry byte of the population fixture, pinned.
 
     Recorded at the commit before the kernel/observer split
-    (f477b8b).  Covers the engine's windows, sampled session trees and
-    tail exemplars as well as the packet-level spans calibration emits;
-    re-record only for a change that means to move them.
+    (f477b8b); re-recorded when the public resolvers became cache →
+    forward plugin chains, which moved their cache probes from the
+    ``ldns.*`` names to the ``coredns.*`` ones.  Covers the engine's
+    windows, sampled session trees and tail exemplars as well as the
+    packet-level spans calibration emits; re-record only for a change
+    that means to move them.
     """
 
     ARTIFACT_SHA256 = (
-        "3978a416075eba3015b00017591e6859ec484bbf3b21d796d1b4dc699207131d")
+        "ffea3310e25a53dcd86e3e58b4b91c2a6d81d743cb6a53555bd88898c12da1a2")
     SPANS_SHA256 = (
-        "82f4e241f6c03b9b19c7f921ec3a27ed39d76289d0f32ab20fdba166c7cde1b9")
+        "5cc9299d2a419ddf561c23f03903cae0d69ebdf205f16619c519f9c0f206a1b6")
 
     @pytest.mark.parametrize("which", ["serial", "sharded"])
     def test_population_telemetry_bytes(self, population_runs, which):
