@@ -3,10 +3,10 @@
 
 The CDN's delivery zone changes whenever customers publish content.  In
 standard DNS operations the authoritative primary bumps the SOA serial
-and secondaries pull the change with AXFR — over TCP, because the payload
-outgrows a UDP response.  This demo runs that pipeline on the simulated
-stack: primary update -> SOA poll -> truncated UDP answer -> TCP
-transfer -> the secondary starts answering for the new name.
+and secondaries pull the change with AXFR.  This demo runs that
+pipeline on the simulated stack: primary update -> SOA poll -> AXFR
+(the whole zone in one answer: the simulated fabric has no size limit)
+-> the secondary starts answering for the new name.
 
 Run:  python examples/zone_transfer_ops.py
 """
@@ -83,10 +83,8 @@ def main() -> None:
     transferred = sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
     print(f"  transferred={transferred} — serial unchanged, "
           f"no transfer traffic")
-    stub2 = StubResolver(net, net.host("ue"), edge_server.endpoint)
-    print(f"\nThe 20-record zone exceeds a 512-byte UDP answer, so each "
-          f"transfer ran over the stream transport; the edge answers "
-          f"locally either way.")
+    print("\nEach transfer carried the whole zone in one answer; the edge "
+          "answers locally either way.")
 
 
 if __name__ == "__main__":

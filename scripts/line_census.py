@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Which lines of ``src/repro`` only the tests run: the line census.
+"""Which lines of ``src/repro`` no CI command runs: the line census.
 
     python3.12 scripts/line_census.py                    # run and gate
     python3.12 scripts/line_census.py --report out.json  # and keep the lines
 
 Runs every product surface (``SURFACES``: each ``repro`` command CI runs,
-the examples and the bench children), then tier-1, each process under a
-hook that ``sitecustomize`` loads: a ``sys.monitoring`` LINE callback that
-records the location and returns ``DISABLE``, so each location costs one
-call per process.  Executable lines are what ``co_lines()`` lists for the
-code objects of every ``src/repro`` file.  A line no surface runs is
-*test-only* if tier-1 runs it and *nowhere* if nothing does.
+and the bench children), then tier-1, each process under a hook that
+``sitecustomize`` loads: a ``sys.monitoring`` LINE callback that records
+the location and returns ``DISABLE``, so each location costs one call per
+process.  The examples are tests, not a surface: no CI job runs them but
+tier-1's ``tests/test_examples.py``.  Executable lines are what
+``co_lines()`` lists for the code objects of every ``src/repro`` file.  A
+line no surface runs is *test-only* if tier-1 runs it and *nowhere* if
+nothing does; together they are the lines *not on surfaces*.
 
 Every test-only line must sit inside a ``raise`` statement (class (a) by
 construction), in a ``def`` / ``class`` that ``CLASSES`` names (the
@@ -24,9 +26,10 @@ of parameters only tests set, keyed ``file::qualname(param)``
 the design needs, keyed ``file::qualname[RULE]``
 (``tests/check/test_runner.py``).  The exit status is 1 if the table
 names a def or parameter that is gone, a test-only line is unclassified,
-or the test-only total is above ``CEILING``.  Needs 3.12 or later, and
-pytest for tier-1; ``docs/TESTING.md`` says how to read the report and
-lower the ceiling.
+or the lines not on surfaces (test-only plus nowhere: nowhere lines need
+no class, but they count) are above ``CEILING``.  Needs 3.12 or later,
+and pytest for tier-1; ``docs/TESTING.md`` says how to read the report
+and lower the ceiling.
 """
 
 from __future__ import annotations
@@ -48,13 +51,15 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 from tests.static import index  # noqa: E402  (the one module index)
 
-#: Test-only lines, classified and out of scope included, may not exceed
-#: this.  Two runs read 664 each, but which pool worker closes a
-#: suspended generator (running its ``except`` lines) depends on
+#: Lines not on surfaces (test-only, classified and out of scope
+#: included, plus nowhere) may not exceed this, so deleting a mechanism's
+#: last test without its code cannot lower the gated number.  Two runs
+#: read 1,166 each, and a reading can move by a line: which pool worker
+#: closes a suspended generator (running its ``except`` lines) depends on
 #: scheduling, so the ceiling sits two above the largest reading.  Lower
 #: it when a change deletes lines or a surface starts running them; never
 #: raise it to fit one.
-CEILING = 666
+CEILING = 1168
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -102,6 +107,8 @@ _CORE = "DESIGN.md §3 Core contribution: "
 _WIRE = "DESIGN.md §3 DNS wire protocol: "
 _ZONE = "DESIGN.md §3 Zone data: "
 _SIM = "DESIGN.md §3 Event simulator: "
+_MOBILE = "DESIGN.md §3 Mobile network: "
+_EXPERIMENTS = "DESIGN.md §3 Experiments: "
 
 #: The one exemption table.  Why a test-only def, or a parameter only tests
 #: set, stays: ``file::qualname`` or ``file::qualname(param)`` -> (class,
@@ -120,10 +127,16 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/cdn/allocation.py::HashRing": (
         "b", _CDN + "consistent hashing — the ring's members; an empty "
         "ring picks nothing"),
+    "src/repro/cdn/cache_server.py::CacheServer._on_request": (
+        "a", "network"),
     "src/repro/cdn/cache_server.py::CacheServer._serve": ("a", "network"),
     "src/repro/cdn/cache_server.py::CacheServer._fill_from_parent": (
         "a", "network"),
     "src/repro/cdn/cache_server.py::CacheServer.admit": ("a", "clamp"),
+    "src/repro/cdn/cache_server.py::CacheStats.hit_ratio": (
+        "b", _CDN + "cache servers with hit/miss accounting and origin "
+        "fill — the hit ratio a cache reports"),
+    "src/repro/cdn/content.py::ContentCatalog.by_url": ("a", "missing"),
     "src/repro/cdn/content.py::ZipfRankStream._integral": (
         "a", "degenerate"),
     "src/repro/cdn/content.py::ZipfRankStream.next_rank": (
@@ -131,11 +144,16 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/cdn/content.py::ZipfRankStream._next_rank_logarithmic": (
         "a", "degenerate"),
     "src/repro/cdn/geo.py::GeoIpDatabase.lookup": ("a", "missing"),
-    "src/repro/cdn/health.py::HealthMonitor._account": (
-        "b", _CDN + "active health monitor with failure hysteresis — a "
-        "cache that answers again is healthy again"),
+    "src/repro/cdn/health.py::HealthMonitor": (
+        "b", _CDN + "active health monitor with failure hysteresis — "
+        "probes each cache, marks it down after the threshold, and up "
+        "again when it answers"),
     "src/repro/cdn/httpsim.py::_parse_response": ("a", "network"),
+    "src/repro/cdn/policy.py::LfuPolicy": (
+        "b", _CDN + "LRU/LFU/FIFO eviction — least frequently used"),
     "src/repro/cdn/policy.py::LfuPolicy.choose_victim": ("a", "degenerate"),
+    "src/repro/cdn/policy.py::FifoPolicy": (
+        "b", _CDN + "LRU/LFU/FIFO eviction — first in, first out"),
     "src/repro/cdn/providers.py::DomainDeployment.weights_for": (
         "a", "input"),
     "src/repro/cdn/providers.py::DomainDeployment.pool_for_ip": (
@@ -175,14 +193,22 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/dnswire/name.py::Name.__reduce__": (
         "b", _WIRE + "domain names — a Name sent to a pool worker rebuilds "
         "its per-process hash"),
+    "src/repro/dnswire/name.py::Name.parent": (
+        "b", _WIRE + "domain names — the name one label up, the inverse "
+        "of `prepend`"),
     "src/repro/dnswire/name.py::Name.to_text": ("a", "wire"),
     "src/repro/dnswire/name.py::_text_to_labels": ("a", "input"),
     "src/repro/dnswire/rdata.py::Rdata.__eq__": ("a", "type"),
     "src/repro/dnswire/rdata.py::parse_rdata": ("a", "wire"),
     "src/repro/dnswire/rdata.py::GenericRdata": ("a", "wire"),
+    "src/repro/dnswire/rdata.py::_SingleName": (
+        "b", _WIRE + "typed rdata — NS, CNAME and PTR written to and read "
+        "from bytes"),
     "src/repro/dnswire/rdata.py::_SingleName.to_text": (
         "b", _RESOLVER + "stub resolver = the `dig` analog — `repro dig "
         "--verbose` prints the response in presentation form"),
+    "src/repro/dnswire/rdata.py::SOA.from_wire": (
+        "b", _WIRE + "typed rdata — an SOA read from bytes"),
     "src/repro/dnswire/rdata.py::SOA.to_text": (
         "b", _RESOLVER + "stub resolver = the `dig` analog — `repro dig "
         "--verbose` prints the response in presentation form"),
@@ -190,6 +216,7 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/dnswire/wire.py::WireReader.read_name": (
         "c", "_NAME_MEMO_MAX, which a test drives past (the truncated "
         "spelling beside it follows rule wire)"),
+    "src/repro/dnswire/zone.py::Zone.add": ("a", "input"),
     "src/repro/dnswire/zone.py::Zone.lookup": (
         "b", _ZONE + "CNAME semantics and empty non-terminals — out-of-zone "
         "names"),
@@ -225,6 +252,8 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/mec/cluster.py::Orchestrator.resolve_service_name": (
         "b", _MEC + "CoreDNS analog with plugin chain incl. kubernetes — "
         "service names resolve to cluster IPs"),
+    "src/repro/mec/controller.py::ReplicaController": (
+        "b", _MEC + "ReplicaController keeping services at their pod count"),
     "src/repro/mec/controller.py::ReplicaController.reconcile_once": (
         "a", "network"),
     "src/repro/mec/coredns.py::KubernetesPlugin.handle": (
@@ -236,16 +265,27 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
         "the default forward"),
     "src/repro/mec/coredns.py::CoreDnsServer.add_stub_domain": (
         "b", _MEC + "stub-domain upstream (the paper's §4 configuration)"),
+    "src/repro/mec/ingress.py::DosMitigation.evaluate": (
+        "b", _MEC + "ingress-load monitor with threshold fallback — the "
+        "managed UEs switched back when the load falls"),
     "src/repro/mec/ipreuse.py::PublicIpPlan": (
         "b", "DESIGN.md §5 Public IP reuse: public IPs needed with and "
         "without the shared-cluster-IP design"),
     "src/repro/mec/namespaces.py::SplitNamespacePlugin.handle": (
         "b", _MEC + "split public/internal DNS namespaces — internal "
         "clients see both; the IGNORE policy answers nothing"),
+    # -- mobile --------------------------------------------------------------
+    "src/repro/mobile/ran.py::BaseStation.attach": (
+        "b", _MOBILE + "X2-style handoff that re-targets the UE's DNS — the "
+        "MEC DNS a base station pushes to an attaching UE"),
     # -- netsim --------------------------------------------------------------
     "src/repro/netsim/engine.py::SimFuture.add_done_callback": (
         "b", _SIM + "process callbacks — a callback added to a resolved "
         "future runs on the next tick"),
+    "src/repro/netsim/engine.py::Simulator._drain": (
+        "c", "until, which tests set inside a run's event horizon"),
+    "src/repro/netsim/engine.py::Simulator.run": (
+        "c", "until, which tests set past a run's last event"),
     "src/repro/netsim/engine.py::_Process._step": ("a", "input"),
     "src/repro/netsim/latency.py::LatencyModel.__add__": (
         "b", _SIM + "latency distributions (constant/uniform/normal/"
@@ -265,13 +305,11 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/netsim/network.py::Network._routes_from": (
         "b", _SIM + "topology with shortest-path routing (a lazy "
         "per-source Dijkstra) — a settled host's stale heap entry"),
-    "src/repro/netsim/stream.py::StreamChannel._reliable_exchange": (
-        "a", "network"),
     # -- profile -------------------------------------------------------------
     "src/repro/profile/criticalpath.py::_stage_for": (
-        "b", _RESOLVER + "stub resolver = the `dig` analog with "
-        "truncation→TCP retry — the stages of that retry, an L-DNS's "
-        "upstream exchange and the plugin chain"),
+        "b", _RESOLVER + "plugin-style handler chain and the chain server "
+        "behind every L-DNS — the stage of an L-DNS's upstream exchange, "
+        "and a client span's"),
     "src/repro/profile/criticalpath.py::trace_segments": (
         "a", "degenerate"),
     "src/repro/profile/profiler.py::render_profile": (
@@ -298,9 +336,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/resolver/cache.py::DnsCache.put_negative": (
         "b", _RESOLVER + "TTL-aware positive/negative cache"),
     "src/repro/resolver/cache.py::DnsCache.put_records": ("a", "wire"),
-    "src/repro/resolver/cache.py::DnsCache.peek_addresses": (
-        "b", _RESOLVER + "iterative recursive resolver — cached NS "
-        "addresses it starts from"),
     "src/repro/resolver/cache.py::_NegativeEntry": (
         "b", _RESOLVER + "TTL-aware positive/negative cache"),
     "src/repro/resolver/cache.py::negative_ttl": (
@@ -311,11 +346,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/resolver/chain.py::PluginChain.run": (
         "b", _RESOLVER + "plugin-style handler chain — a chain that runs "
         "out of plugins answers REFUSED"),
-    "src/repro/resolver/recursive.py::RecursiveResolver": (
-        "b", _RESOLVER + "iterative recursive resolver"),
-    "src/repro/resolver/recursive.py::_is_glue": (
-        "b", _RESOLVER + "iterative recursive resolver — glue under a "
-        "referral"),
     "src/repro/resolver/server.py::DnsServer._on_datagram": ("a", "wire"),
     "src/repro/resolver/server.py::DnsServer._send_error_for_garbage": (
         "a", "wire"),
@@ -323,20 +353,25 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
         "b", _RESOLVER + "finite-capacity service model (workers + "
         "backlog) — a query shed at a full queue"),
     "src/repro/resolver/stub.py::StubResolver._query_impl": (
-        "b", _RESOLVER + "stub resolver = the `dig` analog with "
-        "truncation→TCP retry, the one owner of the retry schedule — "
-        "malformed replies and SERVFAIL retried"),
+        "b", _RESOLVER + "stub resolver = the `dig` analog, the one owner "
+        "of the retry schedule — malformed replies and SERVFAIL retried"),
     "src/repro/resolver/xfr.py::ZoneDelta.new_serial": (
         "b", _RESOLVER + "AXFR/IXFR with change journal"),
     "src/repro/resolver/xfr.py::apply_ixfr": ("a", "input"),
     "src/repro/resolver/xfr.py::SecondaryZone._transfer_ixfr": (
         "a", "network"),
-    "src/repro/resolver/xfr.py::SecondaryZone.stop": (
-        "b", _RESOLVER + "secondary zones that poll serials"),
+    "src/repro/resolver/xfr.py::SecondaryZone": (
+        "b", _RESOLVER + "secondary zones that poll serials and transfer "
+        "incrementally — the first transfer, a full AXFR, into a server "
+        "that holds no copy yet"),
     # -- runtime -------------------------------------------------------------
     "src/repro/runtime/executor.py::TrialFailure.describe": ("a", "trial"),
     "src/repro/runtime/executor.py::_run_chunk": ("a", "trial"),
     "src/repro/runtime/executor.py::_run_pool": ("a", "trial"),
+    "src/repro/runtime/experiment.py::Experiment.run_serial": (
+        "b", _EXPERIMENTS + "One module per artifact (15), each declaring "
+        "one `EXPERIMENT` — its trial plan and merge run in-process, the "
+        "programmatic entry point"),
     "src/repro/runtime/registry.py::ExperimentRegistry": (
         "a", "input, missing"),
     "src/repro/runtime/spec.py::TrialSpec.label": ("a", "trial"),
@@ -373,8 +408,32 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/cdn/allocation.py::ConsistentAllocator.assign(eligible)": (
         "c", "the eligible members, which tests feed to drive the walk past "
         "its bound"),
+    "src/repro/cdn/cache_server.py::CacheServer.__init__(policy)": (
+        "b", _CDN + "LRU/LFU/FIFO eviction — the policy a cache server "
+        "evicts by"),
+    "src/repro/cdn/health.py::HealthMonitor.__init__(interval_ms)": (
+        "b", _CDN + "active health monitor with failure hysteresis — how "
+        "often it probes"),
+    "src/repro/cdn/health.py::HealthMonitor.__init__(probe_timeout_ms)": (
+        "b", _CDN + "active health monitor with failure hysteresis — how "
+        "long a probe waits"),
+    "src/repro/cdn/health.py::HealthMonitor.__init__(failure_threshold)": (
+        "b", _CDN + "active health monitor with failure hysteresis — the "
+        "failed probes that mark a cache down"),
+    "src/repro/cdn/router.py::TrafficRouter.__init__(health_check)": (
+        "b", _CDN + "pluggable health predicate — which caches the router "
+        "may pick"),
     "src/repro/cli.py::main(argv)": (
         "c", "argv, which tests feed in place of sys.argv"),
+    "src/repro/core/deployments.py::build_testbed(profile)": (
+        "b", _MOBILE + "Access-technology latency profiles — the 5G NR "
+        "testbed of X-5G"),
+    "src/repro/core/meccdn.py::MecCdnSite.__init__(service_cidr)": (
+        "b", _CORE + "End-to-end MEC-CDN assembly — a second site's own "
+        "service range (X-MOBILITY's two sites)"),
+    "src/repro/core/meccdn.py::MecCdnSite.__init__(pod_cidr)": (
+        "b", _CORE + "End-to-end MEC-CDN assembly — a second site's own "
+        "pod range (X-MOBILITY's two sites)"),
     "src/repro/core/meccdn.py::MecCdnSite.__init__(upstream_ldns)": (
         "b", _MEC + "stub-domain upstream (the paper's §4 configuration) — "
         "the default forward to the provider L-DNS"),
@@ -391,9 +450,17 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
         "3597)"),
     "src/repro/mec/cluster.py::Orchestrator.register_node(capacity)": (
         "c", "a node's pod capacity, which tests lower to fill a cluster"),
+    "src/repro/mec/controller.py::ReplicaController.__init__"
+    "(check_interval_ms)": (
+        "b", _MEC + "ReplicaController keeping services at their pod count "
+        "— how often it reconciles"),
     "src/repro/mec/namespaces.py::SplitNamespacePlugin.__init__(policy)": (
         "b", _MEC + "split public/internal DNS namespaces — the IGNORE "
         "policy, the §3 ignore-then-fall-back workaround"),
+    "src/repro/mobile/core.py::EvolvedPacketCore.add_base_station"
+    "(mec_dns)": (
+        "b", _MOBILE + "X2-style handoff that re-targets the UE's DNS — the "
+        "MEC DNS a base station hands its UEs"),
     "src/repro/resolver/cache.py::DnsCache.__init__(max_entries)": (
         "c", "max_entries, which tests set to a few entries"),
     "src/repro/telemetry/timeseries.py::TimeSeries.__init__(max_windows)": (
@@ -617,8 +684,6 @@ def run_surfaces(out: Path, work: Path, pythonpath: str) -> None:
     python = sys.executable
     for args in SURFACES:
         run([python, "-m", "repro.cli", *args], out, work, pythonpath)
-    for example in sorted((ROOT / "examples").glob("*.py")):
-        run([python, str(example)], out, work, pythonpath)
     child = str(ROOT / "bench" / "child.py")
     for workload in BENCH_WORKLOADS:
         common = [python, child, "--workload", workload, "--seed", "42",
@@ -712,9 +777,9 @@ def main() -> int:
             print(f"unclassified: {key}: lines "
                   f"{ranges(kinds['unclassified'])}")
     failed = report["unclassified"] > 0
-    if report["test_only"] > CEILING:
-        print(f"test-only lines {report['test_only']:,} are above the "
-              f"ceiling {CEILING:,}")
+    if report["not_on_surfaces"] > CEILING:
+        print(f"lines not on surfaces {report['not_on_surfaces']:,} are "
+              f"above the ceiling {CEILING:,}")
         failed = True
     return 1 if failed else 0
 

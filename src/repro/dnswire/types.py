@@ -65,8 +65,5 @@ class Rcode(enum.IntEnum):
     BADVERS = 16
 
 
-#: Conventional maximum payload for plain (non-EDNS) UDP DNS.
-CLASSIC_UDP_PAYLOAD = 512
-
 #: Default advertised EDNS0 UDP payload size used by this library.
 DEFAULT_EDNS_PAYLOAD = 1232

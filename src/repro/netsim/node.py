@@ -41,7 +41,6 @@ class Host:
         self.middlebox: Optional[Middlebox] = None
         self._sockets: Dict[int, "UdpSocket"] = {}
         self._next_ephemeral = 49152
-        self._next_stream_token = 0
         #: Fault-injection state (see :mod:`repro.faults`).  A ``down``
         #: host silently drops every datagram delivered to it (a crashed
         #: machine); ``brownout_ms`` adds that much delay to each delivery
@@ -93,16 +92,6 @@ class Host:
             if port not in self._sockets:
                 return port
         raise AddressError(f"host {self.name} has no free ephemeral ports")
-
-    def allocate_stream_token(self) -> int:
-        """The next handshake-token sequence number for this host.
-
-        A plain counter, so tokens are unique per connection yet
-        reproducible across processes — unlike ``id()``-derived tokens,
-        which put address-space values on the wire.
-        """
-        self._next_stream_token += 1
-        return self._next_stream_token
 
     def install_middlebox(self, middlebox: Middlebox) -> None:
         """Attach a middlebox that processes datagrams at this host."""

@@ -6,9 +6,9 @@ questions the raw spans cannot:
 
 * **Where did the budget go?** — :mod:`repro.profile.criticalpath`
   attributes every simulated instant of a trace to a named stage
-  (radio, backhaul, L-DNS cache, upstream recursion, C-DNS routing,
-  TCP fallback), with stage sums float-identical to the trace
-  duration; :mod:`repro.profile.budget` rolls that up per deployment.
+  (radio, backhaul, L-DNS cache, upstream exchanges, C-DNS routing),
+  with stage sums float-identical to the trace duration;
+  :mod:`repro.profile.budget` rolls that up per deployment.
 * **What dominates?** — :mod:`repro.profile.profiler` builds
   deterministic inclusive/exclusive simulated-time profiles with
   text-table and collapsed-stack (flamegraph) exporters.
@@ -26,8 +26,8 @@ from repro.profile.budget import (BudgetReport, BudgetRow, StageBudget,
 from repro.profile.criticalpath import (STAGE_BACKHAUL, STAGE_CDNS,
                                         STAGE_CLIENT, STAGE_LDNS_CACHE,
                                         STAGE_OTHER, STAGE_RADIO, STAGES,
-                                        STAGE_TCP_FALLBACK, STAGE_UPSTREAM,
-                                        CriticalPath, PathStep, Segment,
+                                        STAGE_UPSTREAM, CriticalPath,
+                                        PathStep, Segment,
                                         analyze_trace, trace_segments)
 from repro.profile.profiler import (ProfileEntry, collapsed_stacks,
                                     render_collapsed, render_profile,
@@ -43,7 +43,6 @@ __all__ = [
     "STAGE_LDNS_CACHE",
     "STAGE_OTHER",
     "STAGE_RADIO",
-    "STAGE_TCP_FALLBACK",
     "STAGE_UPSTREAM",
     "BudgetReport",
     "BudgetRow",

@@ -3,8 +3,8 @@
 The paper's P1 requirement is a hard latency budget — resolution far
 below the ~20 ms an MEC application can spend end to end — so totaling
 a lookup's latency is not enough: deployment comparisons need the time
-*attributed* to stages (radio, backhaul, L-DNS cache work, upstream
-recursion, C-DNS routing, TCP fallback).  This module rebuilds a
+*attributed* to stages (radio, backhaul, L-DNS cache work, the
+L-DNS's upstream exchanges, C-DNS routing).  This module rebuilds a
 trace's span tree and charges every simulated instant to exactly one
 stage.
 
@@ -41,16 +41,15 @@ from repro.telemetry import Span
 
 #: UE ↔ eNodeB air-interface transit time.
 STAGE_RADIO = "radio"
-#: Wired transits (EPC bearer, LAN, Internet) outside upstream recursion.
+#: Wired transits (EPC bearer, LAN, Internet) outside upstream exchanges.
 STAGE_BACKHAUL = "backhaul"
 #: Time spent inside the local resolver (cache probes, plugin chain).
 STAGE_LDNS_CACHE = "ldns-cache"
-#: Recursive resolution beyond the L-DNS (root/TLD/auth exchanges).
+#: An L-DNS's exchanges with its upstreams (forward and stub-domain
+#: plugins) and the time spent answering them.
 STAGE_UPSTREAM = "upstream-recursion"
 #: Time on the CDN's request-routing DNS tier.
 STAGE_CDNS = "cdns-routing"
-#: Truncation-triggered retry over TCP, wherever it lands.
-STAGE_TCP_FALLBACK = "tcp-fallback"
 #: Stub/driver work on the client itself.
 STAGE_CLIENT = "client"
 #: Anything the rules above cannot place (kept so sums stay exact).
@@ -59,7 +58,7 @@ STAGE_OTHER = "other"
 #: Canonical stage order for reports and serialized documents.
 STAGES: Tuple[str, ...] = (
     STAGE_RADIO, STAGE_BACKHAUL, STAGE_LDNS_CACHE, STAGE_UPSTREAM,
-    STAGE_CDNS, STAGE_TCP_FALLBACK, STAGE_CLIENT, STAGE_OTHER)
+    STAGE_CDNS, STAGE_CLIENT, STAGE_OTHER)
 
 
 class Segment(NamedTuple):
@@ -146,11 +145,9 @@ def _stage_for(span: Span, chain: Tuple[Span, ...],
 
     Rules are ordered most-specific first; ancestry (``chain``, root
     first, ``span`` last) lets a transit hop inherit the phase that
-    caused it (TCP fallback, upstream recursion).
+    caused it (an L-DNS's upstream exchange).
     """
     ancestor_names = {ancestor.name for ancestor in chain[:-1]}
-    if span.name == "stub.tcp-fallback" or "stub.tcp-fallback" in ancestor_names:
-        return STAGE_TCP_FALLBACK
     if span.name == "transit":
         if (span.attrs.get("from") in client_tracks
                 or span.attrs.get("to") in client_tracks):

@@ -7,8 +7,6 @@
   processing delay, one-shot upstream query and forward helpers.
 * :mod:`repro.resolver.authoritative` — authoritative server over zones
   (CNAME chasing, referrals).
-* :mod:`repro.resolver.recursive` — iterative resolver with root hints,
-  referral chasing, glue handling, and negative caching.
 * :mod:`repro.resolver.stub` — the client side; its :class:`DigResult`
   mirrors the fields the paper reads off ``dig``.
 * :mod:`repro.resolver.chain` — CoreDNS-style plugin chain and
@@ -21,7 +19,6 @@
 from repro.resolver.cache import DnsCache, CacheOutcome
 from repro.resolver.server import DnsServer
 from repro.resolver.authoritative import AuthoritativeServer
-from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.stub import StubResolver, DigResult
 from repro.resolver.chain import (CachePlugin, ChainServer, ForwardPlugin,
                                   Plugin, PluginChain, QueryContext)
@@ -33,7 +30,6 @@ __all__ = [
     "CacheOutcome",
     "DnsServer",
     "AuthoritativeServer",
-    "RecursiveResolver",
     "StubResolver",
     "DigResult",
     "ChainServer",

@@ -216,13 +216,6 @@ class DnsCache:
         return (self.serve_stale
                 and now < entry.expires_at + MAX_STALE_TTL * 1000.0)
 
-    def peek_addresses(self, name: Name, now: float) -> List[str]:
-        """Cached A-record addresses for ``name`` without counting stats."""
-        entry = self._positive.get((name, RecordType.A))
-        if entry is None or entry.expires_at <= now:
-            return []
-        return [record.rdata.address for record in entry.records]  # type: ignore[attr-defined]
-
     def __repr__(self) -> str:
         return (f"DnsCache({len(self._positive)} positive, "
                 f"{len(self._negative)} negative, hits={self.hits}, "

@@ -10,8 +10,9 @@ Subclasses implement :meth:`DnsServer.handle_query`, either as a plain
 method returning a :class:`~repro.dnswire.message.Message` or as a
 generator (a simulator process) when they need upstream queries.  A
 query is read-only: its sender keeps reading it after the send (the id
-check, the TCP re-send), so a server that needs a changed query builds
-a copy in :meth:`DnsServer.rewrite_query`.
+check), so a server that needs a changed query builds a copy in
+:meth:`DnsServer.rewrite_query`.  Every reply goes back whole in one
+datagram: the fabric has no size limit, so nothing truncates.
 """
 
 from __future__ import annotations
@@ -36,15 +37,9 @@ from repro.telemetry.trace import ERROR_NAME, EndOnError
 DEFAULT_PROCESSING_DELAY = Constant(0.2)
 
 DNS_PORT = 53
-#: One shot per upstream, in ms: how long every forwarder and the
-#: recursive resolver wait on an upstream before giving up on it.
+#: One shot per upstream, in ms: how long every forward plugin waits on
+#: an upstream before giving up on it.
 UPSTREAM_TIMEOUT_MS = 2000.0
-#: The simulator has one port space per host (no protocol dimension), so
-#: DNS-over-TCP (really TCP/53) listens here.
-DNS_TCP_PORT = 1053
-#: Responses larger than the client's advertised payload are truncated
-#: (TC=1) and the client retries over the stream transport (RFC 7766).
-CLASSIC_UDP_PAYLOAD = 512
 
 
 class DnsServer:
@@ -72,8 +67,6 @@ class DnsServer:
         self._next_query_id = 1
         self.queries_received = 0
         self.responses_sent = 0
-        self.truncated_sent = 0
-        self.tcp_queries_received = 0
         if workers is not None and workers < 1:
             raise ValueError("worker count must be >= 1")
         self.workers = workers
@@ -82,10 +75,6 @@ class DnsServer:
         self._backlog: "list" = []
         self.queries_dropped = 0
         self.peak_backlog = 0
-        from repro.netsim.stream import StreamServer
-        self._tcp_server = StreamServer(
-            network, host, DNS_TCP_PORT, self._handle_stream_query,
-            ip=self.sock.ip)
 
     @property
     def endpoint(self) -> Endpoint:
@@ -165,7 +154,7 @@ class DnsServer:
         query = self.rewrite_query(query, client)
         response = yield from self._produce_response(query, client, trace)
         if response is not None:
-            self._send(response, client, query, trace)
+            self._send(response, client, trace)
         if tel is not None:
             tel.tracer.end(span, rcode=(response.rcode.name
                                         if response is not None
@@ -183,42 +172,13 @@ class DnsServer:
             response = make_response(query, rcode=Rcode.SERVFAIL)
         return response
 
-    def _handle_stream_query(self, payload: bytes,
-                             client: Endpoint) -> Generator:
-        """DNS-over-TCP path: no size limit, no truncation."""
-        self.tcp_queries_received += 1
-        try:
-            query = Message.from_wire(payload)
-        except WireFormatError:
-            return b""
-            yield  # pragma: no cover - generator marker
-        yield self.processing_delay.sample(self._rng)
-        query = self.rewrite_query(query, client)
-        response = yield from self._produce_response(query, client, None)
-        return response.to_wire() if response is not None else b""
-
     def _send(self, response: Message, client: Endpoint,
-              query: Optional[Message] = None, trace=None) -> None:
+              trace=None) -> None:
         self.responses_sent += 1
-        wire = cached_wire(response)
-        max_payload = CLASSIC_UDP_PAYLOAD
-        if query is not None and query.edns is not None:
-            max_payload = max(query.edns.udp_payload, CLASSIC_UDP_PAYLOAD)
-        if len(wire) > max_payload:
-            # RFC 1035 §4.2.1 truncation: signal TC and drop the records
-            # that no longer fit; the client retries over the stream.
-            truncated = make_response(
-                query if query is not None else response,
-                rcode=response.rcode,
-                recursion_available=response.flags.ra,
-                authoritative=response.flags.aa)
-            truncated.flags.tc = True
-            wire = cached_wire(truncated)
-            response = truncated
-            self.truncated_sent += 1
         # The response object is done on this side — hand it to the
         # client as a decoded view so the reply is never re-parsed.
-        self.sock.send_to(wire, client, ctx=trace, view=response)
+        self.sock.send_to(cached_wire(response), client, ctx=trace,
+                          view=response)
 
     def _send_error_for_garbage(self, payload: bytes, client: Endpoint) -> None:
         """Best effort FORMERR: echo the query id if two octets exist."""
@@ -284,7 +244,7 @@ class DnsServer:
     # -- subclass API -----------------------------------------------------------------
 
     def rewrite_query(self, query: Message, client: Endpoint) -> Message:
-        """The query the handler answers and the reply is sized for.
+        """The query the handler answers.
 
         ``query`` itself here: it is read-only, shared with its sender.
         A server that must change it returns a copy.

@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.dnswire.edns import Edns
-from repro.dnswire.message import (Message, ResourceRecord, cached_wire,
-                                    make_query)
+from repro.dnswire.message import Message, ResourceRecord, make_query
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode, RecordType
 from repro.errors import QueryTimeout, WireFormatError
@@ -90,7 +89,6 @@ class StubResolver:
         self._rng = network.streams.stream(f"stub:{host.name}")
         self.queries_issued = 0
         self.timeouts_seen = 0
-        self.tcp_fallbacks = 0
         self.servfails_seen = 0
         self.hedges_sent = 0
 
@@ -197,7 +195,7 @@ class StubResolver:
                authorities: Optional[List[ResourceRecord]], target: Endpoint,
                per_try_timeout: float, msg_id: int, attempt: int = 1,
                ctx=None, hedge: bool = False) -> Generator:
-        """Process: one query/response round, TCP fallback included."""
+        """Process: one query/response round."""
         query = make_query(name, rtype, msg_id=msg_id, edns=edns)
         if authorities:
             query.authorities = list(authorities)
@@ -212,16 +210,11 @@ class StubResolver:
             tel.metrics.counter("repro_stub_attempts_total",
                                 "client transmissions").inc(
                                     server=target.ip)
-        probe_ctx = span.context if span is not None else ctx
         with EndOnError(tel.tracer if tel is not None else None, span,
                         outcome=ERROR_NAME):
             response = yield from exchange(
-                self.host, query, target, per_try_timeout, ctx=probe_ctx)
-            if response.flags.tc:
-                # Truncated: retry the same query over the stream
-                # transport (RFC 7766), like dig's automatic +tcp retry.
-                response = yield from self._retry_over_stream(
-                    query, target, timeout=per_try_timeout, ctx=probe_ctx)
+                self.host, query, target, per_try_timeout,
+                ctx=span.context if span is not None else ctx)
         if tel is not None:
             tel.tracer.end(span, outcome=response.rcode.name)
         return response
@@ -263,35 +256,4 @@ class StubResolver:
         response = yield from self._probe(
             name, rtype, edns, authorities, target, per_try_timeout, msg_id,
             ctx=ctx, hedge=True)
-        return response
-
-    def _retry_over_stream(self, query: Message, target: Endpoint,
-                           timeout: Optional[float] = None,
-                           ctx=None) -> Generator:
-        from repro.netsim.stream import open_channel
-        from repro.resolver.server import DNS_TCP_PORT
-        self.tcp_fallbacks += 1
-        tel = self.network.telemetry
-        span = None
-        if tel is not None:
-            span = tel.tracer.begin("stub.tcp-fallback", "resolver",
-                                    self.host.name, parent=ctx,
-                                    server=str(target))
-            tel.metrics.counter("repro_stub_tcp_fallbacks_total",
-                                "truncated replies retried over TCP").inc()
-        with EndOnError(tel.tracer if tel is not None else None, span,
-                        outcome=ERROR_NAME):
-            channel = yield from open_channel(
-                self.network, self.host, Endpoint(target.ip, DNS_TCP_PORT),
-                timeout=timeout)
-            try:
-                raw = yield from channel.exchange(cached_wire(query),
-                                                  timeout=timeout)
-            finally:
-                channel.close()
-            response = Message.from_wire(raw)
-            if response.msg_id != query.msg_id:
-                raise WireFormatError("tcp retry transaction id mismatch")
-        if tel is not None:
-            tel.tracer.end(span, outcome=response.rcode.name)
         return response

@@ -7,9 +7,9 @@ authoritative server) and the secondary side (serial polling + transfer +
 reload) are implemented:
 
 * the primary answers AXFR queries with the full zone, SOA first and
-  last, as RFC 5936 requires.  Over UDP the answer almost always exceeds
-  the payload limit, so it truncates and the client's automatic TCP retry
-  carries the real transfer — mirroring the TCP-only nature of AXFR;
+  last, as RFC 5936 requires, in one answer: a real transfer rides TCP,
+  but the simulated fabric has no size limit, so one datagram exchange
+  carries it whole;
 * :class:`SecondaryZone` polls the primary's SOA serial at the zone's
   refresh interval and pulls + installs a fresh copy when it changes.
 """

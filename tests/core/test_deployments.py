@@ -7,14 +7,15 @@ from repro.core.deployments import (
     DEPLOYMENT_LABELS,
     MEC_DEPLOYMENTS,
     TESTBED_5G,
+    TESTBED_LTE,
     WARMED_DEPLOYMENTS,
     build_testbed,
 )
 from repro.measure import measure_deployment_queries, summarize
 
 
-def mean_latency(key, seed=7, count=15, **kwargs):
-    testbed = build_testbed(key, seed=seed, **kwargs)
+def mean_latency(key, seed=7, count=15, profile=TESTBED_LTE):
+    testbed = build_testbed(key, seed=seed, profile=profile)
     measurements = measure_deployment_queries(testbed, count)
     return summarize([m.latency_ms for m in measurements]).mean, measurements
 
@@ -103,11 +104,11 @@ class TestFigure5Shape:
         # §4: "Future 5G deployments will drastically reduce this time,
         # resulting in even greater end-to-end boost for MEC-CDN" — the
         # far resolvers barely improve, the MEC bar nearly halves.
-        def boost(**kwargs):
+        def boost(profile=TESTBED_LTE):
             mec, _ = mean_latency("mec-ldns-mec-cdns", seed=42, count=20,
-                                  **kwargs)
+                                  profile=profile)
             far, _ = mean_latency("cloudflare-dns", seed=42, count=20,
-                                  **kwargs)
+                                  profile=profile)
             return far / mec, mec
 
         boost_lte, _ = boost()

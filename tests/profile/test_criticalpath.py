@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from repro.profile import (STAGE_BACKHAUL, STAGE_CDNS, STAGE_CLIENT,
                            STAGE_LDNS_CACHE, STAGE_OTHER, STAGE_RADIO,
-                           STAGE_TCP_FALLBACK, STAGE_UPSTREAM, STAGES,
-                           analyze_trace, trace_segments)
+                           STAGE_UPSTREAM, STAGES, analyze_trace,
+                           trace_segments)
 from repro.telemetry.trace import Tracer
 
 
@@ -115,18 +115,6 @@ class TestSyntheticClassification:
         # upstream.exchange's own slices plus its transit inherit its stage.
         assert path.stages[STAGE_UPSTREAM] == Fraction(4)    # [4, 8]
         assert sum(path.stages.values(), Fraction(0)) == path.total_exact
-
-    def test_tcp_fallback_ancestry_wins(self):
-        tracer = Tracer()
-        lookup = tracer.add("lookup", "measure", "measure-driver", 0.0, 6.0)
-        fallback = tracer.add("stub.tcp-fallback", "resolver", "ue-1",
-                              1.0, 5.0, parent=lookup)
-        tracer.add("transit", "net", "core-1", 2.0, 4.0, parent=fallback,
-                   **{"from": "gw-1", "to": "ldns-1"})
-        path = analyze_trace(tracer.finished, lookup.trace_id)
-        # The transit under the fallback is charged to the fallback, not
-        # to backhaul — the retry caused the hop.
-        assert path.stages[STAGE_TCP_FALLBACK] == Fraction(4)
 
     def test_transit_without_client_endpoint_is_backhaul(self):
         tracer = Tracer()

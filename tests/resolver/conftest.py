@@ -1,10 +1,10 @@
-"""A miniature DNS hierarchy on a simulated network, shared by tests.
+"""A miniature internet on a simulated network, shared by tests.
 
 Topology (constant latencies in ms):
 
-    client --1-- resolver --5-- root
-                    |---5------ tld (com/net)
-                    |---5------ auth (example.com)
+    client --1-- resolver --5-- auth (example.com, cdn.net)
+
+The resolver is what every L-DNS is: the cache → forward plugin chain.
 """
 
 import pytest
@@ -12,39 +12,12 @@ import pytest
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, CNAME, NS, SOA
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, RecursiveResolver, StubResolver
-from repro.resolver.recursive import root_hints_from
+from repro.resolver import (AuthoritativeServer, CachePlugin, ChainServer,
+                            ForwardPlugin, StubResolver)
 
 
 def rr(owner, rtype, rdata, ttl=300):
     return ResourceRecord(Name(owner), rtype, ttl, rdata)
-
-
-def build_root_zone():
-    zone = Zone(Name("."))
-    zone.add(rr(".", RecordType.SOA,
-                SOA(Name("a.root"), Name("admin.root"), 1, 2, 3, 4, 60)))
-    zone.add(rr(".", RecordType.NS, NS(Name("a.root"))))
-    zone.add(rr("a.root", RecordType.A, A("192.5.5.1")))
-    for tld in ("com", "net", "test"):
-        zone.add(rr(tld, RecordType.NS, NS(Name(f"ns.{tld}"))))
-        zone.add(rr(f"ns.{tld}", RecordType.A, A("192.12.94.1")))
-    return zone
-
-
-def build_tld_zones():
-    zones = []
-    for tld in ("com", "net", "test"):
-        zone = Zone(Name(tld))
-        zone.add(rr(tld, RecordType.SOA,
-                    SOA(Name(f"ns.{tld}"), Name(f"admin.{tld}"), 1, 2, 3, 4, 60)))
-        zone.add(rr(tld, RecordType.NS, NS(Name(f"ns.{tld}"))))
-        zones.append(zone)
-    zones[0].add(rr("example.com", RecordType.NS, NS(Name("ns1.example.com"))))
-    zones[0].add(rr("ns1.example.com", RecordType.A, A("203.0.113.53")))
-    zones[1].add(rr("cdn.net", RecordType.NS, NS(Name("ns.cdn.net"))))
-    zones[1].add(rr("ns.cdn.net", RecordType.A, A("203.0.113.53")))
-    return zones
 
 
 def build_example_zone():
@@ -81,23 +54,16 @@ class MiniInternet:
         self.net = Network(self.sim, RandomStreams(seed))
         self.net.add_host("client", "10.0.0.2")
         self.net.add_host("resolver", "10.0.0.53")
-        self.net.add_host("root", "192.5.5.1")
-        self.net.add_host("tld", "192.12.94.1")
         self.net.add_host("auth", "203.0.113.53")
         self.net.add_link("client", "resolver", Constant(1))
-        for server in ("root", "tld", "auth"):
-            self.net.add_link("resolver", server, Constant(5))
+        self.net.add_link("resolver", "auth", Constant(5))
 
-        self.root_server = AuthoritativeServer(
-            self.net, self.net.host("root"), [build_root_zone()])
-        self.tld_server = AuthoritativeServer(
-            self.net, self.net.host("tld"), build_tld_zones())
         self.auth_server = AuthoritativeServer(
             self.net, self.net.host("auth"),
             [build_example_zone(), build_cdn_zone()])
-        self.resolver = RecursiveResolver(
-            self.net, self.net.host("resolver"),
-            root_hints_from(("a.root", "192.5.5.1")))
+        self.forward = ForwardPlugin(self.auth_server.endpoint)
+        self.resolver = ChainServer(self.net, self.net.host("resolver"),
+                                    [CachePlugin(), self.forward])
         self.stub = StubResolver(self.net, self.net.host("client"),
                                  self.resolver.endpoint)
 

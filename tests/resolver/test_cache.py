@@ -71,13 +71,6 @@ class TestPositive:
         cache.put_records([opt], now=0)
         assert len(cache) == 0
 
-    def test_peek_addresses(self):
-        cache = DnsCache()
-        cache.put_records([rr("ns.com", "192.0.2.53")], now=0)
-        assert cache.peek_addresses(Name("ns.com"), 0) == ["192.0.2.53"]
-        assert cache.peek_addresses(Name("other.com"), 0) == []
-        assert cache.misses == 0  # peek does not count stats
-
 
 class TestNegative:
     def test_nxdomain_cached(self):

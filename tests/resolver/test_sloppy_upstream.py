@@ -19,9 +19,7 @@ from repro.mec import CoreDnsServer, Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
 from repro.resolver import (CachePlugin, ChainServer, DnsServer,
-                            ForwardPlugin, RecursiveResolver, RetryPolicy,
-                            StubResolver)
-from repro.resolver.recursive import root_hints_from
+                            ForwardPlugin, RetryPolicy, StubResolver)
 
 QNAME = Name("video.sloppy.test")
 SLOPPY_IP, HONEST_IP = "203.0.113.66", "203.0.113.77"
@@ -119,18 +117,6 @@ def test_fallback_client_takes_the_provider_answer():
     addresses, used_fallback, _, provider_wins = served_alike(scenario)
     assert addresses == [HONEST_ANSWER]
     assert used_fallback and provider_wins == 1
-
-
-def test_recursive_resolver_servfails():
-    def scenario(world):
-        resolver = RecursiveResolver(
-            world.net, world.net.host("middle"),
-            root_hints_from(("a.root", SLOPPY_IP)))
-        return world.dig(resolver.endpoint), resolver.upstream_queries_sent
-
-    (status, addresses, _), sent = served_alike(scenario)
-    assert (status, addresses) == ("SERVFAIL", [])
-    assert sent == 1
 
 
 def test_bare_stub_raises_transaction_id_mismatch():

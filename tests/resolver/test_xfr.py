@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire import (Name, RecordType, ResourceRecord, Zone,
+                           cached_wire)
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Network, RandomStreams, Simulator
@@ -92,15 +93,19 @@ class TestAxfrOverTheWire:
         assert result.response.answers[-1].rtype == RecordType.SOA
         assert primary.axfr_served == 1
 
-    def test_large_zone_rides_tcp(self, world):
+    def test_large_zone_completes_in_one_exchange(self, world):
         sim, net, primary, _, _ = world
         primary.add_zone(build_zone(serial=2, extra_hosts=40))
         stub = StubResolver(net, net.host("client"), primary.endpoint)
         result = sim.run_until_resolved(sim.spawn(
             stub.query(ORIGIN, RecordType.AXFR)))
-        # > 512 bytes: truncated on UDP, completed over the stream.
-        assert stub.tcp_fallbacks == 1
+        # Far past 512 octets, and still one query, one answer, one
+        # round trip on the 4 ms link: nothing truncates or retries.
+        assert len(cached_wire(result.response)) > 512
+        assert not result.response.flags.tc
         assert len(result.response.answers) == 4 + 40 + 2 - 1
+        assert (primary.queries_received, primary.axfr_served) == (1, 1)
+        assert result.query_time_ms < 2 * 8
 
     def test_axfr_for_unhosted_zone_notauth(self, world):
         sim, net, primary, _, _ = world

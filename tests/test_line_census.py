@@ -8,6 +8,7 @@ census.
 """
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -89,8 +90,15 @@ def command_shape(args):
     return shape
 
 
-def test_surfaces_are_the_ci_commands(census):
-    """``SURFACES`` decides which options may exist, so it lists what CI
-    runs: the same ``repro`` commands, output file names aside."""
-    assert sorted(map(command_shape, census.SURFACES)) == \
+def test_surfaces_are_the_ci_commands(census, monkeypatch, tmp_path):
+    """The surfaces decide which options and lines may exist, so they are
+    exactly what CI runs: the same ``repro`` commands, output file names
+    aside, plus the bench children.  An example is a test, not one."""
+    ran = []
+    monkeypatch.setattr(census, "run", lambda argv, *rest: ran.append(argv))
+    census.run_surfaces(tmp_path / "out", tmp_path / "work", "")
+    cli = [argv[3:] for argv in ran if argv[1:3] == ["-m", "repro.cli"]]
+    assert sorted(map(command_shape, cli)) == \
         sorted(map(command_shape, ci_commands()))
+    others = [Path(argv[1]) for argv in ran if argv[1:3] != ["-m", "repro.cli"]]
+    assert others and {path.parent for path in others} == {ROOT / "bench"}

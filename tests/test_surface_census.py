@@ -3,15 +3,17 @@
 Four counts over the tree, each held at zero, stdlib ``ast`` only:
 
 * **unreferenced names** — a ``def`` / ``class`` in ``src/repro`` that no
-  code under ``src bench examples scripts`` mentions.  ``tests/`` is not a
-  root: a helper only tests call is a test oracle and lives in ``tests/``.
+  code under ``src bench scripts`` mentions.  ``tests/`` is not a root: a
+  helper only tests call is a test oracle and lives in ``tests/``.  Nor is
+  ``examples/``: no CI job runs an example but tier-1's
+  ``tests/test_examples.py``, so examples are tests too.
   Imports, ``__all__`` strings and mentions from a name's own body do not
   keep it alive, and neither do mentions from a name that is itself dead,
   so the count is a fixed point.  In ``bench/``, which names its shim
   targets as ``"module:qualname"`` and identifier strings, those count.
 * **never-passed parameters** — a defaulted parameter, or defaulted
   ``NamedTuple`` / dataclass field, that no call site under ``src bench
-  examples scripts`` sets.  Tests are not callers: a value only a test
+  scripts`` sets.  Tests are not callers: a value only a test
   sets is a second path nothing runs, so it is a constant.  A
   ``**mapping`` call site sets the parameters that some dict literal
   spells as a string key; a function's own ``**kwargs`` passed on sets
@@ -47,7 +49,7 @@ from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
 from tests.static import index, line_census
 from tests.static.index import ROOT, Def
 
-RUNS = ("src", "bench", "examples", "scripts")
+RUNS = ("src", "bench", "scripts")
 DISPATCH = ("visit_", "_apply_", "_cmd_")
 SHIM_TARGET = re.compile(r"^repro[\w.]*:([\w.]+)$")
 
