@@ -54,12 +54,12 @@ from tests.static import index  # noqa: E402  (the one module index)
 #: Lines not on surfaces (test-only, classified and out of scope
 #: included, plus nowhere) may not exceed this, so deleting a mechanism's
 #: last test without its code cannot lower the gated number.  Two runs
-#: read 1,166 each, and a reading can move by a line: which pool worker
+#: read 1,062 and 1,063, and a reading can move by a line: which pool worker
 #: closes a suspended generator (running its ``except`` lines) depends on
 #: scheduling, so the ceiling sits two above the largest reading.  Lower
 #: it when a change deletes lines or a surface starts running them; never
 #: raise it to fit one.
-CEILING = 1168
+CEILING = 1065
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -144,16 +144,7 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/cdn/content.py::ZipfRankStream._next_rank_logarithmic": (
         "a", "degenerate"),
     "src/repro/cdn/geo.py::GeoIpDatabase.lookup": ("a", "missing"),
-    "src/repro/cdn/health.py::HealthMonitor": (
-        "b", _CDN + "active health monitor with failure hysteresis — "
-        "probes each cache, marks it down after the threshold, and up "
-        "again when it answers"),
     "src/repro/cdn/httpsim.py::_parse_response": ("a", "network"),
-    "src/repro/cdn/policy.py::LfuPolicy": (
-        "b", _CDN + "LRU/LFU/FIFO eviction — least frequently used"),
-    "src/repro/cdn/policy.py::LfuPolicy.choose_victim": ("a", "degenerate"),
-    "src/repro/cdn/policy.py::FifoPolicy": (
-        "b", _CDN + "LRU/LFU/FIFO eviction — first in, first out"),
     "src/repro/cdn/providers.py::DomainDeployment.weights_for": (
         "a", "input"),
     "src/repro/cdn/providers.py::DomainDeployment.pool_for_ip": (
@@ -193,9 +184,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/dnswire/name.py::Name.__reduce__": (
         "b", _WIRE + "domain names — a Name sent to a pool worker rebuilds "
         "its per-process hash"),
-    "src/repro/dnswire/name.py::Name.parent": (
-        "b", _WIRE + "domain names — the name one label up, the inverse "
-        "of `prepend`"),
     "src/repro/dnswire/name.py::Name.to_text": ("a", "wire"),
     "src/repro/dnswire/name.py::_text_to_labels": ("a", "input"),
     "src/repro/dnswire/rdata.py::Rdata.__eq__": ("a", "type"),
@@ -252,10 +240,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/mec/cluster.py::Orchestrator.resolve_service_name": (
         "b", _MEC + "CoreDNS analog with plugin chain incl. kubernetes — "
         "service names resolve to cluster IPs"),
-    "src/repro/mec/controller.py::ReplicaController": (
-        "b", _MEC + "ReplicaController keeping services at their pod count"),
-    "src/repro/mec/controller.py::ReplicaController.reconcile_once": (
-        "a", "network"),
     "src/repro/mec/coredns.py::KubernetesPlugin.handle": (
         "b", _MEC + "CoreDNS analog with plugin chain incl. kubernetes"),
     "src/repro/mec/coredns.py::StubDomainPlugin": (
@@ -343,6 +327,10 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/resolver/chain.py::CachePlugin._store": (
         "b", _RESOLVER + "TTL-aware positive/negative cache — the cache "
         "plugin's NXDOMAIN and NODATA entries"),
+    "src/repro/resolver/chain.py::_reached_from": (
+        "b", _RESOLVER + "TTL-aware positive/negative cache — a CNAME chain "
+        "in the answer, whose targets' records are cached with the "
+        "question's"),
     "src/repro/resolver/chain.py::PluginChain.run": (
         "b", _RESOLVER + "plugin-style handler chain — a chain that runs "
         "out of plugins answers REFUSED"),
@@ -408,21 +396,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/cdn/allocation.py::ConsistentAllocator.assign(eligible)": (
         "c", "the eligible members, which tests feed to drive the walk past "
         "its bound"),
-    "src/repro/cdn/cache_server.py::CacheServer.__init__(policy)": (
-        "b", _CDN + "LRU/LFU/FIFO eviction — the policy a cache server "
-        "evicts by"),
-    "src/repro/cdn/health.py::HealthMonitor.__init__(interval_ms)": (
-        "b", _CDN + "active health monitor with failure hysteresis — how "
-        "often it probes"),
-    "src/repro/cdn/health.py::HealthMonitor.__init__(probe_timeout_ms)": (
-        "b", _CDN + "active health monitor with failure hysteresis — how "
-        "long a probe waits"),
-    "src/repro/cdn/health.py::HealthMonitor.__init__(failure_threshold)": (
-        "b", _CDN + "active health monitor with failure hysteresis — the "
-        "failed probes that mark a cache down"),
-    "src/repro/cdn/router.py::TrafficRouter.__init__(health_check)": (
-        "b", _CDN + "pluggable health predicate — which caches the router "
-        "may pick"),
     "src/repro/cli.py::main(argv)": (
         "c", "argv, which tests feed in place of sys.argv"),
     "src/repro/core/deployments.py::build_testbed(profile)": (
@@ -450,10 +423,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
         "3597)"),
     "src/repro/mec/cluster.py::Orchestrator.register_node(capacity)": (
         "c", "a node's pod capacity, which tests lower to fill a cluster"),
-    "src/repro/mec/controller.py::ReplicaController.__init__"
-    "(check_interval_ms)": (
-        "b", _MEC + "ReplicaController keeping services at their pod count "
-        "— how often it reconciles"),
     "src/repro/mec/namespaces.py::SplitNamespacePlugin.__init__(policy)": (
         "b", _MEC + "split public/internal DNS namespaces — the IGNORE "
         "policy, the §3 ignore-then-fall-back workaround"),

@@ -11,10 +11,10 @@ paper's access-latency argument is about.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Set
+from collections import OrderedDict
+from typing import Generator, Optional
 
 from repro.cdn.content import ContentCatalog, ContentItem
-from repro.cdn.policy import EvictionPolicy, LruPolicy
 from repro.errors import ContentNotFound, QueryTimeout
 from repro.netsim.network import Network
 from repro.netsim.node import Host
@@ -45,10 +45,6 @@ class CacheStats:
         self.not_found = 0
 
     @property
-    def requests(self) -> int:
-        return self.hits + self.misses + self.not_found
-
-    @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
@@ -61,7 +57,7 @@ class CacheStats:
 
 
 class CacheServer:
-    """One CDN cache: bounded store + eviction policy + parent fill path.
+    """One CDN cache: bounded LRU store + parent fill path.
 
     ``is_origin=True`` makes the server authoritative for the whole
     catalog: every request is served without storing (infinite store), the
@@ -70,7 +66,6 @@ class CacheServer:
 
     def __init__(self, network: Network, host: Host, catalog: ContentCatalog,
                  capacity_bytes: int = 10 ** 9,
-                 policy: Optional[EvictionPolicy] = None,
                  parent: Optional[Endpoint] = None,
                  is_origin: bool = False) -> None:
         if capacity_bytes <= 0:
@@ -79,12 +74,12 @@ class CacheServer:
         self.host = host
         self.catalog = catalog
         self.capacity_bytes = capacity_bytes
-        self.policy = policy if policy is not None else LruPolicy()
         self.parent = parent
         self.is_origin = is_origin
         self.online = True
         self.stats = CacheStats()
-        self._stored: Set[str] = set()
+        #: Resident content id -> size, least recently used first.
+        self._resident: "OrderedDict[str, int]" = OrderedDict()
         self.used_bytes = 0
         self.sock = UdpSocket(host, port=HTTP_PORT)
         self.sock.on_datagram = self._on_request
@@ -101,29 +96,20 @@ class CacheServer:
 
     def contains(self, url: str) -> bool:
         """Whether ``url`` is currently served from this store."""
-        return self.is_origin or url in self._stored
+        return self.is_origin or url in self._resident
 
     def admit(self, item: ContentItem) -> None:
-        """Insert ``item``, evicting per policy until it fits."""
-        if item.content_id in self._stored or self.is_origin:
+        """Insert ``item``, evicting least recently used until it fits."""
+        if item.content_id in self._resident or self.is_origin:
             return
         if item.size_bytes > self.capacity_bytes:
             return  # object larger than the cache; never admitted
         while self.used_bytes + item.size_bytes > self.capacity_bytes:
-            victim = self.policy.choose_victim()
-            if victim is None:
-                return
-            self._evict(victim)
-        self._stored.add(item.content_id)
-        self.used_bytes += item.size_bytes
-        self.policy.on_admit(item.content_id)
-
-    def _evict(self, content_id: str) -> None:
-        if content_id in self._stored:
-            self._stored.remove(content_id)
-            self.used_bytes -= self.catalog.by_url(content_id).size_bytes
+            _, size = self._resident.popitem(last=False)
+            self.used_bytes -= size
             self.stats.evictions += 1
-        self.policy.on_evict(content_id)
+        self._resident[item.content_id] = item.size_bytes
+        self.used_bytes += item.size_bytes
 
     def warm(self, items) -> None:
         """Preload items (deployment-time content placement)."""
@@ -153,7 +139,8 @@ class CacheServer:
             return
         if self.contains(item.content_id):
             self.stats.hits += 1
-            self.policy.on_hit(item.content_id)
+            if not self.is_origin:
+                self._resident.move_to_end(item.content_id)
             yield from self._transmit(item, client, hit=True, ctx=ctx)
             return
         self.stats.misses += 1

@@ -9,13 +9,13 @@ for the requesting client:
   wider groups otherwise; a catch-all is a ``0.0.0.0/0`` zone;
 * within a group, **consistent hashing** on the query name pins content to
   caches, concentrating each object on few servers;
-* unhealthy caches are skipped; a client no zone covers, or whose group
-  has no healthy cache, gets SERVFAIL.
+* caches that are not ``online`` are skipped; a client no zone covers, or
+  whose group has no online cache, gets SERVFAIL.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.cdn.allocation import HashRing
 from repro.cdn.cache_server import CacheServer
@@ -53,6 +53,10 @@ class CoverageZone(NamedTuple):
         return best >= 0, max(best, 0)
 
 
+def _online(cache: CacheServer) -> bool:
+    return cache.online
+
+
 class TrafficRouter(DnsServer):
     """Authoritative C-DNS for ``cdn_domain``."""
 
@@ -60,13 +64,8 @@ class TrafficRouter(DnsServer):
                  zones: List[CoverageZone],
                  answer_ttl: int = DEFAULT_ANSWER_TTL,
                  ecs_enabled: bool = False,
-                 health_check: Optional[Callable[[CacheServer], bool]] = None,
                  **kwargs) -> None:
         super().__init__(network, host, **kwargs)
-        #: Predicate deciding whether a cache is eligible; defaults to the
-        #: ground-truth online flag, or wire in a
-        #: :class:`repro.cdn.health.HealthMonitor`'s belief instead.
-        self.health_check = health_check or (lambda cache: cache.online)
         self.cdn_domain = cdn_domain
         self.zones = list(zones)
         self.answer_ttl = answer_ttl
@@ -119,7 +118,7 @@ class TrafficRouter(DnsServer):
         if zone is None:
             return None, 0
         cache = self._rings[zone.name].pick(str(qname).lower(),
-                                            predicate=self.health_check)
+                                            predicate=_online)
         return cache, matched_prefix
 
     # -- query handling ---------------------------------------------------------------

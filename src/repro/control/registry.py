@@ -33,8 +33,9 @@ ENDPOINT_LABEL = "caches"
 #: answers are, so secondaries and caches re-check quickly.
 REGISTRY_TTL = 30
 
-#: SOA timers (seconds): refresh drives the secondary's recovery poll
-#: cadence when NOTIFY is lost; the rest are conventional.
+#: SOA timers (seconds), conventional values stamped into the zone.  The
+#: secondary's recovery poll does not read refresh: ``ControlPlane`` pins
+#: it to ``repro.control.plane.REFRESH_MS``.
 SOA_REFRESH = 30
 SOA_RETRY = 10
 SOA_EXPIRE = 3600

@@ -159,15 +159,6 @@ class Name:
 
     # -- structure ------------------------------------------------------------
 
-    def parent(self) -> "Name":
-        """The name with the leftmost label removed.
-
-        Raises :class:`repro.errors.NameError_` for the root name.
-        """
-        if self.is_root:
-            raise NameError_("the root name has no parent")
-        return Name._from_valid(self._labels[1:], self._folded[1:])
-
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if ``self`` equals ``other`` or sits below it."""
         depth = len(other._folded)

@@ -19,7 +19,6 @@ models that platform:
 """
 
 from repro.mec.cluster import Orchestrator, Node, Pod, Service
-from repro.mec.controller import ReplicaController
 from repro.mec.coredns import (
     CoreDnsServer,
     KubernetesPlugin,
@@ -34,7 +33,6 @@ __all__ = [
     "Node",
     "Pod",
     "Service",
-    "ReplicaController",
     "CoreDnsServer",
     "KubernetesPlugin",
     "StubDomainPlugin",

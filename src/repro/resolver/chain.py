@@ -11,7 +11,9 @@ Cloudflare resolvers run ``cache`` then ``forward``, and the MEC L-DNS
 rule set and one relay:
 
 * **cache** answers hits and RFC 2308 negatives (NXDOMAIN and NODATA,
-  each for the response's SOA-derived TTL) and, with ``serve_stale``
+  each for the response's SOA-derived TTL); it stores only the answer
+  records the question's name reaches, so an upstream cannot plant an
+  unrelated name in it; with ``serve_stale``
   (RFC 8767), answers an expired entry when the rest of the chain
   returned SERVFAIL or nothing;
 * **forward** gives its upstream one shot of :data:`UPSTREAM_TIMEOUT_MS`;
@@ -25,8 +27,10 @@ import inspect
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.dnswire.message import Message, make_response, mark_stale
-from repro.dnswire.types import Rcode
+from repro.dnswire.message import (Message, ResourceRecord, make_response,
+                                   mark_stale)
+from repro.dnswire.name import Name
+from repro.dnswire.types import Rcode, RecordType
 from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache, negative_ttl
 from repro.resolver.server import UPSTREAM_TIMEOUT_MS, DnsServer
@@ -163,7 +167,9 @@ class CachePlugin(Plugin):
     """Serves repeat queries from a local cache; fills it on the way out.
 
     Positive answers are cached for their TTL (a TTL-0 record is never
-    cached), NXDOMAIN and NODATA for :func:`negative_ttl` (RFC 2308).
+    cached), and only the answer records the question's name reaches —
+    its own, and those of each CNAME target along the answer; NXDOMAIN
+    and NODATA for :func:`negative_ttl` (RFC 2308).
     With ``serve_stale`` (RFC 8767), a downstream SERVFAIL or silence —
     the rest of the chain could not reach an upstream — is answered from
     an expired entry instead, marked with the stale-answer EDNS option.
@@ -237,7 +243,8 @@ class CachePlugin(Plugin):
     def _store(self, ctx: QueryContext, response: Message) -> None:
         now = self._owner.network.sim.now
         if response.rcode == Rcode.NOERROR and response.answers:
-            positive = [record for record in response.answers if record.ttl > 0]
+            positive = [record for record in _reached_from(
+                ctx.qname, response.answers) if record.ttl > 0]
             if positive:
                 self.cache.put_records(positive, now)
         elif response.rcode in (Rcode.NXDOMAIN, Rcode.NOERROR):
@@ -246,6 +253,23 @@ class CachePlugin(Plugin):
                        else CacheOutcome.NEGATIVE_NODATA)
             self.cache.put_negative(ctx.qname, ctx.rtype, outcome,
                                     negative_ttl(response), now)
+
+
+def _reached_from(qname: Name,
+                  answers: List[ResourceRecord]) -> List[ResourceRecord]:
+    """The answer records owned by ``qname`` or by a CNAME target the
+    answer leads to from it; any other record is relayed, not cached."""
+    owners = {qname}
+    name = qname
+    while True:
+        target = next((record.rdata.target  # type: ignore[attr-defined]
+                       for record in answers
+                       if record.rtype == RecordType.CNAME
+                       and record.name == name), None)
+        if target is None or target in owners:
+            return [record for record in answers if record.name in owners]
+        owners.add(target)
+        name = target
 
 
 class RelayPlugin(Plugin):

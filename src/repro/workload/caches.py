@@ -5,7 +5,7 @@
 did this object's rank hit, and what got evicted.  :class:`RankLru`
 is that reduction: an LRU set over content ranks with exact hit/miss
 counters, O(1) per lookup, built on dict insertion order (the same
-trick ``repro.cdn.policy.LruPolicy`` uses under its interface).
+trick ``CacheServer``'s resident-object ``OrderedDict`` uses).
 """
 
 from __future__ import annotations

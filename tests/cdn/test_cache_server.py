@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.cdn import (
-    CacheServer,
-    ContentCatalog,
-    FifoPolicy,
-    HttpClient,
-    LruPolicy,
-)
+from repro.cdn import CacheServer, ContentCatalog, HttpClient
 from repro.dnswire import Name
 from repro.errors import QueryTimeout
 from repro.netsim import Constant, Network, RandomStreams, Simulator
@@ -18,7 +12,7 @@ from repro.netsim.engine import ProcessFailed
 class Scenario:
     """client --1ms-- edge-cache --10ms-- origin."""
 
-    def __init__(self, capacity=10**6, policy=None):
+    def __init__(self, capacity=10**6):
         self.sim = Simulator()
         self.net = Network(self.sim, RandomStreams(5))
         self.net.add_host("client", "10.0.0.2")
@@ -32,7 +26,7 @@ class Scenario:
         self.origin = CacheServer(self.net, self.net.host("origin"),
                                   self.catalog, is_origin=True)
         self.edge = CacheServer(self.net, self.net.host("edge"), self.catalog,
-                                capacity_bytes=capacity, policy=policy,
+                                capacity_bytes=capacity,
                                 parent=self.origin.endpoint)
         self.client = HttpClient(self.net, self.net.host("client"))
 
@@ -91,7 +85,7 @@ class TestCacheServer:
         assert scenario.edge.used_bytes <= scenario.edge.capacity_bytes
 
     def test_lru_evicts_oldest_content(self):
-        scenario = Scenario(capacity=601_000, policy=LruPolicy())
+        scenario = Scenario(capacity=601_000)
         scenario.fetch(scenario.small)
         scenario.fetch(scenario.big)
         scenario.fetch(scenario.small)  # refresh small
@@ -99,15 +93,6 @@ class TestCacheServer:
         scenario.fetch(extra)
         assert scenario.edge.contains(scenario.small.url)
         assert not scenario.edge.contains(scenario.big.url)
-
-    def test_fifo_evicts_admission_order(self):
-        scenario = Scenario(capacity=601_000, policy=FifoPolicy())
-        scenario.fetch(scenario.small)
-        scenario.fetch(scenario.big)
-        scenario.fetch(scenario.small)  # hit; FIFO ignores it
-        extra = scenario.catalog.add_object(Name("cdn.test"), "/x.js", 5_000)
-        scenario.fetch(extra)
-        assert not scenario.edge.contains(scenario.small.url)
 
     def test_oversized_object_never_admitted(self):
         scenario = Scenario(capacity=10_000)

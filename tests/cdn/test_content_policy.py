@@ -1,4 +1,4 @@
-"""Tests for the content catalog, workloads, and eviction policies."""
+"""Tests for the content catalog and Zipf workloads."""
 
 import random
 from collections import Counter
@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from repro.cdn.content import ContentCatalog, ContentItem, ZipfRankStream
-from repro.cdn.policy import FifoPolicy, LfuPolicy, LruPolicy
 from repro.dnswire import Name
 from repro.errors import ContentNotFound
 
@@ -72,44 +71,3 @@ class TestZipf:
         second = list(ZipfRankStream(10, random.Random(7)).ranks(20))
         assert first == second
 
-
-class TestPolicies:
-    def test_lru_evicts_least_recent(self):
-        policy = LruPolicy()
-        for cid in ("a", "b", "c"):
-            policy.on_admit(cid)
-        policy.on_hit("a")
-        assert policy.choose_victim() == "b"
-
-    def test_lru_eviction_removes_tracking(self):
-        policy = LruPolicy()
-        policy.on_admit("a")
-        policy.on_evict("a")
-        assert policy.choose_victim() is None
-
-    def test_lfu_evicts_least_frequent(self):
-        policy = LfuPolicy()
-        for cid in ("a", "b", "c"):
-            policy.on_admit(cid)
-        policy.on_hit("a")
-        policy.on_hit("a")
-        policy.on_hit("b")
-        assert policy.choose_victim() == "c"
-
-    def test_lfu_tie_broken_by_age(self):
-        policy = LfuPolicy()
-        policy.on_admit("old")
-        policy.on_admit("new")
-        assert policy.choose_victim() == "old"
-
-    def test_fifo_ignores_hits(self):
-        policy = FifoPolicy()
-        policy.on_admit("a")
-        policy.on_admit("b")
-        policy.on_hit("a")
-        assert policy.choose_victim() == "a"
-
-    def test_empty_policies_return_none(self):
-        assert LruPolicy().choose_victim() is None
-        assert LfuPolicy().choose_victim() is None
-        assert FifoPolicy().choose_victim() is None

@@ -85,13 +85,6 @@ class TestComparison:
 
 
 class TestStructure:
-    def test_parent(self):
-        assert Name("www.example.com").parent() == Name("example.com")
-
-    def test_parent_of_root_raises(self):
-        with pytest.raises(NameError_):
-            ROOT.parent()
-
     def test_is_subdomain_of(self):
         assert Name("www.example.com").is_subdomain_of(Name("example.com"))
         assert Name("example.com").is_subdomain_of(Name("example.com"))

@@ -69,7 +69,6 @@ class TestSpellingIsTheKey:
         built = Name("www.example.test")
         assert decoded == built and hash(decoded) == hash(built)
         assert decoded.labels == built.labels
-        assert decoded.parent() == built.parent()
         assert decoded.split_prefix(1) == built.split_prefix(1)
 
     def test_root_and_cursor(self):
@@ -191,9 +190,6 @@ class TestPublicConstructorsStillValidate:
 
     def test_slices_of_a_valid_name_are_valid_names(self):
         name = Name("A.b.C.test")
-        assert name.parent().to_text() == "b.C.test."
-        assert name.parent() == Name("B.c.TEST") == Name("b.c.test")
-        assert hash(name.parent()) == hash(Name("b.c.test"))
         prefix, rest = name.split_prefix(2)
         assert prefix == (b"A", b"b") and rest.to_text() == "C.test."
         assert rest == Name("c.test") and hash(rest) == hash(Name("c.test"))

@@ -154,7 +154,7 @@ class TestFillPathFailure:
         scenario = SiteUnderTest()
         cache = scenario.site.caches[0]
         # Cold cache pointing at a black-hole parent.
-        cache._stored.clear()
+        cache._resident.clear()
         cache.used_bytes = 0
         cache.parent = Endpoint("10.99.99.99", 80)
         from repro.cdn.cache_server import FILL_TIMEOUT_MS

@@ -1,10 +1,13 @@
-"""A peer that answers under the wrong transaction id, seen by every client.
+"""Sloppy peers, one row of the docs/PROTOCOLS.md table per behaviour.
 
-First row of the sloppy-peer table in docs/PROTOCOLS.md: the reply is
-well formed and carries the right answer, but its id is not the query's.
-Every client reaches the wire through :func:`repro.resolver.exchange`,
-so every client discards it — and does so alike whether or not telemetry
-is watching (each scenario runs both ways and must agree).
+First row: a peer that answers under the wrong transaction id.  The
+reply is well formed and carries the right answer, but its id is not
+the query's.  Every client reaches the wire through
+:func:`repro.resolver.exchange`, so every client discards it.  The other
+rows are upstream answers the L-DNS cache must not take at their word:
+an unrelated name in the answer section, a TTL of 0, an A record in the
+additional section.  Every scenario runs with telemetry off and on, and
+the two runs must agree.
 """
 
 import pytest
@@ -24,19 +27,34 @@ from repro.resolver import (CachePlugin, ChainServer, DnsServer,
 QNAME = Name("video.sloppy.test")
 SLOPPY_IP, HONEST_IP = "203.0.113.66", "203.0.113.77"
 SLOPPY_ANSWER, HONEST_ANSWER = "198.18.0.66", "198.18.0.77"
+#: A name outside the question, and the address a sloppy upstream
+#: attaches to it.
+VICTIM = Name("victim.other.test")
+PLANTED = ResourceRecord(VICTIM, RecordType.A, 300, A("6.6.6.6"))
 
 
 class AnswerAll(DnsServer):
-    """Answers every question with one A record."""
+    """Answers every question with one A record.
+
+    ``ttl`` is that record's TTL.  ``extra`` maps a section keyword of
+    :func:`make_response` (``answers``, ``additionals``) to records
+    added to the reply to :data:`QNAME` only.
+    """
 
     def __init__(self, network, host, address: str, id_mask: int = 0) -> None:
         super().__init__(network, host)
         self.address = address
         self.id_mask = id_mask
+        self.ttl = 300
+        self.extra = {}
 
     def handle_query(self, query, client, trace):
-        response = make_response(query, answers=[ResourceRecord(
-            query.question.name, RecordType.A, 300, A(self.address))])
+        sections = {"answers": [ResourceRecord(
+            query.question.name, RecordType.A, self.ttl, A(self.address))]}
+        if query.question.name == QNAME:
+            for section, records in self.extra.items():
+                sections.setdefault(section, []).extend(records)
+        response = make_response(query, **sections)
         response.msg_id = query.msg_id ^ self.id_mask
         return response
 
@@ -63,11 +81,26 @@ class World:
     def run(self, process):
         return self.sim.run_until_resolved(self.sim.spawn(process))
 
-    def dig(self, server: Endpoint):
+    def dig(self, server: Endpoint, qname: Name = QNAME):
         stub = StubResolver(self.net, self.net.host("client"), server,
                             policy=RetryPolicy(retries=0, timeout_ms=1000))
-        result = self.run(stub.query(QNAME))
+        result = self.run(stub.query(qname))
         return result.status, result.addresses, result.query_time_ms
+
+    def digs_through_a_forwarder(self, *qnames: Name):
+        """Ask a cache → forward chain on ``middle`` (upstream: honest)
+        each name in turn: the answers' addresses and TTLs, and how many
+        queries the chain forwarded."""
+        forward = ForwardPlugin(self.honest.endpoint)
+        forwarder = ChainServer(self.net, self.net.host("middle"),
+                                [CachePlugin(), forward])
+        stub = StubResolver(self.net, self.net.host("client"),
+                            forwarder.endpoint,
+                            policy=RetryPolicy(retries=0, timeout_ms=1000))
+        answers = [[(record.rdata.address, record.ttl)
+                    for record in self.run(stub.query(qname)).response.answers]
+                   for qname in qnames]
+        return answers, forward.forwarded
 
 
 def served_alike(scenario):
@@ -128,3 +161,35 @@ def test_bare_stub_raises_transaction_id_mismatch():
 
     message, _ = served_alike(scenario)
     assert message == "transaction id mismatch"
+
+
+def test_forwarder_caches_no_answer_record_outside_the_question():
+    def scenario(world):
+        world.honest.extra = {"answers": [PLANTED]}
+        return world.digs_through_a_forwarder(QNAME, VICTIM)
+
+    (first, second), forwarded = served_alike(scenario)
+    assert first == [(HONEST_ANSWER, 300), ("6.6.6.6", 300)]  # relayed
+    assert second == [(HONEST_ANSWER, 300)]
+    assert forwarded == 2
+
+
+def test_forwarder_relays_a_ttl_0_answer_and_does_not_cache_it():
+    def scenario(world):
+        world.honest.ttl = 0
+        return world.digs_through_a_forwarder(QNAME, QNAME)
+
+    (first, second), forwarded = served_alike(scenario)
+    assert first == second == [(HONEST_ANSWER, 0)]  # not rewritten to 300
+    assert forwarded == 2
+
+
+def test_forwarder_serves_no_additional_record_as_an_answer():
+    def scenario(world):
+        world.honest.extra = {"additionals": [PLANTED]}
+        return world.digs_through_a_forwarder(QNAME, VICTIM)
+
+    (first, second), forwarded = served_alike(scenario)
+    assert first == [(HONEST_ANSWER, 300)]
+    assert second == [(HONEST_ANSWER, 300)]
+    assert forwarded == 2

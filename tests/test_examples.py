@@ -18,10 +18,9 @@ EXAMPLES = sorted(path.name for path in EXAMPLES_DIR.glob("*.py"))
 def test_examples_directory_has_all_scripts():
     # The exact set: an example may be a mechanism's only runner, so
     # deleting one is an edit here, not a silent drop.
-    assert EXAMPLES == ["arvr_latency_budget.py", "cache_policy_study.py",
-                        "dos_fallback.py", "mobility_handoff.py",
-                        "public_cdn_measurement.py", "quickstart.py",
-                        "resilience_demo.py", "zone_transfer_ops.py"]
+    assert EXAMPLES == ["arvr_latency_budget.py", "dos_fallback.py",
+                        "mobility_handoff.py", "public_cdn_measurement.py",
+                        "quickstart.py", "zone_transfer_ops.py"]
 
 
 @pytest.mark.parametrize("script", EXAMPLES)
