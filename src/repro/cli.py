@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``experiment <artifact>`` — regenerate a paper artifact through the
-  experiment registry (``table1``, ``figure5``, ``resilience``, ...)
+  experiment registry (``table1``, ``figure5``, ``churn``, ...)
   or ``all``.  ``--jobs N`` shards each artifact's trial plan over a
   process pool; serial and sharded runs print byte-identical output.
 * ``dig`` — run dig-style queries for the testbed's content name

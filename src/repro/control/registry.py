@@ -33,9 +33,8 @@ ENDPOINT_LABEL = "caches"
 #: answers are, so secondaries and caches re-check quickly.
 REGISTRY_TTL = 30
 
-#: SOA timers (seconds), conventional values stamped into the zone.  The
-#: secondary's recovery poll does not read refresh: ``ControlPlane`` pins
-#: it to ``repro.control.plane.REFRESH_MS``.
+#: SOA timers (seconds), conventional values stamped into the zone; no
+#: timer reads them (the secondary polls every ``SecondaryZone.refresh_ms``).
 SOA_REFRESH = 30
 SOA_RETRY = 10
 SOA_EXPIRE = 3600

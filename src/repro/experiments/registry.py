@@ -13,7 +13,7 @@ from repro.experiments import (access_latency, capacity, churn,
                                disaggregation, ecs, envelope_sweep,
                                figure2, figure3, figure5,
                                mislocalization, overload, population,
-                               resilience, table1, table2)
+                               table1, table2)
 from repro.runtime import ExperimentRegistry
 
 
@@ -22,7 +22,7 @@ def builtin_registry() -> ExperimentRegistry:
     registry = ExperimentRegistry()
     for module in (table1, table2, figure2, figure3, figure5, ecs,
                    mislocalization, disaggregation, envelope_sweep,
-                   overload, access_latency, capacity, resilience,
-                   churn, population):
+                   overload, access_latency, capacity, churn,
+                   population):
         registry.register(module.EXPERIMENT)
     return registry

@@ -12,9 +12,8 @@
 
 from repro.measure.stats import SummaryStats, summarize, trimmed, percentile
 from repro.measure.histogram import HistogramSummary, LatencyHistogram
-from repro.measure.runner import (MeasurementRun, QueryMeasurement,
-                                  RetryStats, measure_deployment_queries,
-                                  measure_deployment_run)
+from repro.measure.runner import (QueryMeasurement,
+                                  measure_deployment_queries)
 
 __all__ = [
     "HistogramSummary",
@@ -23,9 +22,6 @@ __all__ = [
     "summarize",
     "trimmed",
     "percentile",
-    "MeasurementRun",
     "QueryMeasurement",
-    "RetryStats",
     "measure_deployment_queries",
-    "measure_deployment_run",
 ]

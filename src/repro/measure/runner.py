@@ -7,11 +7,6 @@ the P-GW.  :func:`measure_deployment_queries` reproduces this: the
 gateway host's ``crossings`` list records when the query and reply cross
 the P-GW; the first and last crossing inside a lookup split its round
 trip into the two segments.
-
-For fault-injection runs, :func:`measure_deployment_run` additionally
-reports retry behaviour — attempts per lookup, timeouts burned, hedges
-and stale answers — as a :class:`RetryStats`, since under faults *how
-hard the client worked* is as load-bearing as the latency itself.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from typing import Generator, List, NamedTuple, Optional
 
 from repro.core.deployments import Testbed
 from repro.errors import QueryTimeout, WireFormatError
-from repro.resolver.stub import StubResolver
 
 
 class QueryMeasurement(NamedTuple):
@@ -32,33 +26,12 @@ class QueryMeasurement(NamedTuple):
     addresses: List[str]
     status: str
     started_at: float
-    attempts: int = 1       # client transmissions this lookup took
-    stale: bool = False     # answer served past its TTL (RFC 8767)
     trace_id: Optional[int] = None  # telemetry trace, when observed
 
 
-class RetryStats(NamedTuple):
-    """Aggregate client-side resilience accounting for one run."""
-
-    queries: int            # lookups attempted (including failed ones)
-    answered: int           # lookups that produced any response
-    attempts: int           # total transmissions across all lookups
-    timeouts_seen: int      # per-attempt timeouts burned
-    servfails_seen: int     # SERVFAIL responses absorbed by retries
-    stale_answers: int      # answers marked stale (RFC 8914 EDE 3)
-    hedges_sent: int        # hedged second queries actually transmitted
-
-    @property
-    def mean_attempts(self) -> float:
-        """Average transmissions per lookup (1.0 = no retries needed)."""
-        return self.attempts / self.queries if self.queries else 0.0
-
-
-class MeasurementRun(NamedTuple):
-    """Measurements plus the retry accounting behind them."""
-
-    measurements: List[QueryMeasurement]
-    retries: RetryStats
+#: Inter-query spacing, and the warmup lookups discarded before measuring.
+SPACING_MS = 500.0
+WARMUP_QUERIES = 1
 
 
 def measure_deployment_queries(testbed: Testbed,
@@ -66,107 +39,71 @@ def measure_deployment_queries(testbed: Testbed,
     """Run one warmup query and ``count`` more; return the measured ones.
 
     The warmup query lets resolvers with warm-cache semantics settle (and
-    mirrors the practice of discarding the first dig of a session).
-    """
-    return measure_deployment_run(testbed, count).measurements
-
-
-def measure_deployment_run(testbed: Testbed, count: int,
-                           spacing_ms: float = 500.0,
-                           warmup: int = 1,
-                           stub: Optional[StubResolver] = None) -> MeasurementRun:
-    """Like :func:`measure_deployment_queries`, with retry accounting.
-
-    ``stub`` is the client (default: the UE's plain stub); its
-    :class:`~repro.resolver.retry.RetryPolicy` is the retry behaviour.
-    A lookup whose every attempt fails — what ``stub.query`` is
-    documented to raise, nothing broader — is recorded as a ``TIMEOUT``
-    measurement with empty addresses rather than aborting the run:
-    under fault injection, failures are data.
+    mirrors the practice of discarding the first dig of a session).  The
+    client is the UE's plain stub.  A lookup whose every attempt fails —
+    what ``stub.query`` is documented to raise, nothing broader — is
+    recorded as a ``TIMEOUT`` measurement with empty addresses rather
+    than aborting the run.
     """
     if count <= 0:
         raise ValueError("need a positive query count")
     crossings: List[float] = []
     gateway = testbed.network.host(testbed.gateway_host)
     gateway.crossings = crossings
-    if stub is None:
-        stub = testbed.ue.stub()
+    stub = testbed.ue.stub()
     sim = testbed.sim
     measurements: List[QueryMeasurement] = []
-    failed = {"queries": 0}
 
     tel = testbed.network.telemetry
 
     def driver() -> Generator:
-        for index in range(warmup + count):
+        for index in range(WARMUP_QUERIES + count):
+            warmup = index < WARMUP_QUERIES
             started = sim.now
             # A packet walked before this lookup may cross after its
             # start, so trim by time rather than clearing.
             crossings[:] = [time for time in crossings if time >= started]
-            issued_before = stub.queries_issued
             span = None
             if tel is not None:
                 span = tel.tracer.begin(
                     "lookup", "measure", "measure-driver",
-                    qname=str(testbed.query_name), warmup=index < warmup,
+                    qname=str(testbed.query_name), warmup=warmup,
                     deployment=testbed.key)
             try:
                 result = yield from stub.query(
                     testbed.query_name,
                     ctx=span.context if span is not None else None)
             except (QueryTimeout, WireFormatError):
-                failed["queries"] += 1
-                if tel is not None:
-                    tel.tracer.end(span, status="TIMEOUT")
-                if index >= warmup:
-                    measurements.append(QueryMeasurement(
-                        latency_ms=sim.now - started,
-                        wireless_ms=0.0,
-                        resolver_ms=sim.now - started,
-                        addresses=[],
-                        status="TIMEOUT",
-                        started_at=started,
-                        attempts=max(1, stub.queries_issued - issued_before),
-                        trace_id=(span.trace_id if span is not None
-                                  else None)))
-                yield spacing_ms
-                continue
+                result = None  # every attempt failed
             finished = sim.now
+            status = "TIMEOUT" if result is None else result.status
             if tel is not None:
-                tel.tracer.end(span, status=result.status)
-                if index >= warmup:
+                tel.tracer.end(span, status=status)
+                if not warmup and result is not None:
                     tel.metrics.histogram(
                         "repro_lookup_latency_ms",
                         "measured DNS lookup latency").observe(
                             finished - started)
-            if index >= warmup:
-                wireless = _wireless_portion(crossings, started, finished)
-                total = result.query_time_ms
+            if not warmup:
+                if result is None:
+                    total, wireless, addresses = finished - started, 0.0, []
+                else:
+                    wireless = _wireless_portion(crossings, started, finished)
+                    total, addresses = result.query_time_ms, result.addresses
                 measurements.append(QueryMeasurement(
                     latency_ms=total,
                     wireless_ms=wireless,
                     resolver_ms=max(total - wireless, 0.0),
-                    addresses=result.addresses,
-                    status=result.status,
+                    addresses=addresses,
+                    status=status,
                     started_at=started,
-                    attempts=result.attempts,
-                    stale=result.stale,
                     trace_id=(span.trace_id if span is not None
                               else None)))
-            yield spacing_ms
+            yield SPACING_MS
 
     sim.run_until_resolved(sim.spawn(driver()))
     gateway.crossings = None
-    total_queries = warmup + count
-    stats = RetryStats(
-        queries=total_queries,
-        answered=total_queries - failed["queries"],
-        attempts=stub.queries_issued,
-        timeouts_seen=stub.timeouts_seen,
-        servfails_seen=stub.servfails_seen,
-        stale_answers=sum(1 for m in measurements if m.stale),
-        hedges_sent=stub.hedges_sent)
-    return MeasurementRun(measurements=measurements, retries=stats)
+    return measurements
 
 
 def _wireless_portion(crossings: List[float], started: float,

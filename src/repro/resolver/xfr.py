@@ -10,8 +10,8 @@ reload) are implemented:
   last, as RFC 5936 requires, in one answer: a real transfer rides TCP,
   but the simulated fabric has no size limit, so one datagram exchange
   carries it whole;
-* :class:`SecondaryZone` polls the primary's SOA serial at the zone's
-  refresh interval and pulls + installs a fresh copy when it changes.
+* :class:`SecondaryZone` polls the primary's SOA serial every
+  ``refresh_ms`` and pulls + installs a fresh copy when it changes.
 """
 
 from __future__ import annotations
@@ -228,12 +228,12 @@ class SecondaryZone:
 
     def __init__(self, network: Network, server: AuthoritativeServer,
                  origin: Name, primary: Endpoint,
-                 refresh_ms: Optional[float] = None) -> None:
+                 refresh_ms: float = DEFAULT_REFRESH_MS) -> None:
         self.network = network
         self.server = server
         self.origin = origin
         self.primary = primary
-        self._refresh_override = refresh_ms
+        self.refresh_ms = refresh_ms
         self._stub = StubResolver(
             network, server.host, primary,
             policy=RetryPolicy(retries=1, timeout_ms=5000, backoff=1.0))
@@ -256,15 +256,6 @@ class SecondaryZone:
         if zone is None or zone.soa is None:
             return None
         return zone.soa.rdata.serial  # type: ignore[attr-defined]
-
-    @property
-    def refresh_ms(self) -> float:
-        if self._refresh_override is not None:
-            return self._refresh_override
-        zone = self.server.zones.get(self.origin)
-        if zone is not None and zone.soa is not None:
-            return zone.soa.rdata.refresh * 1000.0  # type: ignore[attr-defined]
-        return DEFAULT_REFRESH_MS
 
     # -- one refresh cycle ---------------------------------------------------
 
@@ -357,7 +348,7 @@ class SecondaryZone:
     # -- continuous maintenance ---------------------------------------------------
 
     def start(self) -> None:
-        """Poll forever at the zone's refresh interval."""
+        """Poll forever, ``refresh_ms`` apart."""
         if self._running:
             return
         self._running = True

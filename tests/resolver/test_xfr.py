@@ -168,7 +168,7 @@ class TestSecondaryZone:
 
     def test_periodic_refresh_loop(self, world):
         sim, net, primary, _, secondary = world
-        secondary._refresh_override = 1000.0
+        secondary.refresh_ms = 1000.0
         secondary.start()
         sim.run(until=3500)
         assert secondary.refreshes >= 3

@@ -30,7 +30,6 @@ OVERRIDES = {
     "overload": {"attack_qps": 800.0},
     "access-latency": {"rounds": 3},
     "capacity": {"duration_ms": 250.0, "rates": (500.0, 3000.0)},
-    "resilience": {"queries": 3},
     "churn": {"queries": 3},
     "population": {"target_queries": 320, "catalog": 2000,
                    "cache_capacity": 50},

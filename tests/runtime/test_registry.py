@@ -84,8 +84,8 @@ class TestBuiltinRegistry:
         assert names == ["table1", "table2", "figure2", "figure3",
                          "figure5", "ecs", "mislocalization",
                          "disaggregation", "envelope-sweep", "overload",
-                         "access-latency", "capacity", "resilience",
-                         "churn", "population"]
+                         "access-latency", "capacity", "churn",
+                         "population"]
 
     def test_union_flags_are_consistent(self):
         params = {param.name for param in builtin_registry().cli_params()}

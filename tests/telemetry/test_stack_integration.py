@@ -8,8 +8,8 @@ The two load-bearing claims of the subsystem:
   — both hold the same ``send_now + elapsed`` floats, so they agree to
   the float.
 * Attaching telemetry must not change the simulation at all: the
-  resilience experiment's byte-for-byte replay digest is identical with
-  telemetry off and on.
+  chaos grid's byte-for-byte replay digest is identical with telemetry
+  off and on.
 """
 
 import pytest
@@ -144,11 +144,11 @@ class TestWirelessStages:
 
 class TestZeroPerturbation:
     def test_replay_digest_identical_with_telemetry_on(self):
-        from repro.experiments.resilience import _crash_cell
+        from repro.experiments.churn import BY_NAME, _cell
 
         def run_digest():
-            _, _, digest = _crash_cell("mec-ldns-mec-cdns", "resilient",
-                                       queries=5, seed=3)
+            _, _, digest = _cell(BY_NAME["cdns-crash"], "mec-ldns-mec-cdns",
+                                 "resilient", queries=5, seed=3)
             return digest
 
         baseline = run_digest()
