@@ -66,10 +66,10 @@ def main() -> None:
     # "has access to monitoring statistics of the ingress network load").
     original = mec_dns.sock.on_datagram
 
-    def metered(payload, client, sock):
+    def metered(datagram, client, sock):
         monitor.record(sim.now)
         mitigation.evaluate(sim.now)
-        original(payload, client, sock)
+        original(datagram, client, sock)
 
     mec_dns.sock.on_datagram = metered
 

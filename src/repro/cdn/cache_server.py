@@ -18,7 +18,7 @@ from repro.cdn.content import ContentCatalog, ContentItem
 from repro.errors import ContentNotFound, QueryTimeout
 from repro.netsim.network import Network
 from repro.netsim.node import Host
-from repro.netsim.packet import Endpoint
+from repro.netsim.packet import Datagram, Endpoint
 from repro.netsim.socket import UdpSocket
 
 HTTP_PORT = 80
@@ -118,14 +118,12 @@ class CacheServer:
 
     # -- request handling ------------------------------------------------------------
 
-    def _on_request(self, payload: bytes, client: Endpoint,
-                    sock: UdpSocket) -> None:
+    def _on_request(self, datagram: Datagram, client: Endpoint,
+                    _sock: UdpSocket) -> None:
         if not self.online:
             return  # an offline cache is silent; clients time out
-        datagram = sock.delivering
-        assert datagram is not None  # set for the length of this call
         self.network.sim.spawn(
-            self._serve(payload, client, ctx=datagram.trace_ctx))
+            self._serve(datagram.payload, client, ctx=datagram.trace_ctx))
 
     def _serve(self, payload: bytes, client: Endpoint,
                ctx=None) -> Generator:

@@ -15,7 +15,7 @@ for the requesting client:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cdn.allocation import HashRing
 from repro.cdn.cache_server import CacheServer
@@ -71,6 +71,9 @@ class TrafficRouter(DnsServer):
         self.answer_ttl = answer_ttl
         self.ecs_enabled = ecs_enabled
         self._rings = {zone.name: HashRing(zone.caches) for zone in zones}
+        #: Each cache's answer rdata, built on its first routed answer:
+        #: rdata is immutable once built, so every answer can share it.
+        self._rdata: Dict[CacheServer, A] = {}
         self.routed = 0
         self.zone_updates = 0
 
@@ -160,8 +163,11 @@ class TrafficRouter(DnsServer):
             return make_response(query, rcode=Rcode.SERVFAIL,
                                  authoritative=True)
         self.routed += 1
+        rdata = self._rdata.get(cache)
+        if rdata is None:
+            rdata = self._rdata[cache] = A(cache.endpoint.ip)
         answer = ResourceRecord(question.name, RecordType.A,
-                                self.answer_ttl, A(cache.endpoint.ip))
+                                self.answer_ttl, rdata)
 
         response = make_response(query, authoritative=True, answers=[answer])
         if response.edns is not None and ecs is not None:

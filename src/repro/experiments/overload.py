@@ -105,10 +105,10 @@ def _run_policy(policy: str, attack_qps: float, seed: int) -> OverloadRow:
         mitigation.manage(ue)
     original = mec_dns.sock.on_datagram
 
-    def metered(payload, client, sock):
+    def metered(datagram, client, sock):
         monitor.record(sim.now)
         mitigation.evaluate(sim.now)
-        original(payload, client, sock)
+        original(datagram, client, sock)
 
     mec_dns.sock.on_datagram = metered
 

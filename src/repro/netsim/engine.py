@@ -273,7 +273,7 @@ class Simulator:
           failed, its exception is thrown into the generator, so processes
           handle timeouts with ordinary ``try/except``.
         """
-        done = self.future()
+        done = SimFuture(self)
         process = _Process(self, generator, done)
         self.call_soon(process._step)
         return done
@@ -299,9 +299,9 @@ class Simulator:
         Dispatch is bucket-at-a-time: the clock is set once per distinct
         instant and every event of that instant is applied back to back.
         Events appended to the live bucket mid-drain (``call_soon`` from
-        a callback) are picked up by the index walk in append — i.e.
-        scheduling — order, exactly as the heap's sequence tiebreak
-        ordered them.
+        a callback) are picked up by the ``for`` walk — a list iterator
+        re-reads the length at every step — in append, i.e. scheduling,
+        order, exactly as the heap's sequence tiebreak ordered them.
         """
         processed = 0
         buckets = self._buckets
@@ -315,10 +315,8 @@ class Simulator:
                 return True
             self.now = when
             bucket = buckets[when]
-            index = 0
-            while index < len(bucket):
-                callback, args = bucket[index]
-                index += 1
+            before = processed
+            for callback, args in bucket:
                 self._pending -= 1
                 callback(*args)
                 processed += 1
@@ -329,7 +327,7 @@ class Simulator:
                         f"loop")
                 if stop_future is not None and stop_future._done:
                     # Keep the unapplied tail for the next drain call.
-                    del bucket[:index]
+                    del bucket[:processed - before]
                     if not bucket:
                         del buckets[when]
                         heapq.heappop(times)

@@ -2,16 +2,20 @@
 
 Routing is shortest-path by mean link latency over an undirected graph:
 one Dijkstra per sending host, run on that host's first send and kept
-until a link changes.  Delivery walks the path hop by hop, sampling each
-link's latency, applying any middlebox at each traversed host, and
-re-routing when a middlebox rewrites the destination (NAT).  A host whose
-``crossings`` list is set gets the arrival time of every datagram it
-forwards appended at walk time; that is how the experiments split
-"wireless" from "resolver" time, like the paper's tcpdump-at-P-GW method.
+until a link changes.  Each (sending host, destination address) pair's
+path is compiled once per topology into the links and hosts it crosses,
+so a send looks up one entry.  Delivery walks the path hop by hop,
+sampling each link's latency, applying any middlebox at each traversed
+host, and re-routing when a middlebox rewrites the destination (NAT).
+A host whose ``crossings`` list is set gets the arrival time of every
+datagram it forwards appended at walk time; that is how the experiments
+split "wireless" from "resolver" time, like the paper's tcpdump-at-P-GW
+method.
 """
 
 from __future__ import annotations
 
+import random
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
@@ -28,6 +32,10 @@ _MAX_REROUTES = 16
 #: Distance to a host no route has reached yet.
 _UNREACHED = float("inf")
 
+#: One compiled route: the destination host and each hop's (link, host
+#: it reaches), in order.
+_Compiled = Tuple[Host, Tuple[Tuple[Link, Host], ...]]
+
 
 class Network:
     """A topology of hosts and links bound to a simulator."""
@@ -43,6 +51,12 @@ class Network:
         #: source -> {destination: route}, filled per source on first use
         #: and emptied by every link change.
         self._routes: Dict[str, Dict[str, List[str]]] = {}
+        #: (sending host, destination address) -> compiled route, filled
+        #: on first send and emptied by every link or address change.
+        self._compiled: Dict[Tuple[Host, str], _Compiled] = {}
+        #: The "link-delays" stream every hop samples from, fetched by
+        #: the first compile.
+        self._link_rng: Optional[random.Random] = None
         self._ip_index: Dict[str, Host] = {}
         #: Attached :class:`repro.telemetry.Telemetry`, or ``None``.
         #: Every instrumentation site in the stack checks this before
@@ -84,6 +98,7 @@ class Network:
                                f"{self._ip_index[ip].name}")
         host.addresses.append(ip)
         self._ip_index[ip] = host
+        self._compiled = {}
 
     def release_address(self, host: Host, ip: str) -> None:
         """Unbind ``ip`` from ``host`` so it can move elsewhere."""
@@ -91,6 +106,7 @@ class Network:
             raise AddressError(f"{ip} is not assigned to {host.name}")
         host.addresses.remove(ip)
         del self._ip_index[ip]
+        self._compiled = {}
 
     def add_link(self, a: str, b: str, latency,
                  name: Optional[str] = None) -> Link:
@@ -104,6 +120,7 @@ class Network:
         self._adjacency[a][b] = weight
         self._adjacency[b][a] = weight
         self._routes = {}
+        self._compiled = {}
         return link
 
     def remove_link(self, a: str, b: str) -> Link:
@@ -121,6 +138,7 @@ class Network:
         if a != b:
             del self._adjacency[b][a]
         self._routes = {}
+        self._compiled = {}
         return link
 
     @staticmethod
@@ -223,6 +241,21 @@ class Network:
                     pushes += 1
         return routes
 
+    def _compile(self, at: Host, ip: str) -> _Compiled:
+        """The route from ``at`` to the owner of ``ip``, as objects.
+
+        Raises :class:`AddressError` if no host owns ``ip`` and
+        :class:`RoutingError` if the graph has no path there.
+        """
+        dst_host = self.host_for_ip(ip)
+        names = self.path(at.name, dst_host.name)
+        if self._link_rng is None:
+            self._link_rng = self.streams.stream("link-delays")
+        links, hosts = self._links, self._hosts
+        return dst_host, tuple(
+            (links[self._link_key(previous, nxt)], hosts[nxt])
+            for previous, nxt in zip(names, names[1:]))
+
     # -- forwarding -----------------------------------------------------------------------------
 
     def send(self, datagram: Datagram, from_host: Host) -> None:
@@ -251,16 +284,22 @@ class Network:
         if reroutes > _MAX_REROUTES:
             raise RoutingError(
                 f"middlebox rewrite loop for {datagram!r} at {at.name}")
-        try:
-            dst_host = self.host_for_ip(datagram.dst.ip)
-        except AddressError:
-            self._count_drop("unroutable")
-            return
-        if self._partitions and self.is_partitioned(at.name, dst_host.name):
-            self._count_drop("partition")
-            return
-        hops = self.path(at.name, dst_host.name)
-        rng = self.streams.stream("link-delays")
+        key = (at, datagram.dst.ip)
+        if self._partitions:
+            owner = self._ip_index.get(key[1])
+            if owner is not None and self.is_partitioned(at.name,
+                                                         owner.name):
+                self._count_drop("partition")
+                return
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            try:
+                compiled = self._compiled[key] = self._compile(at, key[1])
+            except AddressError:
+                self._count_drop("unroutable")
+                return
+        dst_host, route = compiled
+        rng = self._link_rng
         current = datagram
         # The walk runs synchronously at send time, so ``sim.now`` here is
         # the injection instant; a hop arrives at ``send_now + elapsed``,
@@ -271,45 +310,45 @@ class Network:
         if self.telemetry is not None and ctx is not None:
             tracer = self.telemetry.tracer
         send_now = self.sim.now
-        links = self._links
-        for previous, nxt in zip(hops, hops[1:]):
-            # Inline link_between: ``hops`` came from path() over the
-            # live graph, so every consecutive pair has a link.
-            link = links[(previous, nxt) if previous <= nxt
-                         else (nxt, previous)]
+        previous = at
+        for link, nxt in route:
             hop_start = elapsed
-            delay = link.sample_delay(rng)
-            if delay is None:
-                self._count_drop("loss")
-                return
-            elapsed += delay
-            current.hops.append(nxt)
+            # Link.sample_delay, inlined for the lossless link.
+            if link.loss_model is None:
+                link.packets_carried += 1
+                elapsed += link.latency.sample(rng)
+            else:
+                delay = link.sample_delay(rng)
+                if delay is None:
+                    self._count_drop("loss")
+                    return
+                elapsed += delay
             if tracer is not None:
                 tracer.add(
-                    "transit", "net", track=nxt, parent=ctx,
+                    "transit", "net", track=nxt.name, parent=ctx,
                     start_ms=send_now + hop_start,
                     end_ms=send_now + elapsed,
-                    link=link.name or f"{previous}~{nxt}",
+                    link=link.name,
                     protocol=current.protocol, size=current.size,
-                    final=nxt == hops[-1],
-                    **{"from": previous, "to": nxt})
-            if nxt == hops[-1]:
+                    final=nxt is dst_host,
+                    **{"from": previous.name, "to": nxt.name})
+                previous = nxt
+            if nxt is dst_host:
                 break
-            arrived_at = self._hosts[nxt]
-            if arrived_at.middlebox is not None:
-                processed = arrived_at.middlebox.process(current, arrived_at)
+            if nxt.middlebox is not None:
+                processed = nxt.middlebox.process(current, nxt)
                 if processed is None:
                     self._count_drop("middlebox")
                     return
-                if arrived_at.crossings is not None:
-                    arrived_at.crossings.append(send_now + elapsed)
+                if nxt.crossings is not None:
+                    nxt.crossings.append(send_now + elapsed)
                 if processed.dst.ip != current.dst.ip:
-                    self._walk(processed, arrived_at, elapsed, reroutes + 1)
+                    self._walk(processed, nxt, elapsed, reroutes + 1)
                     return
                 current = processed
-            elif arrived_at.crossings is not None:
-                arrived_at.crossings.append(send_now + elapsed)
-        final_host = self._hosts[hops[-1]]
+            elif nxt.crossings is not None:
+                nxt.crossings.append(send_now + elapsed)
+        final_host = dst_host
         if final_host.middlebox is not None:
             processed = final_host.middlebox.process(current, final_host)
             if processed is None:

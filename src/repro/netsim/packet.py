@@ -2,14 +2,15 @@
 
 A :class:`Datagram` is the unit the network moves: an opaque payload plus
 source/destination endpoints.  Middleboxes (NAT at the P-GW) rewrite the
-endpoints; the payload is never interpreted below the application layer.
+endpoints; the payload is never interpreted below the application layer,
+and is encoded only if something reads it.
 """
 
 from __future__ import annotations
 
 import functools
 import ipaddress
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 
 class Endpoint(NamedTuple):
@@ -48,44 +49,65 @@ def parse_ipv4_network(cidr: str) -> Tuple[int, int, int]:
 
 
 class Datagram:
-    """One UDP-style datagram in flight."""
+    """One UDP-style datagram in flight.
 
-    __slots__ = ("src", "dst", "payload", "protocol", "hops", "trace_ctx",
-                 "view", "size")
+    ``payload`` is either the wire bytes or, with ``encode``, a decoded
+    message whose bytes are ``encode(payload)``.  Such a message rides
+    as the datagram's :attr:`view`, and its bytes are computed on the
+    first read of :attr:`payload` or :attr:`size`: a receiver that takes
+    the view never pays for an encode nobody reads.
+    """
 
-    def __init__(self, src: Endpoint, dst: Endpoint, payload: bytes,
-                 protocol: str = "udp") -> None:
+    __slots__ = ("src", "dst", "protocol", "trace_ctx", "view", "_wire",
+                 "_message", "_encode")
+
+    def __init__(self, src: Endpoint, dst: Endpoint, payload: object,
+                 protocol: str = "udp",
+                 encode: Optional[Callable[[object], bytes]] = None) -> None:
         self.src = src
         self.dst = dst
-        self.payload = payload
-        #: Payload length in octets, precomputed: the size is read on
-        #: every transit span, and the payload never changes after
-        #: construction.
-        self.size = len(payload)
         self.protocol = protocol
-        #: Host names traversed so far (filled in by the network walk).
-        self.hops: list = []
         #: Out-of-band telemetry context riding alongside the payload.
         #: Never serialized — trace propagation must not change wire
         #: sizes or any simulated behaviour.
         self.trace_ctx = None
-        #: Optional already-decoded view of ``payload`` (opaque to this
-        #: layer — the application layers above put a dnswire Message
-        #: here); the receiver takes it with :meth:`claim_view`.
-        #: ``payload`` stays authoritative: the view never changes wire
-        #: sizes, delays, or any simulated behaviour, it only spares the
-        #: receiver a re-parse of bytes the sender already had decoded.
-        #: The view is read-only on both sides: a query's sender keeps
-        #: reading it after the send, so a receiver that needs a changed
-        #: message builds a copy.
-        self.view: Optional[object] = None
+        #: The sender's decoded message (opaque to this layer — the
+        #: application layers above put a dnswire Message here); the
+        #: receiver takes it with :meth:`claim_view`.  The bytes are
+        #: authoritative: the view never changes wire sizes, delays, or
+        #: any simulated behaviour, it only spares the receiver a parse.
+        #: The message is read-only on both sides from the send on: its
+        #: sender keeps reading it, and its bytes may be encoded from it
+        #: at any later read of ``payload``.
+        self.view: Optional[object]
+        self._message: object
+        self._wire: Optional[bytes]
+        self._encode = encode
+        if encode is None:
+            self._message = self.view = None
+            self._wire = payload  # type: ignore[assignment]
+        else:
+            self._message = self.view = payload
+            self._wire = None
+
+    @property
+    def payload(self) -> bytes:
+        """The wire bytes, encoded from the sender's message on first read."""
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = self._encode(self._message)  # type: ignore[misc]
+        return wire
+
+    @property
+    def size(self) -> int:
+        """Payload length in octets."""
+        return len(self.payload)
 
     def claim_view(self) -> Optional[object]:
         """Take the decoded payload view, leaving ``None`` behind.
 
         Claim-once keeps one reader per send: any later reader (a
-        duplicate delivery) falls back to parsing
-        ``payload``.
+        duplicate delivery) falls back to parsing ``payload``.
         """
         view = self.view
         self.view = None
@@ -93,10 +115,11 @@ class Datagram:
 
     def rewritten(self, src: Optional[Endpoint] = None,
                   dst: Optional[Endpoint] = None) -> "Datagram":
-        """A copy with src and/or dst replaced (hop history preserved)."""
-        clone = Datagram(src or self.src, dst or self.dst, self.payload,
+        """A copy with src and/or dst replaced (payload and view kept)."""
+        clone = Datagram(src or self.src, dst or self.dst, self._wire,
                          self.protocol)
-        clone.hops = list(self.hops)
+        clone._message = self._message
+        clone._encode = self._encode
         clone.trace_ctx = self.trace_ctx
         clone.view = self.view
         return clone

@@ -16,8 +16,13 @@ from repro.netsim.engine import SimFuture
 from repro.netsim.node import Host
 from repro.netsim.packet import Datagram, Endpoint
 
-#: Server handler signature: (payload, client_endpoint, socket).
-DatagramHandler = Callable[[bytes, Endpoint, "UdpSocket"], None]
+#: Server handler signature: (datagram, its source endpoint, socket).
+#: The handler reads the datagram's view, trace context or bytes, so
+#: bytes nobody reads are never encoded.
+DatagramHandler = Callable[[Datagram, Endpoint, "UdpSocket"], None]
+
+#: Payload encoder for :meth:`UdpSocket.send_to`'s ``encode``.
+Encoder = Callable[[object], bytes]
 
 
 def _fail_request(future: SimFuture, dst: Endpoint, timeout: float) -> None:
@@ -43,59 +48,53 @@ class UdpSocket:
         if not host.owns(self.ip):
             raise SocketError(f"{host.name} does not own {self.ip}")
         self.port = port if port is not None else host.allocate_ephemeral_port()
+        #: ``(ip, port)``, built once: the address never changes.
+        self.endpoint = Endpoint(self.ip, self.port)
         self.closed = False
         self.on_datagram: Optional[DatagramHandler] = None
         self._pending_request: Optional[SimFuture] = None
-        #: The datagram ``on_datagram`` is being called for (``None``
-        #: outside that call): handlers read its trace context and claim
-        #: its decoded view here, beside the ``(payload, client, sock)``
-        #: arguments.
-        self.delivering: Optional[Datagram] = None
         host.register_socket(self)
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.ip, self.port)
 
     # -- sending --------------------------------------------------------------
 
-    def send_to(self, payload: bytes, dst: Endpoint, ctx=None,
-                view=None) -> None:
+    def send_to(self, payload: object, dst: Endpoint, ctx=None,
+                encode: Optional[Encoder] = None) -> None:
         """Send ``payload`` to ``dst`` (fire and forget).
 
+        ``payload`` is the wire bytes or, with ``encode``, a decoded
+        message whose bytes are ``encode(payload)``: it rides the
+        datagram as its view (see :meth:`Datagram.claim_view`) and the
+        bytes are computed only if something reads them.  From here on
+        the message is read-only for this sender and for the receiver.
         ``ctx`` optionally attaches a telemetry trace context that rides
         the datagram out-of-band (it never touches the wire bytes).
-        ``view`` optionally attaches an already-decoded view of
-        ``payload`` (see :meth:`Datagram.claim_view`); from here on the
-        object is read-only for this sender and for the receiver.
         """
         if self.closed:
             raise SocketError("send on closed socket")
-        datagram = Datagram(self.endpoint, dst, payload)
+        datagram = Datagram(self.endpoint, dst, payload, "udp", encode)
         if ctx is not None:
             datagram.trace_ctx = ctx
-        if view is not None:
-            datagram.view = view
         assert self.host.network is not None
         self.host.network.send(datagram, self.host)
 
-    def request(self, payload: bytes, dst: Endpoint,
-                timeout: float, ctx=None, view=None) -> SimFuture:
+    def request(self, payload: object, dst: Endpoint,
+                timeout: float, ctx=None,
+                encode: Optional[Encoder] = None) -> SimFuture:
         """Send and await the first datagram delivered back to this socket.
 
         The returned future resolves to the reply :class:`Datagram` or
         fails with :class:`QueryTimeout` after ``timeout`` ms.  One request
         may be outstanding per socket; protocol layers that need concurrent
         queries open one ephemeral socket per query, as real stub resolvers
-        do.  ``ctx`` and ``view`` ride the request as in :meth:`send_to`.
+        do.  ``ctx`` and ``encode`` apply as in :meth:`send_to`.
         """
         if self._pending_request is not None and not self._pending_request.done:
             raise SocketError("socket already has a request in flight")
         sim = self.host.network.sim  # type: ignore[union-attr]
-        future = sim.future()
+        future = SimFuture(sim)
         self._pending_request = future
         sim.call_after(timeout, _fail_request, future, dst, timeout)
-        self.send_to(payload, dst, ctx=ctx, view=view)
+        self.send_to(payload, dst, ctx, encode)
         return future
 
     # -- receiving ----------------------------------------------------------------
@@ -110,9 +109,7 @@ class UdpSocket:
             pending.resolve(datagram)
             return
         if self.on_datagram is not None:
-            self.delivering = datagram
-            self.on_datagram(datagram.payload, datagram.src, self)
-            self.delivering = None
+            self.on_datagram(datagram, datagram.src, self)
 
     def close(self) -> None:
         """Release the underlying socket resources."""

@@ -23,14 +23,14 @@ rule set and one relay:
 
 from __future__ import annotations
 
-import inspect
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.dnswire.message import (Message, ResourceRecord, make_response,
-                                   mark_stale)
+from repro.dnswire.message import (Message, ResourceRecord, make_query,
+                                   make_response, mark_stale)
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode, RecordType
+from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache, negative_ttl
 from repro.resolver.server import UPSTREAM_TIMEOUT_MS, DnsServer
@@ -42,6 +42,10 @@ class QueryContext:
     def __init__(self, query: Message, client: Endpoint) -> None:
         self.query = query
         self.client = client
+        #: The query's question, read once: the query is read-only.
+        question = query.question
+        self.qname = question.name
+        self.rtype = question.rtype
         self.response: Optional[Message] = None
         #: Free-form annotations plugins leave for each other
         #: (e.g. the namespace view selected for this client).
@@ -53,21 +57,14 @@ class QueryContext:
         self.trace = None
         self.track = "?"
 
-    @property
-    def qname(self):
-        return self.query.question.name
-
-    @property
-    def rtype(self):
-        return self.query.question.rtype
-
 
 class Plugin:
     """One chain element.
 
     :meth:`handle` receives the context and a ``next_plugin`` continuation;
     call ``yield from next_plugin(ctx)`` to delegate down the chain.  It
-    must be a generator (the chain runs as a simulator process) and should
+    must be a generator function (the chain runs it with ``yield from``
+    as part of a simulator process, and does not check) and should
     set ``ctx.response`` (or leave it for a later plugin).
     """
 
@@ -119,11 +116,8 @@ class PluginChain:
             # cannot race.
             ctx.trace = span.context
         try:
-            result = plugin.handle(ctx, partial(self.run, index=index + 1))
-            if inspect.isgenerator(result):
-                response = yield from result
-            else:
-                response = result
+            response = yield from plugin.handle(
+                ctx, partial(self.run, index=index + 1))
             if response is not None:
                 ctx.response = response
         finally:
@@ -282,13 +276,26 @@ class RelayPlugin(Plugin):
         self.forwarded = 0
 
     def _forward(self, ctx: QueryContext, upstream: Endpoint) -> Generator:
-        assert self._owner is not None, "plugin not bound to a server"
+        """Process: relay the question to ``upstream``, one shot.
+
+        The forwarded query asks for recursion under a fresh id and, with
+        ``forward_ecs``, carries the client's EDNS (its ECS option) on.
+        """
+        owner = self._owner
+        assert owner is not None, "plugin not bound to a server"
         self.forwarded += 1
-        response = yield from self._owner.forward(
-            ctx.query, upstream, self.timeout, self.forward_ecs, ctx.trace)
+        forwarded = make_query(ctx.qname, ctx.rtype,
+                               msg_id=owner.allocate_query_id(),
+                               recursion_desired=True)
+        edns = ctx.query.edns
+        if self.forward_ecs and edns is not None:
+            forwarded.edns = edns
         # Every L-DNS relays by this one rule: its own SERVFAIL carries no
         # RA, and a relayed answer keeps the upstream's EDNS options.
-        if response is None:
+        try:
+            response = yield from owner.query_upstream(
+                forwarded, upstream, self.timeout, ctx=ctx.trace)
+        except (QueryTimeout, WireFormatError):
             return make_response(ctx.query, rcode=Rcode.SERVFAIL)
         reply = make_response(ctx.query, rcode=response.rcode,
                               recursion_available=True,

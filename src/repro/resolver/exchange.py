@@ -19,18 +19,18 @@ def exchange(host: Host, query: Message, server: Endpoint, timeout: float,
 
     A fresh ephemeral socket per call (as real stubs do) keeps concurrent
     exchanges independent.  ``query`` rides the datagram as its decoded
-    view, so the server reads it instead of parsing the wire again; it is
-    read-only on both sides from the send on (this function still reads
-    its id).  Raises :class:`~repro.errors.QueryTimeout` after
-    ``timeout`` ms and :class:`~repro.errors.WireFormatError` on a reply
-    that does not decode or does not carry ``query``'s id — the one place
-    that is decided, for every client.  Emits no span, counter or RNG
-    draw: observation belongs to the caller.
+    view, so the server reads it instead of parsing the wire again, and
+    its bytes are encoded only if something reads them; it is read-only
+    on both sides from the send on (this function still reads its id).
+    Raises :class:`~repro.errors.QueryTimeout` after ``timeout`` ms and
+    :class:`~repro.errors.WireFormatError` on a reply that does not
+    decode or does not carry ``query``'s id — the one place that is
+    decided, for every client.  Emits no span, counter or RNG draw:
+    observation belongs to the caller.
     """
     sock = UdpSocket(host, ip=ip)
     try:
-        reply = yield sock.request(cached_wire(query), server, timeout,
-                                   ctx=ctx, view=query)
+        reply = yield sock.request(query, server, timeout, ctx, cached_wire)
     finally:
         sock.close()
     view = reply.claim_view()

@@ -17,17 +17,16 @@ datagram: the fabric has no size limit, so nothing truncates.
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Generator, Optional
 
-from repro.dnswire.message import (Message, cached_wire, make_query,
-                                   make_response)
+from repro.dnswire.message import Message, cached_wire, make_response
 from repro.dnswire.types import Opcode, Rcode
 from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.latency import Constant, LatencyModel
 from repro.netsim.network import Network
 from repro.netsim.node import Host
-from repro.netsim.packet import Endpoint
+from repro.netsim.packet import Datagram, Endpoint
 from repro.netsim.socket import UdpSocket
 from repro.resolver.exchange import exchange
 from repro.telemetry.trace import ERROR_NAME, EndOnError
@@ -82,20 +81,19 @@ class DnsServer:
 
     # -- transport ------------------------------------------------------------
 
-    def _on_datagram(self, payload: bytes, client: Endpoint,
-                     sock: UdpSocket) -> None:
+    def _on_datagram(self, datagram: Datagram, client: Endpoint,
+                     _sock: UdpSocket) -> None:
         self.queries_received += 1
         tel = self.network.telemetry
         if tel is not None:
             tel.metrics.counter("repro_dns_queries_total",
                                 "queries received by DNS servers").inc(
                                     server=self.name)
-        datagram = sock.delivering
-        assert datagram is not None  # set for the length of this call
         # The sender's Message rides the datagram (resolver.exchange);
         # only bytes that arrive without one are parsed.
         query = datagram.claim_view()
         if not isinstance(query, Message):
+            payload = datagram.payload
             try:
                 query = Message.from_wire(payload)
             except WireFormatError:
@@ -164,7 +162,7 @@ class DnsServer:
                           trace) -> Generator:
         try:
             result = self.handle_query(query, client, trace)
-            if inspect.isgenerator(result):
+            if type(result) is GeneratorType:
                 response = yield from result
             else:
                 response = result
@@ -176,9 +174,9 @@ class DnsServer:
               trace=None) -> None:
         self.responses_sent += 1
         # The response object is done on this side — hand it to the
-        # client as a decoded view so the reply is never re-parsed.
-        self.sock.send_to(cached_wire(response), client, ctx=trace,
-                          view=response)
+        # client as a decoded view so the reply is never re-parsed, and
+        # encoded only if something reads its bytes.
+        self.sock.send_to(response, client, trace, cached_wire)
 
     def _send_error_for_garbage(self, payload: bytes, client: Endpoint) -> None:
         """Best effort FORMERR: echo the query id if two octets exist."""
@@ -213,28 +211,6 @@ class DnsServer:
         if tel is not None:
             tel.tracer.end(span, outcome=response.rcode.name)
         return response
-
-    def forward(self, query: Message, upstream: Endpoint, timeout: float,
-                forward_ecs: bool, ctx=None) -> Generator:
-        """Process: relay ``query``'s question to ``upstream``, one shot.
-
-        The forwarded query asks for recursion under a fresh id and, with
-        ``forward_ecs``, carries the client's EDNS (its ECS option) on.
-        Returns the upstream's response, or ``None`` when it stayed
-        silent or answered garbage — the caller tries its next upstream
-        or admits SERVFAIL, and builds its own reply either way.
-        """
-        question = query.question
-        forwarded = make_query(question.name, question.rtype,
-                               msg_id=self.allocate_query_id(),
-                               recursion_desired=True)
-        if forward_ecs and query.edns is not None:
-            forwarded.edns = query.edns
-        try:
-            return (yield from self.query_upstream(forwarded, upstream,
-                                                   timeout, ctx=ctx))
-        except (QueryTimeout, WireFormatError):
-            return None
 
     def allocate_query_id(self) -> int:
         """A fresh message id for an upstream query."""

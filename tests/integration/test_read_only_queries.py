@@ -1,10 +1,13 @@
-"""A sent query is read-only on both sides.
+"""A sent message is read-only on both sides, and its bytes are its own.
 
 The server serves the sender's own :class:`Message` (it rides the
 datagram), and the sender keeps reading it after the send: the reply's
-id check.  So no server may change a query it received.  These tests
-record every query ``resolver.exchange`` sends, run the deployments and
-the experiments that touch EDNS at small size, and check each query's
+id check.  So no server may change a query it received.  A datagram's
+bytes are encoded from that message only when something reads them, so
+no client may change a reply it received either: bytes read late must
+be the bytes sent.  These tests record every query ``resolver.exchange``
+sends and every reply a server sends, run the deployments and the
+experiments that touch EDNS at small size, and check each message's
 wire and option count after its reply against what was sent.
 """
 
@@ -14,26 +17,48 @@ from repro.dnswire import Edns, Message, Name, cached_wire, make_query
 from repro.experiments import churn, ecs, figure5, overload
 from repro.mec import CoreDnsServer, Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
+from repro.netsim.packet import Datagram
 from repro.netsim.socket import UdpSocket
 from repro.resolver import AuthoritativeServer
 from repro.resolver.exchange import exchange
+from repro.telemetry import Telemetry
 from tests.mec.test_coredns import build_zone
 
 
 @pytest.fixture
 def sent(monkeypatch):
-    """``(query, wire, option count)`` for every query sent with a view."""
+    """``(query, wire, option count)`` for every query sent as a message.
+
+    The wire is encoded here, at the send: the datagram encodes only if
+    something reads its bytes.
+    """
     recorded = []
     request = UdpSocket.request
 
-    def recording(sock, payload, dst, timeout, ctx=None, view=None):
-        if isinstance(view, Message):
-            edns = view.edns
-            recorded.append((view, payload,
+    def recording(sock, payload, dst, timeout, ctx=None, encode=None):
+        if isinstance(payload, Message):
+            edns = payload.edns
+            recorded.append((payload, cached_wire(payload),
                              None if edns is None else len(edns.options)))
-        return request(sock, payload, dst, timeout, ctx=ctx, view=view)
+        return request(sock, payload, dst, timeout, ctx, encode)
 
     monkeypatch.setattr(UdpSocket, "request", recording)
+    return recorded
+
+
+@pytest.fixture
+def replies(monkeypatch):
+    """``(datagram, wire)`` for every reply a server sends, wire at send."""
+    recorded = []
+    send = Network.send
+
+    def recording(net, datagram, from_host):
+        view = datagram.view
+        if isinstance(view, Message) and view.flags.qr:
+            recorded.append((datagram, cached_wire(view)))
+        send(net, datagram, from_host)
+
+    monkeypatch.setattr(Network, "send", recording)
     return recorded
 
 
@@ -54,11 +79,17 @@ RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_exchanged_queries_leave_their_servers_unchanged(name, sent):
+def test_exchanged_queries_leave_their_servers_unchanged(name, sent,
+                                                         replies):
     experiment, overrides = RUNS[name]
     experiment.run_serial(**overrides)
     assert sent, "the run sent no query through exchange()"
     assert_unchanged(sent)
+    # Every client has consumed its reply by now: bytes read this late
+    # are still the bytes the server sent.
+    assert replies, "the run sent no reply"
+    for datagram, wire in replies:
+        assert datagram.payload == wire
     if name in ("ecs", "figure5-ecs"):
         # CoreDNS injected ECS on a copy and forwarded the copy's EDNS.
         assert any(query.edns is not None
@@ -121,3 +152,86 @@ def test_ecs_inject_at_a_later_hop_does_not_reach_the_client():
     response = ask(sim, net, query)
     assert query.edns is edns and edns.options == []
     assert response.edns.client_subnet.address == "10.40.2.0"
+
+
+# -- bytes read on demand are the sent message's -----------------------------
+
+def test_transit_spans_size_the_sent_bytes(monkeypatch):
+    """With telemetry on, each hop's span reads ``size``: the encode."""
+    sim, net = build_chain(first_injects=True)
+    tel = Telemetry().attach(net)
+    walked = []
+    send = Network.send
+
+    def recording(network, datagram, from_host):
+        walked.append((datagram, datagram.view))
+        send(network, datagram, from_host)
+
+    monkeypatch.setattr(Network, "send", recording)
+    root = tel.tracer.begin("test.lookup", "test", "client")
+    query = make_query(Name("video.example.com"), msg_id=11)
+    sim.run_until_resolved(sim.spawn(exchange(
+        net.host("client"), query, Endpoint(FIRST_IP, 53), 1000.0,
+        ctx=root.context)))
+    transit = [span.attrs["size"] for span in tel.tracer.finished
+               if span.name == "transit"]
+    assert len(walked) == len(transit) == 6  # one hop per link, each way
+    assert sorted(transit) == sorted(
+        len(message.to_wire()) for _, message in walked)
+    for datagram, message in walked:
+        assert datagram.payload == message.to_wire()
+
+
+def test_a_duplicate_delivery_parses_the_sent_bytes(monkeypatch):
+    """The first delivery claims the view; the second reads the bytes."""
+    sim = Simulator()
+    net = Network(sim, RandomStreams(3))
+    net.add_host("client", CLIENT_IP)
+    net.add_host("auth", AUTH_IP)
+    net.add_link("client", "auth", Constant(1))
+    AuthoritativeServer(net, net.host("auth"),
+                        [build_zone("example.com", "198.18.1.1")])
+    parsed = []
+    parse = Message.__dict__["from_wire"].__func__
+
+    def counting(cls, data):
+        parsed.append(data)
+        return parse(cls, data)
+
+    monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+    answers = []
+    sock = UdpSocket(net.host("client"))
+    sock.on_datagram = lambda datagram, src, s: answers.append(
+        datagram.claim_view())
+    query = make_query(Name("video.example.com"), msg_id=21)
+    datagram = Datagram(sock.endpoint, Endpoint(AUTH_IP, 53), query,
+                        encode=cached_wire)
+    net.send(datagram, net.host("client"))
+    net.send(datagram, net.host("client"))
+    sim.run()
+    assert parsed == [query.to_wire()]
+    assert [answer.msg_id for answer in answers] == [21, 21]
+    assert datagram.payload == query.to_wire()
+
+
+def test_the_overload_flood_sends_its_queries_bytes(monkeypatch):
+    """The one foreign sender: raw bytes, parsed by the MEC DNS."""
+    flood = {}
+    parsed = []
+    parse = Message.__dict__["from_wire"].__func__
+
+    def encoding(query):
+        wire = cached_wire(query)
+        flood[wire] = query.to_wire()
+        return wire
+
+    def counting(cls, data):
+        parsed.append(data)
+        return parse(cls, data)
+
+    monkeypatch.setattr(overload, "cached_wire", encoding)
+    monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+    overload.EXPERIMENT.run_serial()
+    assert parsed and flood
+    for data in parsed:
+        assert flood[data] == data

@@ -97,14 +97,61 @@ class TestTopology:
         assert net.host_for_ip("198.51.100.1") is b
 
 
+class TestCompiledRoutes:
+    """A send walks a route compiled once per topology: every link or
+    address change must recompile it."""
+
+    def triangle(self, net):
+        """a -1- b -1- c, and a -5- c; a socket on c."""
+        for name, ip in [("a", "10.0.0.1"), ("b", "10.0.0.2"),
+                         ("c", "10.0.0.3")]:
+            net.add_host(name, ip)
+        net.add_link("a", "b", Constant(1))
+        net.add_link("b", "c", Constant(1))
+        net.add_link("a", "c", Constant(5))
+        arrivals = []
+        UdpSocket(net.host("c"), port=9).on_datagram = \
+            lambda datagram, src, sock: arrivals.append(net.sim.now)
+        return UdpSocket(net.host("a")), arrivals
+
+    def test_a_removed_link_reroutes_the_next_send(self, net):
+        sender, arrivals = self.triangle(net)
+        sender.send_to(b"x", Endpoint("10.0.0.3", 9))
+        net.sim.run()
+        net.remove_link("a", "b")
+        sender.send_to(b"x", Endpoint("10.0.0.3", 9))
+        net.sim.run()
+        assert arrivals == [2.0, 7.0]
+        net.remove_link("a", "c")
+        with pytest.raises(RoutingError):
+            sender.send_to(b"x", Endpoint("10.0.0.3", 9))
+
+    def test_a_moved_address_reaches_its_new_owner(self, net):
+        sender, arrivals = self.triangle(net)
+        sender.send_to(b"x", Endpoint("198.51.100.1", 9))  # nobody owns it
+        net.assign_address(net.host("c"), "198.51.100.1")
+        sender.send_to(b"x", Endpoint("198.51.100.1", 9))
+        net.sim.run()
+        net.release_address(net.host("c"), "198.51.100.1")
+        sender.send_to(b"x", Endpoint("198.51.100.1", 9))  # unowned again
+        net.sim.run()
+        net.assign_address(net.host("b"), "198.51.100.1")
+        seen = []
+        UdpSocket(net.host("b"), port=9).on_datagram = \
+            lambda datagram, src, sock: seen.append(net.sim.now)
+        sender.send_to(b"x", Endpoint("198.51.100.1", 9))
+        net.sim.run()
+        assert arrivals == [2.0] and seen == [3.0]
+
+
 class TestDelivery:
     def test_end_to_end_latency_is_sum_of_links(self, net):
         build_line(net, ("client", "10.0.0.1", 3), ("mid", "10.0.0.2", 4),
                    ("server", "10.0.0.3", 0))
         received = []
         server_sock = UdpSocket(net.host("server"), port=53)
-        server_sock.on_datagram = lambda payload, src, sock: received.append(
-            (net.sim.now, payload))
+        server_sock.on_datagram = lambda datagram, src, sock: received.append(
+            (net.sim.now, datagram.payload))
         client_sock = UdpSocket(net.host("client"))
         client_sock.send_to(b"hello", Endpoint("10.0.0.3", 53))
         net.sim.run()
@@ -113,8 +160,8 @@ class TestDelivery:
     def test_request_reply_roundtrip(self, net):
         build_line(net, ("client", "10.0.0.1", 5), ("server", "10.0.0.2", 0))
         server_sock = UdpSocket(net.host("server"), port=53)
-        server_sock.on_datagram = lambda payload, src, sock: sock.send_to(
-            b"re:" + payload, src)
+        server_sock.on_datagram = lambda datagram, src, sock: sock.send_to(
+            b"re:" + datagram.payload, src)
         client_sock = UdpSocket(net.host("client"))
         future = client_sock.request(b"ping", Endpoint("10.0.0.2", 53), timeout=100)
         reply = net.sim.run_until_resolved(future)
@@ -173,7 +220,8 @@ class TestDelivery:
         link.loss_model = IidLoss(0.5)
         delivered = []
         server = UdpSocket(net.host("b"), port=9)
-        server.on_datagram = lambda payload, src, sock: delivered.append(payload)
+        server.on_datagram = lambda datagram, src, sock: delivered.append(
+            datagram.payload)
         sender = UdpSocket(net.host("a"), port=1000)
         for _ in range(200):
             sender.send_to(b"x", Endpoint("10.0.0.2", 9))
@@ -243,7 +291,7 @@ class TestMiddlebox:
         sim, net, nat = self.build_nat_topology()
         seen = []
         server = UdpSocket(net.host("cdn"), port=53)
-        server.on_datagram = lambda payload, src, sock: seen.append(src)
+        server.on_datagram = lambda datagram, src, sock: seen.append(src)
         client = UdpSocket(net.host("ue"))
         client.send_to(b"q", Endpoint("203.0.113.10", 53))
         sim.run()
@@ -252,7 +300,7 @@ class TestMiddlebox:
     def test_reply_translates_back_to_client(self):
         sim, net, nat = self.build_nat_topology()
         server = UdpSocket(net.host("cdn"), port=53)
-        server.on_datagram = lambda payload, src, sock: sock.send_to(b"r", src)
+        server.on_datagram = lambda datagram, src, sock: sock.send_to(b"r", src)
         client = UdpSocket(net.host("ue"))
         future = client.request(b"q", Endpoint("203.0.113.10", 53), timeout=500)
         reply = sim.run_until_resolved(future)
@@ -266,7 +314,7 @@ class TestTrace:
                    ("dns", "10.0.0.3", 0))
         net.host("pgw").crossings = crossings = []
         server = UdpSocket(net.host("dns"), port=53)
-        server.on_datagram = lambda payload, src, sock: sock.send_to(b"r", src)
+        server.on_datagram = lambda datagram, src, sock: sock.send_to(b"r", src)
         client = UdpSocket(net.host("ue"))
         future = client.request(b"q", Endpoint("10.0.0.3", 53), timeout=500)
         net.sim.run_until_resolved(future)
@@ -279,7 +327,7 @@ class TestTrace:
                    ("c", "10.0.0.3", 0))
         net.host("b").crossings = crossings = []
         server = UdpSocket(net.host("c"), port=5)
-        server.on_datagram = lambda payload, src, sock: None
+        server.on_datagram = lambda datagram, src, sock: None
         sender = UdpSocket(net.host("a"))
         sender.send_to(b"x", Endpoint("10.0.0.3", 5))
         net.sim.run()
@@ -332,7 +380,7 @@ def nat_scenario(*watched):
     for name in watched:
         net.host(name).crossings = []
     server = UdpSocket(net.host("server"), port=53)
-    server.on_datagram = lambda payload, src, sock: sock.send_to(b"r", src)
+    server.on_datagram = lambda datagram, src, sock: sock.send_to(b"r", src)
     client = UdpSocket(net.host("ue"))
     sim.run_until_resolved(
         client.request(b"q", Endpoint("203.0.113.10", 53), timeout=500))

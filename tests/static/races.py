@@ -23,7 +23,8 @@ The call graph indexes every module-level function and method under
 ``module.qualname`` and resolves a call three ways: a name of the module
 or one it imports (through the import-alias map), ``self.method(...)`` to
 the enclosing class, and ``obj.method(...)`` to every same-named method in
-the tree.  That last one over-approximates on purpose (reporting too much
+the tree.  A function passed as an argument (``encode=cached_wire``, a
+``self._deliver`` callback) is an edge too: the callee may call it.  That last one over-approximates on purpose (reporting too much
 reachable code is safe, missing some is not), so the rule shapes stay
 narrow to compensate.  A nested function or lambda is analysed under the
 function around it: if the parent runs, the closure may.
@@ -85,7 +86,8 @@ class _CallGraph:
                     self.methods.setdefault(found.name, []).append(full)
         self.edges = {full: {target for node in ast.walk(found.node)
                              if isinstance(node, ast.Call)
-                             for target in self._callees(node, found)}
+                             for target in self._callees(node, found)
+                             + self._passed(node, found)}
                       for full, found in self.functions.items()}
 
     def _known(self, dotted: Optional[str]) -> List[str]:
@@ -115,6 +117,28 @@ class _CallGraph:
         if func.attr in _IGNORED_METHOD_NAMES:
             return []
         return self.methods.get(func.attr, [])
+
+    def _passed(self, call: ast.Call, caller: Def) -> List[str]:
+        """Functions handed to ``call`` as arguments: the callee may call
+        them (a scheduler callback, a payload encoder).  Only a module
+        function or a ``self`` method resolves; a bare ``obj.method``
+        reference would match every same-named method."""
+        module = caller.module
+        found: List[str] = []
+        for arg in call.args + [keyword.value for keyword in call.keywords]:
+            if isinstance(arg, ast.Name):
+                found += (self._known(f"{module.name}.{arg.id}")
+                          or self._known(module.dotted(arg)))
+            elif isinstance(arg, ast.Attribute):
+                if isinstance(arg.value, ast.Name) \
+                        and arg.value.id == "self" \
+                        and caller.owner is not None:
+                    method = f"{module.name}.{caller.owner}.{arg.attr}"
+                    if method in self.functions:
+                        found.append(method)
+                else:
+                    found += self._known(module.dotted(arg))
+        return found
 
     def reachable(self) -> List[Def]:
         """Functions reachable from those whose ``module.qualname``

@@ -38,15 +38,21 @@ def net():
 
 
 class TestDatagram:
-    def test_rewritten_preserves_payload_and_hops(self):
+    def test_rewritten_preserves_payload_view_and_trace_context(self):
+        query = make_query(Name("a.cdn.test"), msg_id=5)
         datagram = Datagram(Endpoint("10.0.0.1", 100),
-                            Endpoint("10.0.0.2", 200), b"payload")
-        datagram.hops.append("mid")
+                            Endpoint("10.0.0.2", 200), query,
+                            encode=lambda message: message.to_wire())
+        datagram.trace_ctx = context = object()
         clone = datagram.rewritten(src=Endpoint("198.51.100.1", 7))
-        assert clone.payload == b"payload"
-        assert clone.hops == ["mid"]
+        assert clone.payload == query.to_wire()
+        assert clone.view is query and clone.trace_ctx is context
         assert clone.dst == datagram.dst
         assert clone.src == Endpoint("198.51.100.1", 7)
+        raw = Datagram(Endpoint("10.0.0.1", 100),
+                       Endpoint("10.0.0.2", 200), b"payload")
+        assert raw.rewritten(dst=Endpoint("10.0.0.3", 1)).payload == \
+            b"payload"
 
     def test_size_and_repr(self):
         datagram = Datagram(Endpoint("10.0.0.1", 1),
@@ -74,7 +80,7 @@ class TestNetworkEdges:
         net.host("b").install_middlebox(BlackHole())
         received = []
         receiver = UdpSocket(net.host("b"), port=9)
-        receiver.on_datagram = lambda payload, src, sock: received.append(1)
+        receiver.on_datagram = lambda datagram, src, sock: received.append(1)
         UdpSocket(net.host("a")).send_to(b"x", Endpoint("10.0.0.2", 9))
         net.sim.run()
         assert not received
@@ -122,7 +128,8 @@ class TestServerGarbageHandling:
         server = AuthoritativeServer(net, net.host("b"), [zone])
         replies = []
         sock = UdpSocket(net.host("a"))
-        sock.on_datagram = lambda payload, src, s: replies.append(payload)
+        sock.on_datagram = lambda datagram, src, s: replies.append(
+            datagram.payload)
         # Two id octets followed by garbage that cannot parse.
         sock.send_to(b"\x12\x34" + b"\xff" * 5, server.endpoint)
         net.sim.run()
@@ -156,7 +163,8 @@ class TestServerGarbageHandling:
         query.opcode = Opcode.NOTIFY
         replies = []
         sock = UdpSocket(net.host("a"))
-        sock.on_datagram = lambda payload, src, s: replies.append(payload)
+        sock.on_datagram = lambda datagram, src, s: replies.append(
+            datagram.payload)
         sock.send_to(query.to_wire(), server.endpoint)
         net.sim.run()
         from repro.dnswire import Message
