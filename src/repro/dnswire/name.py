@@ -65,13 +65,12 @@ class Name:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
         for label in labels:
             _validate_label(label)
-        self._install(labels, tuple([label.lower() for label in labels]))
+        self._install(labels)
 
-    def _install(self, labels: Tuple[bytes, ...],
-                 folded: Tuple[bytes, ...]) -> None:
+    def _install(self, labels: Tuple[bytes, ...]) -> None:
         self._labels = labels
-        self._folded = folded
-        #: ``hash(folded)`` and the presentation form, both filled in on
+        self._folded = tuple([label.lower() for label in labels])
+        #: ``hash(_folded)`` and the presentation form, both filled in on
         #: first use — names are immutable, and the hot paths (memo keys,
         #: zone dict probes, span attributes, allocation hashing) hash
         #: and stringify the same name object repeatedly.
@@ -79,20 +78,15 @@ class Name:
         self._text: Optional[str] = None
 
     @classmethod
-    def _from_valid(cls, labels: Tuple[bytes, ...],
-                    folded: Optional[Tuple[bytes, ...]] = None) -> "Name":
+    def _from_valid(cls, labels: Tuple[bytes, ...]) -> "Name":
         """Install labels already known to meet the RFC 1035 limits.
 
-        Only for the two callers that have just established them: the
-        wire reader, whose loop admits 1–63 octet labels and counts the
-        255-octet total, and the slicing methods below, whose labels
-        (and ``folded`` forms) come out of a name that passed
-        :meth:`_init_from`.  Everything else goes through the validating
-        constructors.
+        Only for the wire reader, whose loop admits 1–63 octet labels and
+        counts the 255-octet total.  Everything else goes through the
+        validating constructors.
         """
         name = cls.__new__(cls)
-        name._install(labels, folded if folded is not None
-                      else tuple([label.lower() for label in labels]))
+        name._install(labels)
         return name
 
     @classmethod
@@ -165,28 +159,9 @@ class Name:
         # A longer ``other`` compares against all of ``self`` and differs.
         return not depth or self._folded[-depth:] == other._folded
 
-    def relativize(self, origin: "Name") -> Tuple[bytes, ...]:
-        """Labels of ``self`` relative to ``origin``.
-
-        Raises :class:`repro.errors.NameError_` if ``self`` is not under
-        ``origin``.
-        """
-        if not self.is_subdomain_of(origin):
-            raise NameError_(f"{self} is not a subdomain of {origin}")
-        if origin.is_root:
-            return self._labels
-        return self._labels[: len(self._labels) - len(origin._labels)]
-
     def prepend(self, label: str) -> "Name":
         """A new name with ``label`` added on the left."""
         return Name.from_labels((label.encode("ascii"),) + self._labels)
-
-    def split_prefix(self, depth: int) -> Tuple[Tuple[bytes, ...], "Name"]:
-        """Split into (leftmost ``depth`` labels, remaining name)."""
-        if depth > len(self._labels):
-            raise NameError_(f"cannot split {depth} labels off {self}")
-        return self._labels[:depth], Name._from_valid(self._labels[depth:],
-                                                      self._folded[depth:])
 
 
 def _text_to_labels(text: str) -> Tuple[bytes, ...]:

@@ -1,10 +1,10 @@
 """Zone data with authoritative lookup semantics.
 
 A :class:`Zone` holds the records of one authoritative zone and implements
-the lookup algorithm an authoritative server needs: exact match, CNAME
-interposition, delegation detection, and the NXDOMAIN / NODATA distinction
-(an empty non-terminal is NODATA).  There is no wildcard synthesis: a
-``*`` label is an ordinary label that answers only its literal name.
+the lookup algorithm an authoritative server needs: exact match and the
+NXDOMAIN / NODATA distinction (an empty non-terminal is NODATA).  There
+are no aliases, cuts or wildcards: ``add`` refuses a CNAME and an NS
+below the apex, and a ``*`` label answers only its literal name.
 Zones are built in code (:meth:`Zone.add`).
 """
 
@@ -15,20 +15,14 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.dnswire.name import Name
 from repro.dnswire.message import ResourceRecord
-from repro.dnswire.rdata import CNAME
 from repro.dnswire.types import RecordType
 from repro.errors import ZoneError
-
-#: Key for the per-node RRset map.
-_RRsetKey = RecordType
 
 
 class LookupStatus(enum.Enum):
     """Outcome categories of an authoritative lookup."""
 
     SUCCESS = "success"          # answer records present
-    CNAME = "cname"              # alias found; chase the target
-    DELEGATION = "delegation"    # name is below a zone cut; referral
     NXDOMAIN = "nxdomain"        # name does not exist in the zone
     NODATA = "nodata"            # name exists; no records of this type
 
@@ -36,18 +30,14 @@ class LookupStatus(enum.Enum):
 class LookupResult:
     """The outcome of :meth:`Zone.lookup`."""
 
-    __slots__ = ("status", "records", "authority", "additional", "cname_target")
+    __slots__ = ("status", "records", "authority")
 
     def __init__(self, status: LookupStatus,
                  records: Optional[List[ResourceRecord]] = None,
-                 authority: Optional[List[ResourceRecord]] = None,
-                 additional: Optional[List[ResourceRecord]] = None,
-                 cname_target: Optional[Name] = None) -> None:
+                 authority: Optional[List[ResourceRecord]] = None) -> None:
         self.status = status
         self.records = records or []
         self.authority = authority or []
-        self.additional = additional or []
-        self.cname_target = cname_target
 
     def __repr__(self) -> str:
         return (f"LookupResult({self.status.value}, "
@@ -65,15 +55,14 @@ class Zone:
     # -- building ------------------------------------------------------------
 
     def add(self, record: ResourceRecord) -> None:
-        """Add one record, enforcing in-zone ownership and CNAME exclusivity."""
+        """Add one record: in zone, and neither an alias nor a zone cut."""
         if not record.name.is_subdomain_of(self.origin):
             raise ZoneError(f"{record.name} is out of zone {self.origin}")
+        if record.rtype == RecordType.CNAME or (
+                record.rtype == RecordType.NS and record.name != self.origin):
+            raise ZoneError(f"{record.rtype.name} at {record.name}: zones "
+                            "hold no aliases and no zone cuts")
         node = self._nodes.setdefault(record.name, {})
-        if record.rtype == RecordType.CNAME and any(
-                rtype != RecordType.CNAME for rtype in node):
-            raise ZoneError(f"CNAME at {record.name} conflicts with other data")
-        if record.rtype != RecordType.CNAME and RecordType.CNAME in node:
-            raise ZoneError(f"{record.name} already holds a CNAME")
         node.setdefault(record.rtype, []).append(record)
 
     def remove(self, record: ResourceRecord) -> bool:
@@ -117,11 +106,6 @@ class Zone:
         if not name.is_subdomain_of(self.origin):
             return LookupResult(LookupStatus.NXDOMAIN, authority=self._soa_authority())
 
-        delegation = self._find_delegation(name)
-        if delegation is not None:
-            return LookupResult(LookupStatus.DELEGATION, authority=delegation,
-                                additional=self._glue_for(delegation))
-
         node = self._nodes.get(name)
         if node is None:
             if self._has_descendants(name):
@@ -134,11 +118,6 @@ class Zone:
 
     def _answer_from_node(self, node: Dict[RecordType, List[ResourceRecord]],
                           rtype: RecordType) -> LookupResult:
-        if RecordType.CNAME in node and rtype not in (RecordType.CNAME, RecordType.ANY):
-            records = list(node[RecordType.CNAME])
-            target = records[0].rdata.target  # type: ignore[attr-defined]
-            return LookupResult(LookupStatus.CNAME, records=records,
-                                cname_target=target)
         if rtype == RecordType.ANY:
             records = [record for rrset in node.values() for record in rrset]
             if records:
@@ -146,34 +125,6 @@ class Zone:
         elif rtype in node:
             return LookupResult(LookupStatus.SUCCESS, records=list(node[rtype]))
         return LookupResult(LookupStatus.NODATA, authority=self._soa_authority())
-
-    def _find_delegation(self, name: Name) -> Optional[List[ResourceRecord]]:
-        """NS records at a zone cut strictly between origin and ``name``."""
-        # Walk ancestors from just below the origin down to the parent of name.
-        relative = name.relativize(self.origin)
-        for depth in range(len(relative) - 1, 0, -1):
-            _, ancestor = name.split_prefix(len(relative) - depth)
-            node = self._nodes.get(ancestor)
-            if node and RecordType.NS in node and ancestor != self.origin:
-                return list(node[RecordType.NS])
-        # The name itself may be a delegated child (query at the cut point).
-        node = self._nodes.get(name)
-        if (node and RecordType.NS in node and name != self.origin
-                and RecordType.SOA not in node):
-            return list(node[RecordType.NS])
-        return None
-
-    def _glue_for(self, ns_records: List[ResourceRecord]) -> List[ResourceRecord]:
-        """Address records this zone holds for the delegation's NS targets."""
-        glue: List[ResourceRecord] = []
-        for ns in ns_records:
-            target = ns.rdata.target  # type: ignore[attr-defined]
-            node = self._nodes.get(target)
-            if node is None:
-                continue
-            for rtype in (RecordType.A, RecordType.AAAA):
-                glue.extend(node.get(rtype, []))
-        return glue
 
     def _has_descendants(self, name: Name) -> bool:
         return any(existing != name and existing.is_subdomain_of(name)

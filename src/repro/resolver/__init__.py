@@ -6,7 +6,7 @@
 * :mod:`repro.resolver.server` — base class: socket handling, wire codec,
   processing delay, one-shot upstream query and forward helpers.
 * :mod:`repro.resolver.authoritative` — authoritative server over zones
-  (CNAME chasing, referrals).
+  (one answer per query, and zone transfers).
 * :mod:`repro.resolver.stub` — the client side; its :class:`DigResult`
   mirrors the fields the paper reads off ``dig``.
 * :mod:`repro.resolver.chain` — CoreDNS-style plugin chain and

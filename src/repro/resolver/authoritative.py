@@ -1,8 +1,8 @@
 """Authoritative DNS server over one or more zones.
 
 Implements the answer-side semantics the reproduction needs: longest-match
-zone selection, CNAME chasing across hosted zones, referrals for
-delegations, NXDOMAIN/NODATA with SOA in the authority section, and
+zone selection, one authoritative answer (zones hold no aliases or cuts),
+NXDOMAIN/NODATA with SOA in the authority section, and
 AXFR/IXFR out of a bounded change journal.  Answers are
 the zone's records in zone order: an ECS option in the query is echoed
 untouched, and nothing is tailored to the client (the C-DNS that does
@@ -11,17 +11,14 @@ tailor is :class:`repro.cdn.router.TrafficRouter`).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
-from repro.dnswire.message import Message, ResourceRecord, make_response
+from repro.dnswire.message import Message, make_response
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode, RecordType
 from repro.dnswire.zone import LookupStatus, Zone
 from repro.netsim.packet import Endpoint
 from repro.resolver.server import DnsServer
-
-#: Bound on CNAME indirections followed within one response.
-MAX_CNAME_CHAIN = 8
 
 
 class AuthoritativeServer(DnsServer):
@@ -77,47 +74,12 @@ class AuthoritativeServer(DnsServer):
         if zone is None:
             return make_response(query, rcode=Rcode.REFUSED)
 
-        answers: List[ResourceRecord] = []
-        authorities: List[ResourceRecord] = []
-        additionals: List[ResourceRecord] = []
-        rcode = Rcode.NOERROR
-        authoritative_answer = True
-
-        qname = question.name
-        for _ in range(MAX_CNAME_CHAIN):
-            result = zone.lookup(qname, question.rtype)
-            if result.status == LookupStatus.SUCCESS:
-                answers.extend(result.records)
-                break
-            if result.status == LookupStatus.CNAME:
-                answers.extend(result.records)
-                assert result.cname_target is not None
-                qname = result.cname_target
-                next_zone = self.find_zone(qname)
-                if next_zone is None:
-                    break  # target is out of our authority; client re-resolves
-                zone = next_zone
-                continue
-            if result.status == LookupStatus.DELEGATION:
-                # Referral: not an authoritative answer; carry the glue.
-                authorities.extend(result.authority)
-                additionals.extend(result.additional)
-                authoritative_answer = False
-                break
-            if result.status == LookupStatus.NXDOMAIN:
-                rcode = Rcode.NXDOMAIN
-                authorities.extend(result.authority)
-                break
-            # NODATA
-            authorities.extend(result.authority)
-            break
-        else:
-            rcode = Rcode.SERVFAIL  # CNAME loop within our own zones
-
-        return make_response(query, rcode=rcode,
-                             authoritative=authoritative_answer,
-                             answers=answers, authorities=authorities,
-                             additionals=additionals)
+        result = zone.lookup(question.name, question.rtype)
+        rcode = (Rcode.NXDOMAIN if result.status == LookupStatus.NXDOMAIN
+                 else Rcode.NOERROR)
+        return make_response(query, rcode=rcode, authoritative=True,
+                             answers=result.records,
+                             authorities=result.authority)
 
     def _handle_axfr(self, query: Message) -> Message:
         """Full zone transfer for a hosted zone apex (RFC 5936 shape)."""

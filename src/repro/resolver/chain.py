@@ -12,7 +12,7 @@ rule set and one relay:
 
 * **cache** answers hits and RFC 2308 negatives (NXDOMAIN and NODATA,
   each for the response's SOA-derived TTL); it stores only the answer
-  records the question's name reaches, so an upstream cannot plant an
+  records the question's name owns, so an upstream cannot plant an
   unrelated name in it; with ``serve_stale``
   (RFC 8767), answers an expired entry when the rest of the chain
   returned SERVFAIL or nothing;
@@ -26,10 +26,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.dnswire.message import (Message, ResourceRecord, make_query,
-                                   make_response, mark_stale)
-from repro.dnswire.name import Name
-from repro.dnswire.types import Rcode, RecordType
+from repro.dnswire.message import (Message, make_query, make_response,
+                                   mark_stale)
+from repro.dnswire.types import Rcode
 from repro.errors import QueryTimeout, WireFormatError
 from repro.netsim.packet import Endpoint
 from repro.resolver.cache import CacheOutcome, DnsCache, negative_ttl
@@ -161,9 +160,8 @@ class CachePlugin(Plugin):
     """Serves repeat queries from a local cache; fills it on the way out.
 
     Positive answers are cached for their TTL (a TTL-0 record is never
-    cached), and only the answer records the question's name reaches —
-    its own, and those of each CNAME target along the answer; NXDOMAIN
-    and NODATA for :func:`negative_ttl` (RFC 2308).
+    cached), and only the answer records the question's name owns;
+    NXDOMAIN and NODATA for :func:`negative_ttl` (RFC 2308).
     With ``serve_stale`` (RFC 8767), a downstream SERVFAIL or silence —
     the rest of the chain could not reach an upstream — is answered from
     an expired entry instead, marked with the stale-answer EDNS option.
@@ -237,8 +235,8 @@ class CachePlugin(Plugin):
     def _store(self, ctx: QueryContext, response: Message) -> None:
         now = self._owner.network.sim.now
         if response.rcode == Rcode.NOERROR and response.answers:
-            positive = [record for record in _reached_from(
-                ctx.qname, response.answers) if record.ttl > 0]
+            positive = [record for record in response.answers
+                        if record.name == ctx.qname and record.ttl > 0]
             if positive:
                 self.cache.put_records(positive, now)
         elif response.rcode in (Rcode.NXDOMAIN, Rcode.NOERROR):
@@ -247,23 +245,6 @@ class CachePlugin(Plugin):
                        else CacheOutcome.NEGATIVE_NODATA)
             self.cache.put_negative(ctx.qname, ctx.rtype, outcome,
                                     negative_ttl(response), now)
-
-
-def _reached_from(qname: Name,
-                  answers: List[ResourceRecord]) -> List[ResourceRecord]:
-    """The answer records owned by ``qname`` or by a CNAME target the
-    answer leads to from it; any other record is relayed, not cached."""
-    owners = {qname}
-    name = qname
-    while True:
-        target = next((record.rdata.target  # type: ignore[attr-defined]
-                       for record in answers
-                       if record.rtype == RecordType.CNAME
-                       and record.name == name), None)
-        if target is None or target in owners:
-            return [record for record in answers if record.name in owners]
-        owners.add(target)
-        name = target
 
 
 class RelayPlugin(Plugin):

@@ -97,21 +97,8 @@ class TestStructure:
     def test_subdomain_case_insensitive(self):
         assert Name("WWW.EXAMPLE.COM").is_subdomain_of(Name("example.com"))
 
-    def test_relativize(self):
-        labels = Name("www.example.com").relativize(Name("example.com"))
-        assert labels == (b"www",)
-
-    def test_relativize_not_subdomain_raises(self):
-        with pytest.raises(NameError_):
-            Name("www.other.com").relativize(Name("example.com"))
-
     def test_prepend(self):
         assert Name("example.com").prepend("cdn") == Name("cdn.example.com")
-
-    def test_split_prefix(self):
-        prefix, rest = Name("a.b.example.com").split_prefix(2)
-        assert prefix == (b"a", b"b")
-        assert rest == Name("example.com")
 
     def test_wire_length(self):
         def encoded(name):
@@ -159,5 +146,3 @@ def test_concatenate_preserves_subdomain_property(suffix_labels, prefix_labels):
     combined = Name.from_labels(
         tuple(label.encode() for label in prefix_labels) + suffix.labels)
     assert combined.is_subdomain_of(suffix)
-    assert combined.relativize(suffix) == tuple(
-        label.encode() for label in prefix_labels)

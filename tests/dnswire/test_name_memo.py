@@ -69,7 +69,6 @@ class TestSpellingIsTheKey:
         built = Name("www.example.test")
         assert decoded == built and hash(decoded) == hash(built)
         assert decoded.labels == built.labels
-        assert decoded.split_prefix(1) == built.split_prefix(1)
 
     def test_root_and_cursor(self):
         reader = WireReader(b"\x00" + LOWER + b"\xff")
@@ -190,10 +189,10 @@ class TestPublicConstructorsStillValidate:
 
     def test_slices_of_a_valid_name_are_valid_names(self):
         name = Name("A.b.C.test")
-        prefix, rest = name.split_prefix(2)
-        assert prefix == (b"A", b"b") and rest.to_text() == "C.test."
+        rest = Name.from_labels(name.labels[2:])
+        assert name.labels[:2] == (b"A", b"b") and rest.to_text() == "C.test."
         assert rest == Name("c.test") and hash(rest) == hash(Name("c.test"))
-        assert name.split_prefix(4)[1].is_root
+        assert Name.from_labels(name.labels[4:]).is_root
 
 
 def test_pickle_carries_labels_not_the_seeded_hash():

@@ -28,10 +28,8 @@ def zone():
     z.add(rr("example.com", RecordType.NS, NS(Name("ns1.example.com"))))
     z.add(rr("www.example.com", RecordType.A, A("192.0.2.10")))
     z.add(rr("www.example.com", RecordType.A, A("192.0.2.11")))
-    z.add(rr("alias.example.com", RecordType.CNAME, CNAME(Name("www.example.com"))))
     z.add(rr("*.wild.example.com", RecordType.A, A("192.0.2.99")))
     z.add(rr("deep.empty.example.com", RecordType.A, A("192.0.2.50")))
-    z.add(rr("sub.example.com", RecordType.NS, NS(Name("ns.sub.example.com"))))
     return z
 
 
@@ -61,16 +59,6 @@ class TestLookup:
         result = zone.lookup(Name("www.other.net"), RecordType.A)
         assert result.status == LookupStatus.NXDOMAIN
 
-    def test_cname_interposed(self, zone):
-        result = zone.lookup(Name("alias.example.com"), RecordType.A)
-        assert result.status == LookupStatus.CNAME
-        assert result.cname_target == Name("www.example.com")
-        assert result.records[0].rtype == RecordType.CNAME
-
-    def test_cname_query_returns_cname_directly(self, zone):
-        result = zone.lookup(Name("alias.example.com"), RecordType.CNAME)
-        assert result.status == LookupStatus.SUCCESS
-
     def test_star_label_is_literal(self, zone):
         # No wildcard synthesis: "*" is an ordinary label.
         result = zone.lookup(Name("*.wild.example.com"), RecordType.A)
@@ -85,16 +73,6 @@ class TestLookup:
         # "empty.example.com" exists only as an interior node.
         result = zone.lookup(Name("empty.example.com"), RecordType.A)
         assert result.status == LookupStatus.NODATA
-
-    def test_delegation(self, zone):
-        result = zone.lookup(Name("host.sub.example.com"), RecordType.A)
-        assert result.status == LookupStatus.DELEGATION
-        assert result.authority[0].rtype == RecordType.NS
-        assert result.authority[0].rdata.target == Name("ns.sub.example.com")
-
-    def test_delegation_at_cut_point(self, zone):
-        result = zone.lookup(Name("sub.example.com"), RecordType.A)
-        assert result.status == LookupStatus.DELEGATION
 
     def test_apex_ns_is_not_delegation(self, zone):
         result = zone.lookup(Name("example.com"), RecordType.NS)
@@ -111,17 +89,36 @@ class TestZoneBuilding:
         with pytest.raises(ZoneError):
             zone.add(rr("www.other.net", RecordType.A, A("192.0.2.1")))
 
-    def test_cname_conflicts_with_other_data(self, zone):
-        with pytest.raises(ZoneError):
-            zone.add(rr("www.example.com", RecordType.CNAME,
-                        CNAME(Name("x.example.com"))))
-        with pytest.raises(ZoneError):
-            zone.add(rr("alias.example.com", RecordType.A, A("192.0.2.1")))
+    @pytest.mark.parametrize("record, accepted", [
+        (rr("alias.example.com", RecordType.CNAME,
+            CNAME(Name("www.example.com"))), False),
+        (rr("www.example.com", RecordType.CNAME,
+            CNAME(Name("x.example.com"))), False),
+        (rr("example.com", RecordType.CNAME,
+            CNAME(Name("www.example.com"))), False),
+        (rr("sub.example.com", RecordType.NS,
+            NS(Name("ns.sub.example.com"))), False),
+        (rr("www.example.com", RecordType.NS,
+            NS(Name("ns.elsewhere.net"))), False),
+        (rr("a.b.example.com", RecordType.NS,
+            NS(Name("ns.b.example.com"))), False),
+        (rr("example.com", RecordType.NS, NS(Name("ns2.example.com"))), True),
+    ], ids=["cname", "cname-beside-data", "cname-at-apex", "ns-below-apex",
+            "ns-beside-data", "ns-two-below-apex", "apex-ns"])
+    def test_aliases_and_zone_cuts_are_refused(self, zone, record, accepted):
+        before = list(zone.records())
+        if accepted:
+            zone.add(record)
+            assert zone.lookup(record.name, record.rtype).records[-1] == record
+        else:
+            with pytest.raises(ZoneError):
+                zone.add(record)
+            assert list(zone.records()) == before
 
     def test_soa_property(self, zone):
         assert zone.soa is not None
         assert zone.soa.rdata.minimum == 60
 
     def test_records_iteration(self, zone):
-        assert sum(1 for _ in zone.records()) == 8
+        assert sum(1 for _ in zone.records()) == 6
 

@@ -56,18 +56,18 @@ print(json.dumps(counts))
 
 #: Calls into repro code over the 201 lookups, per deployment, in
 #: ``DEPLOYMENT_KEYS`` order.  Per lookup on 3.10 and 3.11: MEC/MEC
-#: 241.3, MEC/LAN 249.3, MEC/WAN 255.3, LAN 113.2, Google and
+#: 237.3, MEC/LAN 245.3, MEC/WAN 251.3, LAN 113.2, Google and
 #: Cloudflare 119.2.
-_UP_TO_3_11 = (48492, 50102, 51313, 22746, 23957, 23957)
+_UP_TO_3_11 = (47688, 49298, 50509, 22746, 23957, 23957)
 
 #: Python minor version -> deployment -> pinned calls.
 PINNED = {
     (3, 10): dict(zip(DEPLOYMENT_KEYS, _UP_TO_3_11)),
     (3, 11): dict(zip(DEPLOYMENT_KEYS, _UP_TO_3_11)),
     (3, 12): dict(zip(DEPLOYMENT_KEYS,
-                      (47488, 49098, 50309, 22144, 23355, 23355))),
+                      (46885, 48495, 49706, 22144, 23355, 23355))),
     (3, 13): dict(zip(DEPLOYMENT_KEYS,
-                      (47287, 48897, 50108, 22144, 23355, 23355))),
+                      (46684, 48294, 49505, 22144, 23355, 23355))),
 }
 
 

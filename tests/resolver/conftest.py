@@ -2,7 +2,7 @@
 
 Topology (constant latencies in ms):
 
-    client --1-- resolver --5-- auth (example.com, cdn.net)
+    client --1-- resolver --5-- auth (example.com)
 
 The resolver is what every L-DNS is: the cache → forward plugin chain.
 """
@@ -10,7 +10,7 @@ The resolver is what every L-DNS is: the cache → forward plugin chain.
 import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
-from repro.dnswire.rdata import A, CNAME, NS, SOA
+from repro.dnswire.rdata import A, NS, SOA
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.resolver import (AuthoritativeServer, CachePlugin, ChainServer,
                             ForwardPlugin, StubResolver)
@@ -28,21 +28,6 @@ def build_example_zone():
     zone.add(rr("example.com", RecordType.NS, NS(Name("ns1.example.com"))))
     zone.add(rr("ns1.example.com", RecordType.A, A("203.0.113.53")))
     zone.add(rr("www.example.com", RecordType.A, A("203.0.113.80"), ttl=600))
-    zone.add(rr("alias.example.com", RecordType.CNAME,
-                CNAME(Name("www.example.com"))))
-    zone.add(rr("external.example.com", RecordType.CNAME,
-                CNAME(Name("edge.cdn.net"))))
-    return zone
-
-
-def build_cdn_zone():
-    zone = Zone(Name("cdn.net"))
-    zone.add(rr("cdn.net", RecordType.SOA,
-                SOA(Name("ns.cdn.net"), Name("admin.cdn.net"),
-                    1, 2, 3, 4, 60)))
-    zone.add(rr("cdn.net", RecordType.NS, NS(Name("ns.cdn.net"))))
-    zone.add(rr("ns.cdn.net", RecordType.A, A("203.0.113.53")))
-    zone.add(rr("edge.cdn.net", RecordType.A, A("198.18.0.7")))
     return zone
 
 
@@ -59,8 +44,7 @@ class MiniInternet:
         self.net.add_link("resolver", "auth", Constant(5))
 
         self.auth_server = AuthoritativeServer(
-            self.net, self.net.host("auth"),
-            [build_example_zone(), build_cdn_zone()])
+            self.net, self.net.host("auth"), [build_example_zone()])
         self.forward = ForwardPlugin(self.auth_server.endpoint)
         self.resolver = ChainServer(self.net, self.net.host("resolver"),
                                     [CachePlugin(), self.forward])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnswire import (ClientSubnet, Edns, Name, RecordType,
                            ResourceRecord, cached_wire)
-from repro.dnswire.rdata import GenericRdata
+from repro.dnswire.rdata import A, GenericRdata
 from repro.errors import QueryTimeout
 from repro.netsim.engine import ProcessFailed
 from repro.netsim import Constant
@@ -31,13 +31,6 @@ class TestAuthoritativeDirect:
         assert result.addresses == ["203.0.113.80"]
         assert result.response.flags.aa
 
-    def test_cname_chased_across_hosted_zones(self, internet):
-        result = self.query_auth(internet, "external.example.com")
-        # auth hosts both example.com and cdn.net, so it returns the chain.
-        assert result.addresses == ["198.18.0.7"]
-        types = [record.rtype for record in result.response.answers]
-        assert types == [RecordType.CNAME, RecordType.A]
-
     def test_nxdomain_with_soa(self, internet):
         result = self.query_auth(internet, "missing.example.com")
         assert result.status == "NXDOMAIN"
@@ -51,6 +44,40 @@ class TestAuthoritativeDirect:
     def test_out_of_authority_refused(self, internet):
         result = self.query_auth(internet, "www.unrelated.org")
         assert result.status == "REFUSED"
+
+    @pytest.mark.parametrize("name, rtype, status, answers", [
+        ("www.example.com", RecordType.A, "NOERROR", 1),
+        ("example.com", RecordType.NS, "NOERROR", 1),
+        ("example.com", RecordType.ANY, "NOERROR", 2),
+        ("www.example.com", RecordType.AAAA, "NOERROR", 0),
+        ("missing.example.com", RecordType.A, "NXDOMAIN", 0),
+    ], ids=["answer", "apex-ns", "any", "nodata", "nxdomain"])
+    def test_every_answer_is_authoritative(self, internet, name, rtype,
+                                           status, answers):
+        # Zones hold no cuts, so no answer is a referral: each is the
+        # zone's own, with aa set and nothing in the additional section.
+        result = self.query_auth(internet, name, rtype)
+        assert (result.status, len(result.response.answers)) == \
+            (status, answers)
+        assert result.response.flags.aa
+        assert not result.response.additionals
+
+    def test_cname_query_is_nodata(self, internet):
+        result = self.query_auth(internet, "www.example.com", RecordType.CNAME)
+        assert result.status == "NOERROR" and result.response.flags.aa
+        assert not result.response.answers
+        assert result.response.authorities[0].rtype == RecordType.SOA
+
+    def test_answer_holds_only_the_question_name(self, internet):
+        zone = internet.auth_server.zones[Name("example.com")]
+        zone.add(ResourceRecord(Name("host.sub.example.com"), RecordType.A,
+                                300, A("203.0.113.81")))
+        below = self.query_auth(internet, "host.sub.example.com")
+        assert below.addresses == ["203.0.113.81"]
+        # The parent is an empty non-terminal, not a zone cut.
+        parent = self.query_auth(internet, "sub.example.com")
+        assert (parent.status, parent.response.answers) == ("NOERROR", [])
+        assert parent.response.flags.aa
 
 
 class TestOneExchange:
@@ -95,11 +122,6 @@ class TestRecursiveResolution:
         # Cache hit: only the client<->resolver hop plus processing remains.
         assert second.query_time_ms < 5
         assert second.query_time_ms < first.query_time_ms / 5
-
-    def test_cname_followed_across_zones(self, internet):
-        result = internet.run_query("external.example.com")
-        assert result.addresses == ["198.18.0.7"]
-        assert result.response.answers[0].rtype == RecordType.CNAME
 
     def test_nxdomain_propagates_and_is_negative_cached(self, internet):
         first = internet.run_query("ghost.example.com")

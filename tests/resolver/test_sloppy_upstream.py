@@ -5,9 +5,9 @@ reply is well formed and carries the right answer, but its id is not
 the query's.  Every client reaches the wire through
 :func:`repro.resolver.exchange`, so every client discards it.  The other
 rows are upstream answers the L-DNS cache must not take at their word:
-an unrelated name in the answer section, a TTL of 0, an A record in the
-additional section.  Every scenario runs with telemetry off and on, and
-the two runs must agree.
+an unrelated name in the answer section (beside the answer, or behind a
+CNAME), a TTL of 0, an A record in the additional section.  Every
+scenario runs with telemetry off and on, and the two runs must agree.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro import telemetry
 from repro.core.fallback import FallbackClient
 from repro.dnswire import Name, RecordType, ResourceRecord
 from repro.dnswire.message import make_response
-from repro.dnswire.rdata import A
+from repro.dnswire.rdata import A, CNAME
 from repro.errors import WireFormatError
 from repro.mec import CoreDnsServer, Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
@@ -31,14 +31,16 @@ SLOPPY_ANSWER, HONEST_ANSWER = "198.18.0.66", "198.18.0.77"
 #: attaches to it.
 VICTIM = Name("victim.other.test")
 PLANTED = ResourceRecord(VICTIM, RecordType.A, 300, A("6.6.6.6"))
+#: The honest upstream's own answer to the question.
+HONEST = ResourceRecord(QNAME, RecordType.A, 300, A(HONEST_ANSWER))
 
 
 class AnswerAll(DnsServer):
     """Answers every question with one A record.
 
     ``ttl`` is that record's TTL.  ``extra`` maps a section keyword of
-    :func:`make_response` (``answers``, ``additionals``) to records
-    added to the reply to :data:`QNAME` only.
+    :func:`make_response` (``answers``, ``additionals``) to the records
+    that section holds in the reply to :data:`QNAME` only.
     """
 
     def __init__(self, network, host, address: str, id_mask: int = 0) -> None:
@@ -52,8 +54,7 @@ class AnswerAll(DnsServer):
         sections = {"answers": [ResourceRecord(
             query.question.name, RecordType.A, self.ttl, A(self.address))]}
         if query.question.name == QNAME:
-            for section, records in self.extra.items():
-                sections.setdefault(section, []).extend(records)
+            sections.update(self.extra)
         response = make_response(query, **sections)
         response.msg_id = query.msg_id ^ self.id_mask
         return response
@@ -97,7 +98,7 @@ class World:
         stub = StubResolver(self.net, self.net.host("client"),
                             forwarder.endpoint,
                             policy=RetryPolicy(retries=0, timeout_ms=1000))
-        answers = [[(record.rdata.address, record.ttl)
+        answers = [[(record.rdata.to_text(), record.ttl)
                     for record in self.run(stub.query(qname)).response.answers]
                    for qname in qnames]
         return answers, forward.forwarded
@@ -163,15 +164,31 @@ def test_bare_stub_raises_transaction_id_mismatch():
     assert message == "transaction id mismatch"
 
 
-def test_forwarder_caches_no_answer_record_outside_the_question():
-    def scenario(world):
-        world.honest.extra = {"answers": [PLANTED]}
-        return world.digs_through_a_forwarder(QNAME, VICTIM)
+#: The reply to QNAME, relayed whole, and the victim's own address.
+_BESIDE = [(HONEST_ANSWER, 300), ("6.6.6.6", 300)]
+_BEHIND = [(VICTIM.to_text(), 300), ("6.6.6.6", 300)]
+_VICTIMS_OWN = [(HONEST_ANSWER, 300)]
 
-    (first, second), forwarded = served_alike(scenario)
-    assert first == [(HONEST_ANSWER, 300), ("6.6.6.6", 300)]  # relayed
-    assert second == [(HONEST_ANSWER, 300)]
-    assert forwarded == 2
+
+@pytest.mark.parametrize("answers, digs", [
+    # An unrelated name beside the answer.
+    ([HONEST, PLANTED], [(QNAME, _BESIDE), (VICTIM, _VICTIMS_OWN)]),
+    # QNAME CNAME victim; victim A.  The question's name owns only the
+    # CNAME, which answers no A query, so a repeat goes upstream too.
+    ([ResourceRecord(QNAME, RecordType.CNAME, 300, CNAME(VICTIM)), PLANTED],
+     [(QNAME, _BEHIND), (VICTIM, _VICTIMS_OWN), (QNAME, _BEHIND)]),
+], ids=["beside", "behind-a-cname"])
+def test_forwarder_caches_no_answer_record_outside_the_question(answers,
+                                                                digs):
+    qnames, expected = zip(*digs)
+
+    def scenario(world):
+        world.honest.extra = {"answers": answers}
+        return world.digs_through_a_forwarder(*qnames)
+
+    seen, forwarded = served_alike(scenario)
+    assert seen == list(expected)
+    assert forwarded == len(qnames)  # no dig was answered from the cache
 
 
 def test_forwarder_relays_a_ttl_0_answer_and_does_not_cache_it():

@@ -7,14 +7,13 @@ otherwise only be exercised implicitly.
 import pytest
 
 from repro.dnswire import (
-    A,
     Name,
     RecordType,
     ResourceRecord,
     Zone,
     make_query,
 )
-from repro.dnswire.rdata import NS, SOA
+from repro.dnswire.rdata import SOA
 from repro.errors import AddressError, RoutingError
 from repro.netsim import (
     Constant,
@@ -91,31 +90,6 @@ class TestNetworkEdges:
         bare = net2.add_host("bare")
         with pytest.raises(AddressError):
             bare.address
-
-
-class TestZoneGlue:
-    def test_delegation_carries_glue(self):
-        zone = Zone(Name("example.com"))
-        zone.add(ResourceRecord(Name("example.com"), RecordType.SOA, 300,
-                                SOA(Name("ns1.example.com"),
-                                    Name("admin.example.com"),
-                                    1, 2, 3, 4, 60)))
-        zone.add(ResourceRecord(Name("sub.example.com"), RecordType.NS, 300,
-                                NS(Name("ns.sub.example.com"))))
-        zone.add(ResourceRecord(Name("ns.sub.example.com"), RecordType.A,
-                                300, A("192.0.2.53")))
-        result = zone.lookup(Name("www.sub.example.com"), RecordType.A)
-        assert result.status.value == "delegation"
-        assert result.additional
-        assert result.additional[0].rdata.address == "192.0.2.53"
-
-    def test_delegation_without_glue_has_empty_additional(self):
-        zone = Zone(Name("example.com"))
-        zone.add(ResourceRecord(Name("sub.example.com"), RecordType.NS, 300,
-                                NS(Name("ns.elsewhere.net"))))
-        result = zone.lookup(Name("www.sub.example.com"), RecordType.A)
-        assert result.status.value == "delegation"
-        assert result.additional == []
 
 
 class TestServerGarbageHandling:
