@@ -5,8 +5,6 @@
   cache pods into the Figure 4 system.
 * :mod:`repro.core.deployments` — the LTE testbed and the six DNS
   deployment options evaluated in Figure 5.
-* :mod:`repro.core.fallback` — the client-side strategies for non-MEC
-  names: multicast race and forward-on-timeout.
 """
 
 from repro.core.meccdn import MecCdnSite
@@ -18,7 +16,6 @@ from repro.core.deployments import (
     add_provider_ldns,
     build_testbed,
 )
-from repro.core.fallback import FallbackClient, FallbackResult
 
 __all__ = [
     "MecCdnSite",
@@ -28,6 +25,4 @@ __all__ = [
     "Testbed",
     "add_provider_ldns",
     "build_testbed",
-    "FallbackClient",
-    "FallbackResult",
 ]

@@ -55,15 +55,13 @@ serial and sharded runs of the whole grid produce identical results.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Generator, List, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.control import ControlPlane, default_schedule
 from repro.control.plane import PRIMARY_HOST
 from repro.core.deployments import (DEPLOYMENT_KEYS, MEC_DEPLOYMENTS,
                                     WARMED_DEPLOYMENTS, ResilienceConfig,
                                     Testbed, add_provider_ldns, build_testbed)
-from repro.core.fallback import FallbackClient
 from repro.errors import QueryTimeout, WireFormatError
 from repro.experiments.report import format_table
 from repro.faults import FaultPlan, inject
@@ -143,7 +141,7 @@ class Scenario(NamedTuple):
     modes: Tuple[str, ...] = MODES
     #: What the resilient mode hardens: the whole ``stack`` (servers via
     #: ResilienceConfig, plus the retrying stub), the ``stub`` alone, or
-    #: the client's §3 ``fallback`` to the provider L-DNS.
+    #: the stub's §3 ``fallback``: its retry goes to the provider L-DNS.
     resilient: str = "stack"
 
 
@@ -292,8 +290,8 @@ class Lookup(NamedTuple):
 Note = Callable[[float, Tuple[str, ...], bool], bool]
 
 
-def run_lookups(testbed: Testbed, client: Union[StubResolver, FallbackClient],
-                queries: int, note: Optional[Note] = None,
+def run_lookups(testbed: Testbed, client: StubResolver, queries: int,
+                note: Optional[Note] = None,
                 ) -> Tuple[List[Lookup], int, float]:
     """``WARMUP_QUERIES + queries`` lookups of ``testbed``'s name, in turn.
 
@@ -301,13 +299,10 @@ def run_lookups(testbed: Testbed, client: Union[StubResolver, FallbackClient],
     burned, and its mean transmissions per lookup.  A lookup whose every
     attempt fails — what the client is documented to raise, nothing
     broader — is a ``TIMEOUT`` lookup with no addresses: under faults,
-    failures are data.  A stub's counters cover every lookup, warmup
-    included.  The §3 :class:`FallbackClient` sends one MEC query per
-    lookup and one provider query after each MEC timeout, counted over
-    the measured lookups.
+    failures are data.  The counters cover every lookup, warmup
+    included.  A lookup answered by the stub's ``fallback`` (§3's
+    provider L-DNS) counts as a fallback answer.
     """
-    fallback = isinstance(client, FallbackClient)
-    lookup = client.timeout_fallback if fallback else client.query
     sim = testbed.sim
     lookups: List[Lookup] = []
 
@@ -315,18 +310,14 @@ def run_lookups(testbed: Testbed, client: Union[StubResolver, FallbackClient],
         for index in range(WARMUP_QUERIES + queries):
             started = sim.now
             try:
-                result = yield from lookup(testbed.query_name)
+                result = yield from client.query(testbed.query_name)
             except (QueryTimeout, WireFormatError):
                 latency, status, addresses = sim.now - started, "TIMEOUT", ()
                 stale = used = False
             else:
                 status, addresses = result.status, tuple(result.addresses)
-                if fallback:
-                    latency, stale = result.latency_ms, False
-                    used = result.used_fallback
-                else:
-                    latency, stale = result.query_time_ms, result.stale
-                    used = False
+                latency, stale = result.query_time_ms, result.stale
+                used = result.server != client.server
             if index >= WARMUP_QUERIES:
                 lookups.append(Lookup(
                     started, latency, status, addresses, stale, used,
@@ -334,9 +325,6 @@ def run_lookups(testbed: Testbed, client: Union[StubResolver, FallbackClient],
             yield SPACING_MS
 
     sim.run_until_resolved(sim.spawn(driver()))
-    if fallback:
-        fallbacks = sum(entry.fallback for entry in lookups)
-        return lookups, fallbacks, (len(lookups) + fallbacks) / len(lookups)
     return (lookups, client.timeouts_seen,
             client.queries_issued / (WARMUP_QUERIES + queries))
 
@@ -389,10 +377,12 @@ def _cell(scenario: Scenario, deployment: str, mode: str, queries: int,
             return mislocalized
 
     if resilient and scenario.resilient == "fallback":
-        client: Union[StubResolver, FallbackClient] = FallbackClient(
-            testbed.network, testbed.ue.host, mec_dns=testbed.ue.dns,
-            provider_ldns=add_provider_ldns(testbed).endpoint,
-            mec_timeout=300.0, total_timeout=2000.0)
+        # 300 ms for the MEC DNS, then 2 s for the provider L-DNS.
+        client = StubResolver(
+            testbed.network, testbed.ue.host, testbed.ue.dns,
+            RetryPolicy(retries=1, timeout_ms=300.0, backoff=10.0,
+                        max_timeout_ms=2000.0),
+            fallback=add_provider_ldns(testbed).endpoint)
     else:
         client = client_stub(testbed, mode)
     lookups, timeouts, mean_attempts = run_lookups(testbed, client, queries,

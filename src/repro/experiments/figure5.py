@@ -121,19 +121,16 @@ class Figure5Experiment(Experiment):
     name = "figure5"
     title = "Figure 5: DNS lookup latency on the LTE testbed"
     params = (Param("queries", int, 40, "queries per bar"),
-              Param("seed", int, 42, "base RNG seed"),
-              Param("ecs", bool, False, "enable ECS", cli=False))
+              Param("seed", int, 42, "base RNG seed"))
 
     def trials(self, params):
         return [self.spec(index, seed=int(params["seed"]), key=key,
-                          queries=int(params["queries"]),
-                          ecs=bool(params["ecs"]))
+                          queries=int(params["queries"]))
                 for index, key in enumerate(DEPLOYMENT_KEYS)]
 
     def run_trial(self, spec):
         key = str(spec.value("key"))
-        testbed = build_testbed(key, seed=spec.seed,
-                                ecs=bool(spec.value("ecs")))
+        testbed = build_testbed(key, seed=spec.seed)
         measurements = measure_deployment_queries(
             testbed, int(spec.value("queries")))
         return Figure5Row(

@@ -11,6 +11,12 @@ policy adds exponential backoff and jitter and a hedged second query
 racing the first attempt.  SERVFAIL responses are
 retried like transport failures — a resolver that answered "I am
 broken" is no more settled than one that said nothing.
+
+A stub may also hold a ``fallback`` resolver: §3's "forwarded to L-DNS
+on timeout from MEC DNS".  Attempt 1 goes to ``server`` and every later
+attempt to ``fallback``, the way a client with a secondary nameserver
+moves on; a REFUSED from ``server`` (a name outside the MEC split
+namespace) is then as unsettled as a SERVFAIL.
 """
 
 from __future__ import annotations
@@ -32,7 +38,11 @@ from repro.telemetry.trace import ERROR_NAME, EndOnError
 
 
 class DigResult:
-    """One completed DNS lookup as seen by the client."""
+    """One completed DNS lookup as seen by the client.
+
+    ``server`` is the resolver that answered: the stub's own, or its
+    ``fallback``.
+    """
 
     __slots__ = ("question_name", "rtype", "response", "query_time_ms",
                  "server", "attempts", "started_at")
@@ -80,10 +90,12 @@ class StubResolver:
     """Issues queries from a client host to a configured resolver."""
 
     def __init__(self, network: Network, host: Host, server: Endpoint,
-                 policy: Optional[RetryPolicy] = None) -> None:
+                 policy: Optional[RetryPolicy] = None,
+                 fallback: Optional[Endpoint] = None) -> None:
         self.network = network
         self.host = host
         self.server = server
+        self.fallback = fallback
         self.policy = policy or RetryPolicy(retries=2, timeout_ms=3000.0,
                                             backoff=1.0)
         self._rng = network.streams.stream(f"stub:{host.name}")
@@ -98,7 +110,6 @@ class StubResolver:
             tel.metrics.counter(metric, help).inc(client=self.host.name)
 
     def query(self, name: Name, rtype: RecordType = RecordType.A,
-              server: Optional[Endpoint] = None,
               edns: Optional[Edns] = None,
               authorities: Optional[List["ResourceRecord"]] = None,
               ctx=None) -> Generator:
@@ -108,15 +119,14 @@ class StubResolver:
         authority section — IXFR carries the client's current SOA there.
         ``ctx`` optionally joins an existing telemetry trace.
         """
-        target = server or self.server
         tel = self.network.telemetry
         if tel is None:
-            result = yield from self._query_impl(name, rtype, target, edns,
+            result = yield from self._query_impl(name, rtype, edns,
                                                  authorities, None)
             return result
         span = tel.tracer.begin("stub.query", "resolver", self.host.name,
                                 parent=ctx, qname=str(name),
-                                rtype=rtype.name, server=str(target))
+                                rtype=rtype.name, server=str(self.server))
         tel.metrics.counter("repro_stub_lookups_total",
                             "client lookups started").inc(
                                 client=self.host.name)
@@ -127,19 +137,20 @@ class StubResolver:
                                 kind=kind),
                         status="FAILED", error=ERROR_NAME):
             result = yield from self._query_impl(
-                name, rtype, target, edns, authorities, span.context)
+                name, rtype, edns, authorities, span.context)
         tel.tracer.end(span, status=result.status,
                        attempts=result.attempts, stale=result.stale)
         return result
 
-    def _query_impl(self, name: Name, rtype: RecordType, target: Endpoint,
+    def _query_impl(self, name: Name, rtype: RecordType,
                     edns: Optional[Edns],
                     authorities: Optional[List["ResourceRecord"]],
                     ctx) -> Generator:
         policy = self.policy
+        target, fallback = self.server, self.fallback
         started_at = self.network.sim.now
         last_error: Optional[Exception] = None
-        last_servfail: Optional[DigResult] = None
+        unsettled: Optional[DigResult] = None
         attempt = 0
         try:
             while True:
@@ -167,20 +178,25 @@ class StubResolver:
                         question_name=name, rtype=rtype, response=response,
                         query_time_ms=self.network.sim.now - started_at,
                         server=target, attempts=attempt, started_at=started_at)
-                    if response.rcode != Rcode.SERVFAIL:
+                    # SERVFAIL, and the first server's REFUSED when there
+                    # is a fallback to ask, are as unsettled as silence:
+                    # retry while the policy allows, but keep the response
+                    # so exhaustion returns the verdict instead of raising.
+                    if response.rcode == Rcode.SERVFAIL:
+                        self.servfails_seen += 1
+                        self._count("repro_stub_servfails_total",
+                                    "SERVFAIL responses absorbed by retries")
+                    elif (response.rcode != Rcode.REFUSED or fallback is None
+                          or attempt > 1):
                         return result
-                    # SERVFAIL is as unsettled as silence: retry while the
-                    # policy allows, but keep the response so exhaustion
-                    # returns the server's verdict instead of raising.
-                    self.servfails_seen += 1
-                    self._count("repro_stub_servfails_total",
-                                "SERVFAIL responses absorbed by retries")
-                    last_servfail = result
+                    unsettled = result
                     last_error = None
                 if not policy.may_retry(attempt):
                     break
-            if last_servfail is not None:
-                return last_servfail
+                if fallback is not None:
+                    target = fallback
+            if unsettled is not None:
+                return unsettled
             raise last_error if last_error is not None else QueryTimeout(
                 f"query for {name} failed")
         finally:

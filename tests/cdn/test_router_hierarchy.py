@@ -49,10 +49,10 @@ class RouterScenario:
         self.stub = StubResolver(self.net, self.net.host("client"),
                                  self.edge_router.endpoint)
 
-    def query(self, name="video.demo1.mycdn.ciab.test", server=None,
+    def query(self, name="video.demo1.mycdn.ciab.test",
               rtype=RecordType.A, edns=None):
         future = self.sim.spawn(self.stub.query(Name(name), rtype,
-                                                server=server, edns=edns))
+                                                edns=edns))
         return self.sim.run_until_resolved(future)
 
 

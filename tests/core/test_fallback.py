@@ -1,14 +1,16 @@
-"""Tests for the client fallback strategies (multicast, timeout)."""
+"""§3's forward-on-timeout: a stub with the provider L-DNS as fallback."""
 
 import pytest
 
-from repro.core import FallbackClient
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.mec.namespaces import NamespacePolicy, SplitNamespacePlugin
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import AuthoritativeServer
+from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
+
+MEC_DNS = Endpoint("10.96.0.10", 53)
+PROVIDER = Endpoint("203.0.113.10", 53)
 
 
 def build_zone(domain, address):
@@ -62,76 +64,44 @@ class FallbackScenario:
         AuthoritativeServer(self.net, self.net.host("provider"),
                             [build_zone("mycdn.ciab.test", "198.18.0.1"),
                              build_zone("example.com", "198.18.0.2")])
-        self.client = FallbackClient(
-            self.net, self.net.host("ue"),
-            mec_dns=Endpoint("10.96.0.10", 53),
-            provider_ldns=Endpoint("203.0.113.10", 53),
-            mec_timeout=30)
 
-    def run(self, strategy, name):
-        method = getattr(self.client, strategy)
-        future = self.sim.spawn(method(Name(name)))
-        return self.sim.run_until_resolved(future)
-
-
-class TestRace:
-    def test_mec_wins_for_cdn_domain(self):
-        scenario = FallbackScenario()
-        result = scenario.run("race", "video.mycdn.ciab.test")
-        assert result.addresses == ["10.233.1.10"]
-        assert not result.used_fallback
-        assert result.latency_ms < 10
-        assert scenario.client.mec_wins == 1
-
-    def test_provider_wins_for_non_mec_domain(self):
-        scenario = FallbackScenario()
-        result = scenario.run("race", "video.example.com")
-        assert result.addresses == ["198.18.0.2"]
-        assert result.used_fallback
-        assert scenario.client.provider_wins == 1
-
-    def test_race_overhead_small_for_non_mec_content(self):
-        # The paper: fallback "adds only a small overhead" for non-MEC
-        # names.  With multicast the overhead is zero extra round trips.
-        scenario = FallbackScenario()
-        result = scenario.run("race", "video.example.com")
-        assert result.latency_ms == pytest.approx(80, abs=10)
-
-    def test_race_when_mec_is_silent(self):
-        scenario = FallbackScenario(mec_silent_for_other=True)
-        result = scenario.run("race", "video.example.com")
-        assert result.addresses == ["198.18.0.2"]
+    def run(self, name):
+        # The MEC DNS gets 30 ms, then the retry gives the provider 3 s.
+        stub = StubResolver(self.net, self.net.host("ue"), MEC_DNS,
+                            RetryPolicy(retries=1, timeout_ms=30,
+                                        backoff=100.0),
+                            fallback=PROVIDER)
+        return self.sim.run_until_resolved(
+            self.sim.spawn(stub.query(Name(name))))
 
 
 class TestTimeoutFallback:
     def test_mec_answers_directly(self):
-        scenario = FallbackScenario()
-        result = scenario.run("timeout_fallback", "video.mycdn.ciab.test")
+        result = FallbackScenario().run("video.mycdn.ciab.test")
         assert result.addresses == ["10.233.1.10"]
-        assert not result.used_fallback
+        assert result.server == MEC_DNS
 
     def test_refused_triggers_fallback_immediately(self):
-        scenario = FallbackScenario()
-        result = scenario.run("timeout_fallback", "video.example.com")
+        result = FallbackScenario().run("video.example.com")
         assert result.addresses == ["198.18.0.2"]
-        assert result.used_fallback
+        assert result.server == PROVIDER
         # REFUSED comes back in ~6ms, so total is ~6 + 80.
-        assert result.latency_ms < 100
+        assert result.query_time_ms < 100
 
     def test_silent_mec_costs_the_timeout(self):
         scenario = FallbackScenario(mec_silent_for_other=True)
-        result = scenario.run("timeout_fallback", "video.example.com")
-        assert result.used_fallback
-        assert result.latency_ms == pytest.approx(30 + 80, abs=12)
+        result = scenario.run("video.example.com")
+        assert result.server == PROVIDER
+        assert result.query_time_ms == pytest.approx(30 + 80, abs=12)
 
     def test_both_dead_raises(self):
         sim = Simulator()
         net = Network(sim, RandomStreams(4))
         net.add_host("ue", "10.45.0.2")
-        client = FallbackClient(net, net.host("ue"),
-                                mec_dns=Endpoint("10.96.0.10", 53),
-                                provider_ldns=Endpoint("203.0.113.10", 53),
-                                mec_timeout=20, total_timeout=50)
-        future = sim.spawn(client.timeout_fallback(Name("x.test")))
+        stub = StubResolver(net, net.host("ue"), MEC_DNS,
+                            RetryPolicy(retries=1, timeout_ms=20,
+                                        backoff=2.5),
+                            fallback=PROVIDER)
+        future = sim.spawn(stub.query(Name("x.test")))
         with pytest.raises(ProcessFailed):
             sim.run_until_resolved(future)

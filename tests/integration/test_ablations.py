@@ -5,8 +5,8 @@ what it buys:
 
 * split namespace vs. an exposed internal DNS (attack-surface check);
 * C-DNS scope restricted to the edge vs. a global candidate set;
-* client fallback strategy for non-MEC names (multicast race vs.
-  forward-on-timeout vs. provider-only);
+* client fallback strategy for non-MEC names (forward-on-timeout vs.
+  provider-only);
 * CoreDNS response caching on/off.
 
 (The fifth ablation in EXPERIMENTS.md, the public-IP plan, is plain
@@ -16,12 +16,12 @@ arithmetic and lives with its unit: ``tests/mec/test_coredns.py``.)
 import pytest
 
 from repro.cdn import CacheServer, ContentCatalog, CoverageZone, TrafficRouter
-from repro.core import FallbackClient, MecCdnSite
+from repro.core import MecCdnSite
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.mec import CoreDnsServer, Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, StubResolver
+from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
 
 
 def build_zone(domain, address):
@@ -113,26 +113,23 @@ def fallback_latency(strategy):
     AuthoritativeServer(net, net.host("provider"),
                         [build_zone("mycdn.ciab.test", "198.18.0.1"),
                          build_zone("example.com", "198.18.0.2")])
-    client = FallbackClient(net, net.host("ue"),
-                            mec_dns=Endpoint("10.96.0.10", 53),
-                            provider_ldns=Endpoint("203.0.113.10", 53),
-                            mec_timeout=30)
+    provider = Endpoint("203.0.113.10", 53)
     if strategy == "provider-only":
-        stub = StubResolver(net, net.host("ue"), Endpoint("203.0.113.10", 53))
-        result = sim.run_until_resolved(sim.spawn(
-            stub.query(Name("video.example.com"))))
-        return result.query_time_ms
-    method = getattr(client, strategy)
+        stub = StubResolver(net, net.host("ue"), provider)
+    else:
+        stub = StubResolver(net, net.host("ue"), Endpoint("10.96.0.10", 53),
+                            RetryPolicy(retries=1, timeout_ms=30,
+                                        backoff=100.0),
+                            fallback=provider)
     result = sim.run_until_resolved(sim.spawn(
-        method(Name("video.example.com"))))
-    return result.latency_ms
+        stub.query(Name("video.example.com"))))
+    return result.query_time_ms
 
 
-@pytest.mark.parametrize("strategy", ["race", "timeout_fallback",
-                                      "provider-only"])
+@pytest.mark.parametrize("strategy", ["forward-on-timeout", "provider-only"])
 def test_fallback_strategy_stays_cheap_for_non_mec_names(strategy):
-    # Race adds no round trips over provider-only; timeout-fallback adds
-    # at most the MEC REFUSED round trip (fast, the MEC DNS is close).
+    # Timeout-fallback adds at most the MEC round trip over provider-only
+    # (fast, the MEC DNS is close).
     assert fallback_latency(strategy) < 130
 
 

@@ -7,7 +7,7 @@ and drop radio frames mid-run and assert service continues.
 
 
 from repro.cdn import ContentCatalog, HttpClient
-from repro.core import FallbackClient, MecCdnSite
+from repro.core import MecCdnSite
 from repro.dnswire import Name
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.resolver import RetryPolicy, StubResolver
@@ -101,11 +101,12 @@ class TestPodFailure:
         # Kill the CoreDNS pod without a replacement: the MEC DNS is gone.
         site.orchestrator.kill_pod(site.ldns_pod)
         site.ldns.sock.close()
-        client = FallbackClient(
-            scenario.net, scenario.net.host("ue"),
-            mec_dns=site.ldns_endpoint,
-            provider_ldns=Endpoint("203.0.113.10", 53),
-            mec_timeout=50)
+        provider = Endpoint("203.0.113.10", 53)
+        client = StubResolver(scenario.net, scenario.net.host("ue"),
+                              site.ldns_endpoint,
+                              RetryPolicy(retries=1, timeout_ms=50,
+                                          backoff=60.0),
+                              fallback=provider)
         # The provider cannot answer the MEC-CDN domain (it is not
         # authoritative for it) — but a generic name still resolves, so
         # the user keeps DNS service, degraded, as the paper promises.
@@ -122,11 +123,10 @@ class TestPodFailure:
         from repro.resolver import AuthoritativeServer
         AuthoritativeServer(scenario.net, scenario.net.host("provider"),
                             [zone])
-        future = scenario.sim.spawn(
-            client.timeout_fallback(Name("www.example.com")))
+        future = scenario.sim.spawn(client.query(Name("www.example.com")))
         result = scenario.sim.run_until_resolved(future)
         assert result.addresses == ["198.18.0.9"]
-        assert result.used_fallback
+        assert result.server == provider
 
 
 class TestLossyRadio:

@@ -71,7 +71,6 @@ def assert_unchanged(recorded):
 
 RUNS = {
     "figure5": (figure5.EXPERIMENT, {"queries": 4}),
-    "figure5-ecs": (figure5.EXPERIMENT, {"queries": 4, "ecs": True}),
     "ecs": (ecs.EXPERIMENT, {"queries": 4}),
     "churn": (churn.EXPERIMENT, {"queries": 4}),
     "overload": (overload.EXPERIMENT, {}),
@@ -90,7 +89,7 @@ def test_exchanged_queries_leave_their_servers_unchanged(name, sent,
     assert replies, "the run sent no reply"
     for datagram, wire in replies:
         assert datagram.payload == wire
-    if name in ("ecs", "figure5-ecs"):
+    if name == "ecs":
         # CoreDNS injected ECS on a copy and forwarded the copy's EDNS.
         assert any(query.edns is not None
                    and query.edns.client_subnet is not None

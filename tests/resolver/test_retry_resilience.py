@@ -6,11 +6,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.message import make_response
 from repro.dnswire.rdata import A, NS, SOA
+from repro.dnswire.types import Rcode
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
 from repro.resolver import (AuthoritativeServer, CachePlugin, ChainServer,
-                            ForwardPlugin, RetryPolicy, StubResolver)
+                            DnsServer, ForwardPlugin, RetryPolicy,
+                            StubResolver)
 from repro.resolver.cache import STALE_ANSWER_TTL
 from repro.resolver.server import UPSTREAM_TIMEOUT_MS
 
@@ -197,6 +200,75 @@ class TestStubRetries:
         assert stub.hedges_sent == 1
         # ...and the hedge answered well before the 500 ms timeout.
         assert result.query_time_ms < 100
+
+
+class Verdict(DnsServer):
+    """Answers every question with one fixed rcode (and an A on NOERROR)."""
+
+    def __init__(self, network, host, rcode):
+        super().__init__(network, host)
+        self.rcode = rcode
+
+    def handle_query(self, query, client, trace):
+        answers = ([ResourceRecord(query.question.name, RecordType.A, 300,
+                                   A(self.host.address))]
+                   if self.rcode == Rcode.NOERROR else [])
+        return make_response(query, rcode=self.rcode, answers=answers)
+
+
+class TestStubFallback:
+    """Attempt 1 goes to ``server``, every later attempt to ``fallback``.
+
+    ``server``'s REFUSED is unsettled only when a fallback can be asked;
+    the fallback's REFUSED is final, and an unsettled verdict is kept,
+    not raised, when attempts run out.
+    """
+
+    SERVER, FALLBACK = Endpoint("10.96.0.10", 53), Endpoint("203.0.113.10", 53)
+
+    @pytest.mark.parametrize(
+        "server_rcode, fallback_rcode, retries, status, attempts, answerer",
+        [(Rcode.REFUSED, Rcode.NOERROR, 1, "NOERROR", 2, FALLBACK),
+         (Rcode.SERVFAIL, Rcode.NOERROR, 1, "NOERROR", 2, FALLBACK),
+         (Rcode.REFUSED, Rcode.REFUSED, 2, "REFUSED", 2, FALLBACK),
+         (Rcode.REFUSED, None, 2, "REFUSED", 1, SERVER),
+         (Rcode.REFUSED, Rcode.NOERROR, 0, "REFUSED", 1, SERVER),
+         (Rcode.NXDOMAIN, Rcode.NOERROR, 2, "NXDOMAIN", 1, SERVER),
+         (Rcode.REFUSED, Rcode.SERVFAIL, 2, "SERVFAIL", 3, FALLBACK),
+         (Rcode.SERVFAIL, None, 1, "SERVFAIL", 2, SERVER)],
+        ids=["refused-moves-on", "servfail-moves-on",
+             "fallback-refused-is-final", "no-fallback-refused-is-final",
+             "no-retry-keeps-the-refusal", "nxdomain-is-final",
+             "fallback-servfail-is-kept", "no-fallback-servfail-stays"])
+    def test_verdicts(self, server_rcode, fallback_rcode, retries, status,
+                      attempts, answerer):
+        sim = Simulator()
+        net = Network(sim, RandomStreams(17))
+        net.add_host("client", "10.45.0.2")
+        servers = {}
+        for name, endpoint, rcode in (
+                ("mec-dns", self.SERVER, server_rcode),
+                ("provider", self.FALLBACK, fallback_rcode)):
+            net.add_host(name, endpoint.ip)
+            net.add_link("client", name, Constant(5))
+            if rcode is not None:
+                servers[endpoint] = Verdict(net, net.host(name), rcode)
+        stub = StubResolver(
+            net, net.host("client"), self.SERVER,
+            RetryPolicy(retries=retries, timeout_ms=100, backoff=1.0),
+            fallback=self.FALLBACK if fallback_rcode is not None else None)
+        result = sim.run_until_resolved(sim.spawn(stub.query(QNAME)))
+        assert (result.status, result.attempts, result.server) == (
+            status, attempts, answerer)
+        assert stub.queries_issued == attempts
+        # Only attempt 1 asks ``server`` when there is a fallback.
+        fallback = servers.get(self.FALLBACK)
+        assert servers[self.SERVER].queries_received == (
+            1 if fallback else attempts)
+        if fallback:
+            assert fallback.queries_received == attempts - 1
+        assert result.addresses == (
+            [answerer.ip] if status == "NOERROR" else [])
 
 
 class TestTimeoutsLeaveNoCycles:

@@ -13,7 +13,6 @@ scenario runs with telemetry off and on, and the two runs must agree.
 import pytest
 
 from repro import telemetry
-from repro.core.fallback import FallbackClient
 from repro.dnswire import Name, RecordType, ResourceRecord
 from repro.dnswire.message import make_response
 from repro.dnswire.rdata import A, CNAME
@@ -141,16 +140,18 @@ def test_coredns_stub_domain_servfails():
 
 def test_fallback_client_takes_the_provider_answer():
     def scenario(world):
-        client = FallbackClient(world.net, world.net.host("client"),
-                                mec_dns=world.sloppy.endpoint,
-                                provider_ldns=world.honest.endpoint)
-        result = world.run(client.timeout_fallback(QNAME))
-        return result.addresses, result.used_fallback, result.latency_ms, \
-            client.provider_wins
+        client = StubResolver(world.net, world.net.host("client"),
+                              world.sloppy.endpoint,
+                              RetryPolicy(retries=1, timeout_ms=30,
+                                          backoff=100.0),
+                              fallback=world.honest.endpoint)
+        result = world.run(client.query(QNAME))
+        return result.addresses, result.server, result.query_time_ms, \
+            client.queries_issued
 
-    addresses, used_fallback, _, provider_wins = served_alike(scenario)
+    addresses, server, _, sent = served_alike(scenario)
     assert addresses == [HONEST_ANSWER]
-    assert used_fallback and provider_wins == 1
+    assert (server, sent) == (Endpoint(HONEST_IP, 53), 2)
 
 
 def test_bare_stub_raises_transaction_id_mismatch():
