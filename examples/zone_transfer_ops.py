@@ -3,10 +3,12 @@
 
 The CDN's delivery zone changes whenever customers publish content.  In
 standard DNS operations the authoritative primary bumps the SOA serial
-and secondaries pull the change with AXFR.  This demo runs that
-pipeline on the simulated stack: primary update -> SOA poll -> AXFR
-(the whole zone in one answer: the simulated fabric has no size limit)
--> the secondary starts answering for the new name.
+and secondaries pull the change.  The edge secondary here is seeded
+with the zone at deploy time, and every later version travels as an
+IXFR diff out of the primary's journal (RFC 1995).  This demo runs that
+pipeline on the simulated stack: primary update -> SOA poll -> IXFR
+(only the changed records) -> the secondary starts answering for the
+new name.
 
 Run:  python examples/zone_transfer_ops.py
 """
@@ -48,16 +50,19 @@ def main() -> None:
     net.add_link("primary", "edge-ns", Constant(12))
     net.add_link("ue", "edge-ns", Constant(3))
 
+    videos = [f"video{i}" for i in range(20)]
     primary = AuthoritativeServer(
         net, net.host("primary"),
-        [build_zone(serial=2024010101,
-                    published=[f"video{i}" for i in range(20)])])
-    edge_server = AuthoritativeServer(net, net.host("edge-ns"), [])
+        [build_zone(serial=2024010101, published=videos)],
+        journal_depth=8)
+    # Deploy time: the edge secondary starts from the same version.
+    edge_server = AuthoritativeServer(
+        net, net.host("edge-ns"),
+        [build_zone(serial=2024010101, published=videos)])
     secondary = SecondaryZone(net, edge_server, ORIGIN, primary.endpoint)
 
-    print("Initial sync:")
-    transferred = sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
-    print(f"  transferred={transferred}, serial={secondary.serial}, "
+    print("Seeded at deploy time:")
+    print(f"  serial={secondary.serial}, "
           f"records={sum(1 for _ in edge_server.zones[ORIGIN].records())}")
 
     stub = StubResolver(net, net.host("ue"), edge_server.endpoint)
@@ -68,22 +73,23 @@ def main() -> None:
 
     print("Publish a new delivery service on the primary (serial bump):")
     primary.add_zone(build_zone(
-        serial=2024010102,
-        published=[f"video{i}" for i in range(20)] + ["livestream"]))
+        serial=2024010102, published=videos + ["livestream"]))
     before = secondary.transfers
     transferred = sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
     print(f"  poll found serial {secondary.serial}; "
-          f"transferred={transferred} (AXFR #{secondary.transfers})")
+          f"transferred={transferred} (transfer #{secondary.transfers}, "
+          f"full-zone fallbacks={primary.ixfr_axfr_fallbacks})")
     result = sim.run_until_resolved(sim.spawn(
         stub.query(Name("livestream.mycdn.ciab.test"))))
     print(f"  UE resolves the new name -> {result.addresses[0]}")
     assert secondary.transfers == before + 1
+    assert primary.ixfr_axfr_fallbacks == 0  # a diff, not the whole zone
 
     print("\nIdle poll (no change):")
     transferred = sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
     print(f"  transferred={transferred} — serial unchanged, "
           f"no transfer traffic")
-    print("\nEach transfer carried the whole zone in one answer; the edge "
+    print("\nThe transfer carried one added record, not the zone; the edge "
           "answers locally either way.")
 
 

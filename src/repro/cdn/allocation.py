@@ -14,8 +14,7 @@ share the first, the engine alone runs the second:
   loads**, after Huang et al., "Consistent User-Traffic Allocation and
   Load Balancing in Mobile Edge Caching": sticky user→cache assignment
   where no member ever exceeds ``ceil((1 + epsilon) * assigned /
-  members)`` keys, and a membership change moves only the users whose
-  ring walk actually changed.
+  members)`` keys.
 
 Everything here is pure data structure — no simulator, no sockets — so
 the workload layer can replay routing decisions at millions-of-queries
@@ -95,14 +94,6 @@ class HashRing:
     def __len__(self) -> int:
         return len(self._points)
 
-    def members(self) -> List[object]:
-        """The distinct members on the ring, in insertion order."""
-        ordered: Dict[int, object] = {}
-        for seq, member in zip(self._seqs, self._members):
-            if seq not in ordered:
-                ordered[seq] = member
-        return [ordered[seq] for seq in sorted(ordered)]
-
     def pick(self, key: str,
              predicate: Optional[Callable[[object], bool]] = None) -> Optional[object]:
         """The first eligible member clockwise of ``key``'s hash point."""
@@ -144,104 +135,38 @@ class ConsistentAllocator:
 
     ``assign`` walks the ring clockwise from the key's hash point and
     takes the first member whose current load stays under the bound
-    ``ceil((1 + epsilon) * (assigned + 1) / member_count)``.  Keys stay
-    where they are until :meth:`set_members` changes the population; a
-    membership change replays the walk for every key in assignment
-    order, so only keys whose walk actually changed move — the
-    consistency property the paper's hit-rate argument depends on.
+    ``ceil((1 + epsilon) * (assigned + 1) / member_count)``; the key
+    stays there.  The loads sum to ``assigned`` and the bound times the
+    member count exceeds it, so some member is always under the bound.
+    Membership is fixed for the allocator's life.
     """
 
     def __init__(self, members: Sequence[str],
                  epsilon: float = 0.25) -> None:
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+        if not members:
+            raise ValueError("an allocator needs at least one member")
         self.epsilon = epsilon
         self._members: List[str] = list(members)
         self._ring = HashRing(self._members,
                               name_of=lambda member: str(member))
         self._assigned: Dict[str, str] = {}
         self._loads: Dict[str, int] = {name: 0 for name in self._members}
-        self.moves = 0
 
-    @property
-    def members(self) -> List[str]:
-        return list(self._members)
-
-    def load(self, member: str) -> int:
-        """Current number of keys assigned to ``member``."""
-        return self._loads.get(member, 0)
-
-    def capacity(self, total: Optional[int] = None) -> int:
-        """The bounded-load ceiling for ``total`` assigned keys."""
-        if not self._members:
-            return 0
-        count = len(self._assigned) if total is None else total
-        return int(math.ceil((1 + self.epsilon) * count
-                             / len(self._members)))
-
-    def assign(self, key: str,
-               eligible: Optional[Callable[[str], bool]] = None) -> Optional[str]:
-        """The member serving ``key``; assigns on first touch.
-
-        A sticky assignment is honoured while its member remains
-        eligible; otherwise the key is re-walked (and the old load
-        released).  Returns ``None`` only when no member is eligible.
-        """
+    def assign(self, key: str) -> str:
+        """The member serving ``key``; assigns on first touch."""
         current = self._assigned.get(key)
         if current is not None:
-            if current in self._loads and (eligible is None
-                                           or eligible(current)):
-                return current
-            self._release_assignment(key, current)
-        bound = self.capacity(len(self._assigned) + 1)
-        chosen = self._walk(key, bound, eligible)
-        if chosen is None and eligible is not None:
-            # Every eligible member is at the bound; relax it rather
-            # than fail the key (the paper's overflow-to-next rule).
-            chosen = self._walk(key, None, eligible)
-        if chosen is None:
-            return None
+            return current
+        bound = int(math.ceil((1 + self.epsilon) * (len(self._assigned) + 1)
+                              / len(self._members)))
+        loads = self._loads
+        chosen = next(member for member in self._ring.walk(key)
+                      if loads[member] < bound)
         self._assigned[key] = chosen
-        self._loads[chosen] = self._loads.get(chosen, 0) + 1
+        loads[chosen] += 1
         return chosen
-
-    def set_members(self, members: Sequence[str]) -> int:
-        """Install a new member set; returns how many keys moved.
-
-        Every key's walk is replayed in assignment order against the
-        new ring, preserving stickiness where the walk still lands on
-        the same member under the bound.
-        """
-        self._members = list(members)
-        self._ring = HashRing(self._members,
-                              name_of=lambda member: str(member))
-        old = self._assigned
-        self._assigned = {}
-        self._loads = {name: 0 for name in self._members}
-        moved = 0
-        for key, previous in old.items():
-            target = self.assign(key)
-            if target != previous:
-                moved += 1
-        self.moves += moved
-        return moved
-
-    # -- internals -----------------------------------------------------------
-
-    def _walk(self, key: str, bound: Optional[int],
-              eligible: Optional[Callable[[str], bool]]) -> Optional[str]:
-        for member in self._ring.walk(key):
-            name = str(member)
-            if eligible is not None and not eligible(name):
-                continue
-            if bound is None or self._loads.get(name, 0) < bound:
-                return name
-        return None
-
-    def _release_assignment(self, key: str, member: str) -> None:
-        del self._assigned[key]
-        if member in self._loads and self._loads[member] > 0:
-            self._loads[member] -= 1
 
     def __repr__(self) -> str:
         return (f"ConsistentAllocator({len(self._members)} members, "

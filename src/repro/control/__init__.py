@@ -8,9 +8,10 @@ how the resolution chain degrades (or doesn't) while it moves:
 
 * :mod:`repro.control.registry` — :class:`ZoneRegistry`, the versioned
   source of truth for the delivery zone.  Every endpoint-set update
-  bumps the SOA serial and journals the diff (bounded, RFC 1995 style);
+  bumps the SOA serial;
 * :mod:`repro.control.propagation` — :class:`PropagationCoordinator`,
-  which pushes each version into the primary authoritative server,
+  which pushes each version into the primary authoritative server
+  (which journals the diff for IXFR, RFC 1995),
   NOTIFYs (RFC 1996) the MEC-local secondary, retries the transfer
   under faults, and applies each installed version to the C-DNS's
   routing view at simulated time;

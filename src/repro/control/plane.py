@@ -6,7 +6,8 @@ whole provisioning chain through them:
 * ``cdn-origin`` — the CDN's primary authoritative server at WAN
   distance (where a real CDN's provisioning API lives).  The registry's
   versions are installed here first and served to secondaries via
-  IXFR/AXFR out of a **bounded** journal;
+  IXFR out of a one-version journal, with the AXFR-style full payload
+  for a secondary further behind;
 * ``<site>-zonesync`` — the MEC-local secondary on the cluster LAN.
   It is pre-seeded with version 1 (provisioned at deploy time), woken
   by NOTIFY for the fast path, and keeps a periodic SOA refresh as the
@@ -32,8 +33,7 @@ from repro.core.meccdn import MecCdnSite
 from repro.netsim.latency import Constant
 from repro.netsim.packet import Endpoint
 from repro.resolver.authoritative import AuthoritativeServer
-from repro.resolver.retry import RetryPolicy
-from repro.resolver.xfr import DEFAULT_JOURNAL_DEPTH, SecondaryZone
+from repro.resolver.xfr import SecondaryZone
 
 from repro.control.churn import ChurnDriver, ChurnEvent
 from repro.control.monitor import StalenessMonitor
@@ -45,22 +45,19 @@ PRIMARY_IP = "203.0.113.80"
 PRIMARY_HOST = "cdn-origin"
 PRIMARY_WAN_ONE_WAY_MS = 23.0
 
+#: IXFR history the primary keeps: deliberately one version, so any
+#: fault window spanning two updates forces the AXFR-style fallback.
+PRIMARY_JOURNAL_DEPTH = 1
+
 #: The MEC-local secondary host (cluster LAN, next to the k8s nodes).
 SECONDARY_IP = "10.40.2.40"
 SECONDARY_LAN_ONE_WAY_MS = 0.25
-
-#: The secondary's periodic SOA refresh (recovery path) and its
-#: per-query patience.  Short enough that a run-length fault window is
-#: survivable inside one experiment cell.
-REFRESH_MS = 5000.0
-SYNC_TIMEOUT_MS = 600.0
 
 
 class ControlPlane:
     """Registry + propagation + monitoring over one built testbed."""
 
-    def __init__(self, testbed: Testbed,
-                 journal_depth: int = DEFAULT_JOURNAL_DEPTH) -> None:
+    def __init__(self, testbed: Testbed) -> None:
         site = testbed.mec_site
         if site is None:
             raise ValueError(
@@ -71,28 +68,24 @@ class ControlPlane:
         self.network = network
 
         initial = tuple(sorted(cache.endpoint.ip for cache in site.caches))
-        self.registry = ZoneRegistry(network, site.cdn_domain, initial,
-                                     journal_depth=journal_depth)
+        self.registry = ZoneRegistry(network, site.cdn_domain, initial)
 
         # -- primary at WAN distance ----------------------------------------
         primary_host = testbed.epc.add_sgi_host(
             PRIMARY_HOST, PRIMARY_IP, Constant(PRIMARY_WAN_ONE_WAY_MS))
         self.primary = AuthoritativeServer(
             network, primary_host, [self.registry.zone],
-            journal_depth=journal_depth)
+            journal_depth=PRIMARY_JOURNAL_DEPTH)
 
         # -- MEC-local secondary, pre-seeded with version 1 -----------------
         secondary_name = f"{site.name}-zonesync"
         secondary_host = testbed.epc.add_sgi_host(
             secondary_name, SECONDARY_IP, Constant(SECONDARY_LAN_ONE_WAY_MS))
         self.secondary_server = AuthoritativeServer(
-            network, secondary_host, [self.registry.zone],
-            journal_depth=journal_depth)
+            network, secondary_host, [self.registry.zone])
         self.secondary = SecondaryZone(
             network, self.secondary_server, self.registry.origin,
-            Endpoint(PRIMARY_IP, 53), refresh_ms=REFRESH_MS)
-        self.secondary._stub.policy = RetryPolicy(
-            retries=1, timeout_ms=SYNC_TIMEOUT_MS, backoff=1.0)
+            Endpoint(PRIMARY_IP, 53))
         self.secondary.start()
 
         # -- propagation + monitoring ---------------------------------------

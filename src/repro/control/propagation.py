@@ -5,8 +5,8 @@ the coordinator installs each version into the CDN's **primary**
 authoritative server (journalled, so secondaries can pull diffs), then
 drives the MEC-local **secondary** with the RFC 1996 fast path — a
 NOTIFY a short control-plane delay after the update — and retries the
-transfer on a fixed cadence when faults eat it.  The secondary's own
-periodic SOA refresh remains the recovery path of last resort.
+transfer on a fixed cadence when faults eat it.  After ``MAX_RETRIES``
+the secondary's own periodic SOA refresh is the recovery path.
 
 When an installed version lands at the secondary, the coordinator fires
 ``on_applied`` so the assembly (:mod:`repro.control.plane`) can rebuild
@@ -84,7 +84,6 @@ class PropagationCoordinator:
         self.on_applied = on_applied
         #: serial -> lifecycle record, in update order.
         self.records: Dict[int, PropagationRecord] = {}
-        self.gave_up = 0
         self._target_serial = registry.serial
         self._loop_running = False
         registry.subscribe(self._on_update)
@@ -119,21 +118,18 @@ class PropagationCoordinator:
                         record.notified_at = now
                     if record.applied_at is None:
                         record.attempts += 1
-                yield from self.secondary.notify()
+                # A NOTIFY makes the secondary refresh out of turn.
+                yield from self.secondary.refresh_once()
                 if not self._behind():
                     return
                 yield RETRY_DELAY_MS
-            if self._behind():
-                # The periodic SOA refresh loop is now the recovery path.
-                self.gave_up += 1
         finally:
             self._loop_running = False
             # Updates that raced in while we were giving up get a fresh
             # loop at their own NOTIFY time (already scheduled).
 
     def _behind(self) -> bool:
-        serial = self.secondary.serial
-        return serial is None or serial < self._target_serial
+        return self.secondary.serial < self._target_serial
 
     # -- the install side ---------------------------------------------------
 
@@ -146,9 +142,7 @@ class PropagationCoordinator:
                 record = pending
         if record is None:
             return  # a re-install of an already-applied version
-        zone = self.secondary.server.zones.get(self.registry.origin)
-        if zone is None:
-            return
+        zone = self.secondary.server.zones[self.registry.origin]
         for pending in self.records.values():
             if pending.serial <= serial and pending.applied_at is None:
                 pending.applied_at = time

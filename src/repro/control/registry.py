@@ -4,8 +4,7 @@ In the paper's design the orchestrator knows every endpoint and the CDN
 publishes that knowledge as DNS.  :class:`ZoneRegistry` is the seam
 between the two: it owns the canonical version of the delivery zone,
 rewrites the endpoint RRset on every cluster change, bumps the SOA
-serial (RFC 1982 monotonic), journals the diff for incremental transfer
-(RFC 1995, bounded history), and tells its subscribers — the propagation
+serial (RFC 1982 monotonic), and tells its subscribers — the propagation
 coordinator, the staleness monitor — that a new version exists.
 
 The registry never touches the network itself; propagation is the
@@ -24,7 +23,6 @@ from repro.dnswire.rdata import A, SOA
 from repro.dnswire.types import RecordType
 from repro.dnswire.zone import Zone
 from repro.netsim.network import Network
-from repro.resolver.xfr import DEFAULT_JOURNAL_DEPTH, ZoneJournal
 
 #: Owner label under the origin where the endpoint RRset lives.
 ENDPOINT_LABEL = "caches"
@@ -34,7 +32,7 @@ ENDPOINT_LABEL = "caches"
 REGISTRY_TTL = 30
 
 #: SOA timers (seconds), conventional values stamped into the zone; no
-#: timer reads them (the secondary polls every ``SecondaryZone.refresh_ms``).
+#: timer reads them (the secondary polls every ``xfr.REFRESH_MS``).
 SOA_REFRESH = 30
 SOA_RETRY = 10
 SOA_EXPIRE = 3600
@@ -61,14 +59,12 @@ class ZoneRegistry:
     """Versioned store of the delivery zone's endpoint set."""
 
     def __init__(self, network: Network, origin: Name,
-                 addresses: Iterable[str],
-                 journal_depth: int = DEFAULT_JOURNAL_DEPTH) -> None:
+                 addresses: Iterable[str]) -> None:
         self.network = network
         self.origin = origin
         self.owner = origin.prepend(ENDPOINT_LABEL)
         self.serial = 1
         self.addresses: Tuple[str, ...] = tuple(sorted(set(addresses)))
-        self.journal = ZoneJournal(depth=journal_depth)
         self.zone: Zone = self._build_zone(self.serial, self.addresses)
         #: Every applied update, oldest first (the initial version is
         #: not an update: nothing changed).
@@ -115,7 +111,6 @@ class ZoneRegistry:
         old_set, new_set = set(self.addresses), set(new_addresses)
         self.serial += 1
         new_zone = self._build_zone(self.serial, new_addresses)
-        self.journal.record(self.origin, self.zone, new_zone)
         update = ZoneUpdate(
             time=self.network.sim.now, serial=self.serial,
             addresses=new_addresses,

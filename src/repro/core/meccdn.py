@@ -146,7 +146,6 @@ class MecCdnSite:
             stub_domains=config["stub_domains"],
             upstream=config["upstream"],
             front_plugins=[self.split_namespace],
-            forward_ecs=True,
             ecs_inject=config["ecs_inject"],
             serve_stale=config["serve_stale"],
             **kwargs)

@@ -23,8 +23,9 @@ Churn scenarios, with the control plane live:
   entries while the new zone version cannot propagate — the measured
   serve-stale × propagation-delay interaction;
 * ``mec-partition`` — the cluster (including the zone secondary) is
-  cut off across two updates.  With the journal bounded at depth 1 the
-  secondary's serial ages out and recovery is a full AXFR, not a diff;
+  cut off across two updates.  With the primary's journal bounded at
+  depth 1 the secondary's serial ages out and recovery is the
+  AXFR-style full payload, not a diff;
 * ``origin-brownout`` — the origin is up but pathologically slow, so
   propagation (and only propagation) degrades: availability holds
   while mislocalization soars.
@@ -84,10 +85,6 @@ MODES = ("baseline", "resilient")
 FAULT_DEPLOYMENT = "mec-ldns-mec-cdns"
 #: The cell run twice: its two digests must match byte for byte.
 REPLAYED = ("cdns-crash", FAULT_DEPLOYMENT, "resilient")
-
-#: Journal depth for the churn control plane: deliberately 1, so any
-#: fault window spanning two updates forces the AXFR fallback path.
-CONTROL_JOURNAL_DEPTH = 1
 
 #: Mid-session handover (between the rollout and the scale-down).
 HANDOFF_AT_MS = 3000.0
@@ -359,7 +356,7 @@ def _cell(scenario: Scenario, deployment: str, mode: str, queries: int,
         else None))
     plane = None
     if scenario.churn:
-        plane = ControlPlane(testbed, journal_depth=CONTROL_JOURNAL_DEPTH)
+        plane = ControlPlane(testbed)
         plane.add_churn(default_schedule())
     injector = inject(testbed.network, scenario.faults(testbed, plane))
     note: Optional[Note] = None

@@ -78,9 +78,9 @@ class StubDomainPlugin(RelayPlugin):
 
     name = "stubdomain"
 
-    def __init__(self, domains: Optional[Dict[Name, Endpoint]] = None,
-                 **kwargs) -> None:
-        super().__init__(**kwargs)
+    def __init__(self,
+                 domains: Optional[Dict[Name, Endpoint]] = None) -> None:
+        super().__init__()
         self.domains: Dict[Name, Endpoint] = dict(domains or {})
 
     def add(self, domain: Name, upstream: Endpoint) -> None:
@@ -109,7 +109,6 @@ class CoreDnsServer(ChainServer):
                  stub_domains: Optional[Dict[Name, Endpoint]] = None,
                  upstream: Optional[Endpoint] = None,
                  front_plugins: Optional[List[Plugin]] = None,
-                 forward_ecs: bool = True,
                  ecs_inject: bool = False,
                  serve_stale: bool = False,
                  **kwargs) -> None:
@@ -118,14 +117,13 @@ class CoreDnsServer(ChainServer):
         #: "enables ECS support at L-DNS").
         self.ecs_inject = ecs_inject
         self.kubernetes = KubernetesPlugin(orchestrator)
-        self.stub = StubDomainPlugin(stub_domains, forward_ecs=forward_ecs)
+        self.stub = StubDomainPlugin(stub_domains)
         self.cache_plugin = CachePlugin(serve_stale=serve_stale)
         plugins: List[Plugin] = list(front_plugins or [])
         plugins.extend([self.cache_plugin, self.kubernetes, self.stub])
         self.forward_plugin: Optional[ForwardPlugin] = None
         if upstream is not None:
-            self.forward_plugin = ForwardPlugin(upstream,
-                                                forward_ecs=forward_ecs)
+            self.forward_plugin = ForwardPlugin(upstream)
             plugins.append(self.forward_plugin)
         super().__init__(network, host, plugins, **kwargs)
 

@@ -3,7 +3,9 @@
 Implements the answer-side semantics the reproduction needs: longest-match
 zone selection, one authoritative answer (zones hold no aliases or cuts),
 NXDOMAIN/NODATA with SOA in the authority section, and
-AXFR/IXFR out of a bounded change journal.  Answers are
+IXFR out of a bounded change journal.  An AXFR request gets no special
+case (RFC 5936 asks for TCP, which the fabric does not model): it is
+one more type the apex does not hold, so NODATA.  Answers are
 the zone's records in zone order: an ECS option in the query is echoed
 untouched, and nothing is tailored to the client (the C-DNS that does
 tailor is :class:`repro.cdn.router.TrafficRouter`).
@@ -28,28 +30,23 @@ class AuthoritativeServer(DnsServer):
                  journal_depth: Optional[int] = None, **kwargs) -> None:
         super().__init__(network, host, **kwargs)
         self.zones = {zone.origin: zone for zone in zones}
-        self.axfr_served = 0
         self.ixfr_served = 0
         #: IXFR requests answered with a full AXFR-style payload because
-        #: the client's serial had aged out of the bounded journal.
+        #: the client's serial was not in the journal.
         self.ixfr_axfr_fallbacks = 0
-        # Change history so updates can be served incrementally (RFC 1995).
-        # ``journal_depth`` bounds it; a secondary whose serial has aged
-        # out of the bounded history gets a full AXFR instead.
-        from repro.resolver.xfr import DEFAULT_JOURNAL_DEPTH, ZoneJournal
-        self.journal = ZoneJournal(depth=(DEFAULT_JOURNAL_DEPTH
-                                          if journal_depth is None
-                                          else journal_depth))
+        # Change history so updates can be served incrementally (RFC 1995),
+        # ``journal_depth`` versions deep; a server without one answers
+        # every out-of-date IXFR with the full AXFR-style payload.
+        from repro.resolver.xfr import ZoneJournal
+        self.journal = (None if journal_depth is None
+                        else ZoneJournal(journal_depth))
 
     def add_zone(self, zone: Zone) -> None:
         """Host (or replace) a zone; replacements are journalled for IXFR."""
-        from repro.errors import ZoneError
         old = self.zones.get(zone.origin)
-        if old is not None and old.soa is not None and zone.soa is not None:
-            try:
-                self.journal.record(zone.origin, old, zone)
-            except ZoneError:
-                pass  # undiffable update; IXFR will fall back to AXFR
+        if self.journal is not None and old is not None \
+                and old.soa is not None and zone.soa is not None:
+            self.journal.record(zone.origin, old, zone)
         self.zones[zone.origin] = zone
 
     def find_zone(self, qname: Name) -> Optional[Zone]:
@@ -66,8 +63,6 @@ class AuthoritativeServer(DnsServer):
     def handle_query(self, query: Message, client: Endpoint,
                      trace) -> Message:
         question = query.question
-        if question.rtype == RecordType.AXFR:
-            return self._handle_axfr(query)
         if question.rtype == RecordType.IXFR:
             return self._handle_ixfr(query)
         zone = self.find_zone(question.name)
@@ -81,22 +76,13 @@ class AuthoritativeServer(DnsServer):
                              answers=result.records,
                              authorities=result.authority)
 
-    def _handle_axfr(self, query: Message) -> Message:
-        """Full zone transfer for a hosted zone apex (RFC 5936 shape)."""
-        from repro.resolver.xfr import axfr_response_records
-        zone = self.zones.get(query.question.name)
-        if zone is None:
-            return make_response(query, rcode=Rcode.NOTAUTH)
-        self.axfr_served += 1
-        return make_response(query, authoritative=True,
-                             answers=axfr_response_records(zone))
-
     def _handle_ixfr(self, query: Message) -> Message:
         """Incremental transfer (RFC 1995): diffs, or AXFR fallback.
 
         The client's current serial rides in the request's authority
-        section; an unknown serial (history rotated away) falls back to
-        a full AXFR-style answer, and a current serial gets the bare SOA.
+        section; an unknown serial (no journal, or history rotated
+        away) falls back to a full AXFR-style answer, and a current
+        serial gets the bare SOA.
         """
         from repro.dnswire.rdata import SOA as SoaRdata
         from repro.resolver.xfr import (axfr_response_records,
@@ -115,7 +101,8 @@ class AuthoritativeServer(DnsServer):
             return make_response(query, authoritative=True,
                                  answers=[zone.soa])
         deltas = (self.journal.deltas_since(zone.origin, client_serial)
-                  if client_serial is not None else None)
+                  if self.journal is not None and client_serial is not None
+                  else None)
         if deltas:
             answers = ixfr_response_records(zone, deltas)
         else:

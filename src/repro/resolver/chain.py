@@ -250,17 +250,16 @@ class CachePlugin(Plugin):
 class RelayPlugin(Plugin):
     """Shared upstream relay: one shot of ``timeout`` ms per query."""
 
-    def __init__(self, forward_ecs: bool = True) -> None:
+    def __init__(self) -> None:
         #: One shot of this many ms; ``MecCdnSite`` overwrites it.
         self.timeout = UPSTREAM_TIMEOUT_MS
-        self.forward_ecs = forward_ecs
         self.forwarded = 0
 
     def _forward(self, ctx: QueryContext, upstream: Endpoint) -> Generator:
         """Process: relay the question to ``upstream``, one shot.
 
-        The forwarded query asks for recursion under a fresh id and, with
-        ``forward_ecs``, carries the client's EDNS (its ECS option) on.
+        The forwarded query asks for recursion under a fresh id and
+        carries the client's EDNS (its ECS option) on.
         """
         owner = self._owner
         assert owner is not None, "plugin not bound to a server"
@@ -269,7 +268,7 @@ class RelayPlugin(Plugin):
                                msg_id=owner.allocate_query_id(),
                                recursion_desired=True)
         edns = ctx.query.edns
-        if self.forward_ecs and edns is not None:
+        if edns is not None:
             forwarded.edns = edns
         # Every L-DNS relays by this one rule: its own SERVFAIL carries no
         # RA, and a relayed answer keeps the upstream's EDNS options.
@@ -293,8 +292,8 @@ class ForwardPlugin(RelayPlugin):
 
     name = "forward"
 
-    def __init__(self, upstream: Endpoint, **kwargs) -> None:
-        super().__init__(**kwargs)
+    def __init__(self, upstream: Endpoint) -> None:
+        super().__init__()
         self.upstream = upstream
 
     def handle(self, ctx: QueryContext, next_plugin) -> Generator:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.dnswire.edns import Edns
 from repro.dnswire.message import Message, ResourceRecord, make_query
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode, RecordType
@@ -110,7 +109,6 @@ class StubResolver:
             tel.metrics.counter(metric, help).inc(client=self.host.name)
 
     def query(self, name: Name, rtype: RecordType = RecordType.A,
-              edns: Optional[Edns] = None,
               authorities: Optional[List["ResourceRecord"]] = None,
               ctx=None) -> Generator:
         """Process returning a :class:`DigResult` (raises QueryTimeout).
@@ -121,8 +119,8 @@ class StubResolver:
         """
         tel = self.network.telemetry
         if tel is None:
-            result = yield from self._query_impl(name, rtype, edns,
-                                                 authorities, None)
+            result = yield from self._query_impl(name, rtype, authorities,
+                                                 None)
             return result
         span = tel.tracer.begin("stub.query", "resolver", self.host.name,
                                 parent=ctx, qname=str(name),
@@ -137,13 +135,12 @@ class StubResolver:
                                 kind=kind),
                         status="FAILED", error=ERROR_NAME):
             result = yield from self._query_impl(
-                name, rtype, edns, authorities, span.context)
+                name, rtype, authorities, span.context)
         tel.tracer.end(span, status=result.status,
                        attempts=result.attempts, stale=result.stale)
         return result
 
     def _query_impl(self, name: Name, rtype: RecordType,
-                    edns: Optional[Edns],
                     authorities: Optional[List["ResourceRecord"]],
                     ctx) -> Generator:
         policy = self.policy
@@ -160,11 +157,11 @@ class StubResolver:
                 try:
                     if policy.hedge_after_ms is not None and attempt == 1:
                         response = yield from self._hedged_probe(
-                            name, rtype, edns, authorities, target,
+                            name, rtype, authorities, target,
                             per_try_timeout, msg_id, ctx=ctx)
                     else:
                         response = yield from self._probe(
-                            name, rtype, edns, authorities, target,
+                            name, rtype, authorities, target,
                             per_try_timeout, msg_id, attempt=attempt, ctx=ctx)
                 except QueryTimeout as error:
                     self.timeouts_seen += 1
@@ -207,12 +204,12 @@ class StubResolver:
 
     # -- probes -----------------------------------------------------------------
 
-    def _probe(self, name: Name, rtype: RecordType, edns: Optional[Edns],
+    def _probe(self, name: Name, rtype: RecordType,
                authorities: Optional[List[ResourceRecord]], target: Endpoint,
                per_try_timeout: float, msg_id: int, attempt: int = 1,
                ctx=None, hedge: bool = False) -> Generator:
         """Process: one query/response round."""
-        query = make_query(name, rtype, msg_id=msg_id, edns=edns)
+        query = make_query(name, rtype, msg_id=msg_id)
         if authorities:
             query.authorities = list(authorities)
         self.queries_issued += 1
@@ -236,7 +233,6 @@ class StubResolver:
         return response
 
     def _hedged_probe(self, name: Name, rtype: RecordType,
-                      edns: Optional[Edns],
                       authorities: Optional[List[ResourceRecord]],
                       target: Endpoint, per_try_timeout: float,
                       msg_id: int, ctx=None) -> Generator:
@@ -244,10 +240,10 @@ class StubResolver:
         sim = self.network.sim
         hedge_msg_id = self._rng.randrange(1, 0xFFFF)
         primary = sim.spawn(self._probe(
-            name, rtype, edns, authorities, target, per_try_timeout, msg_id,
+            name, rtype, authorities, target, per_try_timeout, msg_id,
             ctx=ctx))
         hedge = sim.spawn(self._hedge_after(
-            primary, name, rtype, edns, authorities, target,
+            primary, name, rtype, authorities, target,
             per_try_timeout, hedge_msg_id, ctx=ctx))
         try:
             response = yield sim.first_success([primary, hedge])
@@ -259,7 +255,6 @@ class StubResolver:
         return response
 
     def _hedge_after(self, primary: SimFuture, name: Name, rtype: RecordType,
-                     edns: Optional[Edns],
                      authorities: Optional[List[ResourceRecord]],
                      target: Endpoint, per_try_timeout: float,
                      msg_id: int, ctx=None) -> Generator:
@@ -270,6 +265,6 @@ class StubResolver:
         self._count("repro_stub_hedges_total",
                     "hedged second queries actually transmitted")
         response = yield from self._probe(
-            name, rtype, edns, authorities, target, per_try_timeout, msg_id,
+            name, rtype, authorities, target, per_try_timeout, msg_id,
             ctx=ctx, hedge=True)
         return response

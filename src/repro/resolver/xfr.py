@@ -1,17 +1,17 @@
-"""Zone transfer (AXFR, RFC 5936) and secondary-zone maintenance.
+"""Incremental zone transfer (IXFR, RFC 1995) and secondary-zone upkeep.
 
 The MEC platform needs the CDN's delivery zone locally; in real
 deployments that zone is either pushed by the orchestrator or pulled with
-standard zone transfer.  Both the primary side (AXFR answers out of an
-authoritative server) and the secondary side (serial polling + transfer +
-reload) are implemented:
+standard zone transfer.  Both sides of the pull are implemented:
 
-* the primary answers AXFR queries with the full zone, SOA first and
-  last, as RFC 5936 requires, in one answer: a real transfer rides TCP,
-  but the simulated fabric has no size limit, so one datagram exchange
-  carries it whole;
-* :class:`SecondaryZone` polls the primary's SOA serial every
-  ``refresh_ms`` and pulls + installs a fresh copy when it changes.
+* the primary answers IXFR out of a bounded change journal, or with the
+  AXFR-style full payload (SOA first and last, RFC 1995 §4) when the
+  client's serial has aged out of it, in one answer: a real transfer may
+  ride TCP, but the simulated fabric has no size limit, so one datagram
+  exchange carries it whole;
+* :class:`SecondaryZone` holds a pre-seeded copy, polls the primary's
+  SOA serial every :data:`REFRESH_MS`, and pulls + installs the change
+  when it moves.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ from repro.resolver.authoritative import AuthoritativeServer
 from repro.resolver.retry import RetryPolicy
 from repro.resolver.stub import StubResolver
 
-DEFAULT_REFRESH_MS = 60_000.0
+#: The secondary's periodic SOA refresh (the recovery path when a NOTIFY
+#: is lost) and its per-query patience, one retry each: short enough that
+#: a run-length fault window is survivable inside one experiment cell.
+REFRESH_MS = 5000.0
+SYNC_TIMEOUT_MS = 600.0
 
 
 class ZoneDelta:
@@ -73,10 +77,6 @@ def diff_zones(old: Zone, new: Zone) -> ZoneDelta:
         added=sorted(new_records - old_records, key=lambda r: str(r.name)))
 
 
-#: Default bound on retained IXFR history per origin.
-DEFAULT_JOURNAL_DEPTH = 16
-
-
 class ZoneJournal:
     """Per-origin history of change sets, for serving IXFR.
 
@@ -84,7 +84,7 @@ class ZoneJournal:
     falls back to a full transfer, exactly as real servers do.
     """
 
-    def __init__(self, depth: int = DEFAULT_JOURNAL_DEPTH) -> None:
+    def __init__(self, depth: int) -> None:
         if depth < 1:
             raise ValueError("journal depth must be >= 1")
         self.depth = depth
@@ -159,7 +159,7 @@ def apply_ixfr(zone: Zone, answers: List[ResourceRecord]) -> Zone:
                 and first_old.serial != ours.serial:
             # The diff chain starts at a serial we do not hold; applying
             # it would silently install a corrupt zone.  Raising makes
-            # the secondary fall back to a full AXFR instead.
+            # the secondary keep its copy and ask again later.
             raise ZoneError(
                 f"IXFR diff starts at serial {first_old.serial}, "
                 f"but we hold {ours.serial}; refusing to apply")
@@ -224,45 +224,45 @@ def zone_from_axfr(origin: Name,
 
 
 class SecondaryZone:
-    """Keeps one zone on a secondary server in sync with a primary."""
+    """Keeps a pre-seeded zone on a secondary server in sync with a primary.
+
+    The server must already hold ``origin`` with its SOA (provisioned at
+    deploy time); every later version arrives by IXFR.
+    """
 
     def __init__(self, network: Network, server: AuthoritativeServer,
-                 origin: Name, primary: Endpoint,
-                 refresh_ms: float = DEFAULT_REFRESH_MS) -> None:
+                 origin: Name, primary: Endpoint) -> None:
+        seed = server.zones.get(origin)
+        if seed is None or seed.soa is None:
+            raise ValueError(f"secondary server holds no copy of {origin}; "
+                             f"seed it with the zone first")
         self.network = network
         self.server = server
         self.origin = origin
         self.primary = primary
-        self.refresh_ms = refresh_ms
         self._stub = StubResolver(
             network, server.host, primary,
-            policy=RetryPolicy(retries=1, timeout_ms=5000, backoff=1.0))
+            policy=RetryPolicy(retries=1, timeout_ms=SYNC_TIMEOUT_MS,
+                               backoff=1.0))
         self.transfers = 0
-        self.axfr_transfers = 0
-        self.ixfr_transfers = 0
         self.refreshes = 0
-        self.notifies = 0
-        #: (simulated time, serial) per installed transfer, oldest first
-        #: — the propagation evidence the control plane reads.
-        self.install_log: List[tuple] = []
         #: Called as ``on_install(time, serial)`` after every installed
         #: transfer; the control plane hangs its apply step here.
         self.on_install: Optional[Callable[[float, int], None]] = None
         self._running = False
 
     @property
-    def serial(self) -> Optional[int]:
-        zone = self.server.zones.get(self.origin)
-        if zone is None or zone.soa is None:
-            return None
-        return zone.soa.rdata.serial  # type: ignore[attr-defined]
+    def serial(self) -> int:
+        soa = self.server.zones[self.origin].soa  # seeded with one
+        return soa.rdata.serial  # type: ignore[union-attr, attr-defined]
 
     # -- one refresh cycle ---------------------------------------------------
 
     def refresh_once(self) -> Generator:
         """Process: poll the primary's serial; transfer if it moved.
 
-        Returns True when a transfer was installed.
+        A primary's NOTIFY (RFC 1996) triggers the same cycle out of
+        turn.  Returns True when a transfer was installed.
         """
         self.refreshes += 1
         try:
@@ -273,38 +273,13 @@ class SecondaryZone:
         soa_records = soa_result.response.answer_rrs(RecordType.SOA)
         if not soa_records or not isinstance(soa_records[0].rdata, SOA):
             return False
-        primary_serial = soa_records[0].rdata.serial
-        if self.serial is not None and primary_serial <= self.serial:
+        if soa_records[0].rdata.serial <= self.serial:
             return False
-        transferred = yield from self._transfer()
+        transferred = yield from self._transfer_ixfr()
         return transferred
 
-    def _transfer(self) -> Generator:
-        """Pull the zone: IXFR when we hold a version, AXFR otherwise."""
-        current = self.server.zones.get(self.origin)
-        if current is not None and current.soa is not None:
-            done = yield from self._transfer_ixfr(current)
-            return done
-        done = yield from self._transfer_axfr()
-        return done
-
-    def _transfer_axfr(self) -> Generator:
-        try:
-            result = yield from self._stub.query(self.origin,
-                                                 RecordType.AXFR)
-        except QueryTimeout:
-            return False
-        if result.response.rcode != Rcode.NOERROR:
-            return False
-        try:
-            zone = zone_from_axfr(self.origin, result.response.answers)
-        except ZoneError:
-            return False
-        self._install(zone)
-        self.axfr_transfers += 1
-        return True
-
-    def _transfer_ixfr(self, current: Zone) -> Generator:
+    def _transfer_ixfr(self) -> Generator:
+        current = self.server.zones[self.origin]
         try:
             result = yield from self._stub.query(
                 self.origin, RecordType.IXFR,
@@ -316,39 +291,19 @@ class SecondaryZone:
         try:
             zone = apply_ixfr(current, result.response.answers)
         except ZoneError:
-            # A malformed or unusable diff: retry as a full transfer.
-            done = yield from self._transfer_axfr()
-            return done
+            return False  # an unusable diff: the next cycle asks again
         if zone is current:
             return False  # already up to date; nothing installed
-        self._install(zone)
-        self.ixfr_transfers += 1
-        return True
-
-    def _install(self, zone: Zone) -> None:
         self.server.add_zone(zone)
         self.transfers += 1
-        serial = (zone.soa.rdata.serial  # type: ignore[attr-defined]
-                  if zone.soa is not None else -1)
-        self.install_log.append((self.network.sim.now, serial))
         if self.on_install is not None:
-            self.on_install(self.network.sim.now, serial)
-
-    # -- NOTIFY (RFC 1996) -------------------------------------------------
-
-    def notify(self) -> Generator:
-        """Out-of-cycle refresh, as a primary's NOTIFY triggers it.
-
-        Returns True when a transfer was installed.
-        """
-        self.notifies += 1
-        transferred = yield from self.refresh_once()
-        return transferred
+            self.on_install(self.network.sim.now, self.serial)
+        return True
 
     # -- continuous maintenance ---------------------------------------------------
 
     def start(self) -> None:
-        """Poll forever, ``refresh_ms`` apart."""
+        """Poll forever, :data:`REFRESH_MS` apart."""
         if self._running:
             return
         self._running = True
@@ -356,7 +311,7 @@ class SecondaryZone:
         def loop() -> Generator:
             while self._running:
                 yield from self.refresh_once()
-                yield self.refresh_ms
+                yield REFRESH_MS
 
         self.network.sim.spawn(loop())
 

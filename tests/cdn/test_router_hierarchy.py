@@ -3,9 +3,11 @@
 import pytest
 
 from repro.cdn import CacheServer, ContentCatalog, CoverageZone, TrafficRouter
-from repro.dnswire import ClientSubnet, Edns, Name, RecordType
+from repro.dnswire import (ClientSubnet, Edns, Name, Rcode, RecordType,
+                           make_query)
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.resolver import StubResolver
+from repro.resolver.exchange import exchange
 
 
 class RouterScenario:
@@ -50,10 +52,16 @@ class RouterScenario:
                                  self.edge_router.endpoint)
 
     def query(self, name="video.demo1.mycdn.ciab.test",
-              rtype=RecordType.A, edns=None):
-        future = self.sim.spawn(self.stub.query(Name(name), rtype,
-                                                edns=edns))
+              rtype=RecordType.A):
+        future = self.sim.spawn(self.stub.query(Name(name), rtype))
         return self.sim.run_until_resolved(future)
+
+    def ask_with_edns(self, edns, name="video.demo1.mycdn.ciab.test"):
+        """One query carrying ``edns``, straight to the edge router."""
+        query = make_query(Name(name), msg_id=7, edns=edns)
+        return self.sim.run_until_resolved(self.sim.spawn(exchange(
+            self.net.host("client"), query, self.edge_router.endpoint,
+            1000.0)))
 
 
 @pytest.fixture
@@ -109,15 +117,15 @@ class TestTrafficRouter:
     def test_ecs_subnet_drives_zone_selection(self, scenario):
         # A query whose ECS places the client outside the edge zone.
         ecs = ClientSubnet("203.0.113.0", 24)
-        result = scenario.query(edns=Edns(options=[ecs]))
+        response = scenario.ask_with_edns(Edns(options=[ecs]))
         # No zone covers 203.0.113/24 and there is no default: SERVFAIL.
-        assert result.status == "SERVFAIL"
+        assert response.rcode == Rcode.SERVFAIL
 
     def test_ecs_scope_stamped(self, scenario):
         ecs = ClientSubnet("10.45.0.0", 24)
-        result = scenario.query(edns=Edns(options=[ecs]))
-        assert result.status == "NOERROR"
-        response_ecs = result.response.edns.client_subnet
+        response = scenario.ask_with_edns(Edns(options=[ecs]))
+        assert response.rcode == Rcode.NOERROR
+        response_ecs = response.edns.client_subnet
         assert response_ecs is not None
         assert response_ecs.scope_prefix == 16  # matched 10.45.0.0/16 zone
 

@@ -105,8 +105,8 @@ CLIENT_IP, FIRST_IP, SECOND_IP, AUTH_IP = (
 def build_chain(first_injects):
     """client -> CoreDNS -> CoreDNS -> authoritative for example.com.
 
-    The first hop forwards with its client's EDNS by reference
-    (``forward_ecs``); the second always injects ECS.
+    The first hop relays with its client's EDNS by reference, as every
+    relay does; the second always injects ECS.
     """
     sim = Simulator()
     net = Network(sim, RandomStreams(3))

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire import Message, Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Middlebox, Network, RandomStreams, Simulator
+from repro.netsim.packet import Datagram
 from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
 from repro.resolver.xfr import (
     ZoneJournal,
@@ -55,7 +56,7 @@ class TestDiffAndJournal:
             diff_zones(Zone(ORIGIN), build_zone(1, V1))
 
     def test_journal_chain(self):
-        journal = ZoneJournal()
+        journal = ZoneJournal(depth=4)
         journal.record(ORIGIN, build_zone(1, V1), build_zone(2, V2))
         journal.record(ORIGIN, build_zone(2, V2), build_zone(3, V3))
         chain = journal.deltas_since(ORIGIN, 1)
@@ -132,75 +133,111 @@ class ArrivalBytes(Middlebox):
         return datagram
 
 
-@pytest.fixture
-def world():
+class TruncatedIxfr(Middlebox):
+    """Cuts the closing SOA off every IXFR answer arriving at its host."""
+
+    armed = True
+
+    def process(self, datagram, host):
+        message = Message.from_wire(datagram.payload)
+        if not self.armed or not message.flags.qr \
+                or message.question.rtype != RecordType.IXFR:
+            return datagram
+        message.answers = message.answers[:-1]
+        return Datagram(datagram.src, datagram.dst, message.to_wire())
+
+
+def make_world(journal_depth=16):
     sim = Simulator()
     net = Network(sim, RandomStreams(29))
     net.add_host("primary", "10.0.0.53")
     net.add_host("secondary", "10.0.1.53")
     net.add_link("primary", "secondary", Constant(3))
     primary = AuthoritativeServer(net, net.host("primary"),
-                                  [build_zone(1, V1)])
-    secondary_server = AuthoritativeServer(net, net.host("secondary"), [])
+                                  [build_zone(1, V1)],
+                                  journal_depth=journal_depth)
+    secondary_server = AuthoritativeServer(net, net.host("secondary"),
+                                           [build_zone(1, V1)])
     secondary = SecondaryZone(net, secondary_server, ORIGIN,
                               primary.endpoint)
     return sim, net, primary, secondary_server, secondary
+
+
+@pytest.fixture
+def world():
+    return make_world()
+
+
+def big_zone(serial, extra=None):
+    hosts = {f"video{i}": f"10.233.1.{i + 10}" for i in range(30)}
+    return build_zone(serial, {**hosts, **(extra or {})})
 
 
 class TestIxfrEndToEnd:
     def sync(self, sim, secondary):
         return sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
 
-    def test_first_sync_uses_axfr_then_updates_use_ixfr(self, world):
+    def test_updates_arrive_as_diffs(self, world):
         sim, net, primary, secondary_server, secondary = world
-        assert self.sync(sim, secondary)
-        assert secondary.axfr_transfers == 1
-        assert secondary.ixfr_transfers == 0
         primary.add_zone(build_zone(2, V2))
         assert self.sync(sim, secondary)
-        assert secondary.ixfr_transfers == 1
+        assert secondary.transfers == 1
         assert secondary.serial == 2
+        assert primary.ixfr_axfr_fallbacks == 0
         result = secondary_server.zones[ORIGIN].lookup(
             Name("video2.mycdn.ciab.test"), RecordType.A)
         assert result.status.value == "success"
 
-    def test_ixfr_payload_smaller_than_axfr(self, world):
-        sim, net, primary, _, secondary = world
-        # Give the primary a big zone so the difference is visible
-        # (serials must keep increasing for the journal chain).
-        big_v1 = build_zone(2, {f"video{i}": f"10.233.1.{i + 10}"
-                                for i in range(30)})
-        big_v2 = build_zone(3, {**{f"video{i}": f"10.233.1.{i + 10}"
-                                   for i in range(30)},
-                                "livestream": "10.233.2.1"})
-        primary.add_zone(big_v1)
+    def test_unusable_diff_installs_nothing_and_the_next_cycle_asks_again(
+            self, world):
+        sim, net, primary, secondary_server, secondary = world
+        primary.add_zone(build_zone(2, V2))
+        garble = TruncatedIxfr()
+        net.host("secondary").install_middlebox(garble)
+        seeded = secondary_server.zones[ORIGIN]
+        # The diff arrives without its closing SOA: apply_ixfr cannot
+        # converge, and the secondary keeps serving its old copy.
+        assert not self.sync(sim, secondary)
+        assert secondary_server.zones[ORIGIN] is seeded
+        assert (secondary.serial, secondary.transfers) == (1, 0)
+        garble.armed = False
+        assert self.sync(sim, secondary)
+        assert (secondary.serial, secondary.transfers) == (2, 1)
+        assert primary.ixfr_served == 2
+
+    def test_ixfr_payload_smaller_than_full_payload(self):
+        sim, net, primary, _, secondary = make_world(journal_depth=1)
+        # Two versions on a depth-1 journal: the secondary's serial ages
+        # out, so its first pull is the full 30-record zone.
+        primary.add_zone(big_zone(2))
+        primary.add_zone(big_zone(3))
         tally = ArrivalBytes()
         net.host("secondary").install_middlebox(tally)
 
-        self.sync(sim, secondary)  # full AXFR of the 30-record zone
-        axfr_bytes = tally.total
+        assert self.sync(sim, secondary)
+        assert primary.ixfr_axfr_fallbacks == 1
+        full_bytes = tally.total
         tally.total = 0
-        primary.add_zone(big_v2)
-        self.sync(sim, secondary)  # incremental: one added record
+        primary.add_zone(big_zone(4, {"livestream": "10.233.2.1"}))
+        assert self.sync(sim, secondary)  # incremental: one added record
         ixfr_bytes = tally.total
-        assert secondary.ixfr_transfers == 1
+        assert primary.ixfr_axfr_fallbacks == 1
+        assert secondary.serial == 4
         # The diff moves a small fraction of the full-zone bytes.
-        assert ixfr_bytes < axfr_bytes / 2
+        assert ixfr_bytes < full_bytes / 2
 
     def test_rotated_history_falls_back_to_full_transfer(self, world):
         sim, net, primary, _, secondary = world
         primary.journal.depth = 1
-        self.sync(sim, secondary)
         primary.add_zone(build_zone(2, V2))
         primary.add_zone(build_zone(3, V3))  # rotates serial-1 delta away
         assert self.sync(sim, secondary)
         assert secondary.serial == 3
         # Served as AXFR-style payload inside the IXFR response.
-        assert secondary.ixfr_transfers == 1
+        assert (secondary.transfers, primary.ixfr_axfr_fallbacks) == (1, 1)
 
     def test_up_to_date_ixfr_is_cheap(self, world):
         sim, net, primary, _, secondary = world
-        self.sync(sim, secondary)
         stub = StubResolver(net, net.host("secondary"), primary.endpoint)
         current_soa = primary.zones[ORIGIN].soa
         result = sim.run_until_resolved(sim.spawn(
@@ -211,8 +248,8 @@ class TestIxfrEndToEnd:
 
     def test_ixfr_counter_on_primary(self, world):
         sim, net, primary, _, secondary = world
-        self.sync(sim, secondary)
+        assert not self.sync(sim, secondary)  # current: the SOA poll ends it
+        assert primary.ixfr_served == 0
         primary.add_zone(build_zone(2, V2))
         self.sync(sim, secondary)
         assert primary.ixfr_served == 1
-        assert primary.axfr_served == 1

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.dnswire import (ClientSubnet, Edns, Name, RecordType,
-                           ResourceRecord, cached_wire)
+from repro.dnswire import (ClientSubnet, Edns, Name, Rcode, RecordType,
+                           ResourceRecord, cached_wire, make_query)
 from repro.dnswire.rdata import A, GenericRdata
 from repro.errors import QueryTimeout
 from repro.netsim.engine import ProcessFailed
@@ -12,6 +12,7 @@ from repro.netsim.packet import Endpoint
 from repro.mec.coredns import stub_domain_upstream
 from repro.resolver import (CachePlugin, ChainServer, ForwardPlugin,
                             RetryPolicy, StubResolver)
+from repro.resolver.exchange import exchange
 
 from tests.resolver.conftest import MiniInternet
 
@@ -157,9 +158,14 @@ class TestEcsResolution:
     def test_client_supplied_ecs_passes_through(self):
         internet = MiniInternet()
         ecs = ClientSubnet("10.0.0.0", 24)
-        result = internet.run_query("www.example.com",
-                                    edns=Edns(options=[ecs]))
-        assert result.status == "NOERROR"
+        query = make_query(Name("www.example.com"), msg_id=7,
+                           edns=Edns(options=[ecs]))
+        response = internet.sim.run_until_resolved(internet.sim.spawn(
+            exchange(internet.net.host("client"), query,
+                     internet.resolver.endpoint, 1000.0)))
+        assert response.rcode == Rcode.NOERROR
+        # The authority echoes the option and the relay keeps it.
+        assert response.edns.client_subnet == ecs
 
 
 class TestForwarder:

@@ -1,4 +1,5 @@
-"""Tests for zone transfer (AXFR) and secondary-zone maintenance."""
+"""Tests for zone transfer payloads, transfer queries, and secondary-zone
+maintenance."""
 
 import pytest
 
@@ -7,9 +8,9 @@ from repro.dnswire import (Name, RecordType, ResourceRecord, Zone,
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import (AuthoritativeServer, RetryPolicy, SecondaryZone,
-                            StubResolver)
-from repro.resolver.xfr import axfr_response_records, zone_from_axfr
+from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
+from repro.resolver.xfr import (REFRESH_MS, axfr_response_records,
+                                zone_from_axfr)
 
 ORIGIN = Name("mycdn.ciab.test")
 
@@ -45,10 +46,17 @@ def world():
     net.add_link("client", "primary", Constant(4))
     primary = AuthoritativeServer(net, net.host("primary"),
                                   [build_zone(serial=1)])
-    secondary_server = AuthoritativeServer(net, net.host("secondary"), [])
+    secondary_server = AuthoritativeServer(net, net.host("secondary"),
+                                           [build_zone(serial=1)])
     secondary = SecondaryZone(net, secondary_server, ORIGIN,
                               primary.endpoint)
     return sim, net, primary, secondary_server, secondary
+
+
+def ask(sim, net, server, name, rtype=RecordType.A, authorities=None):
+    stub = StubResolver(net, net.host("client"), server.endpoint)
+    return sim.run_until_resolved(sim.spawn(
+        stub.query(name, rtype, authorities=authorities)))
 
 
 class TestAxfrPayload:
@@ -82,64 +90,72 @@ class TestAxfrPayload:
             zone_from_axfr(ORIGIN, first[:-1] + [second[-1]])
 
 
-class TestAxfrOverTheWire:
-    def test_axfr_query_returns_full_zone(self, world):
+class TestTransferQueries:
+    def test_axfr_query_gets_nodata_with_the_soa(self, world):
+        # No AXFR service (RFC 5936 wants TCP): the apex holds no record
+        # of that type, so the answer is an authoritative NODATA.
         sim, net, primary, _, _ = world
-        stub = StubResolver(net, net.host("client"), primary.endpoint)
-        result = sim.run_until_resolved(sim.spawn(
-            stub.query(ORIGIN, RecordType.AXFR)))
+        result = ask(sim, net, primary, ORIGIN, RecordType.AXFR)
         assert result.status == "NOERROR"
-        assert result.response.answers[0].rtype == RecordType.SOA
-        assert result.response.answers[-1].rtype == RecordType.SOA
-        assert primary.axfr_served == 1
+        assert result.response.answers == []
+        assert result.response.flags.aa
+        assert [record.rtype for record in result.response.authorities] \
+            == [RecordType.SOA]
 
-    def test_large_zone_completes_in_one_exchange(self, world):
+    def test_large_full_payload_completes_in_one_exchange(self, world):
         sim, net, primary, _, _ = world
         primary.add_zone(build_zone(serial=2, extra_hosts=40))
-        stub = StubResolver(net, net.host("client"), primary.endpoint)
-        result = sim.run_until_resolved(sim.spawn(
-            stub.query(ORIGIN, RecordType.AXFR)))
+        # No journal: an out-of-date IXFR gets the full AXFR-style payload.
+        result = ask(sim, net, primary, ORIGIN, RecordType.IXFR,
+                     authorities=[build_zone(serial=1).soa])
         # Far past 512 octets, and still one query, one answer, one
         # round trip on the 4 ms link: nothing truncates or retries.
         assert len(cached_wire(result.response)) > 512
         assert not result.response.flags.tc
         assert len(result.response.answers) == 4 + 40 + 2 - 1
-        assert (primary.queries_received, primary.axfr_served) == (1, 1)
+        assert (primary.queries_received, primary.ixfr_axfr_fallbacks) \
+            == (1, 1)
         assert result.query_time_ms < 2 * 8
 
-    def test_axfr_for_unhosted_zone_notauth(self, world):
+    def test_ixfr_for_unhosted_zone_notauth(self, world):
         sim, net, primary, _, _ = world
-        stub = StubResolver(net, net.host("client"), primary.endpoint)
-        result = sim.run_until_resolved(sim.spawn(
-            stub.query(Name("other.test"), RecordType.AXFR)))
+        result = ask(sim, net, primary, Name("other.test"), RecordType.IXFR)
         assert result.status == "NOTAUTH"
+
+    def test_axfr_for_unhosted_zone_refused(self, world):
+        # AXFR is an ordinary query type now: an unhosted zone is
+        # refused as any other lookup there is.
+        sim, net, primary, _, _ = world
+        result = ask(sim, net, primary, Name("other.test"), RecordType.AXFR)
+        assert result.status == "REFUSED"
+        assert result.response.answers == []
 
 
 class TestSecondaryZone:
-    def test_initial_transfer(self, world):
-        sim, net, primary, secondary_server, secondary = world
-        assert secondary.serial is None
-        transferred = sim.run_until_resolved(
-            sim.spawn(secondary.refresh_once()))
-        assert transferred
-        assert secondary.serial == 1
-        # The secondary now answers authoritatively.
-        stub = StubResolver(net, net.host("client"),
-                            secondary_server.endpoint)
-        result = sim.run_until_resolved(sim.spawn(
-            stub.query(Name("video.mycdn.ciab.test"))))
-        assert result.addresses == ["10.233.1.10"]
+    def test_refuses_a_server_without_the_origin(self, world):
+        _, net, primary, _, _ = world
+        empty = AuthoritativeServer(net, net.host("client"), [])
+        with pytest.raises(ValueError):
+            SecondaryZone(net, empty, ORIGIN, primary.endpoint)
+
+    def test_refuses_a_seed_without_an_soa(self, world):
+        _, net, primary, _, _ = world
+        soaless = Zone(ORIGIN)
+        soaless.add(rr("video.mycdn.ciab.test", RecordType.A,
+                       A("10.233.1.10")))
+        server = AuthoritativeServer(net, net.host("client"), [soaless])
+        with pytest.raises(ValueError):
+            SecondaryZone(net, server, ORIGIN, primary.endpoint)
 
     def test_no_transfer_when_serial_unchanged(self, world):
         sim, net, primary, _, secondary = world
-        sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
+        assert secondary.serial == 1
         again = sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
         assert not again
-        assert secondary.transfers == 1
+        assert secondary.transfers == 0
 
     def test_serial_bump_triggers_transfer(self, world):
         sim, net, primary, secondary_server, secondary = world
-        sim.run_until_resolved(sim.spawn(secondary.refresh_once()))
         updated = build_zone(serial=2)
         updated.add(rr("new.mycdn.ciab.test", RecordType.A, A("10.233.9.9")))
         primary.add_zone(updated)
@@ -147,30 +163,30 @@ class TestSecondaryZone:
             sim.spawn(secondary.refresh_once()))
         assert transferred
         assert secondary.serial == 2
-        stub = StubResolver(net, net.host("client"),
-                            secondary_server.endpoint)
-        result = sim.run_until_resolved(sim.spawn(
-            stub.query(Name("new.mycdn.ciab.test"))))
+        result = ask(sim, net, secondary_server,
+                     Name("new.mycdn.ciab.test"))
         assert result.addresses == ["10.233.9.9"]
 
     def test_unreachable_primary_is_not_fatal(self):
         sim = Simulator()
         net = Network(sim, RandomStreams(5))
         net.add_host("secondary", "10.0.1.53")
-        server = AuthoritativeServer(net, net.host("secondary"), [])
+        server = AuthoritativeServer(net, net.host("secondary"),
+                                     [build_zone(serial=1)])
         from repro.netsim.packet import Endpoint
         secondary = SecondaryZone(net, server, ORIGIN,
                                   Endpoint("10.99.9.9", 53))
-        secondary._stub.policy = RetryPolicy(retries=0, timeout_ms=50)
         transferred = sim.run_until_resolved(
             sim.spawn(secondary.refresh_once()))
         assert not transferred
+        assert secondary.serial == 1
 
     def test_periodic_refresh_loop(self, world):
         sim, net, primary, _, secondary = world
-        secondary.refresh_ms = 1000.0
+        primary.add_zone(build_zone(serial=2))
         secondary.start()
-        sim.run(until=3500)
+        sim.run(until=3 * REFRESH_MS + 500)
         assert secondary.refreshes >= 3
         assert secondary.transfers == 1  # serial never moved after sync
+        assert secondary.serial == 2
         secondary.stop()

@@ -6,8 +6,8 @@ from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.faults import FaultPlan, inject
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import (AuthoritativeServer, RetryPolicy, SecondaryZone,
-                            StubResolver)
+from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
+from repro.resolver.xfr import SYNC_TIMEOUT_MS
 
 ORIGIN = Name("mycdn.ciab.test")
 
@@ -43,10 +43,10 @@ def world():
     net.add_link("client", "secondary", Constant(1))
     primary = AuthoritativeServer(net, net.host("primary"),
                                   [build_zone(serial=1)])
-    secondary_server = AuthoritativeServer(net, net.host("secondary"), [])
+    secondary_server = AuthoritativeServer(net, net.host("secondary"),
+                                           [build_zone(serial=1)])
     secondary = SecondaryZone(net, secondary_server, ORIGIN,
                               primary.endpoint)
-    secondary._stub.policy = RetryPolicy(retries=0, timeout_ms=200)
     return sim, net, primary, secondary_server, secondary
 
 
@@ -62,10 +62,9 @@ def ask(sim, net, server, name="video.mycdn.ciab.test"):
 class TestPrimaryCrashFailover:
     def test_crash_mid_transfer_keeps_old_zone_serving(self, world):
         sim, net, primary, secondary_server, secondary = world
-        assert sync(sim, secondary)
 
-        # A big serial bump forces a long AXFR over the stream; the
-        # primary dies while the transfer is in flight.
+        # A big serial bump forces a long transfer (the primary keeps no
+        # journal, so the full payload); it dies while that is in flight.
         primary.add_zone(build_zone(serial=2, extra_hosts=40))
         crash_at = sim.now + 9.0  # after the SOA probe, mid-stream
         inject(net, FaultPlan().crash_host("primary", crash_at,
@@ -83,13 +82,14 @@ class TestPrimaryCrashFailover:
 
     def test_transfer_resumes_after_primary_restart(self, world):
         sim, net, primary, secondary_server, secondary = world
-        assert sync(sim, secondary)
         primary.add_zone(build_zone(serial=2, extra_hosts=40))
         crash_at = sim.now + 9.0
+        # Down past both of the secondary's attempts (SYNC_TIMEOUT_MS each).
+        outage = 2 * SYNC_TIMEOUT_MS + 300
         inject(net, FaultPlan().crash_host("primary", crash_at,
-                                           duration_ms=500))
+                                           duration_ms=outage))
         assert not sync(sim, secondary)
-        sim.run(until=crash_at + 600)  # past the restart
+        sim.run(until=crash_at + outage + 100)  # past the restart
         assert sync(sim, secondary)
         assert secondary.serial == 2
         assert ask(sim, net, secondary_server,
@@ -97,7 +97,6 @@ class TestPrimaryCrashFailover:
 
     def test_crash_before_soa_probe_is_not_fatal(self, world):
         sim, net, primary, secondary_server, secondary = world
-        assert sync(sim, secondary)
         net.host("primary").down = True
         assert not sync(sim, secondary)
         assert secondary.serial == 1

@@ -15,12 +15,7 @@ from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.resolver import AuthoritativeServer, SecondaryZone
-from repro.resolver.xfr import (
-    DEFAULT_JOURNAL_DEPTH,
-    apply_ixfr,
-    diff_zones,
-    ixfr_response_records,
-)
+from repro.resolver.xfr import apply_ixfr, diff_zones, ixfr_response_records
 
 ORIGIN = Name("mycdn.ciab.test")
 
@@ -57,7 +52,8 @@ def world():
     net.add_link("primary", "secondary", Constant(3))
     primary = AuthoritativeServer(net, net.host("primary"),
                                   [build_zone(1, V1)], journal_depth=1)
-    secondary_server = AuthoritativeServer(net, net.host("secondary"), [])
+    secondary_server = AuthoritativeServer(net, net.host("secondary"),
+                                           [build_zone(1, V1)])
     secondary = SecondaryZone(net, secondary_server, ORIGIN,
                               primary.endpoint)
     return sim, net, primary, secondary
@@ -72,27 +68,34 @@ class TestBoundedJournal:
         _, _, primary, _ = world
         assert primary.journal.depth == 1
 
-    def test_default_depth_is_bounded(self):
+    def test_depth_bounds_the_history(self):
+        depth = 4
         sim = Simulator()
         net = Network(sim, RandomStreams(1))
         net.add_host("p", "10.0.0.53")
         server = AuthoritativeServer(net, net.host("p"),
-                                     [build_zone(1, V1)])
-        assert server.journal.depth == DEFAULT_JOURNAL_DEPTH
-        for serial in range(2, DEFAULT_JOURNAL_DEPTH + 4):
+                                     [build_zone(1, V1)], journal_depth=depth)
+        for serial in range(2, depth + 4):
             server.add_zone(build_zone(
                 serial, {f"v{serial}": f"10.233.2.{serial}"}))
         # Exactly ``depth`` deltas are retained; older history is gone.
         assert server.journal.deltas_since(ORIGIN, 1) is None
-        kept = server.journal.deltas_since(
-            ORIGIN, serial - DEFAULT_JOURNAL_DEPTH)
-        assert kept is not None and len(kept) == DEFAULT_JOURNAL_DEPTH
+        kept = server.journal.deltas_since(ORIGIN, serial - depth)
+        assert kept is not None and len(kept) == depth
+
+    def test_no_journal_by_default(self, world):
+        # The secondary's server is built without a depth: it keeps no
+        # history, so installing a version diffs nothing.
+        sim, _, primary, secondary = world
+        assert secondary.server.journal is None
+        primary.add_zone(build_zone(2, V2))
+        assert sync(sim, secondary)
+        assert secondary.server.journal is None
 
 
 class TestAxfrFallback:
     def test_aged_out_secondary_gets_axfr_payload(self, world):
-        sim, _, primary, secondary = world
-        assert sync(sim, secondary)          # initial AXFR, serial 1
+        sim, _, primary, secondary = world   # seeded at serial 1
         primary.add_zone(build_zone(2, V2))
         primary.add_zone(build_zone(3, V3))  # depth-1 journal drops 1->2
         assert sync(sim, secondary)
@@ -107,7 +110,6 @@ class TestAxfrFallback:
 
     def test_covered_delta_does_not_count_as_fallback(self, world):
         sim, _, primary, secondary = world
-        assert sync(sim, secondary)
         primary.add_zone(build_zone(2, V2))  # one update: depth 1 covers it
         assert sync(sim, secondary)
         assert secondary.serial == 2
@@ -129,13 +131,15 @@ class TestInstallHook:
         installs = []
         secondary.on_install = lambda time, serial: installs.append(
             (time, serial))
-        assert sync(sim, secondary)
         primary.add_zone(build_zone(2, V2))
         assert sync(sim, secondary)
-        assert [serial for _, serial in installs] == [1, 2]
+        primary.add_zone(build_zone(3, V3))
+        assert sync(sim, secondary)
+        assert [serial for _, serial in installs] == [2, 3]
         assert installs[0][0] <= installs[1][0] == sim.now
 
     def test_no_hook_is_the_default(self, world):
-        sim, _, _, secondary = world
+        sim, _, primary, secondary = world
         assert secondary.on_install is None
+        primary.add_zone(build_zone(2, V2))
         assert sync(sim, secondary)  # installing without a hook is fine

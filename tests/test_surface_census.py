@@ -29,9 +29,10 @@ both alive: the census under-counts, it never over-counts.  Exempt by
 rule, not by list: dunders and ``visit_*`` / ``_apply_*`` / ``_cmd_*``
 dispatch targets (reached by the interpreter or a name-built ``getattr``);
 and, for the two parameter counts, a method that overrides — or is
-overridden by, test doubles included — a namesake up or down its class
+overridden by — a namesake of a ``src/repro`` class up or down its class
 tree (``handle_query(client)``, ``run_trial(spec)``, ``from_wire(rdlength)``:
-the signature belongs to the protocol).
+the signature belongs to the protocol).  A test double's override decides
+nothing: it copies the signature it stands in for.
 
 What else stays is in one table, ``CLASSES`` of ``scripts/line_census.py``:
 a name is excused by a (b) entry — a mechanism a DESIGN.md row lists — at
@@ -71,13 +72,23 @@ TESTS = parse("tests")
 #: Every module- or class-level ``def`` / ``class`` of ``src/repro``.
 DEFS = [found for file in SRC for found in index.load(ROOT / file).defs
         if not found.local]
-#: Every class by bare name, test doubles included: a hook a test subclass
-#: overrides is a protocol, and a test subclass's call sites are its base's.
-CLASSES: Dict[str, List[ast.ClassDef]] = {}
-for _tree in list(SRC.values()) + list(TESTS.values()):
-    for _node in ast.walk(_tree):
-        if isinstance(_node, ast.ClassDef):
-            CLASSES.setdefault(_node.name, []).append(_node)
+
+
+def classes(trees: Dict[str, ast.Module]) -> Dict[str, List[ast.ClassDef]]:
+    """Every class of ``trees``, by bare name."""
+    found: Dict[str, List[ast.ClassDef]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append(node)
+    return found
+
+
+#: The classes whose methods make a protocol: ``src/repro``'s alone.
+SRC_CLASSES = classes(SRC)
+#: Every class, test doubles included: a test subclass's call sites are
+#: its base's.
+CLASSES = classes({**SRC, **TESTS})
 
 
 def bare(node: ast.AST) -> Optional[str]:
@@ -112,8 +123,9 @@ def family(name: str) -> FrozenSet[str]:
                               if name in ancestors(other)}
 
 
-def methods_of(names: FrozenSet[str]) -> Set[str]:
-    return {item.name for name in names for cls in CLASSES.get(name, ())
+def methods_of(names: FrozenSet[str],
+               among: Dict[str, List[ast.ClassDef]] = CLASSES) -> Set[str]:
+    return {item.name for name in names for cls in among.get(name, ())
             for item in cls.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
@@ -131,7 +143,8 @@ def by_protocol(found: Def) -> bool:
         return True
     if found.owner is None or isinstance(found.node, ast.ClassDef):
         return False
-    return found.name in methods_of(family(found.owner.rpartition(".")[2]))
+    return found.name in methods_of(family(found.owner.rpartition(".")[2]),
+                                    SRC_CLASSES)
 
 
 class Site(NamedTuple):

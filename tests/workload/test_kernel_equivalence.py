@@ -338,7 +338,15 @@ class TestRouterMemo:
         # changes who is on a ring, so asking twice answers the same.
         config = BASE._replace(allocation=allocation, catalog_size=50_000)
         router = _Router(config)
-        before = [ring.members() for ring in router._rings]
+
+        def members(ring: Any) -> List[str]:
+            return sorted(str(member) for member in ring.walk("k"))
+
+        before = [members(ring) for ring in router._rings]
+        for site, names in enumerate(before):
+            assert names == sorted(
+                name for name, index in router._index.items()
+                if index // config.caches_per_site == site)
         clients = [f"10.64.0.{index}" for index in range(60)]
         ranks = [1, 2, 17, HEAD - 1, HEAD, HEAD + 1, 49_999]
         first = {(site, rank, client): router.select(site, rank, client)
@@ -347,10 +355,10 @@ class TestRouterMemo:
         for (site, rank, client), chosen in first.items():
             assert router.select(site, rank, client) == chosen
             assert chosen // config.caches_per_site == site
-        assert [ring.members() for ring in router._rings] == before
+        assert [members(ring) for ring in router._rings] == before
         if router._allocators is not None:
             for site, allocator in enumerate(router._allocators):
-                assert allocator.members == before[site]
+                assert members(allocator._ring) == before[site]
 
     def test_head_table_records_what_the_ring_answered(self) -> None:
         config = BASE._replace(catalog_size=50_000)
