@@ -14,7 +14,7 @@ for 5G NR — and reports the headroom left inside a 20 ms budget.
 Run:  python examples/arvr_latency_budget.py
 """
 
-from repro.cdn import HttpClient
+from repro.cdn.httpsim import HttpClient
 from repro.core.deployments import (
     DEPLOYMENT_KEYS,
     TESTBED_5G,
@@ -22,7 +22,8 @@ from repro.core.deployments import (
     build_testbed,
 )
 from repro.experiments.report import format_table
-from repro.measure import measure_deployment_queries, summarize
+from repro.measure.runner import measure_deployment_queries
+from repro.measure.stats import summarize
 
 BUDGET_MS = 20.0
 #: A small AR asset (a texture tile) — transfer is not the bottleneck.

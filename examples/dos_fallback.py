@@ -12,12 +12,15 @@ flood subsides.
 Run:  python examples/dos_fallback.py
 """
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
-from repro.mec import DosMitigation, IngressMonitor
-from repro.mobile import UserEquipment
+from repro.mec.ingress import DosMitigation, IngressMonitor
+from repro.mobile.ue import UserEquipment
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer
+from repro.resolver.authoritative import AuthoritativeServer
 
 CDN_DOMAIN = "mycdn.ciab.test"
 CONTENT = Name(f"video.demo1.{CDN_DOMAIN}")
@@ -85,7 +88,7 @@ def main() -> None:
 
     # The flood: 400 queries in ~0.8 s from the attacker host.
     from repro.netsim import UdpSocket
-    from repro.dnswire import make_query
+    from repro.dnswire.message import make_query
     attacker_sock = UdpSocket(network.host("attacker"))
 
     def flood():

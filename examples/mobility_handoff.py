@@ -13,14 +13,12 @@ the *new* edge — location-aware answers with no client configuration.
 Run:  python examples/mobility_handoff.py
 """
 
-from repro.cdn import ContentCatalog
-from repro.core import MecCdnSite
-from repro.dnswire import Name
-from repro.mobile import (
-    EvolvedPacketCore,
-    HandoffController,
-    UserEquipment,
-)
+from repro.cdn.content import ContentCatalog
+from repro.core.meccdn import MecCdnSite
+from repro.dnswire.name import Name
+from repro.mobile.core import EvolvedPacketCore
+from repro.mobile.handoff import HandoffController
+from repro.mobile.ue import UserEquipment
 from repro.core.deployments import TESTBED_LTE
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 

@@ -12,10 +12,11 @@ This walks the paper's Figure 4 end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro.cdn import ContentCatalog, HttpClient
+from repro.cdn.httpsim import HttpClient
 from repro.core.deployments import build_testbed
-from repro.dnswire import Name
-from repro.measure import measure_deployment_queries, summarize
+from repro.dnswire.name import Name
+from repro.measure.runner import measure_deployment_queries
+from repro.measure.stats import summarize
 
 
 def main() -> None:

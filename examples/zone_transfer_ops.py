@@ -13,10 +13,15 @@ new name.
 Run:  python examples/zone_transfer_ops.py
 """
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.xfr import SecondaryZone
+from repro.resolver.stub import StubResolver
 
 ORIGIN = Name("mycdn.ciab.test")
 

@@ -22,41 +22,3 @@ measures:
   across providers (the §2/Q3 opaqueness source).
 * :mod:`repro.cdn.httpsim` — the client side of the GET protocol.
 """
-
-from repro.cdn.allocation import ConsistentAllocator, HashRing
-from repro.cdn.content import ContentCatalog, ContentItem, ZipfRankStream
-from repro.cdn.cache_server import CacheServer, CacheStats
-from repro.cdn.geo import GeoPoint, GeoIpDatabase, haversine_km
-from repro.cdn.providers import (
-    CidrPool,
-    Provider,
-    DomainDeployment,
-    PROVIDERS,
-    TABLE1_SITES,
-)
-from repro.cdn.router import TrafficRouter, CoverageZone
-from repro.cdn.broker import CdnBroker
-from repro.cdn.httpsim import HttpClient, FetchResult
-
-__all__ = [
-    "ConsistentAllocator",
-    "HashRing",
-    "ContentCatalog",
-    "ContentItem",
-    "ZipfRankStream",
-    "CacheServer",
-    "CacheStats",
-    "GeoPoint",
-    "GeoIpDatabase",
-    "haversine_km",
-    "CidrPool",
-    "Provider",
-    "DomainDeployment",
-    "PROVIDERS",
-    "TABLE1_SITES",
-    "TrafficRouter",
-    "CoverageZone",
-    "CdnBroker",
-    "HttpClient",
-    "FetchResult",
-]

@@ -31,11 +31,16 @@ from repro.resolver.server import DnsServer
 DEFAULT_ANSWER_TTL = 30
 
 class CoverageZone(NamedTuple):
-    """Client networks mapped to the caches that should serve them."""
+    """Client networks mapped to the caches that should serve them.
+
+    The ring is the zone's one cache set: it is built once, from the
+    caches the zone starts with, and only
+    :meth:`TrafficRouter.set_zone_caches` replaces it.
+    """
 
     name: str
     networks: List[str]  # CIDR strings
-    caches: List[CacheServer]
+    ring: HashRing
 
     def covers(self, ip: str) -> Tuple[bool, int]:
         """(matched, matched-prefix-length) for ``ip``.
@@ -70,7 +75,6 @@ class TrafficRouter(DnsServer):
         self.zones = list(zones)
         self.answer_ttl = answer_ttl
         self.ecs_enabled = ecs_enabled
-        self._rings = {zone.name: HashRing(zone.caches) for zone in zones}
         #: Each cache's answer rdata, built on its first routed answer:
         #: rdata is immutable once built, so every answer can share it.
         self._rdata: Dict[CacheServer, A] = {}
@@ -87,13 +91,11 @@ class TrafficRouter(DnsServer):
         *propagated* zone version changes the endpoint set — the router
         routes on its propagated view, not on orchestrator ground truth,
         which is exactly what makes staleness windows measurable.  The
-        consistent-hash ring for the zone is rebuilt in place.
+        zone gets a new consistent-hash ring over ``caches``.
         """
         for index, zone in enumerate(self.zones):
             if zone.name == zone_name:
-                updated = zone._replace(caches=list(caches))
-                self.zones[index] = updated
-                self._rings[zone_name] = HashRing(updated.caches)
+                self.zones[index] = zone._replace(ring=HashRing(caches))
                 self.zone_updates += 1
                 return
         raise ValueError(f"no coverage zone named {zone_name!r}")
@@ -120,8 +122,7 @@ class TrafficRouter(DnsServer):
         zone, matched_prefix = self.zone_for(client_ip)
         if zone is None:
             return None, 0
-        cache = self._rings[zone.name].pick(str(qname).lower(),
-                                            predicate=_online)
+        cache = zone.ring.pick(str(qname).lower(), predicate=_online)
         return cache, matched_prefix
 
     # -- query handling ---------------------------------------------------------------

@@ -47,7 +47,8 @@ from repro.core.deployments import (
     DEPLOYMENT_LABELS,
     build_testbed,
 )
-from repro.measure import measure_deployment_queries, summarize
+from repro.measure.runner import measure_deployment_queries
+from repro.measure.stats import summarize
 
 _registry = None
 

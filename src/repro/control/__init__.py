@@ -29,22 +29,3 @@ when zone propagation completes**, never by peeking at orchestrator
 ground truth — otherwise the very staleness this package exists to
 measure would be invisible.
 """
-
-from repro.control.churn import ChurnDriver, ChurnEvent, default_schedule
-from repro.control.monitor import StalenessMonitor
-from repro.control.plane import ControlPlane
-from repro.control.propagation import (PropagationCoordinator,
-                                       PropagationRecord)
-from repro.control.registry import ZoneRegistry, ZoneUpdate
-
-__all__ = [
-    "ChurnDriver",
-    "ChurnEvent",
-    "ControlPlane",
-    "PropagationCoordinator",
-    "PropagationRecord",
-    "StalenessMonitor",
-    "ZoneRegistry",
-    "ZoneUpdate",
-    "default_schedule",
-]

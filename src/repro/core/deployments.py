@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro import telemetry
+from repro.cdn.allocation import HashRing
 from repro.cdn.content import ContentCatalog
 from repro.cdn.router import CoverageZone, TrafficRouter
 from repro.core.meccdn import MecCdnSite
@@ -166,20 +168,6 @@ class Testbed(NamedTuple):
     expected_cache_ips: List[str]
 
 
-def _attach_ambient_telemetry(network: Network) -> None:
-    """Wire the ambient telemetry (if any) into a freshly built network.
-
-    ``repro.cli --trace-out/--metrics-out`` installs a default facade;
-    experiments build testbeds through here, so the whole stack reports
-    without every builder growing a telemetry parameter.  A no-op when
-    no default is installed.
-    """
-    from repro import telemetry
-    tel = telemetry.get_default()
-    if tel is not None:
-        tel.attach(network)
-
-
 def build_testbed(deployment: str, seed: int = 0, ecs: bool = False,
                   profile: AccessProfile = TESTBED_LTE,
                   resilience: Optional[ResilienceConfig] = None) -> Testbed:
@@ -218,7 +206,7 @@ def _assemble(key: str, placement: Placement, seed: int, ecs: bool = False,
     """The LTE testbed with C-DNS and resolver where ``placement`` says."""
     sim = Simulator()
     network = Network(sim, RandomStreams(seed))
-    _attach_ambient_telemetry(network)
+    telemetry.attach_default(network)
 
     # Mobile access: UE == eNB -- S-GW -- P-GW.
     epc = EvolvedPacketCore(
@@ -266,7 +254,7 @@ def _assemble(key: str, placement: Placement, seed: int, ecs: bool = False,
         coredns_upstream_timeout=hardening.coredns_upstream_timeout)
     cdns_host = external[0] if external else site.cdns_pod.host.name
     if external:
-        zone = CoverageZone("all", ["0.0.0.0/0"], site.caches)
+        zone = CoverageZone("all", ["0.0.0.0/0"], HashRing(site.caches))
         TrafficRouter(network, epc.add_sgi_host(*external), CDN_DOMAIN,
                       zones=[zone], answer_ttl=hardening.answer_ttl,
                       ecs_enabled=ecs, processing_delay=processing)

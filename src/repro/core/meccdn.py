@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.cdn.allocation import HashRing
 from repro.cdn.cache_server import CacheServer
 from repro.cdn.content import ContentCatalog
 from repro.cdn.router import CoverageZone, TrafficRouter
@@ -92,7 +93,7 @@ class MecCdnSite:
             "trafficrouter", namespace="cdn", port=53)
         zone_networks = list(client_networks) + INTERNAL_NETWORKS
         self._edge_zone = CoverageZone(f"{name}-edge", zone_networks,
-                                       self.caches)
+                                       HashRing(self.caches))
         self._ecs_enabled = ecs_enabled
         self._answer_ttl = answer_ttl
         self._cdns_processing_delay = cdns_processing_delay

@@ -16,63 +16,3 @@ reproduction exercises end to end:
 Messages produced by the simulated servers are always round-tripped through
 the wire codec, so the protocol layer is exercised on every simulated query.
 """
-
-from repro.dnswire.name import Name, ROOT
-from repro.dnswire.types import RecordType, RecordClass, Opcode, Rcode
-from repro.dnswire.message import (
-    Flags,
-    Question,
-    ResourceRecord,
-    Message,
-    LazyMessage,
-    cached_wire,
-    clear_wire_memo,
-    make_query,
-    make_response,
-    mark_stale,
-)
-from repro.dnswire.rdata import (
-    Rdata,
-    A,
-    CNAME,
-    NS,
-    PTR,
-    SOA,
-    GenericRdata,
-)
-from repro.dnswire.edns import (ClientSubnet, EdnsOptionCode, Edns,
-                                ExtendedDnsError)
-from repro.dnswire.zone import Zone, LookupResult, LookupStatus
-
-__all__ = [
-    "Name",
-    "ROOT",
-    "RecordType",
-    "RecordClass",
-    "Opcode",
-    "Rcode",
-    "Flags",
-    "Question",
-    "ResourceRecord",
-    "Message",
-    "LazyMessage",
-    "cached_wire",
-    "clear_wire_memo",
-    "make_query",
-    "make_response",
-    "mark_stale",
-    "Rdata",
-    "A",
-    "CNAME",
-    "NS",
-    "PTR",
-    "SOA",
-    "GenericRdata",
-    "ClientSubnet",
-    "EdnsOptionCode",
-    "Edns",
-    "ExtendedDnsError",
-    "Zone",
-    "LookupResult",
-    "LookupStatus",
-]

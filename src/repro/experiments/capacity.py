@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
+from repro import telemetry
 from repro.dnswire.message import ResourceRecord
 from repro.dnswire.name import Name
 from repro.dnswire.rdata import A, NS, SOA
@@ -102,8 +103,7 @@ class CapacityExperiment(Experiment):
     def run_trial(self, spec):
         sim = Simulator()
         net = Network(sim, RandomStreams(spec.seed))
-        from repro.core.deployments import _attach_ambient_telemetry
-        _attach_ambient_telemetry(net)
+        telemetry.attach_default(net)
         net.add_host("mec-dns", "10.96.0.10")
         net.add_host("clients", "10.45.0.2")
         net.add_link("clients", "mec-dns", Constant(1))

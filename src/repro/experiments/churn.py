@@ -58,14 +58,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Tuple
 
-from repro.control import ControlPlane, default_schedule
-from repro.control.plane import PRIMARY_HOST
+from repro.control.plane import ControlPlane, PRIMARY_HOST
+from repro.control.churn import default_schedule
 from repro.core.deployments import (DEPLOYMENT_KEYS, MEC_DEPLOYMENTS,
                                     WARMED_DEPLOYMENTS, ResilienceConfig,
                                     Testbed, add_provider_ldns, build_testbed)
 from repro.errors import QueryTimeout, WireFormatError
 from repro.experiments.report import format_table
-from repro.faults import FaultPlan, inject
+from repro.faults.plan import FaultPlan, inject
 from repro.measure.stats import percentile
 from repro.mobile.handoff import HandoffController
 from repro.resolver.retry import RetryPolicy

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import Generator, List, NamedTuple
 
-from repro.dnswire import ClientSubnet, Edns, cached_wire, make_query
+from repro import telemetry
+from repro.dnswire.edns import ClientSubnet, Edns
+from repro.dnswire.message import cached_wire, make_query
 from repro.errors import QueryTimeout
 from repro.experiments.capacity import CONTENT, content_zone
 from repro.experiments.report import format_table
@@ -79,8 +81,7 @@ class OverloadResult(NamedTuple):
 def _run_policy(policy: str, attack_qps: float, seed: int) -> OverloadRow:
     sim = Simulator()
     net = Network(sim, RandomStreams(seed))
-    from repro.core.deployments import _attach_ambient_telemetry
-    _attach_ambient_telemetry(net)
+    telemetry.attach_default(net)
     net.add_host("mec-dns", "10.96.0.10")
     net.add_host("provider", "203.0.113.10")
     net.add_host("attacker", "10.45.0.66")

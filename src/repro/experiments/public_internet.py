@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List
 
+from repro import telemetry
 from repro.cdn.broker import BrokeredCdnAuthority, CdnBroker
 from repro.cdn.providers import CONNECTIVITIES, TABLE1_SITES, DomainDeployment
 from repro.mobile.core import EvolvedPacketCore
@@ -58,8 +59,7 @@ class PublicInternetScenario:
     def __init__(self, seed: int = 0) -> None:
         self.sim = Simulator()
         self.network = Network(self.sim, RandomStreams(seed))
-        from repro.core.deployments import _attach_ambient_telemetry
-        _attach_ambient_telemetry(self.network)
+        telemetry.attach_default(self.network)
         streams = self.network.streams
 
         # The consolidated CDN routing plane.

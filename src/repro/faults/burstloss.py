@@ -10,7 +10,7 @@ windows where almost everything dies — exactly the pattern that defeats
 a fixed-timeout retry loop and motivates backoff + hedging.
 
 Installed on a link as ``link.loss_model`` (usually via
-:meth:`repro.faults.FaultPlan.burst_loss`), it is the link's one loss
+:meth:`repro.faults.plan.FaultPlan.burst_loss`), it is the link's one loss
 path; a link without one loses nothing.  State advances per traversal
 and all draws come from the link's seeded RNG stream, so runs are
 reproducible.

@@ -9,19 +9,3 @@
   latency aggregation for population-scale runs, where per-sample
   retention (the :class:`SummaryStats` way) would not fit in memory.
 """
-
-from repro.measure.stats import SummaryStats, summarize, trimmed, percentile
-from repro.measure.histogram import HistogramSummary, LatencyHistogram
-from repro.measure.runner import (QueryMeasurement,
-                                  measure_deployment_queries)
-
-__all__ = [
-    "HistogramSummary",
-    "LatencyHistogram",
-    "SummaryStats",
-    "summarize",
-    "trimmed",
-    "percentile",
-    "QueryMeasurement",
-    "measure_deployment_queries",
-]

@@ -14,31 +14,4 @@ models that platform:
   plugin, with refuse and ignore policies.
 * :mod:`repro.mec.ingress` — ingress-rate monitoring and the
   switch-to-provider-L-DNS overload mitigation.
-* :mod:`repro.mec.ipreuse` — public-IP accounting for the spatial-reuse
-  argument.
 """
-
-from repro.mec.cluster import Orchestrator, Node, Pod, Service
-from repro.mec.coredns import (
-    CoreDnsServer,
-    KubernetesPlugin,
-    StubDomainPlugin,
-)
-from repro.mec.namespaces import SplitNamespacePlugin, NamespacePolicy
-from repro.mec.ingress import IngressMonitor, DosMitigation
-from repro.mec.ipreuse import PublicIpPlan
-
-__all__ = [
-    "Orchestrator",
-    "Node",
-    "Pod",
-    "Service",
-    "CoreDnsServer",
-    "KubernetesPlugin",
-    "StubDomainPlugin",
-    "SplitNamespacePlugin",
-    "NamespacePolicy",
-    "IngressMonitor",
-    "DosMitigation",
-    "PublicIpPlan",
-]

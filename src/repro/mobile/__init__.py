@@ -13,32 +13,3 @@ Stands in for the paper's srsLTE + NextEPC testbed:
 * :mod:`repro.mobile.handoff` — X2-style handoff that re-links the UE and
   (per the paper's §3 design) re-targets its DNS to the new edge.
 """
-
-from repro.mobile.profiles import (
-    AccessProfile,
-    WIRED_CAMPUS,
-    WIFI_HOME,
-    CELLULAR_LTE,
-    CELLULAR_5G,
-    PROFILES,
-)
-from repro.mobile.nat import NatMiddlebox
-from repro.mobile.ran import BaseStation
-from repro.mobile.core import EvolvedPacketCore
-from repro.mobile.ue import UserEquipment
-from repro.mobile.handoff import HandoffController, HandoffRecord
-
-__all__ = [
-    "AccessProfile",
-    "WIRED_CAMPUS",
-    "WIFI_HOME",
-    "CELLULAR_LTE",
-    "CELLULAR_5G",
-    "PROFILES",
-    "NatMiddlebox",
-    "BaseStation",
-    "EvolvedPacketCore",
-    "UserEquipment",
-    "HandoffController",
-    "HandoffRecord",
-]

@@ -20,46 +20,3 @@ questions the raw spans cannot:
 
 See ``docs/OBSERVABILITY.md`` ("From spans to answers") for the tour.
 """
-
-from repro.profile.budget import (BudgetReport, BudgetRow, StageBudget,
-                                  budget_report)
-from repro.profile.criticalpath import (STAGE_BACKHAUL, STAGE_CDNS,
-                                        STAGE_CLIENT, STAGE_LDNS_CACHE,
-                                        STAGE_OTHER, STAGE_RADIO, STAGES,
-                                        STAGE_UPSTREAM, CriticalPath,
-                                        PathStep, Segment,
-                                        analyze_trace, trace_segments)
-from repro.profile.profiler import (ProfileEntry, collapsed_stacks,
-                                    render_collapsed, render_profile,
-                                    simulated_profile)
-from repro.profile.slo import (budget_claims, burn_rates, series_windows,
-                               telemetry_claims)
-
-__all__ = [
-    "STAGES",
-    "STAGE_BACKHAUL",
-    "STAGE_CDNS",
-    "STAGE_CLIENT",
-    "STAGE_LDNS_CACHE",
-    "STAGE_OTHER",
-    "STAGE_RADIO",
-    "STAGE_UPSTREAM",
-    "BudgetReport",
-    "BudgetRow",
-    "CriticalPath",
-    "PathStep",
-    "ProfileEntry",
-    "Segment",
-    "StageBudget",
-    "analyze_trace",
-    "budget_claims",
-    "budget_report",
-    "burn_rates",
-    "collapsed_stacks",
-    "render_collapsed",
-    "render_profile",
-    "series_windows",
-    "simulated_profile",
-    "telemetry_claims",
-    "trace_segments",
-]

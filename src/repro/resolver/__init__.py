@@ -15,29 +15,3 @@
 * :mod:`repro.resolver.retry` — the stub's retry policy: timeouts,
   backoff + jitter, hedged queries.
 """
-
-from repro.resolver.cache import DnsCache, CacheOutcome
-from repro.resolver.server import DnsServer
-from repro.resolver.authoritative import AuthoritativeServer
-from repro.resolver.stub import StubResolver, DigResult
-from repro.resolver.chain import (CachePlugin, ChainServer, ForwardPlugin,
-                                  Plugin, PluginChain, QueryContext)
-from repro.resolver.retry import RetryPolicy
-from repro.resolver.xfr import SecondaryZone
-
-__all__ = [
-    "DnsCache",
-    "CacheOutcome",
-    "DnsServer",
-    "AuthoritativeServer",
-    "StubResolver",
-    "DigResult",
-    "ChainServer",
-    "CachePlugin",
-    "ForwardPlugin",
-    "Plugin",
-    "PluginChain",
-    "QueryContext",
-    "RetryPolicy",
-    "SecondaryZone",
-]

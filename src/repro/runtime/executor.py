@@ -28,17 +28,18 @@ Workers never import experiment modules by name — the experiment
 *instance* travels inside the pickled task, and unpickling performs the
 import.  That keeps ``runtime`` free of any ``experiments`` import edge
 (the layering contract forbids the cycle, lazy imports included).
+``multiprocessing`` and ``concurrent.futures`` are imported by the pool
+backend only, so a serial run never loads them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import atexit
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from itertools import repeat
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro import telemetry as _telemetry
 from repro.runtime.capture import (TelemetrySnapshot, begin_trial_capture,
@@ -46,6 +47,9 @@ from repro.runtime.capture import (TelemetrySnapshot, begin_trial_capture,
 from repro.telemetry import TelemetryConfig
 from repro.runtime.experiment import Experiment
 from repro.runtime.spec import TrialSpec
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class TrialFailure(NamedTuple):
@@ -205,10 +209,12 @@ def _warm_noop(_index: int) -> None:
 #: this process.  An ``experiment all`` run (and the test suite) executes
 #: many sweeps back to back; forking a fresh pool per sweep was most of
 #: the sharding overhead the benches measured.  The pool is replaced only
-#: when a run needs more workers than it has or a worker died, and shuts
-#: itself down at interpreter exit.  Reuse is invisible to results: every
-#: trial installs its own fresh telemetry facade and derives its own RNG
-#: streams, so worker process history cannot leak into any payload.
+#: when a run needs more workers than it has or a worker died, and an
+#: ``atexit`` hook shuts it down before module teardown (the pool machinery
+#: is imported lazily, so teardown would clear it before this module).
+#: Reuse is invisible to results: every trial installs its own fresh
+#: telemetry facade and derives its own RNG streams, so worker process
+#: history cannot leak into any payload.
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 
@@ -222,6 +228,8 @@ def get_worker_pool(workers: int) -> ProcessPoolExecutor:
     """
     global _POOL, _POOL_WORKERS
     if _POOL is None or _POOL_WORKERS < workers:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         shutdown_worker_pool()
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
@@ -249,6 +257,9 @@ def shutdown_worker_pool() -> None:
         _POOL_WORKERS = 0
 
 
+atexit.register(shutdown_worker_pool)
+
+
 # -- backends: where the trial loop runs ---------------------------------------
 
 
@@ -265,6 +276,7 @@ def _run_serial(experiment: Experiment, specs: Sequence[TrialSpec],
 def _run_pool(workers: int, experiment: Experiment,
               chunks: Sequence[Sequence[TrialSpec]],
               capture: Optional[TelemetryConfig]) -> List[_ChunkDone]:
+    from concurrent.futures.process import BrokenProcessPool
     pool = get_worker_pool(workers)
     try:
         # map returns results in input order, so flattening the chunk

@@ -1,51 +1,66 @@
 """Name → experiment registry that drives the CLI.
 
-The registry replaces the CLI's historical if/elif dispatch: artifacts
-register once (in publication order), the CLI asks :meth:`cli_params`
-for the union of declared tunables and grows one argparse flag per
-parameter, and ``experiment all`` is just iteration.
+The registry replaces the CLI's historical if/elif dispatch: it is one
+ordered table of artifact name → loader (in publication order), the CLI
+asks :meth:`cli_params` for the union of declared tunables and grows one
+argparse flag per parameter, and ``experiment all`` is just iteration.
+
+A loader runs only when its experiment is asked for: :meth:`get` runs
+one, :meth:`names` runs none, and iterating (which :meth:`cli_params`
+does) runs every loader in table order.  The registry imports nothing
+itself; :mod:`repro.experiments.registry` gives it loaders that import
+one artifact module each, so a fresh interpreter that runs one artifact
+compiles that artifact's modules and no other's.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Mapping
 
 from repro.runtime.experiment import Experiment, Param
 
 
 class ExperimentRegistry:
-    """An ordered mapping of artifact name to experiment recipe."""
+    """An ordered table of artifact name to the loader of its experiment.
 
-    def __init__(self) -> None:
-        self._experiments: Dict[str, Experiment] = {}
+    The experiment a loader returns must be named as the table files it.
+    """
 
-    def register(self, experiment: Experiment) -> Experiment:
-        """Add ``experiment`` under its declared name; reject collisions."""
-        name = experiment.name
-        if not name:
-            raise ValueError(
-                f"{type(experiment).__name__} declares no name")
-        if name in self._experiments:
-            raise ValueError(f"experiment {name!r} is already registered")
-        self._experiments[name] = experiment
-        return experiment
+    def __init__(self,
+                 loaders: Mapping[str, Callable[[], Experiment]]) -> None:
+        self._loaders: Dict[str, Callable[[], Experiment]] = dict(loaders)
+        self._loaded: Dict[str, Experiment] = {}
 
     def get(self, name: str) -> Experiment:
-        """The experiment registered as ``name``; raises ``KeyError``."""
+        """The experiment filed as ``name``, running its loader once.
+
+        Raises ``KeyError`` for a name the table lacks, and ``ValueError``
+        when the loaded experiment declares another name.
+        """
+        experiment = self._loaded.get(name)
+        if experiment is not None:
+            return experiment
         try:
-            return self._experiments[name]
+            loader = self._loaders[name]
         except KeyError:
             raise KeyError(
                 f"unknown experiment {name!r} (registered: "
                 f"{', '.join(self.names())})") from None
+        experiment = loader()
+        if experiment.name != name:
+            raise ValueError(
+                f"the experiment registered as {name!r} is named "
+                f"{experiment.name!r}")
+        self._loaded[name] = experiment
+        return experiment
 
     def names(self) -> List[str]:
-        """Registered names, in registration (publication) order."""
-        return list(self._experiments)
+        """Registered names, in table (publication) order; loads nothing."""
+        return list(self._loaders)
 
     def __iter__(self) -> Iterator[Experiment]:
-        return iter(self._experiments.values())
+        return (self.get(name) for name in self._loaders)
 
     # -- CLI integration -----------------------------------------------------
 

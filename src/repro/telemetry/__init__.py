@@ -10,6 +10,7 @@ Everything hangs off one :class:`Telemetry` facade::
     tel = Telemetry()
     tel.attach(testbed.network)          # binds the sim clock, too
     ... run the workload ...
+    from repro.telemetry import exporters
     exporters.write_chrome_trace(tel.tracer.finished, "trace.json")
     exporters.write_json_artifact(tel.metrics, "metrics.json")
 
@@ -20,17 +21,19 @@ same instruction stream it always did: no RNG draws, no added delays,
 byte-for-byte identical replay digests.
 
 For runs driven through ``repro.cli`` there is an **ambient default**:
-:func:`set_default` installs a facade that ``build_testbed`` (and the
-public-internet scenario) attach to each network they create, which is
-how ``--trace-out``/``--metrics-out`` instrument experiments without
-threading a parameter through every builder.
+:func:`set_default` installs a facade that ``build_testbed`` (and every
+experiment that builds its own network) hands to :func:`attach_default`,
+which is how ``--trace-out``/``--metrics-out`` instrument experiments
+without threading a parameter through every builder.
+
+The exporters are not imported here: only a run that writes a file
+needs :mod:`repro.telemetry.exporters`.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, NamedTuple, Optional, Tuple
 
-from repro.telemetry import exporters
 from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Histogram,
                                      MetricsRegistry)
 from repro.telemetry.sampling import (Exemplar, HeadSampler, TailReservoir,
@@ -42,8 +45,8 @@ __all__ = [
     "Telemetry", "TelemetryConfig", "Tracer", "Span", "TraceContext",
     "MetricsRegistry", "Counter", "Histogram", "DEFAULT_BUCKETS",
     "TimeSeries", "TailReservoir", "Exemplar", "HeadSampler",
-    "hash_unit", "hash_unit_u64", "exporters",
-    "set_default", "get_default", "clear_default",
+    "hash_unit", "hash_unit_u64",
+    "set_default", "get_default", "clear_default", "attach_default",
 ]
 
 
@@ -149,3 +152,15 @@ def get_default() -> Optional[Telemetry]:
 def clear_default() -> None:
     """Remove the ambient telemetry (equivalent to ``set_default(None)``)."""
     set_default(None)
+
+
+def attach_default(network) -> None:
+    """Wire the ambient telemetry (if any) into a freshly built network.
+
+    ``repro.cli --trace-out/--metrics-out`` installs a default facade;
+    every builder of a network calls this, so the whole stack reports
+    without every builder growing a telemetry parameter.  A no-op when
+    no default is installed.
+    """
+    if _default is not None:
+        _default.attach(network)

@@ -24,39 +24,3 @@ per-query record lists or per-item weight tables:
   result when telemetry is on: windows, sampled session trees and tail
   exemplars, from the kernel's per-query records.
 """
-
-from repro.cdn.allocation import ALLOCATION_POLICIES
-from repro.workload.arrivals import (DEFAULT_DIURNAL, DiurnalProfile,
-                                     NhppArrivals)
-from repro.workload.caches import RankLru
-from repro.workload.deployment import (CALIBRATION_QUERIES, DeploymentModel,
-                                       calibrate, is_localized)
-from repro.workload.engine import (DistrictConfig, DistrictStats,
-                                   district_seed, merge_stats, run_district)
-from repro.workload.mobility import (HANDOVER_INTERRUPTION_MS, MobilityModel,
-                                     SessionPlacement)
-from repro.workload.population import Population, UserProfile
-from repro.workload.sessions import SessionModel
-
-__all__ = [
-    "ALLOCATION_POLICIES",
-    "CALIBRATION_QUERIES",
-    "DEFAULT_DIURNAL",
-    "HANDOVER_INTERRUPTION_MS",
-    "DeploymentModel",
-    "DistrictConfig",
-    "DistrictStats",
-    "DiurnalProfile",
-    "MobilityModel",
-    "NhppArrivals",
-    "Population",
-    "RankLru",
-    "SessionModel",
-    "SessionPlacement",
-    "UserProfile",
-    "calibrate",
-    "district_seed",
-    "is_localized",
-    "merge_stats",
-    "run_district",
-]

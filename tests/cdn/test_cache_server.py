@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cdn import CacheServer, ContentCatalog, HttpClient
-from repro.dnswire import Name
+from repro.cdn.cache_server import CacheServer
+from repro.cdn.content import ContentCatalog
+from repro.cdn.httpsim import HttpClient
+from repro.dnswire.name import Name
 from repro.errors import QueryTimeout
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.cdn.content import ContentCatalog, ContentItem, ZipfRankStream
-from repro.dnswire import Name
+from repro.dnswire.name import Name
 from repro.errors import ContentNotFound
 
 

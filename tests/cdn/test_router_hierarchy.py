@@ -2,11 +2,16 @@
 
 import pytest
 
-from repro.cdn import CacheServer, ContentCatalog, CoverageZone, TrafficRouter
-from repro.dnswire import (ClientSubnet, Edns, Name, Rcode, RecordType,
-                           make_query)
+from repro.cdn.allocation import HashRing
+from repro.cdn.cache_server import CacheServer
+from repro.cdn.content import ContentCatalog
+from repro.cdn.router import CoverageZone, TrafficRouter
+from repro.dnswire.edns import ClientSubnet, Edns
+from repro.dnswire.name import Name
+from repro.dnswire.types import Rcode, RecordType
+from repro.dnswire.message import make_query
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import StubResolver
+from repro.resolver.stub import StubResolver
 from repro.resolver.exchange import exchange
 
 
@@ -39,12 +44,12 @@ class RouterScenario:
 
         domain = Name("mycdn.ciab.test")
         edge_zone = CoverageZone("edge", ["10.45.0.0/16"],
-                                 [self.edge1, self.edge2])
+                                 HashRing([self.edge1, self.edge2]))
         self.edge_router = TrafficRouter(
             self.net, self.net.host("edge-router"), domain,
             zones=[edge_zone], ecs_enabled=True)
         mid_zone = CoverageZone("mid", ["10.0.0.0/8", "172.16.0.0/12"],
-                                [self.mid])
+                                HashRing([self.mid]))
         self.mid_router = TrafficRouter(
             self.net, self.net.host("mid-router"), domain,
             zones=[mid_zone])
@@ -130,7 +135,8 @@ class TestTrafficRouter:
         assert response_ecs.scope_prefix == 16  # matched 10.45.0.0/16 zone
 
     def test_coverage_zone_longest_prefix(self):
-        zone = CoverageZone("z", ["10.0.0.0/8", "10.45.0.0/16"], [])
+        zone = CoverageZone("z", ["10.0.0.0/8", "10.45.0.0/16"],
+                            HashRing([]))
         matched, prefix = zone.covers("10.45.1.1")
         assert matched and prefix == 16
         matched, prefix = zone.covers("10.1.1.1")
@@ -150,7 +156,7 @@ class TestTrafficRouter:
                   "192.0.2.7", "192.0.2.8", "255.255.255.255"]
         for skip in range(len(cidrs)):
             networks = cidrs[skip:]
-            zone = CoverageZone("z", networks, [])
+            zone = CoverageZone("z", networks, HashRing([]))
             for ip in probes:
                 lengths = [ipaddress.IPv4Network(cidr).prefixlen
                            for cidr in networks
@@ -158,19 +164,22 @@ class TestTrafficRouter:
                            in ipaddress.IPv4Network(cidr)]
                 expected = (bool(lengths), max(lengths, default=0))
                 assert zone.covers(ip) == expected, (networks, ip)
-        assert CoverageZone("empty", [], []).covers("10.0.0.1") == (False, 0)
+        zone = CoverageZone("empty", [], HashRing([]))
+        assert zone.covers("10.0.0.1") == (False, 0)
 
     def test_coverage_zone_still_rejects_bad_input_every_time(self):
-        zone = CoverageZone("z", ["10.45.0.1/16"], [])  # host bits set
+        # Host bits set.
+        zone = CoverageZone("z", ["10.45.0.1/16"], HashRing([]))
         for _ in range(2):
             with pytest.raises(ValueError):
                 zone.covers("10.45.0.1")
+        zone = CoverageZone("z", ["10.0.0.0/8"], HashRing([]))
         for _ in range(2):
             with pytest.raises(ValueError):
-                CoverageZone("z", ["10.0.0.0/8"], []).covers("10.0.0.256")
+                zone.covers("10.0.0.256")
 
     def test_coverage_zone_sees_networks_added_later(self):
-        zone = CoverageZone("z", ["10.0.0.0/8"], [])
+        zone = CoverageZone("z", ["10.0.0.0/8"], HashRing([]))
         assert zone.covers("192.0.2.1") == (False, 0)
         zone.networks.append("192.0.2.0/24")
         assert zone.covers("192.0.2.1") == (True, 24)

@@ -7,12 +7,12 @@ determinism of the whole assembly under faults.
 
 import pytest
 
-from repro.control import (ChurnEvent, ControlPlane,
-                           StalenessMonitor, ZoneRegistry,
-                           default_schedule)
-from repro.control.churn import ROLLOUT, SCALE
+from repro.control.churn import ChurnEvent, default_schedule, ROLLOUT, SCALE
+from repro.control.plane import ControlPlane
+from repro.control.monitor import StalenessMonitor
+from repro.control.registry import ZoneRegistry
 from repro.core.deployments import build_testbed
-from repro.faults import FaultPlan, inject
+from repro.faults.plan import FaultPlan, inject
 from repro.netsim import Network, RandomStreams, Simulator
 
 
@@ -26,7 +26,7 @@ class TestZoneRegistry:
     def make_registry(self):
         sim = Simulator()
         net = Network(sim, RandomStreams(5))
-        from repro.dnswire import Name
+        from repro.dnswire.name import Name
         registry = ZoneRegistry(net, Name("mycdn.ciab.test"),
                                 ["10.233.64.1", "10.233.64.2"])
         return sim, registry
@@ -80,8 +80,8 @@ class TestPropagation:
         assert not plane.coordinator.in_flight()
         assert plane.router_applies == 1
         # The router's edge zone now routes over the propagated set.
-        ring_caches = {cache.endpoint.ip
-                       for cache in plane.site.cdns.zones[0].caches}
+        ring_caches = {cache.endpoint.ip for cache
+                       in plane.site.cdns.zones[0].ring.walk("any")}
         assert ring_caches == set(driver.live)
 
     def test_router_routes_on_propagated_view_not_ground_truth(self):
@@ -94,9 +94,8 @@ class TestPropagation:
         # ... but the routing ring is still the one built pre-churn: no
         # apply has happened, so the router has not been rebuilt.
         assert plane.site.cdns.zone_updates == 0
-        zone_name = f"{plane.site.name}-edge"
         ring_caches = {cache.endpoint.ip for cache
-                       in plane.site.cdns._rings[zone_name].walk("any")}
+                       in plane.site.cdns.zones[0].ring.walk("any")}
         assert ring_caches != set(plane.driver.live)
 
     def test_partition_delays_apply_until_heal(self):

@@ -11,7 +11,8 @@ from repro.core.deployments import (
     WARMED_DEPLOYMENTS,
     build_testbed,
 )
-from repro.measure import measure_deployment_queries, summarize
+from repro.measure.runner import measure_deployment_queries
+from repro.measure.stats import summarize
 
 
 def mean_latency(key, seed=7, count=15, profile=TESTBED_LTE):

@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.mec.namespaces import NamespacePolicy, SplitNamespacePlugin
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 
 MEC_DNS = Endpoint("10.96.0.10", 53)
 PROVIDER = Endpoint("203.0.113.10", 53)

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.cdn import ContentCatalog, HttpClient
-from repro.core import MecCdnSite
-from repro.dnswire import Name
+from repro.cdn.cache_server import CacheServer
+from repro.cdn.content import ContentCatalog
+from repro.cdn.httpsim import HttpClient
+from repro.core.meccdn import MecCdnSite
+from repro.dnswire.name import Name
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import StubResolver
+from repro.resolver.stub import StubResolver
 
 
 class SiteScenario:
@@ -118,3 +120,22 @@ class TestMecCdnSite:
         scenario.query()
         scenario.query()
         assert scenario.site.ldns.stub.forwarded == 2
+
+    def test_the_ring_is_the_edge_zones_one_cache_set(self):
+        # The orchestrator's cache list moves on (a pod starts); the
+        # router's edge zone must not, until a propagated update installs
+        # a new set.
+        scenario = SiteScenario()
+        site, router = scenario.site, scenario.site.cdns
+        built = set(site.caches)
+        host = scenario.net.add_host("late-cache", "10.40.2.99")
+        site.caches.append(CacheServer(scenario.net, host, scenario.catalog))
+
+        zone = router.zones[0]
+        assert set(zone.ring.walk("any")) == built
+        for _ in range(4):
+            assert scenario.query().addresses[0] in {
+                cache.endpoint.ip for cache in built}
+
+        router.set_zone_caches(zone.name, site.caches)
+        assert set(router.zones[0].ring.walk("any")) == set(site.caches)

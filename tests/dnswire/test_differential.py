@@ -15,12 +15,13 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dnswire import (CNAME, NS, SOA, A,
-                           ClientSubnet, Edns, ExtendedDnsError, Flags,
-                           GenericRdata, LazyMessage, Message, Name, Opcode,
-                           Question, Rcode, RecordType, ResourceRecord,
-                           cached_wire)
-from repro.dnswire.edns import OpaqueOption
+from repro.dnswire.rdata import CNAME, NS, SOA, A, GenericRdata
+from repro.dnswire.edns import (ClientSubnet, Edns, ExtendedDnsError,
+                                OpaqueOption)
+from repro.dnswire.message import (Flags, LazyMessage, Message, Question,
+                                   ResourceRecord, cached_wire)
+from repro.dnswire.name import Name
+from repro.dnswire.types import Opcode, Rcode, RecordType
 from repro.errors import WireFormatError
 from tests.dnswire.test_message import _SEED_WIRES, _apply_edits, _edit
 

@@ -3,24 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dnswire import (
-    A,
-    CNAME,
-    ClientSubnet,
-    Edns,
-    Flags,
-    GenericRdata,
-    Message,
-    NS,
-    Name,
-    Question,
-    Rcode,
-    RecordType,
-    ResourceRecord,
-    make_query,
-    make_response,
-)
-from repro.dnswire.types import Opcode
+from repro.dnswire.rdata import A, CNAME, GenericRdata, NS
+from repro.dnswire.edns import ClientSubnet, Edns
+from repro.dnswire.message import (Flags, Message, Question, ResourceRecord,
+                                   make_query, make_response)
+from repro.dnswire.name import Name
+from repro.dnswire.types import Rcode, RecordType, Opcode
 from repro.errors import WireFormatError
 
 

@@ -1,16 +1,10 @@
 """Tests for dig-style message rendering."""
 
-from repro.dnswire import (
-    A,
-    ClientSubnet,
-    Edns,
-    Name,
-    Rcode,
-    RecordType,
-    ResourceRecord,
-    make_query,
-    make_response,
-)
+from repro.dnswire.rdata import A
+from repro.dnswire.edns import ClientSubnet, Edns
+from repro.dnswire.name import Name
+from repro.dnswire.types import Rcode, RecordType
+from repro.dnswire.message import ResourceRecord, make_query, make_response
 
 
 def build_response():

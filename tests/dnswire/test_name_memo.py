@@ -12,8 +12,9 @@ import pickle
 
 import pytest
 
-from repro.dnswire import (ClientSubnet, Edns, Message, Name, clear_wire_memo,
-                           make_query)
+from repro.dnswire.edns import ClientSubnet, Edns
+from repro.dnswire.message import Message, clear_wire_memo, make_query
+from repro.dnswire.name import Name
 from repro.dnswire import message as message_module
 from repro.dnswire import wire as wire_module
 from repro.dnswire.wire import WireReader

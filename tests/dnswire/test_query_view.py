@@ -11,8 +11,11 @@ IXFR query that carries the client's SOA in its authority section.
 
 from hypothesis import given, strategies as st
 
-from repro.dnswire import (SOA, ClientSubnet, Edns, Message, RecordType,
-                           ResourceRecord, cached_wire, make_query)
+from repro.dnswire.rdata import SOA
+from repro.dnswire.edns import ClientSubnet, Edns
+from repro.dnswire.message import (Message, ResourceRecord, cached_wire,
+                                   make_query)
+from repro.dnswire.types import RecordType
 from tests.dnswire.test_differential import (_FLAG_NAMES, _ipv4, _names,
                                              _u16, _u32)
 

@@ -1,9 +1,13 @@
 """Tests for reverse-DNS (in-addr.arpa) support."""
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import NS, PTR, SOA
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.stub import StubResolver
 
 
 POINTER = Name("2.64.233.10.in-addr.arpa")

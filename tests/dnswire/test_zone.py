@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.dnswire import (
-    A,
-    CNAME,
-    LookupStatus,
-    Name,
-    RecordType,
-    ResourceRecord,
-    Zone,
-)
-from repro.dnswire.rdata import NS, SOA
+from repro.dnswire.rdata import A, CNAME, NS, SOA
+from repro.dnswire.zone import LookupStatus, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
 from repro.errors import ZoneError
 
 

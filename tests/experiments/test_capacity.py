@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.experiments.capacity import EXPERIMENT
 from repro.measure.loadgen import LoadGenerator, run_load
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer
+from repro.resolver.authoritative import AuthoritativeServer
 
 
 def build_server(workers=None, processing=0.5, max_queue=64):

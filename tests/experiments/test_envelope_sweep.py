@@ -7,7 +7,7 @@ from repro.experiments.envelope_sweep import (
     ENVELOPE_MS,
     EXPERIMENT,
 )
-from repro.measure import measure_deployment_queries
+from repro.measure.runner import measure_deployment_queries
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone, make_query
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord, make_query
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.experiments.overload import EXPERIMENT
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator, UdpSocket
-from repro.resolver import AuthoritativeServer, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.stub import StubResolver
 
 
 def make_zone():

@@ -4,14 +4,19 @@ import random
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import SimulationError
-from repro.faults import FaultInjector, FaultPlan, GilbertElliott, inject
-from repro.faults.plan import FaultEvent
+from repro.faults.plan import FaultInjector, FaultPlan, inject, FaultEvent
+from repro.faults.burstloss import GilbertElliott
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 
 
 def build_zone():

@@ -8,20 +8,26 @@ what it buys:
 * client fallback strategy for non-MEC names (forward-on-timeout vs.
   provider-only);
 * CoreDNS response caching on/off.
-
-(The fifth ablation in EXPERIMENTS.md, the public-IP plan, is plain
-arithmetic and lives with its unit: ``tests/mec/test_coredns.py``.)
 """
 
 import pytest
 
-from repro.cdn import CacheServer, ContentCatalog, CoverageZone, TrafficRouter
-from repro.core import MecCdnSite
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.cdn.allocation import HashRing
+from repro.cdn.cache_server import CacheServer
+from repro.cdn.content import ContentCatalog
+from repro.cdn.router import CoverageZone, TrafficRouter
+from repro.core.meccdn import MecCdnSite
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
-from repro.mec import CoreDnsServer, Orchestrator
+from repro.mec.coredns import CoreDnsServer
+from repro.mec.cluster import Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 
 
 def build_zone(domain, address):
@@ -76,7 +82,7 @@ def build_router(cache_count):
                                               f"{index % 250 + 1}")
         caches.append(CacheServer(net, host, catalog))
     router_host = net.add_host("router", "10.96.0.53")
-    zone = CoverageZone("zone", ["0.0.0.0/0"], caches)
+    zone = CoverageZone("zone", ["0.0.0.0/0"], HashRing(caches))
     router = TrafficRouter(net, router_host, Name("mycdn.ciab.test"),
                            zones=[zone])
     local_ips = {cache.endpoint.ip for cache in caches[:2]}

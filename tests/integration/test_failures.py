@@ -6,11 +6,13 @@ and drop radio frames mid-run and assert service continues.
 """
 
 
-from repro.cdn import ContentCatalog, HttpClient
-from repro.core import MecCdnSite
-from repro.dnswire import Name
+from repro.cdn.content import ContentCatalog
+from repro.cdn.httpsim import HttpClient
+from repro.core.meccdn import MecCdnSite
+from repro.dnswire.name import Name
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import RetryPolicy, StubResolver
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 from tests.netsim.test_network import IidLoss
 
 
@@ -110,7 +112,9 @@ class TestPodFailure:
         # The provider cannot answer the MEC-CDN domain (it is not
         # authoritative for it) — but a generic name still resolves, so
         # the user keeps DNS service, degraded, as the paper promises.
-        from repro.dnswire import RecordType, ResourceRecord, Zone
+        from repro.dnswire.types import RecordType
+        from repro.dnswire.message import ResourceRecord
+        from repro.dnswire.zone import Zone
         from repro.dnswire.rdata import A, NS, SOA
         zone = Zone(Name("example.com"))
         zone.add(ResourceRecord(Name("example.com"), RecordType.SOA, 300,
@@ -120,7 +124,7 @@ class TestPodFailure:
                                 NS(Name("ns.example.com"))))
         zone.add(ResourceRecord(Name("www.example.com"), RecordType.A, 300,
                                 A("198.18.0.9")))
-        from repro.resolver import AuthoritativeServer
+        from repro.resolver.authoritative import AuthoritativeServer
         AuthoritativeServer(scenario.net, scenario.net.host("provider"),
                             [zone])
         future = scenario.sim.spawn(client.query(Name("www.example.com")))

@@ -6,11 +6,13 @@ answers must be edge-local to whichever site serves the UE's cell, and
 latency must stay in the MEC envelope on both sides of the handoff.
 """
 
-from repro.cdn import ContentCatalog
-from repro.core import MecCdnSite
+from repro.cdn.content import ContentCatalog
+from repro.core.meccdn import MecCdnSite
 from repro.core.deployments import TESTBED_LTE
-from repro.dnswire import Name
-from repro.mobile import EvolvedPacketCore, HandoffController, UserEquipment
+from repro.dnswire.name import Name
+from repro.mobile.core import EvolvedPacketCore
+from repro.mobile.handoff import HandoffController
+from repro.mobile.ue import UserEquipment
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 
 CDN_DOMAIN = Name("mycdn.ciab.test")

@@ -8,11 +8,14 @@ cluster IP bound to the MEC L-DNS.
 
 import pytest
 
-from repro.cdn import CacheServer, ContentCatalog, CoverageZone, TrafficRouter
-from repro.core import MecCdnSite
-from repro.dnswire import Name
+from repro.cdn.allocation import HashRing
+from repro.cdn.cache_server import CacheServer
+from repro.cdn.content import ContentCatalog
+from repro.cdn.router import CoverageZone, TrafficRouter
+from repro.core.meccdn import MecCdnSite
+from repro.dnswire.name import Name
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import StubResolver
+from repro.resolver.stub import StubResolver
 
 
 @pytest.fixture
@@ -42,7 +45,7 @@ def onboard_second_customer(sim, net, site):
     net.add_link("cdn2-router", "node-0", Constant(0.3))
     router = TrafficRouter(
         net, router_host, Name("othercdn.test"),
-        zones=[CoverageZone("edge", ["10.0.0.0/8"], [cache])])
+        zones=[CoverageZone("edge", ["10.0.0.0/8"], HashRing([cache]))])
     site.publish_domain(Name("othercdn.test"), router.endpoint)
     return cache, router
 

@@ -13,13 +13,16 @@ wire and option count after its reply against what was sent.
 
 import pytest
 
-from repro.dnswire import Edns, Message, Name, cached_wire, make_query
+from repro.dnswire.edns import Edns
+from repro.dnswire.message import Message, cached_wire, make_query
+from repro.dnswire.name import Name
 from repro.experiments import churn, ecs, figure5, overload
-from repro.mec import CoreDnsServer, Orchestrator
+from repro.mec.coredns import CoreDnsServer
+from repro.mec.cluster import Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.packet import Datagram
 from repro.netsim.socket import UdpSocket
-from repro.resolver import AuthoritativeServer
+from repro.resolver.authoritative import AuthoritativeServer
 from repro.resolver.exchange import exchange
 from repro.telemetry import Telemetry
 from tests.mec.test_coredns import build_zone

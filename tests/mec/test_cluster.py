@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CapacityError, MecError
-from repro.mec import Orchestrator
+from repro.mec.cluster import Orchestrator
 from repro.netsim import Constant, Network, RandomStreams, Simulator
 
 

@@ -1,26 +1,26 @@
-"""Tests for the CoreDNS analog, split namespaces, ingress, and IP reuse."""
+"""Tests for the CoreDNS analog, split namespaces and ingress."""
 
 import gc
 
 import pytest
 
 from repro.core.deployments import build_testbed
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import QueryTimeout
-from repro.mec import (
-    CoreDnsServer,
-    DosMitigation,
-    IngressMonitor,
-    Orchestrator,
-    SplitNamespacePlugin,
-)
-from repro.mec.ipreuse import IpPlanResult, PublicIpPlan, SiteInventory
-from repro.mec.namespaces import NamespacePolicy
-from repro.mobile import UserEquipment
+from repro.mec.coredns import CoreDnsServer
+from repro.mec.ingress import DosMitigation, IngressMonitor
+from repro.mec.cluster import Orchestrator
+from repro.mec.namespaces import SplitNamespacePlugin, NamespacePolicy
+from repro.mobile.ue import UserEquipment
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import AuthoritativeServer, RetryPolicy, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 
 
 def build_zone(domain, address, negative_ttl=60):
@@ -286,20 +286,3 @@ class TestIngress:
         assert not mitigation.evaluate(5000.0)
         assert ue.dns == Endpoint("10.96.0.10", 53)
         assert mitigation.activations == 1
-
-
-class TestIpReuse:
-    def test_dedicated_counts_every_component(self):
-        site = SiteInventory("atl1", cdn_domains=20, cache_servers=8,
-                             routers=1, ldns_instances=1)
-        assert PublicIpPlan.dedicated_ips(site) == 30
-
-    def test_shared_plan_is_one_ip_per_site(self):
-        sites = [SiteInventory(f"site{i}", 20, 8, 1, 1) for i in range(10)]
-        result = PublicIpPlan(sites).evaluate()
-        assert result.shared_total == 10
-        assert result.dedicated_total == 300
-
-    def test_result_type(self):
-        result = PublicIpPlan([]).evaluate()
-        assert isinstance(result, IpPlanResult)

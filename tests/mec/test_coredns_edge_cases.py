@@ -2,11 +2,16 @@
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
-from repro.mec import CoreDnsServer, Orchestrator
+from repro.mec.coredns import CoreDnsServer
+from repro.mec.cluster import Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, StubResolver
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.stub import StubResolver
 
 
 def build_zone():

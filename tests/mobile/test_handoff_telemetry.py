@@ -7,8 +7,10 @@ lookups reported after the handoff.
 """
 
 from repro import telemetry
-from repro.mobile import (CELLULAR_LTE, EvolvedPacketCore,
-                          HandoffController, UserEquipment)
+from repro.mobile.profiles import CELLULAR_LTE
+from repro.mobile.core import EvolvedPacketCore
+from repro.mobile.handoff import HandoffController
+from repro.mobile.ue import UserEquipment
 from repro.netsim import Endpoint, Network, RandomStreams, Simulator
 
 

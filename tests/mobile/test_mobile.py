@@ -4,23 +4,20 @@ import statistics
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, SOA, NS
-from repro.mobile import (
-    CELLULAR_5G,
-    CELLULAR_LTE,
-    EvolvedPacketCore,
-    HandoffController,
-    NatMiddlebox,
-    PROFILES,
-    UserEquipment,
-    WIFI_HOME,
-    WIRED_CAMPUS,
-)
-from repro.mobile.nat import is_private
+from repro.mobile.profiles import (CELLULAR_5G, CELLULAR_LTE, PROFILES,
+                                   WIFI_HOME, WIRED_CAMPUS)
+from repro.mobile.core import EvolvedPacketCore
+from repro.mobile.handoff import HandoffController
+from repro.mobile.nat import NatMiddlebox, is_private
+from repro.mobile.ue import UserEquipment
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.packet import Datagram
-from repro.resolver import AuthoritativeServer
+from repro.resolver.authoritative import AuthoritativeServer
 
 
 def rr(owner, rtype, rdata, ttl=300):

@@ -7,10 +7,11 @@ real figure5 run, the per-stage attribution sums *float-identically* to
 
 from fractions import Fraction
 
-from repro.profile import (STAGE_BACKHAUL, STAGE_CDNS, STAGE_CLIENT,
-                           STAGE_LDNS_CACHE, STAGE_OTHER, STAGE_RADIO,
-                           STAGE_UPSTREAM, STAGES, analyze_trace,
-                           trace_segments)
+from repro.profile.criticalpath import (STAGE_BACKHAUL, STAGE_CDNS,
+                                        STAGE_CLIENT, STAGE_LDNS_CACHE,
+                                        STAGE_OTHER, STAGE_RADIO,
+                                        STAGE_UPSTREAM, STAGES, analyze_trace,
+                                        trace_segments)
 from repro.telemetry.trace import Tracer
 
 
@@ -54,7 +55,7 @@ class TestFloatIdentity:
 class TestFigure5Attribution:
     def test_mec_deployments_show_radio_and_upstream(self, figure5_session):
         session, _ = figure5_session
-        from repro.profile import budget_report
+        from repro.profile.budget import budget_report
         report = budget_report(session.tracer.finished)
         keys = [row.deployment for row in report.rows]
         assert "mec-ldns-mec-cdns" in keys and "google-dns" in keys
@@ -67,7 +68,7 @@ class TestFigure5Attribution:
 
     def test_wan_resolvers_are_backhaul_dominated(self, figure5_session):
         session, _ = figure5_session
-        from repro.profile import budget_report
+        from repro.profile.budget import budget_report
         report = budget_report(session.tracer.finished)
         rows = {row.deployment: row for row in report.rows}
         google = rows["google-dns"]
@@ -78,7 +79,7 @@ class TestFigure5Attribution:
 
     def test_counts_match_non_warmup_queries(self, figure5_session):
         session, _ = figure5_session
-        from repro.profile import budget_report
+        from repro.profile.budget import budget_report
         report = budget_report(session.tracer.finished)
         assert [row.count for row in report.rows] == [6] * len(report.rows)
 

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
-from repro.profile import (analyze_trace, collapsed_stacks, render_collapsed,
-                           render_profile, simulated_profile)
+from repro.profile.criticalpath import analyze_trace
+from repro.profile.profiler import (collapsed_stacks, render_collapsed,
+                                    render_profile, simulated_profile)
 from repro.telemetry.trace import Tracer
 
 

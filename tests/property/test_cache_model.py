@@ -9,7 +9,9 @@ bug in the cache's TTL or keying logic.
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.dnswire import Name, RecordType, ResourceRecord
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
 from repro.dnswire.rdata import A
 from repro.resolver.cache import CacheOutcome, DnsCache
 

@@ -4,7 +4,8 @@ import ipaddress
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cdn import CacheServer, ContentCatalog
+from repro.cdn.cache_server import CacheServer
+from repro.cdn.content import ContentCatalog
 from repro.cdn.allocation import HashRing
 from repro.mobile.nat import NatMiddlebox
 from repro.netsim import Network, RandomStreams, Simulator

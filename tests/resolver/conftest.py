@@ -9,11 +9,15 @@ The resolver is what every L-DNS is: the cache → forward plugin chain.
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import (AuthoritativeServer, CachePlugin, ChainServer,
-                            ForwardPlugin, StubResolver)
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.chain import CachePlugin, ChainServer, ForwardPlugin
+from repro.resolver.stub import StubResolver
 
 
 def rr(owner, rtype, rdata, ttl=300):

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dnswire import Name, RecordType, ResourceRecord
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
 from repro.dnswire.rdata import A
 from repro.resolver.cache import CacheOutcome, DnsCache, MAX_TTL
 

@@ -1,7 +1,9 @@
 """Tests for the CoreDNS-style plugin chain."""
 
 
-from repro.dnswire import Name, RecordType, ResourceRecord, make_query, make_response
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord, make_query, make_response
 from repro.dnswire.rdata import A
 from repro.netsim import Simulator
 from repro.netsim.packet import Endpoint

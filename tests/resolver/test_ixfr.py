@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.dnswire import Message, Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.message import Message, ResourceRecord
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Middlebox, Network, RandomStreams, Simulator
 from repro.netsim.packet import Datagram
-from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
-from repro.resolver.xfr import (
-    ZoneJournal,
-    apply_ixfr,
-    diff_zones,
-    ixfr_response_records,
-)
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.xfr import (SecondaryZone, ZoneJournal, apply_ixfr,
+                                diff_zones, ixfr_response_records)
+from repro.resolver.stub import StubResolver
 
 ORIGIN = Name("mycdn.ciab.test")
 

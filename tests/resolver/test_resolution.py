@@ -2,16 +2,19 @@
 
 import pytest
 
-from repro.dnswire import (ClientSubnet, Edns, Name, Rcode, RecordType,
-                           ResourceRecord, cached_wire, make_query)
+from repro.dnswire.edns import ClientSubnet, Edns
+from repro.dnswire.name import Name
+from repro.dnswire.types import Rcode, RecordType
+from repro.dnswire.message import ResourceRecord, cached_wire, make_query
 from repro.dnswire.rdata import A, GenericRdata
 from repro.errors import QueryTimeout
 from repro.netsim.engine import ProcessFailed
 from repro.netsim import Constant
 from repro.netsim.packet import Endpoint
 from repro.mec.coredns import stub_domain_upstream
-from repro.resolver import (CachePlugin, ChainServer, ForwardPlugin,
-                            RetryPolicy, StubResolver)
+from repro.resolver.chain import CachePlugin, ChainServer, ForwardPlugin
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 from repro.resolver.exchange import exchange
 
 from tests.resolver.conftest import MiniInternet

@@ -5,17 +5,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
-from repro.dnswire.message import make_response
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType, Rcode
+from repro.dnswire.message import ResourceRecord, make_response
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
-from repro.dnswire.types import Rcode
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import (AuthoritativeServer, CachePlugin, ChainServer,
-                            DnsServer, ForwardPlugin, RetryPolicy,
-                            StubResolver)
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.chain import CachePlugin, ChainServer, ForwardPlugin
+from repro.resolver.server import DnsServer, UPSTREAM_TIMEOUT_MS
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 from repro.resolver.cache import STALE_ANSWER_TTL
-from repro.resolver.server import UPSTREAM_TIMEOUT_MS
 
 QNAME = Name("www.example.com")
 

@@ -13,15 +13,19 @@ scenario runs with telemetry off and on, and the two runs must agree.
 import pytest
 
 from repro import telemetry
-from repro.dnswire import Name, RecordType, ResourceRecord
-from repro.dnswire.message import make_response
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord, make_response
 from repro.dnswire.rdata import A, CNAME
 from repro.errors import WireFormatError
-from repro.mec import CoreDnsServer, Orchestrator
+from repro.mec.coredns import CoreDnsServer
+from repro.mec.cluster import Orchestrator
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.netsim.engine import ProcessFailed
-from repro.resolver import (CachePlugin, ChainServer, DnsServer,
-                            ForwardPlugin, RetryPolicy, StubResolver)
+from repro.resolver.chain import CachePlugin, ChainServer, ForwardPlugin
+from repro.resolver.server import DnsServer
+from repro.resolver.retry import RetryPolicy
+from repro.resolver.stub import StubResolver
 
 QNAME = Name("video.sloppy.test")
 SLOPPY_IP, HONEST_IP = "203.0.113.66", "203.0.113.77"

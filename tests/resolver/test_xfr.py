@@ -3,14 +3,17 @@ maintenance."""
 
 import pytest
 
-from repro.dnswire import (Name, RecordType, ResourceRecord, Zone,
-                           cached_wire)
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord, cached_wire
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
-from repro.resolver.xfr import (REFRESH_MS, axfr_response_records,
-                                zone_from_axfr)
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.xfr import (SecondaryZone, REFRESH_MS,
+                                axfr_response_records, zone_from_axfr)
+from repro.resolver.stub import StubResolver
 
 ORIGIN = Name("mycdn.ciab.test")
 

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
-from repro.faults import FaultPlan, inject
+from repro.faults.plan import FaultPlan, inject
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, SecondaryZone, StubResolver
-from repro.resolver.xfr import SYNC_TIMEOUT_MS
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.xfr import SecondaryZone, SYNC_TIMEOUT_MS
+from repro.resolver.stub import StubResolver
 
 ORIGIN = Name("mycdn.ciab.test")
 

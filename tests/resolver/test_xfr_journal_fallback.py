@@ -10,12 +10,16 @@ must reject it rather than corrupt the zone.
 
 import pytest
 
-from repro.dnswire import Name, RecordType, ResourceRecord, Zone
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import A, NS, SOA
 from repro.errors import ZoneError
 from repro.netsim import Constant, Network, RandomStreams, Simulator
-from repro.resolver import AuthoritativeServer, SecondaryZone
-from repro.resolver.xfr import apply_ixfr, diff_zones, ixfr_response_records
+from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.xfr import (SecondaryZone, apply_ixfr, diff_zones,
+                                ixfr_response_records)
 
 ORIGIN = Name("mycdn.ciab.test")
 

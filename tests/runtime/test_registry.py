@@ -28,48 +28,60 @@ class _Conflicting(_Toy):
     params = (Param("queries", int, 99, "different default"),)
 
 
-class _Nameless(_Toy):
-    name = ""
+class _Misnamed(_Toy):
+    name = "misnamed"
+
+
+def _unloadable():
+    raise AssertionError("loader ran")
 
 
 class TestRegistry:
-    def test_register_and_get(self):
-        registry = ExperimentRegistry()
-        toy = registry.register(_Toy())
+    def test_get_loads_once_and_keeps_the_experiment(self):
+        loads = []
+
+        def load():
+            loads.append("toy")
+            return _Toy()
+
+        registry = ExperimentRegistry({"toy": load})
+        toy = registry.get("toy")
         assert registry.get("toy") is toy
+        assert loads == ["toy"]
         assert registry.names() == ["toy"]
 
-    def test_collision_rejected(self):
-        registry = ExperimentRegistry()
-        registry.register(_Toy())
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(_Toy())
+    def test_names_load_nothing(self):
+        registry = ExperimentRegistry({"toy": _unloadable})
+        assert registry.names() == ["toy"]
 
-    def test_nameless_rejected(self):
-        with pytest.raises(ValueError, match="declares no name"):
-            ExperimentRegistry().register(_Nameless())
+    def test_misnamed_experiment_rejected(self):
+        registry = ExperimentRegistry({"toy": _Misnamed})
+        with pytest.raises(ValueError, match="named 'misnamed'"):
+            registry.get("toy")
 
     def test_unknown_get_lists_registered(self):
-        registry = ExperimentRegistry()
-        registry.register(_Toy())
+        registry = ExperimentRegistry({"toy": _unloadable})
         with pytest.raises(KeyError, match="registered: toy"):
             registry.get("figure9")
 
+    def test_iteration_follows_table_order(self):
+        registry = ExperimentRegistry({"conflicting": _Conflicting,
+                                       "toy": _Toy})
+        assert [experiment.name for experiment in registry] == [
+            "conflicting", "toy"]
+
     def test_cli_params_skip_programmatic(self):
-        registry = ExperimentRegistry()
-        registry.register(_Toy())
+        registry = ExperimentRegistry({"toy": _Toy})
         assert [param.name for param in registry.cli_params()] == ["queries"]
 
     def test_conflicting_defaults_rejected(self):
-        registry = ExperimentRegistry()
-        registry.register(_Toy())
-        registry.register(_Conflicting())
+        registry = ExperimentRegistry({"toy": _Toy,
+                                       "conflicting": _Conflicting})
         with pytest.raises(ValueError, match="conflicting"):
             registry.cli_params()
 
     def test_add_cli_arguments(self):
-        registry = ExperimentRegistry()
-        registry.register(_Toy())
+        registry = ExperimentRegistry({"toy": _Toy})
         parser = argparse.ArgumentParser()
         registry.add_cli_arguments(parser)
         args = parser.parse_args([])

@@ -18,7 +18,8 @@ from repro import telemetry
 from repro.core.deployments import DEPLOYMENT_KEYS, build_testbed
 from repro.dnswire.name import Name
 from repro.measure.runner import measure_deployment_queries
-from repro.profile import STAGE_BACKHAUL, STAGE_RADIO, trace_segments
+from repro.profile.criticalpath import (STAGE_BACKHAUL, STAGE_RADIO,
+                                        trace_segments)
 
 
 def spans_for(tracer, trace_id):

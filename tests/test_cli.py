@@ -178,6 +178,50 @@ class TestTelemetryExports:
             "serial"
 
 
+class TestErrorReports:
+    """What the CLI prints when a write or a trial fails."""
+
+    def test_unwritable_trace_out_is_reported_and_metrics_still_written(
+            self, tmp_path, capsys):
+        trace_path = tmp_path / "missing" / "trace.json"
+        metrics_path = tmp_path / "metrics.json"
+        assert main(["dig", "--count", "1",
+                     "--trace-out", str(trace_path),
+                     "--metrics-out", str(metrics_path)]) == 0
+        err = capsys.readouterr().err
+        assert f"error: cannot write trace to {trace_path}:" in err
+        assert not trace_path.exists()
+        assert json.loads(metrics_path.read_text())["metrics"]
+
+    def test_unwritable_metrics_out_is_reported_and_trace_still_written(
+            self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        metrics_path = tmp_path / "missing" / "metrics.json"
+        assert main(["dig", "--count", "1",
+                     "--trace-out", str(trace_path),
+                     "--metrics-out", str(metrics_path)]) == 0
+        err = capsys.readouterr().err
+        assert f"error: cannot write metrics to {metrics_path}:" in err
+        assert not metrics_path.exists()
+        assert json.loads(trace_path.read_text())["traceEvents"]
+
+    def test_a_trial_that_raises_is_reported_and_fails_the_run(
+            self, monkeypatch, capsys):
+        from repro.experiments.table2 import EXPERIMENT
+
+        def broken(self, spec):
+            raise RuntimeError("the trial broke")
+
+        monkeypatch.setattr(type(EXPERIMENT), "run_trial", broken)
+        assert main(["experiment", "table2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("error: 1 of 1 trials failed for table2:")
+        assert "RuntimeError" in lines[1] and "the trial broke" in lines[1]
+        assert "Traceback (most recent call last):" in captured.err
+
+
 class TestTailCommand:
     def artifact_with_exemplars(self, tmp_path):
         path = tmp_path / "telemetry.json"

@@ -5,8 +5,18 @@
 or transitive third-party import would also show, and put a ceiling on
 the resident memory of a population run so neither an import nor a model
 structure can add tens of MiB unseen (ROADMAP item 6).
+
+They also pin what one artifact costs to import: the experiment registry
+imports the one artifact asked for, and a package ``__init__`` imports
+no sibling module, so a fresh ``builtin_registry().get(name)`` compiles
+only what that artifact runs (docs/PERFORMANCE.md, "Start-up").  Every
+check here runs in a child interpreter that sees only ``src``, so the
+file needs nothing but pytest (CI runs it with ``--noconftest`` on a
+bare interpreter).
 """
 
+import functools
+import json
 import os
 import pathlib
 import subprocess
@@ -62,3 +72,86 @@ def test_population_run_stays_under_its_rss_ceiling():
         "EXPERIMENT.run_serial(target_queries=100_000,\n"
         "                      deployment='mec-ldns-mec-cdns')\n" + PEAK_MIB))
     assert peak - bare <= POPULATION_RSS_CEILING_MIB, (bare, peak)
+
+
+#: Artifact name -> ``repro.*`` modules a fresh interpreter holds after
+#: ``builtin_registry().get(name)``.  Taken at the change that made the
+#: registry lazy and emptied the package ``__init__``s; before it, every
+#: artifact loaded all 106.  Lower a ceiling when an artifact sheds
+#: imports; raising one needs a reason in CHANGES.md.
+MODULE_CEILINGS = {
+    "table1": 22, "table2": 16, "figure2": 52, "figure3": 50,
+    "figure5": 61, "ecs": 61, "mislocalization": 50, "disaggregation": 32,
+    "envelope-sweep": 61, "overload": 48, "access-latency": 62,
+    "capacity": 41, "churn": 73, "population": 70,
+}
+
+#: Packages of the packet-level MEC-CDN stack, which ``capacity`` (two
+#: hosts, one authoritative server) has no use for.
+STACK_PACKAGES = ("repro.core", "repro.cdn", "repro.mec", "repro.mobile",
+                  "repro.control", "repro.workload")
+
+
+def child_json(code):
+    """Run ``code`` after importing the registry; it prints one JSON value."""
+    return json.loads(run_child(
+        "import json, sys\n"
+        "from repro.experiments.registry import builtin_registry\n"
+        + code))
+
+
+@functools.lru_cache(maxsize=None)
+def loaded_after_get(name):
+    """Every module a fresh ``builtin_registry().get(name)`` leaves loaded."""
+    return frozenset(child_json(f"builtin_registry().get({name!r})\n"
+                                "print(json.dumps(sorted(sys.modules)))\n"))
+
+
+def repro_modules(loaded):
+    return sorted(name for name in loaded
+                  if name == "repro" or name.startswith("repro."))
+
+
+def test_the_ceilings_cover_every_artifact():
+    assert list(MODULE_CEILINGS) == child_json(
+        "print(json.dumps(builtin_registry().names()))\n")
+
+
+def test_registry_names_import_no_artifact():
+    loaded = child_json("builtin_registry().names()\n"
+                        "print(json.dumps(sorted(sys.modules)))\n")
+    assert [name for name in loaded
+            if name.startswith("repro.experiments.")
+            and name != "repro.experiments.registry"] == []
+
+
+def test_capacity_loads_none_of_the_mec_cdn_stack():
+    stack = [name for name in repro_modules(loaded_after_get("capacity"))
+             if name.startswith(STACK_PACKAGES)]
+    assert stack == []
+
+
+@pytest.mark.parametrize("name", ["figure5", "churn"])
+def test_an_artifact_loads_no_other_artifact_and_no_workload(name):
+    loaded = repro_modules(loaded_after_get(name))
+    own = "repro.experiments." + name
+    others = [module for module in loaded
+              if module.startswith("repro.experiments.")
+              and module not in (own, "repro.experiments.registry",
+                                 "repro.experiments.report")]
+    assert others == []
+    assert [module for module in loaded
+            if module.startswith("repro.workload")] == []
+
+
+@pytest.mark.parametrize("name", list(MODULE_CEILINGS))
+def test_an_artifact_imports_no_exporter_and_no_process_pool(name):
+    unneeded = {"repro.telemetry.exporters", "multiprocessing",
+                "concurrent.futures"}
+    assert sorted(unneeded & loaded_after_get(name)) == []
+
+
+@pytest.mark.parametrize("name", list(MODULE_CEILINGS))
+def test_an_artifact_stays_under_its_module_ceiling(name):
+    count = len(repro_modules(loaded_after_get(name)))
+    assert count <= MODULE_CEILINGS[name], count

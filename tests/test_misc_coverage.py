@@ -6,13 +6,10 @@ otherwise only be exercised implicitly.
 
 import pytest
 
-from repro.dnswire import (
-    Name,
-    RecordType,
-    ResourceRecord,
-    Zone,
-    make_query,
-)
+from repro.dnswire.name import Name
+from repro.dnswire.types import RecordType
+from repro.dnswire.message import ResourceRecord, make_query
+from repro.dnswire.zone import Zone
 from repro.dnswire.rdata import SOA
 from repro.errors import AddressError, RoutingError
 from repro.netsim import (
@@ -94,7 +91,7 @@ class TestNetworkEdges:
 
 class TestServerGarbageHandling:
     def test_garbage_payload_gets_formerr(self, net):
-        from repro.resolver import AuthoritativeServer
+        from repro.resolver.authoritative import AuthoritativeServer
         zone = Zone(Name("cdn.test"))
         zone.add(ResourceRecord(Name("cdn.test"), RecordType.SOA, 300,
                                 SOA(Name("ns.cdn.test"), Name("a.cdn.test"),
@@ -108,13 +105,13 @@ class TestServerGarbageHandling:
         sock.send_to(b"\x12\x34" + b"\xff" * 5, server.endpoint)
         net.sim.run()
         assert replies
-        from repro.dnswire import Message
+        from repro.dnswire.message import Message
         response = Message.from_wire(replies[0])
         assert response.rcode.name == "FORMERR"
         assert response.msg_id == 0x1234
 
     def test_tiny_garbage_silently_dropped(self, net):
-        from repro.resolver import AuthoritativeServer
+        from repro.resolver.authoritative import AuthoritativeServer
         zone = Zone(Name("cdn.test"))
         zone.add(ResourceRecord(Name("cdn.test"), RecordType.SOA, 300,
                                 SOA(Name("ns.cdn.test"), Name("a.cdn.test"),
@@ -127,7 +124,7 @@ class TestServerGarbageHandling:
 
     def test_notimp_for_unsupported_opcode(self, net):
         from repro.dnswire.types import Opcode
-        from repro.resolver import AuthoritativeServer
+        from repro.resolver.authoritative import AuthoritativeServer
         zone = Zone(Name("cdn.test"))
         zone.add(ResourceRecord(Name("cdn.test"), RecordType.SOA, 300,
                                 SOA(Name("ns.cdn.test"), Name("a.cdn.test"),
@@ -141,7 +138,7 @@ class TestServerGarbageHandling:
             datagram.payload)
         sock.send_to(query.to_wire(), server.endpoint)
         net.sim.run()
-        from repro.dnswire import Message
+        from repro.dnswire.message import Message
         assert Message.from_wire(replies[0]).rcode.name == "NOTIMP"
 
 
