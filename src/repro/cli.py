@@ -10,9 +10,8 @@ Subcommands:
   against a chosen Figure 5 deployment and print each result plus the
   summary.
 * ``deployments`` — list the six evaluated DNS deployments.
-* ``profile <artifact>`` — run one artifact under the latency-budget
-  profiler (:mod:`repro.profile`): per-deployment budget report and
-  collapsed-stack flamegraph input.
+* ``profile <artifact>`` — run one artifact observed and write its
+  per-deployment latency budget (:mod:`repro.profile.harness`).
 * ``slo <artifact.json>`` — check the latency bounds
   (:mod:`repro.profile.slo`) of a budget or telemetry artifact as claim
   rows; exits 1 on a breach, 2 on an unreadable artifact.
@@ -73,11 +72,7 @@ def _run_experiment(name: str, args: argparse.Namespace,
     if executor_meta is not None and run.executor_stats is not None:
         executor_meta[name] = run.executor_stats.to_dict()
     if run.failures:
-        print(f"error: {len(run.failures)} of {len(run.outcomes)} trials "
-              f"failed for {name}:", file=sys.stderr)
-        for failure in run.failures:
-            print(f"  {failure.describe()}", file=sys.stderr)
-        print(run.failures[0].traceback, file=sys.stderr)
+        print(run.failure_report(), file=sys.stderr)
         return 1
     print(experiment.render_result(run.result))
     if experiment.claims(run.result):
@@ -281,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.profile.runner import add_profile_arguments, add_slo_arguments
     prof = sub.add_parser(
         "profile",
-        help="profile a paper artifact: latency budget, flamegraph "
-             "stacks, hottest functions")
+        help="run a paper artifact once and write its latency budget")
     prof.add_argument("artifact", choices=tuple(registry.names()))
     registry.add_cli_arguments(prof)
     add_profile_arguments(prof)

@@ -70,20 +70,7 @@ class Segment(NamedTuple):
     width: Fraction
     #: Deepest covering span; ``None`` for an uncovered gap.
     owner: Optional[Span]
-    #: Ancestry of the owner, root first, owner last; empty for gaps.
-    stack: Tuple[Span, ...]
     stage: str
-
-
-class PathStep(NamedTuple):
-    """A maximal run of adjacent segments with one owner (for reports)."""
-
-    start_ms: float
-    end_ms: float
-    stage: str
-    #: ``category/name`` of the owning span; ``"(gap)"`` when uncovered.
-    what: str
-    width: Fraction
 
 
 class CriticalPath(NamedTuple):
@@ -92,7 +79,6 @@ class CriticalPath(NamedTuple):
     trace_id: int
     #: Exact per-stage totals; keys are a subset of :data:`STAGES`.
     stages: Dict[str, Fraction]
-    steps: List[PathStep]
     #: Exact trace duration; equals ``sum(stages.values())`` by
     #: construction, and ``float(total_exact)`` equals the float
     #: ``max end - min start`` bit for bit.
@@ -196,44 +182,27 @@ def trace_segments(spans: Iterable[Span], trace_id: int) -> List[Segment]:
                     if span.start_ms <= start
                     and span.end_ms is not None and span.end_ms >= end]
         owner: Optional[Span] = None
-        stack: Tuple[Span, ...] = ()
         stage = STAGE_OTHER
         if covering:
             owner = max(covering,
                         key=lambda span: (len(chains[span.span_id]),
                                           span.span_id))
-            stack = chains[owner.span_id]
-            stage = _stage_for(owner, stack, client_tracks, cdns_tracks)
+            stage = _stage_for(owner, chains[owner.span_id], client_tracks,
+                               cdns_tracks)
         segments.append(Segment(
             start_ms=start, end_ms=end,
             width=Fraction(end) - Fraction(start),
-            owner=owner, stack=stack, stage=stage))
+            owner=owner, stage=stage))
     return segments
 
 
 def analyze_trace(spans: Iterable[Span], trace_id: int) -> CriticalPath:
     """Attribute one trace's whole duration to stages, exactly."""
-    materialized = list(spans)
-    segments = trace_segments(materialized, trace_id)
     stages: Dict[str, Fraction] = {}
-    steps: List[PathStep] = []
     total = Fraction(0)
-    for segment in segments:
+    for segment in trace_segments(spans, trace_id):
         total += segment.width
         stages[segment.stage] = (stages.get(segment.stage, Fraction(0))
                                  + segment.width)
-        what = ("(gap)" if segment.owner is None
-                else f"{segment.owner.category}/{segment.owner.name}")
-        if (steps and steps[-1].what == what
-                and steps[-1].stage == segment.stage
-                and steps[-1].end_ms == segment.start_ms):
-            last = steps[-1]
-            steps[-1] = PathStep(last.start_ms, segment.end_ms,
-                                 last.stage, last.what,
-                                 last.width + segment.width)
-        else:
-            steps.append(PathStep(segment.start_ms, segment.end_ms,
-                                  segment.stage, what, segment.width))
-    return CriticalPath(trace_id=trace_id, stages=stages, steps=steps,
-                        total_exact=total)
+    return CriticalPath(trace_id=trace_id, stages=stages, total_exact=total)
 

@@ -17,11 +17,8 @@ def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags for ``repro profile`` (the experiment name is added by the
     caller via the registry, like ``repro experiment``)."""
     parser.add_argument("--out-dir", metavar="DIR", default=".",
-                        help="directory for <name>-budget.json and "
-                             "<name>-profile.folded (default: .)")
-    parser.add_argument("--top", type=int, default=15,
-                        help="rows to show in the profile tables "
-                             "(default: 15)")
+                        help="directory for <name>-budget.json "
+                             "(default: .)")
 
 
 def run_profile_cli(args: argparse.Namespace) -> int:
@@ -32,14 +29,11 @@ def run_profile_cli(args: argparse.Namespace) -> int:
     overrides = {param.name: getattr(args, param.name)
                  for param in experiment.params if param.cli}
     result = harness.run_profile(args.artifact, overrides,
-                                 out_dir=args.out_dir, top=args.top)
+                                 out_dir=args.out_dir)
     if result.run.failures:
-        print(f"error: {len(result.run.failures)} of "
-              f"{len(result.run.outcomes)} trials failed:", file=sys.stderr)
-        for failure in result.run.failures:
-            print(f"  {failure.describe()}", file=sys.stderr)
+        print(result.run.failure_report(), file=sys.stderr)
         return 1
-    print(harness.render_summary(result, top=args.top))
+    print(harness.render_summary(result))
     return 0
 
 

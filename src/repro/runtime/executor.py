@@ -142,6 +142,16 @@ class ExperimentRun(NamedTuple):
     def ok(self) -> bool:
         return not self.failures and self.result is not None
 
+    def failure_report(self) -> str:
+        """What a command prints to stderr when trials failed: the count,
+        each failure's one-line description, and the first traceback."""
+        failures = self.failures
+        return "\n".join([
+            f"error: {len(failures)} of {len(self.outcomes)} trials "
+            f"failed for {self.experiment}:",
+            *(f"  {failure.describe()}" for failure in failures),
+            failures[0].traceback])
+
 
 class _TrialDone(NamedTuple):
     outcome: TrialOutcome

@@ -37,8 +37,9 @@ from repro.runtime.spec import TrialSpec, freeze_cell
 class Param(NamedTuple):
     """One declared experiment parameter.
 
-    ``kind`` is the argparse-style converter (``int``, ``float``, or
-    ``bool`` for a store-true flag); ``cli=False`` keeps a parameter
+    ``kind`` is the argparse converter of the parameter's flag: ``int``,
+    ``float`` or ``str`` for a CLI parameter (``bool`` would read the
+    text "False" as true); ``cli=False`` keeps a parameter
     programmatic-only (it still resolves through ``run_serial``
     overrides, it just grows no command-line flag).
     """

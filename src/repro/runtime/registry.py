@@ -87,12 +87,6 @@ class ExperimentRegistry:
     def add_cli_arguments(self, parser: argparse.ArgumentParser) -> None:
         """Grow one flag per union parameter on ``parser``."""
         for param in self.cli_params():
-            flag = "--" + param.name.replace("_", "-")
-            if param.kind is bool:
-                parser.add_argument(flag, action="store_true",
-                                    default=bool(param.default),
-                                    help=param.help)
-            else:
-                parser.add_argument(flag, type=param.kind,
-                                    default=param.default, help=param.help,
-                                    dest=param.name)
+            parser.add_argument("--" + param.name.replace("_", "-"),
+                                type=param.kind, default=param.default,
+                                help=param.help, dest=param.name)

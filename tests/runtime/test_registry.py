@@ -103,3 +103,12 @@ class TestBuiltinRegistry:
         params = {param.name for param in builtin_registry().cli_params()}
         assert {"seed", "trials", "queries", "requests", "attack_qps",
                 "rounds", "duration_ms"} <= params
+
+    def test_cli_params_convert_with_int_float_or_str(self):
+        # ``type=bool`` would read "--flag False" as True, so the registry
+        # has no boolean flag and no artifact may declare one.
+        for experiment in builtin_registry():
+            for param in experiment.params:
+                if param.cli:
+                    assert param.kind in (int, float, str), (
+                        experiment.name, param.name)

@@ -96,7 +96,8 @@ def test_surfaces_are_the_ci_commands(census, monkeypatch, tmp_path):
     aside, plus the bench children.  An example is a test, not one."""
     ran = []
     monkeypatch.setattr(census, "run", lambda argv, *rest: ran.append(argv))
-    census.run_surfaces(tmp_path / "out", tmp_path / "work", "")
+    census.run_surfaces(tmp_path / "out", tmp_path / "artifacts",
+                        tmp_path / "work", "")
     cli = [argv[3:] for argv in ran if argv[1:3] == ["-m", "repro.cli"]]
     assert sorted(map(command_shape, cli)) == \
         sorted(map(command_shape, ci_commands()))

@@ -479,3 +479,12 @@ def test_no_unused_imports():
               if not file.endswith("__init__.py")
               for finding in unused_imports(file, tree)]
     assert unused == [], "\n".join(unused)
+
+
+def test_every_artifact_surface_is_a_surface():
+    """The census measures tooling-only lines against ``ARTIFACT_SURFACES``;
+    a command there that CI does not run would hide the lines it reaches."""
+    census = line_census()
+    assert census.ARTIFACT_SURFACES
+    assert [args for args in census.ARTIFACT_SURFACES
+            if args not in census.SURFACES] == []
