@@ -15,7 +15,8 @@ byte-identical with the harness on or off, which the test suite
 asserts via ``result_digest``.
 
 Artifact: ``<name>-budget.json``, the ``repro-budget-v1`` document
-``repro slo`` and the claim sweep read.
+``repro slo`` and the claim sweep read.  A run with a failed trial
+writes none: its budget would be missing the failed trials' rows.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ class ProfileRunResult(NamedTuple):
     simulators: int
     events: int
     max_heap_depth: int
-    budget_path: str
+    #: ``None`` when a trial failed: a partial budget is not written.
+    budget_path: Optional[str]
 
 
 def run_profile(name: str,
                 overrides: Optional[Dict[str, object]] = None,
                 out_dir: str = ".") -> ProfileRunResult:
-    """Run one registered experiment observed, and write its budget."""
+    """Run one registered experiment observed, and write its budget
+    unless a trial failed."""
     from repro.experiments.registry import builtin_registry
     experiment = builtin_registry().get(name)
 
@@ -59,9 +62,11 @@ def run_profile(name: str,
         _telemetry.set_default(previous)
 
     report = budget_report(session.tracer.finished)
-    os.makedirs(out_dir, exist_ok=True)
-    budget_path = os.path.join(out_dir, f"{name}-budget.json")
-    report.write(budget_path)
+    budget_path: Optional[str] = None
+    if not run.failures:
+        os.makedirs(out_dir, exist_ok=True)
+        budget_path = os.path.join(out_dir, f"{name}-budget.json")
+        report.write(budget_path)
     return ProfileRunResult(
         run=run, report=report, simulators=len(simulators),
         events=sum(sim.events_processed for sim in simulators),

@@ -69,7 +69,7 @@ def end_trial_capture(
     _telemetry.clear_default()
     if facade is None:
         return None
-    return TelemetrySnapshot(spans=list(facade.tracer.finished),
+    return TelemetrySnapshot(spans=facade.tracer.finished,
                              dropped=facade.tracer.dropped,
                              sampled_out=facade.tracer.sampled_out,
                              metrics=facade.metrics,
@@ -80,11 +80,15 @@ def end_trial_capture(
 
 def merge_snapshot(session: Telemetry,
                    snapshot: Optional[TelemetrySnapshot]) -> None:
-    """Fold one trial's snapshot into the session facade.
+    """Fold one trial's snapshot into the session facade, consuming it.
 
     Span and trace ids are remapped past the session tracer's
     high-water mark (`Tracer.absorb`), so per-trial id spaces
     concatenate identically regardless of which backend produced them.
+    The remap is in place and the session adopts the span objects, so
+    a merged snapshot's spans carry session ids: read nothing from a
+    snapshot after merging it.  Nothing does — a serial snapshot is
+    the finished trial's own list and a pooled one an unpickled copy.
     Time-series windows add cell-wise and tail reservoirs merge under
     their strict total order — both merge-order independent, but folded
     in spec order anyway, same as everything else.

@@ -19,10 +19,8 @@ samples, time-series windows, the exporters and the SLO readers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from functools import reduce
+from bisect import bisect_left
 from itertools import accumulate
-from operator import add
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -112,31 +110,6 @@ class BucketCell:
         self.count = count
         self.total = total
         self.counts = [0] * len(bounds)
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "BucketCell":
-        """The default-layout cell ``observe`` would build, in bulk.
-
-        The sum is taken in arrival order; bucket counts come from
-        ``bisect_right`` cuts of a sorted copy — one bisect per bound
-        instead of one per value, which is what lets a hot loop get
-        away with plain appends and bucket once at flush time.
-        """
-        ordered = sorted(values)
-        return cls.from_running(
-            DEFAULT_BUCKETS,
-            [bisect_right(ordered, bound) for bound in DEFAULT_BUCKETS],
-            len(values), reduce(add, values, 0))
-
-    @classmethod
-    def from_running(cls, bounds: Sequence[float], running: Sequence[int],
-                     count: int, total: float) -> "BucketCell":
-        """Rebuild a cell from :meth:`cumulative`'s running counts, the
-        form the ``le`` buckets of an exported histogram carry."""
-        cell = cls(bounds, count, total)
-        cell.counts = [reached - below for below, reached
-                       in zip([0, *running], running)]
-        return cell
 
     @classmethod
     def from_sparse(cls, buckets: Iterable[Tuple[float, int]],

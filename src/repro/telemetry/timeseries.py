@@ -92,9 +92,9 @@ class TimeSeries:
                      cells: Dict[int, BucketCell]) -> None:
         """Fold pre-aggregated latency windows in (window index -> cell).
 
-        The population engine builds one cell per window at the end of
-        a district, so the whole run flushes in one call instead of
-        paying a method dispatch per query.
+        The population engine's observer fills one cell per window as
+        a district runs and flushes them all in one call at its end,
+        instead of paying a method dispatch per query.
         """
         self._add_cells(name, _label_key(labels), cells)
 

@@ -167,7 +167,7 @@ class Tracer:
     # -- merging ----------------------------------------------------------------
 
     def absorb(self, spans: Iterable[Span]) -> None:
-        """Fold spans from another tracer in, remapping their ids.
+        """Adopt spans from another tracer, remapping their ids in place.
 
         Every incoming trace/span id is shifted past this tracer's
         high-water mark, so parentage inside the absorbed batch is
@@ -176,28 +176,33 @@ class Tracer:
         assignment no matter which process produced each batch — the
         property the sharded executor relies on for byte-identical
         trace exports.
+
+        The spans (and their ``attrs`` dicts) become this tracer's own,
+        uncopied: the caller hands them over and must not read them
+        through any other tracer afterwards.
         """
         trace_offset = self._next_trace_id
         span_offset = self._next_span_id
         max_trace = 0
         max_span = 0
         for span in spans:
-            max_trace = max(max_trace, span.trace_id)
-            max_span = max(max_span, span.span_id)
-            parent_id = (None if span.parent_id is None
-                         else span.parent_id + span_offset)
-            copy = Span(span.trace_id + trace_offset,
-                        span.span_id + span_offset, parent_id,
-                        span.name, span.category, span.track,
-                        span.start_ms, span.end_ms, dict(span.attrs))
-            self._record(copy)
+            # The high-water marks are the batch's own ids, pre-shift.
+            if span.trace_id > max_trace:
+                max_trace = span.trace_id
+            if span.span_id > max_span:
+                max_span = span.span_id
+            span.trace_id += trace_offset
+            span.span_id += span_offset
+            if span.parent_id is not None:
+                span.parent_id += span_offset
+            self._record(span)
         self._next_trace_id += max_trace
         self._next_span_id += max_span
 
     def id_offsets(self) -> Tuple[int, int]:
         """Current ``(trace, span)`` id high-water marks.
 
-        A caller that wants :meth:`ingest`'s copy-free path builds its
+        A caller that wants :meth:`ingest`'s remap-free path builds its
         spans with ids ``offset + 1 .. offset + count`` directly.
         """
         return (self._next_trace_id, self._next_span_id)
@@ -210,8 +215,8 @@ class Tracer:
         ``spans`` with ids strictly inside ``(offset, offset + count]``.
         Head sampling does not apply (the caller already decided what to
         keep — the engine's per-session sampler, for instance).  This is
-        :meth:`absorb` minus the per-span copy, for hot producers like
-        the population engine's sampled session batches.
+        :meth:`absorb` minus the id remap, for hot producers like the
+        population engine's sampled session batches.
         """
         for span in spans:
             self._record(span)

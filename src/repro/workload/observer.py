@@ -8,9 +8,11 @@ records in issue order, and hands the list to a
 district it calls :meth:`_DistrictObserver.close` once with the exact
 counters.  From those records the observer streams
 
-* **windowed time-series** — per simulated-time window, the raw
-  ``dns_ms`` / ``total_ms`` values (bucketed once at close) and per-site
-  query / mislocalized counts;
+* **windowed time-series** — per simulated-time window, a
+  :class:`~repro.telemetry.metrics.BucketCell` each for ``dns_ms`` and
+  ``total_ms`` (every value binned as it arrives) and per-site query /
+  mislocalized counts, so a district holds state per window, never per
+  query;
 * **head-sampled session trees** — a root ``session`` span plus one
   ``query`` span per request, kept or dropped by a splitmix64 hash of
   the session ordinal, so serial and sharded runs sample the exact same
@@ -30,10 +32,11 @@ between a session's first query and its ingest.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Tuple
 
 from repro.telemetry import Exemplar, HeadSampler, Span, Telemetry, hash_unit
-from repro.telemetry.metrics import BucketCell
+from repro.telemetry.metrics import DEFAULT_BUCKETS, BucketCell
 
 #: One query as the kernel decided it, in this field order:
 #: ``(start_s, site, served_site, hit, dns_ms, total_ms, wireless_ms,
@@ -48,9 +51,9 @@ QueryRecord = Tuple[float, int, int, bool, float, float,
 class _Window(NamedTuple):
     """One simulated-time window of one district."""
 
-    #: Raw values in arrival order; bucketed once, at close.
-    dns_ms: List[float]
-    total_ms: List[float]
+    #: Latency aggregates, binned as values arrive.
+    dns_ms: BucketCell
+    total_ms: BucketCell
     #: Counts indexed by the UE's site.
     queries: List[int]
     mislocalized: List[int]
@@ -100,20 +103,37 @@ class _DistrictObserver:
         # read can over-offer (offer() rechecks) but never miss a
         # genuine tail candidate.
         threshold = tail.threshold_ms
-        dns_vals, total_vals, queries, mislocalized = self._enter(
+        bounds = DEFAULT_BUCKETS
+        # Each window's sums run in locals, in arrival order (the order
+        # an exact sum of its values would add them in), and are written
+        # back whenever the session leaves the window.
+        dns_cell, total_cell, queries, mislocalized = self._enter(
             records[0][0])
+        dns_counts = dns_cell.counts
+        total_counts = total_cell.counts
+        dns_sum = dns_cell.total
+        total_sum = total_cell.total
         win_lo = self._win_lo
         win_hi = self._win_hi
         for query, (start, site, served_site, hit, dns_ms, total_ms,
                     wireless_ms, resolver_ms, interruption_ms, fetch_ms,
                     origin_ms) in enumerate(records):
             if start >= win_hi or start < win_lo:
-                dns_vals, total_vals, queries, mislocalized = self._enter(
+                dns_cell.total = dns_sum
+                total_cell.total = total_sum
+                dns_cell, total_cell, queries, mislocalized = self._enter(
                     start)
+                dns_counts = dns_cell.counts
+                total_counts = total_cell.counts
+                dns_sum = dns_cell.total
+                total_sum = total_cell.total
                 win_lo = self._win_lo
                 win_hi = self._win_hi
-            dns_vals.append(dns_ms)
-            total_vals.append(total_ms)
+            # ``le`` buckets: the first bound at or above the value.
+            dns_counts[bisect_left(bounds, dns_ms)] += 1
+            dns_sum += dns_ms
+            total_counts[bisect_left(bounds, total_ms)] += 1
+            total_sum += total_ms
             queries[site] += 1
             if served_site != site:
                 mislocalized[site] += 1
@@ -133,6 +153,8 @@ class _DistrictObserver:
                            ("hit", "1" if hit else "0"),
                            ("served_site", self._site_strs[served_site]),
                            ("site", self._site_strs[site]))))
+        dns_cell.total = dns_sum
+        total_cell.total = total_sum
 
     def close(self, queries: int, hits: int, localized: int,
               sessions: int, handovers: int) -> None:
@@ -143,14 +165,16 @@ class _DistrictObserver:
         windows = self._windows
         if windows:
             label = {"deployment": deployment}
+            for window in windows.values():
+                # Every value landed in exactly one bucket.
+                window.dns_ms.count = window.total_ms.count = sum(
+                    window.dns_ms.counts)
             tel.timeseries.bulk_observe(
                 "repro_workload_dns_ms", label,
-                {at: BucketCell.from_values(window.dns_ms)
-                 for at, window in windows.items()})
+                {at: window.dns_ms for at, window in windows.items()})
             tel.timeseries.bulk_observe(
                 "repro_workload_total_ms", label,
-                {at: BucketCell.from_values(window.total_ms)
-                 for at, window in windows.items()})
+                {at: window.total_ms for at, window in windows.items()})
         for name, rows in (
                 ("repro_workload_queries",
                  {at: window.queries for at, window in windows.items()}),
@@ -190,7 +214,8 @@ class _DistrictObserver:
             self._win_hi = lo + self._window_s
             if at not in self._windows:
                 sites = len(self._site_strs)
-                self._windows[at] = _Window([], [], [0] * sites, [0] * sites)
+                self._windows[at] = _Window(BucketCell(), BucketCell(),
+                                            [0] * sites, [0] * sites)
         return self._windows[self._current]
 
     def _trace(self, ue: int, home_site: int,
@@ -203,7 +228,7 @@ class _DistrictObserver:
         deployment = self._deployment
         site_strs = self._site_strs
         # Ids are built against the tracer's high-water marks, so the
-        # batch lands copy-free and interleaves identically on every
+        # batch lands without a remap and interleaves identically on every
         # backend.
         trace_base, span_base = tracer.id_offsets()
         trace_id = trace_base + 1

@@ -121,3 +121,6 @@ class TestProfileCli:
         assert all("RuntimeError: the trial broke" in line
                    for line in lines[1:7])
         assert lines[7] == "Traceback (most recent call last):"
+        # A budget without the failed trials' rows is no budget: nothing
+        # is written.
+        assert list(tmp_path.iterdir()) == []

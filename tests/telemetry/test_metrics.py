@@ -94,6 +94,14 @@ class TestHistogram:
         assert counts == {(("site", "cloud"),): 1, (("site", "edge"),): 1}
 
 
+def observe_all(values):
+    """A default-layout cell holding ``values``."""
+    cell = BucketCell()
+    for value in values:
+        cell.observe(value)
+    return cell
+
+
 class TestBucketCell:
     @pytest.mark.parametrize("value, bucket", [
         (10.0, 10.0),                          # equal to a bound
@@ -103,18 +111,15 @@ class TestBucketCell:
     ])
     def test_every_route_lands_the_same_buckets(self, value, bucket):
         values = [0.3, value, 3.0, 250.0, value]
-        observed = BucketCell()
-        for each in values:
-            observed.observe(each)
-        built = BucketCell.from_values(values)
-        halves = BucketCell.from_values(values[:2])
-        halves.merge(BucketCell.from_values(values[2:]))
+        observed = observe_all(values)
+        halves = observe_all(values[:2])
+        halves.merge(observe_all(values[2:]))
         hist = Histogram("h", "help")
         for each in values:
             hist.observe(each)
-        assert observed.counts == built.counts == halves.counts
+        assert observed.counts == halves.counts
         assert observed.counts[DEFAULT_BUCKETS.index(bucket)] == 2
-        for cell in (observed, built, halves):
+        for cell in (observed, halves):
             assert cell.cumulative()[-1] == cell.count == len(values)
         assert cumulative_buckets(hist) == list(
             zip(DEFAULT_BUCKETS, observed.cumulative()))
@@ -124,15 +129,12 @@ class TestBucketCell:
             BucketCell().merge(BucketCell((1.0, math.inf)))
 
     def test_exported_forms_round_trip(self):
-        cell = BucketCell.from_values([3.0, 12.0, 12.5, 9000.0])
+        cell = observe_all([3.0, 12.0, 12.5, 9000.0])
         listed = [(bound, held)
                   for bound, held in zip(cell.bounds, cell.counts) if held]
         sparse = BucketCell.from_sparse(listed, cell.count, cell.total)
-        full = BucketCell.from_running(
-            cell.bounds, cell.cumulative(), cell.count, cell.total)
-        for rebuilt in (sparse, full):
-            assert rebuilt.counts == cell.counts
-            assert rebuilt.quantile(50.0) == cell.quantile(50.0) == 15.0
+        assert sparse.counts == cell.counts
+        assert sparse.quantile(50.0) == cell.quantile(50.0) == 15.0
 
 
 class TestMetricsRegistry:

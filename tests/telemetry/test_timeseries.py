@@ -64,11 +64,11 @@ class TestBulkIngestion:
 
     def test_bulk_observe_equals_loop(self):
         loop, bulk = TimeSeries(window_ms=100.0), TimeSeries(window_ms=100.0)
-        values = [2.0, 9.0, 45.0]
-        for value in values:
+        cell = BucketCell()
+        for value in (2.0, 9.0, 45.0):
             loop.observe("lat", 50.0, value, site="s")
-        bulk.bulk_observe("lat", {"site": "s"},
-                          {0: BucketCell.from_values(values)})
+            cell.observe(value)
+        bulk.bulk_observe("lat", {"site": "s"}, {0: cell})
         assert loop.to_dict() == bulk.to_dict()
 
 

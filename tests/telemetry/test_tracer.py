@@ -113,3 +113,44 @@ class TestBounds:
         assert len(tracer.finished) == 2
         assert tracer.dropped == 3
 
+
+def trial_batch():
+    """A finished trial's spans: two traces, a child that finished
+    before its parent, so the highest span id is not the last span's."""
+    tracer, clock = make_tracer()
+    root = tracer.begin("lookup", "measure", "driver", q="a")
+    clock.now = 1.0
+    tracer.event("hop", "net", "link", parent=root)
+    tracer.end(root)
+    tracer.event("other", "measure", "driver")
+    return tracer.finished
+
+
+def ids(spans):
+    return [(span.trace_id, span.span_id, span.parent_id) for span in spans]
+
+
+class TestAbsorb:
+    def test_the_session_adopts_the_spans_with_remapped_ids(self):
+        session, _ = make_tracer()
+        session.event("local", "c", "t")
+        batch = trial_batch()
+        assert ids(batch) == [(1, 2, 1), (1, 1, None), (2, 3, None)]
+        attrs = [span.attrs for span in batch]
+        session.absorb(batch)
+        adopted = session.finished[1:]
+        assert len(adopted) == len(batch)
+        assert all(mine is theirs for mine, theirs in zip(adopted, batch))
+        assert all(span.attrs is held for span, held in zip(adopted, attrs))
+        # Shifted past the session's (1, 1): parents move with the spans.
+        assert ids(adopted) == [(2, 3, 2), (2, 2, None), (3, 4, None)]
+        assert session.id_offsets() == (3, 4)
+
+    def test_two_merged_batches_get_disjoint_ids(self):
+        session = Tracer()
+        first, second = trial_batch(), trial_batch()
+        session.absorb(first)
+        session.absorb(second)
+        assert ids(first) == [(1, 2, 1), (1, 1, None), (2, 3, None)]
+        assert ids(second) == [(3, 5, 4), (3, 4, None), (4, 6, None)]
+        assert session.id_offsets() == (4, 6)

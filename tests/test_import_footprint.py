@@ -3,8 +3,9 @@
 ``src/repro`` has no runtime dependency (the analyzer's rule ARCH003,
 ``tests/static/layering.py``, says so statically); these run the claim in a fresh interpreter, where a lazy
 or transitive third-party import would also show, and put a ceiling on
-the resident memory of a population run so neither an import nor a model
-structure can add tens of MiB unseen (ROADMAP item 6).
+the resident memory of a population run, and on what sampled telemetry
+adds to it, so neither an import, a model structure nor a per-query
+telemetry buffer can add MiB unseen (ROADMAP item 6).
 
 They also pin what one artifact costs to import: the experiment registry
 imports the one artifact asked for, and a package ``__init__`` imports
@@ -72,6 +73,37 @@ def test_population_run_stays_under_its_rss_ceiling():
         "EXPERIMENT.run_serial(target_queries=100_000,\n"
         "                      deployment='mec-ldns-mec-cdns')\n" + PEAK_MIB))
     assert peak - bare <= POPULATION_RSS_CEILING_MIB, (bare, peak)
+
+
+#: The same 10^5-query run through the executor, the CLI's path: each
+#: trial captures into its own facade, merged into the session after.
+EXECUTOR_RUN = (
+    "from repro.experiments.population import EXPERIMENT\n"
+    "from repro.runtime.executor import TrialExecutor\n"
+    "run = TrialExecutor().run(EXPERIMENT, {\n"
+    "    'target_queries': 100_000, 'deployment': 'mec-ldns-mec-cdns'})\n"
+    "assert not run.failures\n")
+
+#: The sampled capture of CI's population smoke and the bench's
+#: ``population_sampled``.
+SAMPLED_TELEMETRY = (
+    "from repro import telemetry\n"
+    "telemetry.set_default(telemetry.Telemetry(\n"
+    "    trace_sample=0.05, window_ms=60000.0, tail_capacity=32))\n")
+
+#: MiB sampled telemetry may add to that run's peak.  Measured 2.5 on
+#: 3.11.7, 3.12.1 and 3.13.0 once the observer binned latencies as they
+#: arrived and the merge adopted trial spans; 6.7-6.9 when it kept every
+#: value until its district closed and copied every span.
+SAMPLED_TELEMETRY_CEILING_MIB = 4.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from Linux procfs")
+def test_sampled_telemetry_stays_under_its_rss_ceiling():
+    plain = float(run_child(EXECUTOR_RUN + PEAK_MIB))
+    sampled = float(run_child(SAMPLED_TELEMETRY + EXECUTOR_RUN + PEAK_MIB))
+    assert sampled - plain <= SAMPLED_TELEMETRY_CEILING_MIB, (plain, sampled)
 
 
 #: Artifact name -> ``repro.*`` modules a fresh interpreter holds after

@@ -4,12 +4,20 @@ Three hand-written sessions that between them cross a window edge,
 re-enter an earlier window, get head-sampled, hand over mid-session and
 put one query over the tail threshold.  Everything the observer owns —
 window cursors, the session sampler, span and exemplar construction,
-the flush — is asserted from the records alone.
+the flush — is asserted from the records alone.  A property test then
+holds the observer's arrival binning to the obvious reference: sorted
+cuts of each window's values, and their sum in arrival order.
 """
 
+from bisect import bisect_right
+from functools import reduce
+from operator import add
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.telemetry import Exemplar, Telemetry, TelemetryConfig
+from repro.telemetry.metrics import DEFAULT_BUCKETS
 from repro.telemetry.sampling import hash_unit, hash_unit_u64
 from repro.workload.observer import _DistrictObserver
 
@@ -170,3 +178,53 @@ def test_tracing_off_and_tail_off_leave_only_the_windows():
     assert quiet.tail.offered == 0
     assert series(quiet, "repro_workload_queries") == \
         series(observe(), "repro_workload_queries")
+
+
+#: A latency: exactly a bucket bound (``+Inf`` too), or any value from 0
+#: to past the last finite bound.
+_LATENCY = st.one_of(st.sampled_from(DEFAULT_BUCKETS),
+                     st.floats(0.0, 6000.0, allow_nan=False))
+#: A session: ``(start_s, dns_ms, total_ms)`` per query, in any order, so
+#: a session may leave a window and come back to it.
+_SESSION = st.lists(st.tuples(st.floats(0.0, 4.999), _LATENCY, _LATENCY),
+                    min_size=1, max_size=6)
+
+
+@given(st.lists(_SESSION, min_size=1, max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_arrival_binning_equals_sorted_cuts_and_an_ordered_sum(sessions):
+    tel = Telemetry.from_config(
+        CONFIG._replace(trace_sample=0.0, tail_capacity=0))
+    observer = _DistrictObserver(tel, 1, DEPLOYMENT, SCOPE)
+    arrived = {"repro_workload_dns_ms": {}, "repro_workload_total_ms": {}}
+    for ordinal, queries in enumerate(sessions, 1):
+        for start, dns_ms, total_ms in queries:
+            at = int(start)  # 1,000 ms windows
+            arrived["repro_workload_dns_ms"].setdefault(at, []).append(
+                dns_ms)
+            arrived["repro_workload_total_ms"].setdefault(at, []).append(
+                total_ms)
+        observer.session(0, ordinal, 0, [
+            (start, 0, 0, True, dns_ms, total_ms, 0.0, 0.0, 0.0, 0.0, 0.0)
+            for start, dns_ms, total_ms in queries])
+    queries = sum(len(session) for session in sessions)
+    observer.close(queries=queries, hits=queries, localized=queries,
+                   sessions=len(sessions), handovers=0)
+    for name, windows in arrived.items():
+        expected = {}
+        for at, values in windows.items():
+            ordered = sorted(values)
+            reached = [bisect_right(ordered, bound)
+                       for bound in DEFAULT_BUCKETS]
+            expected[at] = {
+                "index": at, "start_ms": at * 1000.0, "count": len(values),
+                "sum": reduce(add, values, 0),
+                "buckets": [
+                    ["+Inf" if bound == float("inf") else bound, held]
+                    for bound, held in zip(
+                        DEFAULT_BUCKETS,
+                        [now - before for before, now
+                         in zip([0, *reached], reached)])
+                    if held]}
+        assert series(tel, name) == {
+            (("deployment", DEPLOYMENT),): expected}
