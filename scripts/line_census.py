@@ -62,8 +62,10 @@ from tests.static import index  # noqa: E402  (the one module index)
 #: closes a suspended generator (running its ``except`` lines) depends on
 #: scheduling, so the ceiling sits two above the largest reading.  Lower
 #: it when a change deletes lines or a surface starts running them; never
-#: raise it to fit one.
-CEILING = 926
+#: raise it to fit one.  Lowered by one when CI began running
+#: ``--allocation client`` (``_Router.select``'s client-ring line); three
+#: runs then read 922, 924 and 922.
+CEILING = 925
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -370,9 +372,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/workload/engine.py::DistrictStats.load_imbalance": (
         "a", "degenerate"),
     "src/repro/workload/engine.py::merge_stats": ("a", "degenerate"),
-    "src/repro/workload/engine.py::_Router.select": (
-        "b", _CDN + "consistent hashing — the client-keyed ring of the "
-        "`--allocation client` policy"),
     "src/repro/workload/mobility.py::MobilityModel.place_session": (
         "a", "degenerate"),
     # -- parameters only tests set -------------------------------------------
@@ -466,9 +465,11 @@ SURFACES: List[List[str]] = [
     ["experiment", "churn", "--jobs", "1"],
     ["experiment", "population", "--jobs", "2", "--target-queries", "6000",
      "--catalog", "20000", "--cache-capacity", "500"],
-    *[["experiment", "population", "--allocation", "client-bounded",
+    *[["experiment", "population", "--allocation", policy,
        "--target-queries", "6000", "--catalog", "20000",
-       "--cache-capacity", "500", "--jobs", jobs] for jobs in ("1", "2")],
+       "--cache-capacity", "500", "--jobs", jobs]
+      for policy in ("content", "client", "client-bounded")
+      for jobs in ("1", "2")],
     *[["experiment", "population", "--districts", "2", "--target-queries",
        "6000", "--metrics-out", f"population-telemetry-jobs{jobs}.json",
        "--trace-sample", "0.05", "--window-ms", "300000", "--jobs", jobs]
@@ -492,9 +493,11 @@ ARTIFACT_SURFACES: List[List[str]] = [
     ["experiment", "churn", "--jobs", "1"],
     ["experiment", "population", "--jobs", "2", "--target-queries", "6000",
      "--catalog", "20000", "--cache-capacity", "500"],
-    *[["experiment", "population", "--allocation", "client-bounded",
+    *[["experiment", "population", "--allocation", policy,
        "--target-queries", "6000", "--catalog", "20000",
-       "--cache-capacity", "500", "--jobs", jobs] for jobs in ("1", "2")],
+       "--cache-capacity", "500", "--jobs", jobs]
+      for policy in ("content", "client", "client-bounded")
+      for jobs in ("1", "2")],
 ]
 
 #: ``bench/run.py`` replaces ``PYTHONPATH`` for its children, which would

@@ -94,6 +94,13 @@ class HashRing:
     def __len__(self) -> int:
         return len(self._points)
 
+    def lookup_table(self) -> Tuple[List[int], List[object]]:
+        """``(points, owners)`` for a caller that bisects in-line:
+        ``owners[bisect_left(points, hash_point(key))]`` is ``pick(key)``
+        of a non-empty ring (``owners`` repeats the first member at the
+        end, the wrap past the last point)."""
+        return self._points, self._members + self._members[:1]
+
     def pick(self, key: str,
              predicate: Optional[Callable[[object], bool]] = None) -> Optional[object]:
         """The first eligible member clockwise of ``key``'s hash point."""

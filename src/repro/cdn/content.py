@@ -107,8 +107,8 @@ class ZipfRankStream:
     integral are handled, including ``s = 1``).
     """
 
-    __slots__ = ("n", "exponent", "_rng", "_one_minus_s", "_logarithmic",
-                 "_total", "_cell_one")
+    __slots__ = ("n", "exponent", "_rng", "one_minus_s", "logarithmic",
+                 "total", "cell_one")
 
     def __init__(self, n: int, rng: random.Random,
                  exponent: float = 0.9) -> None:
@@ -119,21 +119,23 @@ class ZipfRankStream:
         self.n = n
         self.exponent = exponent
         self._rng = rng
-        self._one_minus_s = 1.0 - exponent
+        # The four constants below are read, never written, by the
+        # population engine, which runs next_rank's loop in-line.
+        self.one_minus_s = 1.0 - exponent
         #: Whether the envelope integral takes its s = 1 branch; decided
         #: here so the draw loops below never test for it.
-        self._logarithmic = abs(self._one_minus_s) < 1e-12
+        self.logarithmic = abs(self.one_minus_s) < 1e-12
         #: Envelope mass over [1, n+1): integral of x^(-s).
-        self._total = self._integral(float(n + 1))
+        self.total = self._integral(float(n + 1))
         #: Envelope mass over the first unit cell [1, 2) — the rejection
         #: ratio's normalizer (the ratio is maximal at rank 1).
-        self._cell_one = self._integral(2.0)
+        self.cell_one = self._integral(2.0)
 
     def _integral(self, x: float) -> float:
         """∫_1^x t^(-s) dt, with the s = 1 logarithmic branch."""
-        if self._logarithmic:
+        if self.logarithmic:
             return math.log(x)
-        return (x ** self._one_minus_s - 1.0) / self._one_minus_s
+        return (x ** self.one_minus_s - 1.0) / self.one_minus_s
 
     def next_rank(self) -> int:
         """Draw one rank in ``1..n`` (1 = most popular).
@@ -147,14 +149,14 @@ class ZipfRankStream:
         n = self.n
         if n == 1:
             return 1
-        if self._logarithmic:
+        if self.logarithmic:
             return self._next_rank_logarithmic()
         rand = self._rng.random
-        one_minus_s = self._one_minus_s
+        one_minus_s = self.one_minus_s
         inverse_power = 1.0 / one_minus_s
         minus_s = -self.exponent
-        total = self._total
-        cell_one = self._cell_one
+        total = self.total
+        cell_one = self.cell_one
         while True:
             x = (1.0 + rand() * total * one_minus_s) ** inverse_power
             k = int(x)
@@ -173,8 +175,8 @@ class ZipfRankStream:
         n = self.n
         rand = self._rng.random
         minus_s = -self.exponent
-        total = self._total
-        cell_one = self._cell_one
+        total = self.total
+        cell_one = self.cell_one
         while True:
             k = int(math.exp(rand() * total))
             if k < 1:

@@ -25,7 +25,7 @@ from typing import List, NamedTuple
 
 from repro.core.deployments import MEC_DEPLOYMENTS, build_testbed
 from repro.measure.runner import measure_deployment_queries
-from repro.netsim.latency import (Constant, Empirical, LatencyModel,
+from repro.netsim.latency import (Constant, Empirical, LogNormal,
                                   lognormal_from_median_p95)
 from repro.runtime.spec import derive_seed
 
@@ -39,12 +39,15 @@ CALIBRATION_QUERIES = 48
 INTRA_SITE_LEG: Constant = Constant(0.75)
 
 #: One-way delay to a cache at a *different* MEC site (metro backhaul,
-#: WAN-distance like the testbed's WAN C-DNS placement).
-INTER_SITE_LEG: LatencyModel = lognormal_from_median_p95(23.0, 33.0,
-                                                         shift=12.0)
+#: WAN-distance like the testbed's WAN C-DNS placement).  Declared as
+#: the LogNormal it is: the engine draws it in-line from ``mu``,
+#: ``sigma`` and ``shift``.
+INTER_SITE_LEG: LogNormal = lognormal_from_median_p95(23.0, 33.0,
+                                                      shift=12.0)
 
-#: One-way delay from a cache to the origin on a miss fill.
-ORIGIN_LEG: LatencyModel = lognormal_from_median_p95(23.0, 33.0, shift=12.0)
+#: One-way delay from a cache to the origin on a miss fill (a LogNormal,
+#: drawn in-line like the inter-site leg).
+ORIGIN_LEG: LogNormal = lognormal_from_median_p95(23.0, 33.0, shift=12.0)
 
 #: Origin service time added on a miss (ms).
 ORIGIN_SERVICE_MS = 5.0

@@ -38,15 +38,20 @@ every digest) is byte-identical with telemetry on or off.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from array import array
-from typing import Dict, List, MutableSequence, NamedTuple, Optional
+from bisect import bisect_left
+from math import exp, inf, log, log10
+from random import NV_MAGICCONST
+from typing import Dict, List, MutableSequence, NamedTuple, Optional, cast
 
 from repro import telemetry as _telemetry
 from repro.cdn.allocation import (ConsistentAllocator, HashRing,
                                   check_allocation)
 from repro.cdn.content import ZipfRankStream
-from repro.measure.histogram import LatencyHistogram
+from repro.measure.histogram import (BINS_PER_DECADE, LOW_MS,
+                                     LatencyHistogram)
 from repro.runtime.spec import derive_seed
 from repro.workload.arrivals import DiurnalProfile, NhppArrivals
 from repro.workload.caches import RankLru
@@ -62,6 +67,10 @@ from repro.workload.sessions import SessionModel
 #: Zipf traffic asks for the head over and over; the tail goes to the
 #: ring every time, so memory does not grow with the catalog.
 HEAD = 8192
+
+#: A content rank's ring key, ``%`` the rank: the bytes of
+#: ``f"obj{rank:07d}.pop.mycdn.ciab.test"``.
+CONTENT_KEY = b"obj%07d.pop.mycdn.ciab.test"
 
 
 class DistrictConfig(NamedTuple):
@@ -152,39 +161,47 @@ def merge_stats(parts: List[DistrictStats]) -> DistrictStats:
 
 
 class _Router:
-    """The district's cache-selection logic, shared-geometry with the
+    """The district's cache-selection geometry, shared with the
     production router.
+
+    Each site's ring carries the flat cache indices of that site's
+    caches, named ``site{s}-cache{c}`` for hashing, so a pick is the
+    index the engine wants, with no name to look up.
 
     **Invariant:** ring and allocator membership never changes inside a
     district, and nothing passes an eligibility predicate, so a
     selection is a pure function of (site, content key) under
     ``content`` and sticky per (site, client key) under ``client`` /
     ``client-bounded``.  That is what lets a selection be remembered:
-    :meth:`select` consults the ring once per (site, head rank) and
-    keeps the answer in :attr:`head_tables`; the engine keeps the
-    client policies' answer once per (UE, site).
+    under ``content`` the engine bisects :attr:`ring_tables` in-line,
+    once per (site, head rank), and keeps the answer in
+    :attr:`head_tables`; under the client policies it calls
+    :meth:`select` once per (UE, site).
     """
 
     def __init__(self, config: DistrictConfig) -> None:
         check_allocation(config.allocation)
-        self._allocation = config.allocation
-        names = [[f"site{site}-cache{cache}"
-                  for cache in range(config.caches_per_site)]
-                 for site in range(config.sites)]
-        self._index: Dict[str, int] = {}
-        for site, row in enumerate(names):
-            for cache, name in enumerate(row):
-                self._index[name] = site * config.caches_per_site + cache
+        per_site = config.caches_per_site
+        names = [f"site{flat // per_site}-cache{flat % per_site}"
+                 for flat in range(config.sites * per_site)]
         self._rings: List[HashRing] = [
-            HashRing(row, name_of=lambda member: str(member))
-            for row in names]
+            HashRing(range(site * per_site, (site + 1) * per_site),
+                     name_of=names.__getitem__)
+            for site in range(config.sites)]
+        #: ``client-bounded``: one allocator per site over the cache
+        #: names, and the flat index of each name.
         self._allocators: Optional[List[ConsistentAllocator]] = None
+        self._index: Dict[str, int] = {}
         if config.allocation == "client-bounded":
-            self._allocators = [ConsistentAllocator(row) for row in names]
+            self._allocators = [
+                ConsistentAllocator(names[site * per_site:
+                                          (site + 1) * per_site])
+                for site in range(config.sites)]
+            self._index = {name: flat for flat, name in enumerate(names)}
         #: Ranks ``1..head`` have a slot in every site's table.
         self.head = min(config.catalog_size, HEAD)
         # The narrowest unsigned cell that holds every flat index + 1.
-        caches = len(self._index)
+        caches = len(names)
         cell = "B" if caches < 255 else "H" if caches < 65535 else "L"
         #: Per site, ``table[rank]`` is the flat cache index + 1 that
         #: serves ``rank`` from that site, or 0 until first asked.
@@ -192,28 +209,26 @@ class _Router:
         self.head_tables: List[MutableSequence[int]] = [
             array(cell, [0]) * (self.head + 1)
             for _ in range(config.sites)]
+        #: Per site, the ring's ``(points, owners)``
+        #: (:meth:`HashRing.lookup_table`): ``owners[bisect_left(points,
+        #: point)]`` is the flat cache index at ring coordinate ``point``.
+        self.ring_tables = [ring.lookup_table() for ring in self._rings]
+        #: ``content`` only: ``head_points[rank]`` is head rank ``rank``'s
+        #: ring coordinate, hashed once per district whatever the site,
+        #: or 0 until first asked.
+        self.head_points: MutableSequence[int] = (
+            array("Q", [0]) * (self.head + 1)
+            if config.allocation == "content" else array("Q"))
 
-    def select(self, site: int, rank: int, client_key: str) -> int:
-        """The flat cache index serving this request from ``site``.
-
-        Always asks the ring (or the allocator); under ``content`` it
-        also records a head rank's answer in :attr:`head_tables`, which
-        the engine reads before calling here.
-        """
-        chosen: Optional[object]
+    def select(self, site: int, client_key: str) -> int:
+        """The flat cache index serving ``client_key`` from ``site``
+        under ``client`` or ``client-bounded``."""
         if self._allocators is not None:
-            chosen = self._allocators[site].assign(client_key)
-        elif self._allocation == "client":
-            chosen = self._rings[site].pick(client_key)
-        else:
-            chosen = self._rings[site].pick(
-                f"obj{rank:07d}.pop.mycdn.ciab.test")
+            return self._index[self._allocators[site].assign(client_key)]
+        chosen = self._rings[site].pick(client_key)
         if chosen is None:  # pragma: no cover - rings are never empty
             raise RuntimeError("empty cache ring")
-        cache_index = self._index[str(chosen)]
-        if self._allocation == "content" and rank <= self.head:
-            self.head_tables[site][rank] = cache_index + 1
-        return cache_index
+        return cast(int, chosen)
 
 
 def run_district(config: DistrictConfig, model: DeploymentModel,
@@ -226,6 +241,10 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
     in observability output (exemplar keys, span sampling salt) — pass
     something unique per trial (the population experiment uses
     ``"<deployment>/d<district>"``); it defaults to the deployment key.
+
+    Every draw is made in-line, in the order and with the floats of the
+    call it replaces; tests/workload/test_kernel_equivalence.py pins
+    each one and runs this loop against the one written with the calls.
     """
     population = Population(config.ues, config.sites, seed)
     profile = DiurnalProfile()
@@ -249,18 +268,33 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
 
     # -- kernel bindings: everything a query touches, looked up once.
     lookups = [cache.lookup for cache in caches]
-    dns_add = dns_hist.add
-    total_add = total_hist.add
-    think_time = session_model.think_time
     resolves_locally = model.localized
     by_content = config.allocation == "content"
     select = router.select
     head = router.head
     head_tables = router.head_tables
+    head_points = router.head_points
+    ring_tables = router.ring_tables
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    # Zipf ranks: ZipfRankStream.next_rank's rejection loop over each
+    # UE's ``rng.random``, from one stream's constants per district (the
+    # stream's own rng is never drawn from).  A head rank's acceptance
+    # ratio is computed once, by next_rank's expression; 0.0 is "not yet".
+    zipf = ZipfRankStream(config.catalog_size, random.Random(seed),
+                          exponent=config.zipf_exponent)
+    zipf_n = zipf.n
+    many_ranks = zipf_n > 1
+    logarithmic = zipf.logarithmic
+    one_minus_s = zipf.one_minus_s
+    inverse_power = 0.0 if logarithmic else 1.0 / one_minus_s
+    minus_s = -zipf.exponent
+    zipf_total = zipf.total
+    cell_one = zipf.cell_one
+    ratios = array("d", [0.0]) * (head + 1)
     # A DNS leg is ``rng.choice(samples)``; the loop below draws the
     # index the way ``Random.choice`` does (``getrandbits(k)`` until it
-    # is below ``n``) without the two frames.  tests/workload/
-    # test_kernel_equivalence.py pins the two stream-identical.
+    # is below ``n``) without the two frames.
     wireless_samples = model.wireless.samples
     wireless_n = len(wireless_samples)
     wireless_bits = wireless_n.bit_length()
@@ -268,10 +302,27 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
     resolver_n = len(resolver_samples)
     resolver_bits = resolver_n.bit_length()
     # Round trips to the cache and the origin: request + response legs.
-    # The intra-site leg is a Constant, so it draws nothing.
+    # The intra-site leg is a Constant, so it draws nothing.  A LogNormal
+    # leg is ``shift + exp(mu + z * sigma)`` with ``z`` from the
+    # Kinderman-Monahan loop ``Random.normalvariate`` runs.
     intra_fetch_ms = 2.0 * INTRA_SITE_LEG.value
-    inter_sample = INTER_SITE_LEG.sample
-    origin_sample = ORIGIN_LEG.sample
+    inter_mu = INTER_SITE_LEG.mu
+    inter_sigma = INTER_SITE_LEG.sigma
+    inter_shift = INTER_SITE_LEG.shift
+    origin_mu = ORIGIN_LEG.mu
+    origin_sigma = ORIGIN_LEG.sigma
+    origin_shift = ORIGIN_LEG.shift
+    # Think time, seconds between a session's requests, is
+    # ``rng.expovariate(1 / mean)``, written out.
+    think_rate = 1.0 / session_model.mean_think_s
+    # Both histograms bin in-line (LatencyHistogram.add's arithmetic);
+    # their exact fields run in locals and are written back at the end.
+    dns_counts = dns_hist.counts
+    total_counts = total_hist.counts
+    top_bin = LatencyHistogram.size - 1
+    dns_sum = total_sum = 0.0
+    dns_min = total_min = inf
+    dns_max = total_max = -inf
 
     # The observer only ever receives: nothing below reads it back, so
     # DistrictStats is identical with telemetry on or off.
@@ -287,9 +338,8 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
     for index in range(config.ues):
         ue: UserProfile = population.user(index)
         rng: random.Random = population.user_rng(ue)
+        rand = rng.random
         getrandbits = rng.getrandbits
-        next_rank = ZipfRankStream(config.catalog_size, rng,
-                                   exponent=config.zipf_exponent).next_rank
         client_key = ue.client_ip()
         #: ``client`` / ``client-bounded``: this UE's cache per site,
         #: asked for on first touch (see the _Router invariant).
@@ -307,19 +357,55 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                     site = placement.handover_site
                     handovers += 1
                     interruption = HANDOVER_INTERRUPTION_MS
-                rank = next_rank()
+
+                # The s = 1 (logarithmic) envelope is each conditional
+                # expression's first arm.
+                rank = 1
+                while many_ranks:
+                    k = int(exp(rand() * zipf_total) if logarithmic
+                            else (1.0 + rand() * zipf_total * one_minus_s)
+                            ** inverse_power)
+                    k = 1 if k < 1 else k if k <= zipf_n else zipf_n
+                    ratio = ratios[k] if k <= head else 0.0
+                    if not ratio:
+                        cell = (log(float(k + 1)) - log(float(k))
+                                if logarithmic else
+                                (float(k + 1) ** one_minus_s - 1.0)
+                                / one_minus_s
+                                - (float(k) ** one_minus_s - 1.0)
+                                / one_minus_s)
+                        ratio = (k ** minus_s) * cell_one / cell
+                        if k <= head:
+                            ratios[k] = ratio
+                    if rand() <= ratio:
+                        rank = k
+                        break
+
                 if not resolves_locally:
                     cache_index = anchor_cache
                 elif by_content:
-                    cache_index = (head_tables[site][rank] - 1
-                                   if rank <= head else -1)
-                    if cache_index < 0:
-                        cache_index = select(site, rank, client_key)
+                    # HashRing.pick on the content key, bisected in-line.
+                    if rank <= head:
+                        table = head_tables[site]
+                        cache_index = table[rank] - 1
+                        if cache_index < 0:
+                            point = head_points[rank]
+                            if not point:
+                                point = head_points[rank] = from_bytes(
+                                    sha256(CONTENT_KEY % rank).digest()[:8],
+                                    "big")
+                            points, owners = ring_tables[site]
+                            cache_index = owners[bisect_left(points, point)]
+                            table[rank] = cache_index + 1
+                    else:
+                        points, owners = ring_tables[site]
+                        cache_index = owners[bisect_left(points, from_bytes(
+                            sha256(CONTENT_KEY % rank).digest()[:8], "big"))]
                 else:
                     cache_index = ue_caches[site]
                     if cache_index < 0:
                         cache_index = ue_caches[site] = select(
-                            site, rank, client_key)
+                            site, client_key)
                 served_site = cache_index // per_site
                 hit = lookups[cache_index](rank)
                 cache_load[cache_index] += 1
@@ -337,18 +423,47 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                     localized += 1
                     fetch_ms = intra_fetch_ms
                 else:
-                    fetch_ms = 2.0 * inter_sample(rng)
+                    while True:
+                        u1 = rand()
+                        u2 = 1.0 - rand()
+                        z = NV_MAGICCONST * (u1 - 0.5) / u2
+                        if z * z / 4.0 <= -log(u2):
+                            break
+                    fetch_ms = 2.0 * (inter_shift
+                                      + exp(inter_mu + z * inter_sigma))
                 latency = dns_ms + fetch_ms
                 if hit:
                     hits += 1
                     origin_ms = 0.0
                 else:
-                    origin_ms = (2.0 * origin_sample(rng)
+                    while True:
+                        u1 = rand()
+                        u2 = 1.0 - rand()
+                        z = NV_MAGICCONST * (u1 - 0.5) / u2
+                        if z * z / 4.0 <= -log(u2):
+                            break
+                    origin_ms = (2.0 * (origin_shift
+                                        + exp(origin_mu + z * origin_sigma))
                                  + ORIGIN_SERVICE_MS)
                     latency += origin_ms
                 queries += 1
-                dns_add(dns_ms)
-                total_add(latency)
+
+                at = (int(log10(dns_ms / LOW_MS) * BINS_PER_DECADE)
+                      if dns_ms > LOW_MS else 0)
+                dns_counts[at if at < top_bin else top_bin] += 1
+                dns_sum += dns_ms
+                if dns_ms < dns_min:
+                    dns_min = dns_ms
+                if dns_ms > dns_max:
+                    dns_max = dns_ms
+                at = (int(log10(latency / LOW_MS) * BINS_PER_DECADE)
+                      if latency > LOW_MS else 0)
+                total_counts[at if at < top_bin else top_bin] += 1
+                total_sum += latency
+                if latency < total_min:
+                    total_min = latency
+                if latency > total_max:
+                    total_max = latency
 
                 if observing:
                     record((start, site, served_site, hit, dns_ms, latency,
@@ -357,13 +472,21 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                 # Think time advances the session clock; the diurnal
                 # multiplier is per-session (sessions are minutes long,
                 # buckets are hours), so the clock only gates overflow.
-                start += think_time(rng)
+                start += -log(1.0 - rand()) / think_rate
             if observing:
                 observer.session(index, ue_sessions, ue.home_site, records)
                 records.clear()
         if ue_sessions:
             active += 1
             sessions += ue_sessions
+
+    dns_hist.count = total_hist.count = queries
+    dns_hist.total = dns_sum
+    dns_hist.minimum = dns_min
+    dns_hist.maximum = dns_max
+    total_hist.total = total_sum
+    total_hist.minimum = total_min
+    total_hist.maximum = total_max
 
     if observing:
         observer.close(queries=queries, hits=hits, localized=localized,

@@ -33,7 +33,7 @@ between a session's first query and its ingest.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry import Exemplar, HeadSampler, Span, Telemetry, hash_unit
 from repro.telemetry.metrics import DEFAULT_BUCKETS, BucketCell
@@ -74,6 +74,12 @@ class _DistrictObserver:
         #: Interned once: small-int site labels recur on every span.
         self._site_strs = [str(site) for site in range(sites)]
         self._tracing = tel.tracer.sample_rate > 0.0
+        #: A query span's attrs, one dict per (hit, served_site, site),
+        #: flattened, built on first use and shared by every span with
+        #: those values.  Sharing is safe: query spans are born closed,
+        #: and ``Tracer.end`` only updates an open span's attrs.
+        self._query_attrs: List[Optional[Dict[str, str]]] = (
+            [None] * (2 * sites * sites) if self._tracing else [])
         self._sampler = HeadSampler(tel.tracer.sample_rate)
         self._salt = int(hash_unit(scope) * 9007199254740992.0)
         self._sessions = 0
@@ -227,6 +233,8 @@ class _DistrictObserver:
         tracer = self._tel.tracer
         deployment = self._deployment
         site_strs = self._site_strs
+        sites = len(site_strs)
+        query_attrs = self._query_attrs
         # Ids are built against the tracer's high-water marks, so the
         # batch lands without a remap and interleaves identically on every
         # backend.
@@ -249,12 +257,16 @@ class _DistrictObserver:
             # last.
             if span_end > session_end:
                 session_end = span_end
+            at = (hit * sites + served_site) * sites + site
+            attrs = query_attrs[at]
+            if attrs is None:
+                attrs = query_attrs[at] = {
+                    "hit": "1" if hit else "0",
+                    "served_site": site_strs[served_site],
+                    "site": site_strs[site]}
             spans.append(Span(
                 trace_id, span_id, root_id, "query", "workload",
-                deployment, t_ms, span_end,
-                {"hit": "1" if hit else "0",
-                 "served_site": site_strs[served_site],
-                 "site": site_strs[site]}))
+                deployment, t_ms, span_end, attrs))
         root.end_ms = session_end
         tracer.ingest(spans, 1, len(spans))
         self._sampled_queries += len(records)

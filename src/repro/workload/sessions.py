@@ -4,6 +4,8 @@ A *session* is one burst of CDN activity (opening an app, watching a
 few video segments): a geometrically-distributed number of requests
 separated by exponential think times.  Both draws come from the per-UE
 RNG stream, so a UE's behaviour is a pure function of its sub-seed.
+The think time, ``rng.expovariate(1 / mean_think_s)``, is drawn in-line
+by the population engine (:func:`repro.workload.engine.run_district`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 
 
 class SessionModel:
-    """Request-count and think-time draws for one session."""
+    """Request-count draws and the think-time mean for one session."""
 
     def __init__(self, mean_requests: float = 8.0,
                  mean_think_s: float = 4.0) -> None:
@@ -32,10 +34,6 @@ class SessionModel:
         while rng.random() >= self._p:
             count += 1
         return count
-
-    def think_time(self, rng: random.Random) -> float:
-        """Seconds between consecutive requests in a session."""
-        return rng.expovariate(1.0 / self.mean_think_s)
 
     def __repr__(self) -> str:
         return (f"SessionModel(mean_requests={self.mean_requests}, "

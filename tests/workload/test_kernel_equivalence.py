@@ -11,17 +11,22 @@ the kernel hands its observer, so the two are compared query for query
 as well as in aggregate.
 """
 
+import bisect
+import math
 import random
 import tracemalloc
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from array import array
+from random import NV_MAGICCONST
+from typing import Any, Dict, Iterator, List, Optional, Tuple, cast
 
 import pytest
 
 from repro import telemetry as telemetry_mod
 from repro.workload import engine
-from repro.cdn.allocation import ConsistentAllocator, HashRing
+from repro.cdn.allocation import ConsistentAllocator, HashRing, hash_point
 from repro.cdn.content import ZipfRankStream
-from repro.measure.histogram import LatencyHistogram
+from repro.measure.histogram import BINS_PER_DECADE, LOW_MS, LatencyHistogram
+from repro.netsim.latency import LogNormal
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.workload.arrivals import DiurnalProfile, NhppArrivals
 from repro.workload.caches import RankLru
@@ -156,7 +161,7 @@ def reference_run_district(config: DistrictConfig, model: DeploymentModel,
                 records.append((start, site, served_site, hit, dns_ms,
                                 latency, wireless_ms, resolver_ms,
                                 interruption, fetch_ms, origin_ms))
-                start += session_model.think_time(rng)
+                start += rng.expovariate(1 / config.mean_think_s)
             handed_over.append((index, ue_sessions, ue.home_site, records))
         if ue_sessions:
             active += 1
@@ -259,6 +264,9 @@ class TestRunDistrictMatchesTheReference:
     # Catalogs below, at and above HEAD: every rank has a memo slot in
     # the first three, most of the last one's ranks do not.
     CATALOGS = (50, 2_000, HEAD, 50_000)
+    # Exponents beside BASE's 0.9, on a content / 4-site slice: 1.0
+    # takes the sampler's logarithmic branch, 1.2 its s > 1 envelope.
+    EXPONENTS = (0.5, 1.0, 1.2)
 
     def grid(self) -> Iterator[Tuple[DistrictConfig, str, int]]:
         for allocation in ("content", "client", "client-bounded"):
@@ -270,6 +278,13 @@ class TestRunDistrictMatchesTheReference:
                                                  sites=sites,
                                                  catalog_size=catalog),
                                    which, seed)
+        for exponent in self.EXPONENTS:
+            for which in ("localized", "blind"):
+                for catalog in (2_000, 50_000):
+                    for seed in (3, 7, 11):
+                        yield (BASE._replace(zipf_exponent=exponent,
+                                             catalog_size=catalog),
+                               which, seed)
 
     def test_the_grid_straddles_head(self) -> None:
         assert self.CATALOGS[0] < HEAD < self.CATALOGS[-1]
@@ -280,7 +295,7 @@ class TestRunDistrictMatchesTheReference:
             observers: Optional[List[RecordingObserver]] = None) -> None:
         for config, which, seed in self.grid():
             where = (config.allocation, which, config.sites,
-                     config.catalog_size, seed)
+                     config.catalog_size, config.zipf_exponent, seed)
             expected, sessions = reference_run_district(
                 config, models[which], seed)
             assert expected.queries > 100
@@ -329,6 +344,29 @@ class TestRunDistrictMatchesTheReference:
         assert sum(rank > HEAD for rank in stream.ranks(1000)) > 50
 
 
+def ring_select(router: _Router, site: int, rank: int) -> int:
+    """The kernel's in-line content selection: bisect the site's ring
+    table at the rank's content-key hash."""
+    points, owners = router.ring_tables[site]
+    return cast(int, owners[bisect.bisect_left(
+        points, hash_point(f"obj{rank:07d}.pop.mycdn.ciab.test"))])
+
+
+def district_router(config: DistrictConfig, model: DeploymentModel,
+                    monkeypatch: pytest.MonkeyPatch) -> _Router:
+    """Run one district and return the router it filled."""
+    routers: List[_Router] = []
+
+    def capture(config: DistrictConfig) -> _Router:
+        routers.append(_Router(config))
+        return routers[-1]
+
+    monkeypatch.setattr(engine, "_Router", capture)
+    run_district(config, model, 7)
+    (router,) = routers
+    return router
+
+
 class TestRouterMemo:
     @pytest.mark.parametrize("allocation",
                              ["content", "client", "client-bounded"])
@@ -338,60 +376,102 @@ class TestRouterMemo:
         # changes who is on a ring, so asking twice answers the same.
         config = BASE._replace(allocation=allocation, catalog_size=50_000)
         router = _Router(config)
+        per_site = config.caches_per_site
 
-        def members(ring: Any) -> List[str]:
-            return sorted(str(member) for member in ring.walk("k"))
+        def members(ring: Any) -> List[object]:
+            return sorted(ring.walk("k"))
 
         before = [members(ring) for ring in router._rings]
-        for site, names in enumerate(before):
-            assert names == sorted(
-                name for name, index in router._index.items()
-                if index // config.caches_per_site == site)
+        assert before == [list(range(site * per_site, (site + 1) * per_site))
+                          for site in range(config.sites)]
         clients = [f"10.64.0.{index}" for index in range(60)]
         ranks = [1, 2, 17, HEAD - 1, HEAD, HEAD + 1, 49_999]
-        first = {(site, rank, client): router.select(site, rank, client)
-                 for site in range(config.sites)
-                 for rank in ranks for client in clients}
-        for (site, rank, client), chosen in first.items():
-            assert router.select(site, rank, client) == chosen
-            assert chosen // config.caches_per_site == site
+        if allocation == "content":
+            first = {(site, rank): ring_select(router, site, rank)
+                     for site in range(config.sites) for rank in ranks}
+            again = {key: ring_select(router, *key) for key in first}
+        else:
+            first = {(site, client): router.select(site, client)
+                     for site in range(config.sites) for client in clients}
+            again = {key: router.select(*key) for key in first}
+        assert again == first
+        assert all(chosen // per_site == key[0]
+                   for key, chosen in first.items())
         assert [members(ring) for ring in router._rings] == before
         if router._allocators is not None:
             for site, allocator in enumerate(router._allocators):
-                assert members(allocator._ring) == before[site]
+                assert sorted(router._index[name] for name
+                              in allocator._ring.walk("k")) == before[site]
 
-    def test_head_table_records_what_the_ring_answered(self) -> None:
-        config = BASE._replace(catalog_size=50_000)
+    @pytest.mark.parametrize("allocation",
+                             ["content", "client", "client-bounded"])
+    def test_selection_is_the_reference_routers(self,
+                                                allocation: str) -> None:
+        config = BASE._replace(allocation=allocation, catalog_size=50_000)
         router = _Router(config)
         reference = ReferenceRouter(config)
         for site in range(config.sites):
-            assert not any(router.head_tables[site])
-            for rank in (1, 5, HEAD, HEAD + 1):
-                chosen = router.select(site, rank, "10.64.0.1")
-                assert chosen == reference.select(
-                    site, f"obj{rank:07d}.pop.mycdn.ciab.test", "10.64.0.1")
-                if rank <= HEAD:
-                    assert router.head_tables[site][rank] == chosen + 1
-            assert len(router.head_tables[site]) == HEAD + 1
+            for rank in (1, 5, HEAD, HEAD + 1, 49_999):
+                key = f"obj{rank:07d}.pop.mycdn.ciab.test"
+                client = f"10.64.0.{rank % 256}"
+                if allocation == "content":
+                    chosen = ring_select(router, site, rank)
+                else:
+                    chosen = router.select(site, client)
+                assert chosen == reference.select(site, key, client)
 
-    def test_client_policies_leave_the_head_tables_empty(self) -> None:
-        router = _Router(BASE._replace(allocation="client"))
-        router.select(0, 1, "10.64.0.1")
-        assert not any(router.head_tables[0])
+    def test_tables_hold_what_the_ring_answered(
+            self, models: Dict[str, DeploymentModel],
+            monkeypatch: pytest.MonkeyPatch) -> None:
+        config = BASE._replace(catalog_size=50_000)
+        router = district_router(config, models["localized"], monkeypatch)
+        reference = ReferenceRouter(config)
+        asked = 0
+        for site, table in enumerate(router.head_tables):
+            assert len(table) == HEAD + 1
+            for rank in range(1, HEAD + 1):
+                if table[rank]:
+                    asked += 1
+                    assert table[rank] - 1 == reference.select(
+                        site, f"obj{rank:07d}.pop.mycdn.ciab.test", "")
+        assert asked > 100
+        points = router.head_points
+        assert len(points) == HEAD + 1
+        for rank in range(1, HEAD + 1):
+            if points[rank]:
+                assert points[rank] == hash_point(
+                    f"obj{rank:07d}.pop.mycdn.ciab.test")
+        # A rank is hashed once whatever the site that asked first.
+        assert {rank for rank in range(1, HEAD + 1) if points[rank]} == {
+            rank for table in router.head_tables
+            for rank in range(1, HEAD + 1) if table[rank]}
+
+    @pytest.mark.parametrize("allocation", ["client", "client-bounded"])
+    def test_client_policies_leave_the_head_tables_empty(
+            self, allocation: str, models: Dict[str, DeploymentModel],
+            monkeypatch: pytest.MonkeyPatch) -> None:
+        router = district_router(BASE._replace(allocation=allocation),
+                                 models["localized"], monkeypatch)
+        assert not any(any(table) for table in router.head_tables)
+        assert len(router.head_points) == 0
 
     def test_table_is_no_longer_than_the_catalog(self) -> None:
         router = _Router(BASE._replace(catalog_size=50))
         assert router.head == 50
         assert all(len(table) == 51 for table in router.head_tables)
+        assert len(router.head_points) == 51
 
     def test_wide_districts_get_wider_cells(self) -> None:
         config = BASE._replace(sites=64, caches_per_site=4, catalog_size=300)
         router = _Router(config)
         last = config.sites - 1
-        chosen = {router.select(last, rank, "") for rank in range(1, 301)}
+        table = router.head_tables[last]
+        chosen = set()
+        for rank in range(1, 301):
+            chosen.add(ring_select(router, last, rank))
+            table[rank] = ring_select(router, last, rank) + 1
         assert max(chosen) >= 255
-        assert {router.head_tables[last][rank] - 1
-                for rank in range(1, 301)} == chosen
+        assert {table[rank] - 1 for rank in range(1, 301)} == chosen
 
     def test_memo_memory_is_independent_of_catalog_size(self) -> None:
         config = BASE._replace(catalog_size=10 ** 7)
@@ -428,3 +508,118 @@ class TestChoiceStreamPin:
             assert drawn == [by_choice.choice(population)
                              for _ in range(10_000)], n
             assert by_bits.getstate() == by_choice.getstate(), n
+
+
+def inline_ranks(stream: ZipfRankStream, rng: random.Random,
+                 count: int) -> List[int]:
+    """``count`` ranks by the kernel's in-line Zipf loop: ``stream``'s
+    constants, ``rng``'s draws and a lazily filled ratio table."""
+    rand = rng.random
+    head = min(stream.n, HEAD)
+    ratios = array("d", [0.0]) * (head + 1)
+    one_minus_s = stream.one_minus_s
+    inverse_power = 0.0 if stream.logarithmic else 1.0 / one_minus_s
+    ranks = []
+    for _ in range(count):
+        rank = 1
+        while stream.n > 1:
+            if stream.logarithmic:
+                k = int(math.exp(rand() * stream.total))
+            else:
+                k = int((1.0 + rand() * stream.total * one_minus_s)
+                        ** inverse_power)
+            k = min(max(k, 1), stream.n)
+            ratio = ratios[k] if k <= head else 0.0
+            if not ratio:
+                if stream.logarithmic:
+                    cell = math.log(float(k + 1)) - math.log(float(k))
+                else:
+                    cell = ((float(k + 1) ** one_minus_s - 1.0) / one_minus_s
+                            - (float(k) ** one_minus_s - 1.0) / one_minus_s)
+                ratio = (k ** -stream.exponent) * stream.cell_one / cell
+                if k <= head:
+                    ratios[k] = ratio
+            if rand() <= ratio:
+                rank = k
+                break
+        ranks.append(rank)
+    return ranks
+
+
+def inline_bin(counts: List[int], value_ms: float) -> None:
+    """The kernel's in-line histogram bin."""
+    top_bin = LatencyHistogram.size - 1
+    if value_ms <= LOW_MS:
+        counts[0] += 1
+    else:
+        at = int(math.log10(value_ms / LOW_MS) * BINS_PER_DECADE)
+        counts[at if at < top_bin else top_bin] += 1
+
+
+class TestInlineDrawPins:
+    """Each draw ``run_district`` writes out, against the call it
+    replaces: the same values and the same RNG state afterwards, so a
+    CPython that changes one of these calls fails here by name before
+    any digest moves."""
+
+    @pytest.mark.parametrize("exponent", [0.5, 0.9, 1.0, 1.2])
+    @pytest.mark.parametrize("n", [1, 2, 50, HEAD, 100_000])
+    def test_zipf_loop_is_next_rank(self, n: int, exponent: float) -> None:
+        by_method = random.Random(n)
+        by_loop = random.Random(n)
+        stream = ZipfRankStream(n, by_method, exponent=exponent)
+        expected = list(stream.ranks(5_000))
+        assert inline_ranks(stream, by_loop, 5_000) == expected
+        assert by_loop.getstate() == by_method.getstate()
+
+    @pytest.mark.parametrize("leg", [INTER_SITE_LEG, ORIGIN_LEG],
+                             ids=["inter_site", "origin"])
+    def test_lognormal_loop_is_sample(self, leg: LogNormal) -> None:
+        # Random.lognormvariate is exp(normalvariate), and normalvariate
+        # is this Kinderman-Monahan loop in 3.10 through 3.13.
+        by_sample = random.Random(5)
+        by_loop = random.Random(5)
+        rand = by_loop.random
+        drawn = []
+        for _ in range(10_000):
+            while True:
+                u1 = rand()
+                u2 = 1.0 - rand()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -math.log(u2):
+                    break
+            drawn.append(leg.shift + math.exp(leg.mu + z * leg.sigma))
+        assert drawn == [leg.sample(by_sample) for _ in range(10_000)]
+        assert by_loop.getstate() == by_sample.getstate()
+
+    @pytest.mark.parametrize("mean_s", [BASE.mean_think_s, 0.3, 30.0])
+    def test_exponential_is_expovariate(self, mean_s: float) -> None:
+        by_call = random.Random(9)
+        by_hand = random.Random(9)
+        rate = 1.0 / mean_s
+        drawn = [-math.log(1.0 - by_hand.random()) / rate
+                 for _ in range(10_000)]
+        assert drawn == [by_call.expovariate(1 / mean_s)
+                         for _ in range(10_000)]
+        assert by_hand.getstate() == by_call.getstate()
+
+    def test_inline_bin_is_add(self) -> None:
+        # Every edge of the grid (the 256 bins have 257), one ulp either
+        # side, the floor, and values far past the top edge.
+        values = [0.0, 1e-9, LOW_MS, 1e7, 1e12, 1e300]
+        for index in range(LatencyHistogram.size + 1):
+            edge = LOW_MS * 10.0 ** (index / BINS_PER_DECADE)
+            values += [math.nextafter(edge, 0.0), edge,
+                       math.nextafter(edge, math.inf)]
+        for value in values:
+            counts = [0] * LatencyHistogram.size
+            inline_bin(counts, value)
+            hist = LatencyHistogram()
+            hist.add(value)
+            assert counts == hist.counts, value
+
+    def test_content_key_is_the_f_string(self) -> None:
+        for rank in (1, 9, 10, 8_191, 8_192, 999_999, 9_999_999,
+                     10 ** 7, 10 ** 7 + 1, 123_456_789, 2 ** 40):
+            assert engine.CONTENT_KEY % rank == \
+                f"obj{rank:07d}.pop.mycdn.ciab.test".encode(), rank

@@ -11,6 +11,7 @@ cuts of each window's values, and their sum in arrival order.
 
 from bisect import bisect_right
 from functools import reduce
+from itertools import product
 from operator import add
 
 import pytest
@@ -132,6 +133,28 @@ def test_the_sampled_session_is_one_trace(tel):
     # its last one.
     assert (root.start_ms, root.end_ms) == (900.0, 1270.0)
     assert tel.tracer.id_offsets() == (1, 4)
+
+
+def test_query_spans_with_equal_attrs_share_one_dict():
+    # Every session kept, over three sites: each (hit, served_site, site)
+    # has one attrs dict, built once and shared by every span with it.
+    tel = Telemetry.from_config(CONFIG._replace(trace_sample=1.0))
+    observer = _DistrictObserver(tel, 3, DEPLOYMENT, SCOPE)
+    keys = list(product((True, False), range(3), range(3)))
+    for ordinal in (1, 2):
+        observer.session(0, ordinal, 0, [
+            record(0.01 * index, site, served_site, hit)
+            for index, (hit, served_site, site) in enumerate(keys)])
+    shared = {}
+    for span in tel.tracer.finished:
+        if span.name == "query":
+            key = (span.attrs["hit"], span.attrs["served_site"],
+                   span.attrs["site"])
+            assert shared.setdefault(key, span.attrs) is span.attrs
+    assert sorted(shared) == sorted(
+        ("1" if hit else "0", str(served_site), str(site))
+        for hit, served_site, site in keys)
+    assert all(len(attrs) == 3 for attrs in shared.values())
 
 
 def test_unsampled_queries_are_counted_not_lost(tel):

