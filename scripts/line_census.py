@@ -64,8 +64,10 @@ from tests.static import index  # noqa: E402  (the one module index)
 #: it when a change deletes lines or a surface starts running them; never
 #: raise it to fit one.  Lowered by one when CI began running
 #: ``--allocation client`` (``_Router.select``'s client-ring line); three
-#: runs then read 922, 924 and 922.
-CEILING = 925
+#: runs then read 922, 924 and 922.  Lowered to 921 when the population
+#: kernel took in the per-UE draw methods and CI began running
+#: ``--sites 1`` and ``--sites 2``; two runs then read 919 and 919.
+CEILING = 921
 
 #: Outside the gate: the message classes are ROADMAP item 2's to fold, and
 #: ``__repr__`` / ``__str__`` are for a person at a debugger.
@@ -372,8 +374,6 @@ CLASSES: Dict[str, Tuple[Union[str, int], str]] = {
     "src/repro/workload/engine.py::DistrictStats.load_imbalance": (
         "a", "degenerate"),
     "src/repro/workload/engine.py::merge_stats": ("a", "degenerate"),
-    "src/repro/workload/mobility.py::MobilityModel.place_session": (
-        "a", "degenerate"),
     # -- parameters only tests set -------------------------------------------
     # Tests are not callers (tests/test_surface_census.py): a defaulted
     # parameter no code outside tests/ sets is a constant, unless it is one
@@ -470,6 +470,10 @@ SURFACES: List[List[str]] = [
        "--cache-capacity", "500", "--jobs", jobs]
       for policy in ("content", "client", "client-bounded")
       for jobs in ("1", "2")],
+    *[["experiment", "population", "--sites", sites,
+       "--target-queries", "6000", "--catalog", "20000",
+       "--cache-capacity", "500", "--jobs", jobs]
+      for sites in ("1", "2") for jobs in ("1", "2")],
     *[["experiment", "population", "--districts", "2", "--target-queries",
        "6000", "--metrics-out", f"population-telemetry-jobs{jobs}.json",
        "--trace-sample", "0.05", "--window-ms", "300000", "--jobs", jobs]
@@ -498,6 +502,10 @@ ARTIFACT_SURFACES: List[List[str]] = [
        "--cache-capacity", "500", "--jobs", jobs]
       for policy in ("content", "client", "client-bounded")
       for jobs in ("1", "2")],
+    *[["experiment", "population", "--sites", sites,
+       "--target-queries", "6000", "--catalog", "20000",
+       "--cache-capacity", "500", "--jobs", jobs]
+      for sites in ("1", "2") for jobs in ("1", "2")],
 ]
 
 #: ``bench/run.py`` replaces ``PYTHONPATH`` for its children, which would

@@ -1,6 +1,6 @@
 """Deterministic trace sampling and tail-exemplar capture.
 
-Population-scale runs (:mod:`repro.workload.engine`) stream 10^6+
+City-scale district runs (:mod:`repro.workload.engine`) stream 10^6+
 queries; retaining a span tree per query is out of the question, and
 drawing a random number per query to decide what to keep would change
 the RNG stream — breaking the byte-identical replay contract.  Both

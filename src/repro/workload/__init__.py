@@ -2,10 +2,10 @@
 users" layer).
 
 Generates city-scale traffic against the Figure 5 deployments without
-per-query record lists or per-item weight tables:
+per-query record lists or per-item weight tables.  The model modules
+hold each model's parameters and validation; the engine draws from them
+in-line, per UE, per session and per query:
 
-* :mod:`repro.workload.population` — UEs as pure functions of
-  ``(seed, index)`` via ``derive_seed``; O(1) memory per district.
 * :mod:`repro.workload.arrivals` — diurnal non-homogeneous Poisson
   session arrivals by Lewis-Shedler thinning.
 * :mod:`repro.workload.sessions` — geometric requests-per-session and
@@ -17,7 +17,8 @@ per-query record lists or per-item weight tables:
   content ranks.
 * :mod:`repro.workload.deployment` — latency models calibrated from
   full-fidelity testbed measurements, shard-independently.
-* :mod:`repro.workload.engine` — districts (the sharding unit), the
+* :mod:`repro.workload.engine` — districts (the sharding unit), UEs as
+  pure functions of ``(seed, index)`` (O(1) memory per district), the
   shared-geometry consistent-hash router, and streaming aggregation
   into mergeable histograms and exact counters.
 * :mod:`repro.workload.observer` — what a district reports beside its

@@ -7,15 +7,16 @@ rate function is Lewis & Shedler's *thinning*: draw candidate arrivals
 from a homogeneous process at the peak rate, then accept each candidate
 with probability ``rate(t) / rate_max``.  Acceptance uses one extra
 uniform per candidate, so the draw stays O(1) memory and every accepted
-time is an exact sample of the target process.
+time is an exact sample of the target process.  The population engine
+runs that loop in-line (:func:`repro.workload.engine.run_district`) from
+:class:`NhppArrivals`' envelope and hourly rates.
 """
 
 from __future__ import annotations
 
-import random
 from functools import reduce
 from operator import add
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 #: Hour-of-day activity multipliers for a generic mobile population:
 #: overnight trough around 04:00, a morning shoulder, and the evening
@@ -55,12 +56,13 @@ class DiurnalProfile:
 
 
 class NhppArrivals:
-    """Session start times from a diurnally-modulated Poisson process.
+    """The rates of a diurnally-modulated Poisson process of session
+    starts.
 
     ``mean_rate_per_s`` is the *day-average* arrival rate; the
-    instantaneous rate is ``mean_rate_per_s * multiplier(t) /
-    profile.mean``, so a flat profile degrades exactly to a homogeneous
-    process at the requested rate.
+    instantaneous rate is ``scale * multiplier(t)``, with ``scale =
+    mean_rate_per_s / profile.mean``, so a flat profile degrades exactly
+    to a homogeneous process at the requested rate.
     """
 
     def __init__(self, mean_rate_per_s: float,
@@ -70,29 +72,7 @@ class NhppArrivals:
                 f"arrival rate must be positive, got {mean_rate_per_s}")
         self.mean_rate_per_s = mean_rate_per_s
         self.profile = profile
-        #: Instantaneous-rate scale: rate(t) = _scale * multiplier(t).
-        self._scale = mean_rate_per_s / profile.mean
+        #: Instantaneous-rate scale: rate(t) = scale * multiplier(t).
+        self.scale = mean_rate_per_s / profile.mean
         #: Thinning envelope: the maximum instantaneous rate.
-        self.rate_max = self._scale * profile.peak
-
-    def rate_at(self, t_seconds: float) -> float:
-        """The instantaneous arrival rate at ``t_seconds``."""
-        return self._scale * self.profile.multiplier(t_seconds)
-
-    def times(self, rng: random.Random, duration_s: float,
-              start_s: float = 0.0) -> Iterator[float]:
-        """Yield arrival times in ``[start_s, start_s + duration_s)``.
-
-        Lewis-Shedler thinning: candidates at ``rate_max``, each kept
-        with probability ``rate(t) / rate_max``.
-        """
-        if duration_s < 0:
-            raise ValueError(f"negative duration {duration_s}")
-        t = start_s
-        end = start_s + duration_s
-        while True:
-            t += rng.expovariate(self.rate_max)
-            if t >= end:
-                return
-            if rng.random() * self.rate_max <= self.rate_at(t):
-                yield t
+        self.rate_max = self.scale * profile.peak

@@ -53,14 +53,14 @@ from repro.cdn.content import ZipfRankStream
 from repro.measure.histogram import (BINS_PER_DECADE, LOW_MS,
                                      LatencyHistogram)
 from repro.runtime.spec import derive_seed
-from repro.workload.arrivals import DiurnalProfile, NhppArrivals
+from repro.workload.arrivals import (SECONDS_PER_DAY, SECONDS_PER_HOUR,
+                                     DiurnalProfile, NhppArrivals)
 from repro.workload.caches import RankLru
 from repro.workload.deployment import (INTER_SITE_LEG, INTRA_SITE_LEG,
                                        ORIGIN_LEG, ORIGIN_SERVICE_MS,
                                        DeploymentModel)
 from repro.workload.mobility import HANDOVER_INTERRUPTION_MS, MobilityModel
 from repro.workload.observer import QueryRecord, _DistrictObserver
-from repro.workload.population import Population, UserProfile
 from repro.workload.sessions import SessionModel
 
 #: Content ranks whose cache selection a district remembers per site.
@@ -203,12 +203,13 @@ class _Router:
         # The narrowest unsigned cell that holds every flat index + 1.
         caches = len(names)
         cell = "B" if caches < 255 else "H" if caches < 65535 else "L"
-        #: Per site, ``table[rank]`` is the flat cache index + 1 that
-        #: serves ``rank`` from that site, or 0 until first asked.
-        #: O(sites × HEAD) whatever the catalog size.
+        by_content = config.allocation == "content"
+        #: ``content`` only: per site, ``table[rank]`` is the flat cache
+        #: index + 1 that serves ``rank`` from that site, or 0 until
+        #: first asked.  O(sites × HEAD) whatever the catalog size.
         self.head_tables: List[MutableSequence[int]] = [
             array(cell, [0]) * (self.head + 1)
-            for _ in range(config.sites)]
+            for _ in range(config.sites)] if by_content else []
         #: Per site, the ring's ``(points, owners)``
         #: (:meth:`HashRing.lookup_table`): ``owners[bisect_left(points,
         #: point)]`` is the flat cache index at ring coordinate ``point``.
@@ -217,8 +218,7 @@ class _Router:
         #: ring coordinate, hashed once per district whatever the site,
         #: or 0 until first asked.
         self.head_points: MutableSequence[int] = (
-            array("Q", [0]) * (self.head + 1)
-            if config.allocation == "content" else array("Q"))
+            array("Q", [0]) * (self.head + 1) if by_content else array("Q"))
 
     def select(self, site: int, client_key: str) -> int:
         """The flat cache index serving ``client_key`` from ``site``
@@ -244,9 +244,13 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
 
     Every draw is made in-line, in the order and with the floats of the
     call it replaces; tests/workload/test_kernel_equivalence.py pins
-    each one and runs this loop against the one written with the calls.
+    each one and runs this loop against the one written with the calls
+    (tests/workload/reference.py holds those calls).
     """
-    population = Population(config.ues, config.sites, seed)
+    if config.ues < 1:
+        raise ValueError(f"population needs >= 1 UE, got {config.ues}")
+    if config.sites < 1:
+        raise ValueError(f"population needs >= 1 site, got {config.sites}")
     profile = DiurnalProfile()
     arrivals = NhppArrivals(
         config.sessions_per_ue_hour / 3600.0, profile)
@@ -277,11 +281,44 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
     ring_tables = router.ring_tables
     sha256 = hashlib.sha256
     from_bytes = int.from_bytes
+    # A UE's stream: the one Random below, re-seeded with the UE's seed.
+    # Random.seed(s) leaves the state Random(s) starts in, gauss_next
+    # included, and the bound methods follow the re-seeded state.
+    rng = random.Random(seed)
+    reseed = rng.seed
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    # A UE's seed and home site are derive_seed(seed, "ue" / "home",
+    # index): sha256 of ``f"{seed}:ue:{index}"``, first 8 bytes.  Each
+    # prefix is hashed once here and copied per UE.
+    ue_prefix = sha256(f"{seed}:ue:".encode())
+    home_prefix = sha256(f"{seed}:home:".encode())
+    sites = config.sites
+    # Session arrivals: NhppArrivals' Lewis-Shedler thinning, candidates
+    # ``expovariate(rate_max)`` apart, each kept when ``rand() *
+    # rate_max`` is at most the rate of the candidate's hour of the day.
+    rate_max = arrivals.rate_max
+    hour_rates = [arrivals.scale * level for level in profile.hourly]
+    start_s = config.start_s
+    end_s = start_s + config.duration_s
+    # Requests per session: 1 + the failures before the first draw below
+    # ``session_model.p`` (geometric).
+    request_p = session_model.p
+    # Placement: a session starts away from home with move_p, and hands
+    # over mid-session with handover_p; the other site is
+    # ``randrange(sites - 1)`` past the current one, and randrange(n) is
+    # Random._randbelow's ``getrandbits(n.bit_length())`` until below n.
+    # One site draws nothing.
+    move_p = mobility.move_probability
+    handover_p = mobility.handover_probability
+    others = sites - 1
+    other_bits = others.bit_length()
     # Zipf ranks: ZipfRankStream.next_rank's rejection loop over each
-    # UE's ``rng.random``, from one stream's constants per district (the
-    # stream's own rng is never drawn from).  A head rank's acceptance
-    # ratio is computed once, by next_rank's expression; 0.0 is "not yet".
-    zipf = ZipfRankStream(config.catalog_size, random.Random(seed),
+    # UE's ``rand``, from one stream's constants per district (the
+    # stream's own rng, the Random above, is only ever re-seeded).  A
+    # head rank's acceptance ratio is computed once, by next_rank's
+    # expression; 0.0 is "not yet".
+    zipf = ZipfRankStream(config.catalog_size, rng,
                           exponent=config.zipf_exponent)
     zipf_n = zipf.n
     many_ranks = zipf_n > 1
@@ -335,26 +372,60 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
         records: List[QueryRecord] = []
         record = records.append
 
+    if config.duration_s < 0:
+        raise ValueError(f"negative duration {config.duration_s}")
     for index in range(config.ues):
-        ue: UserProfile = population.user(index)
-        rng: random.Random = population.user_rng(ue)
-        rand = rng.random
-        getrandbits = rng.getrandbits
-        client_key = ue.client_ip()
+        digits = str(index).encode()
+        hashed = ue_prefix.copy()
+        hashed.update(digits)
+        reseed(from_bytes(hashed.digest()[:8], "big"))
+        hashed = home_prefix.copy()
+        hashed.update(digits)
+        home_site = from_bytes(hashed.digest()[:8], "big") % sites
         #: ``client`` / ``client-bounded``: this UE's cache per site,
         #: asked for on first touch (see the _Router invariant).
-        ue_caches = [-1] * config.sites
+        ue_caches = [-1] * sites
         ue_sessions = 0
-        for start in arrivals.times(rng, config.duration_s,
-                                    start_s=config.start_s):
-            requests = session_model.request_count(rng)
-            placement = mobility.place_session(rng, ue.home_site, requests)
-            site = placement.site
+        arrival = start_s
+        while True:
+            arrival += -log(1.0 - rand()) / rate_max
+            if arrival >= end_s:
+                break
+            if rand() * rate_max > hour_rates[
+                    int((arrival % SECONDS_PER_DAY) // SECONDS_PER_HOUR)]:
+                continue
+            requests = 1
+            while rand() >= request_p:
+                requests += 1
+            handover_at = -1
+            if sites == 1:
+                site = handover_site = 0
+            else:
+                site = home_site
+                if move_p > 0 and rand() < move_p:
+                    pick = getrandbits(other_bits)
+                    while pick >= others:
+                        pick = getrandbits(other_bits)
+                    site = pick if pick < home_site else pick + 1
+                handover_site = site
+                if (requests > 1 and handover_p > 0
+                        and rand() < handover_p):
+                    pick = getrandbits(other_bits)
+                    while pick >= others:
+                        pick = getrandbits(other_bits)
+                    handover_site = pick if pick < site else pick + 1
+                    span = requests - 1
+                    bits = span.bit_length()
+                    pick = getrandbits(bits)
+                    while pick >= span:
+                        pick = getrandbits(bits)
+                    handover_at = 1 + pick
+            start = arrival
             ue_sessions += 1
             for ordinal in range(requests):
                 interruption = 0.0
-                if ordinal == placement.handover_at:
-                    site = placement.handover_site
+                if ordinal == handover_at:
+                    site = handover_site
                     handovers += 1
                     interruption = HANDOVER_INTERRUPTION_MS
 
@@ -404,8 +475,10 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                 else:
                     cache_index = ue_caches[site]
                     if cache_index < 0:
+                        # The client key: the UE's synthetic address.
                         cache_index = ue_caches[site] = select(
-                            site, client_key)
+                            site, f"10.{64 + (index >> 16) % 64}."
+                            f"{(index >> 8) & 0xFF}.{index & 0xFF}")
                 served_site = cache_index // per_site
                 hit = lookups[cache_index](rank)
                 cache_load[cache_index] += 1
@@ -474,7 +547,7 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                 # buckets are hours), so the clock only gates overflow.
                 start += -log(1.0 - rand()) / think_rate
             if observing:
-                observer.session(index, ue_sessions, ue.home_site, records)
+                observer.session(index, ue_sessions, home_site, records)
                 records.clear()
         if ue_sessions:
             active += 1

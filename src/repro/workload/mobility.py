@@ -12,23 +12,10 @@ the place where handover composes with zone propagation delays.
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple
-
 #: One-off added latency (ms) on the first request after an intra-
 #: session handover: the X2 detach/attach gap the packet-level
 #: HandoffController imposes before new traffic flows.
 HANDOVER_INTERRUPTION_MS = 50.0
-
-
-class SessionPlacement(NamedTuple):
-    """Where one session runs, and whether it moves mid-flight."""
-
-    site: int
-    #: Site after the mid-session handover, == ``site`` when none fires.
-    handover_site: int
-    #: Request ordinal at which the handover lands (-1 = no handover).
-    handover_at: int
 
 
 class MobilityModel:
@@ -38,6 +25,16 @@ class MobilityModel:
     UE's home site (commuting); ``handover_probability`` is the chance
     the UE crosses a site boundary *during* the session, which both
     relocates its remaining requests and charges one interruption.
+
+    The population engine (:func:`repro.workload.engine.run_district`)
+    draws a session's placement in-line from the UE's stream: one
+    ``random()`` against ``move_probability`` (when it is above 0), and
+    for a session of more than one request one against
+    ``handover_probability`` (when it is above 0); a move or handover
+    goes to a uniformly drawn other site, and a handover lands on a
+    uniformly drawn request after the first.  A single-site population
+    draws nothing, so the same seeds replay identically when the site
+    count changes.
     """
 
     def __init__(self, sites: int,
@@ -52,33 +49,6 @@ class MobilityModel:
         self.sites = sites
         self.move_probability = move_probability
         self.handover_probability = handover_probability
-
-    def _other_site(self, rng: random.Random, current: int) -> int:
-        """A uniformly-drawn site different from ``current``."""
-        pick = rng.randrange(self.sites - 1)
-        return pick if pick < current else pick + 1
-
-    def place_session(self, rng: random.Random, home_site: int,
-                      requests: int) -> SessionPlacement:
-        """Draw one session's placement from the UE's RNG stream.
-
-        Single-site populations short-circuit: nobody can move, and no
-        RNG is consumed, so the same seeds replay identically when the
-        site count changes.
-        """
-        if self.sites == 1:
-            return SessionPlacement(site=0, handover_site=0, handover_at=-1)
-        site = home_site
-        if self.move_probability > 0 and rng.random() < self.move_probability:
-            site = self._other_site(rng, home_site)
-        handover_site = site
-        handover_at = -1
-        if (requests > 1 and self.handover_probability > 0
-                and rng.random() < self.handover_probability):
-            handover_site = self._other_site(rng, site)
-            handover_at = 1 + rng.randrange(requests - 1)
-        return SessionPlacement(site=site, handover_site=handover_site,
-                                handover_at=handover_at)
 
     def __repr__(self) -> str:
         return (f"MobilityModel({self.sites} sites, "

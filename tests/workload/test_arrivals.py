@@ -2,7 +2,10 @@
 
 The load-bearing claim: Lewis-Shedler thinning produces, per diurnal
 hour bucket, an empirical arrival rate matching the profile — so the
-population engine's "evening window" really is evening traffic.
+population engine's "evening window" really is evening traffic.  The
+engine thins in-line; the loop is tested here as
+``tests/workload/reference.py``'s ``Arrivals.times``, which
+``test_kernel_equivalence.py`` holds the kernel to.
 """
 
 import math
@@ -13,6 +16,7 @@ import pytest
 from repro.workload.arrivals import (DEFAULT_DIURNAL, SECONDS_PER_DAY,
                                      SECONDS_PER_HOUR, DiurnalProfile,
                                      NhppArrivals)
+from tests.workload.reference import Arrivals
 
 
 class FlatProfile:
@@ -47,7 +51,7 @@ class TestNhppArrivals:
         # mean_rate_per_s is the *day-average* rate: the instantaneous
         # rate integrates back to it over a full day.
         profile = DiurnalProfile()
-        arrivals = NhppArrivals(2.0, profile)
+        arrivals = Arrivals(2.0, profile)
         day_integral = sum(
             arrivals.rate_at(hour * SECONDS_PER_HOUR) * SECONDS_PER_HOUR
             for hour in range(24))
@@ -59,7 +63,7 @@ class TestNhppArrivals:
         # sit within 5 sigma of its NHPP expectation.  Deterministic
         # seed keeps this a regression test, not a flaky one.
         profile = DiurnalProfile()
-        arrivals = NhppArrivals(2.0, profile)
+        arrivals = Arrivals(2.0, profile)
         rng = random.Random(2024)
         buckets = [0] * 24
         for t in arrivals.times(rng, SECONDS_PER_DAY):
@@ -73,14 +77,14 @@ class TestNhppArrivals:
                 f"{expected:.0f} +/- {sigma:.0f}")
 
     def test_flat_profile_degrades_to_homogeneous_poisson(self):
-        arrivals = NhppArrivals(0.5, FlatProfile())
+        arrivals = Arrivals(0.5, FlatProfile())
         rng = random.Random(11)
         count = sum(1 for _ in arrivals.times(rng, 40_000.0))
         expected = 0.5 * 40_000.0
         assert abs(count - expected) < 5.0 * math.sqrt(expected)
 
     def test_window_respects_start_and_duration(self):
-        arrivals = NhppArrivals(1.0, DiurnalProfile())
+        arrivals = Arrivals(1.0, DiurnalProfile())
         rng = random.Random(5)
         start = 18 * SECONDS_PER_HOUR
         times = list(arrivals.times(rng, SECONDS_PER_HOUR, start_s=start))
@@ -89,12 +93,12 @@ class TestNhppArrivals:
         assert times == sorted(times)
 
     def test_zero_duration_yields_nothing(self):
-        arrivals = NhppArrivals(1.0, DiurnalProfile())
+        arrivals = Arrivals(1.0, DiurnalProfile())
         assert list(arrivals.times(random.Random(1), 0.0)) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
             NhppArrivals(0.0, DiurnalProfile())
         with pytest.raises(ValueError):
-            list(NhppArrivals(1.0, DiurnalProfile())
+            list(Arrivals(1.0, DiurnalProfile())
                  .times(random.Random(1), -1.0))

@@ -107,6 +107,24 @@ class TestRunDistrict:
         with pytest.raises(ValueError):
             run_district(config, localized_model, seed=3)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ues", 0, "population needs >= 1 UE"),
+        ("sites", 0, "population needs >= 1 site"),
+        ("sessions_per_ue_hour", 0.0, "arrival rate must be positive"),
+        ("mean_requests", 0.5, "below floor 1"),
+        ("mean_think_s", 0.0, "think time must be positive"),
+        ("move_probability", 1.5, "bad move probability"),
+        ("handover_probability", -0.1, "bad handover probability"),
+        ("duration_s", -1.0, "negative duration"),
+    ])
+    def test_invalid_models_rejected(self, localized_model, field, value,
+                                     message):
+        # The kernel draws the models' values in-line and keeps their
+        # validation.
+        config = CONFIG._replace(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            run_district(config, localized_model, seed=3)
+
 
 class TestMergeStats:
     def test_counters_and_histograms_fold(self, localized_model):

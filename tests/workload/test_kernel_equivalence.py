@@ -12,6 +12,7 @@ as well as in aggregate.
 """
 
 import bisect
+import hashlib
 import math
 import random
 import tracemalloc
@@ -27,18 +28,21 @@ from repro.cdn.allocation import ConsistentAllocator, HashRing, hash_point
 from repro.cdn.content import ZipfRankStream
 from repro.measure.histogram import BINS_PER_DECADE, LOW_MS, LatencyHistogram
 from repro.netsim.latency import LogNormal
+from repro.runtime.spec import derive_seed
 from repro.telemetry import Telemetry, TelemetryConfig
-from repro.workload.arrivals import DiurnalProfile, NhppArrivals
+from repro.workload.arrivals import (SECONDS_PER_DAY, SECONDS_PER_HOUR,
+                                     DiurnalProfile)
 from repro.workload.caches import RankLru
 from repro.workload.deployment import (INTER_SITE_LEG, INTRA_SITE_LEG,
                                        ORIGIN_LEG, ORIGIN_SERVICE_MS,
                                        DeploymentModel, calibrate)
 from repro.workload.engine import (HEAD, DistrictConfig, DistrictStats,
                                    _Router, run_district)
-from repro.workload.mobility import HANDOVER_INTERRUPTION_MS, MobilityModel
+from repro.workload.mobility import HANDOVER_INTERRUPTION_MS
 from repro.workload.observer import QueryRecord
-from repro.workload.population import Population
-from repro.workload.sessions import SessionModel
+from tests.workload.reference import (Arrivals, Mobility, Population,
+                                      SessionPlacement, Sessions,
+                                      UserProfile)
 
 BASE = DistrictConfig(
     ues=40, sites=4, caches_per_site=2, cache_capacity=30,
@@ -97,13 +101,13 @@ def reference_run_district(config: DistrictConfig, model: DeploymentModel,
     """``run_district`` without a memo, a bound name or an in-lined draw,
     and every session's query records beside the aggregates."""
     population = Population(config.ues, config.sites, seed)
-    arrivals = NhppArrivals(config.sessions_per_ue_hour / 3600.0,
-                            DiurnalProfile())
-    session_model = SessionModel(mean_requests=config.mean_requests,
-                                 mean_think_s=config.mean_think_s)
-    mobility = MobilityModel(config.sites,
-                             move_probability=config.move_probability,
-                             handover_probability=config.handover_probability)
+    arrivals = Arrivals(config.sessions_per_ue_hour / 3600.0,
+                        DiurnalProfile())
+    session_model = Sessions(mean_requests=config.mean_requests,
+                             mean_think_s=config.mean_think_s)
+    mobility = Mobility(config.sites,
+                        move_probability=config.move_probability,
+                        handover_probability=config.handover_probability)
     router = ReferenceRouter(config)
     caches = [RankLru(config.cache_capacity)
               for _ in range(config.sites * config.caches_per_site)]
@@ -250,6 +254,13 @@ def models() -> Dict[str, DeploymentModel]:
             "blind": calibrate("google-dns", seed=42)}
 
 
+@pytest.fixture(scope="module")
+def references() -> Dict[Tuple[object, ...], Tuple[object, ...]]:
+    """The reference loop's fields per grid district, computed once for
+    the tests that compare aggregates only."""
+    return {}
+
+
 @pytest.fixture
 def sampled_telemetry() -> Iterator[Telemetry]:
     tel = Telemetry.from_config(SAMPLED)
@@ -268,10 +279,17 @@ class TestRunDistrictMatchesTheReference:
     # takes the sampler's logarithmic branch, 1.2 its s > 1 envelope.
     EXPONENTS = (0.5, 1.0, 1.2)
 
+    # Placement at 2 sites draws the other site as randrange(1), which
+    # is getrandbits(1) until 0; at 3 sites as randrange(2).
+    SITES = (1, 2, 3, 4)
+    # Move and handover probabilities at both ends, beside BASE's 0.3:
+    # 0 skips a draw, 1 always takes the branch.
+    MOBILITY = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+
     def grid(self) -> Iterator[Tuple[DistrictConfig, str, int]]:
         for allocation in ("content", "client", "client-bounded"):
             for which in ("localized", "blind"):
-                for sites in (1, 4):
+                for sites in self.SITES:
                     for catalog in self.CATALOGS:
                         for seed in (3, 7, 11):
                             yield (BASE._replace(allocation=allocation,
@@ -285,6 +303,12 @@ class TestRunDistrictMatchesTheReference:
                         yield (BASE._replace(zipf_exponent=exponent,
                                              catalog_size=catalog),
                                which, seed)
+        for move, handover in self.MOBILITY:
+            for which in ("localized", "blind"):
+                for seed in (3, 7, 11):
+                    yield (BASE._replace(move_probability=move,
+                                         handover_probability=handover),
+                           which, seed)
 
     def test_the_grid_straddles_head(self) -> None:
         assert self.CATALOGS[0] < HEAD < self.CATALOGS[-1]
@@ -292,16 +316,22 @@ class TestRunDistrictMatchesTheReference:
 
     def assert_matches(
             self, models: Dict[str, DeploymentModel],
+            references: Dict[Tuple[object, ...], Tuple[object, ...]],
             observers: Optional[List[RecordingObserver]] = None) -> None:
         for config, which, seed in self.grid():
             where = (config.allocation, which, config.sites,
-                     config.catalog_size, config.zipf_exponent, seed)
-            expected, sessions = reference_run_district(
-                config, models[which], seed)
-            assert expected.queries > 100
+                     config.catalog_size, config.zipf_exponent,
+                     config.move_probability, config.handover_probability,
+                     seed)
+            sessions: List[Session] = []
+            if observers is not None or where not in references:
+                expected, sessions = reference_run_district(
+                    config, models[which], seed)
+                assert expected.queries > 100
+                references[where] = every_field(expected)
             got = run_district(config, models[which], seed,
                                scope=f"{which}/{seed}")
-            assert every_field(got) == every_field(expected), where
+            assert every_field(got) == references[where], where
             if observers is not None:
                 observer = observers.pop()
                 assert not observers, "one observer per district"
@@ -310,18 +340,23 @@ class TestRunDistrictMatchesTheReference:
                 assert_records_rederive(got, observer,
                                         config.caches_per_site)
 
-    def test_telemetry_off(self, models: Dict[str, DeploymentModel]) -> None:
-        self.assert_matches(models)
+    def test_telemetry_off(
+            self, models: Dict[str, DeploymentModel],
+            references: Dict[Tuple[object, ...], Tuple[object, ...]]) -> None:
+        self.assert_matches(models, references)
 
-    def test_telemetry_sampled(self, models: Dict[str, DeploymentModel],
-                               sampled_telemetry: Telemetry) -> None:
-        self.assert_matches(models)
+    def test_telemetry_sampled(
+            self, models: Dict[str, DeploymentModel],
+            references: Dict[Tuple[object, ...], Tuple[object, ...]],
+            sampled_telemetry: Telemetry) -> None:
+        self.assert_matches(models, references)
         # The observability block really ran beside the kernel.
         assert len(sampled_telemetry.tail) == SAMPLED.tail_capacity
         assert sampled_telemetry.tracer.finished
 
     def test_records_match_the_reference(
             self, models: Dict[str, DeploymentModel],
+            references: Dict[Tuple[object, ...], Tuple[object, ...]],
             sampled_telemetry: Telemetry,
             monkeypatch: pytest.MonkeyPatch) -> None:
         # The kernel builds its observer from the ambient facade; stand
@@ -333,7 +368,7 @@ class TestRunDistrictMatchesTheReference:
             return observers[-1]
 
         monkeypatch.setattr(engine, "_DistrictObserver", recorder)
-        self.assert_matches(models, observers)
+        self.assert_matches(models, references, observers)
         assert not sampled_telemetry.tracer.finished
 
     def test_tail_ranks_are_exercised(self) -> None:
@@ -447,12 +482,12 @@ class TestRouterMemo:
             for rank in range(1, HEAD + 1) if table[rank]}
 
     @pytest.mark.parametrize("allocation", ["client", "client-bounded"])
-    def test_client_policies_leave_the_head_tables_empty(
+    def test_client_policies_build_no_head_tables(
             self, allocation: str, models: Dict[str, DeploymentModel],
             monkeypatch: pytest.MonkeyPatch) -> None:
         router = district_router(BASE._replace(allocation=allocation),
                                  models["localized"], monkeypatch)
-        assert not any(any(table) for table in router.head_tables)
+        assert router.head_tables == []
         assert len(router.head_points) == 0
 
     def test_table_is_no_longer_than_the_catalog(self) -> None:
@@ -623,3 +658,165 @@ class TestInlineDrawPins:
                      10 ** 7, 10 ** 7 + 1, 123_456_789, 2 ** 40):
             assert engine.CONTENT_KEY % rank == \
                 f"obj{rank:07d}.pop.mycdn.ciab.test".encode(), rank
+
+
+def inline_seed(prefix: Any, index: int) -> int:
+    """The kernel's per-UE digest: the district's hashed prefix, copied,
+    with the index's digits appended."""
+    hashed = prefix.copy()
+    hashed.update(str(index).encode())
+    return int.from_bytes(hashed.digest()[:8], "big")
+
+
+def inline_arrivals(arrivals: Arrivals, rng: random.Random,
+                    duration_s: float, start_s: float) -> List[float]:
+    """The kernel's thinning loop, collecting what it keeps."""
+    rand = rng.random
+    rate_max = arrivals.rate_max
+    hour_rates = [arrivals.scale * level for level in arrivals.profile.hourly]
+    end_s = start_s + duration_s
+    kept = []
+    arrival = start_s
+    while True:
+        arrival += -math.log(1.0 - rand()) / rate_max
+        if arrival >= end_s:
+            break
+        if rand() * rate_max > hour_rates[
+                int((arrival % SECONDS_PER_DAY) // SECONDS_PER_HOUR)]:
+            continue
+        kept.append(arrival)
+    return kept
+
+
+def inline_requests(rng: random.Random, request_p: float) -> int:
+    """The kernel's geometric request count."""
+    rand = rng.random
+    requests = 1
+    while rand() >= request_p:
+        requests += 1
+    return requests
+
+
+def inline_placement(rng: random.Random, model: Mobility, home_site: int,
+                     requests: int) -> SessionPlacement:
+    """The kernel's session placement."""
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    sites = model.sites
+    move_p = model.move_probability
+    handover_p = model.handover_probability
+    others = sites - 1
+    other_bits = others.bit_length()
+    handover_at = -1
+    if sites == 1:
+        site = handover_site = 0
+    else:
+        site = home_site
+        if move_p > 0 and rand() < move_p:
+            pick = getrandbits(other_bits)
+            while pick >= others:
+                pick = getrandbits(other_bits)
+            site = pick if pick < home_site else pick + 1
+        handover_site = site
+        if (requests > 1 and handover_p > 0
+                and rand() < handover_p):
+            pick = getrandbits(other_bits)
+            while pick >= others:
+                pick = getrandbits(other_bits)
+            handover_site = pick if pick < site else pick + 1
+            span = requests - 1
+            bits = span.bit_length()
+            pick = getrandbits(bits)
+            while pick >= span:
+                pick = getrandbits(bits)
+            handover_at = 1 + pick
+    return SessionPlacement(site, handover_site, handover_at)
+
+
+def inline_client_key(index: int) -> str:
+    """The kernel's client key."""
+    return (f"10.{64 + (index >> 16) % 64}."
+            f"{(index >> 8) & 0xFF}.{index & 0xFF}")
+
+
+class TestPerUeDrawPins:
+    """The per-UE and per-session set-up ``run_district`` writes out,
+    against the ``tests/workload/reference.py`` call it replaces: the
+    same values and, for a draw, the same RNG state afterwards."""
+
+    SEEDS = (0, 1, 2 ** 64 - 1)
+    INDICES = (0, 9, 10, 99, 100, 65_535, 65_536, 10 ** 6, 2 ** 31)
+
+    def test_prefix_copy_is_derive_seed(self) -> None:
+        for seed in self.SEEDS:
+            for part in ("ue", "home"):
+                prefix = hashlib.sha256(f"{seed}:{part}:".encode())
+                before = prefix.digest()
+                for index in self.INDICES:
+                    assert inline_seed(prefix, index) == \
+                        derive_seed(seed, part, index), (seed, part, index)
+                # Copies leave the district's prefix as it was.
+                assert prefix.digest() == before
+
+    def test_reseeded_random_is_a_fresh_one(self) -> None:
+        # One Random per district, re-seeded per UE after the previous
+        # UE drew, gauss() (which keeps a spare normal) included.
+        shared = random.Random(42)
+        for seed in (*self.SEEDS, 2 ** 63 + 5, 12_345):
+            shared.seed(seed)
+            fresh = random.Random(seed)
+            assert shared.getstate() == fresh.getstate(), seed
+            for rng in (shared, fresh):
+                rng.random()
+                rng.getrandbits(7)
+                rng.gauss(0.0, 1.0)
+            assert shared.getstate() == fresh.getstate(), seed
+
+    @pytest.mark.parametrize("start_s, duration_s", [
+        (0.0, 30 * SECONDS_PER_HOUR),
+        (18 * SECONDS_PER_HOUR, 12 * SECONDS_PER_HOUR)],
+        ids=["midnight", "evening"])
+    def test_thinning_loop_is_times(self, start_s: float,
+                                    duration_s: float) -> None:
+        # Both windows cross a midnight, where the hour bucket wraps.
+        arrivals = Arrivals(0.05, DiurnalProfile())
+        by_call = random.Random(19)
+        by_loop = random.Random(19)
+        expected = list(arrivals.times(by_call, duration_s, start_s=start_s))
+        assert len(expected) > 1_000
+        assert any(t >= SECONDS_PER_DAY for t in expected)
+        assert inline_arrivals(arrivals, by_loop, duration_s,
+                               start_s) == expected
+        assert by_loop.getstate() == by_call.getstate()
+
+    @pytest.mark.parametrize("mean", [1.0, 8.0, 30.0])
+    def test_geometric_loop_is_request_count(self, mean: float) -> None:
+        model = Sessions(mean_requests=mean)
+        by_call = random.Random(23)
+        by_loop = random.Random(23)
+        expected = [model.request_count(by_call) for _ in range(10_000)]
+        assert [inline_requests(by_loop, model.p)
+                for _ in range(10_000)] == expected
+        assert by_loop.getstate() == by_call.getstate()
+
+    @pytest.mark.parametrize("sites", [1, 2, 3, 4])
+    def test_placement_is_place_session(self, sites: int) -> None:
+        for move in (0.0, 0.15, 1.0):
+            for handover in (0.0, 0.15, 1.0):
+                model = Mobility(sites, move_probability=move,
+                                 handover_probability=handover)
+                by_call = random.Random(sites)
+                by_loop = random.Random(sites)
+                for draw in range(600):
+                    home_site = draw % sites
+                    requests = 1 + draw % 40
+                    assert inline_placement(
+                        by_loop, model, home_site, requests) == \
+                        model.place_session(by_call, home_site, requests), (
+                            sites, move, handover, draw)
+                assert by_loop.getstate() == by_call.getstate()
+
+    def test_client_key_is_client_ip(self) -> None:
+        for index in (0, 255, 256, 65_535, 65_536, 2 ** 22):
+            assert inline_client_key(index) == \
+                UserProfile(index, 0, 0).client_ip(), index

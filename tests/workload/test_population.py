@@ -3,7 +3,9 @@
 The determinism contract under the ``population`` artifact's digests:
 every UE is a pure function of ``(population seed, index)``, its RNG
 stream is private, and none of it depends on population size or which
-process computes it.
+process computes it.  ``run_district`` makes these draws in-line; they
+are tested here as the calls in ``tests/workload/reference.py``, which
+``test_kernel_equivalence.py`` holds the kernel to.
 """
 
 import random
@@ -12,9 +14,10 @@ from collections import Counter
 import pytest
 
 from repro.workload.caches import RankLru
-from repro.workload.mobility import MobilityModel, SessionPlacement
-from repro.workload.population import Population, UserProfile
+from repro.workload.mobility import MobilityModel
 from repro.workload.sessions import SessionModel
+from tests.workload.reference import (Mobility, Population, SessionPlacement,
+                                      Sessions, UserProfile)
 
 
 def users(population):
@@ -78,7 +81,7 @@ class TestPopulation:
 
 class TestSessionModel:
     def test_request_count_mean_and_floor(self):
-        model = SessionModel(mean_requests=8.0, mean_think_s=4.0)
+        model = Sessions(mean_requests=8.0, mean_think_s=4.0)
         rng = random.Random(13)
         counts = [model.request_count(rng) for _ in range(20_000)]
         assert min(counts) >= 1
@@ -95,7 +98,7 @@ class TestSessionModel:
         assert sum(draws) / len(draws) == pytest.approx(4.0, rel=0.05)
 
     def test_degenerate_mean_pins_the_floor(self):
-        model = SessionModel(mean_requests=1.0, mean_think_s=1.0)
+        model = Sessions(mean_requests=1.0, mean_think_s=1.0)
         rng = random.Random(3)
         assert all(model.request_count(rng) == 1 for _ in range(100))
 
@@ -108,8 +111,8 @@ class TestSessionModel:
 
 class TestMobilityModel:
     def test_single_site_consumes_no_rng(self):
-        model = MobilityModel(1, move_probability=1.0,
-                              handover_probability=1.0)
+        model = Mobility(1, move_probability=1.0,
+                         handover_probability=1.0)
         rng = random.Random(5)
         probe = random.Random(5).random()
         placement = model.place_session(rng, 0, requests=10)
@@ -118,8 +121,8 @@ class TestMobilityModel:
         assert rng.random() == probe
 
     def test_other_site_never_returns_current(self):
-        model = MobilityModel(4, move_probability=1.0,
-                              handover_probability=0.0)
+        model = Mobility(4, move_probability=1.0,
+                         handover_probability=0.0)
         rng = random.Random(21)
         for _ in range(200):
             placement = model.place_session(rng, 2, requests=5)
@@ -127,16 +130,16 @@ class TestMobilityModel:
             assert 0 <= placement.site < 4
 
     def test_move_probability_is_respected(self):
-        model = MobilityModel(4, move_probability=0.25,
-                              handover_probability=0.0)
+        model = Mobility(4, move_probability=0.25,
+                         handover_probability=0.0)
         rng = random.Random(8)
         away = sum(model.place_session(rng, 1, 5).site != 1
                    for _ in range(20_000))
         assert away / 20_000 == pytest.approx(0.25, abs=0.02)
 
     def test_handover_lands_mid_session(self):
-        model = MobilityModel(3, move_probability=0.0,
-                              handover_probability=1.0)
+        model = Mobility(3, move_probability=0.0,
+                         handover_probability=1.0)
         rng = random.Random(2)
         for _ in range(200):
             placement = model.place_session(rng, 0, requests=6)
@@ -144,8 +147,8 @@ class TestMobilityModel:
             assert placement.handover_site != placement.site
 
     def test_single_request_sessions_never_hand_over(self):
-        model = MobilityModel(3, move_probability=0.0,
-                              handover_probability=1.0)
+        model = Mobility(3, move_probability=0.0,
+                         handover_probability=1.0)
         rng = random.Random(4)
         placement = model.place_session(rng, 0, requests=1)
         assert placement.handover_at == -1
